@@ -23,7 +23,12 @@ from slidekick.bifurcation import (
     homoclinic_scan,
     stribeck_attractor,
 )
-from slidekick.inner import distinguished_solution, normalized_solution
+from slidekick.inner import (
+    _integrate_normalized,
+    distinguished_solution,
+    normalized_seed,
+    normalized_solution,
+)
 from slidekick.models import model
 from slidekick.poincare import landing_scan, map_P_epsilon, normal_form_constants
 from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
@@ -169,17 +174,9 @@ def criterion_5() -> CriterionResult:
         ok = ok and bool(inside.all())
         worst_ratio = max(worst_ratio, float(np.max(np.abs(w) / np.abs(bound))))
     # seed perturbation: +1e-6 relative at the seed changes etabar(0) < 1e-8
-    from scipy.integrate import solve_ivp
-    from slidekick.inner import normalized_seed
-
     base = normalized_solution(2).etabar_at_0
-
-    def rhs(u, z):
-        return [1.0 / z[0] + 2.0 * u]
-
     w0 = (normalized_seed(2, -30.0) + 900.0) * (1 + 1e-6)
-    sol = solve_ivp(rhs, (-30.0, 0.0), [w0], method="Radau", rtol=1e-12, atol=1e-14)
-    kick = abs(float(sol.y[0][-1]) - base)
+    kick = abs(float(_integrate_normalized(2, -30.0, w_seed=w0).z[0]) - base)
     ok = ok and kick < 1e-8
     dt = time.perf_counter() - t0
     return CriterionResult(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from slidekick.fields import PlanarField, filippov_flow, find_fold
-from slidekick.integrator import NoArrival, Section, integrate
+from slidekick.integrator import NoArrival, Section, Stop, integrate, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     TangencyConstants,
@@ -182,12 +182,7 @@ def _grazing_fixed_points(
             return False
         res = abs(R(x_star) - x_star)
         if res <= 1e-8:
-            slope = (R(x_star + 1e-7) - R(x_star - 1e-7)) / 2e-7
-            if abs(abs(slope) - 1.0) <= 1e-3:
-                stab = "neutral"
-            else:
-                stab = "attracting" if abs(slope) < 1.0 else "repelling"
-            found.append(FixedPoint(x=x_star, stability=stab, residual=res))
+            found.append(FixedPoint(x=x_star, stability=_stability(R, x_star, dx=1e-7), residual=res))
             return True
         return False
 
@@ -429,20 +424,10 @@ def _separatrix_landing(desc: ModelDescriptor, y0: float, *, stable: bool, delta
         v = -v
     start = (sx + delta * v[0], sy + delta * v[1])
     fld = desc.system.x_plus.negated() if stable else desc.system.x_plus
-
-    def ev(t, z):
-        return z[1] - y0
-
-    ev.terminal = True
-    ev.direction = 0
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(fld.rhs, (0.0, 200.0), list(start), method="RK45", max_step=0.1,
-                    rtol=1e-12, atol=1e-14, dense_output=True, events=[ev])
-    if sol.t_events[0].size == 0:
+    shot = shoot(fld.rhs, (0.0, 200.0), start, [Stop(1, y0)], max_step=0.1, rtol=1e-12, atol=1e-14)
+    if shot.stop is None:
         raise NoArrival("separatrix never crossed the outer section")
-    t_hit = float(sol.t_events[0][0])
-    return float(sol.sol(t_hit)[0])
+    return float(shot.z[0])
 
 
 def homoclinic_scan(
@@ -574,40 +559,26 @@ def saddle_passage_times(
         vs = -vs
     M = np.column_stack([vu, vs])
     Minv = np.linalg.inv(M)
-    from scipy.integrate import solve_ivp
 
     def eigcoords(z):
         return Minv @ np.array([z[0] - sx, z[1] - sy])
 
     # backward shooting: W^s leaves the saddle along vs in reverse time
-    def ev_edge(t, z):
-        return abs(eigcoords(z)[1]) - entry_edge
-
-    ev_edge.terminal = True
-    ev_edge.direction = 1
+    edge = Stop(g=lambda t, z: abs(eigcoords(z)[1]) - entry_edge, direction=1)
     seed = np.array([sx, sy]) + 1e-9 * vs
-    fld_back = desc.system.x_plus.negated()
-    solb = solve_ivp(fld_back.rhs, (0.0, 100.0), list(seed), method="RK45",
-                     rtol=1e-12, atol=1e-14, max_step=0.05,
-                     dense_output=True, events=[ev_edge])
-    if solb.t_events[0].size == 0:
+    back = shoot(desc.system.x_plus.negated().rhs, (0.0, 100.0), seed, [edge],
+                 rtol=1e-12, atol=1e-14, max_step=0.05)
+    if back.stop is None:
         raise NoArrival("could not anchor on the stable manifold")
-    anchor = solb.sol(float(solb.t_events[0][0]))
 
-    def ev_exit(t, z):
-        return abs(eigcoords(z)[0]) - entry_edge
-
-    ev_exit.terminal = True
-    ev_exit.direction = 1
-
+    leave = Stop(g=lambda t, z: abs(eigcoords(z)[0]) - entry_edge, direction=1)
     times = []
     for d in distances:
-        start = anchor + d * vu
-        sol = solve_ivp(desc.system.x_plus.rhs, (0.0, 500.0), list(start), method="RK45",
-                        rtol=1e-12, atol=1e-14, max_step=0.1, events=[ev_exit])
-        if sol.t_events[0].size == 0:
+        shot = shoot(desc.system.x_plus.rhs, (0.0, 500.0), back.z + d * vu, [leave],
+                     rtol=1e-12, atol=1e-14, max_step=0.1)
+        if shot.stop is None:
             raise NoArrival(f"passage from distance {d} never exited the saddle box")
-        times.append(float(sol.t_events[0][0]))
+        times.append(shot.t)
     return np.asarray(times)
 
 
@@ -641,11 +612,6 @@ def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     return worst
 
 
-def hausdorff_polyline(A: np.ndarray, B: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two polylines (point-to-segment)."""
-    return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
-
-
 def stribeck_attractor(
     desc: ModelDescriptor,
     profile: RegularizationProfile,
@@ -662,7 +628,7 @@ def stribeck_attractor(
         r = exterior_map(
             desc.system.x_plus,
             Section(y0, "all", id="from"),
-            _HalfSection(y0, fold.x, side=-1),
+            Section(y0, "x<0", id="half-1", edge=fold.x),
             z,
             offset=0.0,
             floor_margin=eps / 2,
@@ -719,30 +685,10 @@ def _separatrix_like_backward(desc: ModelDescriptor, fold_x: float, y0: float) -
     return _landing(desc.system.x_plus, (fold_x, desc.system.offset), y0, backward=True)
 
 
-class _HalfSection(Section):
-    """Section restricted to one side of the fold abscissa."""
-
-    def __init__(self, y0: float, fold_x: float, side: int):
-        super().__init__(y0=y0, half="all", id=f"half{side}")
-        object.__setattr__(self, "_fold_x", fold_x)
-        object.__setattr__(self, "_side", side)
-
-    def contains(self, x: float) -> bool:
-        return (x - self._fold_x) * self._side > 0.0
-
-
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:
-    from scipy.integrate import solve_ivp
-
-    def ev(t, z):
-        return z[1] - eps
-
-    ev.terminal = True
-    ev.direction = -1
-    sol = solve_ivp(field.rhs, (1e-9, t_max), [x_exit, eps], method="RK45", max_step=0.02,
-                    rtol=1e-11, atol=1e-13, dense_output=True, events=[ev])
-    if sol.t_events[0].size == 0:
+    shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], max_step=0.02,
+                 rtol=1e-11, atol=1e-13, dense=True)
+    if shot.stop is None:
         raise NoArrival("upper arc never returned to the strip boundary")
-    ts = np.linspace(sol.t[0], float(sol.t_events[0][0]), 6000)
-    pts = sol.sol(ts)
+    pts = shot.dense(np.linspace(shot.ts[0], shot.t, 6000))
     return np.column_stack([pts[0], pts[1]])

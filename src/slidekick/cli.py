@@ -48,33 +48,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        values = {}
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key not in _KNOWN_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = val
-        return cls(values)
+            return cls(_parse_config(fh.read(), path))
 
     def to_text(self) -> str:
         return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        values = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
-        return cls(values)
+        return cls(_parse_config(text, "<text>"))
+
+
+def _parse_config(text: str, source: str) -> dict[str, str]:
+    """``key = value`` lines of known keys; ``#`` starts a comment."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        values[key] = val
+    return values
 
 
 def _fmt(x: float) -> str:

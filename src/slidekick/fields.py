@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-if TYPE_CHECKING:
-    from slidekick.integrator import Section, Trajectory
+from slidekick.integrator import Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, shoot
 
 
 class FieldsError(Exception):
@@ -76,7 +75,7 @@ class PlanarField:
         )
 
     def rhs(self, t: float, z) -> list[float]:
-        """Right-hand side in the signature scipy's solve_ivp expects."""
+        """Right-hand side in the ``rhs(t, z)`` signature of the ODE solvers."""
         fx, fy = self.func(z[0], z[1])
         return [fx, fy]
 
@@ -210,10 +209,6 @@ def find_fold(
     return FoldPoint(x=float(x_f), visible=bool(dfx * f1 > 0.0), direction=int(math.copysign(1, f1)))
 
 
-class StepLimitExceeded(FieldsError):
-    """The hybrid flow exceeded its segment or step budget."""
-
-
 def filippov_flow(
     system: FilippovSystem,
     start: tuple[float, float],
@@ -224,7 +219,7 @@ def filippov_flow(
     max_segments: int = 200,
     t_max: float = 1e3,
     max_step: float = 0.05,
-) -> "Trajectory":
+) -> Trajectory:
     """Flow of the non-smooth system Z from ``start``.
 
     The orbit concatenates X+/X- arcs, crossing transitions, sliding
@@ -235,11 +230,8 @@ def filippov_flow(
     Events are annotated in order: ``cross_section``, ``slide_start``,
     ``slide_end``, ``fold_exit`` and the region switches.
     """
-    from slidekick import integrator as intg
-    from scipy.integrate import solve_ivp
-
     y_sw = system.offset
-    sec = stop if isinstance(stop, intg.Section) else None
+    sec = stop if isinstance(stop, Section) else None
     stop_at_slide = stop == "sliding"
     t_final = float(stop) if not (sec is not None or stop_at_slide) else t_max
 
@@ -248,7 +240,10 @@ def filippov_flow(
     ts: list[np.ndarray] = []
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
-    events: list[intg.TrajectoryEvent] = []
+    events: list[TrajectoryEvent] = []
+
+    def trajectory() -> Trajectory:
+        return Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events)
 
     # starting exactly on Sigma: decide regime from the classification
     if abs(y0 - y_sw) <= 1e-14:
@@ -277,153 +272,91 @@ def filippov_flow(
             toward = -1 if regime == "plus" else +1  # direction of approach to Sigma
 
             # a start with vanishing normal velocity (fold exit) would retrigger
-            # the tangency event immediately; advance one tiny Euler step
+            # the tangency stop immediately; advance one tiny Euler step
             f_at = field(x0, y0)
             if abs(f_at[1]) <= 1e-12 * max(1.0, abs(f_at[0])):
                 t0 += 1e-10
                 x0 += 1e-10 * f_at[0]
                 y0 += 1e-10 * f_at[1]
 
-            def ev_line(t, z):
-                return z[1] - y_sw
-
-            ev_line.terminal = True
-            ev_line.direction = toward
-
             # tangential contact with Sigma shows up as an extremum of y close
-            # to the line; in V+ the relevant contact is a minimum, in V- a
-            # maximum
-            def ev_tan(t, z, fld=field):
-                return fld(z[0], z[1])[1]
-
-            ev_tan.terminal = True
-            ev_tan.direction = -toward
-
-            evs = [ev_line, ev_tan]
+            # to the line (a minimum in V+, a maximum in V-); extrema away
+            # from the line are stepped past
+            stops = [
+                Stop(1, y_sw, toward),
+                Stop(g=lambda t, z: field(z[0], z[1])[1], direction=-toward,
+                     accept=lambda z: abs(z[1] - y_sw) <= 1e-9),
+            ]
             if sec is not None:
-                def ev_sec(t, z):
-                    return z[1] - sec.y0
+                stops.append(sec.stop())
+            shot = shoot(field.rhs, (t0, t_final), [x0, y0], stops,
+                         max_step=max_step, rtol=rtol, atol=atol)
+            ts.append(shot.ts)
+            xs.append(shot.zs[0])
+            ys.append(shot.zs[1])
+            t0 = shot.t
+            x0, y0 = float(shot.z[0]), float(shot.z[1])
 
-                ev_sec.terminal = True
-                ev_sec.direction = 0
-                evs.append(ev_sec)
-
-            sol = solve_ivp(
-                field.rhs,
-                (t0, t_final),
-                [x0, y0],
-                method="RK45",
-                max_step=max_step,
-                rtol=rtol,
-                atol=atol,
-                dense_output=True,
-                events=evs,
-            )
-            if sol.status == -1:
-                raise StepLimitExceeded(sol.message)
-            ts.append(sol.t)
-            xs.append(sol.y[0])
-            ys.append(sol.y[1])
-            t0 = float(sol.t[-1])
-            x0, y0 = float(sol.y[0][-1]), float(sol.y[1][-1])
-
-            t_stop = t0
-            hit_line = sol.t_events[0].size > 0 and abs(sol.t_events[0][-1] - t_stop) <= 1e-12 * max(1.0, abs(t_stop))
-            hit_tan = sol.t_events[1].size > 0 and abs(sol.t_events[1][-1] - t_stop) <= 1e-12 * max(1.0, abs(t_stop))
-            hit_sec = (
-                sec is not None
-                and sol.t_events[2].size > 0
-                and abs(sol.t_events[2][-1] - t_stop) <= 1e-12 * max(1.0, abs(t_stop))
-            )
-
-            if hit_sec and sec.contains(x0):
-                events.append(intg.TrajectoryEvent(t0, f"cross_section:{sec.id}", (x0, y0)))
-                return intg.Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events)
-            if hit_sec:
-                # wrong half-line: nudge past the crossing and carry on
-                f = field(x0, y0)
-                t0 += 1e-11
-                x0 += 1e-11 * f[0]
-                y0 += 1e-11 * f[1]
-                continue
-            if hit_line:
+            if shot.stop == 2:
+                events.append(TrajectoryEvent(t0, f"cross_section:{sec.id}", (x0, y0)))
+                return trajectory()
+            if shot.stop == 0:
                 cls = classify_point(system, x0)
                 if cls is RegionClass.SLIDING:
-                    events.append(intg.TrajectoryEvent(t0, "slide_start", (x0, y_sw)))
+                    events.append(TrajectoryEvent(t0, "slide_start", (x0, y_sw)))
                     if stop_at_slide:
-                        return intg.Trajectory(
-                            np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events
-                        )
+                        return trajectory()
                     regime = "slide"
                     y0 = y_sw
                 elif cls is RegionClass.ESCAPING:
                     raise EscapeRegion(f"orbit reached the escaping set at x={x0}")
                 elif cls is RegionClass.CROSSING:
                     new = "minus" if regime == "plus" else "plus"
-                    events.append(intg.TrajectoryEvent(t0, f"switch_{new}", (x0, y_sw)))
+                    events.append(TrajectoryEvent(t0, f"switch_{new}", (x0, y_sw)))
                     regime = new
                     y0 = y_sw
                 else:
                     # tangency point itself: continue in V+ along W^u
-                    events.append(intg.TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
+                    events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
                     regime = "plus"
                     y0 = y_sw
-            elif hit_tan:
-                grazing = abs(y0 - y_sw) <= 1e-9
-                if regime == "plus" and grazing:
-                    events.append(intg.TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
+            elif shot.stop == 1:
+                # a graze of the line; in V+ it is the fold exit.  Step along
+                # the line so the stop does not refire at the restart
+                if regime == "plus":
+                    events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
                     y0 = y_sw
-                # interior extremum (or graze): nudge past so the event does
-                # not refire at the restart
-                f = field(x0, y0)
                 dt = 1e-10
                 t0 += dt
-                x0 += dt * f[0]
-                if not grazing:
-                    y0 += dt * f[1]
+                x0 += dt * field(x0, y0)[0]
             elif t0 >= t_final - 1e-14:
-                return intg.Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events)
+                return trajectory()
         else:  # sliding
-            fold_ev = lambda t, z: system.x_plus(z[0], y_sw)[1]
-            fold_ev.terminal = True
-            fold_ev.direction = 0
-            lower_ev = lambda t, z: system.x_minus(z[0], y_sw)[1]
-            lower_ev.terminal = True
-            lower_ev.direction = 0
-
             def slide_rhs(t, z):
                 x = z[0]
                 f1p, f2p = system.x_plus(x, y_sw)
                 f1m, f2m = system.x_minus(x, y_sw)
                 return [(f1p * f2m - f1m * f2p) / (f2m - f2p)]
 
-            sol = solve_ivp(
-                slide_rhs,
-                (t0, t_final),
-                [x0],
-                method="RK45",
-                rtol=rtol,
-                atol=atol,
-                events=[fold_ev, lower_ev],
-            )
-            if sol.status == -1:
-                raise StepLimitExceeded(sol.message)
-            ts.append(sol.t)
-            xs.append(sol.y[0])
-            ys.append(np.full_like(sol.t, y_sw))
-            t0 = float(sol.t[-1])
-            x0 = float(sol.y[0][-1])
+            stops = [Stop(g=lambda t, z: system.x_plus(z[0], y_sw)[1]),
+                     Stop(g=lambda t, z: system.x_minus(z[0], y_sw)[1])]
+            shot = shoot(slide_rhs, (t0, t_final), [x0], stops, rtol=rtol, atol=atol)
+            ts.append(shot.ts)
+            xs.append(shot.zs[0])
+            ys.append(np.full_like(shot.ts, y_sw))
+            t0 = shot.t
+            x0 = float(shot.z[0])
             y0 = y_sw
-            if sol.t_events[0].size > 0:
+            if shot.stop == 0:
                 # the slide reached the fold of X+: exit along W^u into V+
-                events.append(intg.TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
-                events.append(intg.TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
+                events.append(TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
+                events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
                 regime = "plus"
-            elif sol.t_events[1].size > 0:
-                events.append(intg.TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
+            elif shot.stop == 1:
+                events.append(TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
                 regime = "minus"
             else:
-                return intg.Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events)
+                return trajectory()
         if _done(t0, x0, y0):
-            return intg.Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events)
+            return trajectory()
     raise StepLimitExceeded(f"hybrid flow did not terminate within {max_segments} segments")

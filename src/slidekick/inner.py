@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+from slidekick.integrator import Stop, shoot
 
 
 class InnerError(Exception):
@@ -81,12 +82,16 @@ class InnerSolution:
     eta_at_0: float
     u_start: float
     estimated_error: float
+    den: np.ndarray  # the integrated D = 4 eta - c_p u^p on the grid
 
     def denominator(self) -> np.ndarray:
-        return 4.0 * self.eta - self.c_p * self.u**self.p
+        # recomputing 4 eta - c_p u^p would cancel away the digits that
+        # integrating D keeps (eta ~ -1.8e4 at u = -12 for p = 4)
+        return self.den
 
 
-def _integrate_unscaled(p: int, c_p: float, u_start: float, rtol: float, atol: float, max_step: float = np.inf):
+def _integrate_unscaled(p: int, c_p: float, u_start: float, rtol: float, atol: float,
+                        max_step: float = np.inf, dense: bool = False):
     # integrate the denominator D = 4 eta - c_p u^p instead of eta itself:
     # D stays O(1) while eta grows like u^p, so no precision is lost to the
     # cancellation 4 eta - c_p u^p, and eta(0) = D(0)/4 exactly
@@ -96,12 +101,6 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, rtol: float, atol: f
     def jac(u, z):
         return [[-8.0 / (z[0] * z[0])]]
 
-    def ev_den(u, z):
-        return z[0]
-
-    ev_den.terminal = True
-    ev_den.direction = -1
-
     # the two-term series leaves a remainder O(u^{2-3p}) that would relax
     # onto the branch in a boundary layer at u_start and pollute the dense
     # output there; the third term comes from the normalized series mapped
@@ -109,21 +108,11 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, rtol: float, atol: f
     alpha, beta = alpha_beta(p, c_p)
     third = -((p - 1) / p**3) * beta ** (2 - 3 * p) / alpha * u_start ** (2 - 3 * p)
     d_seed = 4.0 * (asymptotic_seed(p, c_p, u_start) + third) - c_p * u_start**p
-    sol = solve_ivp(
-        rhs,
-        (u_start, 0.0),
-        [d_seed],
-        method="Radau",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[ev_den],
-        jac=jac,
-        max_step=max_step,
-    )
-    if sol.t_events[0].size > 0 or sol.status != 0:
+    shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, method="Radau",
+                 rtol=rtol, atol=atol, max_step=max_step, dense=dense)
+    if shot.stop is not None:
         raise BlowUp(f"denominator crossed zero integrating from u_start={u_start}")
-    return sol
+    return shot
 
 
 @lru_cache(maxsize=64)
@@ -155,12 +144,13 @@ def distinguished_solution(
     _check_parity(p, c_p)
 
     # the grid run caps the step so the dense interpolant meets the
-    # 1e-10 pointwise residual contract; the Richardson companion only
-    # needs its endpoint
-    sol1 = _integrate_unscaled(p, c_p, u_start, rtol, atol, max_step=0.02)
+    # 1e-10 pointwise residual contract; p >= 4 runs closer to the
+    # null-cline and reads 1.9e-10 at the p <= 3 cap.  The Richardson
+    # companion only needs its endpoint
+    sol1 = _integrate_unscaled(p, c_p, u_start, rtol, atol, max_step=0.02 if p <= 3 else 0.01, dense=True)
     sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start, rtol, atol)
-    v1 = float(sol1.y[0][-1]) / 4.0
-    v2 = float(sol2.y[0][-1]) / 4.0
+    v1 = float(sol1.z[0]) / 4.0
+    v2 = float(sol2.z[0]) / 4.0
     r = 2.0 ** (2 - 3 * p)
     v_ext = (v2 - r * v1) / (1.0 - r)
 
@@ -168,15 +158,16 @@ def distinguished_solution(
     # width ~ D^2/8 at u_start; the reported grid starts past it so pointwise
     # residuals reflect the branch, not the (attracting) transient
     us = np.linspace(u_start + 0.5, 0.0, grid_points)
-    etas = np.array([(float(sol1.sol(u)[0]) + c_p * u**p) / 4.0 for u in us])
+    dens = sol1.dense(us)[0]
     return InnerSolution(
         p=p,
         c_p=c_p,
         u=us,
-        eta=etas,
+        eta=(dens + c_p * us**p) / 4.0,
         eta_at_0=v_ext,
         u_start=u_start,
         estimated_error=abs(v_ext - v2),
+        den=dens,
     )
 
 
@@ -196,37 +187,27 @@ class NormalizedSolution:
         return self.etabar + self.ubar**self.p
 
 
-def _integrate_normalized(p: int, u_start: float, rtol: float, atol: float):
-    # integrate the deviation w = etabar + ubar^p; the distinguished branch
-    # keeps w of one sign (positive for even p, negative for odd p) and
-    # w ~ -(1/p) ubar^{1-p}, so the variable stays well scaled
+def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: float | None = None,
+                          rtol: float = 1e-12, atol: float = 1e-14, dense: bool = False):
+    """Integrate the deviation w = etabar + ubar^p from u_start to u_end.
+
+    The distinguished branch keeps w of one sign (positive for even p,
+    negative for odd p) and w ~ -(1/p) ubar^{1-p}, so the variable stays
+    well scaled.  The seed defaults to the three-term series at u_start.
+    """
     def rhs(u, z):
         return [1.0 / z[0] + p * u ** (p - 1)]
 
     def jac(u, z):
         return [[-1.0 / (z[0] * z[0])]]
 
-    def ev_den(u, z):
-        return z[0]
-
-    ev_den.terminal = True
-    ev_den.direction = -1 if p % 2 == 0 else 1
-
-    w_seed = -(1.0 / p) * u_start ** (1 - p) - ((p - 1) / p**3) * u_start ** (2 - 3 * p)
-    sol = solve_ivp(
-        rhs,
-        (u_start, 0.0),
-        [w_seed],
-        method="Radau",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[ev_den],
-        jac=jac,
-    )
-    if sol.t_events[0].size > 0 or sol.status != 0:
+    if w_seed is None:
+        w_seed = -(1.0 / p) * u_start ** (1 - p) - ((p - 1) / p**3) * u_start ** (2 - 3 * p)
+    shot = shoot(rhs, (u_start, u_end), [w_seed], [Stop(0, 0.0, -1 if p % 2 == 0 else 1)], jac=jac,
+                 method="Radau", rtol=rtol, atol=atol, dense=dense)
+    if shot.stop is not None:
         raise BlowUp(f"normalized denominator crossed zero from u_start={u_start}")
-    return sol
+    return shot
 
 
 @lru_cache(maxsize=64)
@@ -238,18 +219,17 @@ def normalized_solution(
     atol: float = 1e-14,
     grid_points: int = 2001,
 ) -> NormalizedSolution:
-    sol1 = _integrate_normalized(p, u_start, rtol, atol)
-    sol2 = _integrate_normalized(p, 2.0 * u_start, rtol, atol)
-    v1 = float(sol1.y[0][-1])
-    v2 = float(sol2.y[0][-1])
+    sol1 = _integrate_normalized(p, u_start, rtol=rtol, atol=atol, dense=True)
+    sol2 = _integrate_normalized(p, 2.0 * u_start, rtol=rtol, atol=atol)
+    v1 = float(sol1.z[0])
+    v2 = float(sol2.z[0])
     r = 2.0 ** (3 - 5 * p)  # the seed keeps three terms, remainder O(ubar^{3-5p})
     v_ext = (v2 - r * v1) / (1.0 - r)
     us = np.linspace(u_start, 0.0, grid_points)
-    etas = np.array([float(sol1.sol(u)[0]) - u**p for u in us])
     return NormalizedSolution(
         p=p,
         ubar=us,
-        etabar=etas,
+        etabar=sol1.dense(us)[0] - us**p,
         etabar_at_0=v_ext,
         u_start=u_start,
         estimated_error=abs(v_ext - v2),
@@ -288,6 +268,8 @@ def eta1_check(
     forcing (c_{p+1} = 0) any seeded eta1 decays; the report then carries
     the final magnitude instead of a meaningful slope.
     """
+    from slidekick.poincare import fit_power_law
+
     _check_parity(p, c_p)
 
     def rhs(u, z):
@@ -306,32 +288,16 @@ def eta1_check(
 
     eta1_seed = 0.25 * c_p1 * u_start ** (p + 1) if seed_eta1 is None else seed_eta1
     d_seed = 4.0 * asymptotic_seed(p, c_p, u_start) - c_p * u_start**p
-    sol = solve_ivp(
-        rhs,
-        (u_start, -1.0),
-        [d_seed, eta1_seed],
-        method="Radau",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-        jac=jac,
-    )
-    if sol.status != 0:
-        raise BlowUp("eta1 integration failed")
+    sol = shoot(rhs, (u_start, -1.0), [d_seed, eta1_seed], jac=jac, method="Radau",
+                rtol=1e-12, atol=1e-14, dense=True)
 
-    lo, hi = fit_window
-    us = np.linspace(lo, hi, 60)
-    vals = np.array([abs(float(sol.sol(u)[1])) for u in us])
-    final_mag = abs(float(sol.sol(-10.0)[1])) if -10.0 >= u_start else float(vals[-1])
+    us = np.linspace(*fit_window, 60)
+    vals = np.abs(sol.dense(us)[1])
+    final_mag = abs(float(sol.dense(-10.0)[1])) if -10.0 >= u_start else float(vals[-1])
     if np.any(vals <= 0.0):
         return Eta1Report(p=p, slope=float("nan"), r_squared=0.0, final_magnitude=final_mag)
-    X = np.log(np.abs(us))
-    Y = np.log(vals)
-    A = np.vstack([X, np.ones_like(X)]).T
-    coef, res, _rank, _sv = np.linalg.lstsq(A, Y, rcond=None)
-    ss_tot = float(np.sum((Y - Y.mean()) ** 2))
-    r2 = 1.0 - float(res[0]) / ss_tot if res.size and ss_tot > 0 else 1.0
-    return Eta1Report(p=p, slope=float(coef[0]), r_squared=r2, final_magnitude=final_mag)
+    fit = fit_power_law(np.abs(us), vals, r2_min=-np.inf, allow_drop=False)
+    return Eta1Report(p=p, slope=fit.slope, r_squared=fit.r_squared, final_magnitude=final_mag)
 
 
 def simpson_residual(solution: InnerSolution) -> float:
@@ -362,28 +328,12 @@ def omega0(u_end: float = 60.0) -> float:
     closed form and is computed by continuing the deviation equation to
     ubar = u_end and removing the 1/ubar tail.
     """
-    sol = _integrate_normalized(2, -30.0, 1e-12, 1e-14)
-    w0 = float(sol.y[0][-1])  # deviation at ubar = 0: equals etabar0(0)
-
-    def rhs(u, z):
-        return [1.0 / z[0] + 2.0 * u]
-
-    def jac(u, z):
-        return [[-1.0 / (z[0] * z[0])]]
-
-    fwd = solve_ivp(rhs, (0.0, u_end), [w0], method="Radau",
-                    rtol=1e-12, atol=1e-14, jac=jac)
-    if fwd.status != 0:
-        raise BlowUp("forward continuation failed")
-    # etabar = w - ubar^2 ... for ubar > 0 the null-cline flips sign in the
-    # original variable: etabar = w(u) - u^2 is wrong here; the deviation
-    # variable already integrates d(etabar + u^2), so etabar(u_end) =
-    # w(u_end) - u_end^2
-    eta_end = float(fwd.y[0][-1]) - u_end * u_end
-    values = [eta_end + 1.0 / u_end]
-    # second pass doubles the endpoint; the O(u^-3) tail shrinks 8x
-    fwd2 = solve_ivp(rhs, (0.0, 2 * u_end), [w0], method="Radau",
-                     rtol=1e-12, atol=1e-14, jac=jac)
-    eta_end2 = float(fwd2.y[0][-1]) - 4.0 * u_end * u_end
-    values.append(eta_end2 + 1.0 / (2 * u_end))
+    w0 = float(_integrate_normalized(2, -30.0).z[0])  # deviation at ubar = 0: equals etabar0(0)
+    # etabar = w - ubar^2 along the whole forward run: the deviation variable
+    # integrates d(etabar + u^2), so etabar(u_end) = w(u_end) - u_end^2
+    values = []
+    for end in (u_end, 2.0 * u_end):
+        w_end = float(_integrate_normalized(2, 0.0, end, w0).z[0])
+        values.append(w_end - end * end + 1.0 / end)
+    # the second pass doubles the endpoint; the O(u^-3) tail shrinks 8x
     return values[1] + (values[1] - values[0]) / 7.0

@@ -1,25 +1,48 @@
-"""Adaptive ODE integration with dense output and event location.
+"""Event-located shooting: the one place where the package calls an ODE solver.
 
-Thin wrapper over scipy's solve_ivp that adds section objects, Newton
-polishing of event times on the dense output, strip entry/exit annotation,
-and the section-to-section flow map used by the Poincare machinery.
+:func:`shoot` integrates ``rhs(t, z)`` with scipy's ``solve_ivp`` until the
+first of a list of :class:`Stop` conditions fires.  A stop is a level of one
+state component (``z[component]`` crossing ``level``) or the zero of a
+scalar ``g(t, z)``.  It has a crossing direction (+1 upward, -1 downward,
+0 either way) and an optional ``accept(z)`` predicate.  Event location follows
+Shampine & Thompson (Comput. Math. Appl. 39, 2000): sign changes are found
+step by step and the root is bracketed on the step's interpolant.  On top of
+that, the primitive handles three cases:
 
-The default stepper is the embedded Runge-Kutta 5(4) pair; callers that
-cross the slow-fast strip at small epsilon switch to the implicit one-step
-Radau method, since the passage along the attracting slow manifold would
+- step-off: a start within 1e-13 of a level that it would cross at once is
+  advanced 1e-11 in time along ``rhs``, so the zero residual of the start is
+  not reported as the hit.  A start on an accepted level with no velocity
+  across it raises ``EventNotBracketed``;
+- accept and restart: a root whose state fails ``accept`` (a crossing on the
+  wrong half-line) is stepped past, and the integration restarts from there;
+- polish: the hit of a level stop gets one Newton correction of its time,
+  with the rate taken from ``rhs``.  That puts the event residual at rounding
+  level (the <= 1e-12 event contract).  A general ``g`` keeps the bracketed
+  root (4 ulp in time).
+
+Each stage picks its stepper.  Orbits outside the switching strip use the
+explicit Runge-Kutta 5(4) pair.  The stiff strip orbit equations
+(``slow_manifold``) and the inner equation (``inner``) use Radau IIA with
+analytic Jacobians: the passage along the attracting slow manifold would
 otherwise force O(1/eps) explicit steps.
+
+:func:`integrate` and :func:`flow_map` build trajectories and
+section-to-section maps on top of :func:`shoot`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.optimize import brentq
 
 if TYPE_CHECKING:
     from slidekick.fields import PlanarField
+
+_RESTARTS = 64  # budget of wrong-half-line roots stepped past in one shot
 
 
 class IntegratorError(Exception):
@@ -43,22 +66,164 @@ class NoArrival(IntegratorError):
 
 
 @dataclass(frozen=True)
+class Stop:
+    """A terminal stop condition of :func:`shoot`.
+
+    With ``g`` unset the stop is the level ``z[component] = level``.
+    Otherwise it is the zero of ``g(t, z)``.  ``direction`` selects upward
+    (+1), downward (-1) or either (0) crossings.  A root whose state fails
+    ``accept`` is stepped past.
+    """
+
+    component: int | None = None
+    level: float = 0.0
+    direction: int = 0
+    accept: Callable[[np.ndarray], bool] | None = None
+    g: Callable[[float, np.ndarray], float] | None = None
+
+
+@dataclass
+class Shot:
+    """Outcome of one :func:`shoot`."""
+
+    stop: int | None  # index of the stop that fired; None if t_span ran out
+    t: float  # the (polished) hit, or the end of t_span
+    z: np.ndarray
+    ts: np.ndarray  # accepted step times; the last one is (t, z)
+    zs: np.ndarray  # states at ts, one column per time
+    dense: OdeSolution | None
+    n_steps: int
+    min_step: float
+
+
+def _event(stop: Stop):
+    if stop.g is None:
+        def ev(t, z, i=stop.component, c=stop.level):
+            return z[i] - c
+    else:
+        def ev(t, z, g=stop.g):
+            return g(t, z)
+    ev.terminal = True
+    ev.direction = stop.direction
+    return ev
+
+
+def shoot(
+    rhs: Callable,
+    t_span: tuple[float, float],
+    z0,
+    stops: "list[Stop] | tuple[Stop, ...]" = (),
+    *,
+    jac: Callable | None = None,
+    method: str = "RK45",
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    max_step: float = np.inf,
+    dense: bool = False,
+) -> Shot:
+    """Integrate ``rhs`` forward over ``t_span`` until the first accepted stop.
+
+    Returns the index of the stop that fired (``None`` when ``t_span`` ran
+    out first), the hit, the accepted steps, the dense solution if
+    ``dense`` is set, the step count and the smallest step.  Raises
+    ``EventNotBracketed`` for a start on an accepted level with zero rate,
+    ``StepSizeUnderflow`` on stiffness collapse, and ``NoArrival`` when the
+    restart budget for rejected roots runs out.
+    """
+    t_cur, t_end = float(t_span[0]), float(t_span[1])
+    z_cur = np.asarray(z0, dtype=float)
+    for s in stops:
+        if s.g is None and abs(z_cur[s.component] - s.level) <= 1e-13:
+            f0 = np.asarray(rhs(t_cur, z_cur), dtype=float)
+            rate = f0[s.component]
+            if rate * s.direction >= 0.0:
+                if rate == 0.0 and (s.accept is None or s.accept(z_cur)):
+                    raise EventNotBracketed("start lies on a stop level with zero outgoing velocity")
+                t_cur += 1e-11
+                z_cur = z_cur + 1e-11 * f0
+                break
+
+    events = [_event(s) for s in stops] or None
+    extra = {"jac": jac} if jac is not None else {}
+    ts: list[np.ndarray] = []
+    zs: list[np.ndarray] = []
+    parts: list[OdeSolution] = []
+    n_steps, min_step = 0, np.inf
+    for _ in range(_RESTARTS):
+        sol = solve_ivp(rhs, (t_cur, t_end), z_cur, method=method, rtol=rtol, atol=atol,
+                        max_step=max_step, dense_output=dense, events=events, **extra)
+        if sol.status == -1:
+            if "step size" in sol.message.lower():
+                raise StepSizeUnderflow(sol.message)
+            raise IntegratorError(sol.message)
+        n_steps += len(sol.t) - 1
+        steps = np.diff(sol.t)
+        if np.any(steps > 0.0):
+            min_step = min(min_step, float(steps[steps > 0.0].min()))
+        ts.append(sol.t)
+        zs.append(sol.y)
+        if dense:
+            parts.append(sol.sol)
+        fired = None if events is None else next((k for k, te in enumerate(sol.t_events) if te.size), None)
+        t, z = float(sol.t[-1]), sol.y[:, -1]
+        if fired is not None:
+            s = stops[fired]
+            f = np.asarray(rhs(t, z), dtype=float)
+            if s.g is None and f[s.component] != 0.0 and np.isfinite(f[s.component]):
+                # the bracketed root is within a few ulp, so a first-order
+                # move of the state along rhs is exact to rounding
+                dt = -(z[s.component] - s.level) / f[s.component]
+                t, z = t + dt, z + dt * f
+                sol.t[-1], sol.y[:, -1] = t, z
+            if s.accept is not None and not s.accept(z):
+                h = max(1e-12, 1e-12 * abs(t))
+                t_cur, z_cur = t + h, z + h * f
+                continue
+        return Shot(
+            stop=fired,
+            t=float(t),
+            z=np.array(z),
+            ts=np.concatenate(ts),
+            zs=np.concatenate(zs, axis=1),
+            dense=_joined(parts) if dense else None,
+            n_steps=n_steps,
+            min_step=float(min_step) if n_steps else 0.0,
+        )
+    raise NoArrival("restart budget for rejected stop crossings exhausted")
+
+
+def _joined(parts: list[OdeSolution]) -> OdeSolution:
+    # the last interpolant of each part also covers the step-past gap to the
+    # next part's start
+    if len(parts) == 1:
+        return parts[0]
+    ts = np.concatenate([p.ts[:-1] for p in parts[:-1]] + [parts[-1].ts])
+    return OdeSolution(ts, [i for p in parts for i in p.interpolants])
+
+
+@dataclass(frozen=True)
 class Section:
-    """A horizontal Poincare section {y = y0} restricted to a half-line."""
+    """A horizontal Poincare section {y = y0} restricted to a half-line.
+
+    ``half`` keeps x < edge ("x<0"), x > edge ("x>0") or the whole line
+    ("all"); the half-line's end point ``edge`` defaults to 0.
+    """
 
     y0: float
     half: str = "all"  # "x<0" | "x>0" | "all"
     id: str = ""
+    edge: float = 0.0
 
     def contains(self, x: float) -> bool:
         if self.half == "x<0":
-            return x < 0.0
+            return x < self.edge
         if self.half == "x>0":
-            return x > 0.0
+            return x > self.edge
         return True
 
-    def residual(self, x: float, y: float) -> float:
-        return y - self.y0
+    def stop(self) -> Stop:
+        """Stop at a crossing of the section, in either direction, on its half-line."""
+        return Stop(1, self.y0, accept=None if self.half == "all" else lambda z: self.contains(z[0]))
 
 
 @dataclass(frozen=True)
@@ -104,21 +269,21 @@ class PoincareResult:
     flags: dict[str, object] = field(default_factory=dict)
 
 
-def _polish_event(
-    dense,
-    t_hit: float,
-    residual: Callable[[float, float], float],
-    drate: Callable[[float, float], float],
-) -> float:
-    # one Newton correction of the event time on the dense output; scipy's
-    # brentq already leaves |residual| near machine precision, this makes the
-    # <= 1e-12 event-residual contract explicit
-    z = dense(t_hit)
-    r = residual(float(z[0]), float(z[1]))
-    d = drate(float(z[0]), float(z[1]))
-    if d != 0.0 and np.isfinite(d):
-        t_hit = t_hit - r / d
-    return t_hit
+def _strip_notes(shot: Shot, strip: float, center: float) -> list[TrajectoryEvent]:
+    """Entries into and exits from the band |y - center| <= strip, located
+    on the dense output like scipy's own events."""
+    def g(t: float) -> float:
+        return abs(shot.dense(t)[1] - center) - strip
+
+    outside = np.abs(shot.zs[1] - center) - strip > 0.0
+    eps4 = 4 * np.finfo(float).eps
+    notes = []
+    for k in np.nonzero(outside[:-1] != outside[1:])[0]:
+        te = float(brentq(g, shot.ts[k], shot.ts[k + 1], xtol=eps4, rtol=eps4))
+        kind = "enter_strip" if g(min(te + 1e-12, shot.t)) < 0.0 else "exit_strip"
+        z = shot.dense(te)
+        notes.append(TrajectoryEvent(te, kind, (float(z[0]), float(z[1]))))
+    return notes
 
 
 def integrate(
@@ -139,131 +304,30 @@ def integrate(
     """Integrate ``field`` from ``start`` until a stopping condition.
 
     ``until`` is a :class:`Section`, a final time, or a scalar event
-    function ``g(t, x, y)`` whose root stops the integration.  Event times
-    are located on the dense output and Newton-polished.  If ``strip`` is
-    given, entry/exit of the band |y - strip_center| <= strip is annotated.
+    function ``g(t, x, y)`` whose root stops the integration.  Section
+    crossings are Newton-polished.  If ``strip`` is given, entry/exit of the
+    band |y - strip_center| <= strip is annotated.
 
     Raises ``StepSizeUnderflow`` on stiffness collapse, ``StepLimitExceeded``
     past ``max_steps`` accepted steps, and ``EventNotBracketed`` for a start
     lying on the target section with vanishing outgoing velocity.
     """
-    x0, y0 = float(start[0]), float(start[1])
-
     if isinstance(until, Section):
-        mode = "section"
-        sec = until
-        t_end = t_max
-        if abs(y0 - sec.y0) <= 1e-13:
-            fx, fy = field(x0, y0)
-            if fy == 0.0 and sec.contains(x0):
-                raise EventNotBracketed("start lies on the section with zero outgoing velocity")
-            # return maps start on their own section: step off it so the
-            # immediate zero residual is not reported as the landing
-            t0 += 1e-11
-            x0 += 1e-11 * fx
-            y0 += 1e-11 * fy
+        stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
     elif callable(until):
-        mode = "predicate"
-        sec = None
-        t_end = t_max
+        stops, t_end, kind = [Stop(g=lambda t, z: until(t, z[0], z[1]))], t_max, "predicate"
     else:
-        mode = "time"
-        sec = None
-        t_end = float(until)
-
-    events: list = []
-    if mode == "section":
-        def ev_stop(t, z):
-            return z[1] - sec.y0
-    elif mode == "predicate":
-        def ev_stop(t, z):
-            return until(t, z[0], z[1])
-    else:
-        ev_stop = None
-    if ev_stop is not None:
-        ev_stop.terminal = True
-        ev_stop.direction = 0
-        events.append(ev_stop)
-
-    if strip is not None:
-        def ev_strip(t, z):
-            return abs(z[1] - strip_center) - strip
-
-        ev_strip.terminal = False
-        ev_strip.direction = 0
-        events.append(ev_strip)
-
-    ts: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    notes: list[TrajectoryEvent] = []
-    n_steps = 0
-    t_cur, z_cur = t0, [x0, y0]
-
-    for _ in range(64):  # restart budget for wrong-half section hits
-        sol = solve_ivp(
-            field.rhs,
-            (t_cur, t_end),
-            z_cur,
-            method=method,
-            rtol=rtol,
-            atol=atol,
-            max_step=max_step,
-            dense_output=True,
-            events=events or None,
-        )
-        if sol.status == -1:
-            if "step size" in sol.message.lower():
-                raise StepSizeUnderflow(sol.message)
-            raise IntegratorError(sol.message)
-        n_steps += len(sol.t)
-        if n_steps > max_steps:
-            raise StepLimitExceeded(f"exceeded {max_steps} steps")
-        ts.append(sol.t)
-        xs.append(sol.y[0])
-        ys.append(sol.y[1])
-
-        if strip is not None:
-            for te in sol.t_events[-1]:
-                z = sol.sol(te)
-                inside_after = abs(sol.sol(min(te + 1e-12, sol.t[-1]))[1] - strip_center) < strip
-                kind = "enter_strip" if inside_after else "exit_strip"
-                notes.append(TrajectoryEvent(float(te), kind, (float(z[0]), float(z[1]))))
-
-        stopped = ev_stop is not None and sol.t_events[0].size > 0
-        if stopped and mode == "section":
-            t_hit = float(sol.t_events[0][-1])
-            t_hit = _polish_event(sol.sol, t_hit, lambda x, y: y - sec.y0, lambda x, y: field(x, y)[1])
-            z = sol.sol(t_hit)
-            if sec.contains(float(z[0])):
-                notes.append(TrajectoryEvent(t_hit, f"cross_section:{sec.id}", (float(z[0]), float(z[1]))))
-                # the polished time may precede the stored event sample by one
-                # rounding unit; replace it to keep t strictly ordered
-                if ts[-1][-1] >= t_hit:
-                    ts[-1] = ts[-1][:-1]
-                    xs[-1] = xs[-1][:-1]
-                    ys[-1] = ys[-1][:-1]
-                ts.append(np.array([t_hit]))
-                xs.append(np.array([z[0]]))
-                ys.append(np.array([z[1]]))
-                return Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), notes)
-            # wrong half-line: nudge past the crossing and carry on
-            t_cur = t_hit + max(1e-12, 1e-12 * abs(t_hit))
-            z_cur = [float(v) for v in sol.sol(t_cur)]
-            continue
-        if stopped and mode == "predicate":
-            t_hit = float(sol.t_events[0][-1])
-            z = sol.sol(t_hit)
-            notes.append(TrajectoryEvent(t_hit, "predicate", (float(z[0]), float(z[1]))))
-            ts.append(np.array([t_hit]))
-            xs.append(np.array([z[0]]))
-            ys.append(np.array([z[1]]))
-            return Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), notes)
-        if sol.status == 0:
-            if mode != "time":
-                raise NoArrival("integration reached t_max before the stopping condition")
-            return Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), notes)
-    raise NoArrival("section restart budget exhausted")
+        stops, t_end, kind = [], float(until), ""
+    shot = shoot(field.rhs, (t0, t_end), start, stops, method=method, rtol=rtol, atol=atol,
+                 max_step=max_step, dense=strip is not None)
+    if shot.n_steps > max_steps:
+        raise StepLimitExceeded(f"exceeded {max_steps} steps")
+    if stops and shot.stop is None:
+        raise NoArrival("integration reached t_max before the stopping condition")
+    notes = [] if strip is None else _strip_notes(shot, strip, strip_center)
+    if stops:
+        notes.append(TrajectoryEvent(shot.t, kind, (float(shot.z[0]), float(shot.z[1]))))
+    return Trajectory(shot.ts, shot.zs[0], shot.zs[1], notes)
 
 
 def flow_map(
@@ -288,24 +352,8 @@ def flow_map(
     if section_from == section_to:
         return PoincareResult(x=float(x_on_from), time=0.0, min_step=0.0)
     fld = field.negated() if backward else field
-    traj = integrate(
-        fld,
-        (x_on_from, section_from.y0),
-        section_to,
-        rtol=rtol,
-        atol=atol,
-        method=method,
-        t_max=t_max,
-    )
-    t_end, x_end, _ = traj.end
-    dts = np.diff(traj.t)
-    min_step = float(np.min(dts[dts > 0])) if np.any(dts > 0) else 0.0
-    return PoincareResult(x=x_end, time=(-t_end if backward else t_end), min_step=min_step)
-
-
-def sample_dense(ts: Iterable[float], dense, n: int = 800) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform resampling helper for plots and Hausdorff comparisons."""
-    ts = np.asarray(list(ts), dtype=float)
-    grid = np.linspace(ts[0], ts[-1], n)
-    vals = np.array([dense(t) for t in grid])
-    return grid, vals
+    shot = shoot(fld.rhs, (0.0, t_max), [x_on_from, section_from.y0], [section_to.stop()],
+                 method=method, rtol=rtol, atol=atol)
+    if shot.stop is None:
+        raise NoArrival("integration reached t_max before the stopping condition")
+    return PoincareResult(x=float(shot.z[0]), time=(-shot.t if backward else shot.t), min_step=shot.min_step)

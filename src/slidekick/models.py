@@ -390,8 +390,9 @@ def flowbox_reduce(
     report verifies that the transformed lower field equals (0, 1) on a
     test grid and that the tangency at the origin stays visible.
     """
-    from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
+
+    from slidekick.integrator import shoot
 
     xm, xp = system.x_minus, system.x_plus
     off = system.offset
@@ -412,11 +413,7 @@ def flowbox_reduce(
             pos = (x0, off)
             col1 = np.array([1.0, 0.0])
         else:
-            sol = solve_ivp(rhs, (0.0, tau), [x0, off, 1.0, 0.0],
-                            method="RK45", rtol=rtol, atol=atol)
-            if sol.status != 0:
-                raise TransversalityLost("flow-box straightening integration failed")
-            z = sol.y[:, -1]
+            z = shoot(rhs, (0.0, tau), [x0, off, 1.0, 0.0], rtol=rtol, atol=atol).z
             pos = (float(z[0]), float(z[1]))
             col1 = np.array([z[2], z[3]])
         M = np.column_stack([col1, np.array(xm(*pos))])

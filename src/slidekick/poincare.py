@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from slidekick.fields import FilippovSystem, FoldPoint, PlanarField, find_fold
-from slidekick.integrator import NoArrival, PoincareResult, Section, integrate
+from slidekick.integrator import EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
 from slidekick.slow_manifold import strip_crossing
 
@@ -56,24 +56,39 @@ class TangencyConstants:
 
 def _landing(field: PlanarField, start, y_target: float, *, backward: bool, rtol=1e-11, atol=1e-13) -> float:
     fld = field.negated() if backward else field
-    z0 = [float(start[0]), float(start[1])]
-    if abs(z0[1] - y_target) <= 1e-13:
-        # starting on the target height: step off so the immediate zero
-        # residual is not taken as the landing
-        f0 = fld(*z0)
-        z0 = [z0[0] + 1e-11 * f0[0], z0[1] + 1e-11 * f0[1]]
-
-    def ev(t, z):
-        return z[1] - y_target
-
-    ev.terminal = True
-    ev.direction = 0
-    sol = solve_ivp(fld.rhs, (0.0, 1e3), z0, method="RK45", max_step=0.25,
-                    rtol=rtol, atol=atol, dense_output=True, events=[ev])
-    if sol.t_events[0].size == 0:
+    shot = shoot(fld.rhs, (0.0, 1e3), start, [Stop(1, y_target)], max_step=0.25, rtol=rtol, atol=atol)
+    if shot.stop is None:
         raise NoArrival(f"orbit from {start} never met y = {y_target}")
-    t_hit = float(sol.t_events[0][0])
-    return float(sol.sol(t_hit)[0])
+    return float(shot.z[0])
+
+
+def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float, rtol: float, atol: float):
+    """Stage P: ride X+ from (x, y0) down to the strip boundary.
+
+    Returns (time, abscissa) of the strip entry, or None when the orbit's
+    minimum of y stays above the strip.
+    """
+    dip = Stop(g=lambda t, z: x_plus(z[0], z[1])[1], direction=1)
+    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), dip],
+                 max_step=0.25, rtol=rtol, atol=atol, dense=True)
+    if shot.stop == 0:
+        return shot.t, float(shot.z[0])
+    if shot.stop == 1 and shot.z[1] <= y_strip:
+        # a wide step can fly over the whole dip without a sign change of the
+        # strip residual; y is monotone down to the minimum, so the crossing
+        # is recovered from the dense output
+        t_in = float(brentq(lambda t: float(shot.dense(t)[1]) - y_strip, 0.0, shot.t, xtol=1e-14))
+        return t_in, float(shot.dense(t_in)[0])
+    return None
+
+
+def _stage_Pbar(x_plus: PlanarField, x_exit: float, y_strip: float, y0: float, rtol: float, atol: float):
+    """Stage Pbar: lift the strip exit (x_exit, y_strip) up to {y = y0}."""
+    shot = shoot(x_plus.rhs, (0.0, 1e3), [x_exit, y_strip], [Stop(1, y0, 1)],
+                 max_step=0.25, rtol=rtol, atol=atol)
+    if shot.stop is None:
+        raise NoArrival("exit orbit never reached the outer section")
+    return shot.t, float(shot.z[0])
 
 
 def fit_tangency_constants(
@@ -94,8 +109,11 @@ def fit_tangency_constants(
     """
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
 
-    x0p = _landing(x_plus, (fx, offset), y0, backward=False)
-    x0m = _landing(x_plus, (fx, offset), y0, backward=True)
+    try:
+        x0p = _landing(x_plus, (fx, offset), y0, backward=False)
+        x0m = _landing(x_plus, (fx, offset), y0, backward=True)
+    except EventNotBracketed as exc:
+        raise TangentialCrossing(f"the fold itself lies on y0={y0}") from exc
     for x0 in (x0p, x0m):
         if abs(x_plus(x0, y0)[1]) < 1e-8:
             raise TangentialCrossing(f"separatrix meets y0={y0} tangentially at x={x0}")
@@ -157,20 +175,22 @@ def decompose(
     x_limit: float | None = None,
 ) -> FoldMapDecomposition:
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
-    off = R.base.offset
-    eps = R.epsilon
+    y_strip = R.base.offset + R.epsilon
     lim = x_limit if x_limit is not None else fx + 0.4
 
     def P(x: float) -> float:
-        return _landing(R.base.x_plus, (x, y0), off + eps, backward=False)
+        entry = _stage_P(R.base.x_plus, x, y0, y_strip, 1e-11, 1e-13)
+        if entry is None:
+            raise NoArrival(f"orbit from x={x} misses the strip")
+        return entry[1]
 
     def Pmid(x: float) -> float:
         return strip_crossing(R, x, x_limit=lim)[0]
 
     def Pbar(x: float) -> float:
-        return _landing(R.base.x_plus, (x, off + eps), y0, backward=False)
+        return _stage_Pbar(R.base.x_plus, x, y_strip, y0, 1e-11, 1e-13)[1]
 
-    return FoldMapDecomposition(y0=y0, epsilon=eps, P=P, Pmid=Pmid, Pbar=Pbar, constants=constants)
+    return FoldMapDecomposition(y0=y0, epsilon=R.epsilon, P=P, Pmid=Pmid, Pbar=Pbar, constants=constants)
 
 
 def map_P_epsilon(
@@ -194,76 +214,19 @@ def map_P_epsilon(
     if fold is None:
         fold = find_fold(R.base, fold_bracket)
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
-    off = R.base.offset
-    eps = R.epsilon
-    y_strip = off + eps
+    y_strip = R.base.offset + R.epsilon
 
-    # stage P: ride X+ down to the strip boundary; a minimum of y above the
-    # strip means the orbit misses it entirely
-    def ev_strip(t, z):
-        return z[1] - y_strip
-
-    ev_strip.terminal = True
-    ev_strip.direction = -1
-
-    def ev_min(t, z):
-        return R.base.x_plus(z[0], z[1])[1]
-
-    ev_min.terminal = True
-    ev_min.direction = 1
-
-    sol = solve_ivp(
-        R.base.x_plus.rhs,
-        (0.0, 1e3),
-        [x, y0],
-        method="RK45",
-        max_step=0.25,
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[ev_strip, ev_min],
-    )
-    if sol.t_events[0].size > 0:
-        t_in = float(sol.t_events[0][0])
-    elif sol.t_events[1].size > 0 and float(sol.sol(sol.t_events[1][0])[1]) <= y_strip:
-        # a wide step can fly over the whole dip without a sign change of the
-        # strip residual; y is monotone down to the minimum, so the crossing
-        # is recovered from the dense output
-        from scipy.optimize import brentq
-
-        t_min = float(sol.t_events[1][0])
-        t_in = float(brentq(lambda t: float(sol.sol(t)[1]) - y_strip, 0.0, t_min, xtol=1e-14))
-    else:
+    entry = _stage_P(R.base.x_plus, x, y0, y_strip, rtol, atol)
+    if entry is None:
         # never reached the strip: grazing orbit untouched by regularization
         x_out = _landing(R.base.x_plus, (x, y0), y0, backward=False)
         return PoincareResult(x=x_out, time=float("nan"), min_step=0.0,
                               flags={"out_of_domain": True})
-    x_in = float(sol.sol(t_in)[0])
-
+    t_in, x_in = entry
     x_exit, t_mid, diag = strip_crossing(
         R, x_in, x_limit=(x_limit if x_limit is not None else fx + 0.4)
     )
-
-    def ev_up(t, z):
-        return z[1] - y0
-
-    ev_up.terminal = True
-    ev_up.direction = 1
-    sol3 = solve_ivp(
-        R.base.x_plus.rhs,
-        (0.0, 1e3),
-        [x_exit, y_strip],
-        method="RK45",
-        max_step=0.25,
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[ev_up],
-    )
-    if sol3.t_events[0].size == 0:
-        raise NoArrival("exit orbit never reached the outer section")
-    t_up = float(sol3.t_events[0][0])
-    x_out = float(sol3.sol(t_up)[0])
+    t_up, x_out = _stage_Pbar(R.base.x_plus, x_exit, y_strip, y0, rtol, atol)
 
     return PoincareResult(
         x=x_out,
@@ -392,48 +355,15 @@ def exterior_map(
     exterior map has lost its domain.  With ``floor_margin`` the orbit is
     also considered lost if it dips below {y = offset + floor_margin}.
     """
-    start = (x, section_from.y0)
-    if floor_margin is None:
-        traj = integrate(x_plus, start, section_to, rtol=1e-11, atol=1e-13, t_max=t_max)
-        t_end, x_end, _ = traj.end
-        return PoincareResult(x=x_end, time=t_end, min_step=0.0)
-
-    y_floor = offset + floor_margin
-
-    def ev_target(t, z):
-        return z[1] - section_to.y0
-
-    ev_target.terminal = True
-    ev_target.direction = 0
-
-    def ev_floor(t, z):
-        return z[1] - y_floor
-
-    ev_floor.terminal = True
-    ev_floor.direction = -1
-
-    t0, z0 = 0.0, [x, section_from.y0]
-    fx0 = x_plus(*z0)
-    t0 += 1e-11
-    z0 = [z0[0] + 1e-11 * fx0[0], z0[1] + 1e-11 * fx0[1]]
-    for _ in range(16):
-        sol = solve_ivp(x_plus.rhs, (t0, t_max), z0, method="RK45",
-                        rtol=1e-11, atol=1e-13, dense_output=True,
-                        events=[ev_target, ev_floor])
-        if sol.t_events[1].size > 0 and (
-            sol.t_events[0].size == 0 or sol.t_events[1][-1] <= sol.t_events[0][-1]
-        ):
-            raise NoArrival("exterior orbit dipped below the floor margin")
-        if sol.t_events[0].size > 0:
-            t_hit = float(sol.t_events[0][-1])
-            x_hit = float(sol.sol(t_hit)[0])
-            if section_to.contains(x_hit):
-                return PoincareResult(x=x_hit, time=t_hit, min_step=0.0)
-            t0 = t_hit + 1e-11
-            z0 = [float(v) for v in sol.sol(t0)]
-            continue
+    stops = [section_to.stop()]
+    if floor_margin is not None:
+        stops.append(Stop(1, offset + floor_margin, -1))
+    shot = shoot(x_plus.rhs, (0.0, t_max), [x, section_from.y0], stops, rtol=1e-11, atol=1e-13)
+    if shot.stop is None:
         raise NoArrival("exterior orbit never returned to the target section")
-    raise NoArrival("exterior orbit restart budget exhausted")
+    if shot.stop == 1:
+        raise NoArrival("exterior orbit dipped below the floor margin")
+    return PoincareResult(x=float(shot.z[0]), time=shot.t, min_step=shot.min_step)
 
 
 def exterior_slope(

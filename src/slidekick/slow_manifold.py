@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from slidekick.integrator import Stop, shoot
 from slidekick.regularization import RegularizationProfile, RegularizedSystem
 
 
@@ -121,16 +121,6 @@ class ManifoldTrace:
     exit_x: float | None = None  # abscissa where the trace reached v = to_v
     legs: list[str] = field(default_factory=list)
 
-    def v_of_x(self) -> Callable[[float], float]:
-        order = np.argsort(self.x)
-        xs, vs = self.x[order], self.v[order]
-        return lambda q: float(np.interp(q, xs, vs))
-
-    def x_of_v(self) -> Callable[[float], float]:
-        order = np.argsort(self.v)
-        vs, xs = self.v[order], self.x[order]
-        return lambda q: float(np.interp(q, vs, xs))
-
     def to_csv(self, path, margins=None) -> None:
         lower = margins[0] if margins else np.full_like(self.x, np.nan)
         upper = margins[1] if margins else np.full_like(self.x, np.nan)
@@ -169,6 +159,28 @@ def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
     return bvals, dbvals_dv
 
 
+def _orbit_equation(R: RegularizedSystem, *, unclamped: bool = False, timed: bool = False):
+    """The strip orbit equation dv/dx = B2 / (eps B1) and its Jacobian.
+
+    ``timed`` appends the transit-time quadrature dt/dx = 1/B1 as a second
+    component.
+    """
+    eps = R.epsilon
+    bvals, dbv = _slow_fast_rhs(R, unclamped)
+
+    def rhs(x, z):
+        b1, b2 = bvals(x, z[0])
+        return [b2 / (eps * b1), 1.0 / b1] if timed else [b2 / (eps * b1)]
+
+    def jac(x, z):
+        b1, b2 = bvals(x, z[0])
+        d1, d2 = dbv(x, z[0])
+        dv = (d2 * b1 - b2 * d1) / (eps * b1 * b1)
+        return [[dv, 0.0], [-d1 / (b1 * b1), 0.0]] if timed else [[dv]]
+
+    return rhs, jac
+
+
 def trace_manifold(
     R: RegularizedSystem,
     from_x: float,
@@ -200,84 +212,44 @@ def trace_manifold(
     if R.profile.deriv(v_seed, 1) * (f2p - f2m) >= 0.0:
         raise HyperbolicityLost(f"seed at x={from_x} is not normally attracting")
 
-    bvals, dbv = _slow_fast_rhs(R, unclamped=extend_linear)
-
-    def dv_dx(x, z):
-        b1, b2 = bvals(x, z[0])
-        return [b2 / (eps * b1)]
-
-    def dv_dx_jac(x, z):
-        b1, b2 = bvals(x, z[0])
-        d1, d2 = dbv(x, z[0])
-        return [[(d2 * b1 - b2 * d1) / (eps * b1 * b1)]]
+    rhs, jac = _orbit_equation(R, unclamped=extend_linear)
 
     legs = []
     xs_all: list[np.ndarray] = []
     vs_all: list[np.ndarray] = []
 
     x_stop = to_x if to_x is not None else from_x + 50.0
-    events = []
+    stops = []
     if to_x is None:
-        def ev_exit(x, z):
-            return z[0] - to_v
-
-        ev_exit.terminal = True
-        ev_exit.direction = 1
-        events.append(ev_exit)
+        stops.append(Stop(0, to_v, 1))
         if to_v > 1.0 - delta_switch and R.profile.p >= 2:
-            def ev_switch(x, z):
-                return z[0] - (1.0 - delta_switch)
+            stops.append(Stop(0, 1.0 - delta_switch, 1))
 
-            ev_switch.terminal = True
-            ev_switch.direction = 1
-            events.append(ev_switch)
-
-    sol = solve_ivp(
-        dv_dx,
-        (from_x, x_stop),
-        [v_seed],
-        method="Radau",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events or None,
-        jac=dv_dx_jac,
-    )
-    if sol.status == -1:
-        raise StripCrossingFailed(sol.message)
-    grid = np.linspace(sol.t[0], sol.t[-1], samples_per_leg)
+    shot = shoot(rhs, (from_x, x_stop), [v_seed], stops, jac=jac, method="Radau",
+                 rtol=rtol, atol=atol, dense=True)
+    grid = np.linspace(shot.ts[0], shot.t, samples_per_leg)
     xs_all.append(grid)
-    vs_all.append(np.array([float(sol.sol(x)[0]) for x in grid]))
+    vs_all.append(shot.dense(grid)[0])
     legs.append("x-graph")
 
     exit_x: float | None = None
-    if to_x is None and sol.t_events[0].size > 0:
-        exit_x = float(sol.t_events[0][-1])
-    elif to_x is None and len(events) > 1 and sol.t_events[1].size > 0:
+    if shot.stop == 0:
+        exit_x = shot.t
+    elif shot.stop == 1:
         # switch to the v-graph for the fold passage
-        x_sw = float(sol.t_events[1][-1])
-        v_sw = float(sol.sol(x_sw)[0])
+        bvals, _dbv = _slow_fast_rhs(R, unclamped=extend_linear)
 
         def dx_dv(v, z):
             b1, b2 = bvals(z[0], v)
             return [eps * b1 / b2]
 
-        sol2 = solve_ivp(
-            dx_dv,
-            (v_sw, to_v),
-            [x_sw],
-            method="Radau",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-        )
-        if sol2.status != 0:
-            raise StripCrossingFailed(sol2.message)
-        grid2 = np.linspace(sol2.t[0], sol2.t[-1], samples_per_leg // 2)
+        leg = shoot(dx_dv, (float(shot.z[0]), to_v), [shot.t], method="Radau",
+                    rtol=rtol, atol=atol, dense=True)
+        grid2 = np.linspace(leg.ts[0], leg.t, samples_per_leg // 2)
         vs_all.append(grid2)
-        xs_all.append(np.array([float(sol2.sol(v)[0]) for v in grid2]))
+        xs_all.append(leg.dense(grid2)[0])
         legs.append("v-graph")
-        exit_x = float(sol2.y[0][-1]) if abs(to_v - 1.0) < 1e-14 else None
+        exit_x = float(leg.z[0]) if abs(to_v - 1.0) < 1e-14 else None
 
     return ManifoldTrace(
         x=np.concatenate(xs_all),
@@ -394,42 +366,15 @@ def contraction_probe(
     milestones, and the strip-exit abscissae are collected (their spread is
     the landing-independence diagnostic).
     """
-    eps = R.epsilon
-    bvals, dbv = _slow_fast_rhs(R, unclamped=False)
-
-    def dv_dx(x, z):
-        b1, b2 = bvals(x, z[0])
-        return [b2 / (eps * b1)]
-
-    def dv_dx_jac(x, z):
-        b1, b2 = bvals(x, z[0])
-        d1, d2 = dbv(x, z[0])
-        return [[(d2 * b1 - b2 * d1) / (eps * b1 * b1)]]
-
-    def ev_exit(x, z):
-        return z[0] - 1.0
-
-    ev_exit.terminal = True
-    ev_exit.direction = 1
-
-    solutions = []
-    exits = []
+    rhs, jac = _orbit_equation(R)
+    shots = []
     for x0 in x0_list:
-        sol = solve_ivp(
-            dv_dx,
-            (x0, x_limit),
-            [1.0],
-            method="Radau",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-            events=[ev_exit],
-            jac=dv_dx_jac,
-        )
-        if sol.status == -1 or sol.t_events[0].size == 0:
+        shot = shoot(rhs, (x0, x_limit), [1.0], [Stop(0, 1.0, 1)], jac=jac, method="Radau",
+                     rtol=rtol, atol=atol, dense=True)
+        if shot.stop is None:
             raise StripCrossingFailed(f"orbit from x0={x0} did not return to v=1")
-        solutions.append(sol)
-        exits.append(float(sol.t_events[0][-1]))
+        shots.append(shot)
+    exits = [shot.t for shot in shots]
 
     if milestones is None:
         milestones = np.linspace(max(x0_list), 0.0, 5)
@@ -440,9 +385,9 @@ def contraction_probe(
         for j in range(i + 1, len(x0_list)):
             vals = np.full(len(milestones), np.nan)
             for k, xm in enumerate(milestones):
-                si, sj = solutions[i], solutions[j]
-                if si.t[0] <= xm <= si.t[-1] and sj.t[0] <= xm <= sj.t[-1]:
-                    vals[k] = abs(float(si.sol(xm)[0]) - float(sj.sol(xm)[0]))
+                si, sj = shots[i], shots[j]
+                if si.ts[0] <= xm <= si.t and sj.ts[0] <= xm <= sj.t:
+                    vals[k] = abs(float(si.dense(xm)[0]) - float(sj.dense(xm)[0]))
             seps[(i, j)] = vals
 
     return ContractionReport(
@@ -466,51 +411,12 @@ def strip_crossing(
     returns (which cannot happen for entries left of the tangency while the
     lower field pushes up).
     """
-    eps = R.epsilon
-    bvals, dbv = _slow_fast_rhs(R, unclamped=False)
-
-    def rhs(x, z):
-        b1, b2 = bvals(x, z[0])
-        return [b2 / (eps * b1), 1.0 / b1]
-
-    def rhs_jac(x, z):
-        b1, b2 = bvals(x, z[0])
-        d1, d2 = dbv(x, z[0])
-        return [
-            [(d2 * b1 - b2 * d1) / (eps * b1 * b1), 0.0],
-            [-d1 / (b1 * b1), 0.0],
-        ]
-
-    def ev_exit(x, z):
-        return z[0] - 1.0
-
-    ev_exit.terminal = True
-    ev_exit.direction = 1
-
-    def ev_bottom(x, z):
-        return z[0] + 1.0
-
-    ev_bottom.terminal = True
-    ev_bottom.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (x_enter, x_limit),
-        [1.0, 0.0],
-        method="Radau",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[ev_exit, ev_bottom],
-        jac=rhs_jac,
-    )
-    if sol.status == -1:
-        raise StripCrossingFailed(sol.message)
-    if sol.t_events[1].size > 0:
+    rhs, jac = _orbit_equation(R, timed=True)
+    shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], [Stop(0, 1.0, 1), Stop(0, -1.0, -1)],
+                 jac=jac, method="Radau", rtol=rtol, atol=atol)
+    if shot.stop == 1:
         raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
-    if sol.t_events[0].size == 0:
+    if shot.stop is None:
         raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
-    x_exit = float(sol.t_events[0][-1])
-    t_exit = float(sol.sol(x_exit)[1])
-    v_min = float(np.min(sol.y[0]))
-    return x_exit, t_exit, {"v_min": v_min, "n_steps": len(sol.t)}
+    v_min = float(np.min(shot.zs[0]))
+    return shot.t, float(shot.z[1]), {"v_min": v_min, "n_steps": len(shot.ts)}

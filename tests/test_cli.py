@@ -80,6 +80,14 @@ def test_config_unknown_key_rejected(tmp_path):
         ExperimentConfig.from_file(str(p))
 
 
+def test_config_text_parsed_like_a_file():
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_text("frobnicate = 3\n")
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_text("model normal-fold\n")
+    assert ExperimentConfig.from_text("eps = 1e-3  # strip width\n").values == {"eps": "1e-3"}
+
+
 def test_config_file_feeds_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("probe = -0.8\ny0 = 0.25\n", encoding="utf-8")

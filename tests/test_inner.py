@@ -15,6 +15,7 @@ from slidekick.inner import (
     normalized_solution,
     simpson_residual,
 )
+from slidekick.regularization import phi_polynomial
 
 
 def test_seed_example():
@@ -61,6 +62,8 @@ def test_eta0_residual_on_grid():
     assert simpson_residual(s) <= 1e-10
     s3 = distinguished_solution(3, 2.5)
     assert simpson_residual(s3) <= 1e-10 * 2  # larger p runs closer to the null-cline
+    s4 = distinguished_solution(4, phi_polynomial(4).c_p)
+    assert simpson_residual(s4) <= 1e-10
 
 
 def test_denominator_positive_along_branch():

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import slidekick
 
 from slidekick.fields import PlanarField
 from slidekick.integrator import (
@@ -78,6 +81,23 @@ def test_flow_map_identity(xplus):
     s = Section(0.25, "x<0", id="a")
     r = flow_map(xplus, s, s, -0.7)
     assert r.x == -0.7 and r.time == 0.0
+
+
+def test_section_edge(xplus):
+    a, b = Section(0.25, "x<0", id="h", edge=-0.1), Section(0.25, "x<0", id="h", edge=0.3)
+    assert a != b
+    # y = x^2 - 0.25 meets y = 0.25 at x = -sqrt(0.5) first; an edge at -0.5
+    # rejects that crossing and the orbit goes on to +sqrt(0.5)
+    r = flow_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.5), -0.8)
+    assert r.x == pytest.approx(math.sqrt(0.5), abs=1e-10)
+    r = flow_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.9), -0.8)
+    assert r.x == pytest.approx(-math.sqrt(0.5), abs=1e-10)
+
+
+def test_solve_ivp_called_only_from_integrator():
+    src = Path(slidekick.__file__).parent
+    callers = [p.name for p in src.glob("*.py") if "solve_ivp" in p.read_text(encoding="utf-8")]
+    assert callers == ["integrator.py"]
 
 
 def test_flow_map_matches_closed_form(xplus):
