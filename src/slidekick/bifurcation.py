@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,7 @@ from slidekick.integrator import NoArrival, Section, Stop, integrate, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     TangencyConstants,
+    _landing,
     exterior_map,
     fit_tangency_constants,
     map_P_epsilon,
@@ -95,18 +97,37 @@ def find_fixed_points_scan(
     tol: float = 1e-12,
 ) -> list[FixedPoint]:
     """All roots of R(x) - x on [lo, hi] by sign-change scan plus bisection."""
-    xs = np.linspace(lo, hi, n)
-    vals = np.array([R(x) - x for x in xs])
     out: list[FixedPoint] = []
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            root = float(xs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            root = float(brentq(lambda x: R(x) - x, xs[i], xs[i + 1], xtol=tol))
-        else:
-            continue
+    for a, b in _sign_changes(lambda x: R(x) - x, np.linspace(lo, hi, n)):
+        root = a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=tol))
         out.append(FixedPoint(x=root, stability=_stability(R, root), residual=abs(R(root) - root)))
     return out
+
+
+def _sign_changes(g: Callable[[float], float], xs) -> list[tuple[float, float]]:
+    """Grid cells (xs[i], xs[i+1]) across which g changes sign, and
+    degenerate cells (xs[i], xs[i]) where g vanishes on the grid."""
+    vals = [g(x) for x in xs]
+    cells = []
+    for a, b, ga, gb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
+        if ga == 0.0:
+            cells.append((float(a), float(a)))
+        elif ga * gb < 0.0:
+            cells.append((a, b))
+    return cells
+
+
+def _bisect(on_right: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] (either orientation), halved until at most
+    ``tol`` wide around the point where ``on_right`` turns from false at
+    ``lo`` to true at ``hi``."""
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if on_right(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +225,8 @@ def _grazing_fixed_points(
     # was found at all, scan the transition zone with the full map
     promised = gamma < delta * eps and not any(f.stability == "attracting" for f in found)
     if promised or not found:
-        lo, hi = xbar - 8e-3, xbar + 1e-3
-        xs = np.linspace(lo, hi, 17)
-        vals = [R(x) - x for x in xs]
-        for i in range(len(xs) - 1):
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-                root = float(brentq(lambda x: R(x) - x, xs[i], xs[i + 1], xtol=1e-13))
-                accept(root)
+        for a, b in _sign_changes(lambda x: R(x) - x, np.linspace(xbar - 8e-3, xbar + 1e-3, 17)):
+            accept(a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=1e-13)))
     return found, gamma, delta
 
 
@@ -283,20 +299,11 @@ def grazing_sliding_scan(
         mus = np.array([p.mu for p in pts])
         order = np.argsort(mus)
         mus, pres = mus[order], present[order]
-        bracket = None
-        for i in range(len(mus) - 1):
-            if not pres[i] and pres[i + 1]:
-                bracket = (mus[i], mus[i + 1])
-        if bracket is not None:
-            lo, hi = bracket
+        ups = np.nonzero(~pres[:-1] & pres[1:])[0]
+        if ups.size:
+            present_at = lambda mu: bool(_grazing_fixed_points(desc, profile, eps, mu, cache)[0])
             tol = 1e-3 * abs(desc.facts["delta"]) * eps
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if _grazing_fixed_points(desc, profile, eps, mid, cache)[0]:
-                    hi = mid
-                else:
-                    lo = mid
-            diagram.collision_mu = float(0.5 * (lo + hi))
+            diagram.collision_mu = float(_bisect(present_at, mus[ups[-1]], mus[ups[-1] + 1], tol))
     return diagram
 
 
@@ -452,8 +459,6 @@ def homoclinic_scan(
     *,
     y0: float = 0.25,
     bisect: bool = True,
-    mu_tilde_hi: float | None = None,
-    resolution_factor: float = 1e-3,
 ) -> HomoclinicScan:
     """Probe the sliding-homoclinic family at paper-normalized parameters.
 
@@ -461,12 +466,15 @@ def homoclinic_scan(
     mu_raw; the bifurcation parameter proper is the section displacement
     mu = x0+ - x0^s, probed at mu = mu_tilde * eps.  The homoclinic value
     mu_tilde^* (where the exterior map loses the landing interval) is
-    located by bisection at resolution ``resolution_factor`` in mu_tilde.
+    located by bisection in mu_raw itself, between the members at
+    mu_tilde = 0 and mu_tilde = 2|alpha+|, until the bracket spans at most
+    1e-3 in mu_tilde by the secant slope of mu over it; mu_tilde^* is then
+    mu at the bracket's midpoint, over eps.
     """
     def mu_paper(mu_raw: float) -> float:
         desc = make_model(mu_raw)
         f = find_fold(desc.system, desc.fold_bracket)
-        x0p = _fold_orbit_landing(desc, f.x, y0)
+        x0p = _landing(desc.system.x_plus, (f.x, desc.system.offset), y0, backward=False)
         x0s = _separatrix_landing(desc, y0, stable=True)
         return x0p - x0s
 
@@ -492,6 +500,7 @@ def homoclinic_scan(
     fold0 = find_fold(anchor.system, anchor.fold_bracket)
     constants = fit_tangency_constants(anchor.system.x_plus, fold0, y0)
 
+    @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
     def orbit_exists(mu_raw: float) -> tuple[bool, float | None, float | None]:
         desc = make_model(mu_raw)
         f = find_fold(desc.system, desc.fold_bracket)
@@ -500,44 +509,35 @@ def homoclinic_scan(
         landing = map_P_epsilon(R_eps, y0, x_probe, fold=f).x
         sec_p = Section(y0, "x>0", id="outer+")
         sec_m = Section(y0, "x<0", id="outer-")
-        try:
-            back = exterior_map(
-                desc.system.x_plus, sec_p, sec_m, landing,
-                offset=0.0, floor_margin=eps / 2, t_max=400.0,
-            )
-        except NoArrival:
-            return False, None, landing
+
+        def back(x: float) -> float | None:
+            try:
+                return exterior_map(desc.system.x_plus, sec_p, sec_m, x,
+                                    offset=0.0, floor_margin=eps / 2, t_max=400.0).x
+            except NoArrival:
+                return None
+
+        x1 = back(landing)
         # one more composition confirms the contraction fixed point
-        x1 = back.x
-        x2 = map_P_epsilon(R_eps, y0, x1, fold=f).x
-        try:
-            back2 = exterior_map(
-                desc.system.x_plus, sec_p, sec_m, x2,
-                offset=0.0, floor_margin=eps / 2, t_max=400.0,
-            )
-        except NoArrival:
-            return False, None, landing
-        return True, back2.x, landing
+        x2 = None if x1 is None else back(map_P_epsilon(R_eps, y0, x1, fold=f).x)
+        return x2 is not None, x2, landing
 
     probes: list[HomoclinicProbe] = []
     for mt in mu_tilde_probes:
-        mu_raw = raw_for(mt * eps)
-        ok, fp, landing = orbit_exists(mu_raw)
+        ok, fp, landing = orbit_exists(raw_for(mt * eps) if mt else raw0)
         probes.append(HomoclinicProbe(mu_tilde=float(mt), mu=mt * eps, exists=ok,
                                       fixed_point=fp, landing=landing))
 
     mt_star = None
     if bisect:
-        hi = mu_tilde_hi if mu_tilde_hi is not None else 2.0 * abs(constants.alpha_plus)
-        lo = 0.0
-        if orbit_exists(raw_for(lo * eps))[0] and not orbit_exists(raw_for(hi * eps))[0]:
-            while hi - lo > resolution_factor:
-                mid = 0.5 * (lo + hi)
-                if orbit_exists(raw_for(mid * eps))[0]:
-                    lo = mid
-                else:
-                    hi = mid
-            mt_star = 0.5 * (lo + hi)
+        # the orbit dies at mu_tilde = -alpha+ + O(eps); the bracket's upper
+        # end lies twice as far out
+        mt_hi = 2.0 * abs(constants.alpha_plus)
+        lo, hi = raw0, raw_for(mt_hi * eps)
+        if orbit_exists(lo)[0] and not orbit_exists(hi)[0]:
+            tol = 1e-3 * abs(hi - lo) / mt_hi
+            mid = _bisect(lambda r: not orbit_exists(r)[0], lo, hi, tol)
+            mt_star = mu_paper(mid) / eps
     return HomoclinicScan(
         epsilon=eps,
         probes=probes,
@@ -545,12 +545,6 @@ def homoclinic_scan(
         alpha_plus=constants.alpha_plus,
         constants=constants,
     )
-
-
-def _fold_orbit_landing(desc: ModelDescriptor, fold_x: float, y0: float) -> float:
-    from slidekick.poincare import _landing
-
-    return _landing(desc.system.x_plus, (fold_x, desc.system.offset), y0, backward=False)
 
 
 def saddle_passage_times(
@@ -656,11 +650,14 @@ def stribeck_attractor(
     def R(x: float) -> float:
         return pe(G(x))
 
-    x0p = _fold_orbit_landing(desc, fold.x, y0)
-    gamma = pe(x0p) - _separatrix_like_backward(desc, fold.x, y0)
+    fold_pt = (fold.x, desc.system.offset)
+    x0p = _landing(desc.system.x_plus, fold_pt, y0, backward=False)
+    gamma = pe(x0p) - _landing(desc.system.x_plus, fold_pt, y0, backward=True)
 
     x_star = iterate_to_fixed_point(R, pe(x0p))
-    fps = find_fixed_points_scan(R, x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3), n=48)
+    # uniqueness only needs the count of sign changes, not the polished roots
+    xs = np.linspace(x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3), 48)
+    n_fixed = len(_sign_changes(lambda x: R(x) - x, xs))
 
     # upper arc of the regularized orbit: X+ from the strip exit around to the
     # next strip entry (Z_eps = X+ above the strip)
@@ -687,16 +684,10 @@ def stribeck_attractor(
         epsilon=eps,
         fixed_point=x_star,
         stability=_stability(R, x_star, dx=1e-5),
-        n_fixed_points=len(fps),
+        n_fixed_points=n_fixed,
         hausdorff_upper=dist,
         gamma=gamma,
     )
-
-
-def _separatrix_like_backward(desc: ModelDescriptor, fold_x: float, y0: float) -> float:
-    from slidekick.poincare import _landing
-
-    return _landing(desc.system.x_plus, (fold_x, desc.system.offset), y0, backward=True)
 
 
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:

@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -126,7 +127,7 @@ def cmd_simulate(args) -> int:
         traj = integrate(regularized_field(R), (x0, y0), until,
                          method="Radau", strip=R.epsilon, strip_center=R.offset,
                          t_max=float(args.t_max))
-    traj.to_csv(args.out) if args.out else traj.to_csv("/dev/stdout")
+    traj.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -179,17 +180,11 @@ def cmd_inner(args) -> int:
     from slidekick.inner import distinguished_solution
 
     p = int(args.p)
-    c_p = float(args.phi_p) / _factorial(p)
+    c_p = float(args.phi_p) / math.factorial(p)
     sol = distinguished_solution(p, c_p, float(args.u_start) if args.u_start else None)
     _write_csv(args.out, "u,eta", list(zip(sol.u, sol.eta)))
     print(f"eta0_at_0={sol.eta_at_0:.12g} err={sol.estimated_error:.3g}")
     return 0
-
-
-def _factorial(p: int) -> float:
-    import math
-
-    return float(math.factorial(p))
 
 
 def cmd_manifold(args) -> int:
@@ -243,9 +238,7 @@ def cmd_bifurcate(args) -> int:
         nu = 0.0 if args.family.endswith("hamiltonian") else float(args.nu or 0.15)
 
         def make(mu_raw):
-            from slidekick.models import model as _m
-
-            return _m("saddle-homoclinic", mu=mu_raw, nu=nu, check=False)
+            return model("saddle-homoclinic", mu=mu_raw, nu=nu, check=False)
 
         scan = homoclinic_scan(make, profile, eps, _mu_grid(args.mu), y0=float(args.y0))
         for p in scan.probes:

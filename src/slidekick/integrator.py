@@ -34,6 +34,7 @@ section-to-section maps on top of :func:`shoot`.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -42,7 +43,7 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate import Radau as _ScipyRadau
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 if TYPE_CHECKING:
     from slidekick.fields import PlanarField
@@ -297,14 +298,15 @@ class Trajectory:
     def end(self) -> tuple[float, float, float]:
         return float(self.t[-1]), float(self.x[-1]), float(self.y[-1])
 
-    def to_csv(self, path) -> None:
-        """Write ``t,x,y,event`` rows (UTF-8, LF, 17 significant digits)."""
+    def to_csv(self, dest) -> None:
+        """Write ``t,x,y,event`` rows (UTF-8, LF, 17 significant digits) to a
+        path, or to an open text stream such as ``sys.stdout``."""
         ev_at = {round(e.t, 15): e.kind for e in self.events}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        out = nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="\n")
+        with out as fh:
             fh.write("t,x,y,event\n")
             for t, x, y in zip(self.t, self.x, self.y):
-                kind = ev_at.get(round(float(t), 15), "")
-                fh.write(f"{t:.17g},{x:.17g},{y:.17g},{kind}\n")
+                fh.write(f"{t:.17g},{x:.17g},{y:.17g},{ev_at.get(round(float(t), 15), '')}\n")
 
 
 @dataclass(frozen=True)
@@ -319,19 +321,31 @@ class PoincareResult:
 
 def _strip_notes(shot: Shot, strip: float, center: float) -> list[TrajectoryEvent]:
     """Entries into and exits from the band |y - center| <= strip, located
-    on the dense output like scipy's own events."""
-    def g(t: float) -> float:
-        return abs(shot.dense(t)[1] - center) - strip
+    on the dense output like scipy's own events.
 
-    outside = np.abs(shot.zs[1] - center) - strip > 0.0
+    Each step is first split where y turns (the bounded minima of +y and
+    -y inside it), so a step that passes through the band, or dips into it
+    and back out, still shows a sign change at each band edge it crosses.
+    """
+    def h(t: float) -> float:
+        return float(shot.dense(t)[1]) - center
+
+    knots = [shot.dense.ts[0]]
+    for a, b, step in zip(shot.dense.ts[:-1], shot.dense.ts[1:], shot.dense.interpolants):
+        turns = (minimize_scalar(lambda t: s * step(t)[1], bounds=(a, b), method="bounded").x for s in (1.0, -1.0))
+        knots += sorted(turns) + [b]
+    hs = np.array([h(t) for t in knots])
     eps4 = 4 * np.finfo(float).eps
     notes = []
-    for k in np.nonzero(outside[:-1] != outside[1:])[0]:
-        te = float(brentq(g, shot.ts[k], shot.ts[k + 1], xtol=eps4, rtol=eps4))
-        kind = "enter_strip" if g(min(te + 1e-12, shot.t)) < 0.0 else "exit_strip"
-        z = shot.dense(te)
-        notes.append(TrajectoryEvent(te, kind, (float(z[0]), float(z[1]))))
-    return notes
+    for edge in (-strip, strip):
+        above = hs > edge
+        for k in np.nonzero(above[:-1] != above[1:])[0]:
+            te = float(brentq(lambda t: h(t) - edge, knots[k], knots[k + 1], xtol=eps4, rtol=eps4))
+            # from above the upper edge, or from below the lower one, is an entry
+            kind = "enter_strip" if above[k] == (edge > 0) else "exit_strip"
+            z = shot.dense(te)
+            notes.append(TrajectoryEvent(te, kind, (float(z[0]), float(z[1]))))
+    return sorted(notes, key=lambda e: e.t)
 
 
 def integrate(

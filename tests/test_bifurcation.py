@@ -125,12 +125,19 @@ def test_stribeck_attractor_smoke(poly2):
 
 def test_homoclinic_probes_and_bisection(lin):
     eps = 1e-3
-    make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+    builds = []
+
+    def make(mu_raw):
+        builds.append(mu_raw)
+        return model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+
     scan = homoclinic_scan(make, lin, eps, [0.0], y0=0.25, bisect=True)
     ap = scan.alpha_plus
     assert scan.probes[0].exists
     assert scan.mu_tilde_star is not None
     assert abs(scan.mu_tilde_star + ap) <= 0.2
+    # the bisection runs in the raw shift: no mu inversion per step
+    assert len(builds) <= 60
 
 
 def test_homoclinic_hamiltonian_variant(lin):

@@ -67,6 +67,16 @@ def test_simulate_csv(tmp_path):
     assert "\r" not in text
 
 
+def test_simulate_csv_to_stdout():
+    code, text = run_cli(
+        "simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25",
+    )
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "t,x,y,event"
+    assert lines[-1].split(",")[3].startswith("cross_section")
+
+
 def test_config_roundtrip():
     cfg = ExperimentConfig({"model": "normal-fold", "eps": "1e-3", "y0": "0.25"})
     again = ExperimentConfig.from_text(cfg.to_text())

@@ -70,13 +70,23 @@ def test_no_arrival(xplus):
         integrate(xplus, (0.3, 0.5), Section(0.25, "x<0", id="s"), t_max=5.0)
 
 
+# y = x^2 - 0.25 along X+ from (-0.8, 0.39) meets the band |y| <= 0.05 on
+# both sides of x = 0: in at -sqrt(0.3), out at -sqrt(0.2), back in at
+# +sqrt(0.2) and out at +sqrt(0.3), wherever the solver's steps fall
+STRIP_NOTES = [("enter_strip", -math.sqrt(0.3)), ("exit_strip", -math.sqrt(0.2)),
+               ("enter_strip", math.sqrt(0.2)), ("exit_strip", math.sqrt(0.3))]
+
+
+def _assert_strip_notes(traj):
+    notes = [e for e in traj.events if e.kind.endswith("strip")]
+    assert [e.kind for e in notes] == [k for k, _ in STRIP_NOTES]
+    for e, (_, x) in zip(notes, STRIP_NOTES):
+        assert e.location[0] == pytest.approx(x, abs=1e-9)
+
+
 def test_strip_annotations(xplus):
     traj = integrate(xplus, (-0.8, 0.39), Section(0.39, "x>0", id="s"), strip=0.05)
-    kinds = [e.kind for e in traj.events]
-    assert kinds.count("enter_strip") == 1
-    assert kinds.count("exit_strip") == 1
-    order = [k for k in kinds if k.endswith("strip")]
-    assert order == ["enter_strip", "exit_strip"]
+    _assert_strip_notes(traj)
 
 
 def test_flow_map_identity(xplus):
@@ -198,3 +208,4 @@ def test_trajectory_events_ordered(xplus):
     assert np.all(np.diff(traj.t) >= 0)
     ev_times = [e.t for e in traj.events]
     assert ev_times == sorted(ev_times)
+    _assert_strip_notes(traj)
