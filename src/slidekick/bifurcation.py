@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from slidekick.fields import PlanarField, filippov_flow, find_fold
+from slidekick.fields import PlanarField, filippov_flow, find_fold, sign_changes
 from slidekick.integrator import NoArrival, Section, Stop, integrate, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
@@ -88,33 +88,14 @@ def iterate_to_fixed_point(
     raise IterationDiverged(f"no convergence after {max_iter} iterations (step={step:g})")
 
 
-def find_fixed_points_scan(
-    R: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    n: int = 200,
-    tol: float = 1e-12,
-) -> list[FixedPoint]:
-    """All roots of R(x) - x on [lo, hi] by sign-change scan plus bisection."""
+def find_fixed_points_scan(R: Callable[[float], float], lo: float, hi: float) -> list[FixedPoint]:
+    """All roots of R(x) - x on [lo, hi] by a 200-point sign-change scan
+    plus brentq to 1e-12."""
     out: list[FixedPoint] = []
-    for a, b in _sign_changes(lambda x: R(x) - x, np.linspace(lo, hi, n)):
-        root = a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=tol))
+    for a, b in sign_changes(lambda x: R(x) - x, np.linspace(lo, hi, 200)):
+        root = a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=1e-12))
         out.append(FixedPoint(x=root, stability=_stability(R, root), residual=abs(R(root) - root)))
     return out
-
-
-def _sign_changes(g: Callable[[float], float], xs) -> list[tuple[float, float]]:
-    """Grid cells (xs[i], xs[i+1]) across which g changes sign, and
-    degenerate cells (xs[i], xs[i]) where g vanishes on the grid."""
-    vals = [g(x) for x in xs]
-    cells = []
-    for a, b, ga, gb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if ga == 0.0:
-            cells.append((float(a), float(a)))
-        elif ga * gb < 0.0:
-            cells.append((a, b))
-    return cells
 
 
 def _bisect(on_right: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
@@ -139,27 +120,25 @@ def _grazing_return_map(
     profile: RegularizationProfile,
     eps: float,
     mu: float,
-    *,
-    cache: dict | None = None,
-    rtol: float = 1e-10,
+    cache: dict,
 ):
     """Return map machinery for the synthetic grazing germ.
 
     Returns (R, G, gamma, delta, c, xbar) where G is the eps-regularized
-    cross map (cached across mu: it does not depend on the germ parameter)
-    and xbar is the abscissa of the orbit tangent to the strip boundary.
+    cross map (kept in ``cache`` across mu: it does not depend on the germ
+    parameter) and xbar is the abscissa of the orbit tangent to the strip
+    boundary.
     """
     y0 = desc.facts["y0"]
     c = desc.facts["c"]
     pe = desc.facts["exterior_factory"](mu)
     R_eps = RegularizedSystem(desc.system, profile, eps)
     fold_x = desc.facts["fold_x"]
-    store = cache if cache is not None else {}
 
     def G(x: float) -> float:
-        if x not in store:
-            store[x] = map_P_epsilon(R_eps, y0, x, fold=fold_x, rtol=rtol, atol=rtol * 1e-2).x
-        return store[x]
+        if x not in cache:
+            cache[x] = map_P_epsilon(R_eps, y0, x, fold=fold_x, rtol=1e-9, atol=1e-9 * 1e-2).x
+        return cache[x]
 
     def R(x: float) -> float:
         return pe(G(x))
@@ -189,9 +168,7 @@ def _grazing_fixed_points(
     criterion disagrees with what was found.  Every reported point satisfies
     |R(x*) - x*| <= 1e-8 under the full numerical map.
     """
-    R, G, gamma, delta, c, xbar = _grazing_return_map(
-        desc, profile, eps, mu, cache=cache, rtol=1e-9
-    )
+    R, G, gamma, delta, c, xbar = _grazing_return_map(desc, profile, eps, mu, cache)
     y0 = desc.facts["y0"]
     x0m = -desc.facts["x0"](y0)
     pe = desc.facts["exterior_factory"](mu)
@@ -225,7 +202,7 @@ def _grazing_fixed_points(
     # was found at all, scan the transition zone with the full map
     promised = gamma < delta * eps and not any(f.stability == "attracting" for f in found)
     if promised or not found:
-        for a, b in _sign_changes(lambda x: R(x) - x, np.linspace(xbar - 8e-3, xbar + 1e-3, 17)):
+        for a, b in sign_changes(lambda x: R(x) - x, np.linspace(xbar - 8e-3, xbar + 1e-3, 17)):
             accept(a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=1e-13)))
     return found, gamma, delta
 
@@ -332,14 +309,14 @@ def centre_semistability(
     exterior_span: float = 0.2,
     interior_span: float = 0.2,
     max_iter: int = 1500,
-    gap_target: float = 1e-6,
 ) -> SemistabilityReport:
     """Verify the three signatures of the semistable tangent orbit.
 
     (a) the X+ orbit tangent to the strip boundary is fixed under the return
     map, (b) exterior starts produce strictly increasing iterates converging
-    to it, (c) interior starts come back to themselves (the centre's
-    identity return map restricted outside the strip).
+    to it, until they are within 1e-6, (c) interior starts come back to
+    themselves (the centre's identity return map restricted outside the
+    strip).
     """
     facts = desc.facts
     R_eps = RegularizedSystem(desc.system, profile, eps)
@@ -351,6 +328,7 @@ def centre_semistability(
 
     from slidekick.slow_manifold import strip_crossing
 
+    @cache  # after one return the exterior starts replay the same orbit
     def return_map(x: float) -> float:
         if x >= x_bar:
             # the orbit clears the strip: exact circle return (identity)
@@ -377,7 +355,7 @@ def centre_semistability(
                 break
             x = x_new
             count += 1
-            if x_bar - x <= gap_target:
+            if x_bar - x <= 1e-6:
                 break
         gaps.append(x_bar - x)
         iters.append(count)
@@ -432,8 +410,9 @@ class HomoclinicScan:
     constants: TangencyConstants
 
 
-def _separatrix_landing(desc: ModelDescriptor, y0: float, *, stable: bool, delta: float = 1e-8) -> float:
-    """Crossing of W^{s,u}(saddle) with the outer section by shooting."""
+def _separatrix_landing(desc: ModelDescriptor, y0: float, *, stable: bool) -> float:
+    """Crossing of W^{s,u}(saddle) with the outer section by shooting from
+    1e-8 off the saddle along the eigendirection."""
     w, V = saddle_eigen(desc)
     if not (w[0] > 0.0 > w[1]):
         raise SaddleNotResolved(f"eigenvalues {w} are not a saddle pair")
@@ -443,7 +422,7 @@ def _separatrix_landing(desc: ModelDescriptor, y0: float, *, stable: bool, delta
     # negative x-component (down-left for W^s, up-left for W^u)
     if v[0] > 0:
         v = -v
-    start = (sx + delta * v[0], sy + delta * v[1])
+    start = (sx + 1e-8 * v[0], sy + 1e-8 * v[1])
     fld = desc.system.x_plus.negated() if stable else desc.system.x_plus
     shot = shoot(fld.rhs, (0.0, 200.0), start, [Stop(1, y0)], max_step=0.1, rtol=1e-12, atol=1e-14)
     if shot.stop is None:
@@ -478,19 +457,25 @@ def homoclinic_scan(
         x0s = _separatrix_landing(desc, y0, stable=True)
         return x0p - x0s
 
-    # linearize mu_paper(mu_raw) once, then refine each probe with brentq
+    # linearize mu_paper(mu_raw) once; each inversion is a secant iteration
+    # whose first step is this linearization
     m0 = mu_paper(0.0)
     dm = (mu_paper(1e-4) - m0) / 1e-4
 
     def raw_for(mu_target: float) -> float:
-        guess = (mu_target - m0) / dm
-        half = 5e-3
-        for _ in range(6):
-            lo, hi = guess - half, guess + half
-            if (mu_paper(lo) - mu_target) * (mu_paper(hi) - mu_target) < 0:
-                return float(brentq(lambda r: mu_paper(r) - mu_target, lo, hi, xtol=1e-12))
-            half *= 4.0
-        raise SaddleNotResolved(f"could not bracket mu_raw for mu={mu_target}")
+        r_prev, f_prev = 0.0, m0 - mu_target
+        r = -f_prev / dm
+        for _ in range(20):
+            f = mu_paper(r) - mu_target
+            if f == 0.0:
+                return r
+            step = f * (r - r_prev) / (f - f_prev)
+            if not math.isfinite(step):
+                break
+            r_prev, f_prev, r = r, f, r - step
+            if abs(step) <= 1e-12:
+                return r
+        raise SaddleNotResolved(f"secant for mu_raw did not converge at mu={mu_target}")
 
     # the germ constants belong to the grazing member of the family (where
     # the stable manifold is tangent to the switching line); with dissipation
@@ -512,8 +497,7 @@ def homoclinic_scan(
 
         def back(x: float) -> float | None:
             try:
-                return exterior_map(desc.system.x_plus, sec_p, sec_m, x,
-                                    offset=0.0, floor_margin=eps / 2, t_max=400.0).x
+                return exterior_map(desc.system.x_plus, sec_p, sec_m, x, floor_margin=eps / 2, t_max=400.0).x
             except NoArrival:
                 return None
 
@@ -547,18 +531,13 @@ def homoclinic_scan(
     )
 
 
-def saddle_passage_times(
-    desc: ModelDescriptor,
-    distances,
-    *,
-    entry_edge: float = 0.25,
-) -> np.ndarray:
+def saddle_passage_times(desc: ModelDescriptor, distances) -> np.ndarray:
     """Transit times past the saddle for starts offset from W^s.
 
     The anchor point is taken on the actual (curved) stable manifold at
-    eigen-coordinate v = -entry_edge by backward shooting, and the starts
-    are displaced from it by d along the unstable eigendirection; the
-    passage time to |u| = entry_edge then grows like log(1/d)/lambda_1.
+    eigen-coordinate v = -0.25 by backward shooting, and the starts are
+    displaced from it by d along the unstable eigendirection; the passage
+    time to |u| = 0.25 then grows like log(1/d)/lambda_1.
     """
     w, V = saddle_eigen(desc)
     sx, sy = desc.facts["saddle"]
@@ -572,14 +551,14 @@ def saddle_passage_times(
         return Minv @ np.array([z[0] - sx, z[1] - sy])
 
     # backward shooting: W^s leaves the saddle along vs in reverse time
-    edge = Stop(g=lambda t, z: abs(eigcoords(z)[1]) - entry_edge, direction=1)
+    edge = Stop(g=lambda t, z: abs(eigcoords(z)[1]) - 0.25, direction=1)
     seed = np.array([sx, sy]) + 1e-9 * vs
     back = shoot(desc.system.x_plus.negated().rhs, (0.0, 100.0), seed, [edge],
                  rtol=1e-12, atol=1e-14, max_step=0.05)
     if back.stop is None:
         raise NoArrival("could not anchor on the stable manifold")
 
-    leave = Stop(g=lambda t, z: abs(eigcoords(z)[0]) - entry_edge, direction=1)
+    leave = Stop(g=lambda t, z: abs(eigcoords(z)[0]) - 0.25, direction=1)
     times = []
     for d in distances:
         shot = shoot(desc.system.x_plus.rhs, (0.0, 500.0), back.z + d * vu, [leave],
@@ -638,7 +617,6 @@ def stribeck_attractor(
             Section(y0, "all", id="from"),
             Section(y0, "x<0", id="half-1", edge=fold.x),
             z,
-            offset=0.0,
             floor_margin=eps / 2,
             t_max=200.0,
         )
@@ -657,7 +635,7 @@ def stribeck_attractor(
     x_star = iterate_to_fixed_point(R, pe(x0p))
     # uniqueness only needs the count of sign changes, not the polished roots
     xs = np.linspace(x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3), 48)
-    n_fixed = len(_sign_changes(lambda x: R(x) - x, xs))
+    n_fixed = len(sign_changes(lambda x: R(x) - x, xs))
 
     # upper arc of the regularized orbit: X+ from the strip exit around to the
     # next strip entry (Z_eps = X+ above the strip)

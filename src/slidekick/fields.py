@@ -45,14 +45,12 @@ class EscapeRegion(FieldsError):
 class PlanarField:
     """A smooth planar vector field with value and Jacobian evaluation.
 
-    ``func(x, y)`` returns the two field components.  If ``jac`` is not
-    supplied, Jacobians fall back to central finite differences with step
-    ``1e-6 * max(1, |x|, |y|)``, which is accurate enough for sign-level
-    classification of tangencies.
+    ``func(x, y)`` returns the two field components.  Jacobians are central
+    finite differences with step ``1e-6 * max(1, |x|, |y|)``, which is
+    accurate enough for sign-level classification of tangencies.
     """
 
     func: Callable[[float, float], tuple[float, float]]
-    jac: Callable[[float, float], np.ndarray] | None = None
     name: str = ""
 
     def __call__(self, x: float, y: float) -> tuple[float, float]:
@@ -60,8 +58,6 @@ class PlanarField:
         return float(fx), float(fy)
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
-        if self.jac is not None:
-            return np.asarray(self.jac(x, y), dtype=float)
         h = 1e-6 * max(1.0, abs(x), abs(y))
         fxp = self.func(x + h, y)
         fxm = self.func(x - h, y)
@@ -120,24 +116,19 @@ class FoldPoint:
     direction: int  # sign of X1+ at the fold
 
 
-def _tangency_tol(system: FilippovSystem, x: float, tol_rel: float = 1e-10) -> float:
-    # tol scales with the local field magnitude so near-misses at double
-    # precision are separated from genuine folds
-    fp = system.x_plus(x, system.offset)
-    fm = system.x_minus(x, system.offset)
-    scale = max(1.0, abs(fp[0]), abs(fp[1]), abs(fm[0]), abs(fm[1]))
-    return tol_rel * scale
-
-
-def classify_point(system: FilippovSystem, x: float, tol_tangency: float | None = None) -> RegionClass:
+def classify_point(system: FilippovSystem, x: float) -> RegionClass:
     """Classify a point of the switching line.
 
     Sliding requires X2+ < 0 < X2-, crossing X2+ * X2- > 0, escaping
-    X2+ > 0 > X2-.  A normal component smaller than ``tol_tangency`` in
-    magnitude marks a tangency of the corresponding field.
+    X2+ > 0 > X2-.  A normal component smaller than 1e-10 times the local
+    field magnitude marks a tangency of the corresponding field.
     """
-    fp2, fm2 = system.normal_components(x)
-    tol = _tangency_tol(system, x) if tol_tangency is None else tol_tangency
+    fp = system.x_plus(x, system.offset)
+    fm = system.x_minus(x, system.offset)
+    fp2, fm2 = fp[1], fm[1]
+    # tol scales with the local field magnitude so near-misses at double
+    # precision are separated from genuine folds
+    tol = 1e-10 * max(1.0, abs(fp[0]), abs(fp2), abs(fm[0]), abs(fm2))
     if abs(fp2) <= tol:
         return RegionClass.TANGENCY_PLUS
     if abs(fm2) <= tol:
@@ -169,40 +160,41 @@ def sliding_weight(system: FilippovSystem, x: float) -> float:
     return f2m / (f2m - f2p)
 
 
-def find_fold(
-    system: FilippovSystem,
-    bracket: tuple[float, float],
-    tol_root: float = 1e-12,
-    scan_points: int = 401,
-) -> FoldPoint:
+def sign_changes(g: Callable[[float], float], xs) -> list[tuple[float, float]]:
+    """Grid cells (xs[i], xs[i+1]) across which g changes sign, and
+    degenerate cells (x, x) at grid points where g vanishes, the last grid
+    point included."""
+    vals = [g(x) for x in xs]
+    cells = []
+    for a, b, ga, gb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
+        if ga == 0.0:
+            cells.append((float(a), float(a)))
+        elif ga * gb < 0.0:
+            cells.append((float(a), float(b)))
+    if vals[-1] == 0.0:
+        cells.append((float(xs[-1]), float(xs[-1])))
+    return cells
+
+
+def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint:
     """Locate the tangency of X+ within ``bracket`` and classify it.
 
-    Scans for sign changes of X2+(., offset) at ``scan_points`` resolution;
-    exactly one change is required, then the root is polished with brentq.
+    Scans for sign changes of X2+(., offset) on 401 points; exactly one
+    change is required, then the root is polished with brentq to 1e-12.
     Visibility follows the sign of d/dx X2+ times X1+ at the root.
     """
-    a, b = bracket
-    xs = np.linspace(a, b, scan_points)
-    vals = np.array([system.x_plus(x, system.offset)[1] for x in xs])
-    sign_changes = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            sign_changes.append((xs[i], xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            sign_changes.append((xs[i], xs[i + 1]))
-    if vals[-1] == 0.0:
-        sign_changes.append((xs[-1], xs[-1]))
-    if not sign_changes:
+    def x2(x: float) -> float:
+        return system.x_plus(x, system.offset)[1]
+
+    cells = sign_changes(x2, np.linspace(bracket[0], bracket[1], 401))
+    if not cells:
         raise NoSignChange(f"X2+ does not change sign on {bracket}")
-    if len(sign_changes) > 1:
-        raise MultipleRoots(f"{len(sign_changes)} sign changes of X2+ on {bracket}")
-    lo, hi = sign_changes[0]
-    if lo == hi:
-        x_f = lo
-    else:
-        x_f = brentq(lambda x: system.x_plus(x, system.offset)[1], lo, hi, xtol=tol_root)
-    residual = system.x_plus(x_f, system.offset)[1]
-    if abs(residual) > max(tol_root, 1e-10):
+    if len(cells) > 1:
+        raise MultipleRoots(f"{len(cells)} sign changes of X2+ on {bracket}")
+    lo, hi = cells[0]
+    x_f = lo if lo == hi else brentq(x2, lo, hi, xtol=1e-12)
+    residual = x2(x_f)
+    if abs(residual) > 1e-10:
         raise NoSignChange(f"root polish failed, residual {residual:g}")
     dfx = system.x_plus.jacobian(x_f, system.offset)[1, 0]
     f1 = system.x_plus(x_f, system.offset)[0]
@@ -214,9 +206,6 @@ def filippov_flow(
     start: tuple[float, float],
     stop: "Section | float",
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_segments: int = 200,
     t_max: float = 1e3,
     max_step: float = 0.05,
 ) -> Trajectory:
@@ -266,7 +255,7 @@ def filippov_flow(
             return True
         return t >= t_final - 1e-14
 
-    for _ in range(max_segments):
+    for _ in range(200):
         if regime in ("plus", "minus"):
             field = system.x_plus if regime == "plus" else system.x_minus
             toward = -1 if regime == "plus" else +1  # direction of approach to Sigma
@@ -289,8 +278,7 @@ def filippov_flow(
             ]
             if sec is not None:
                 stops.append(sec.stop())
-            shot = shoot(field.rhs, (t0, t_final), [x0, y0], stops,
-                         max_step=max_step, rtol=rtol, atol=atol)
+            shot = shoot(field.rhs, (t0, t_final), [x0, y0], stops, max_step=max_step)
             ts.append(shot.ts)
             xs.append(shot.zs[0])
             ys.append(shot.zs[1])
@@ -340,7 +328,7 @@ def filippov_flow(
 
             stops = [Stop(g=lambda t, z: system.x_plus(z[0], y_sw)[1]),
                      Stop(g=lambda t, z: system.x_minus(z[0], y_sw)[1])]
-            shot = shoot(slide_rhs, (t0, t_final), [x0], stops, rtol=rtol, atol=atol)
+            shot = shoot(slide_rhs, (t0, t_final), [x0], stops)
             ts.append(shot.ts)
             xs.append(shot.zs[0])
             ys.append(np.full_like(shot.ts, y_sw))
@@ -359,4 +347,4 @@ def filippov_flow(
                 return trajectory()
         if _done(t0, x0, y0):
             return trajectory()
-    raise StepLimitExceeded(f"hybrid flow did not terminate within {max_segments} segments")
+    raise StepLimitExceeded("hybrid flow did not terminate within 200 segments")

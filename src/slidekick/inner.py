@@ -93,8 +93,7 @@ class InnerSolution:
         return self.den
 
 
-def _integrate_unscaled(p: int, c_p: float, u_start: float, rtol: float, atol: float,
-                        max_step: float = np.inf, dense: bool = False):
+def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np.inf, dense: bool = False):
     # integrate the denominator D = 4 eta - c_p u^p instead of eta itself:
     # D stays O(1) while eta grows like u^p, so no precision is lost to the
     # cancellation 4 eta - c_p u^p, and eta(0) = D(0)/4 exactly
@@ -112,22 +111,14 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, rtol: float, atol: f
     third = -((p - 1) / p**3) * beta ** (2 - 3 * p) / alpha * u_start ** (2 - 3 * p)
     d_seed = 4.0 * (asymptotic_seed(p, c_p, u_start) + third) - c_p * u_start**p
     shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, method="Radau",
-                 rtol=rtol, atol=atol, max_step=max_step, dense=dense)
+                 rtol=1e-12, atol=1e-14, max_step=max_step, dense=dense)
     if shot.stop is not None:
         raise BlowUp(f"denominator crossed zero integrating from u_start={u_start}")
     return shot
 
 
 @lru_cache(maxsize=64)
-def distinguished_solution(
-    p: int,
-    c_p: float,
-    u_start: float | None = None,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    grid_points: int = 4001,
-) -> InnerSolution:
+def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> InnerSolution:
     """Integrate the inner equation from the asymptotic seed to u = 0.
 
     ``eta_at_0`` is Richardson-stabilized between the runs from u_start and
@@ -150,8 +141,8 @@ def distinguished_solution(
     # 1e-10 pointwise residual contract; p >= 4 runs closer to the
     # null-cline and reads 1.9e-10 at the p <= 3 cap.  The Richardson
     # companion only needs its endpoint
-    sol1 = _integrate_unscaled(p, c_p, u_start, rtol, atol, max_step=0.02 if p <= 3 else 0.01, dense=True)
-    sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start, rtol, atol)
+    sol1 = _integrate_unscaled(p, c_p, u_start, max_step=0.02 if p <= 3 else 0.01, dense=True)
+    sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start)
     v1 = float(sol1.z[0]) / 4.0
     v2 = float(sol2.z[0]) / 4.0
     r = 2.0 ** (2 - 3 * p)
@@ -160,7 +151,7 @@ def distinguished_solution(
     # the seed's O(u^{3-5p}) mismatch relaxes onto the branch in a layer of
     # width ~ D^2/8 at u_start; the reported grid starts past it so pointwise
     # residuals reflect the branch, not the (attracting) transient
-    us = np.linspace(u_start + 0.5, 0.0, grid_points)
+    us = np.linspace(u_start + 0.5, 0.0, 4001)
     dens = sol1.dense(us)[0]
     return InnerSolution(
         p=p,
@@ -191,14 +182,14 @@ class NormalizedSolution:
 
 
 def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: float | None = None,
-                          rtol: float = 1e-12, atol: float = 1e-14, dense: bool = False):
+                          dense: bool = False):
     """Integrate the deviation w = etabar + ubar^p from u_start to u_end.
 
     The distinguished branch keeps w of one sign (positive for even p,
     negative for odd p) and w ~ -(1/p) ubar^{1-p}, so the variable stays
     well scaled.  The seed defaults to the three-term series at u_start.
-    The stepper is LSODA with the analytic Jacobian: at the default
-    tolerances etabar0(0) lands within 3e-11 of a Radau solve at rtol 1e-13
+    The stepper is LSODA with the analytic Jacobian: at rtol 1e-12 and
+    atol 1e-14 etabar0(0) lands within 3e-11 of a Radau solve at rtol 1e-13
     for p = 2, 3, 4.
     """
     def rhs(u, z):
@@ -210,28 +201,24 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
     if w_seed is None:
         w_seed = -(1.0 / p) * u_start ** (1 - p) - ((p - 1) / p**3) * u_start ** (2 - 3 * p)
     shot = shoot(rhs, (u_start, u_end), [w_seed], [Stop(0, 0.0, -1 if p % 2 == 0 else 1)], jac=jac,
-                 method="LSODA", rtol=rtol, atol=atol, dense=dense)
+                 method="LSODA", rtol=1e-12, atol=1e-14, dense=dense)
     if shot.stop is not None:
         raise BlowUp(f"normalized denominator crossed zero from u_start={u_start}")
     return shot
 
 
 @lru_cache(maxsize=64)
-def normalized_solution(
-    p: int,
-    u_start: float = -30.0,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    grid_points: int = 2001,
-) -> NormalizedSolution:
-    sol1 = _integrate_normalized(p, u_start, rtol=rtol, atol=atol, dense=True)
-    sol2 = _integrate_normalized(p, 2.0 * u_start, rtol=rtol, atol=atol)
+def normalized_solution(p: int) -> NormalizedSolution:
+    """The normalized distinguished solution on 2001 points of [-30, 0],
+    with etabar0(0) Richardson-stabilized against the run from -60."""
+    u_start = -30.0
+    sol1 = _integrate_normalized(p, u_start, dense=True)
+    sol2 = _integrate_normalized(p, 2.0 * u_start)
     v1 = float(sol1.z[0])
     v2 = float(sol2.z[0])
     r = 2.0 ** (3 - 5 * p)  # the seed keeps three terms, remainder O(ubar^{3-5p})
     v_ext = (v2 - r * v1) / (1.0 - r)
-    us = np.linspace(u_start, 0.0, grid_points)
+    us = np.linspace(u_start, 0.0, 2001)
     return NormalizedSolution(
         p=p,
         ubar=us,
@@ -242,11 +229,11 @@ def normalized_solution(
     )
 
 
-def eta_at_zero_via_normalization(p: int, c_p: float, u_start: float = -30.0) -> float:
+def eta_at_zero_via_normalization(p: int, c_p: float) -> float:
     """Map the normalized solution back: eta0(0) = etabar0(0)/alpha."""
     _check_parity(p, c_p)
     alpha, _beta = alpha_beta(p, c_p)
-    return normalized_solution(p, u_start).etabar_at_0 / alpha
+    return normalized_solution(p).etabar_at_0 / alpha
 
 
 @dataclass(frozen=True)
@@ -262,17 +249,16 @@ def eta1_check(
     c_p: float,
     c_p1: float,
     *,
-    u_start: float = -80.0,
-    fit_window: tuple[float, float] = (-40.0, -15.0),
     seed_eta1: float | None = None,
 ) -> Eta1Report:
     """Integrate the first-order inner correction along eta0 and fit its tail.
 
     eta1 solves  eta1' = (-8 eta1 + 2 c_{p+1} u^{p+1}) / D^2  with
     D = 4 eta0 - c_p u^p;  near -infty it behaves like (c_{p+1}/4) u^{p+1},
-    so the log-log slope over the fit window estimates p+1.  With zero
-    forcing (c_{p+1} = 0) any seeded eta1 decays; the report then carries
-    the final magnitude instead of a meaningful slope.
+    so the log-log slope over u in [-40, -15] estimates p+1.  The run
+    starts at u = -80.  With zero forcing (c_{p+1} = 0) any seeded eta1
+    decays; the report then carries its magnitude at u = -10 instead of a
+    meaningful slope.
     """
     from slidekick.poincare import fit_power_law
 
@@ -292,14 +278,15 @@ def eta1_check(
             [-2.0 * (-8.0 * eta1 + 2.0 * c_p1 * u ** (p + 1)) / den**3, -8.0 / den**2],
         ]
 
+    u_start = -80.0
     eta1_seed = 0.25 * c_p1 * u_start ** (p + 1) if seed_eta1 is None else seed_eta1
     d_seed = 4.0 * asymptotic_seed(p, c_p, u_start) - c_p * u_start**p
     sol = shoot(rhs, (u_start, -1.0), [d_seed, eta1_seed], jac=jac, method="Radau",
                 rtol=1e-12, atol=1e-14, dense=True)
 
-    us = np.linspace(*fit_window, 60)
+    us = np.linspace(-40.0, -15.0, 60)
     vals = np.abs(sol.dense(us)[1])
-    final_mag = abs(float(sol.dense(-10.0)[1])) if -10.0 >= u_start else float(vals[-1])
+    final_mag = abs(float(sol.dense(-10.0)[1]))
     if np.any(vals <= 0.0):
         return Eta1Report(p=p, slope=float("nan"), r_squared=0.0, final_magnitude=final_mag)
     fit = fit_power_law(np.abs(us), vals, r2_min=-np.inf, allow_drop=False)

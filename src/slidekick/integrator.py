@@ -49,6 +49,7 @@ if TYPE_CHECKING:
     from slidekick.fields import PlanarField
 
 _RESTARTS = 64  # budget of wrong-half-line roots stepped past in one shot
+_MAX_STEPS = 10_000_000  # accepted steps allowed to one trajectory of integrate
 
 
 class IntegratorError(Exception):
@@ -315,7 +316,6 @@ class PoincareResult:
 
     x: float
     time: float
-    min_step: float
     flags: dict[str, object] = field(default_factory=dict)
 
 
@@ -357,9 +357,7 @@ def integrate(
     atol: float = 1e-12,
     method: str = "RK45",
     max_step: float = np.inf,
-    t0: float = 0.0,
     t_max: float = 1e4,
-    max_steps: int = 10_000_000,
     strip: float | None = None,
     strip_center: float = 0.0,
 ) -> Trajectory:
@@ -371,7 +369,7 @@ def integrate(
     band |y - strip_center| <= strip is annotated.
 
     Raises ``StepSizeUnderflow`` on stiffness collapse, ``StepLimitExceeded``
-    past ``max_steps`` accepted steps, and ``EventNotBracketed`` for a start
+    past 10^7 accepted steps, and ``EventNotBracketed`` for a start
     lying on the target section with vanishing outgoing velocity.
     """
     if isinstance(until, Section):
@@ -380,10 +378,10 @@ def integrate(
         stops, t_end, kind = [Stop(g=lambda t, z: until(t, z[0], z[1]))], t_max, "predicate"
     else:
         stops, t_end, kind = [], float(until), ""
-    shot = shoot(field.rhs, (t0, t_end), start, stops, method=method, rtol=rtol, atol=atol,
+    shot = shoot(field.rhs, (0.0, t_end), start, stops, method=method, rtol=rtol, atol=atol,
                  max_step=max_step, dense=strip is not None)
-    if shot.n_steps > max_steps:
-        raise StepLimitExceeded(f"exceeded {max_steps} steps")
+    if shot.n_steps > _MAX_STEPS:
+        raise StepLimitExceeded(f"exceeded {_MAX_STEPS} steps")
     if stops and shot.stop is None:
         raise NoArrival("integration reached t_max before the stopping condition")
     notes = [] if strip is None else _strip_notes(shot, strip, strip_center)
@@ -397,12 +395,6 @@ def flow_map(
     section_from: Section,
     section_to: Section,
     x_on_from: float,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    method: str = "RK45",
-    t_max: float = 1e4,
-    backward: bool = False,
 ) -> PoincareResult:
     """Map a point of ``section_from`` to its landing on ``section_to``.
 
@@ -412,10 +404,8 @@ def flow_map(
     signal in the homoclinic regime, where the exterior map loses its domain.
     """
     if section_from == section_to:
-        return PoincareResult(x=float(x_on_from), time=0.0, min_step=0.0)
-    fld = field.negated() if backward else field
-    shot = shoot(fld.rhs, (0.0, t_max), [x_on_from, section_from.y0], [section_to.stop()],
-                 method=method, rtol=rtol, atol=atol)
+        return PoincareResult(x=float(x_on_from), time=0.0)
+    shot = shoot(field.rhs, (0.0, 1e4), [x_on_from, section_from.y0], [section_to.stop()])
     if shot.stop is None:
         raise NoArrival("integration reached t_max before the stopping condition")
-    return PoincareResult(x=float(shot.z[0]), time=(-shot.t if backward else shot.t), min_step=shot.min_step)
+    return PoincareResult(x=float(shot.z[0]), time=shot.t)

@@ -378,8 +378,6 @@ def flowbox_reduce(
     x_window: float = 0.3,
     y_window: float = 0.3,
     grid_n: int = 5,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> tuple[FilippovSystem, dict]:
     """Straighten X- to (0, 1) and rescale X+ into the general-fold form.
 
@@ -413,7 +411,7 @@ def flowbox_reduce(
             pos = (x0, off)
             col1 = np.array([1.0, 0.0])
         else:
-            z = shoot(rhs, (0.0, tau), [x0, off, 1.0, 0.0], rtol=rtol, atol=atol).z
+            z = shoot(rhs, (0.0, tau), [x0, off, 1.0, 0.0], rtol=1e-12, atol=1e-14).z
             pos = (float(z[0]), float(z[1]))
             col1 = np.array([z[2], z[3]])
         M = np.column_stack([col1, np.array(xm(*pos))])

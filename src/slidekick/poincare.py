@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from slidekick.fields import FilippovSystem, FoldPoint, PlanarField, find_fold
+from slidekick.fields import FilippovSystem, FoldPoint, PlanarField
 from slidekick.integrator import EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
 from slidekick.slow_manifold import strip_crossing
@@ -54,9 +54,9 @@ class TangencyConstants:
     beta_minus: float
 
 
-def _landing(field: PlanarField, start, y_target: float, *, backward: bool, rtol=1e-11, atol=1e-13) -> float:
+def _landing(field: PlanarField, start, y_target: float, *, backward: bool) -> float:
     fld = field.negated() if backward else field
-    shot = shoot(fld.rhs, (0.0, 1e3), start, [Stop(1, y_target)], max_step=0.25, rtol=rtol, atol=atol)
+    shot = shoot(fld.rhs, (0.0, 1e3), start, [Stop(1, y_target)], max_step=0.25, rtol=1e-11, atol=1e-13)
     if shot.stop is None:
         raise NoArrival(f"orbit from {start} never met y = {y_target}")
     return float(shot.z[0])
@@ -95,35 +95,32 @@ def fit_tangency_constants(
     x_plus: PlanarField,
     fold: FoldPoint | float,
     y0: float,
-    *,
-    offset: float = 0.0,
-    h_x: float = 0.04,
-    h_y: float = 0.04,
 ) -> TangencyConstants:
     """Fit x0, alpha, beta for both pseudo-separatrix maps.
 
-    x0 comes from integrating the orbit of the fold point itself; alpha and
-    beta from least squares over landings of a small grid of perturbed
-    starts against the model 1, y, x^2 (with xy, y^2, x^3 columns absorbing
-    the next order so the quadratic coefficients stay unbiased).
+    x0 comes from integrating the orbit of the fold point (fold, 0) itself;
+    alpha and beta from least squares over landings of a 5 x 5 grid of
+    starts within 0.04 of it against the model 1, y, x^2 (with xy, y^2, x^3
+    columns absorbing the next order so the quadratic coefficients stay
+    unbiased).
     """
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
 
     try:
-        x0p = _landing(x_plus, (fx, offset), y0, backward=False)
-        x0m = _landing(x_plus, (fx, offset), y0, backward=True)
+        x0p = _landing(x_plus, (fx, 0.0), y0, backward=False)
+        x0m = _landing(x_plus, (fx, 0.0), y0, backward=True)
     except EventNotBracketed as exc:
         raise TangentialCrossing(f"the fold itself lies on y0={y0}") from exc
     for x0 in (x0p, x0m):
         if abs(x_plus(x0, y0)[1]) < 1e-8:
             raise TangentialCrossing(f"separatrix meets y0={y0} tangentially at x={x0}")
 
-    dxs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * h_x
-    dys = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * h_y
+    dxs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * 0.04
+    dys = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * 0.04
     rows, land_p, land_m = [], [], []
     for dx in dxs:
         for dy in dys:
-            start = (fx + dx, offset + dy)
+            start = (fx + dx, dy)
             land_p.append(_landing(x_plus, start, y0, backward=False))
             land_m.append(_landing(x_plus, start, y0, backward=True))
             # columns past x^2 absorb the next orders so alpha, beta stay unbiased
@@ -156,27 +153,18 @@ def normal_form_constants(y0: float) -> TangencyConstants:
 
 @dataclass
 class FoldMapDecomposition:
-    """The three stages of P_eps as numeric callables plus the germ data."""
+    """The three stages of P_eps as numeric callables."""
 
     y0: float
     epsilon: float
     P: Callable[[float], float]
     Pmid: Callable[[float], float]
     Pbar: Callable[[float], float]
-    constants: TangencyConstants | None = None
 
 
-def decompose(
-    R: RegularizedSystem,
-    y0: float,
-    fold: FoldPoint | float,
-    *,
-    constants: TangencyConstants | None = None,
-    x_limit: float | None = None,
-) -> FoldMapDecomposition:
+def decompose(R: RegularizedSystem, y0: float, fold: FoldPoint | float) -> FoldMapDecomposition:
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
-    lim = x_limit if x_limit is not None else fx + 0.4
 
     def P(x: float) -> float:
         entry = _stage_P(R.base.x_plus, x, y0, y_strip, 1e-11, 1e-13)
@@ -185,12 +173,12 @@ def decompose(
         return entry[1]
 
     def Pmid(x: float) -> float:
-        return strip_crossing(R, x, x_limit=lim)[0]
+        return strip_crossing(R, x, x_limit=fx + 0.4)[0]
 
     def Pbar(x: float) -> float:
         return _stage_Pbar(R.base.x_plus, x, y_strip, y0, 1e-11, 1e-13)[1]
 
-    return FoldMapDecomposition(y0=y0, epsilon=R.epsilon, P=P, Pmid=Pmid, Pbar=Pbar, constants=constants)
+    return FoldMapDecomposition(y0=y0, epsilon=R.epsilon, P=P, Pmid=Pmid, Pbar=Pbar)
 
 
 def map_P_epsilon(
@@ -198,9 +186,7 @@ def map_P_epsilon(
     y0: float,
     x: float,
     *,
-    fold: FoldPoint | float | None = None,
-    fold_bracket: tuple[float, float] = (-1.0, 1.0),
-    x_limit: float | None = None,
+    fold: FoldPoint | float,
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ) -> PoincareResult:
@@ -209,10 +195,9 @@ def map_P_epsilon(
     Orbits whose X+ arc stays above the strip never feel the regularization;
     they are returned with the ``out_of_domain`` flag set and the pure-X+
     landing (P_eps = P0 trivially there).  The flags record the strip entry
-    and exit abscissae and the stage times for diagnostics.
+    and exit abscissae and the stage times for diagnostics.  The strip
+    crossing gives up 0.4 right of the fold.
     """
-    if fold is None:
-        fold = find_fold(R.base, fold_bracket)
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
 
@@ -220,18 +205,14 @@ def map_P_epsilon(
     if entry is None:
         # never reached the strip: grazing orbit untouched by regularization
         x_out = _landing(R.base.x_plus, (x, y0), y0, backward=False)
-        return PoincareResult(x=x_out, time=float("nan"), min_step=0.0,
-                              flags={"out_of_domain": True})
+        return PoincareResult(x=x_out, time=float("nan"), flags={"out_of_domain": True})
     t_in, x_in = entry
-    x_exit, t_mid, diag = strip_crossing(
-        R, x_in, x_limit=(x_limit if x_limit is not None else fx + 0.4)
-    )
+    x_exit, t_mid, diag = strip_crossing(R, x_in, x_limit=fx + 0.4)
     t_up, x_out = _stage_Pbar(R.base.x_plus, x_exit, y_strip, y0, rtol, atol)
 
     return PoincareResult(
         x=x_out,
         time=t_in + t_mid + t_up,
-        min_step=0.0,
         flags={
             "out_of_domain": False,
             "x_in": x_in,
@@ -314,14 +295,13 @@ def landing_scan(
     probe_x: float,
     *,
     constants: TangencyConstants,
-    fold: FoldPoint | float | None = None,
 ) -> LandingScan:
     """Sweep eps, collect strip exits and landing deviations, fit exponents.
 
     The exit abscissa scales like eps^{p/(2p-1)} and the deviation of the
     landing from x0+ + alpha+ eps like eps^{2p/(2p-1)}.
     """
-    fx = constants.fold_x if fold is None else (fold.x if isinstance(fold, FoldPoint) else float(fold))
+    fx = constants.fold_x
     exits, devs = [], []
     for eps in eps_list:
         R = RegularizedSystem(base, profile, eps)
@@ -344,7 +324,6 @@ def exterior_map(
     section_to: Section,
     x: float,
     *,
-    offset: float = 0.0,
     t_max: float = 1e3,
     floor_margin: float | None = None,
 ) -> PoincareResult:
@@ -353,29 +332,21 @@ def exterior_map(
     ``NoArrival`` is raised when the orbit escapes before coming back; in
     the sliding-homoclinic setting that is the meaningful signal that the
     exterior map has lost its domain.  With ``floor_margin`` the orbit is
-    also considered lost if it dips below {y = offset + floor_margin}.
+    also considered lost if it dips below {y = floor_margin}.
     """
     stops = [section_to.stop()]
     if floor_margin is not None:
-        stops.append(Stop(1, offset + floor_margin, -1))
+        stops.append(Stop(1, floor_margin, -1))
     shot = shoot(x_plus.rhs, (0.0, t_max), [x, section_from.y0], stops, rtol=1e-11, atol=1e-13)
     if shot.stop is None:
         raise NoArrival("exterior orbit never returned to the target section")
     if shot.stop == 1:
         raise NoArrival("exterior orbit dipped below the floor margin")
-    return PoincareResult(x=float(shot.z[0]), time=shot.t, min_step=shot.min_step)
+    return PoincareResult(x=float(shot.z[0]), time=shot.t)
 
 
-def exterior_slope(
-    x_plus: PlanarField,
-    section_from: Section,
-    section_to: Section,
-    x: float,
-    *,
-    offset: float = 0.0,
-    dx: float = 1e-6,
-) -> float:
+def exterior_slope(x_plus: PlanarField, section_from: Section, section_to: Section, x: float) -> float:
     """Local derivative c of the exterior map by central differences."""
-    lo = exterior_map(x_plus, section_from, section_to, x - dx, offset=offset)
-    hi = exterior_map(x_plus, section_from, section_to, x + dx, offset=offset)
-    return (hi.x - lo.x) / (2.0 * dx)
+    lo = exterior_map(x_plus, section_from, section_to, x - 1e-6)
+    hi = exterior_map(x_plus, section_from, section_to, x + 1e-6)
+    return (hi.x - lo.x) / 2e-6

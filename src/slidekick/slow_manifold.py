@@ -45,8 +45,6 @@ class SlowManifoldExpansion:
     n2: Callable[[float], float]
     m0: Callable[[float], float]
     m1: Callable[[float], float]
-    n_valid: tuple[float, float] = (-1.0, 1.0)
-    m_valid: tuple[float, float] = (-np.inf, 0.0)
 
     def dn0(self, v: float) -> float:
         phi = self.profile
@@ -121,13 +119,13 @@ class ManifoldTrace:
     exit_x: float | None = None  # abscissa where the trace reached v = to_v
     legs: list[str] = field(default_factory=list)
 
-    def to_csv(self, path, margins=None) -> None:
-        lower = margins[0] if margins else np.full_like(self.x, np.nan)
-        upper = margins[1] if margins else np.full_like(self.x, np.nan)
+    def to_csv(self, path) -> None:
+        """Write the samples in the CSV layout of ``slidekick manifold``,
+        whose margin columns are left empty here (NaN)."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,v,margin_lower,margin_upper\n")
-            for x, v, lo, up in zip(self.x, self.v, lower, upper):
-                fh.write(f"{x:.17g},{v:.17g},{lo:.17g},{up:.17g}\n")
+            for x, v in zip(self.x, self.v):
+                fh.write(f"{x:.17g},{v:.17g},nan,nan\n")
 
 
 def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
@@ -187,18 +185,15 @@ def trace_manifold(
     to_v: float = 1.0,
     *,
     to_x: float | None = None,
-    delta_switch: float = 0.2,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    samples_per_leg: int = 1200,
     extend_linear: bool = False,
 ) -> ManifoldTrace:
     """Continue the attracting Fenichel manifold from x = from_x.
 
     The trace is seeded with m0 + eps*m1 (the seed error dies at rate
     exp(-c (x - from_x)/eps) before the turning region), integrated as a
-    graph over x, and switched to a graph over v at v = 1 - delta_switch
-    where m0' is no longer bounded.  With ``to_x`` (extended linear system,
+    graph over x, and switched to a graph over v at v = 0.8 where m0' is
+    no longer bounded; each leg is sampled on 1200 points (600 on the
+    v-graph).  With ``to_x`` (extended linear system,
     phi(v) = v without clamping) the trace is followed as an x-graph to that
     abscissa instead.
     """
@@ -222,12 +217,12 @@ def trace_manifold(
     stops = []
     if to_x is None:
         stops.append(Stop(0, to_v, 1))
-        if to_v > 1.0 - delta_switch and R.profile.p >= 2:
-            stops.append(Stop(0, 1.0 - delta_switch, 1))
+        if to_v > 0.8 and R.profile.p >= 2:
+            stops.append(Stop(0, 0.8, 1))
 
     shot = shoot(rhs, (from_x, x_stop), [v_seed], stops, jac=jac, method="Radau",
-                 rtol=rtol, atol=atol, dense=True)
-    grid = np.linspace(shot.ts[0], shot.t, samples_per_leg)
+                 rtol=1e-11, atol=1e-13, dense=True)
+    grid = np.linspace(shot.ts[0], shot.t, 1200)
     xs_all.append(grid)
     vs_all.append(shot.dense(grid)[0])
     legs.append("x-graph")
@@ -244,8 +239,8 @@ def trace_manifold(
             return [eps * b1 / b2]
 
         leg = shoot(dx_dv, (float(shot.z[0]), to_v), [shot.t], method="Radau",
-                    rtol=rtol, atol=atol, dense=True)
-        grid2 = np.linspace(leg.ts[0], leg.t, samples_per_leg // 2)
+                    rtol=1e-11, atol=1e-13, dense=True)
+        grid2 = np.linspace(leg.ts[0], leg.t, 600)
         vs_all.append(grid2)
         xs_all.append(leg.dense(grid2)[0])
         legs.append("v-graph")
@@ -354,23 +349,19 @@ def contraction_probe(
     R: RegularizedSystem,
     x0_list: list[float],
     milestones: np.ndarray | None = None,
-    *,
-    x_limit: float = 0.5,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> ContractionReport:
     """Drop orbits from (x0, v=1) and measure pairwise separations.
 
     Orbits are integrated as graphs v(x) through the strip until they return
-    to v = 1; separations |v_i(x) - v_j(x)| are reported at the requested x
+    to v = 1, at most up to x = 0.5; separations |v_i(x) - v_j(x)| are reported at the requested x
     milestones, and the strip-exit abscissae are collected (their spread is
     the landing-independence diagnostic).
     """
     rhs, jac = _orbit_equation(R)
     shots = []
     for x0 in x0_list:
-        shot = shoot(rhs, (x0, x_limit), [1.0], [Stop(0, 1.0, 1)], jac=jac, method="Radau",
-                     rtol=rtol, atol=atol, dense=True)
+        shot = shoot(rhs, (x0, 0.5), [1.0], [Stop(0, 1.0, 1)], jac=jac, method="Radau",
+                     rtol=1e-11, atol=1e-13, dense=True)
         if shot.stop is None:
             raise StripCrossingFailed(f"orbit from x0={x0} did not return to v=1")
         shots.append(shot)
@@ -400,8 +391,6 @@ def strip_crossing(
     x_enter: float,
     *,
     x_limit: float,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> tuple[float, float, dict]:
     """Cross the strip from (x_enter, v=1) back to v=1: the middle map.
 
@@ -413,7 +402,7 @@ def strip_crossing(
     """
     rhs, jac = _orbit_equation(R, timed=True)
     shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], [Stop(0, 1.0, 1), Stop(0, -1.0, -1)],
-                 jac=jac, method="Radau", rtol=rtol, atol=atol)
+                 jac=jac, method="Radau", rtol=1e-11, atol=1e-13)
     if shot.stop == 1:
         raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
     if shot.stop is None:
