@@ -18,7 +18,7 @@ from slidekick.fields import (
     find_fold,
     sliding_field,
 )
-from slidekick.integrator import PoincareResult, Section, Trajectory, flow_map, integrate
+from slidekick.integrator import PoincareResult, Section, Trajectory, integrate
 from slidekick.regularization import (
     RegularizationProfile,
     RegularizedSystem,
@@ -43,7 +43,6 @@ __all__ = [
     "classify_point",
     "filippov_flow",
     "find_fold",
-    "flow_map",
     "integrate",
     "phi_linear",
     "phi_polynomial",

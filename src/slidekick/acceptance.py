@@ -57,11 +57,15 @@ SANDWICH_MARGIN = 0.5  # frozen K = (1/p)(1 + margin) for criterion 5
 class CriterionResult:
     number: int
     name: str
-    passed: bool
+    ok: bool  # the measured quantities meet the expectation
     measured: str
     expected: str
     runtime: float
-    limit: float
+    limit: float  # wall-time limit in seconds
+
+    @property
+    def passed(self) -> bool:
+        return self.ok and self.runtime < self.limit
 
     @property
     def status(self) -> str:
@@ -92,7 +96,7 @@ def criterion_1() -> CriterionResult:
         ok = ok and err <= 10 * eps**2 and spread <= 10 * eps**2
     dt = time.perf_counter() - t0
     return CriterionResult(
-        1, "linear-profile map", ok and dt < 10.0,
+        1, "linear-profile map", ok,
         f"|P-(1/2-eps)| <= {worst_err:.2f} eps^2, spread <= {worst_spread:.2f} eps^2",
         "both <= 10 eps^2", dt, 10.0,
     )
@@ -131,7 +135,7 @@ def criterion_2() -> CriterionResult:
     ok = worst3 <= 500.0 and worst4 <= 25600.0
     dt = time.perf_counter() - t0
     return CriterionResult(
-        2, "linear strip exit", ok and dt < 5.0,
+        2, "linear strip exit", ok,
         f"|x1 - (2 eps - 16 eps^2)| <= {worst3:.1f} eps^3; "
         f"|x1 - (2 eps - 16 eps^2 + 448 eps^3)| <= {worst4:.0f} eps^4",
         "<= 500 eps^3 and <= 25600 eps^4", dt, 5.0,
@@ -157,7 +161,7 @@ def criterion_3() -> CriterionResult:
         parts.append(f"p={p}: exit {s_exit:.4f} (want {want_exit:.4f}), dev {s_dev:.4f} (want {want_dev:.4f})")
     dt = time.perf_counter() - t0
     return CriterionResult(
-        3, "exponent law", ok and dt < 120.0,
+        3, "exponent law", ok,
         "; ".join(parts), "slopes p/(2p-1) +- 0.02 and 2p/(2p-1) +- 0.03, r^2 >= 0.999",
         dt, 120.0,
     )
@@ -179,7 +183,7 @@ def criterion_4() -> CriterionResult:
     rel = abs(lhs - rhs) / abs(rhs)
     dt = time.perf_counter() - t0
     return CriterionResult(
-        4, "inner-equation prefactor", rel <= 0.10 and ok_inner and dt < 60.0,
+        4, "inner-equation prefactor", rel <= 0.10 and ok_inner,
         f"ratio deviation {100 * rel:.2f}% (eta0(0) = {sol.eta_at_0:.8f} +- {sol.estimated_error:.1e})",
         "within 10% of beta+ eta0(0)^2, eta0 stable to 1e-8", dt, 60.0,
     )
@@ -208,7 +212,7 @@ def criterion_5() -> CriterionResult:
     ok = ok and kick < 1e-8
     dt = time.perf_counter() - t0
     return CriterionResult(
-        5, "distinguished-solution sandwich", ok and dt < 5.0,
+        5, "distinguished-solution sandwich", ok,
         f"max |w|/bound = {worst_ratio:.3f}, seed kick {kick:.2e}",
         f"strict sandwich with margin {SANDWICH_MARGIN}, kick < 1e-8", dt, 5.0,
     )
@@ -235,7 +239,7 @@ def criterion_6() -> CriterionResult:
     ok_p2 = spread <= 1e-8
     dt = time.perf_counter() - t0
     return CriterionResult(
-        6, "exponential attraction", ok_lin and ok_p2 and dt < 30.0,
+        6, "exponential attraction", ok_lin and ok_p2,
         f"linear sep(0) = {sep_end:.2e} (bound {max(bound, 1e-10):.2e}); p=2 exit spread {spread:.2e}",
         "sep within e^{-(x-x0)/2eps} (1e-10 floor); spread <= 1e-8", dt, 30.0,
     )
@@ -252,7 +256,7 @@ def criterion_7a() -> CriterionResult:
     present = diag.present()
     dt = time.perf_counter() - t0
     return CriterionResult(
-        7, "grazing-sliding (attracting)", bool(present.all()) and dt < 60.0,
+        7, "grazing-sliding (attracting)", bool(present.all()),
         f"fixed point at {int(present.sum())}/{len(present)} grid values",
         "branch spans mu in [-D eps, 2 D eps] without gap", dt, 60.0,
     )
@@ -284,7 +288,7 @@ def criterion_7b() -> CriterionResult:
     ok = absent and pair and abs(ratio - 1.0) <= 0.02
     dt = time.perf_counter() - t0
     return CriterionResult(
-        7, "grazing-sliding (repelling)", ok and dt < 60.0,
+        7, "grazing-sliding (repelling)", ok,
         f"fixed points at -0.5/+0.5/+1.5 |D|eps: {len(minus.fixed_points)}/"
         f"{len(plus.fixed_points)}/{len(above.fixed_points)} "
         f"({'/'.join(f.stability for f in above.fixed_points)}); mu_SN = {ratio:.4f} |D|eps",
@@ -307,7 +311,7 @@ def criterion_8() -> CriterionResult:
     )
     dt = time.perf_counter() - t0
     return CriterionResult(
-        8, "Coulomb semistability", ok and dt < 60.0,
+        8, "Coulomb semistability", ok,
         f"tangent {rep.tangent_residual:.1e}; exterior gaps <= {max(rep.exterior_final_gaps):.1e} "
         f"(monotone: {rep.exterior_monotone}); interior <= {max(rep.interior_residuals):.1e}",
         "fixed to 1e-9; increasing to within 1e-6; identity to 1e-8", dt, 60.0,
@@ -327,7 +331,7 @@ def criterion_9() -> CriterionResult:
         parts.append(f"eps={eps:g}: d_H={res.hausdorff_upper:.2e} (5eps={5 * eps:.0e}), n={res.n_fixed_points}")
     dt = time.perf_counter() - t0
     return CriterionResult(
-        9, "Stribeck attractor", ok and dt < 60.0,
+        9, "Stribeck attractor", ok,
         "; ".join(parts), "unique attracting fixed point, Hausdorff <= 5 eps", dt, 60.0,
     )
 
@@ -352,7 +356,7 @@ def criterion_10() -> CriterionResult:
     ok = e0 and e05 and (not e15) and dev <= 0.2 and dev_half <= 0.2
     dt = time.perf_counter() - t0
     return CriterionResult(
-        10, "homoclinic bifurcation", ok and dt < 120.0,
+        10, "homoclinic bifurcation", ok,
         f"exists at mu~ in (0, -a+/2): ({e0}, {e05}); absent at -1.5a+: {not e15}; "
         f"|mu~* + a+| = {dev:.3f} (half-eps: {dev_half:.3f}, C = {dev / eps:.0f})",
         "present/present/absent and |mu~* + alpha+| <= 0.2", dt, 120.0,
@@ -372,7 +376,7 @@ def criterion_11() -> CriterionResult:
     C = max(ratios)
     dt = time.perf_counter() - t0
     return CriterionResult(
-        11, "expansion residuals", spread < 2.0 and dt < 5.0,
+        11, "expansion residuals", spread < 2.0,
         f"sup residual / eps^2 in [{min(ratios):.3f}, {max(ratios):.3f}] (C = {C:.3f})",
         "same C across eps (ratio within factor 2)", dt, 5.0,
     )

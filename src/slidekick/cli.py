@@ -37,7 +37,7 @@ class ConfigError(Exception):
 _KNOWN_KEYS = {
     "model", "profile", "eps", "eps_list", "y0", "probe", "u_start", "p",
     "phi_p", "from_x", "to_v", "mu", "family", "start", "until_y", "t_max",
-    "out", "variant", "nu",
+    "out", "nu",
 }
 
 
@@ -91,6 +91,12 @@ def _write_csv(path, header: str, rows) -> None:
             out.close()
 
 
+def _write_trajectory(path, traj) -> None:
+    ev_at = {round(e.t, 15): e.kind for e in traj.events}
+    _write_csv(path, "t,x,y,event",
+               [(t, x, y, ev_at.get(round(float(t), 15), "")) for t, x, y in zip(traj.t, traj.x, traj.y)])
+
+
 def _floats(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
@@ -127,7 +133,7 @@ def cmd_simulate(args) -> int:
         traj = integrate(regularized_field(R), (x0, y0), until,
                          method="Radau", strip=R.epsilon, strip_center=R.offset,
                          t_max=float(args.t_max))
-    traj.to_csv(args.out or sys.stdout)
+    _write_trajectory(args.out, traj)
     return 0
 
 

@@ -78,7 +78,12 @@ class PlanarField:
     def negated(self) -> "PlanarField":
         """The time-reversed field (for backward integration)."""
         f = self.func
-        return PlanarField(lambda x, y: (-f(x, y)[0], -f(x, y)[1]), name=f"-{self.name}")
+
+        def backward(x: float, y: float) -> tuple[float, float]:
+            fx, fy = f(x, y)
+            return -fx, -fy
+
+        return PlanarField(backward, name=f"-{self.name}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,11 @@ def sliding_field(system: FilippovSystem, x: float) -> float:
     """
     if classify_point(system, x) is not RegionClass.SLIDING:
         raise NotSliding(f"x={x} is not in the sliding region")
+    return _drift(system, x)
+
+
+def _drift(system: FilippovSystem, x: float) -> float:
+    # the formula of sliding_field, without the sliding-region check
     y0 = system.offset
     f1p, f2p = system.x_plus(x, y0)
     f1m, f2m = system.x_minus(x, y0)
@@ -320,15 +330,9 @@ def filippov_flow(
             elif t0 >= t_final - 1e-14:
                 return trajectory()
         else:  # sliding
-            def slide_rhs(t, z):
-                x = z[0]
-                f1p, f2p = system.x_plus(x, y_sw)
-                f1m, f2m = system.x_minus(x, y_sw)
-                return [(f1p * f2m - f1m * f2p) / (f2m - f2p)]
-
             stops = [Stop(g=lambda t, z: system.x_plus(z[0], y_sw)[1]),
                      Stop(g=lambda t, z: system.x_minus(z[0], y_sw)[1])]
-            shot = shoot(slide_rhs, (t0, t_final), [x0], stops)
+            shot = shoot(lambda t, z: [_drift(system, z[0])], (t0, t_final), [x0], stops)
             ts.append(shot.ts)
             xs.append(shot.zs[0])
             ys.append(np.full_like(shot.ts, y_sw))

@@ -27,14 +27,12 @@ IIA with analytic Jacobians: the passage along the attracting slow manifold
 would otherwise force O(1/eps) explicit steps.  The normalized inner
 equation uses LSODA, so the two inner routes share no stepper.
 
-:func:`integrate` and :func:`flow_map` build trajectories and
-section-to-section maps on top of :func:`shoot`.
+:func:`integrate` builds annotated trajectories on top of :func:`shoot`.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -49,7 +47,6 @@ if TYPE_CHECKING:
     from slidekick.fields import PlanarField
 
 _RESTARTS = 64  # budget of wrong-half-line roots stepped past in one shot
-_MAX_STEPS = 10_000_000  # accepted steps allowed to one trajectory of integrate
 
 
 class IntegratorError(Exception):
@@ -299,16 +296,6 @@ class Trajectory:
     def end(self) -> tuple[float, float, float]:
         return float(self.t[-1]), float(self.x[-1]), float(self.y[-1])
 
-    def to_csv(self, dest) -> None:
-        """Write ``t,x,y,event`` rows (UTF-8, LF, 17 significant digits) to a
-        path, or to an open text stream such as ``sys.stdout``."""
-        ev_at = {round(e.t, 15): e.kind for e in self.events}
-        out = nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="\n")
-        with out as fh:
-            fh.write("t,x,y,event\n")
-            for t, x, y in zip(self.t, self.x, self.y):
-                fh.write(f"{t:.17g},{x:.17g},{y:.17g},{ev_at.get(round(float(t), 15), '')}\n")
-
 
 @dataclass(frozen=True)
 class PoincareResult:
@@ -368,9 +355,9 @@ def integrate(
     crossings are Newton-polished.  If ``strip`` is given, entry/exit of the
     band |y - strip_center| <= strip is annotated.
 
-    Raises ``StepSizeUnderflow`` on stiffness collapse, ``StepLimitExceeded``
-    past 10^7 accepted steps, and ``EventNotBracketed`` for a start
-    lying on the target section with vanishing outgoing velocity.
+    Raises ``StepSizeUnderflow`` on stiffness collapse and
+    ``EventNotBracketed`` for a start lying on the target section with
+    vanishing outgoing velocity.
     """
     if isinstance(until, Section):
         stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
@@ -380,32 +367,9 @@ def integrate(
         stops, t_end, kind = [], float(until), ""
     shot = shoot(field.rhs, (0.0, t_end), start, stops, method=method, rtol=rtol, atol=atol,
                  max_step=max_step, dense=strip is not None)
-    if shot.n_steps > _MAX_STEPS:
-        raise StepLimitExceeded(f"exceeded {_MAX_STEPS} steps")
     if stops and shot.stop is None:
         raise NoArrival("integration reached t_max before the stopping condition")
     notes = [] if strip is None else _strip_notes(shot, strip, strip_center)
     if stops:
         notes.append(TrajectoryEvent(shot.t, kind, (float(shot.z[0]), float(shot.z[1]))))
     return Trajectory(shot.ts, shot.zs[0], shot.zs[1], notes)
-
-
-def flow_map(
-    field: "PlanarField",
-    section_from: Section,
-    section_to: Section,
-    x_on_from: float,
-) -> PoincareResult:
-    """Map a point of ``section_from`` to its landing on ``section_to``.
-
-    The start is lifted to ``(x_on_from, section_from.y0)``.  The zero-length
-    case (identical sections) returns the point unchanged.  ``NoArrival`` is
-    raised when the orbit never reaches the target; this is a meaningful
-    signal in the homoclinic regime, where the exterior map loses its domain.
-    """
-    if section_from == section_to:
-        return PoincareResult(x=float(x_on_from), time=0.0)
-    shot = shoot(field.rhs, (0.0, 1e4), [x_on_from, section_from.y0], [section_to.stop()])
-    if shot.stop is None:
-        raise NoArrival("integration reached t_max before the stopping condition")
-    return PoincareResult(x=float(shot.z[0]), time=shot.t)

@@ -11,8 +11,7 @@ the exit abscissa / landing deviation are fitted against powers of eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -149,36 +148,6 @@ def normal_form_constants(y0: float) -> TangencyConstants:
         alpha_plus=-1.0 / (2.0 * r), alpha_minus=1.0 / (2.0 * r),
         beta_plus=1.0 / (2.0 * r), beta_minus=-1.0 / (2.0 * r),
     )
-
-
-@dataclass
-class FoldMapDecomposition:
-    """The three stages of P_eps as numeric callables."""
-
-    y0: float
-    epsilon: float
-    P: Callable[[float], float]
-    Pmid: Callable[[float], float]
-    Pbar: Callable[[float], float]
-
-
-def decompose(R: RegularizedSystem, y0: float, fold: FoldPoint | float) -> FoldMapDecomposition:
-    fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
-    y_strip = R.base.offset + R.epsilon
-
-    def P(x: float) -> float:
-        entry = _stage_P(R.base.x_plus, x, y0, y_strip, 1e-11, 1e-13)
-        if entry is None:
-            raise NoArrival(f"orbit from x={x} misses the strip")
-        return entry[1]
-
-    def Pmid(x: float) -> float:
-        return strip_crossing(R, x, x_limit=fx + 0.4)[0]
-
-    def Pbar(x: float) -> float:
-        return _stage_Pbar(R.base.x_plus, x, y_strip, y0, 1e-11, 1e-13)[1]
-
-    return FoldMapDecomposition(y0=y0, epsilon=R.epsilon, P=P, Pmid=Pmid, Pbar=Pbar)
 
 
 def map_P_epsilon(

@@ -171,7 +171,10 @@ class RegularizedSystem:
             return self.base.x_plus(x, y)
         if v <= -1.0:
             return self.base.x_minus(x, y)
-        w = self.profile.eval(v)
+        return self.mix(x, y, self.profile.eval(v))
+
+    def mix(self, x: float, y: float, w: float) -> tuple[float, float]:
+        """(X+ + X-)/2 + w (X+ - X-)/2 at (x, y) for a given weight w."""
         fp = self.base.x_plus(x, y)
         fm = self.base.x_minus(x, y)
         return (

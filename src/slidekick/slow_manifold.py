@@ -10,7 +10,6 @@ stepper keeps the cost independent of 1/eps along the attracting branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -40,24 +39,37 @@ class SlowManifoldExpansion:
     """
 
     profile: RegularizationProfile
-    n0: Callable[[float], float]
-    n1: Callable[[float], float]
-    n2: Callable[[float], float]
-    m0: Callable[[float], float]
-    m1: Callable[[float], float]
+
+    def n0(self, v: float) -> float:
+        w = self.profile.eval(v)
+        return 0.5 * (w - 1.0) / (w + 1.0)
 
     def dn0(self, v: float) -> float:
         phi = self.profile
         return phi.deriv(v, 1) / (1.0 + phi.eval(v)) ** 2
 
-    def dm0(self, x: float) -> float:
+    def n1(self, v: float) -> float:
         phi = self.profile
-        return 4.0 / ((1.0 - 2.0 * x) ** 2 * phi.deriv(self.m0(x), 1))
+        return (1.0 + phi.eval(v)) ** 2 / (2.0 * phi.deriv(v, 1))
 
     def dn1(self, v: float) -> float:
         phi = self.profile
         w, d1, d2 = phi.eval(v), phi.deriv(v, 1), phi.deriv(v, 2)
         return (1.0 + w) * (2.0 * d1 * d1 - (1.0 + w) * d2) / (2.0 * d1 * d1)
+
+    def n2(self, v: float) -> float:
+        n1 = self.n1(v)
+        return -2.0 * self.dn1(v) * n1 * n1
+
+    def m0(self, x: float) -> float:
+        return self.profile.inverse((1.0 + 2.0 * x) / (1.0 - 2.0 * x))
+
+    def dm0(self, x: float) -> float:
+        return 4.0 / ((1.0 - 2.0 * x) ** 2 * self.profile.deriv(self.m0(x), 1))
+
+    def m1(self, x: float) -> float:
+        dm0 = self.dm0(x)
+        return -0.5 * dm0 * dm0
 
 
 def expansion_terms(profile: RegularizationProfile) -> SlowManifoldExpansion:
@@ -69,33 +81,7 @@ def expansion_terms(profile: RegularizationProfile) -> SlowManifoldExpansion:
     frequently quoted n0''/(2 n0'^2) does not satisfy the order-eps^2
     balance.
     """
-
-    def n0(v: float) -> float:
-        w = profile.eval(v)
-        return 0.5 * (w - 1.0) / (w + 1.0)
-
-    def n1(v: float) -> float:
-        w = profile.eval(v)
-        d1 = profile.deriv(v, 1)
-        return (1.0 + w) ** 2 / (2.0 * d1)
-
-    def n2(v: float) -> float:
-        w = profile.eval(v)
-        d1 = profile.deriv(v, 1)
-        d2 = profile.deriv(v, 2)
-        n1v = (1.0 + w) ** 2 / (2.0 * d1)
-        dn1v = (1.0 + w) * (2.0 * d1 * d1 - (1.0 + w) * d2) / (2.0 * d1 * d1)
-        return -2.0 * dn1v * n1v * n1v
-
-    def m0(x: float) -> float:
-        return profile.inverse((1.0 + 2.0 * x) / (1.0 - 2.0 * x))
-
-    def m1(x: float) -> float:
-        v = m0(x)
-        dm0 = 4.0 / ((1.0 - 2.0 * x) ** 2 * profile.deriv(v, 1))
-        return -0.5 * dm0 * dm0
-
-    return SlowManifoldExpansion(profile=profile, n0=n0, n1=n1, n2=n2, m0=m0, m1=m1)
+    return SlowManifoldExpansion(profile)
 
 
 def invariance_residual(profile: RegularizationProfile, eps: float, v: float) -> float:
@@ -119,30 +105,16 @@ class ManifoldTrace:
     exit_x: float | None = None  # abscissa where the trace reached v = to_v
     legs: list[str] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        """Write the samples in the CSV layout of ``slidekick manifold``,
-        whose margin columns are left empty here (NaN)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,v,margin_lower,margin_upper\n")
-            for x, v in zip(self.x, self.v):
-                fh.write(f"{x:.17g},{v:.17g},nan,nan\n")
-
 
 def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
     """(B1, B2)(x, v): the blended field in strip coordinates."""
     eps = R.epsilon
     off = R.base.offset
     prof = R.profile
+    mix = R.mix
 
     def bvals(x: float, v: float) -> tuple[float, float]:
-        y = off + eps * v
-        fp = R.base.x_plus(x, y)
-        fm = R.base.x_minus(x, y)
-        w = v if unclamped else prof.eval(v)
-        return (
-            0.5 * (fp[0] + fm[0]) + 0.5 * w * (fp[0] - fm[0]),
-            0.5 * (fp[1] + fm[1]) + 0.5 * w * (fp[1] - fm[1]),
-        )
+        return mix(x, off + eps * v, v if unclamped else prof.eval(v))
 
     def dbvals_dv(x: float, v: float) -> tuple[float, float]:
         # dominant v-derivative of the blend: the profile term; the O(eps)

@@ -74,3 +74,11 @@ def test_criterion_10_homoclinic():
 
 def test_criterion_11_expansion_residuals():
     _check(acceptance.criterion_11)
+
+
+def test_over_limit_result_fails():
+    # met expectations past the wall-time limit still fail the criterion
+    res = acceptance.CriterionResult(1, "demo", True, "m", "e", runtime=10.5, limit=10.0)
+    assert not res.passed
+    assert res.line().startswith("[FAIL]")
+    assert acceptance.CriterionResult(1, "demo", True, "m", "e", runtime=9.5, limit=10.0).passed

@@ -1,8 +1,11 @@
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slidekick
 from slidekick.cli import ConfigError, ExperimentConfig, main
 
 
@@ -63,8 +66,12 @@ def test_simulate_csv(tmp_path):
     )
     assert code == 0
     text = out.read_text(encoding="utf-8")
-    assert text.splitlines()[0] == "t,x,y,event"
+    lines = text.splitlines()
+    assert lines[0] == "t,x,y,event"
     assert "\r" not in text
+    last = lines[-1].split(",")
+    assert float(last[2]) == pytest.approx(0.25, abs=1e-12)
+    assert last[3].startswith("cross_section")
 
 
 def test_simulate_csv_to_stdout():
@@ -75,6 +82,25 @@ def test_simulate_csv_to_stdout():
     lines = text.splitlines()
     assert lines[0] == "t,x,y,event"
     assert lines[-1].split(",")[3].startswith("cross_section")
+
+
+def test_manifold_csv(tmp_path):
+    out = tmp_path / "trace.csv"
+    code, _ = run_cli("manifold", "--profile", "poly(2)", "--eps", "1e-3", "--out", str(out))
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x,v,margin_lower,margin_upper"
+    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+    left = [r for r in rows if r[0] < 0]
+    assert len(left) > 100
+    assert all(math.isfinite(r[2]) and math.isfinite(r[3]) for r in left)
+
+
+def test_csv_number_format_only_in_cli():
+    # every CSV goes through cli._write_csv, the one place that formats numbers
+    src = Path(slidekick.__file__).parent
+    writers = [p.name for p in src.glob("*.py") if ".17g" in p.read_text(encoding="utf-8")]
+    assert writers == ["cli.py"]
 
 
 def test_config_roundtrip():
@@ -112,6 +138,15 @@ def test_config_file_feeds_flags(tmp_path):
 def test_exit_code_2_on_config_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n", encoding="utf-8")
+    code = main(["poincare", "--model", "normal-fold", "--profile", "linear",
+                 "--eps", "1e-3", "--probe", "-0.8", "--config", str(cfg)])
+    assert code == 2
+
+
+def test_config_key_without_option_rejected(tmp_path):
+    # no subcommand takes a variant, so the key would be read and ignored
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text("variant = repelling\n", encoding="utf-8")
     code = main(["poincare", "--model", "normal-fold", "--profile", "linear",
                  "--eps", "1e-3", "--probe", "-0.8", "--config", str(cfg)])
     assert code == 2

@@ -20,6 +20,17 @@ from slidekick.fields import (
 from slidekick.integrator import Section
 
 
+def test_negated_evaluates_the_field_once():
+    calls = []
+
+    def f(x, y):
+        calls.append((x, y))
+        return 1.0, 2.0 * x
+
+    assert PlanarField(f).negated()(0.3, 0.1) == (-1.0, -0.6)
+    assert calls == [(0.3, 0.1)]
+
+
 def test_classify_normal_form(normal_form):
     assert classify_point(normal_form, -0.3) is RegionClass.SLIDING
     assert classify_point(normal_form, 0.3) is RegionClass.CROSSING

@@ -6,6 +6,7 @@ import pytest
 
 import slidekick
 
+from slidekick.cli import _write_trajectory
 from slidekick.fields import PlanarField
 from slidekick.integrator import (
     EventNotBracketed,
@@ -13,10 +14,10 @@ from slidekick.integrator import (
     Section,
     Trajectory,
     Stop,
-    flow_map,
     integrate,
     shoot,
 )
+from slidekick.poincare import exterior_map
 
 
 @pytest.fixture(scope="module")
@@ -89,20 +90,14 @@ def test_strip_annotations(xplus):
     _assert_strip_notes(traj)
 
 
-def test_flow_map_identity(xplus):
-    s = Section(0.25, "x<0", id="a")
-    r = flow_map(xplus, s, s, -0.7)
-    assert r.x == -0.7 and r.time == 0.0
-
-
 def test_section_edge(xplus):
     a, b = Section(0.25, "x<0", id="h", edge=-0.1), Section(0.25, "x<0", id="h", edge=0.3)
     assert a != b
     # y = x^2 - 0.25 meets y = 0.25 at x = -sqrt(0.5) first; an edge at -0.5
     # rejects that crossing and the orbit goes on to +sqrt(0.5)
-    r = flow_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.5), -0.8)
+    r = exterior_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.5), -0.8)
     assert r.x == pytest.approx(math.sqrt(0.5), abs=1e-10)
-    r = flow_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.9), -0.8)
+    r = exterior_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.9), -0.8)
     assert r.x == pytest.approx(-math.sqrt(0.5), abs=1e-10)
 
 
@@ -164,14 +159,15 @@ def test_radau_factorizes_through_lapack_direct(monkeypatch):
 
 
 def test_flow_map_matches_closed_form(xplus):
-    # P: {y=y0, x<0} -> {y=eps, x<0} is x -> -sqrt(x^2 + eps - y0)
+    # P: {y=y0, x<0} -> {y=eps, x<0} is x -> -sqrt(x^2 + eps - y0), run as
+    # integrate's section-to-section landing from {y=y0} and back up
     y0 = 0.25
     for eps in (1e-2, 1e-3, 1e-4):
         for x in (-1.0, -0.8, -0.6):
-            r = flow_map(xplus, Section(y0, "x<0"), Section(eps, "x<0"), x)
-            assert r.x == pytest.approx(-math.sqrt(x * x + eps - y0), abs=1e-9)
-            rb = flow_map(xplus, Section(eps, "x>0"), Section(y0, "x>0"), -r.x)
-            assert rb.x == pytest.approx(math.sqrt(r.x**2 - eps + y0), abs=1e-9)
+            xe = integrate(xplus, (x, y0), Section(eps, "x<0")).end[1]
+            assert xe == pytest.approx(-math.sqrt(x * x + eps - y0), abs=1e-9)
+            xb = integrate(xplus, (-xe, eps), Section(y0, "x>0")).end[1]
+            assert xb == pytest.approx(math.sqrt(xe**2 - eps + y0), abs=1e-9)
 
 
 def test_time_reversal(xplus):
@@ -193,7 +189,7 @@ def test_convergence_under_tolerance_halving():
 def test_csv_roundtrip(tmp_path, xplus):
     traj = integrate(xplus, (-0.8, 0.39), Section(0.25, "x<0", id="s"))
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    _write_trajectory(path, traj)
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n")
     assert lines[0] == "t,x,y,event"

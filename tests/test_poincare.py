@@ -9,7 +9,8 @@ from slidekick.models import model
 from slidekick.poincare import (
     FitRejected,
     TangentialCrossing,
-    decompose,
+    _stage_P,
+    _stage_Pbar,
     exterior_map,
     exterior_slope,
     fit_power_law,
@@ -88,27 +89,15 @@ def test_map_out_of_domain_flag(nf, nf_fold, lin):
     assert r.x == pytest.approx(0.2, abs=1e-8)  # the untouched grazing return
 
 
-def test_decomposition_consistency(nf, nf_fold, poly2):
-    # map_P_epsilon equals Pbar o Pmid o P composed numerically
+def test_stage_maps_match_closed_forms(nf):
     eps = 1e-3
-    R = RegularizedSystem(nf.system, poly2, eps)
-    dec = decompose(R, 0.25, nf_fold)
-    for x in (-0.9, -0.6):
-        direct = map_P_epsilon(R, 0.25, x, fold=nf_fold).x
-        composed = dec.Pbar(dec.Pmid(dec.P(x)))
-        assert direct == pytest.approx(composed, abs=1e-9)
-
-
-def test_stage_maps_match_closed_forms(nf, nf_fold, poly2):
-    eps = 1e-3
-    R = RegularizedSystem(nf.system, poly2, eps)
-    dec = decompose(R, 0.25, nf_fold)
+    xp = nf.system.x_plus
     P_exact = nf.facts["P_exact"]
     Pbar_exact = nf.facts["Pbar_exact"]
     for x in (-0.9, -0.7, -0.6):
-        assert dec.P(x) == pytest.approx(P_exact(x, eps, 0.25), abs=1e-9)
+        assert _stage_P(xp, x, 0.25, eps, 1e-11, 1e-13)[1] == pytest.approx(P_exact(x, eps, 0.25), abs=1e-9)
     for w in (0.05, 0.1, 0.3):
-        assert dec.Pbar(w) == pytest.approx(Pbar_exact(w, eps, 0.25), abs=1e-9)
+        assert _stage_Pbar(xp, w, eps, 0.25, 1e-11, 1e-13)[1] == pytest.approx(Pbar_exact(w, eps, 0.25), abs=1e-9)
 
 
 def test_ordering_against_pure_map(nf, nf_fold, poly2):

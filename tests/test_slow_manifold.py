@@ -175,12 +175,3 @@ def test_monotone_exit(normal_form, poly2):
     tr = trace_manifold(R, -1.0, 1.0)
     vs = tr.v[tr.v > 0.8]
     assert np.all(np.diff(vs) > -1e-12)
-
-
-def test_trace_csv_export(tmp_path, normal_form, poly2):
-    R = RegularizedSystem(normal_form, poly2, 1e-3)
-    tr = trace_manifold(R, -1.0, 1.0)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    head = path.read_text().splitlines()[0]
-    assert head == "x,v,margin_lower,margin_upper"
