@@ -18,11 +18,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from slidekick.fields import PlanarField, filippov_flow, find_fold, sign_changes
-from slidekick.integrator import NoArrival, Section, Stop, integrate, shoot
+from slidekick.integrator import NoArrival, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     TangencyConstants,
-    _landing,
     exterior_map,
     fit_tangency_constants,
     map_P_epsilon,
@@ -43,17 +42,6 @@ class FixedPoint:
     x: float
     stability: str  # attracting | repelling | neutral
     residual: float
-
-
-@dataclass
-class ReturnMapStudy:
-    family: str
-    mu: float
-    epsilon: float
-    fixed_points: list[FixedPoint]
-    gamma: float
-    delta: float
-    c: float
 
 
 def _stability(R: Callable[[float], float], x: float, dx: float = 1e-6) -> str:
@@ -115,19 +103,25 @@ def _bisect(on_right: Callable[[float], bool], lo: float, hi: float, tol: float)
 # grazing-sliding (synthetic germ family over the normal-fold inner dynamics)
 
 
-def _grazing_return_map(
+def _grazing_fixed_points(
     desc: ModelDescriptor,
     profile: RegularizationProfile,
     eps: float,
     mu: float,
     cache: dict,
-):
-    """Return map machinery for the synthetic grazing germ.
+) -> tuple[list[FixedPoint], float, float]:
+    """Fixed points of the grazing return map R = pe o G, with gamma and
+    Delta, using the map's monotone structure.
 
-    Returns (R, G, gamma, delta, c, xbar) where G is the eps-regularized
-    cross map (kept in ``cache`` across mu: it does not depend on the germ
-    parameter) and xbar is the abscissa of the orbit tangent to the strip
-    boundary.
+    G is the eps-regularized cross map, kept in ``cache`` across mu (it does
+    not depend on the germ parameter).  R is increasing, nearly flat left of
+    the tangent orbit xbar (the orbit grazing the strip boundary) and affine
+    with slope |c| on the pure side.  The stable point (when it exists) is
+    reached by direct iteration from the flattened landing; the pure branch
+    root has the closed form pe(0)/(1+c) for the affine germ.  A local scan
+    across the flat/pure transition backs both up whenever the contraction
+    criterion disagrees with what was found.  Every reported point satisfies
+    |R(x*) - x*| <= 1e-8 under the full numerical map.
     """
     y0 = desc.facts["y0"]
     c = desc.facts["c"]
@@ -137,41 +131,18 @@ def _grazing_return_map(
 
     def G(x: float) -> float:
         if x not in cache:
-            cache[x] = map_P_epsilon(R_eps, y0, x, fold=fold_x, rtol=1e-9, atol=1e-9 * 1e-2).x
+            cache[x] = map_P_epsilon(R_eps, y0, x, fold=fold_x).x
         return cache[x]
 
     def R(x: float) -> float:
         return pe(G(x))
 
     x0p = desc.facts["x0"](y0)
-    gamma = pe(x0p) - (-x0p)
+    x0m = -x0p
+    gamma = pe(x0p) - x0m
     alpha_p = desc.facts["alpha"](y0)
     delta = -alpha_p - c * alpha_p  # alpha- = -alpha+ for the normal form
     xbar = -math.sqrt(y0 - eps)    # orbit through (xbar, y0) grazes y = eps
-    return R, G, gamma, delta, c, xbar
-
-
-def _grazing_fixed_points(
-    desc: ModelDescriptor,
-    profile: RegularizationProfile,
-    eps: float,
-    mu: float,
-    cache: dict,
-) -> tuple[list[FixedPoint], float, float]:
-    """Fixed points of the grazing return map using its monotone structure.
-
-    R is increasing, nearly flat left of the tangent orbit xbar and affine
-    with slope |c| on the pure side.  The stable point (when it exists) is
-    reached by direct iteration from the flattened landing; the pure branch
-    root has the closed form pe(0)/(1+c) for the affine germ.  A local scan
-    across the flat/pure transition backs both up whenever the contraction
-    criterion disagrees with what was found.  Every reported point satisfies
-    |R(x*) - x*| <= 1e-8 under the full numerical map.
-    """
-    R, G, gamma, delta, c, xbar = _grazing_return_map(desc, profile, eps, mu, cache)
-    y0 = desc.facts["y0"]
-    x0m = -desc.facts["x0"](y0)
-    pe = desc.facts["exterior_factory"](mu)
 
     found: list[FixedPoint] = []
 
@@ -205,28 +176,6 @@ def _grazing_fixed_points(
         for a, b in sign_changes(lambda x: R(x) - x, np.linspace(xbar - 8e-3, xbar + 1e-3, 17)):
             accept(a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=1e-13)))
     return found, gamma, delta
-
-
-def find_periodic_orbit(
-    desc: ModelDescriptor,
-    profile: RegularizationProfile,
-    eps: float,
-    mu: float,
-) -> ReturnMapStudy:
-    """Fixed points of the return map of the synthetic grazing family.
-
-    Inside the contraction regime gamma < Delta*eps the flattened fixed
-    point is found by one to two iterations of the map; outside it the
-    pure-X+ branch (the grazing orbit untouched by the strip) may still
-    carry one.  Every reported point satisfies |R(x*) - x*| <= 1e-8 under
-    the full numerical map.
-    """
-    cache: dict = {}
-    fps, gamma, delta = _grazing_fixed_points(desc, profile, eps, mu, cache)
-    return ReturnMapStudy(
-        family=desc.id, mu=mu, epsilon=eps, fixed_points=fps, gamma=gamma,
-        delta=delta, c=desc.facts["c"],
-    )
 
 
 @dataclass
@@ -338,7 +287,7 @@ def centre_semistability(
         return pe(p_up(x_exit))
 
     # (a) tangent orbit fixed: follow the actual flow, not the closed form
-    res_tan = abs(_full_loop_return(desc, x_bar, y0, eps) - x_bar)
+    res_tan = abs(_full_loop_return(desc, x_bar, y0) - x_bar)
 
     # (b) exterior iterates
     monotone = True
@@ -364,7 +313,7 @@ def centre_semistability(
     interior: list[float] = []
     for k in range(1, n_interior + 1):
         x = x_bar + interior_span * k / n_interior
-        interior.append(abs(_full_loop_return(desc, x, y0, eps) - x))
+        interior.append(abs(_full_loop_return(desc, x, y0) - x))
 
     return SemistabilityReport(
         x_tangent=x_bar,
@@ -376,16 +325,14 @@ def centre_semistability(
     )
 
 
-def _full_loop_return(desc: ModelDescriptor, x: float, y0: float, eps: float) -> float:
+def _full_loop_return(desc: ModelDescriptor, x: float, y0: float) -> float:
     """One full revolution of the X+ centre orbit through (x, y0), numerically.
 
     The section {y = y0} is crossed twice per revolution (once on the far
     side of the centre), so two section-to-section hops close the loop.
     """
-    fld = desc.system.x_plus
-    traj = integrate(fld, (x, y0), Section(y0, "all"), rtol=1e-12, atol=1e-14, max_step=0.05)
-    traj = integrate(fld, (traj.end[1], y0), Section(y0, "all"), rtol=1e-12, atol=1e-14, max_step=0.05)
-    return traj.end[1]
+    far = exterior_map(desc.system.x_plus, (x, y0), Section(y0)).x
+    return exterior_map(desc.system.x_plus, (far, y0), Section(y0)).x
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +371,7 @@ def _separatrix_landing(desc: ModelDescriptor, y0: float, *, stable: bool) -> fl
         v = -v
     start = (sx + 1e-8 * v[0], sy + 1e-8 * v[1])
     fld = desc.system.x_plus.negated() if stable else desc.system.x_plus
-    shot = shoot(fld.rhs, (0.0, 200.0), start, [Stop(1, y0)], max_step=0.1, rtol=1e-12, atol=1e-14)
-    if shot.stop is None:
-        raise NoArrival("separatrix never crossed the outer section")
-    return float(shot.z[0])
+    return exterior_map(fld, start, Section(y0), t_max=200.0).x
 
 
 def homoclinic_scan(
@@ -453,7 +397,7 @@ def homoclinic_scan(
     def mu_paper(mu_raw: float) -> float:
         desc = make_model(mu_raw)
         f = find_fold(desc.system, desc.fold_bracket)
-        x0p = _landing(desc.system.x_plus, (f.x, desc.system.offset), y0, backward=False)
+        x0p = exterior_map(desc.system.x_plus, (f.x, desc.system.offset), Section(y0)).x
         x0s = _separatrix_landing(desc, y0, stable=True)
         return x0p - x0s
 
@@ -492,12 +436,11 @@ def homoclinic_scan(
         R_eps = RegularizedSystem(desc.system, profile, eps)
         x_probe = constants.x0_minus - 0.05
         landing = map_P_epsilon(R_eps, y0, x_probe, fold=f).x
-        sec_p = Section(y0, "x>0", id="outer+")
         sec_m = Section(y0, "x<0", id="outer-")
 
         def back(x: float) -> float | None:
             try:
-                return exterior_map(desc.system.x_plus, sec_p, sec_m, x, floor_margin=eps / 2, t_max=400.0).x
+                return exterior_map(desc.system.x_plus, (x, y0), sec_m, floor_margin=eps / 2, t_max=400.0).x
             except NoArrival:
                 return None
 
@@ -614,9 +557,8 @@ def stribeck_attractor(
     def pe(z: float) -> float:
         r = exterior_map(
             desc.system.x_plus,
-            Section(y0, "all", id="from"),
+            (z, y0),
             Section(y0, "x<0", id="half-1", edge=fold.x),
-            z,
             floor_margin=eps / 2,
             t_max=200.0,
         )
@@ -629,8 +571,8 @@ def stribeck_attractor(
         return pe(G(x))
 
     fold_pt = (fold.x, desc.system.offset)
-    x0p = _landing(desc.system.x_plus, fold_pt, y0, backward=False)
-    gamma = pe(x0p) - _landing(desc.system.x_plus, fold_pt, y0, backward=True)
+    x0p = exterior_map(desc.system.x_plus, fold_pt, Section(y0)).x
+    gamma = pe(x0p) - exterior_map(desc.system.x_plus.negated(), fold_pt, Section(y0)).x
 
     x_star = iterate_to_fixed_point(R, pe(x0p))
     # uniqueness only needs the count of sign changes, not the polished roots

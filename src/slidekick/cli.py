@@ -92,9 +92,13 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _write_trajectory(path, traj) -> None:
+    # a step is labelled with the event at its time; an event between steps
+    # gets a row of its own, in time order
     ev_at = {round(e.t, 15): e.kind for e in traj.events}
-    _write_csv(path, "t,x,y,event",
-               [(t, x, y, ev_at.get(round(float(t), 15), "")) for t, x, y in zip(traj.t, traj.x, traj.y)])
+    steps = {round(float(t), 15) for t in traj.t}
+    rows = [(t, x, y, ev_at.get(round(float(t), 15), "")) for t, x, y in zip(traj.t, traj.x, traj.y)]
+    rows += [(e.t, *e.location, e.kind) for e in traj.events if round(e.t, 15) not in steps]
+    _write_csv(path, "t,x,y,event", sorted(rows, key=lambda row: row[0]))
 
 
 def _floats(text: str) -> list[float]:
@@ -109,12 +113,23 @@ def _mu_grid(text: str) -> np.ndarray:
     return np.asarray(_floats(text))
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_file(args.config)
-        for key, val in cfg.values.items():
-            if getattr(args, key, None) in (None, ""):
-                setattr(args, key, val)
+def _config_defaults(ap: argparse.ArgumentParser, argv) -> None:
+    """Make the values of the --config file the subcommands' defaults.
+
+    This runs before parsing, so a config value also fills a required flag,
+    and a flag given on the command line still wins.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return
+    values = ExperimentConfig.from_file(path).values
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in sub.choices.values():
+        for action in parser._actions:
+            if action.dest in values:
+                action.default, action.required = values[action.dest], False
 
 
 def cmd_simulate(args) -> int:
@@ -393,16 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from slidekick.models import BadParams, UnknownModel
+    from slidekick.regularization import InvalidP, UnknownProfile
+
     ap = build_parser()
     try:
+        _config_defaults(ap, argv)
         args = ap.parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; pass both through
         return int(exc.code or 0)
-    try:
-        _apply_config(args)
-        return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, UnknownModel, BadParams, InvalidP, UnknownProfile) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failure

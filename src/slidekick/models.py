@@ -322,7 +322,8 @@ def list_models() -> list[str]:
 
 
 def _self_check(desc: ModelDescriptor) -> None:
-    from slidekick.poincare import _landing
+    from slidekick.integrator import Section
+    from slidekick.poincare import exterior_map
 
     fold = desc.fold()
     if "fold_x" in desc.facts:
@@ -336,24 +337,21 @@ def _self_check(desc: ModelDescriptor) -> None:
         eps, y0 = 1e-3, 0.25
         for x in (-0.9, -0.7, -0.6):
             want = desc.facts["P_exact"](x, eps, y0)
-            got = _landing(desc.system.x_plus, (x, y0), eps, backward=False)
+            got = exterior_map(desc.system.x_plus, (x, y0), Section(eps)).x
             if abs(want - got) > 1e-9:
                 raise BadParams(f"{desc.id}: P closed form mismatch at x={x}")
     if desc.id == "coulomb":
         y0, h = 0.25, 0.1
         for x in (0.05, 0.2, 0.45):
             want = desc.facts["P_exact"](x, h, y0)
-            got = _landing(desc.system.x_plus, (x, y0), h, backward=False)
+            got = exterior_map(desc.system.x_plus, (x, y0), Section(h)).x
             if abs(want - got) > 1e-9:
                 raise BadParams("coulomb: circle map mismatch")
     if desc.id == "stribeck":
         # the unstable pseudo-separatrix of the fold must come back to the
         # switching line inside the sliding segment
-        from slidekick.integrator import Section, integrate
-
         fs = desc.params["F_s"]
-        traj = integrate(desc.system.x_plus, (fs + 1e-9, 1e-12), Section(0.0), t_max=50.0)
-        x_star = traj.end[1]
+        x_star = exterior_map(desc.system.x_plus, (fs + 1e-9, 1e-12), Section(0.0), t_max=50.0).x
         if not (-fs < x_star < fs):
             raise BadParams(f"stribeck: W^u lands at {x_star:.4f}, outside the sliding segment")
     if desc.id == "saddle-homoclinic":

@@ -53,15 +53,7 @@ class TangencyConstants:
     beta_minus: float
 
 
-def _landing(field: PlanarField, start, y_target: float, *, backward: bool) -> float:
-    fld = field.negated() if backward else field
-    shot = shoot(fld.rhs, (0.0, 1e3), start, [Stop(1, y_target)], max_step=0.25, rtol=1e-11, atol=1e-13)
-    if shot.stop is None:
-        raise NoArrival(f"orbit from {start} never met y = {y_target}")
-    return float(shot.z[0])
-
-
-def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float, rtol: float, atol: float):
+def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float):
     """Stage P: ride X+ from (x, y0) down to the strip boundary.
 
     Returns (time, abscissa) of the strip entry, or None when the orbit's
@@ -69,7 +61,7 @@ def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float, rtol: flo
     """
     dip = Stop(g=lambda t, z: x_plus(z[0], z[1])[1], direction=1)
     shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), dip],
-                 max_step=0.25, rtol=rtol, atol=atol, dense=True)
+                 max_step=0.25, rtol=1e-11, atol=1e-13, dense=True)
     if shot.stop == 0:
         return shot.t, float(shot.z[0])
     if shot.stop == 1 and shot.z[1] <= y_strip:
@@ -79,15 +71,6 @@ def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float, rtol: flo
         t_in = float(brentq(lambda t: float(shot.dense(t)[1]) - y_strip, 0.0, shot.t, xtol=1e-14))
         return t_in, float(shot.dense(t_in)[0])
     return None
-
-
-def _stage_Pbar(x_plus: PlanarField, x_exit: float, y_strip: float, y0: float, rtol: float, atol: float):
-    """Stage Pbar: lift the strip exit (x_exit, y_strip) up to {y = y0}."""
-    shot = shoot(x_plus.rhs, (0.0, 1e3), [x_exit, y_strip], [Stop(1, y0, 1)],
-                 max_step=0.25, rtol=rtol, atol=atol)
-    if shot.stop is None:
-        raise NoArrival("exit orbit never reached the outer section")
-    return shot.t, float(shot.z[0])
 
 
 def fit_tangency_constants(
@@ -106,8 +89,8 @@ def fit_tangency_constants(
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
 
     try:
-        x0p = _landing(x_plus, (fx, 0.0), y0, backward=False)
-        x0m = _landing(x_plus, (fx, 0.0), y0, backward=True)
+        x0p = exterior_map(x_plus, (fx, 0.0), Section(y0)).x
+        x0m = exterior_map(x_plus.negated(), (fx, 0.0), Section(y0)).x
     except EventNotBracketed as exc:
         raise TangentialCrossing(f"the fold itself lies on y0={y0}") from exc
     for x0 in (x0p, x0m):
@@ -120,8 +103,8 @@ def fit_tangency_constants(
     for dx in dxs:
         for dy in dys:
             start = (fx + dx, dy)
-            land_p.append(_landing(x_plus, start, y0, backward=False))
-            land_m.append(_landing(x_plus, start, y0, backward=True))
+            land_p.append(exterior_map(x_plus, start, Section(y0)).x)
+            land_m.append(exterior_map(x_plus.negated(), start, Section(y0)).x)
             # columns past x^2 absorb the next orders so alpha, beta stay unbiased
             rows.append([1.0, dy, dx * dx, dx * dy, dy * dy, dx**3, dx**4, dx * dx * dy])
     A = np.asarray(rows)
@@ -156,8 +139,6 @@ def map_P_epsilon(
     x: float,
     *,
     fold: FoldPoint | float,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
 ) -> PoincareResult:
     """Full numerical transit {y=y0, x<fold} -> {y=y0, x>fold} through the strip.
 
@@ -170,24 +151,25 @@ def map_P_epsilon(
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
 
-    entry = _stage_P(R.base.x_plus, x, y0, y_strip, rtol, atol)
+    entry = _stage_P(R.base.x_plus, x, y0, y_strip)
     if entry is None:
         # never reached the strip: grazing orbit untouched by regularization
-        x_out = _landing(R.base.x_plus, (x, y0), y0, backward=False)
+        x_out = exterior_map(R.base.x_plus, (x, y0), Section(y0)).x
         return PoincareResult(x=x_out, time=float("nan"), flags={"out_of_domain": True})
     t_in, x_in = entry
     x_exit, t_mid, diag = strip_crossing(R, x_in, x_limit=fx + 0.4)
-    t_up, x_out = _stage_Pbar(R.base.x_plus, x_exit, y_strip, y0, rtol, atol)
+    # stage Pbar: from below the section the first crossing is upward
+    up = exterior_map(R.base.x_plus, (x_exit, y_strip), Section(y0))
 
     return PoincareResult(
-        x=x_out,
-        time=t_in + t_mid + t_up,
+        x=up.x,
+        time=t_in + t_mid + up.time,
         flags={
             "out_of_domain": False,
             "x_in": x_in,
             "x_exit": x_exit,
             "v_min": diag["v_min"],
-            "t_stages": (t_in, t_mid, t_up),
+            "t_stages": (t_in, t_mid, up.time),
         },
     )
 
@@ -288,34 +270,40 @@ def landing_scan(
 
 
 def exterior_map(
-    x_plus: PlanarField,
-    section_from: Section,
+    field: PlanarField,
+    start,
     section_to: Section,
-    x: float,
     *,
     t_max: float = 1e3,
     floor_margin: float | None = None,
 ) -> PoincareResult:
-    """Exterior return P^e along X+ from one outer section to the other.
+    """Landing of the orbit of ``field`` from ``start`` on ``section_to``.
 
-    ``NoArrival`` is raised when the orbit escapes before coming back; in
-    the sliding-homoclinic setting that is the meaningful signal that the
-    exterior map has lost its domain.  With ``floor_margin`` the orbit is
-    also considered lost if it dips below {y = floor_margin}.
+    This is the one section map of the package: the exterior return P^e,
+    the stage Pbar of P_eps, the fold-orbit and separatrix landings, and,
+    along ``field.negated()``, every backward landing.  RK45 runs at rtol
+    1e-11, atol 1e-13 with steps capped at 0.25, so a dip below the section
+    wider than one step is not flown over.  ``NoArrival`` is raised when the
+    orbit escapes before coming back; in the sliding-homoclinic setting that
+    is the meaningful signal that the exterior map has lost its domain.
+    With ``floor_margin`` the orbit is also considered lost if it dips below
+    {y = floor_margin}.
     """
     stops = [section_to.stop()]
     if floor_margin is not None:
         stops.append(Stop(1, floor_margin, -1))
-    shot = shoot(x_plus.rhs, (0.0, t_max), [x, section_from.y0], stops, rtol=1e-11, atol=1e-13)
+    shot = shoot(field.rhs, (0.0, t_max), start, stops, max_step=0.25, rtol=1e-11, atol=1e-13)
     if shot.stop is None:
-        raise NoArrival("exterior orbit never returned to the target section")
+        raise NoArrival(f"orbit from {start} never reached y = {section_to.y0}")
     if shot.stop == 1:
         raise NoArrival("exterior orbit dipped below the floor margin")
     return PoincareResult(x=float(shot.z[0]), time=shot.t)
 
 
-def exterior_slope(x_plus: PlanarField, section_from: Section, section_to: Section, x: float) -> float:
-    """Local derivative c of the exterior map by central differences."""
-    lo = exterior_map(x_plus, section_from, section_to, x - 1e-6)
-    hi = exterior_map(x_plus, section_from, section_to, x + 1e-6)
+def exterior_slope(field: PlanarField, start, section_to: Section) -> float:
+    """Derivative in x of the landing of ``start`` on ``section_to``, by
+    central differences."""
+    x, y = start
+    lo = exterior_map(field, (x - 1e-6, y), section_to)
+    hi = exterior_map(field, (x + 1e-6, y), section_to)
     return (hi.x - lo.x) / 2e-6

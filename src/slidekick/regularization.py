@@ -23,6 +23,10 @@ class InvalidP(Exception):
     """Polynomial profiles need p >= 2."""
 
 
+class UnknownProfile(ValueError):
+    """A profile spec that is neither ``linear`` nor ``poly(p)``."""
+
+
 @dataclass(frozen=True)
 class RegularizationProfile:
     """Transition function phi with smoothness class p.
@@ -144,8 +148,12 @@ def parse_profile(spec: str) -> RegularizationProfile:
     if s == "linear":
         return phi_linear()
     if s.startswith("poly(") and s.endswith(")"):
-        return phi_polynomial(int(s[5:-1]))
-    raise ValueError(f"unknown profile spec {spec!r}")
+        try:
+            p = int(s[5:-1])
+        except ValueError as exc:
+            raise UnknownProfile(f"unknown profile spec {spec!r}") from exc
+        return phi_polynomial(p)
+    raise UnknownProfile(f"unknown profile spec {spec!r}")
 
 
 @dataclass(frozen=True)

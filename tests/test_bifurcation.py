@@ -4,7 +4,6 @@ import pytest
 from slidekick.bifurcation import (
     centre_semistability,
     find_fixed_points_scan,
-    find_periodic_orbit,
     grazing_sliding_scan,
     homoclinic_scan,
     iterate_to_fixed_point,
@@ -39,11 +38,11 @@ def test_grazing_gamma_branches(lin):
     # return-map trichotomy on the synthetic germ: gamma < 0 orbit, gamma > 0 none
     desc = model("grazing-family", variant="attracting")
     eps = 1e-3
-    neg = find_periodic_orbit(desc, lin, eps, -2e-3)  # gamma = mu = -2e-3 < 0
+    neg = grazing_sliding_scan(desc, lin, eps, [-2e-3]).points[0]  # gamma = mu = -2e-3 < 0
     assert any(f.stability == "attracting" for f in neg.fixed_points)
     assert neg.gamma < 0
     # gamma = 0 with Delta > 0: orbit approaching the grazing orbit
-    zero = find_periodic_orbit(desc, lin, eps, 0.0)
+    zero = grazing_sliding_scan(desc, lin, eps, [0.0]).points[0]
     assert zero.delta > 0
     assert any(f.stability == "attracting" for f in zero.fixed_points)
     # strip crossing of the found orbit scales like eps^{p/(2p-1)} (p=1: eps)
@@ -59,7 +58,7 @@ def test_grazing_gamma_positive_no_flattened_orbit(lin):
     desc = model("grazing-family", variant="attracting")
     eps = 1e-3
     delta = desc.facts["delta"]
-    st = find_periodic_orbit(desc, lin, eps, 3.0 * delta * eps)  # gamma > Delta eps
+    st = grazing_sliding_scan(desc, lin, eps, [3.0 * delta * eps]).points[0]  # gamma > Delta eps
     # only the untouched X+ cycle remains, right of the tangent orbit
     assert all(f.x > -np.sqrt(0.25 - eps) - 1e-12 for f in st.fixed_points)
 
@@ -201,13 +200,13 @@ def test_return_map_identity_on_coulomb(poly2):
     tc = fit_tangency_constants(desc.system.x_plus, fold, y0)
     up = Section(y0, "all", id="up")
     # c at the unstable-separatrix crossing; pi+' by chaining the two maps
-    c = exterior_slope(desc.system.x_plus, up, up, tc.x0_plus)
+    c = exterior_slope(desc.system.x_plus, (tc.x0_plus, y0), up)
     dx = 1e-6
-    from slidekick.poincare import exterior_map, _landing
+    from slidekick.poincare import exterior_map
 
     def pi_plus(x):
-        mid = _landing(desc.system.x_plus, (x, y0), y0, backward=False)
-        return exterior_map(desc.system.x_plus, up, up, mid).x
+        mid = exterior_map(desc.system.x_plus, (x, y0), up).x
+        return exterior_map(desc.system.x_plus, (mid, y0), up).x
 
     slope = (pi_plus(tc.x0_minus + dx) - pi_plus(tc.x0_minus - dx)) / (2 * dx)
     assert c * tc.alpha_plus == pytest.approx(slope * tc.alpha_minus, rel=0.05)

@@ -74,6 +74,21 @@ def test_simulate_csv(tmp_path):
     assert last[3].startswith("cross_section")
 
 
+def test_simulate_csv_strip_events():
+    # strip entry and exit fall between solver steps and get rows of their own
+    code, text = run_cli("simulate", "--model", "normal-fold", "--eps", "1e-3",
+                         "--start=-0.8,0.1", "--until-y", "0.25")
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    ts = [float(r[0]) for r in rows]
+    assert ts == sorted(ts)
+    strip = [(r[3], float(r[0]), float(r[2])) for r in rows if r[3].endswith("strip")]
+    assert [k for k, _, _ in strip] == ["enter_strip", "exit_strip"]
+    assert strip[0][1] == pytest.approx(0.0645, abs=1e-4)
+    assert strip[1][1] == pytest.approx(1.343, abs=1e-3)
+    assert all(y == pytest.approx(1e-3, abs=1e-12) for _, _, y in strip)
+
+
 def test_simulate_csv_to_stdout():
     code, text = run_cli(
         "simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25",
@@ -129,10 +144,27 @@ def test_config_file_feeds_flags(tmp_path):
     cfg.write_text("probe = -0.8\ny0 = 0.25\n", encoding="utf-8")
     out = tmp_path / "p.csv"
     code, _ = run_cli("poincare", "--model", "normal-fold", "--profile", "linear",
-                      "--eps", "1e-3", "--probe", "", "--config", str(cfg),
-                      "--out", str(out))
+                      "--eps", "1e-3", "--config", str(cfg), "--out", str(out))
     assert code == 0
     assert "-0.8" in out.read_text().splitlines()[1]
+
+
+def test_config_value_matches_flag(tmp_path):
+    # a config value stands in for a flag that has a default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("y0 = 0.3\n", encoding="utf-8")
+    args = ("poincare", "--model", "normal-fold", "--eps", "1e-3", "--probe=-0.8")
+    code, from_config = run_cli(*args, "--config", str(cfg))
+    assert code == 0
+    assert from_config == run_cli(*args, "--y0", "0.3")[1]
+
+
+def test_config_fills_required_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = normal-fold\neps = 1e-3\nprobe = -0.8\n", encoding="utf-8")
+    code, text = run_cli("poincare", "--config", str(cfg))
+    assert code == 0
+    assert text.splitlines()[1].startswith("0.001,-0.8")
 
 
 def test_exit_code_2_on_config_error(tmp_path):
@@ -150,6 +182,15 @@ def test_config_key_without_option_rejected(tmp_path):
     code = main(["poincare", "--model", "normal-fold", "--profile", "linear",
                  "--eps", "1e-3", "--probe", "-0.8", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [("--profile", "bogus"), ("--profile", "poly(1)"), ("--model", "bogus")])
+def test_exit_code_2_on_bad_model_or_profile(bad, capsys):
+    # the last of a repeated flag wins
+    code = main(["poincare", "--model", "normal-fold", "--profile", "linear",
+                 "--eps", "1e-3", "--probe=-0.8", *bad])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_exit_code_1_on_numerical_failure():

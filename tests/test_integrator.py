@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slidekick
 
@@ -95,9 +97,9 @@ def test_section_edge(xplus):
     assert a != b
     # y = x^2 - 0.25 meets y = 0.25 at x = -sqrt(0.5) first; an edge at -0.5
     # rejects that crossing and the orbit goes on to +sqrt(0.5)
-    r = exterior_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.5), -0.8)
+    r = exterior_map(xplus, (-0.8, 0.39), Section(0.25, "x>0", edge=-0.5))
     assert r.x == pytest.approx(math.sqrt(0.5), abs=1e-10)
-    r = exterior_map(xplus, Section(0.39, "all"), Section(0.25, "x>0", edge=-0.9), -0.8)
+    r = exterior_map(xplus, (-0.8, 0.39), Section(0.25, "x>0", edge=-0.9))
     assert r.x == pytest.approx(-math.sqrt(0.5), abs=1e-10)
 
 
@@ -160,14 +162,27 @@ def test_radau_factorizes_through_lapack_direct(monkeypatch):
 
 def test_flow_map_matches_closed_form(xplus):
     # P: {y=y0, x<0} -> {y=eps, x<0} is x -> -sqrt(x^2 + eps - y0), run as
-    # integrate's section-to-section landing from {y=y0} and back up
+    # exterior_map's landing from {y=y0} and back up
     y0 = 0.25
     for eps in (1e-2, 1e-3, 1e-4):
         for x in (-1.0, -0.8, -0.6):
-            xe = integrate(xplus, (x, y0), Section(eps, "x<0")).end[1]
+            xe = exterior_map(xplus, (x, y0), Section(eps, "x<0")).x
             assert xe == pytest.approx(-math.sqrt(x * x + eps - y0), abs=1e-9)
-            xb = integrate(xplus, (-xe, eps), Section(y0, "x>0")).end[1]
+            xb = exterior_map(xplus, (-xe, eps), Section(y0, "x>0")).x
             assert xb == pytest.approx(math.sqrt(xe**2 - eps + y0), abs=1e-9)
+
+
+@settings(derandomize=True, deadline=None)
+@given(x=st.floats(-1.0, -0.55), h=st.floats(1e-4, 0.2))
+def test_exterior_map_round_trip(xplus, x, h):
+    # the orbit from (x, 0.25) is y = 0.25 + (x + t)^2 - x^2; it first meets
+    # {y = h} at -sqrt(x^2 + h - 0.25) and stays below h for a time
+    # 2 sqrt(x^2 + h - 0.25) >= 0.45, wider than one capped step, so no
+    # step may fly over the crossing
+    down = exterior_map(xplus, (x, 0.25), Section(h, "x<0")).x
+    assert down == pytest.approx(-math.sqrt(x * x + h - 0.25), abs=1e-9)
+    back = exterior_map(xplus.negated(), (down, h), Section(0.25)).x
+    assert back == pytest.approx(x, abs=1e-9)
 
 
 def test_time_reversal(xplus):

@@ -10,7 +10,6 @@ from slidekick.poincare import (
     FitRejected,
     TangentialCrossing,
     _stage_P,
-    _stage_Pbar,
     exterior_map,
     exterior_slope,
     fit_power_law,
@@ -95,9 +94,9 @@ def test_stage_maps_match_closed_forms(nf):
     P_exact = nf.facts["P_exact"]
     Pbar_exact = nf.facts["Pbar_exact"]
     for x in (-0.9, -0.7, -0.6):
-        assert _stage_P(xp, x, 0.25, eps, 1e-11, 1e-13)[1] == pytest.approx(P_exact(x, eps, 0.25), abs=1e-9)
+        assert _stage_P(xp, x, 0.25, eps)[1] == pytest.approx(P_exact(x, eps, 0.25), abs=1e-9)
     for w in (0.05, 0.1, 0.3):
-        assert _stage_Pbar(xp, w, eps, 0.25, 1e-11, 1e-13)[1] == pytest.approx(Pbar_exact(w, eps, 0.25), abs=1e-9)
+        assert exterior_map(xp, (w, eps), Section(0.25)).x == pytest.approx(Pbar_exact(w, eps, 0.25), abs=1e-9)
 
 
 def test_ordering_against_pure_map(nf, nf_fold, poly2):
@@ -163,8 +162,8 @@ def test_exterior_map_centre_identity():
     fs = desc.params["F_s"]
     for x in (0.2, 0.35, 0.5):
         # P+: left crossing to right crossing through the circle bottom
-        r1 = exterior_map(desc.system.x_plus, up, up, x)
-        r2 = exterior_map(desc.system.x_plus, up, up, r1.x)
+        r1 = exterior_map(desc.system.x_plus, (x, y0), up)
+        r2 = exterior_map(desc.system.x_plus, (r1.x, y0), up)
         assert r2.x == pytest.approx(x, abs=1e-8)
 
 
@@ -172,7 +171,7 @@ def test_exterior_slope_centre():
     desc = model("coulomb")
     y0 = 0.25
     up = Section(y0, "all", id="up")
-    c = exterior_slope(desc.system.x_plus, up, up, 0.3)
+    c = exterior_slope(desc.system.x_plus, (0.3, y0), up)
     assert c == pytest.approx(-1.0, abs=1e-4)  # circles: P^e(z) = 2 F_s - z
 
 
@@ -182,9 +181,8 @@ def test_exterior_map_no_arrival():
     with pytest.raises(NoArrival):
         exterior_map(
             nf.system.x_plus,
-            Section(0.25, "x>0", id="a"),
+            (0.5, 0.25),
             Section(0.25, "x<0", id="b"),
-            0.5,
             floor_margin=1e-4,
             t_max=30.0,
         )
