@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
+from slidekick.errors import NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, find_fold, sign_changes
 from slidekick.integrator import NoArrival, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
@@ -25,15 +26,16 @@ from slidekick.poincare import (
     exterior_map,
     fit_tangency_constants,
     map_P_epsilon,
+    normal_form_constants,
 )
 from slidekick.regularization import RegularizationProfile, RegularizedSystem
 
 
-class IterationDiverged(Exception):
+class IterationDiverged(NumericalFailure):
     pass
 
 
-class SaddleNotResolved(Exception):
+class SaddleNotResolved(NumericalFailure):
     pass
 
 
@@ -137,11 +139,10 @@ def _grazing_fixed_points(
     def R(x: float) -> float:
         return pe(G(x))
 
-    x0p = desc.facts["x0"](y0)
-    x0m = -x0p
-    gamma = pe(x0p) - x0m
-    alpha_p = desc.facts["alpha"](y0)
-    delta = -alpha_p - c * alpha_p  # alpha- = -alpha+ for the normal form
+    germ = normal_form_constants(y0)
+    x0m = germ.x0_minus
+    gamma = pe(germ.x0_plus) - x0m
+    delta = desc.facts["delta"]
     xbar = -math.sqrt(y0 - eps)    # orbit through (xbar, y0) grazes y = eps
 
     found: list[FixedPoint] = []

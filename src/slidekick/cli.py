@@ -17,7 +17,9 @@ Configuration can also come from a UTF-8 ``key = value`` file passed with
 header row, '.' decimals, LF line endings and 17 significant digits.
 Everything is deterministic: identical configs give bit-identical files.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure, 2 configuration error (a flag
+or config value that does not parse, or an argument the library rejects
+before solving).  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -25,55 +27,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ConfigError(Exception):
-    pass
-
-
-_KNOWN_KEYS = {
-    "model", "profile", "eps", "eps_list", "y0", "probe", "u_start", "p",
-    "phi_p", "from_x", "to_v", "mu", "family", "start", "until_y", "t_max",
-    "out", "nu",
-}
-
-
-@dataclass
-class ExperimentConfig:
-    """Flat key-value experiment configuration with file round-tripping."""
-
-    values: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(_parse_config(fh.read(), path))
-
-    def to_text(self) -> str:
-        return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls(_parse_config(text, "<text>"))
-
-
-def _parse_config(text: str, source: str) -> dict[str, str]:
-    """``key = value`` lines of known keys; ``#`` starts a comment."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        values[key] = val
-    return values
+from slidekick.errors import ConfigError, NumericalFailure
 
 
 def _fmt(x: float) -> str:
@@ -105,6 +62,11 @@ def _floats(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
 
+def _point(text: str) -> tuple[float, float]:
+    x, y = _floats(text)
+    return x, y
+
+
 def _mu_grid(text: str) -> np.ndarray:
     # a:b:n grid or a comma list
     if ":" in text:
@@ -114,22 +76,44 @@ def _mu_grid(text: str) -> np.ndarray:
 
 
 def _config_defaults(ap: argparse.ArgumentParser, argv) -> None:
-    """Make the values of the --config file the subcommands' defaults.
+    """Make the values of the --config file the running subcommand's defaults.
 
-    This runs before parsing, so a config value also fills a required flag,
-    and a flag given on the command line still wins.
+    The file holds UTF-8 ``key = value`` lines, ``#`` starting a comment; its
+    keys are the options of the subcommands that take --config.  This runs
+    before parsing, so a config value also fills a required flag, argparse
+    converts and checks it as it does the flag, and a flag given on the
+    command line still wins.
     """
     pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if not path:
+    given = pre.parse_known_args(argv)[0]
+    if not given.config:
         return
-    values = ExperimentConfig.from_file(path).values
+    try:
+        with open(given.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {given.config}: {exc}") from exc
     (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    for parser in sub.choices.values():
-        for action in parser._actions:
-            if action.dest in values:
-                action.default, action.required = values[action.dest], False
+    keys = {a.dest for p in sub.choices.values() if "--config" in p._option_string_actions
+            for a in p._actions} - {"help", "config"}
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{given.config}:{lineno}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(f"{given.config}:{lineno}: unknown key {key!r}")
+        values[key] = val
+    for action in sub.choices[given.command]._actions if given.command in sub.choices else ():
+        if action.dest in values:
+            if action.choices is not None and values[action.dest] not in action.choices:
+                raise ConfigError(f"{given.config}: {action.dest} must be one of {action.choices}")
+            action.default, action.required = values[action.dest], False
 
 
 def cmd_simulate(args) -> int:
@@ -139,15 +123,13 @@ def cmd_simulate(args) -> int:
     from slidekick.regularization import RegularizedSystem, parse_profile, regularized_field
 
     desc = model(args.model)
-    x0, y0 = _floats(args.start)
-    until = Section(float(args.until_y), "all", id="target") if args.until_y is not None else float(args.t_max)
+    until = Section(args.until_y, "all", id="target") if args.until_y is not None else args.t_max
     if args.eps is None:
-        traj = filippov_flow(desc.system, (x0, y0), until, t_max=float(args.t_max))
+        traj = filippov_flow(desc.system, args.start, until, t_max=args.t_max)
     else:
-        R = RegularizedSystem(desc.system, parse_profile(args.profile), float(args.eps))
-        traj = integrate(regularized_field(R), (x0, y0), until,
-                         method="Radau", strip=R.epsilon, strip_center=R.offset,
-                         t_max=float(args.t_max))
+        R = RegularizedSystem(desc.system, parse_profile(args.profile), args.eps)
+        traj = integrate(regularized_field(R), args.start, until,
+                         method="Radau", strip=R.epsilon, strip_center=R.offset, t_max=args.t_max)
     _write_trajectory(args.out, traj)
     return 0
 
@@ -161,10 +143,10 @@ def cmd_poincare(args) -> int:
     fold = desc.fold()
     profile = parse_profile(args.profile)
     rows = []
-    for eps in _floats(args.eps):
+    for eps in args.eps:
         R = RegularizedSystem(desc.system, profile, eps)
-        for x in _floats(args.probe):
-            r = map_P_epsilon(R, float(args.y0), x, fold=fold)
+        for x in args.probe:
+            r = map_P_epsilon(R, args.y0, x, fold=fold)
             rows.append((eps, x, r.x, r.time))
     _write_csv(args.out, "eps,x_in,x_out,transit_time", rows)
     return 0
@@ -178,15 +160,13 @@ def cmd_exponent(args) -> int:
     desc = model(args.model)
     fold = desc.fold()
     profile = parse_profile(args.profile)
-    y0 = float(args.y0)
     if desc.id == "normal-fold":
         from slidekick.poincare import normal_form_constants
 
-        constants = normal_form_constants(y0)
+        constants = normal_form_constants(args.y0)
     else:
-        constants = fit_tangency_constants(desc.system.x_plus, fold, y0)
-    scan = landing_scan(desc.system, profile, _floats(args.eps_list), y0,
-                        float(args.probe), constants=constants)
+        constants = fit_tangency_constants(desc.system.x_plus, fold, args.y0)
+    scan = landing_scan(desc.system, profile, args.eps_list, args.y0, args.probe, constants=constants)
     _write_csv(args.out, "eps,exit_x,deviation",
                list(zip(scan.epsilons, scan.exits, scan.deviations)))
     p = profile.p
@@ -200,9 +180,7 @@ def cmd_exponent(args) -> int:
 def cmd_inner(args) -> int:
     from slidekick.inner import distinguished_solution
 
-    p = int(args.p)
-    c_p = float(args.phi_p) / math.factorial(p)
-    sol = distinguished_solution(p, c_p, float(args.u_start) if args.u_start else None)
+    sol = distinguished_solution(args.p, args.phi_p / math.factorial(args.p), args.u_start)
     _write_csv(args.out, "u,eta", list(zip(sol.u, sol.eta)))
     print(f"eta0_at_0={sol.eta_at_0:.12g} err={sol.estimated_error:.3g}")
     return 0
@@ -215,9 +193,9 @@ def cmd_manifold(args) -> int:
 
     desc = model(args.model)
     profile = parse_profile(args.profile)
-    eps = float(args.eps)
+    eps = args.eps
     R = RegularizedSystem(desc.system, profile, eps)
-    tr = trace_manifold(R, float(args.from_x), float(args.to_v))
+    tr = trace_manifold(R, args.from_x, args.to_v)
     exp = expansion_terms(profile)
     lower, upper = [], []
     for x, v in zip(tr.x, tr.v):
@@ -241,12 +219,12 @@ def cmd_bifurcate(args) -> int:
     from slidekick.regularization import parse_profile
 
     profile = parse_profile(args.profile)
-    eps = float(args.eps)
+    eps = args.eps
     rows = []
     if args.family in ("grazing-attracting", "grazing-repelling"):
         variant = args.family.split("-")[1]
         desc = model("grazing-family", variant=variant)
-        diag = grazing_sliding_scan(desc, profile, eps, _mu_grid(args.mu))
+        diag = grazing_sliding_scan(desc, profile, eps, args.mu)
         for pt in diag.points:
             if pt.fixed_points:
                 for fp in pt.fixed_points:
@@ -255,20 +233,18 @@ def cmd_bifurcate(args) -> int:
                 rows.append((pt.mu, float("nan"), "absent", pt.gamma, pt.delta))
         if diag.collision_mu is not None:
             print(f"collision_mu={diag.collision_mu:.6g}")
-    elif args.family in ("homoclinic", "homoclinic-hamiltonian"):
-        nu = 0.0 if args.family.endswith("hamiltonian") else float(args.nu or 0.15)
+    else:
+        nu = 0.0 if args.family.endswith("hamiltonian") else args.nu
 
         def make(mu_raw):
             return model("saddle-homoclinic", mu=mu_raw, nu=nu, check=False)
 
-        scan = homoclinic_scan(make, profile, eps, _mu_grid(args.mu), y0=float(args.y0))
+        scan = homoclinic_scan(make, profile, eps, args.mu, y0=args.y0)
         for p in scan.probes:
             rows.append((p.mu, p.fixed_point if p.fixed_point is not None else float("nan"),
                          "attracting" if p.exists else "absent", float("nan"), float("nan")))
         if scan.mu_tilde_star is not None:
             print(f"mu_tilde_star={scan.mu_tilde_star:.6g} alpha_plus={scan.alpha_plus:.6g}")
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
     _write_csv(args.out, "mu,fixed_point,stability,gamma,delta", rows)
     return 0
 
@@ -280,21 +256,19 @@ def cmd_friction(args) -> int:
 
     desc = model(args.model)
     profile = parse_profile(args.profile)
-    eps = float(args.eps)
+    eps = args.eps
     if args.model == "coulomb":
-        rep = centre_semistability(desc, profile, eps, y0=float(args.y0))
+        rep = centre_semistability(desc, profile, eps, y0=args.y0)
         print(f"tangent_x={rep.x_tangent:.12g}")
         print(f"tangent_residual={rep.tangent_residual:.3g}")
         print(f"exterior_monotone={rep.exterior_monotone}")
         print(f"exterior_final_gaps={[float(f'{g:.3g}') for g in rep.exterior_final_gaps]}")
         print(f"interior_residuals={[float(f'{g:.3g}') for g in rep.interior_residuals]}")
-    elif args.model == "stribeck":
-        res = stribeck_attractor(desc, profile, eps, y0=float(args.y0))
+    else:
+        res = stribeck_attractor(desc, profile, eps, y0=args.y0)
         print(f"fixed_point={res.fixed_point:.12g} stability={res.stability} "
               f"n_fixed_points={res.n_fixed_points}")
         print(f"hausdorff_upper={res.hausdorff_upper:.6g} bound={5 * eps:.6g}")
-    else:
-        raise ConfigError("friction expects --model coulomb or stribeck")
     return 0
 
 
@@ -312,8 +286,6 @@ def cmd_accept(args) -> int:
 def cmd_models(args) -> int:
     from slidekick.models import list_models, model
 
-    if args.action != "list":
-        raise ConfigError("usage: slidekick models list")
     for mid in list_models():
         desc = model(mid, check=False)
         facts = {k: v for k, v in desc.facts.items() if isinstance(v, (int, float, str, bool, tuple))}
@@ -336,44 +308,44 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--profile", default="linear")
-    p.add_argument("--eps", help="regularize with this eps; omit for the Filippov flow")
-    p.add_argument("--start", required=True, help="x,y")
+    p.add_argument("--eps", type=float, help="regularize with this eps; omit for the Filippov flow")
+    p.add_argument("--start", required=True, type=_point, help="x,y")
     p.add_argument("--until-y", dest="until_y", type=float)
-    p.add_argument("--t-max", dest="t_max", default="50.0")
+    p.add_argument("--t-max", dest="t_max", type=float, default=50.0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("poincare", help="apply the fold map P_eps to probe points")
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--profile", default="linear")
-    p.add_argument("--eps", required=True, help="comma list")
-    p.add_argument("--y0", default="0.25")
-    p.add_argument("--probe", required=True, help="comma list of section abscissae")
+    p.add_argument("--eps", required=True, type=_floats, help="comma list")
+    p.add_argument("--y0", type=float, default=0.25)
+    p.add_argument("--probe", required=True, type=_floats, help="comma list of section abscissae")
     p.set_defaults(fn=cmd_poincare)
 
     p = sub.add_parser("exponent", help="fit the eps-scaling of exits and landings")
     common(p)
     p.add_argument("--model", default="normal-fold")
     p.add_argument("--profile", required=True)
-    p.add_argument("--eps-list", dest="eps_list", required=True)
-    p.add_argument("--y0", default="0.25")
-    p.add_argument("--probe", default="-0.8")
+    p.add_argument("--eps-list", dest="eps_list", required=True, type=_floats)
+    p.add_argument("--y0", type=float, default=0.25)
+    p.add_argument("--probe", type=float, default=-0.8)
     p.set_defaults(fn=cmd_exponent)
 
     p = sub.add_parser("inner", help="distinguished solution of the inner equation")
     common(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--phi-p", dest="phi_p", required=True, help="phi^(p)(1), e.g. -3")
-    p.add_argument("--u-start", dest="u_start")
+    p.add_argument("--p", required=True, type=int)
+    p.add_argument("--phi-p", dest="phi_p", required=True, type=float, help="phi^(p)(1), e.g. -3")
+    p.add_argument("--u-start", dest="u_start", type=float)
     p.set_defaults(fn=cmd_inner)
 
     p = sub.add_parser("manifold", help="trace the attracting Fenichel manifold")
     common(p)
     p.add_argument("--model", default="normal-fold")
     p.add_argument("--profile", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--from-x", dest="from_x", default="-1.0")
-    p.add_argument("--to-v", dest="to_v", default="1.0")
+    p.add_argument("--eps", required=True, type=float)
+    p.add_argument("--from-x", dest="from_x", type=float, default=-1.0)
+    p.add_argument("--to-v", dest="to_v", type=float, default=1.0)
     p.set_defaults(fn=cmd_manifold)
 
     p = sub.add_parser("bifurcate", help="parameter scans of the return map")
@@ -382,18 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["grazing-attracting", "grazing-repelling",
                             "homoclinic", "homoclinic-hamiltonian"])
     p.add_argument("--profile", default="linear")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--mu", required=True, help="a:b:n grid or comma list (mu~ for homoclinic)")
-    p.add_argument("--y0", default="0.25")
-    p.add_argument("--nu")
+    p.add_argument("--eps", required=True, type=float)
+    p.add_argument("--mu", required=True, type=_mu_grid,
+                   help="a:b:n grid or comma list (mu~ for homoclinic)")
+    p.add_argument("--y0", type=float, default=0.25)
+    p.add_argument("--nu", type=float, default=0.15)
     p.set_defaults(fn=cmd_bifurcate)
 
     p = sub.add_parser("friction", help="dry-friction experiments (coulomb, stribeck)")
     common(p)
     p.add_argument("--model", required=True, choices=["coulomb", "stribeck"])
     p.add_argument("--profile", default="poly(2)")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--y0", default="0.25")
+    p.add_argument("--eps", required=True, type=float)
+    p.add_argument("--y0", type=float, default=0.25)
     p.set_defaults(fn=cmd_friction)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
@@ -408,9 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from slidekick.models import BadParams, UnknownModel
-    from slidekick.regularization import InvalidP, UnknownProfile
-
     ap = build_parser()
     try:
         _config_defaults(ap, argv)
@@ -419,10 +389,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; pass both through
         return int(exc.code or 0)
-    except (ConfigError, UnknownModel, BadParams, InvalidP, UnknownProfile) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # numerical failure
+    except NumericalFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

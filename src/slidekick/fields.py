@@ -13,31 +13,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 from scipy.optimize import brentq
 
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.integrator import Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, shoot
 
 
-class FieldsError(Exception):
-    """Base class for errors raised by the fields module."""
-
-
-class NotSliding(FieldsError):
+class NotSliding(ConfigError):
     """The queried point is not in the sliding region."""
 
 
-class NoSignChange(FieldsError):
+class NoSignChange(NumericalFailure):
     """The fold bracket does not contain a sign change of X2+."""
 
 
-class MultipleRoots(FieldsError):
+class MultipleRoots(NumericalFailure):
     """More than one sign change of X2+ detected at scan resolution."""
 
 
-class EscapeRegion(FieldsError):
+class EscapeRegion(NumericalFailure):
     """A Filippov orbit was started in (or reached) the escaping set."""
 
 
@@ -214,7 +211,7 @@ def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint
 def filippov_flow(
     system: FilippovSystem,
     start: tuple[float, float],
-    stop: "Section | float",
+    stop: Section | float | Literal["sliding"],
     *,
     t_max: float = 1e3,
     max_step: float = 0.05,
@@ -223,8 +220,9 @@ def filippov_flow(
 
     The orbit concatenates X+/X- arcs, crossing transitions, sliding
     segments governed by :func:`sliding_field`, and the exit at a visible
-    fold along the unstable pseudo-separatrix of X+.  ``stop`` is either a
-    :class:`~slidekick.integrator.Section` or a final time.
+    fold along the unstable pseudo-separatrix of X+.  ``stop`` is a
+    :class:`~slidekick.integrator.Section`, a final time, or ``"sliding"``,
+    which ends the flow at its first ``slide_start``.
 
     Events are annotated in order: ``cross_section``, ``slide_start``,
     ``slide_end``, ``fold_exit`` and the region switches.

@@ -24,22 +24,19 @@ from functools import lru_cache
 
 import numpy as np
 
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.integrator import Stop, shoot
 
 
-class InnerError(Exception):
-    pass
-
-
-class SeriesOutOfRange(InnerError):
+class SeriesOutOfRange(ConfigError):
     """The asymptotic seed is only trusted for |u| >= 5."""
 
 
-class SeedInconsistent(InnerError):
+class SeedInconsistent(ConfigError):
     """c_p sign incompatible with the parity convention for p."""
 
 
-class BlowUp(InnerError):
+class BlowUp(NumericalFailure):
     """The denominator crossed its null-cline: wrong branch or seed."""
 
 

@@ -43,29 +43,27 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.optimize import brentq, minimize_scalar
 
+from slidekick.errors import NumericalFailure
+
 if TYPE_CHECKING:
     from slidekick.fields import PlanarField
 
 _RESTARTS = 64  # budget of wrong-half-line roots stepped past in one shot
 
 
-class IntegratorError(Exception):
+class StepLimitExceeded(NumericalFailure):
     pass
 
 
-class StepLimitExceeded(IntegratorError):
-    pass
-
-
-class StepSizeUnderflow(IntegratorError):
+class StepSizeUnderflow(NumericalFailure):
     """Stiffness collapse: the stepper could not advance."""
 
 
-class EventNotBracketed(IntegratorError):
+class EventNotBracketed(NumericalFailure):
     """A start sits on a section with no outgoing velocity to bracket."""
 
 
-class NoArrival(IntegratorError):
+class NoArrival(NumericalFailure):
     """The orbit left the domain of definition before reaching the target."""
 
 
@@ -202,7 +200,7 @@ def shoot(
         if sol.status == -1:
             if "step size" in sol.message.lower():
                 raise StepSizeUnderflow(sol.message)
-            raise IntegratorError(sol.message)
+            raise NumericalFailure(sol.message)
         n_steps += len(sol.t) - 1
         steps = np.diff(sol.t)
         if np.any(steps > 0.0):

@@ -11,24 +11,26 @@ orientation used everywhere else.  The physical pair is kept alongside.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import FilippovSystem, FoldPoint, PlanarField, find_fold
 
 
-class UnknownModel(Exception):
+class UnknownModel(ConfigError):
     pass
 
 
-class BadParams(Exception):
+class BadParams(ConfigError):
     pass
 
 
-class TransversalityLost(Exception):
+class TransversalityLost(NumericalFailure):
     """The lower field stopped being transversal during straightening."""
 
 
@@ -44,7 +46,6 @@ class ModelDescriptor:
     params: dict[str, float]
     facts: dict[str, Any] = field(default_factory=dict)
     physical_system: FilippovSystem | None = None
-    exterior: Callable[[float], float] | None = None
     notes: str = ""
 
     @property
@@ -55,7 +56,7 @@ class ModelDescriptor:
         return find_fold(self.system, self.fold_bracket)
 
 
-def _normal_fold(params: dict) -> ModelDescriptor:
+def _normal_fold() -> ModelDescriptor:
     xp = PlanarField(lambda x, y: (1.0, 2.0 * x), name="X+")
     xm = PlanarField(lambda x, y: (0.0, 1.0), name="X-")
     system = FilippovSystem(xp, xm)
@@ -63,9 +64,6 @@ def _normal_fold(params: dict) -> ModelDescriptor:
         "fold_x": 0.0,
         "fold_bracket": (-1.0, 1.0),
         "sliding_for": "x<0",
-        "x0": lambda y0: math.sqrt(y0),
-        "alpha": lambda y0: -1.0 / (2.0 * math.sqrt(y0)),
-        "beta": lambda y0: 1.0 / (2.0 * math.sqrt(y0)),
         # down map {y=y0,x<0} -> {y=eps,x<0} and up map {y=eps,x>0} -> {y=y0,x>0}
         "P_exact": lambda x, eps, y0: -math.sqrt(x * x + eps - y0),
         "Pbar_exact": lambda x, eps, y0: math.sqrt(x * x - eps + y0),
@@ -75,12 +73,8 @@ def _normal_fold(params: dict) -> ModelDescriptor:
     return ModelDescriptor(id="normal-fold", system=system, params={}, facts=facts)
 
 
-def _general_fold(params: dict) -> ModelDescriptor:
-    a1 = params.setdefault("a1", 0.2)
-    a2 = params.setdefault("a2", 0.1)
-    a3 = params.setdefault("a3", 0.15)
-    b = params.setdefault("b", 0.3)
-
+def _general_fold(a1: float = 0.2, a2: float = 0.1, a3: float = 0.15,
+                  b: float = 0.3) -> ModelDescriptor:
     def fplus(x, y):
         return (1.0 + a1 * x + a2 * y, 2.0 * x + b * y + a3 * x * y)
 
@@ -88,13 +82,12 @@ def _general_fold(params: dict) -> ModelDescriptor:
     xm = PlanarField(lambda x, y: (0.0, 1.0), name="X-")
     system = FilippovSystem(xp, xm)
     facts = {"fold_x": 0.0, "fold_bracket": (-0.5, 0.5)}
+    params = {"a1": a1, "a2": a2, "a3": a3, "b": b}
     return ModelDescriptor(id="general-fold", system=system, params=params, facts=facts)
 
 
-def _stribeck(params: dict) -> ModelDescriptor:
-    fs = params.setdefault("F_s", 1.0)
-    fd = params.setdefault("F_d", 0.5)
-    dl = params.setdefault("delta", 0.05)
+def _stribeck(F_s: float = 1.0, F_d: float = 0.5, delta: float = 0.05) -> ModelDescriptor:
+    fs, fd, dl = F_s, F_d, delta
     if not (fs > fd > 0.0 and 0.0 < dl < 1.0):
         raise BadParams("stribeck needs F_s > F_d > 0 and 0 < delta < 1")
 
@@ -129,13 +122,14 @@ def _stribeck(params: dict) -> ModelDescriptor:
         "reflected": True,
     }
     return ModelDescriptor(
-        id="stribeck", system=system, params=params, facts=facts, physical_system=physical,
+        id="stribeck", system=system, params={"F_s": fs, "F_d": fd, "delta": dl}, facts=facts,
+        physical_system=physical,
         notes="reflected: working y equals 1 - physical y",
     )
 
 
-def _coulomb(params: dict) -> ModelDescriptor:
-    fs = params.setdefault("F_s", 1.0)
+def _coulomb(F_s: float = 1.0) -> ModelDescriptor:
+    fs = F_s
     if fs <= 0.0:
         raise BadParams("coulomb needs F_s > 0")
 
@@ -179,26 +173,25 @@ def _coulomb(params: dict) -> ModelDescriptor:
         "reflected": True,
     }
     return ModelDescriptor(
-        id="coulomb", system=system, params=params, facts=facts, physical_system=physical,
+        id="coulomb", system=system, params={"F_s": fs}, facts=facts, physical_system=physical,
         notes="reflected: working y equals 1 - physical y; centre orbits are circles",
     )
 
 
-def _grazing_family(params: dict) -> ModelDescriptor:
-    variant = params.setdefault("variant", "attracting")
+def _grazing_family(variant: str = "attracting", c: float | None = None,
+                    y0: float = 0.25) -> ModelDescriptor:
     if variant not in ("attracting", "repelling"):
         raise BadParams("variant must be 'attracting' or 'repelling'")
-    c = params.setdefault("c", -0.5 if variant == "attracting" else -2.0)
+    if c is None:
+        c = -0.5 if variant == "attracting" else -2.0
     if c > 0.0:
         raise BadParams("the exterior slope c must be <= 0")
     if variant == "attracting" and not -1.0 < c < 0.0:
         raise BadParams("attracting germ needs -1 < c < 0")
     if variant == "repelling" and c >= -1.0:
         raise BadParams("repelling germ needs c < -1")
-    y0 = params.setdefault("y0", 0.25)
-    mu = params.setdefault("mu", 0.0)
 
-    base = _normal_fold({})
+    base = _normal_fold()
     x0p = math.sqrt(y0)
     x0m = -x0p
     gamma_sign = +1.0 if variant == "attracting" else -1.0
@@ -220,17 +213,14 @@ def _grazing_family(params: dict) -> ModelDescriptor:
         "delta": (1.0 / (2.0 * math.sqrt(y0))) * (1.0 + c),
     })
     return ModelDescriptor(
-        id="grazing-family", system=base.system, params=params, facts=facts,
-        exterior=make_exterior(mu),
+        id="grazing-family", system=base.system, facts=facts,
+        params={"variant": variant, "c": c, "y0": y0},
         notes="synthetic exterior germ over the normal-fold inner dynamics",
     )
 
 
-def _grazing_family_ode(params: dict) -> ModelDescriptor:
-    omega = params.setdefault("omega", 1.0)
-    kappa = params.setdefault("kappa", 0.5)
-    h = params.setdefault("h", 1.0)
-    mu = params.setdefault("mu", 0.0)
+def _grazing_family_ode(omega: float = 1.0, kappa: float = 0.5, h: float = 1.0,
+                        mu: float = 0.0) -> ModelDescriptor:
     r0 = h - mu  # cycle radius; mu > 0 lifts the cycle into the upper half plane
 
     def fplus(x, y):
@@ -247,12 +237,13 @@ def _grazing_family_ode(params: dict) -> ModelDescriptor:
         "centre": (0.0, h),
         "attracting_cycle": kappa > 0,
     }
+    params = {"omega": omega, "kappa": kappa, "h": h, "mu": mu}
     return ModelDescriptor(id="grazing-family-ode", system=system, params=params, facts=facts)
 
 
-def _saddle_homoclinic(params: dict) -> ModelDescriptor:
-    mu = params.setdefault("mu", 0.0)     # vertical shift: dip height of the loop
-    nu = params.setdefault("nu", 0.0)     # dissipation; 0 is the Hamiltonian variant
+def _saddle_homoclinic(mu: float = 0.0, nu: float = 0.0) -> ModelDescriptor:
+    # mu: vertical shift, the dip height of the loop; nu: dissipation, 0 for
+    # the Hamiltonian variant
     yc = Y_TANGENT
 
     def g0p(u):
@@ -283,7 +274,7 @@ def _saddle_homoclinic(params: dict) -> ModelDescriptor:
         "dip_height": mu,
     }
     return ModelDescriptor(
-        id="saddle-homoclinic", system=system, params=params, facts=facts,
+        id="saddle-homoclinic", system=system, params={"mu": mu, "nu": nu}, facts=facts,
         notes="separable field (G0'(y+yc-mu), f(x)) with energy dissipation nu",
     )
 
@@ -302,16 +293,18 @@ _BUILDERS = {
 def model(model_id: str, check: bool = True, **params) -> ModelDescriptor:
     """Construct a built-in model by string id.
 
-    With ``check`` the descriptor's self-checks run: the fold residual must
-    vanish to 1e-12 and any closed-form maps are compared against direct
-    integration at three points.
+    ``params`` must name parameters of the model; ``desc.params`` holds all
+    of them, defaults included.  With ``check`` the descriptor's self-checks
+    run: the fold residual must vanish to 1e-12 and any closed-form maps are
+    compared against direct integration at three points.
     """
     if model_id not in _BUILDERS:
         raise UnknownModel(f"unknown model {model_id!r}; known: {sorted(_BUILDERS)}")
-    try:
-        desc = _BUILDERS[model_id](dict(params))
-    except TypeError as exc:
-        raise BadParams(str(exc)) from exc
+    builder = _BUILDERS[model_id]
+    unknown = sorted(set(params) - set(inspect.signature(builder).parameters))
+    if unknown:
+        raise BadParams(f"{model_id} has no parameter {', '.join(unknown)}")
+    desc = builder(**params)
     if check:
         _self_check(desc)
     return desc

@@ -16,21 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from slidekick.errors import NumericalFailure
 from slidekick.fields import FilippovSystem, FoldPoint, PlanarField
 from slidekick.integrator import EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
 from slidekick.slow_manifold import strip_crossing
 
 
-class PoincareError(Exception):
-    pass
-
-
-class TangentialCrossing(PoincareError):
+class TangentialCrossing(NumericalFailure):
     """A pseudo-separatrix meets the outer section tangentially."""
 
 
-class FitRejected(PoincareError):
+class FitRejected(NumericalFailure):
     """An exponent fit fell below the r^2 acceptance bar."""
 
 

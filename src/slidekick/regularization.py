@@ -16,14 +16,15 @@ from typing import Callable
 
 from numpy.polynomial import Polynomial
 
+from slidekick.errors import ConfigError
 from slidekick.fields import FilippovSystem, PlanarField
 
 
-class InvalidP(Exception):
+class InvalidP(ConfigError):
     """Polynomial profiles need p >= 2."""
 
 
-class UnknownProfile(ValueError):
+class UnknownProfile(ConfigError):
     """A profile spec that is neither ``linear`` nor ``poly(p)``."""
 
 
@@ -166,7 +167,7 @@ class RegularizedSystem:
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
 
     @property
     def offset(self) -> float:

@@ -13,19 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.integrator import Stop, shoot
 from slidekick.regularization import RegularizationProfile, RegularizedSystem
 
 
-class SlowManifoldError(Exception):
-    pass
-
-
-class HyperbolicityLost(SlowManifoldError):
+class HyperbolicityLost(ConfigError):
     """Normal hyperbolicity failed before the seed point."""
 
 
-class StripCrossingFailed(SlowManifoldError):
+class StripCrossingFailed(NumericalFailure):
     """The strip transit never returned to the upper boundary."""
 
 
@@ -172,11 +169,12 @@ def trace_manifold(
     exp = expansion_terms(R.profile)
     eps = R.epsilon
     if extend_linear and R.profile.p != 1:
-        raise ValueError("extend_linear only makes sense for the piecewise linear profile")
+        raise ConfigError("extend_linear only makes sense for the piecewise linear profile")
 
-    v_seed = exp.m0(from_x) + eps * exp.m1(from_x)
+    # the normal components are checked before the seed: m0 has its pole at f2p = f2m
     f2p, f2m = R.base.normal_components(from_x)
-    if R.profile.deriv(v_seed, 1) * (f2p - f2m) >= 0.0:
+    v_seed = exp.m0(from_x) + eps * exp.m1(from_x) if f2p < f2m else None
+    if v_seed is None or R.profile.deriv(v_seed, 1) <= 0.0:
         raise HyperbolicityLost(f"seed at x={from_x} is not normally attracting")
 
     rhs, jac = _orbit_equation(R, unclamped=extend_linear)
@@ -290,7 +288,7 @@ def verify_sandwich(
         lower = vs - (m0 - eps * K / np.abs(xs) ** ((2.0 * p - 2.0) / p))
         upper = m0 - vs
     else:
-        raise ValueError(f"unknown sandwich kind {which!r}")
+        raise ConfigError(f"unknown sandwich kind {which!r}")
 
     count = int(mask.sum()) if "mask" in locals() else 0
     if count == 0:

@@ -12,6 +12,7 @@ from slidekick.bifurcation import (
     stribeck_attractor,
 )
 from slidekick.models import model, saddle_eigen
+from slidekick.poincare import normal_form_constants
 from slidekick.regularization import phi_linear, phi_polynomial
 
 
@@ -98,7 +99,7 @@ def test_remark_delta_identity(lin):
     desc = model("grazing-family", variant="attracting")
     c = desc.facts["c"]
     y0 = desc.facts["y0"]
-    alpha_p = desc.facts["alpha"](y0)
+    alpha_p = normal_form_constants(y0).alpha_plus
     alpha_m = -alpha_p
     # pi+ = P^e o P+ with P+(x) = -x: slope is -c
     pi_slope = -c

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import slidekick
-from slidekick.cli import ConfigError, ExperimentConfig, main
+import slidekick.cli
+from slidekick.cli import main
 
 
 def run_cli(*argv):
@@ -118,25 +119,25 @@ def test_csv_number_format_only_in_cli():
     assert writers == ["cli.py"]
 
 
-def test_config_roundtrip():
-    cfg = ExperimentConfig({"model": "normal-fold", "eps": "1e-3", "y0": "0.25"})
-    again = ExperimentConfig.from_text(cfg.to_text())
-    assert again == cfg
+def run_with_config(tmp_path, text, *argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return run_cli(*argv, "--config", str(cfg))
 
 
 def test_config_unknown_key_rejected(tmp_path):
-    p = tmp_path / "bad.cfg"
-    p.write_text("frobnicate = 3\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_file(str(p))
+    code, _ = run_with_config(tmp_path, "frobnicate = 3\n",
+                              "poincare", "--model", "normal-fold", "--eps", "1e-3", "--probe=-0.8")
+    assert code == 2
 
 
-def test_config_text_parsed_like_a_file():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_text("frobnicate = 3\n")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_text("model normal-fold\n")
-    assert ExperimentConfig.from_text("eps = 1e-3  # strip width\n").values == {"eps": "1e-3"}
+def test_config_text_parsed_like_a_file(tmp_path):
+    args = ("poincare", "--model", "normal-fold", "--probe=-0.8")
+    assert run_with_config(tmp_path, "frobnicate = 3\n", *args, "--eps", "1e-3")[0] == 2
+    assert run_with_config(tmp_path, "model normal-fold\n", *args, "--eps", "1e-3")[0] == 2
+    code, text = run_with_config(tmp_path, "eps = 1e-3  # strip width\n", *args)
+    assert code == 0
+    assert text.splitlines()[1].startswith("0.001,-0.8")
 
 
 def test_config_file_feeds_flags(tmp_path):
@@ -193,11 +194,41 @@ def test_exit_code_2_on_bad_model_or_profile(bad, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_exit_code_1_on_numerical_failure():
+POINCARE = ("poincare", "--model", "normal-fold", "--probe=-0.8")
+
+
+@pytest.mark.parametrize("argv, config, expected", [
+    ((*POINCARE, "--eps", "abc"), None, 2),
+    ((*POINCARE, "--eps=-1e-3"), None, 2),
+    ((*POINCARE, "--eps", "1e-3", "--config", "missing.cfg"), None, 2),
+    (("bifurcate", "--family", "homoclinic", "--eps", "1e-3", "--mu", "0", "--nu", "abc"), None, 2),
+    (("inner", "--p", "x", "--phi-p", "-3"), None, 2),
+    (("inner", "--p", "2", "--phi-p", "3"), None, 2),
+    (("bifurcate", "--family", "grazing-attracting", "--eps", "1e-3", "--mu", "0:1:x"), None, 2),
+    (("simulate", "--model", "normal-fold", "--start=1"), None, 2),
+    (POINCARE, "eps = abc\n", 2),
+    (("manifold", "--profile", "linear", "--eps", "1e-3", "--from-x", "0.5"), None, 2),
     # a probe on the wrong side of the fold never reaches the strip or returns
-    code = main(["poincare", "--model", "normal-fold", "--profile", "linear",
-                 "--eps", "1e-3", "--probe", "2.5"])
-    assert code == 1
+    (("poincare", "--model", "normal-fold", "--eps", "1e-3", "--probe", "2.5"), None, 1),
+], ids=["eps-abc", "eps-negative", "config-missing", "nu-abc", "p-x", "phi-p-sign", "mu-grid-x",
+        "start-one-number", "config-eps-abc", "manifold-pole", "probe-past-fold"])
+def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
+    monkeypatch.chdir(tmp_path)
+    if config is None:
+        code, _ = run_cli(*argv)
+    else:
+        code, _ = run_with_config(tmp_path, config, *argv)
+    assert code == expected
+
+
+def test_programming_error_propagates(monkeypatch):
+    # only configuration errors and numerical failures become exit codes
+    def broken(args):
+        raise TypeError("a bug, not a failure")
+
+    monkeypatch.setattr(slidekick.cli, "cmd_inner", broken)
+    with pytest.raises(TypeError):
+        main(["inner", "--p", "2", "--phi-p", "-3"])
 
 
 def test_bitwise_reproducible_csv(tmp_path):

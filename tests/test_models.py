@@ -13,6 +13,7 @@ from slidekick.models import (
     model,
     saddle_eigen,
 )
+from slidekick.poincare import normal_form_constants
 
 
 def test_unknown_model():
@@ -27,6 +28,18 @@ def test_bad_params():
         model("grazing-family", variant="attracting", c=-2.0)
 
 
+def test_unknown_params_rejected():
+    # a misspelled parameter is an error, not a silent default
+    with pytest.raises(BadParams):
+        model("coulomb", Fs=2.0)
+    with pytest.raises(BadParams):
+        model("normal-fold", bogus=1)
+    with pytest.raises(BadParams):
+        model("grazing-family", mu=0.002)
+    assert model("coulomb", F_s=2.0).params == {"F_s": 2.0}
+    assert model("normal-fold").params == {}
+
+
 def test_all_models_self_check():
     for mid in list_models():
         desc = model(mid)
@@ -37,8 +50,9 @@ def test_normal_fold_facts():
     desc = model("normal-fold")
     assert desc.facts["fold_x"] == 0.0
     assert classify_point(desc.system, -0.4) is RegionClass.SLIDING
-    assert desc.facts["x0"](0.25) == 0.5
-    assert desc.facts["alpha"](0.25) == -1.0
+    germ = normal_form_constants(0.25)
+    assert germ.x0_plus == 0.5
+    assert germ.alpha_plus == -1.0
     # first integral conserved along X+
     traj = integrate(desc.system.x_plus, (-0.7, 0.3), 1.3, rtol=1e-12, atol=1e-14)
     fi = desc.facts["first_integral"]
@@ -119,12 +133,12 @@ def test_saddle_hamiltonian_invariant():
 
 
 def test_grazing_family_germ():
-    desc = model("grazing-family", variant="attracting", mu=0.002)
-    pe = desc.exterior
-    x0p = desc.facts["x0"](desc.facts["y0"])
+    desc = model("grazing-family", variant="attracting")
+    pe = desc.facts["exterior_factory"](0.002)
+    x0p = normal_form_constants(desc.facts["y0"]).x0_plus
     assert pe(x0p) == pytest.approx(-x0p + 0.002, abs=1e-14)
-    desc_r = model("grazing-family", variant="repelling", mu=0.002)
-    assert desc_r.exterior(x0p) == pytest.approx(-x0p - 0.002, abs=1e-14)
+    desc_r = model("grazing-family", variant="repelling")
+    assert desc_r.facts["exterior_factory"](0.002)(x0p) == pytest.approx(-x0p - 0.002, abs=1e-14)
 
 
 def test_grazing_family_ode_cycle():

@@ -109,6 +109,17 @@ def test_hyperbolicity_guard(normal_form, poly2):
         trace_manifold(R, 0.2, 1.0)  # wrong side of the fold
 
 
+@pytest.mark.parametrize("from_x", [0.49, 0.5, 0.51])
+@pytest.mark.parametrize("p", [1, 2])
+def test_hyperbolicity_guard_at_the_pole(normal_form, from_x, p):
+    # m0 has its pole at x = 1/2, where the normal components of X+ and X-
+    # agree; the seed check rejects it before evaluating the seed
+    profile = phi_linear() if p == 1 else phi_polynomial(p)
+    R = RegularizedSystem(normal_form, profile, 1e-3)
+    with pytest.raises(HyperbolicityLost):
+        trace_manifold(R, from_x, 1.0)
+
+
 def test_linear_confinement_sandwich(normal_form, lin):
     # extended linear system on [-1, 1/4]: the confinement constant must
     # dominate |m1|, which grows to 8/(1-2x)^4 = 128 at x = 1/4 (so K = 10
