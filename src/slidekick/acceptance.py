@@ -35,6 +35,7 @@ from slidekick.bifurcation import (
     homoclinic_scan,
     stribeck_attractor,
 )
+from slidekick.errors import ConfigError
 from slidekick.inner import (
     _integrate_normalized,
     distinguished_solution,
@@ -399,12 +400,12 @@ ALL_CRITERIA = [
 
 
 def run_all(selection=None) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        if selection and fn.__name__ not in selection:
-            continue
-        results.append(fn())
-    return results
+    """Run every criterion, or those named in ``selection``; an unknown
+    name is a ``ConfigError`` raised before any criterion runs."""
+    unknown = sorted(set(selection or ()) - {fn.__name__ for fn in ALL_CRITERIA})
+    if unknown:
+        raise ConfigError(f"unknown criteria: {', '.join(unknown)}")
+    return [fn() for fn in ALL_CRITERIA if not selection or fn.__name__ in selection]
 
 
 def format_table(results: list[CriterionResult]) -> str:

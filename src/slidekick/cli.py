@@ -180,7 +180,9 @@ def cmd_exponent(args) -> int:
 def cmd_inner(args) -> int:
     from slidekick.inner import distinguished_solution
 
-    sol = distinguished_solution(args.p, args.phi_p / math.factorial(args.p), args.u_start)
+    # p! without math.factorial's ValueError for p < 0: distinguished_solution
+    # rejects every p < 2 as a configuration error
+    sol = distinguished_solution(args.p, args.phi_p / math.prod(range(2, args.p + 1)), args.u_start)
     _write_csv(args.out, "u,eta", list(zip(sol.u, sol.eta)))
     print(f"eta0_at_0={sol.eta_at_0:.12g} err={sol.estimated_error:.3g}")
     return 0

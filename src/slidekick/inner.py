@@ -26,6 +26,7 @@ import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.integrator import Stop, shoot
+from slidekick.regularization import InvalidP
 
 
 class SeriesOutOfRange(ConfigError):
@@ -50,6 +51,11 @@ def alpha_beta(p: int, c_p: float) -> tuple[float, float]:
     alpha = sgn * (2.0 ** (p - 2) * abs(c_p)) ** (1.0 / (2 * p - 1))
     beta = alpha * alpha / 2.0
     return alpha, beta
+
+
+def _check_p(p: int) -> None:
+    if p < 2:
+        raise InvalidP(f"the inner equation needs p >= 2, got {p}")
 
 
 def _check_parity(p: int, c_p: float) -> None:
@@ -128,6 +134,7 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
     null-cline shrinks like |u|^{1-p}, so deep starts at large p trade no
     accuracy for severe cancellation in the denominator variable.
     """
+    _check_p(p)
     if u_start is None:
         u_start = -30.0 if p == 2 else -12.0
     if u_start > -10.0:
@@ -208,6 +215,7 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
 def normalized_solution(p: int) -> NormalizedSolution:
     """The normalized distinguished solution on 2001 points of [-30, 0],
     with etabar0(0) Richardson-stabilized against the run from -60."""
+    _check_p(p)
     u_start = -30.0
     sol1 = _integrate_normalized(p, u_start, dense=True)
     sol2 = _integrate_normalized(p, 2.0 * u_start)

@@ -21,10 +21,17 @@ that, the primitive handles three cases:
   root (4 ulp in time).
 
 Each stage picks its stepper.  Orbits outside the switching strip use the
-explicit Runge-Kutta 5(4) pair.  The stiff strip orbit equations
-(``slow_manifold``) and the unscaled inner equation (``inner``) use Radau
-IIA with analytic Jacobians: the passage along the attracting slow manifold
-would otherwise force O(1/eps) explicit steps.  The normalized inner
+explicit Runge-Kutta 5(4) pair.  The strip orbit equations
+(``slow_manifold``) are stiff: the passage along the attracting slow
+manifold would force O(1/eps) explicit steps.  The strip crossing, the
+middle map of every fold and return map, steps with LSODA (Petzold, SIAM J.
+Sci. Stat. Comput. 4, 1983) at rtol 1e-12, atol 1e-14 and an analytic
+Jacobian; its compiled steps cost about a tenth of scipy's Python-level
+Radau.  It does not run at 1e-11: there LSODA can stay in its non-stiff
+Adams mode along the whole manifold, at steps of order eps (about 13,000
+steps instead of about 650 on some linear eps = 1e-4 crossings).  The
+manifold trace, the contraction probe and the unscaled inner equation
+(``inner``) use Radau IIA with analytic Jacobians.  The normalized inner
 equation uses LSODA, so the two inner routes share no stepper.
 
 :func:`integrate` builds annotated trajectories on top of :func:`shoot`.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from slidekick.errors import NumericalFailure
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import FilippovSystem, FoldPoint, PlanarField
 from slidekick.integrator import EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
@@ -143,10 +143,13 @@ def map_P_epsilon(
     they are returned with the ``out_of_domain`` flag set and the pure-X+
     landing (P_eps = P0 trivially there).  The flags record the strip entry
     and exit abscissae and the stage times for diagnostics.  The strip
-    crossing gives up 0.4 right of the fold.
+    crossing gives up 0.4 right of the fold.  A section at or below the
+    strip top is a ``ConfigError``.
     """
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
+    if y0 <= y_strip:
+        raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
 
     entry = _stage_P(R.base.x_plus, x, y0, y_strip)
     if entry is None:

@@ -21,7 +21,7 @@ from slidekick.fields import FilippovSystem, PlanarField
 
 
 class InvalidP(ConfigError):
-    """Polynomial profiles need p >= 2."""
+    """Polynomial profiles and the inner equation need p >= 2."""
 
 
 class UnknownProfile(ConfigError):

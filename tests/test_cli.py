@@ -7,6 +7,7 @@ import pytest
 
 import slidekick
 import slidekick.cli
+import slidekick.integrator
 from slidekick.cli import main
 
 
@@ -219,6 +220,35 @@ def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
     else:
         code, _ = run_with_config(tmp_path, config, *argv)
     assert code == expected
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a solve started")
+
+
+@pytest.mark.parametrize("y0", ["0", "-1", "1e-3"], ids=["zero", "negative", "strip-top"])
+def test_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
+    # the fold map checks its section against the strip top eps before stage P
+    import slidekick.poincare
+
+    monkeypatch.setattr(slidekick.poincare, "_stage_P", _must_not_run)
+    assert main([*POINCARE, "--eps", "1e-3", f"--y0={y0}"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("inner", "--p", "0", "--phi-p", "-3"),
+    ("inner", "--p", "1", "--phi-p", "3"),
+    ("inner", "--p=-1", "--phi-p", "3"),
+    ("accept", "--only", "12"),
+    ("accept", "--only", "1,12"),
+], ids=["p-zero", "p-one", "p-negative", "only-unknown", "only-one-unknown"])
+def test_rejected_before_any_solve(monkeypatch, capsys, argv):
+    # an inner degree below 2 and an unknown criterion are configuration
+    # errors, found before any orbit is shot
+    monkeypatch.setattr(slidekick.integrator, "solve_ivp", _must_not_run)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_programming_error_propagates(monkeypatch):

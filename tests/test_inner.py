@@ -15,7 +15,7 @@ from slidekick.inner import (
     normalized_solution,
     simpson_residual,
 )
-from slidekick.regularization import phi_polynomial
+from slidekick.regularization import InvalidP, phi_polynomial
 
 
 def test_seed_example():
@@ -47,6 +47,15 @@ def test_parity_guards():
         distinguished_solution(3, -2.5)
     with pytest.raises(SeedInconsistent):
         distinguished_solution(2, -1.5, -5.0)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_degree_guard(p):
+    # the seeds and the scaling constants need p >= 2, the bound of phi_polynomial
+    with pytest.raises(InvalidP):
+        distinguished_solution(p, 3.0)
+    with pytest.raises(InvalidP):
+        normalized_solution(p)
 
 
 def test_eta0_richardson_stability():
