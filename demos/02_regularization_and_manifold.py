@@ -9,7 +9,7 @@ where m0' blows up, and checked against the isolating-block inequalities.
 
 from slidekick.models import model
 from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
-from slidekick.slow_manifold import expansion_terms, trace_manifold, verify_sandwich
+from slidekick.slow_manifold import SlowManifoldExpansion, trace_manifold, verify_sandwich
 
 nf = model("normal-fold")
 
@@ -17,7 +17,7 @@ print("profile gallery at v = 0.5:")
 for prof in (phi_linear(), phi_polynomial(2), phi_polynomial(3)):
     print(f"  {prof.name:<9} phi(0.5) = {prof(0.5):+.6f}   phi^(p)(1-) = {prof.phi_p_at_1:+.4f}")
 
-exp = expansion_terms(phi_polynomial(2))
+exp = SlowManifoldExpansion(phi_polynomial(2))
 print("\nFenichel terms for poly(2): n0(0.5) = %.6f, n1(0.5) = %.6f" % (exp.n0(0.5), exp.n1(0.5)))
 
 print("\nlinear strip exits (x1 = 2 eps - 16 eps^2 + 448 eps^3 - ...):")

@@ -38,5 +38,5 @@ for p in (2, 3, 4):
 print("\nfirst-order correction eta1 ~ (phi^(p+1)(1)/(4 (p+1)!)) u^{p+1}:")
 for p in (2, 3):
     prof = phi_polynomial(p)
-    rep = eta1_check(p, prof.c_p, prof.deriv_at_1(p + 1) / math.factorial(p + 1))
+    rep = eta1_check(p, prof.c_p, prof.deriv(1.0, p + 1) / math.factorial(p + 1))
     print(f"  p = {p}: log-log slope of eta1 = {rep.slope:.4f}   (expected {p + 1})")

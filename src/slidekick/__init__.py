@@ -25,7 +25,6 @@ from slidekick.regularization import (
     phi_linear,
     phi_polynomial,
     regularized_field,
-    slow_fast_forms,
 )
 
 __version__ = "0.1.0"
@@ -48,5 +47,4 @@ __all__ = [
     "phi_polynomial",
     "regularized_field",
     "sliding_field",
-    "slow_fast_forms",
 ]

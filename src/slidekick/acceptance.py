@@ -353,7 +353,8 @@ def criterion_10() -> CriterionResult:
     dev = abs(scan.mu_tilde_star + ap) if scan.mu_tilde_star is not None else float("inf")
     # half-eps cross-check freezes the O(eps) constant
     scan_half = homoclinic_scan(make, lin, eps / 2, [], y0=0.25, bisect=True)
-    dev_half = abs(scan_half.mu_tilde_star + scan_half.alpha_plus) if scan_half.mu_tilde_star else float("inf")
+    mt_half = scan_half.mu_tilde_star
+    dev_half = abs(mt_half + scan_half.alpha_plus) if mt_half is not None else float("inf")
     ok = e0 and e05 and (not e15) and dev <= 0.2 and dev_half <= 0.2
     dt = time.perf_counter() - t0
     return CriterionResult(

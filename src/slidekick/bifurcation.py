@@ -78,16 +78,6 @@ def iterate_to_fixed_point(
     raise IterationDiverged(f"no convergence after {max_iter} iterations (step={step:g})")
 
 
-def find_fixed_points_scan(R: Callable[[float], float], lo: float, hi: float) -> list[FixedPoint]:
-    """All roots of R(x) - x on [lo, hi] by a 200-point sign-change scan
-    plus brentq to 1e-12."""
-    out: list[FixedPoint] = []
-    for a, b in sign_changes(lambda x: R(x) - x, np.linspace(lo, hi, 200)):
-        root = a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=1e-12))
-        out.append(FixedPoint(x=root, stability=_stability(R, root), residual=abs(R(root) - root)))
-    return out
-
-
 def _bisect(on_right: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
     """Midpoint of [lo, hi] (either orientation), halved until at most
     ``tol`` wide around the point where ``on_right`` turns from false at
@@ -473,44 +463,6 @@ def homoclinic_scan(
         alpha_plus=constants.alpha_plus,
         constants=constants,
     )
-
-
-def saddle_passage_times(desc: ModelDescriptor, distances) -> np.ndarray:
-    """Transit times past the saddle for starts offset from W^s.
-
-    The anchor point is taken on the actual (curved) stable manifold at
-    eigen-coordinate v = -0.25 by backward shooting, and the starts are
-    displaced from it by d along the unstable eigendirection; the passage
-    time to |u| = 0.25 then grows like log(1/d)/lambda_1.
-    """
-    w, V = saddle_eigen(desc)
-    sx, sy = desc.facts["saddle"]
-    vu, vs = V[:, 0].copy(), V[:, 1].copy()
-    if vs[1] > 0:  # anchor on the branch below the saddle
-        vs = -vs
-    M = np.column_stack([vu, vs])
-    Minv = np.linalg.inv(M)
-
-    def eigcoords(z):
-        return Minv @ np.array([z[0] - sx, z[1] - sy])
-
-    # backward shooting: W^s leaves the saddle along vs in reverse time
-    edge = Stop(g=lambda t, z: abs(eigcoords(z)[1]) - 0.25, direction=1)
-    seed = np.array([sx, sy]) + 1e-9 * vs
-    back = shoot(desc.system.x_plus.negated().rhs, (0.0, 100.0), seed, [edge],
-                 rtol=1e-12, atol=1e-14, max_step=0.05)
-    if back.stop is None:
-        raise NoArrival("could not anchor on the stable manifold")
-
-    leave = Stop(g=lambda t, z: abs(eigcoords(z)[0]) - 0.25, direction=1)
-    times = []
-    for d in distances:
-        shot = shoot(desc.system.x_plus.rhs, (0.0, 500.0), back.z + d * vu, [leave],
-                     rtol=1e-12, atol=1e-14, max_step=0.1)
-        if shot.stop is None:
-            raise NoArrival(f"passage from distance {d} never exited the saddle box")
-        times.append(shot.t)
-    return np.asarray(times)
 
 
 # ---------------------------------------------------------------------------

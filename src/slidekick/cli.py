@@ -191,14 +191,14 @@ def cmd_inner(args) -> int:
 def cmd_manifold(args) -> int:
     from slidekick.models import model
     from slidekick.regularization import RegularizedSystem, parse_profile
-    from slidekick.slow_manifold import expansion_terms, trace_manifold
+    from slidekick.slow_manifold import SlowManifoldExpansion, trace_manifold
 
     desc = model(args.model)
     profile = parse_profile(args.profile)
     eps = args.eps
     R = RegularizedSystem(desc.system, profile, eps)
     tr = trace_manifold(R, args.from_x, args.to_v)
-    exp = expansion_terms(profile)
+    exp = SlowManifoldExpansion(profile)
     lower, upper = [], []
     for x, v in zip(tr.x, tr.v):
         if x < 0:

@@ -161,12 +161,6 @@ def _drift(system: FilippovSystem, x: float) -> float:
     return (f1p * f2m - f1m * f2p) / (f2m - f2p)
 
 
-def sliding_weight(system: FilippovSystem, x: float) -> float:
-    """The convex weight lam with lam*X+ + (1-lam)*X- tangent to Sigma."""
-    f2p, f2m = system.normal_components(x)
-    return f2m / (f2m - f2p)
-
-
 def sign_changes(g: Callable[[float], float], xs) -> list[tuple[float, float]]:
     """Grid cells (xs[i], xs[i+1]) across which g changes sign, and
     degenerate cells (x, x) at grid points where g vanishes, the last grid

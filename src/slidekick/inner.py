@@ -88,12 +88,10 @@ class InnerSolution:
     eta_at_0: float
     u_start: float
     estimated_error: float
-    den: np.ndarray  # the integrated D = 4 eta - c_p u^p on the grid
-
-    def denominator(self) -> np.ndarray:
-        # recomputing 4 eta - c_p u^p would cancel away the digits that
-        # integrating D keeps (eta ~ -1.8e4 at u = -12 for p = 4)
-        return self.den
+    # the integrated D = 4 eta - c_p u^p on the grid; recomputing it from eta
+    # would cancel away the digits that integrating D keeps (eta ~ -1.8e4 at
+    # u = -12 for p = 4)
+    den: np.ndarray
 
 
 def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np.inf, dense: bool = False):
@@ -296,25 +294,6 @@ def eta1_check(
         return Eta1Report(p=p, slope=float("nan"), r_squared=0.0, final_magnitude=final_mag)
     fit = fit_power_law(np.abs(us), vals, r2_min=-np.inf, allow_drop=False)
     return Eta1Report(p=p, slope=fit.slope, r_squared=fit.r_squared, final_magnitude=final_mag)
-
-
-def simpson_residual(solution: InnerSolution) -> float:
-    """Max residual |eta(b)-eta(a) - integral of RHS| over grid cell pairs.
-
-    Composite Simpson quadrature of the right-hand side along the dense grid
-    gives an independent consistency measure of order h^4, avoiding the
-    noise of finite-differencing the solution itself.
-    """
-    u, eta, p, c_p = solution.u, solution.eta, solution.p, solution.c_p
-    den = solution.denominator()
-
-    worst = 0.0
-    for a in range(0, len(u) - 2, 2):
-        mid, b = a + 1, a + 2
-        h = u[b] - u[a]
-        quad = h / 6.0 * (2.0 / den[a] + 8.0 / den[mid] + 2.0 / den[b])
-        worst = max(worst, abs(eta[b] - eta[a] - quad))
-    return worst
 
 
 @lru_cache(maxsize=8)

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from slidekick.errors import ConfigError, NumericalFailure
+from slidekick.errors import ConfigError
 from slidekick.fields import FilippovSystem, FoldPoint, PlanarField, find_fold
 
 
@@ -28,10 +28,6 @@ class UnknownModel(ConfigError):
 
 class BadParams(ConfigError):
     pass
-
-
-class TransversalityLost(NumericalFailure):
-    """The lower field stopped being transversal during straightening."""
 
 
 # smallest positive root of y^3 - 3y + 1: the vertical offset that makes the
@@ -219,28 +215,6 @@ def _grazing_family(variant: str = "attracting", c: float | None = None,
     )
 
 
-def _grazing_family_ode(omega: float = 1.0, kappa: float = 0.5, h: float = 1.0,
-                        mu: float = 0.0) -> ModelDescriptor:
-    r0 = h - mu  # cycle radius; mu > 0 lifts the cycle into the upper half plane
-
-    def fplus(x, y):
-        u1, u2 = x, y - h
-        rad = 1.0 - (u1 * u1 + u2 * u2) / (r0 * r0)
-        return (-omega * u2 + kappa * rad * u1, omega * u1 + kappa * rad * u2)
-
-    xp = PlanarField(fplus, name="X+ode")
-    xm = PlanarField(lambda x, y: (0.0, 1.0), name="X-")
-    system = FilippovSystem(xp, xm)
-    facts = {
-        "fold_bracket": (-0.5 * h, 0.5 * h),
-        "cycle_radius": r0,
-        "centre": (0.0, h),
-        "attracting_cycle": kappa > 0,
-    }
-    params = {"omega": omega, "kappa": kappa, "h": h, "mu": mu}
-    return ModelDescriptor(id="grazing-family-ode", system=system, params=params, facts=facts)
-
-
 def _saddle_homoclinic(mu: float = 0.0, nu: float = 0.0) -> ModelDescriptor:
     # mu: vertical shift, the dip height of the loop; nu: dissipation, 0 for
     # the Hamiltonian variant
@@ -285,7 +259,6 @@ _BUILDERS = {
     "stribeck": _stribeck,
     "coulomb": _coulomb,
     "grazing-family": _grazing_family,
-    "grazing-family-ode": _grazing_family_ode,
     "saddle-homoclinic": _saddle_homoclinic,
 }
 
@@ -362,113 +335,3 @@ def saddle_eigen(desc: ModelDescriptor) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(w)[::-1]  # unstable first
     return w[order].real, V[:, order].real
 
-
-def flowbox_reduce(
-    system: FilippovSystem,
-    *,
-    x_window: float = 0.3,
-    y_window: float = 0.3,
-    grid_n: int = 5,
-) -> tuple[FilippovSystem, dict]:
-    """Straighten X- to (0, 1) and rescale X+ into the general-fold form.
-
-    The change of variables is realized numerically: psi(xh, yh) flows X-
-    from (xh, 0) for time yh, its differential comes from the variational
-    equations, and the final shift xhat = xbar + f2(xbar)/2 absorbs the
-    pure-x second-order terms of the vertical component.  The returned
-    report verifies that the transformed lower field equals (0, 1) on a
-    test grid and that the tangency at the origin stays visible.
-    """
-    from scipy.optimize import brentq
-
-    from slidekick.integrator import shoot
-
-    xm, xp = system.x_minus, system.x_plus
-    off = system.offset
-    if xm(0.0, off)[1] <= 0.0:
-        raise TransversalityLost("X- must point upward on the switching line")
-
-    def flow_with_jac(x0: float, tau: float):
-        # psi(xh, yh) = X- flow from (xh, offset) for time yh; its differential
-        # has d(psi)/d(xh) from the variational equations and d(psi)/d(yh)
-        # equal to the field itself
-        def rhs(t, z):
-            x, y, m1, m2 = z
-            fx, fy = xm(x, y)
-            J = xm.jacobian(x, y)
-            return [fx, fy, J[0, 0] * m1 + J[0, 1] * m2, J[1, 0] * m1 + J[1, 1] * m2]
-
-        if tau == 0.0:
-            pos = (x0, off)
-            col1 = np.array([1.0, 0.0])
-        else:
-            z = shoot(rhs, (0.0, tau), [x0, off, 1.0, 0.0], rtol=1e-12, atol=1e-14).z
-            pos = (float(z[0]), float(z[1]))
-            col1 = np.array([z[2], z[3]])
-        M = np.column_stack([col1, np.array(xm(*pos))])
-        return pos, M
-
-    def tilde_plus(xt: float, yt: float) -> tuple[float, float]:
-        pos, M = flow_with_jac(xt, yt)
-        v = np.linalg.solve(M, np.array(xp(*pos)))
-        return float(v[0]), float(v[1])
-
-    def tilde_minus(xt: float, yt: float) -> tuple[float, float]:
-        pos, M = flow_with_jac(xt, yt)
-        v = np.linalg.solve(M, np.array(xm(*pos)))
-        return float(v[0]), float(v[1])
-
-    # scaling to the normal-form leading part
-    c = tilde_plus(0.0, 0.0)[0]
-    h = 1e-6
-    a = (tilde_plus(h, 0.0)[1] - tilde_plus(-h, 0.0)[1]) / (2.0 * h)
-    if c <= 0.0 or a <= 0.0:
-        raise TransversalityLost("straightened field lost the visible-fold signs")
-    sx, sy, st = a / 2.0, a * c / 2.0, a * c / 2.0
-
-    def bar_plus(xb: float, yb: float) -> tuple[float, float]:
-        ft = tilde_plus(xb / sx, yb / sy)
-        return sx * ft[0] / st, sy * ft[1] / st
-
-    def f2(xb: float) -> float:
-        return bar_plus(xb, 0.0)[1] - 2.0 * xb
-
-    def to_hat(xb: float) -> float:
-        return xb + 0.5 * f2(xb)
-
-    def from_hat(xh: float) -> float:
-        lo, hi = xh - 0.5 * abs(xh) - 0.1, xh + 0.5 * abs(xh) + 0.1
-        return float(brentq(lambda xb: to_hat(xb) - xh, lo, hi, xtol=1e-14))
-
-    def hat_plus(xh: float, yh: float) -> tuple[float, float]:
-        xb = from_hat(xh)
-        fb = bar_plus(xb, yh)
-        dchi = 1.0 + 0.5 * (f2(xb + 1e-6) - f2(xb - 1e-6)) / 2e-6
-        return dchi * fb[0], fb[1]
-
-    def hat_minus(xh: float, yh: float) -> tuple[float, float]:
-        xb = from_hat(xh)
-        ft = tilde_minus(xb / sx, yh / sy)
-        dchi = 1.0 + 0.5 * (f2(xb + 1e-6) - f2(xb - 1e-6)) / 2e-6
-        return dchi * sx * ft[0] / st, sy * ft[1] / st
-
-    reduced = FilippovSystem(
-        PlanarField(hat_plus, name="Xhat+"), PlanarField(hat_minus, name="Xhat-")
-    )
-
-    xs = np.linspace(-x_window, x_window, grid_n)
-    ys = np.linspace(0.0, y_window, grid_n)
-    worst = 0.0
-    for xh in xs:
-        for yh in ys:
-            v = reduced.x_minus(xh, yh)
-            worst = max(worst, abs(v[0]), abs(v[1] - 1.0))
-    dfx = (reduced.x_plus(1e-5, 0.0)[1] - reduced.x_plus(-1e-5, 0.0)[1]) / 2e-5
-    report = {
-        "minus_field_error": worst,
-        "fold_residual": reduced.x_plus(0.0, 0.0)[1],
-        "fold_slope": dfx,
-        "visible": dfx * reduced.x_plus(0.0, 0.0)[0] > 0.0,
-        "scales": {"a": a, "c": c},
-    }
-    return reduced, report

@@ -299,11 +299,3 @@ def exterior_map(
         raise NoArrival("exterior orbit dipped below the floor margin")
     return PoincareResult(x=float(shot.z[0]), time=shot.t)
 
-
-def exterior_slope(field: PlanarField, start, section_to: Section) -> float:
-    """Derivative in x of the landing of ``start`` on ``section_to``, by
-    central differences."""
-    x, y = start
-    lo = exterior_map(field, (x - 1e-6, y), section_to)
-    hi = exterior_map(field, (x + 1e-6, y), section_to)
-    return (hi.x - lo.x) / 2e-6

@@ -52,10 +52,6 @@ class RegularizationProfile:
         """Taylor coefficient phi^(p)(1)/p! of the contact at v = 1."""
         return self.phi_p_at_1 / math.factorial(self.p)
 
-    def deriv_at_1(self, k: int) -> float:
-        """One-sided (interior) k-th derivative at v = 1."""
-        return self.deriv(1.0, k)
-
     def inverse(self, w: float) -> float:
         """phi^{-1} on [-1, 1] by bisection (phi is strictly increasing)."""
         from scipy.optimize import brentq
@@ -196,27 +192,3 @@ def regularized_field(R: RegularizedSystem) -> PlanarField:
     """Z_eps = (X+ + X-)/2 + phi(y/eps) (X+ - X-)/2 as a PlanarField."""
     return PlanarField(R.blend, name=f"Z_eps[{R.profile.name}, eps={R.epsilon:g}]")
 
-
-def slow_fast_forms(R: RegularizedSystem) -> dict[str, PlanarField]:
-    """The slow and fast coordinate forms of Z_eps in (x, v), y = offset + eps*v.
-
-    The slow form keeps the original time (so vdot carries the 1/eps); the
-    fast form rescales time by t = eps*tau, which multiplies the x-equation
-    by eps instead.  Both agree with the regularized field under the
-    coordinate and time maps.
-    """
-    eps = R.epsilon
-    off = R.base.offset
-
-    def slow(x: float, v: float) -> tuple[float, float]:
-        bx, by = R.blend(x, off + eps * v)
-        return bx, by / eps
-
-    def fast(x: float, v: float) -> tuple[float, float]:
-        bx, by = R.blend(x, off + eps * v)
-        return eps * bx, by
-
-    return {
-        "slow": PlanarField(slow, name="slow"),
-        "fast": PlanarField(fast, name="fast"),
-    }

@@ -32,11 +32,18 @@ class StripCrossingFailed(NumericalFailure):
 
 @dataclass(frozen=True)
 class SlowManifoldExpansion:
-    """Closed-form terms of the slow-manifold expansions.
+    """Closed-form terms of the slow-manifold expansions, from solving the
+    invariance equation formally for the normal-form pair.
 
     x-graph: m(x; eps) = m0(x) + eps*m1(x) + O(eps^2) for x <= 0.
     v-graph: n(v; eps) = n0(v) + eps*n1(v) + eps^2*n2(v) + O(eps^3) on
     (-1, 1].  n0 and m0 are mutual inverses on the shared range.
+
+    n0(v) = (phi(v) - 1) / (2 (phi(v) + 1)),  n1 = 1/(2 n0'),
+    n2 = -2 n1' n1^2, and on the x-graph side m0 = phi^{-1}((1+2x)/(1-2x)),
+    m1 = -(m0')^2 / 2.  Note the recursion gives n2 = n0''/(4 n0'^4); the
+    frequently quoted n0''/(2 n0'^2) does not satisfy the order-eps^2
+    balance.
     """
 
     profile: RegularizationProfile
@@ -73,22 +80,10 @@ class SlowManifoldExpansion:
         return -0.5 * dm0 * dm0
 
 
-def expansion_terms(profile: RegularizationProfile) -> SlowManifoldExpansion:
-    """Solve the invariance equation formally for the normal-form pair.
-
-    n0(v) = (phi(v) - 1) / (2 (phi(v) + 1)),  n1 = 1/(2 n0'),
-    n2 = -2 n1' n1^2, and on the x-graph side m0 = phi^{-1}((1+2x)/(1-2x)),
-    m1 = -(m0')^2 / 2.  Note the recursion gives n2 = n0''/(4 n0'^4); the
-    frequently quoted n0''/(2 n0'^2) does not satisfy the order-eps^2
-    balance.
-    """
-    return SlowManifoldExpansion(profile)
-
-
 def invariance_residual(profile: RegularizationProfile, eps: float, v: float) -> float:
     """Residual of (1 + 2n + phi(v)(2n-1)) n' - eps (1 + phi(v)) for the
     truncated expansion n = n0 + eps*n1 (analytic derivatives)."""
-    exp = expansion_terms(profile)
+    exp = SlowManifoldExpansion(profile)
     w = profile.eval(v)
     n = exp.n0(v) + eps * exp.n1(v)
     dn = exp.dn0(v) + eps * exp.dn1(v)
@@ -170,7 +165,7 @@ def trace_manifold(
     phi(v) = v without clamping) the trace is followed as an x-graph to that
     abscissa instead.
     """
-    exp = expansion_terms(R.profile)
+    exp = SlowManifoldExpansion(R.profile)
     eps = R.epsilon
     if extend_linear and R.profile.p != 1:
         raise ConfigError("extend_linear only makes sense for the piecewise linear profile")
@@ -218,7 +213,7 @@ def trace_manifold(
         vs_all.append(grid2)
         xs_all.append(leg.dense(grid2)[0])
         legs.append("v-graph")
-        exit_x = float(leg.z[0]) if abs(to_v - 1.0) < 1e-14 else None
+        exit_x = float(leg.z[0])
 
     return ManifoldTrace(
         x=np.concatenate(xs_all),
@@ -266,7 +261,7 @@ def verify_sandwich(
     inequality must be 1.0.  An empty range is a vacuous pass.
     """
     eps = R.epsilon
-    exp = expansion_terms(R.profile)
+    exp = SlowManifoldExpansion(R.profile)
     p = R.profile.p
 
     if which == "linear_conf":

@@ -72,6 +72,22 @@ def test_criterion_10_homoclinic():
     _check(acceptance.criterion_10)
 
 
+def test_criterion_10_reads_a_zero_root_as_found(monkeypatch):
+    # a half-eps scan that bisects mu~* to exactly 0.0 has found its root
+    from slidekick.bifurcation import HomoclinicProbe, HomoclinicScan
+
+    def scan(make_model, profile, eps, mu_tildes, *, y0, bisect):
+        if eps < 1e-3:
+            return HomoclinicScan(eps, [], 0.0, -0.1, None)
+        probes = [HomoclinicProbe(m, m * eps, m < 1.0, None, None) for m in mu_tildes]
+        return HomoclinicScan(eps, probes, 1.0 if bisect else None, -1.0, None)
+
+    monkeypatch.setattr(acceptance, "homoclinic_scan", scan)
+    res = acceptance.criterion_10()
+    assert "half-eps: 0.100" in res.measured
+    assert res.passed, res.line()
+
+
 def test_criterion_11_expansion_residuals():
     _check(acceptance.criterion_11)
 

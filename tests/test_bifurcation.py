@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from slidekick.bifurcation import (
+    _stability,
     centre_semistability,
-    find_fixed_points_scan,
     grazing_sliding_scan,
     homoclinic_scan,
     iterate_to_fixed_point,
     IterationDiverged,
-    saddle_passage_times,
     stribeck_attractor,
 )
-from slidekick.models import model, saddle_eigen
+from slidekick.fields import sign_changes
+from slidekick.models import model
 from slidekick.poincare import normal_form_constants
 from slidekick.regularization import phi_linear, phi_polynomial
 
@@ -23,16 +24,19 @@ def test_iterate_contraction():
 
 
 def test_scan_finds_both_roots():
-    fps = find_fixed_points_scan(lambda x: x * x, -0.5, 1.5)
-    xs = sorted(f.x for f in fps)
-    assert xs[0] == pytest.approx(0.0, abs=1e-10)
-    assert xs[1] == pytest.approx(1.0, abs=1e-10)
-    stabs = {round(f.x, 6): f.stability for f in fps}
-    assert stabs[0.0] == "attracting"
-    assert stabs[1.0] == "repelling"
+    # the fixed points of R(x) = x^2: 0 attracting, 1 repelling
+    R = lambda x: x * x
+    g = lambda x: R(x) - x
+
+    def roots(hi):
+        cells = sign_changes(g, np.linspace(-0.5, hi, 200))
+        return [a if a == b else brentq(g, a, b, xtol=1e-12) for a, b in cells]
+
+    xs = roots(1.5)
+    assert xs == [pytest.approx(0.0, abs=1e-10), pytest.approx(1.0, abs=1e-10)]
+    assert [_stability(R, x) for x in xs] == ["attracting", "repelling"]
     # a root on the interval's end point is a grid zero of the last point
-    ends = sorted(f.x for f in find_fixed_points_scan(lambda x: x * x, -0.5, 1.0))
-    assert ends == [pytest.approx(0.0, abs=1e-10), 1.0]
+    assert roots(1.0) == [pytest.approx(0.0, abs=1e-10), 1.0]
 
 
 def test_grazing_gamma_branches(lin):
@@ -153,17 +157,6 @@ def test_homoclinic_hamiltonian_variant(lin):
     assert scan.probes[1].exists
 
 
-def test_saddle_passage_time_slope():
-    desc = model("saddle-homoclinic", nu=0.15)
-    w, _ = saddle_eigen(desc)
-    lam1 = w[0]
-    ds = np.array([1e-3, 3e-4, 1e-4, 3e-5, 1e-5])
-    times = saddle_passage_times(desc, ds)
-    A = np.vstack([np.log(1.0 / ds), np.ones_like(ds)]).T
-    slope = np.linalg.lstsq(A, times, rcond=None)[0][0]
-    assert slope == pytest.approx(1.0 / lam1, rel=0.1)
-
-
 def test_contraction_certificate(lin):
     # along an accepted fixed-point iteration, successive increments shrink
     # by at least a factor 2 after the second step
@@ -193,7 +186,7 @@ def test_contraction_certificate(lin):
 def test_return_map_identity_on_coulomb(poly2):
     # c alpha+ = (pi+)'(x0-) alpha- measured on a model with a real exterior
     from slidekick.integrator import Section
-    from slidekick.poincare import exterior_slope, fit_tangency_constants
+    from slidekick.poincare import exterior_map, fit_tangency_constants
 
     desc = model("coulomb")
     fold = desc.fold()
@@ -201,13 +194,15 @@ def test_return_map_identity_on_coulomb(poly2):
     tc = fit_tangency_constants(desc.system.x_plus, fold, y0)
     up = Section(y0, "all", id="up")
     # c at the unstable-separatrix crossing; pi+' by chaining the two maps
-    c = exterior_slope(desc.system.x_plus, (tc.x0_plus, y0), up)
     dx = 1e-6
-    from slidekick.poincare import exterior_map
+
+    def land(x):
+        return exterior_map(desc.system.x_plus, (x, y0), up).x
+
+    c = (land(tc.x0_plus + dx) - land(tc.x0_plus - dx)) / (2 * dx)
 
     def pi_plus(x):
-        mid = exterior_map(desc.system.x_plus, (x, y0), up).x
-        return exterior_map(desc.system.x_plus, (mid, y0), up).x
+        return land(land(x))
 
     slope = (pi_plus(tc.x0_minus + dx) - pi_plus(tc.x0_minus - dx)) / (2 * dx)
     assert c * tc.alpha_plus == pytest.approx(slope * tc.alpha_minus, rel=0.05)

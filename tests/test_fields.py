@@ -15,7 +15,6 @@ from slidekick.fields import (
     filippov_flow,
     find_fold,
     sliding_field,
-    sliding_weight,
 )
 from slidekick.integrator import Section
 
@@ -61,9 +60,9 @@ def test_sliding_field_values(normal_form):
 
 def test_sliding_is_the_tangent_convex_combination(normal_form):
     for x in np.linspace(-0.9, -1e-3, 1000):
-        lam = sliding_weight(normal_form, x)
         fp = normal_form.x_plus(x, 0.0)
         fm = normal_form.x_minus(x, 0.0)
+        lam = fm[1] / (fm[1] - fp[1])
         assert 0.0 <= lam <= 1.0
         assert abs(lam * fp[1] + (1 - lam) * fm[1]) < 1e-12
         drift = lam * fp[0] + (1 - lam) * fm[0]

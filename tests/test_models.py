@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from slidekick.fields import FilippovSystem, PlanarField, RegionClass, classify_point, find_fold
+from slidekick.fields import RegionClass, classify_point, find_fold
 from slidekick.integrator import Section, integrate
 from slidekick.models import (
     BadParams,
     UnknownModel,
-    flowbox_reduce,
     list_models,
     model,
     saddle_eigen,
@@ -139,34 +138,3 @@ def test_grazing_family_germ():
     assert pe(x0p) == pytest.approx(-x0p + 0.002, abs=1e-14)
     desc_r = model("grazing-family", variant="repelling")
     assert desc_r.facts["exterior_factory"](0.002)(x0p) == pytest.approx(-x0p - 0.002, abs=1e-14)
-
-
-def test_grazing_family_ode_cycle():
-    # the ode variant has an attracting cycle of radius h - mu tangent at mu=0
-    desc = model("grazing-family-ode", mu=0.05)
-    r0 = desc.facts["cycle_radius"]
-    traj = integrate(desc.system.x_plus, (0.0, 1.0 - r0), 40.0, rtol=1e-10, atol=1e-12)
-    r_end = math.hypot(traj.end[1], traj.end[2] - 1.0)
-    assert r_end == pytest.approx(r0, abs=1e-6)
-
-
-def test_flowbox_identity_case():
-    xp = PlanarField(lambda x, y: (1.0, 2.0 * x))
-    xm = PlanarField(lambda x, y: (0.0, 1.0))
-    red, rep = flowbox_reduce(FilippovSystem(xp, xm), grid_n=3)
-    assert rep["minus_field_error"] < 1e-12
-    assert rep["scales"]["a"] == pytest.approx(2.0, rel=1e-5)
-    assert rep["scales"]["c"] == pytest.approx(1.0, rel=1e-8)
-    assert rep["visible"]
-
-
-def test_flowbox_straightens_slanted_lower_field():
-    xp = PlanarField(lambda x, y: (1.0, 2.0 * x))
-    xm = PlanarField(lambda x, y: (0.2, 1.0 + 0.1 * x))
-    red, rep = flowbox_reduce(FilippovSystem(xp, xm), grid_n=4, x_window=0.2, y_window=0.2)
-    assert rep["minus_field_error"] <= 1e-8
-    assert abs(rep["fold_residual"]) < 1e-10
-    assert rep["visible"]
-    # the straightened upper field keeps the normal-form leading part
-    dfx = (red.x_plus(1e-5, 0.0)[1] - red.x_plus(-1e-5, 0.0)[1]) / 2e-5
-    assert dfx == pytest.approx(2.0, rel=1e-3)

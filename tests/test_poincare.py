@@ -11,7 +11,6 @@ from slidekick.poincare import (
     TangentialCrossing,
     _stage_P,
     exterior_map,
-    exterior_slope,
     fit_power_law,
     fit_tangency_constants,
     landing_scan,
@@ -165,14 +164,6 @@ def test_exterior_map_centre_identity():
         r1 = exterior_map(desc.system.x_plus, (x, y0), up)
         r2 = exterior_map(desc.system.x_plus, (r1.x, y0), up)
         assert r2.x == pytest.approx(x, abs=1e-8)
-
-
-def test_exterior_slope_centre():
-    desc = model("coulomb")
-    y0 = 0.25
-    up = Section(y0, "all", id="up")
-    c = exterior_slope(desc.system.x_plus, (0.3, y0), up)
-    assert c == pytest.approx(-1.0, abs=1e-4)  # circles: P^e(z) = 2 F_s - z
 
 
 def test_exterior_map_no_arrival():

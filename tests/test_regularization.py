@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from slidekick.integrator import integrate
 from slidekick.regularization import (
     InvalidP,
     RegularizedSystem,
@@ -11,7 +10,6 @@ from slidekick.regularization import (
     phi_linear,
     phi_polynomial,
     regularized_field,
-    slow_fast_forms,
 )
 
 
@@ -140,44 +138,18 @@ def test_strip_boundary_continuity(normal_form, poly2):
             assert abs(inside[1] - outside[1]) < 1e-12
 
 
-def test_slow_fast_forms_consistency(normal_form, poly2):
-    eps = 1e-2
-    R = RegularizedSystem(normal_form, poly2, eps)
-    forms = slow_fast_forms(R)
-    zf = regularized_field(R)
-    for x, v in [(-0.25, 0.0), (-0.5, 0.5), (0.1, -0.3)]:
-        bx, by = zf(x, eps * v)
-        sx, sv = forms["slow"](x, v)
-        fx, fv = forms["fast"](x, v)
-        assert sx == pytest.approx(bx, abs=1e-14)
-        assert sv == pytest.approx(by / eps, abs=1e-12)
-        assert fx == pytest.approx(eps * bx, abs=1e-14)
-        assert fv == pytest.approx(by, abs=1e-14)
-
-
 def test_slow_form_example(normal_form, lin):
-    # normal form at (x, v) = (-0.25, 0): xdot = 1/2, eps*vdot = 0.25
+    # normal form at (x, v) = (-0.25, 0): xdot = 1/2, eps*vdot = ydot = 0.25
     eps = 0.1
-    forms = slow_fast_forms(RegularizedSystem(normal_form, lin, eps))
-    sx, sv = forms["slow"](-0.25, 0.0)
+    zf = regularized_field(RegularizedSystem(normal_form, lin, eps))
+    sx, sy = zf(-0.25, 0.0)
     assert sx == pytest.approx(0.5)
-    assert eps * sv == pytest.approx(0.25)
+    assert sy == pytest.approx(0.25)
 
 
 def test_fast_field_vanishes_on_slow_manifold(normal_form, poly2):
-    R = RegularizedSystem(normal_form, poly2, 1e-3)
-    fast = slow_fast_forms(R)["fast"]
+    eps = 1e-3
+    zf = regularized_field(RegularizedSystem(normal_form, poly2, eps))
     for x in np.linspace(-0.45, -0.05, 9):
         v = poly2.inverse((1 + 2 * x) / (1 - 2 * x))
-        assert abs(fast(x, v)[1]) < 1e-12
-
-
-def test_fast_slow_orbit_equivalence(normal_form, poly2):
-    # integrating the slow form for time T equals the fast form for T/eps
-    eps = 1e-2
-    forms = slow_fast_forms(RegularizedSystem(normal_form, poly2, eps))
-    T = 0.05
-    a = integrate(forms["slow"], (-0.4, 0.5), T, rtol=1e-12, atol=1e-14)
-    b = integrate(forms["fast"], (-0.4, 0.5), T / eps, rtol=1e-12, atol=1e-14)
-    assert a.end[1] == pytest.approx(b.end[1], abs=1e-8)
-    assert a.end[2] == pytest.approx(b.end[2], abs=1e-8)
+        assert abs(zf(x, eps * v)[1]) < 1e-12

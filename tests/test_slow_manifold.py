@@ -7,9 +7,9 @@ from slidekick.integrator import Stop, shoot
 from slidekick.regularization import RegularizedSystem, parse_profile, phi_linear, phi_polynomial
 from slidekick.slow_manifold import (
     HyperbolicityLost,
+    SlowManifoldExpansion,
     _orbit_equation,
     contraction_probe,
-    expansion_terms,
     invariance_residual,
     strip_crossing,
     trace_manifold,
@@ -18,7 +18,7 @@ from slidekick.slow_manifold import (
 
 
 def test_linear_expansion_closed_forms(lin):
-    exp = expansion_terms(lin)
+    exp = SlowManifoldExpansion(lin)
     assert exp.m0(-0.5) == pytest.approx(0.0, abs=1e-12)
     assert exp.m1(-0.5) == pytest.approx(-8.0 / 16.0, abs=1e-12)
     for x in np.linspace(-0.9, -0.05, 9):
@@ -33,7 +33,7 @@ def test_linear_expansion_closed_forms(lin):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_inverse_pair(p):
-    exp = expansion_terms(phi_polynomial(p))
+    exp = SlowManifoldExpansion(phi_polynomial(p))
     for x in np.linspace(-0.9, -1e-3, 50):
         assert exp.n0(exp.m0(x)) == pytest.approx(x, abs=1e-10)
 
@@ -41,7 +41,7 @@ def test_inverse_pair(p):
 def test_n0_tail_coefficient(poly2, poly3):
     # n0(v) ~ phi^(p)(1)/(4 p!) (v-1)^p as v -> 1
     for prof in (poly2, poly3):
-        exp = expansion_terms(prof)
+        exp = SlowManifoldExpansion(prof)
         p = prof.p
         lead = prof.phi_p_at_1 / (4 * math.factorial(p))
         for dv in (1e-2, 1e-3):
@@ -51,7 +51,7 @@ def test_n0_tail_coefficient(poly2, poly3):
 
 def test_n1_positive(poly2, poly3, lin):
     for prof in (lin, poly2, poly3):
-        exp = expansion_terms(prof)
+        exp = SlowManifoldExpansion(prof)
         for v in np.linspace(-0.95, 0.999, 200):
             assert exp.n1(v) > 0.0
 
@@ -82,6 +82,15 @@ def test_trace_agrees_with_orbit_crossing(normal_form, poly2):
     tr = trace_manifold(R, -1.0, 1.0)
     x_exit, _t, _d = strip_crossing(R, -0.5, x_limit=0.4)
     assert tr.exit_x == pytest.approx(x_exit, abs=1e-7)
+
+
+def test_trace_exit_below_the_strip_top(normal_form, poly2):
+    # the v-graph leg ends at v = to_v, so the exit is reported there too
+    R = RegularizedSystem(normal_form, poly2, 1e-3)
+    tr = trace_manifold(R, -1.0, 0.9)
+    assert tr.legs == ["x-graph", "v-graph"]
+    assert tr.v[-1] == pytest.approx(0.9, abs=1e-14)
+    assert tr.exit_x == tr.x[-1]
 
 
 def test_trace_outer_block_membership(normal_form, poly2):
