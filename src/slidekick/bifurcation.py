@@ -480,19 +480,28 @@ class StribeckResult:
 
 
 def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
-    """Largest distance from points of P to the polyline Q (point-to-segment)."""
-    seg_a = Q[:-1]
-    seg_b = Q[1:]
-    d = seg_b - seg_a
-    L2 = np.sum(d * d, axis=1)
+    """Largest distance from points of P to the polyline Q (point-to-segment).
+
+    The loop runs over the shorter of P and the segments of Q and each pass
+    is vectorized over the other, so temporaries stay one-dimensional.
+    """
+    a = Q[:-1]
+    d = Q[1:] - a
+    L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     L2[L2 == 0.0] = 1.0
-    worst = 0.0
-    for p in P:
-        t = np.clip(np.sum((p - seg_a) * d, axis=1) / L2, 0.0, 1.0)
-        proj = seg_a + t[:, None] * d
-        dist = np.min(np.sqrt(np.sum((p - proj) ** 2, axis=1)))
-        worst = max(worst, dist)
-    return worst
+
+    def dist(p, a, d, L2):
+        t = np.clip(((p[..., 0] - a[..., 0]) * d[..., 0] + (p[..., 1] - a[..., 1]) * d[..., 1]) / L2, 0.0, 1.0)
+        ex = p[..., 0] - (a[..., 0] + t * d[..., 0])
+        ey = p[..., 1] - (a[..., 1] + t * d[..., 1])
+        return np.sqrt(ex * ex + ey * ey)
+
+    if len(P) <= len(a):
+        return float(max((dist(p, a, d, L2).min() for p in P), default=0.0))
+    nearest = np.full(len(P), np.inf)
+    for k in range(len(a)):
+        np.minimum(nearest, dist(P, a[k], d[k], L2[k]), out=nearest)
+    return float(nearest.max(initial=0.0))
 
 
 def stribeck_attractor(
@@ -564,6 +573,8 @@ def stribeck_attractor(
 
 
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:
+    # RK45, not DOP853: the 0.02 cap for the dense samples binds, so the
+    # eighth-order steps would be as many and each costs about twice as much
     shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], max_step=0.02,
                  rtol=1e-11, atol=1e-13, dense=True)
     if shot.stop is None:

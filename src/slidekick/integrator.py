@@ -20,14 +20,17 @@ that, the primitive handles three cases:
   level (the <= 1e-12 event contract).  A general ``g`` keeps the bracketed
   root (4 ulp in time).
 
-Each stage picks its stepper.  Orbits outside the switching strip use the
-explicit Runge-Kutta 5(4) pair.  The strip orbit equations
-(``slow_manifold``) are stiff: the passage along the attracting slow
-manifold would force O(1/eps) explicit steps.  The strip crossing, the
-middle map of every fold and return map, steps with LSODA (Petzold, SIAM J.
-Sci. Stat. Comput. 4, 1983) at rtol 1e-12, atol 1e-14 and an analytic
-Jacobian; its compiled steps cost about a tenth of scipy's Python-level
-Radau.  It does not run at 1e-11: there LSODA can stay in its non-stiff
+Each stage picks its stepper.  The exterior maps and stage P of the fold
+map use the explicit Dormand-Prince 8(5,3) pair DOP853 at rtol 1e-12, atol
+1e-14 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10).  The other
+orbits outside the switching strip (Filippov flows, the densely sampled
+Stribeck upper arc) use the default of :func:`shoot`, the explicit
+Runge-Kutta 5(4) pair.  The strip orbit equations (``slow_manifold``) are
+stiff: the passage along the attracting slow manifold would force O(1/eps)
+explicit steps.  The strip crossing, the middle map of every fold and
+return map, steps with LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 1983)
+at rtol 1e-12, atol 1e-14 and an analytic Jacobian; its compiled steps cost
+about a tenth of scipy's Python-level Radau.  It does not run at 1e-11: there LSODA can stay in its non-stiff
 Adams mode along the whole manifold, at steps of order eps (about 13,000
 steps instead of about 650 on some linear eps = 1e-4 crossings).  The
 manifold trace, the contraction probe and the unscaled inner equation

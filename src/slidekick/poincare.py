@@ -57,8 +57,8 @@ def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float):
     minimum of y stays above the strip.
     """
     dip = Stop(g=lambda t, z: x_plus(z[0], z[1])[1], direction=1)
-    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), dip],
-                 max_step=0.25, rtol=1e-11, atol=1e-13, dense=True)
+    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), dip], method="DOP853",
+                 max_step=0.25, rtol=1e-12, atol=1e-14, dense=True)
     if shot.stop == 0:
         return shot.t, float(shot.z[0])
     if shot.stop == 1 and shot.z[1] <= y_strip:
@@ -281,9 +281,13 @@ def exterior_map(
 
     This is the one section map of the package: the exterior return P^e,
     the stage Pbar of P_eps, the fold-orbit and separatrix landings, and,
-    along ``field.negated()``, every backward landing.  RK45 runs at rtol
-    1e-11, atol 1e-13 with steps capped at 0.25, so a dip below the section
-    wider than one step is not flown over.  ``NoArrival`` is raised when the
+    along ``field.negated()``, every backward landing.  The Dormand-Prince
+    8(5,3) pair DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10)
+    runs at rtol 1e-12, atol 1e-14 with steps capped at 0.25, so a dip
+    below the section wider than one step is not flown over.  At rtol
+    1e-11 it would land 3-5x farther from a tight reference; at 1e-12 the
+    landings near the fold stay within 5e-12 of DOP853 at rtol 1e-13 (a
+    tier-1 test).  ``NoArrival`` is raised when the
     orbit escapes before coming back; in the sliding-homoclinic setting that
     is the meaningful signal that the exterior map has lost its domain.
     With ``floor_margin`` the orbit is also considered lost if it dips below
@@ -292,7 +296,8 @@ def exterior_map(
     stops = [section_to.stop()]
     if floor_margin is not None:
         stops.append(Stop(1, floor_margin, -1))
-    shot = shoot(field.rhs, (0.0, t_max), start, stops, max_step=0.25, rtol=1e-11, atol=1e-13)
+    shot = shoot(field.rhs, (0.0, t_max), start, stops, method="DOP853", max_step=0.25,
+                 rtol=1e-12, atol=1e-14)
     if shot.stop is None:
         raise NoArrival(f"orbit from {start} never reached y = {section_to.y0}")
     if shot.stop == 1:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from slidekick.bifurcation import (
+    _directed_hausdorff,
     _stability,
     centre_semistability,
     grazing_sliding_scan,
@@ -225,3 +228,32 @@ def test_lipschitz_gate_p2(poly2):
     p = 2
     gate = min((3 * p - 1) / (2 * p - 1), p * (p + 1) / (2 * p - 1) ** 2)
     assert spread <= 10.0 * eps**gate
+
+
+def _hausdorff_brute(P, Q):
+    worst = 0.0
+    for px, py in P.tolist():
+        best = math.inf
+        for (ax, ay), (bx, by) in zip(Q[:-1].tolist(), Q[1:].tolist()):
+            dx, dy = bx - ax, by - ay
+            L2 = dx * dx + dy * dy
+            if L2 == 0.0:
+                L2 = 1.0
+            t = min(max(((px - ax) * dx + (py - ay) * dy) / L2, 0.0), 1.0)
+            ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+            best = min(best, math.sqrt(ex * ex + ey * ey))
+        worst = max(worst, best)
+    return worst
+
+
+@pytest.mark.parametrize("n, m", [(60, 9), (9, 60), (30, 31), (3, 5), (4, 2)])
+def test_directed_hausdorff_matches_brute_force(n, m):
+    # random walks with a repeated vertex (a zero-length segment); each
+    # orientation loops over the other side, with the same per-pair formula
+    rng = np.random.default_rng(n * 100 + m)
+    for _ in range(10):
+        P = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        Q = np.cumsum(rng.normal(size=(m, 2)), axis=0)
+        Q[1] = Q[0]
+        assert _directed_hausdorff(P, Q) == _hausdorff_brute(P, Q)
+        assert _directed_hausdorff(Q, P) == _hausdorff_brute(Q, P)

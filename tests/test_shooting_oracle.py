@@ -23,8 +23,8 @@ def _landing(field, start, y_target, direction):
 
     ev.terminal = True
     ev.direction = direction
-    sol = solve_ivp(field.rhs, (0.0, 1e3), start, method="RK45", max_step=0.25,
-                    rtol=1e-11, atol=1e-13, events=[ev])
+    sol = solve_ivp(field.rhs, (0.0, 1e3), start, method="DOP853", max_step=0.25,
+                    rtol=1e-12, atol=1e-14, events=[ev])
     return float(sol.y_events[0][0][0])
 
 
