@@ -6,15 +6,16 @@ landing law is set by the unique solution eta0 with
 eta0(u) - (c_p/4) u^p -> 0 as u -> -infty.  Its value at u = 0 is the
 universal constant in the eps^{p/(2p-1)} exit abscissa.
 
-Two independent routes are kept: direct integration of the unscaled
-equation (Radau IIA), and the normalized form  d(etabar)/d(ubar) =
-1/(etabar + ubar^p) mapped back through the scaling constants alpha, beta
-(LSODA, Petzold 1983).  The routes share no stepper, so their agreement
-checks one against the other; LSODA's compiled steps also make the
-normalized solves about 10x cheaper than scipy's Python-level Radau.  For
-odd p the normalized variable carries a sign flip (alpha < 0), which turns
-the sign-reversed odd-p equation into the same normalized form; the
-distinguished branch then sits below the null-cline instead of above it.
+Two routes are kept: direct integration of the unscaled equation, and the
+normalized form  d(etabar)/d(ubar) = 1/(etabar + ubar^p)  mapped back
+through the scaling constants alpha, beta.  They differ in variable,
+scaling and seed, so their agreement checks one against the other; both
+step with LSODA (Petzold 1983) and an analytic Jacobian, whose compiled
+steps cost about a tenth of scipy's Python-level Radau.  Agreement with a
+tight Radau solve is a test of its own.  For odd p the normalized variable
+carries a sign flip (alpha < 0), which turns the sign-reversed odd-p
+equation into the same normalized form; the distinguished branch then sits
+below the null-cline instead of above it.
 """
 
 from __future__ import annotations
@@ -77,21 +78,37 @@ def normalized_seed(p: int, ubar: float) -> float:
     return -(ubar**p) - (1.0 / p) * ubar ** (1 - p) - ((p - 1) / p**3) * ubar ** (2 - 3 * p)
 
 
+def _inner_grid(u_start: float) -> np.ndarray:
+    # the seed's O(u^{3-5p}) mismatch relaxes onto the branch in a layer of
+    # width ~ D^2/8 at u_start; the grid starts past it so pointwise
+    # residuals reflect the branch, not the (attracting) transient
+    return np.linspace(u_start + 0.5, 0.0, 4001)
+
+
 @dataclass(frozen=True)
 class InnerSolution:
-    """Distinguished solution on a grid u in [u_start, 0]."""
+    """Distinguished solution on the 4001-point grid u in [u_start + 0.5, 0].
+
+    Only the integrated denominator D = 4 eta - c_p u^p is stored; ``u``
+    and ``eta`` are rebuilt from it.  Recomputing D from eta would cancel
+    away the digits that integrating D keeps (eta ~ -1.8e4 at u = -12 for
+    p = 4).
+    """
 
     p: int
     c_p: float
-    u: np.ndarray
-    eta: np.ndarray
     eta_at_0: float
     u_start: float
     estimated_error: float
-    # the integrated D = 4 eta - c_p u^p on the grid; recomputing it from eta
-    # would cancel away the digits that integrating D keeps (eta ~ -1.8e4 at
-    # u = -12 for p = 4)
     den: np.ndarray
+
+    @property
+    def u(self) -> np.ndarray:
+        return _inner_grid(self.u_start)
+
+    @property
+    def eta(self) -> np.ndarray:
+        return (self.den + self.c_p * self.u**self.p) / 4.0
 
 
 def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np.inf, dense: bool = False):
@@ -111,8 +128,8 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np
     alpha, beta = alpha_beta(p, c_p)
     third = -((p - 1) / p**3) * beta ** (2 - 3 * p) / alpha * u_start ** (2 - 3 * p)
     d_seed = 4.0 * (asymptotic_seed(p, c_p, u_start) + third) - c_p * u_start**p
-    shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, method="Radau",
-                 rtol=1e-12, atol=1e-14, max_step=max_step, dense=dense)
+    shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, method="LSODA",
+                 rtol=3e-14, atol=1e-16, max_step=max_step, dense=dense)
     if shot.stop is not None:
         raise BlowUp(f"denominator crossed zero integrating from u_start={u_start}")
     return shot
@@ -141,8 +158,9 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
 
     # the grid run caps the step so the dense interpolant meets the
     # 1e-10 pointwise residual contract; p >= 4 runs closer to the
-    # null-cline and reads 1.9e-10 at the p <= 3 cap.  The Richardson
-    # companion only needs its endpoint
+    # null-cline and needs the finer cap.  LSODA runs at rtol 3e-14: at
+    # 1e-12 its interpolant reads 3.5e-10 at p = 4 even with the 0.01 cap.
+    # The Richardson companion only needs its endpoint
     sol1 = _integrate_unscaled(p, c_p, u_start, max_step=0.02 if p <= 3 else 0.01, dense=True)
     sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start)
     v1 = float(sol1.z[0]) / 4.0
@@ -150,37 +168,40 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
     r = 2.0 ** (2 - 3 * p)
     v_ext = (v2 - r * v1) / (1.0 - r)
 
-    # the seed's O(u^{3-5p}) mismatch relaxes onto the branch in a layer of
-    # width ~ D^2/8 at u_start; the reported grid starts past it so pointwise
-    # residuals reflect the branch, not the (attracting) transient
-    us = np.linspace(u_start + 0.5, 0.0, 4001)
-    dens = sol1.dense(us)[0]
-    return InnerSolution(
-        p=p,
-        c_p=c_p,
-        u=us,
-        eta=(dens + c_p * us**p) / 4.0,
-        eta_at_0=v_ext,
-        u_start=u_start,
-        estimated_error=abs(v_ext - v2),
-        den=dens,
-    )
+    return InnerSolution(p=p, c_p=c_p, eta_at_0=v_ext, u_start=u_start,
+                         estimated_error=abs(v_ext - v2), den=sol1.dense(_inner_grid(u_start))[0])
+
+
+def _normalized_grid(u_start: float) -> np.ndarray:
+    return np.linspace(u_start, 0.0, 2001)
 
 
 @dataclass(frozen=True)
 class NormalizedSolution:
-    """Distinguished solution of d(etabar)/d(ubar) = 1/(etabar + ubar^p)."""
+    """Distinguished solution of d(etabar)/d(ubar) = 1/(etabar + ubar^p)
+    on 2001 points of [u_start, 0].
+
+    Only the integrated deviation w = etabar + ubar^p is stored; ``ubar``
+    and ``etabar`` are rebuilt from it.
+    """
 
     p: int
-    ubar: np.ndarray
-    etabar: np.ndarray
+    w: np.ndarray
     etabar_at_0: float
     u_start: float
     estimated_error: float
 
+    @property
+    def ubar(self) -> np.ndarray:
+        return _normalized_grid(self.u_start)
+
+    @property
+    def etabar(self) -> np.ndarray:
+        return self.w - self.ubar**self.p
+
     def deviation(self) -> np.ndarray:
         """etabar + ubar^p: positive for even p, negative for odd p."""
-        return self.etabar + self.ubar**self.p
+        return self.w
 
 
 def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: float | None = None,
@@ -190,9 +211,9 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
     The distinguished branch keeps w of one sign (positive for even p,
     negative for odd p) and w ~ -(1/p) ubar^{1-p}, so the variable stays
     well scaled.  The seed defaults to the three-term series at u_start.
-    The stepper is LSODA with the analytic Jacobian: at rtol 1e-12 and
-    atol 1e-14 etabar0(0) lands within 3e-11 of a Radau solve at rtol 1e-13
-    for p = 2, 3, 4.
+    The stepper is LSODA with the analytic Jacobian, like the unscaled
+    route's: at rtol 1e-12 and atol 1e-14 etabar0(0) lands within 3e-11 of
+    a Radau solve at rtol 1e-13 for p = 2, 3, 4.
     """
     def rhs(u, z):
         return [1.0 / z[0] + p * u ** (p - 1)]
@@ -221,15 +242,8 @@ def normalized_solution(p: int) -> NormalizedSolution:
     v2 = float(sol2.z[0])
     r = 2.0 ** (3 - 5 * p)  # the seed keeps three terms, remainder O(ubar^{3-5p})
     v_ext = (v2 - r * v1) / (1.0 - r)
-    us = np.linspace(u_start, 0.0, 2001)
-    return NormalizedSolution(
-        p=p,
-        ubar=us,
-        etabar=sol1.dense(us)[0] - us**p,
-        etabar_at_0=v_ext,
-        u_start=u_start,
-        estimated_error=abs(v_ext - v2),
-    )
+    return NormalizedSolution(p=p, w=sol1.dense(_normalized_grid(u_start))[0], etabar_at_0=v_ext,
+                              u_start=u_start, estimated_error=abs(v_ext - v2))
 
 
 def eta_at_zero_via_normalization(p: int, c_p: float) -> float:
@@ -260,8 +274,8 @@ def eta1_check(
     D = 4 eta0 - c_p u^p;  near -infty it behaves like (c_{p+1}/4) u^{p+1},
     so the log-log slope over u in [-40, -15] estimates p+1.  The run
     starts at u = -80.  With zero forcing (c_{p+1} = 0) any seeded eta1
-    decays; the report then carries its magnitude at u = -10 instead of a
-    meaningful slope.
+    decays and has no power law to fit: the report then carries slope nan,
+    r^2 = 0 and its magnitude at u = -10.
     """
     from slidekick.poincare import fit_power_law
 
@@ -284,15 +298,14 @@ def eta1_check(
     u_start = -80.0
     eta1_seed = 0.25 * c_p1 * u_start ** (p + 1) if seed_eta1 is None else seed_eta1
     d_seed = 4.0 * asymptotic_seed(p, c_p, u_start) - c_p * u_start**p
-    sol = shoot(rhs, (u_start, -1.0), [d_seed, eta1_seed], jac=jac, method="Radau",
-                rtol=1e-12, atol=1e-14, dense=True)
+    sol = shoot(rhs, (u_start, -1.0), [d_seed, eta1_seed], jac=jac, method="LSODA",
+                rtol=3e-14, atol=1e-16, dense=True)
 
-    us = np.linspace(-40.0, -15.0, 60)
-    vals = np.abs(sol.dense(us)[1])
     final_mag = abs(float(sol.dense(-10.0)[1]))
-    if np.any(vals <= 0.0):
+    if c_p1 == 0.0:
         return Eta1Report(p=p, slope=float("nan"), r_squared=0.0, final_magnitude=final_mag)
-    fit = fit_power_law(np.abs(us), vals, r2_min=-np.inf, allow_drop=False)
+    us = np.linspace(-40.0, -15.0, 60)
+    fit = fit_power_law(np.abs(us), sol.dense(us)[1], r2_min=-np.inf, allow_drop=False)
     return Eta1Report(p=p, slope=fit.slope, r_squared=fit.r_squared, final_magnitude=final_mag)
 
 

@@ -33,9 +33,11 @@ at rtol 1e-12, atol 1e-14 and an analytic Jacobian; its compiled steps cost
 about a tenth of scipy's Python-level Radau.  It does not run at 1e-11: there LSODA can stay in its non-stiff
 Adams mode along the whole manifold, at steps of order eps (about 13,000
 steps instead of about 650 on some linear eps = 1e-4 crossings).  The
-manifold trace, the contraction probe and the unscaled inner equation
-(``inner``) use Radau IIA with analytic Jacobians.  The normalized inner
-equation uses LSODA, so the two inner routes share no stepper.
+manifold trace and the contraction probe use Radau IIA with analytic
+Jacobians.  Both routes of the inner equation (``inner``) step with LSODA
+and analytic Jacobians: the unscaled equation and its first-order
+correction at rtol 3e-14, atol 1e-16, the normalized one at rtol 1e-12,
+atol 1e-14.
 
 :func:`integrate` builds annotated trajectories on top of :func:`shoot`.
 """

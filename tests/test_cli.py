@@ -53,6 +53,21 @@ def test_inner_summary_format(tmp_path):
     assert abs(v1 - v2) < 1e-8
 
 
+def test_inner_csv_deterministic(tmp_path):
+    # two cold solves write the same bytes: the stepper, seeds and grid are fixed
+    from slidekick.inner import distinguished_solution
+
+    texts = []
+    for k in range(2):
+        distinguished_solution.cache_clear()
+        out = tmp_path / f"inner{k}.csv"
+        code, _ = run_cli("inner", "--p", "3", "--phi-p", "15", "--out", str(out))
+        assert code == 0
+        texts.append(out.read_bytes())
+    assert texts[0].splitlines()[0] == b"u,eta"
+    assert texts[0] == texts[1]
+
+
 def test_models_list():
     code, text = run_cli("models", "list")
     assert code == 0
