@@ -272,7 +272,7 @@ def filippov_flow(
 
             # tangential contact with Sigma shows up as an extremum of y close
             # to the line (a minimum in V+, a maximum in V-); extrema away
-            # from the line are stepped past
+            # from the line are passed over
             stops = [
                 Stop(1, y_sw, toward),
                 Stop(g=lambda t, z: field(z[0], z[1])[1], direction=-toward,

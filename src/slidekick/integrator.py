@@ -1,20 +1,22 @@
-"""Event-located shooting: the one place where the package calls an ODE solver.
+"""Event-located shooting: the one place where the package steps an ODE solver.
 
-:func:`shoot` integrates ``rhs(t, z)`` with scipy's ``solve_ivp`` until the
-first of a list of :class:`Stop` conditions fires.  A stop is a level of one
-state component (``z[component]`` crossing ``level``) or the zero of a
-scalar ``g(t, z)``.  It has a crossing direction (+1 upward, -1 downward,
-0 either way) and an optional ``accept(z)`` predicate.  Event location follows
+:func:`shoot` builds scipy's ``OdeSolver`` object and calls its ``step()``
+in its own loop until the first of a list of :class:`Stop` conditions fires.
+A stop is a level of one state component (``z[component]`` crossing
+``level``) or the zero of a scalar ``g(t, z)``.  It has a crossing
+direction (+1 upward, -1 downward, 0 either way) and an optional
+``accept(z)`` predicate.  Event location is ``solve_ivp``'s, after
 Shampine & Thompson (Comput. Math. Appl. 39, 2000): sign changes are found
-step by step and the root is bracketed on the step's interpolant.  On top of
-that, the primitive handles three cases:
+step by step and the root is bracketed on the step's interpolant.  On top
+of that, the primitive handles three cases:
 
 - step-off: a start within 1e-13 of a level that it would cross at once is
   advanced 1e-11 in time along ``rhs``, so the zero residual of the start is
   not reported as the hit.  A start on an accepted level with no velocity
   across it raises ``EventNotBracketed``;
-- accept and restart: a root whose state fails ``accept`` (a crossing on the
-  wrong half-line) is stepped past, and the integration restarts from there;
+- accept: a root whose state fails ``accept`` (a crossing on the wrong
+  half-line) is passed over; the next root of the same step, in time order,
+  is tried, and stepping goes on;
 - polish: the hit of a level stop gets one Newton correction of its time,
   with the rate taken from ``rhs``.  That puts the event residual at rounding
   level (the <= 1e-12 event contract).  A general ``g`` keeps the bracketed
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import DOP853, LSODA, RK45, OdeSolution
 from scipy.integrate import Radau as _ScipyRadau
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import get_lapack_funcs
@@ -59,8 +61,6 @@ from slidekick.errors import NumericalFailure
 
 if TYPE_CHECKING:
     from slidekick.fields import PlanarField
-
-_RESTARTS = 64  # budget of wrong-half-line roots stepped past in one shot
 
 
 class StepLimitExceeded(NumericalFailure):
@@ -86,7 +86,7 @@ class Stop:
     With ``g`` unset the stop is the level ``z[component] = level``.
     Otherwise it is the zero of ``g(t, z)``.  ``direction`` selects upward
     (+1), downward (-1) or either (0) crossings.  A root whose state fails
-    ``accept`` is stepped past.
+    ``accept`` is passed over.
     """
 
     component: int | None = None
@@ -152,16 +152,14 @@ class Radau(_ScipyRadau):
         self.solve_lu = solve_lu
 
 
-def _event(stop: Stop):
-    if stop.g is None:
-        def ev(t, z, i=stop.component, c=stop.level):
-            return z[i] - c
-    else:
-        def ev(t, z, g=stop.g):
-            return g(t, z)
-    ev.terminal = True
-    ev.direction = stop.direction
-    return ev
+_SOLVERS = {"LSODA": LSODA, "RK45": RK45, "DOP853": DOP853, "Radau": Radau}
+_EPS4 = 4 * np.finfo(float).eps  # the brentq tolerance of solve_ivp's event location
+
+
+def _crossed(g: float, g_new: float, direction: int) -> bool:
+    # scipy's rule: a zero at either end of the step counts as a crossing
+    up, down = g <= 0 and g_new >= 0, g >= 0 and g_new <= 0
+    return up if direction > 0 else down if direction < 0 else up or down
 
 
 def shoot(
@@ -179,12 +177,17 @@ def shoot(
 ) -> Shot:
     """Integrate ``rhs`` forward over ``t_span`` until the first accepted stop.
 
+    Steps the ``method`` solver (LSODA, RK45, DOP853 or this module's
+    Radau) in its own loop.  The stops whose sign changed over a step, in
+    their direction, are rooted on the step's interpolant; the roots are
+    tried in time order and the first with an accepted state fires.
+
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if
     ``dense`` is set, the step count and the smallest step.  Raises
     ``EventNotBracketed`` for a start on an accepted level with zero rate,
-    ``StepSizeUnderflow`` on stiffness collapse, and ``NoArrival`` when the
-    restart budget for rejected roots runs out.
+    ``StepSizeUnderflow`` when the solver's step size collapses and
+    ``NumericalFailure`` with the solver's message on any other failure.
     """
     t_cur, t_end = float(t_span[0]), float(t_span[1])
     z_cur = np.asarray(z0, dtype=float)
@@ -199,63 +202,60 @@ def shoot(
                 z_cur = z_cur + 1e-11 * f0
                 break
 
-    events = [_event(s) for s in stops] or None
+    gs = [s.g or (lambda t, z, i=s.component, c=s.level: z[i] - c) for s in stops]
     extra = {"jac": jac} if jac is not None else {}
-    ts: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
-    parts: list[OdeSolution] = []
-    n_steps, min_step = 0, np.inf
-    solver = Radau if method == "Radau" else method
-    for _ in range(_RESTARTS):
-        sol = solve_ivp(rhs, (t_cur, t_end), z_cur, method=solver, rtol=rtol, atol=atol,
-                        max_step=max_step, dense_output=dense, events=events, **extra)
-        if sol.status == -1:
-            if "step size" in sol.message.lower():
-                raise StepSizeUnderflow(sol.message)
-            raise NumericalFailure(sol.message)
-        n_steps += len(sol.t) - 1
-        steps = np.diff(sol.t)
-        if np.any(steps > 0.0):
-            min_step = min(min_step, float(steps[steps > 0.0].min()))
-        ts.append(sol.t)
-        zs.append(sol.y)
+    solver = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
+    ts, zs, parts = [t_cur], [z_cur], []
+    g_old = [g(t_cur, z_cur) for g in gs]
+    fired = None
+    while fired is None and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise (StepSizeUnderflow if "step size" in message.lower() else NumericalFailure)(message)
+        t, z = solver.t, solver.y
+        sol = solver.dense_output() if dense else None
         if dense:
-            parts.append(sol.sol)
-        fired = None if events is None else next((k for k, te in enumerate(sol.t_events) if te.size), None)
-        t, z = float(sol.t[-1]), sol.y[:, -1]
-        if fired is not None:
-            s = stops[fired]
-            f = np.asarray(rhs(t, z), dtype=float)
-            if s.g is None and f[s.component] != 0.0 and np.isfinite(f[s.component]):
-                # the bracketed root is within a few ulp, so a first-order
-                # move of the state along rhs is exact to rounding
-                dt = -(z[s.component] - s.level) / f[s.component]
-                t, z = t + dt, z + dt * f
-                sol.t[-1], sol.y[:, -1] = t, z
-            if s.accept is not None and not s.accept(z):
-                h = max(1e-12, 1e-12 * abs(t))
-                t_cur, z_cur = t + h, z + h * f
-                continue
-        return Shot(
-            stop=fired,
-            t=float(t),
-            z=np.array(z),
-            ts=np.concatenate(ts),
-            zs=np.concatenate(zs, axis=1),
-            dense=_joined(parts) if dense else None,
-            n_steps=n_steps,
-            min_step=float(min_step) if n_steps else 0.0,
-        )
-    raise NoArrival("restart budget for rejected stop crossings exhausted")
+            parts.append(sol)
+        g_new = [g(t, z) for g in gs]
+        active = [k for k, s in enumerate(stops) if _crossed(g_old[k], g_new[k], s.direction)]
+        if active:
+            sol = solver.dense_output() if sol is None else sol
+            roots = sorted((brentq(lambda u, g=gs[k]: g(u, sol(u)), solver.t_old, t, xtol=_EPS4, rtol=_EPS4), k)
+                           for k in active)
+            for root, k in roots:
+                # like solve_ivp, a root on the last step's end adds no new segment
+                z_root = zs[-1] if dense and len(ts) > 1 and root == ts[-1] else sol(root)
+                hit = _polished(stops[k], rhs, float(root), z_root)
+                if stops[k].accept is None or stops[k].accept(hit[1]):
+                    t, z, fired = root, z_root, k
+                    break
+        g_old = g_new
+        if dense and len(ts) > 1 and t == ts[-1]:
+            parts.pop()
+        else:
+            ts.append(t)
+            zs.append(z)
+
+    ts, zs = np.array(ts), np.array(zs).T
+    out = OdeSolution(ts, parts, alt_segment=(method == "LSODA")) if dense else None
+    steps = np.diff(ts)
+    n_steps, min_step = len(ts) - 1, float(steps[steps > 0.0].min()) if np.any(steps > 0.0) else np.inf
+    if fired is not None:
+        ts[-1], zs[:, -1] = hit  # the polished hit replaces the bracketed root
+    return Shot(stop=fired, t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs, dense=out,
+                n_steps=n_steps, min_step=min_step)
 
 
-def _joined(parts: list[OdeSolution]) -> OdeSolution:
-    # the last interpolant of each part also covers the step-past gap to the
-    # next part's start
-    if len(parts) == 1:
-        return parts[0]
-    ts = np.concatenate([p.ts[:-1] for p in parts[:-1]] + [parts[-1].ts])
-    return OdeSolution(ts, [i for p in parts for i in p.interpolants])
+def _polished(stop: Stop, rhs: Callable, t: float, z: np.ndarray) -> tuple[float, np.ndarray]:
+    # one Newton step of a level stop's hit time along rhs: the bracketed
+    # root is within a few ulp, so the first-order move is exact to rounding
+    if stop.g is not None:
+        return t, z
+    f = np.asarray(rhs(t, z), dtype=float)
+    if f[stop.component] == 0.0 or not np.isfinite(f[stop.component]):
+        return t, z
+    dt = -(z[stop.component] - stop.level) / f[stop.component]
+    return t + dt, z + dt * f
 
 
 @dataclass(frozen=True)
@@ -332,12 +332,11 @@ def _strip_notes(shot: Shot, strip: float, center: float) -> list[TrajectoryEven
         turns = (minimize_scalar(lambda t: s * step(t)[1], bounds=(a, b), method="bounded").x for s in (1.0, -1.0))
         knots += sorted(turns) + [b]
     hs = np.array([h(t) for t in knots])
-    eps4 = 4 * np.finfo(float).eps
     notes = []
     for edge in (-strip, strip):
         above = hs > edge
         for k in np.nonzero(above[:-1] != above[1:])[0]:
-            te = float(brentq(lambda t: h(t) - edge, knots[k], knots[k + 1], xtol=eps4, rtol=eps4))
+            te = float(brentq(lambda t: h(t) - edge, knots[k], knots[k + 1], xtol=_EPS4, rtol=_EPS4))
             # from above the upper edge, or from below the lower one, is an entry
             kind = "enter_strip" if above[k] == (edge > 0) else "exit_strip"
             z = shot.dense(te)

@@ -261,7 +261,8 @@ def test_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
 def test_rejected_before_any_solve(monkeypatch, capsys, argv):
     # an inner degree below 2 and an unknown criterion are configuration
     # errors, found before any orbit is shot
-    monkeypatch.setattr(slidekick.integrator, "solve_ivp", _must_not_run)
+    for method in slidekick.integrator._SOLVERS:
+        monkeypatch.setitem(slidekick.integrator._SOLVERS, method, _must_not_run)
     assert main(list(argv)) == 2
     assert capsys.readouterr().err.startswith("config error:")
 

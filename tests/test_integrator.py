@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -8,18 +9,26 @@ from hypothesis import strategies as st
 
 import slidekick
 
+from slidekick import fields, inner, integrator, poincare, slow_manifold
 from slidekick.cli import _write_trajectory
-from slidekick.fields import PlanarField
+from slidekick.errors import NumericalFailure
+from slidekick.fields import FilippovSystem, PlanarField, filippov_flow, find_fold
+from slidekick.inner import distinguished_solution
 from slidekick.integrator import (
     EventNotBracketed,
     NoArrival,
     Section,
+    Shot,
+    StepSizeUnderflow,
     Trajectory,
     Stop,
     integrate,
     shoot,
 )
-from slidekick.poincare import exterior_map
+from slidekick.models import model
+from slidekick.poincare import _stage_P, exterior_map
+from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
+from slidekick.slow_manifold import strip_crossing, trace_manifold
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +112,188 @@ def test_section_edge(xplus):
     assert r.x == pytest.approx(-math.sqrt(0.5), abs=1e-10)
 
 
-def test_solve_ivp_called_only_from_integrator():
+def test_rejected_and_accepted_root_in_one_step(xplus):
+    # along y = x^2 - 0.25 the orbit meets y = 0.25 at x = -sqrt(0.5), on the
+    # wrong half-line, and then y = 0.2 at x = -sqrt(0.45), in one RK45 step;
+    # the rejected root is passed over and the later one fires
+    t_wrong, t_hit = 0.8 - math.sqrt(0.5), 0.8 - math.sqrt(0.45)
+    shot = shoot(xplus.rhs, (0.0, 10.0), [-0.8, 0.39], [Section(0.25, "x>0").stop(), Stop(1, 0.2, -1)])
+    assert shot.stop == 1
+    assert shot.ts[-2] < t_wrong < shot.t
+    assert abs(shot.z[1] - 0.2) <= 1e-12
+    assert shot.t == pytest.approx(t_hit, abs=1e-12)
+
+
+def test_rejected_roots_run_to_the_end_of_t_span():
+    # circles about (1, 0.25) cross y = 0.25 only at x = 0.5 and x = 1.5:
+    # about 95 rejected roots by t = 300, and the shot runs to its end
+    centre = PlanarField(lambda x, y: (0.25 - y, x - 1.0))
+    shot = shoot(centre.rhs, (0.0, 300.0), [1.5, 0.25], [Section(0.25, "x<0").stop()], method="DOP853",
+                 max_step=0.25, rtol=1e-12, atol=1e-14)
+    assert shot.stop is None and shot.t == 300.0
+    with pytest.raises(NoArrival, match="never reached"):
+        exterior_map(centre, (1.5, 0.25), Section(0.25, "x<0"), t_max=300.0)
+
+
+def test_step_size_collapse_is_typed():
+    # z' = z^2 from z = 1 blows up at t = 1
+    with pytest.raises(StepSizeUnderflow, match="step size"):
+        shoot(lambda t, z: [z[0] * z[0]], (0.0, 2.0), [1.0])
+
+
+def test_other_solver_failure_keeps_its_message(monkeypatch):
+    from scipy.integrate import RK45
+
+    class Failing(RK45):
+        def _step_impl(self):
+            return False, "Excess work done on this call."
+
+    monkeypatch.setitem(integrator._SOLVERS, "RK45", Failing)
+    with pytest.raises(NumericalFailure, match="Excess work") as info:
+        shoot(lambda t, z: [-z[0]], (0.0, 1.0), [1.0])
+    assert not isinstance(info.value, StepSizeUnderflow)
+
+
+def test_no_module_calls_solve_ivp():
+    # shoot steps scipy's OdeSolver itself; no module imports or calls
+    # solve_ivp (a mention in a docstring or comment is not a use)
     src = Path(slidekick.__file__).parent
-    callers = [p.name for p in src.glob("*.py") if "solve_ivp" in p.read_text(encoding="utf-8")]
-    assert callers == ["integrator.py"]
+    users = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "solve_ivp" in names:
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
+
+
+def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol=1e-10, atol=1e-12,
+                     max_step=np.inf, dense=False):
+    """``shoot`` written on ``solve_ivp``: the reference of the agreement
+    guard.  A root that ``accept`` rejected was stepped past by 1e-12 and
+    the solve restarted from there, at most 64 times."""
+    from scipy.integrate import OdeSolution, solve_ivp
+
+    t_cur, t_end = float(t_span[0]), float(t_span[1])
+    z_cur = np.asarray(z0, dtype=float)
+    for s in stops:
+        if s.g is None and abs(z_cur[s.component] - s.level) <= 1e-13:
+            f0 = np.asarray(rhs(t_cur, z_cur), dtype=float)
+            rate = f0[s.component]
+            if rate * s.direction >= 0.0:
+                if rate == 0.0 and (s.accept is None or s.accept(z_cur)):
+                    raise EventNotBracketed("start lies on a stop level with zero outgoing velocity")
+                t_cur += 1e-11
+                z_cur = z_cur + 1e-11 * f0
+                break
+
+    def event(stop):
+        if stop.g is None:
+            def ev(t, z, i=stop.component, c=stop.level):
+                return z[i] - c
+        else:
+            def ev(t, z, g=stop.g):
+                return g(t, z)
+        ev.terminal = True
+        ev.direction = stop.direction
+        return ev
+
+    events = [event(s) for s in stops] or None
+    extra = {"jac": jac} if jac is not None else {}
+    ts, zs, parts = [], [], []
+    n_steps, min_step = 0, np.inf
+    solver = integrator.Radau if method == "Radau" else method
+    for _ in range(64):
+        sol = solve_ivp(rhs, (t_cur, t_end), z_cur, method=solver, rtol=rtol, atol=atol,
+                        max_step=max_step, dense_output=dense, events=events, **extra)
+        if sol.status == -1:
+            if "step size" in sol.message.lower():
+                raise StepSizeUnderflow(sol.message)
+            raise NumericalFailure(sol.message)
+        n_steps += len(sol.t) - 1
+        steps = np.diff(sol.t)
+        if np.any(steps > 0.0):
+            min_step = min(min_step, float(steps[steps > 0.0].min()))
+        ts.append(sol.t)
+        zs.append(sol.y)
+        if dense:
+            parts.append(sol.sol)
+        fired = None if events is None else next((k for k, te in enumerate(sol.t_events) if te.size), None)
+        t, z = float(sol.t[-1]), sol.y[:, -1]
+        if fired is not None:
+            s = stops[fired]
+            f = np.asarray(rhs(t, z), dtype=float)
+            if s.g is None and f[s.component] != 0.0 and np.isfinite(f[s.component]):
+                dt = -(z[s.component] - s.level) / f[s.component]
+                t, z = t + dt, z + dt * f
+                sol.t[-1], sol.y[:, -1] = t, z
+            if s.accept is not None and not s.accept(z):
+                h = max(1e-12, 1e-12 * abs(t))
+                t_cur, z_cur = t + h, z + h * f
+                continue
+        if len(parts) > 1:
+            joined = OdeSolution(np.concatenate([p.ts[:-1] for p in parts[:-1]] + [parts[-1].ts]),
+                                 [i for p in parts for i in p.interpolants])
+        else:
+            joined = parts[0] if dense else None
+        return Shot(stop=fired, t=float(t), z=np.array(z), ts=np.concatenate(ts),
+                    zs=np.concatenate(zs, axis=1), dense=joined, n_steps=n_steps,
+                    min_step=float(min_step) if n_steps else 0.0)
+    raise NoArrival("restart budget for rejected stop crossings exhausted")
+
+
+def _probe_shots(monkeypatch):
+    """Every shoot call (arguments and result) of the agreement probe set."""
+    calls = []
+
+    def record(*args, **kwargs):
+        shot = shoot(*args, **kwargs)
+        calls.append((args, kwargs, shot))
+        return shot
+
+    for mod in (fields, inner, poincare, slow_manifold):
+        monkeypatch.setattr(mod, "shoot", record)
+    nf = model("normal-fold")
+    for profile, eps in ((phi_polynomial(2), 1e-3), (phi_polynomial(2), 1e-4), (phi_linear(), 1e-4)):
+        strip_crossing(RegularizedSystem(nf.system, profile, eps), -0.75, x_limit=0.4)
+    for x in (-0.8, -0.5001):  # the second flies over the strip: the dip stop fires
+        _stage_P(nf.system.x_plus, x, 0.25, 1e-3)
+    coulomb = model("coulomb")
+    fold = find_fold(coulomb.system, coulomb.fold_bracket)
+    exterior_map(coulomb.system.x_plus, (fold.x - 0.3, 0.25), Section(0.25, "x>0", edge=fold.x),
+                 floor_margin=5e-4)
+    filippov_flow(FilippovSystem(nf.system.x_plus, nf.system.x_minus), (-0.5, 0.25),
+                  Section(0.25, "x>0"))
+    trace_manifold(RegularizedSystem(nf.system, phi_polynomial(2), 1e-3), -1.0, 1.0)
+    distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)
+    monkeypatch.undo()
+    return calls
+
+
+def test_shoot_matches_solve_ivp_bitwise(monkeypatch):
+    # the stepping loop reproduces solve_ivp's steps, event roots, polish and
+    # dense output digit for digit on orbits without a rejected root
+    calls = _probe_shots(monkeypatch)
+    seen = {(kw.get("method", "RK45"), s.stop, kw.get("dense", False)) for _a, kw, s in calls}
+    assert {("LSODA", 0, False), ("DOP853", 1, True), ("RK45", 1, False), ("Radau", 1, True),
+            ("LSODA", None, True)} <= seen
+    for args, kwargs, shot in calls:
+        ref = _solve_ivp_shoot(*args, **kwargs)
+        assert (shot.stop, shot.t, shot.n_steps, shot.min_step) == (ref.stop, ref.t, ref.n_steps, ref.min_step)
+        assert np.array_equal(shot.z, ref.z)
+        assert np.array_equal(shot.ts, ref.ts) and np.array_equal(shot.zs, ref.zs)
+        assert (shot.dense is None) == (ref.dense is None)
+        if ref.dense is not None:
+            # at a step time the segment chosen (alt_segment) decides the digits
+            u = np.concatenate([np.linspace(ref.ts[0], ref.ts[-1], 50), ref.ts[1:51]])
+            assert np.array_equal(shot.dense(u), ref.dense(u))
 
 
 def test_radau_steps_match_scipy_bitwise():
