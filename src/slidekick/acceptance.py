@@ -120,7 +120,7 @@ def criterion_2() -> CriterionResult:
     (1.25 times the eps^4 coefficient; the higher orders shrink the
     remainder).  The traced exits give (x1 - 2 eps + 16 eps^2)/eps^3 of
     about 317, 429 and 446, and the eps^4 remainder -13109, -19315 and
-    -20910 times eps^4.  A window of 5 eps^2 around 2 eps, as once stated,
+    -20796 times eps^4.  A window of 5 eps^2 around 2 eps, as once stated,
     excludes the true remainder 16 eps^2.
     """
     t0 = time.perf_counter()

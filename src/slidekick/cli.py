@@ -129,7 +129,7 @@ def cmd_simulate(args) -> int:
     else:
         R = RegularizedSystem(desc.system, parse_profile(args.profile), args.eps)
         traj = integrate(regularized_field(R), args.start, until,
-                         method="Radau", strip=R.epsilon, strip_center=R.offset, t_max=args.t_max)
+                         method="LSODA", strip=R.epsilon, strip_center=R.offset, t_max=args.t_max)
     _write_trajectory(args.out, traj)
     return 0
 

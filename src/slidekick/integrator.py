@@ -35,26 +35,24 @@ at rtol 1e-12, atol 1e-14 and an analytic Jacobian; its compiled steps cost
 about a tenth of scipy's Python-level Radau.  It does not run at 1e-11: there LSODA can stay in its non-stiff
 Adams mode along the whole manifold, at steps of order eps (about 13,000
 steps instead of about 650 on some linear eps = 1e-4 crossings).  The
-manifold trace and the contraction probe use Radau IIA with analytic
-Jacobians.  Both routes of the inner equation (``inner``) step with LSODA
-and analytic Jacobians: the unscaled equation and its first-order
-correction at rtol 3e-14, atol 1e-16, the normalized one at rtol 1e-12,
-atol 1e-14.
+manifold trace and the contraction probe step with LSODA at rtol 3e-14,
+atol 1e-16, the x-graph orbit equation with its analytic Jacobian.  Both
+routes of the inner equation (``inner``) step with LSODA and analytic
+Jacobians: the unscaled equation and its first-order correction at rtol
+3e-14, atol 1e-16, the normalized one at rtol 1e-12, atol 1e-14.  scipy's
+Radau IIA is selectable as ``method="Radau"`` for tight reference solves;
+no stage of the package uses it.
 
 :func:`integrate` builds annotated trajectories on top of :func:`shoot`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import DOP853, LSODA, RK45, OdeSolution
-from scipy.integrate import Radau as _ScipyRadau
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.integrate import DOP853, LSODA, RK45, OdeSolution, Radau
 from scipy.optimize import brentq, minimize_scalar
 
 from slidekick.errors import NumericalFailure
@@ -110,48 +108,6 @@ class Shot:
     min_step: float
 
 
-# real and complex getrf/getrs, keyed by dtype character
-_GETRF = {k: get_lapack_funcs(("getrf",), (np.zeros(1, dtype=k),))[0] for k in "dD"}
-_GETRS = {k: get_lapack_funcs(("getrs",), (np.zeros(1, dtype=k),))[0] for k in "dD"}
-
-
-class Radau(_ScipyRadau):
-    """scipy's Radau IIA with its dense LU calls made straight to LAPACK.
-
-    ``lu_factor`` and ``lu_solve`` spend more time on argument checks and
-    batch dispatch than on the 1x1 and 2x2 systems of the strip and inner
-    equations.  The same getrf/getrs routines run on the same arrays, so
-    every digit is unchanged; a non-finite array still goes through scipy's
-    checked path and raises the same ``ValueError``.  The class keeps
-    scipy's name, so solver statistics grouped by method name still read
-    "radau".
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if not isinstance(self.J, np.ndarray):
-            return  # sparse Jacobians keep scipy's splu path
-
-        def lu(A):
-            self.nlu += 1
-            if not np.isfinite(A).all():
-                return lu_factor(A, overwrite_a=True)
-            lu_, piv, info = _GETRF[A.dtype.char](A, overwrite_a=True)
-            if info > 0:
-                warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                              LinAlgWarning, stacklevel=2)
-            return lu_, piv
-
-        def solve_lu(LU, b):
-            if not np.isfinite(b).all():
-                return lu_solve(LU, b, overwrite_b=True)
-            x, _info = _GETRS[LU[0].dtype.char](LU[0], LU[1], b, overwrite_b=True)
-            return x
-
-        self.lu = lu
-        self.solve_lu = solve_lu
-
-
 _SOLVERS = {"LSODA": LSODA, "RK45": RK45, "DOP853": DOP853, "Radau": Radau}
 _EPS4 = 4 * np.finfo(float).eps  # the brentq tolerance of solve_ivp's event location
 
@@ -177,10 +133,10 @@ def shoot(
 ) -> Shot:
     """Integrate ``rhs`` forward over ``t_span`` until the first accepted stop.
 
-    Steps the ``method`` solver (LSODA, RK45, DOP853 or this module's
-    Radau) in its own loop.  The stops whose sign changed over a step, in
-    their direction, are rooted on the step's interpolant; the roots are
-    tried in time order and the first with an accepted state fires.
+    Steps the ``method`` solver (LSODA, RK45, DOP853 or Radau) in its own
+    loop.  The stops whose sign changed over a step, in their direction,
+    are rooted on the step's interpolant; the roots are tried in time order
+    and the first with an accepted state fires.
 
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if

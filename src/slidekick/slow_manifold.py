@@ -8,7 +8,9 @@ cost independent of 1/eps along the attracting branch.  ``strip_crossing``
 steps with LSODA at rtol 1e-12, atol 1e-14, about ten times cheaper than
 scipy's Radau; at rtol 1e-11 LSODA can stay in its non-stiff Adams mode
 along the whole manifold at steps of order eps, twenty times the usual
-count.  ``trace_manifold`` and ``contraction_probe`` use Radau IIA.
+count.  ``trace_manifold`` and ``contraction_probe`` step with LSODA at
+rtol 3e-14, atol 1e-16: the linear strip exit must be right to about
+1e-13, and at rtol 1e-12 it is not.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
     def dbvals_dv(x: float, v: float) -> tuple[float, float]:
         # dominant v-derivative of the blend: the profile term; the O(eps)
         # field y-derivatives only precondition the Newton iterations of
-        # Radau and of LSODA's stiff (BDF) mode and are dropped
+        # LSODA's stiff (BDF) mode and are dropped
         y = off + eps * v
         fp = R.base.x_plus(x, y)
         fm = R.base.x_minus(x, y)
@@ -189,8 +191,8 @@ def trace_manifold(
         if to_v > 0.8 and R.profile.p >= 2:
             stops.append(Stop(0, 0.8, 1))
 
-    shot = shoot(rhs, (from_x, x_stop), [v_seed], stops, jac=jac, method="Radau",
-                 rtol=1e-11, atol=1e-13, dense=True)
+    shot = shoot(rhs, (from_x, x_stop), [v_seed], stops, jac=jac, method="LSODA",
+                 rtol=3e-14, atol=1e-16, dense=True)
     grid = np.linspace(shot.ts[0], shot.t, 1200)
     xs_all.append(grid)
     vs_all.append(shot.dense(grid)[0])
@@ -207,8 +209,8 @@ def trace_manifold(
             b1, b2 = bvals(z[0], v)
             return [eps * b1 / b2]
 
-        leg = shoot(dx_dv, (float(shot.z[0]), to_v), [shot.t], method="Radau",
-                    rtol=1e-11, atol=1e-13, dense=True)
+        leg = shoot(dx_dv, (float(shot.z[0]), to_v), [shot.t], method="LSODA",
+                    rtol=3e-14, atol=1e-16, dense=True)
         grid2 = np.linspace(leg.ts[0], leg.t, 600)
         vs_all.append(grid2)
         xs_all.append(leg.dense(grid2)[0])
@@ -289,7 +291,7 @@ def verify_sandwich(
     else:
         raise ConfigError(f"unknown sandwich kind {which!r}")
 
-    count = int(mask.sum()) if "mask" in locals() else 0
+    count = int(mask.sum())
     if count == 0:
         return SandwichReport(which, 0, 1.0, np.inf, np.inf, np.array([]), np.array([]), np.array([]))
     ok = (lower >= 0.0) & (upper >= 0.0)
@@ -329,8 +331,8 @@ def contraction_probe(
     rhs, jac = _orbit_equation(R)
     shots = []
     for x0 in x0_list:
-        shot = shoot(rhs, (x0, 0.5), [1.0], [Stop(0, 1.0, 1)], jac=jac, method="Radau",
-                     rtol=1e-11, atol=1e-13, dense=True)
+        shot = shoot(rhs, (x0, 0.5), [1.0], [Stop(0, 1.0, 1)], jac=jac, method="LSODA",
+                     rtol=3e-14, atol=1e-16, dense=True)
         if shot.stop is None:
             raise StripCrossingFailed(f"orbit from x0={x0} did not return to v=1")
         shots.append(shot)

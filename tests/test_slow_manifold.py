@@ -252,3 +252,51 @@ def test_strip_crossing_step_budget(normal_form, profile, eps, x):
     R = RegularizedSystem(normal_form, parse_profile(profile), eps)
     _x, _t, diag = strip_crossing(R, _strip_entry(x, eps), x_limit=0.4)
     assert diag["n_steps"] <= 3000
+
+
+def test_trace_and_probe_agree_with_tight_radau(normal_form, monkeypatch):
+    # the trace's and the probe's LSODA at rtol 3e-14 against the same
+    # solves on Radau at rtol 1e-13, atol 1e-15.  Measured: 8.1e-15 in the
+    # trace exits (7.7e-14 over the three profiles at eps 1e-2, 1e-3 and
+    # 1e-4), 6.3e-14 in the probe exits
+    traces = [("linear", 1e-4), ("poly(2)", 1e-3), ("poly(3)", 1e-4)]
+    probe = RegularizedSystem(normal_form, phi_polynomial(2), 1e-4)
+    starts = [-0.3, -0.2, -0.1]
+
+    def run():
+        exits = [trace_manifold(RegularizedSystem(normal_form, parse_profile(prof), eps), -1.0, 1.0).exit_x
+                 for prof, eps in traces]
+        return np.array(exits), np.array(contraction_probe(probe, starts).exit_points)
+
+    def radau_shoot(*args, **kwargs):
+        return shoot(*args, **{**kwargs, "method": "Radau", "rtol": 1e-13, "atol": 1e-15})
+
+    got_trace, got_probe = run()
+    monkeypatch.setattr("slidekick.slow_manifold.shoot", radau_shoot)
+    ref_trace, ref_probe = run()
+    assert np.max(np.abs(got_trace - ref_trace)) <= 2e-13
+    assert np.max(np.abs(got_probe - ref_probe)) <= 3e-13
+
+
+def test_trace_and_probe_step_budget(normal_form, monkeypatch):
+    # LSODA steps summed over criterion 2's traces and criterion 6's probe
+    # shots; the caps are 1.5x the counts measured at rtol 3e-14, so a slide
+    # into Adams-mode stepping shows here as a count before it shows as a
+    # timeout
+    steps = []
+
+    def counted(*args, **kwargs):
+        shot = shoot(*args, **kwargs)
+        steps.append(shot.n_steps)
+        return shot
+
+    monkeypatch.setattr("slidekick.slow_manifold.shoot", counted)
+    for eps in (1e-2, 1e-3, 1e-4):
+        trace_manifold(RegularizedSystem(normal_form, phi_linear(), eps), -1.0, 1.0)
+    assert len(steps) == 3
+    assert sum(steps) <= 1.5 * (743 + 812 + 823), steps
+    steps.clear()
+    contraction_probe(RegularizedSystem(normal_form, phi_linear(), 1e-3), [-0.1, -0.05])
+    contraction_probe(RegularizedSystem(normal_form, phi_polynomial(2), 1e-4), [-0.3, -0.2, -0.1])
+    assert len(steps) == 5
+    assert sum(steps) <= 1.5 * (362 + 247 + 1526 + 1332 + 1168), steps
