@@ -1,8 +1,12 @@
-"""Acceptance suite: one function per criterion, shared by the CLI and tests.
+"""Acceptance suite: the paper's claims as labelled criteria, shared by the
+CLI and the tests.
 
-Each criterion returns a CriterionResult with the measured quantities, the
-stated expectation and tolerance, and the wall time.  ``slidekick accept``
-exits 0 only when every criterion passes.
+Each criterion is registered once with ``@_register(label, name, expected,
+limit=...)``: its body returns only ``(ok, measured)``, and the wrapper times
+it and builds the CriterionResult.  ``CRITERIA`` holds the registered
+``(label, run)`` pairs in table order ("1" ... "11", with "7a" and "7b");
+``run_all`` selects by label, and ``slidekick accept`` exits 0 only when
+every criterion it ran passes, within its wall-time limit.
 
 Two criteria are stated at the constants that the asymptotics of the fold
 passage fixes, because a looser reading of "O(eps)" would be false for
@@ -23,6 +27,7 @@ The derivations are in the docstrings of the two criteria.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -56,7 +61,7 @@ SANDWICH_MARGIN = 0.5  # frozen K = (1/p)(1 + margin) for criterion 5
 
 @dataclass
 class CriterionResult:
-    number: int
+    label: str
     name: str
     ok: bool  # the measured quantities meet the expectation
     measured: str
@@ -74,14 +79,33 @@ class CriterionResult:
 
     def line(self) -> str:
         return (
-            f"[{self.status}] {self.number:>2}. {self.name}: measured {self.measured}; "
+            f"[{self.status}] {self.label:>2}. {self.name}: measured {self.measured}; "
             f"expected {self.expected} ({self.runtime:.1f}s / limit {self.limit:.0f}s)"
         )
 
 
-def criterion_1() -> CriterionResult:
+CRITERIA = []  # (label, run) pairs in table order, filled at import by @_register
+
+
+def _register(label: str, name: str, expected: str, *, limit: float):
+    """Register a criterion body returning ``(ok, measured)`` under ``label``;
+    the registered run times the body against ``limit`` seconds."""
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, measured = body()
+            return CriterionResult(label, name, ok, measured, expected, time.perf_counter() - t0, limit)
+
+        CRITERIA.append((label, run))
+        return run
+
+    return register
+
+
+@_register("1", "linear-profile map", "both <= 10 eps^2", limit=10.0)
+def _criterion_1():
     """Linear-profile map: P_eps constant at x0+ + alpha+ eps to O(eps^2)."""
-    t0 = time.perf_counter()
     nf = model("normal-fold", check=False)
     lin = phi_linear()
     y0 = 0.25
@@ -95,15 +119,11 @@ def criterion_1() -> CriterionResult:
         worst_err = max(worst_err, err / eps**2)
         worst_spread = max(worst_spread, spread / eps**2)
         ok = ok and err <= 10 * eps**2 and spread <= 10 * eps**2
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        1, "linear-profile map", ok,
-        f"|P-(1/2-eps)| <= {worst_err:.2f} eps^2, spread <= {worst_spread:.2f} eps^2",
-        "both <= 10 eps^2", dt, 10.0,
-    )
+    return ok, f"|P-(1/2-eps)| <= {worst_err:.2f} eps^2, spread <= {worst_spread:.2f} eps^2"
 
 
-def criterion_2() -> CriterionResult:
+@_register("2", "linear strip exit", "<= 500 eps^3 and <= 25600 eps^4", limit=5.0)
+def _criterion_2():
     """Linear strip exit: x1 = 2 eps - 16 eps^2 + 448 eps^3 + O(eps^4).
 
     On the manifold of the normal fold with the linear profile, the orbit
@@ -123,7 +143,6 @@ def criterion_2() -> CriterionResult:
     -20796 times eps^4.  A window of 5 eps^2 around 2 eps, as once stated,
     excludes the true remainder 16 eps^2.
     """
-    t0 = time.perf_counter()
     nf = model("normal-fold", check=False)
     lin = phi_linear()
     worst3 = worst4 = 0.0
@@ -134,18 +153,15 @@ def criterion_2() -> CriterionResult:
         worst3 = max(worst3, abs(rem3) / eps**3)
         worst4 = max(worst4, abs(rem3 - 448 * eps**3) / eps**4)
     ok = worst3 <= 500.0 and worst4 <= 25600.0
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        2, "linear strip exit", ok,
+    return ok, (
         f"|x1 - (2 eps - 16 eps^2)| <= {worst3:.1f} eps^3; "
-        f"|x1 - (2 eps - 16 eps^2 + 448 eps^3)| <= {worst4:.0f} eps^4",
-        "<= 500 eps^3 and <= 25600 eps^4", dt, 5.0,
-    )
+        f"|x1 - (2 eps - 16 eps^2 + 448 eps^3)| <= {worst4:.0f} eps^4")
 
 
-def criterion_3() -> CriterionResult:
+@_register("3", "exponent law",
+           "slopes p/(2p-1) +- 0.02 and 2p/(2p-1) +- 0.03, r^2 >= 0.999", limit=120.0)
+def _criterion_3():
     """Exit-abscissa and landing-deviation exponents for p = 2 and p = 3."""
-    t0 = time.perf_counter()
     nf = model("normal-fold", check=False)
     y0 = 0.25
     tc = normal_form_constants(y0)
@@ -160,17 +176,13 @@ def criterion_3() -> CriterionResult:
         ok = ok and abs(s_exit - want_exit) <= 0.02 and scan.exit_fit.r_squared >= 0.999
         ok = ok and abs(s_dev - want_dev) <= 0.03 and scan.deviation_fit.r_squared >= 0.999
         parts.append(f"p={p}: exit {s_exit:.4f} (want {want_exit:.4f}), dev {s_dev:.4f} (want {want_dev:.4f})")
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        3, "exponent law", ok,
-        "; ".join(parts), "slopes p/(2p-1) +- 0.02 and 2p/(2p-1) +- 0.03, r^2 >= 0.999",
-        dt, 120.0,
-    )
+    return ok, "; ".join(parts)
 
 
-def criterion_4() -> CriterionResult:
+@_register("4", "inner-equation prefactor",
+           "within 10% of beta+ eta0(0)^2, eta0 stable to 1e-8", limit=60.0)
+def _criterion_4():
     """Prefactor of the eps^{4/3} landing deviation against the inner constant."""
-    t0 = time.perf_counter()
     nf = model("normal-fold", check=False)
     poly2 = phi_polynomial(2)
     y0, eps = 0.25, 1e-6
@@ -182,17 +194,14 @@ def criterion_4() -> CriterionResult:
     lhs = (r.x - (tc.x0_plus + tc.alpha_plus * eps)) / eps ** (4.0 / 3.0)
     rhs = tc.beta_plus * sol.eta_at_0**2
     rel = abs(lhs - rhs) / abs(rhs)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        4, "inner-equation prefactor", rel <= 0.10 and ok_inner,
-        f"ratio deviation {100 * rel:.2f}% (eta0(0) = {sol.eta_at_0:.8f} +- {sol.estimated_error:.1e})",
-        "within 10% of beta+ eta0(0)^2, eta0 stable to 1e-8", dt, 60.0,
-    )
+    return rel <= 0.10 and ok_inner, (
+        f"ratio deviation {100 * rel:.2f}% (eta0(0) = {sol.eta_at_0:.8f} +- {sol.estimated_error:.1e})")
 
 
-def criterion_5() -> CriterionResult:
+@_register("5", "distinguished-solution sandwich",
+           f"strict sandwich with margin {SANDWICH_MARGIN}, kick < 1e-8", limit=5.0)
+def _criterion_5():
     """Normalized distinguished solution: strict sandwich and seed stability."""
-    t0 = time.perf_counter()
     ok = True
     worst_ratio = 0.0
     for p in (2, 3, 4):
@@ -211,17 +220,13 @@ def criterion_5() -> CriterionResult:
     w0 = (normalized_seed(2, -30.0) + 900.0) * (1 + 1e-6)
     kick = abs(float(_integrate_normalized(2, -30.0, w_seed=w0).z[0]) - base)
     ok = ok and kick < 1e-8
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        5, "distinguished-solution sandwich", ok,
-        f"max |w|/bound = {worst_ratio:.3f}, seed kick {kick:.2e}",
-        f"strict sandwich with margin {SANDWICH_MARGIN}, kick < 1e-8", dt, 5.0,
-    )
+    return ok, f"max |w|/bound = {worst_ratio:.3f}, seed kick {kick:.2e}"
 
 
-def criterion_6() -> CriterionResult:
+@_register("6", "exponential attraction",
+           "sep within e^{-(x-x0)/2eps} (1e-10 floor); spread <= 1e-8", limit=30.0)
+def _criterion_6():
     """Exponential attraction: linear pair bound and p=2 landing coincidence."""
-    t0 = time.perf_counter()
     nf = model("normal-fold", check=False)
     eps_lin = 1e-3
     R1 = RegularizedSystem(nf.system, phi_linear(), eps_lin)
@@ -238,32 +243,27 @@ def criterion_6() -> CriterionResult:
     rep2 = contraction_probe(R2, starts)
     spread = max(rep2.exit_points) - min(rep2.exit_points)
     ok_p2 = spread <= 1e-8
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        6, "exponential attraction", ok_lin and ok_p2,
-        f"linear sep(0) = {sep_end:.2e} (bound {max(bound, 1e-10):.2e}); p=2 exit spread {spread:.2e}",
-        "sep within e^{-(x-x0)/2eps} (1e-10 floor); spread <= 1e-8", dt, 30.0,
-    )
+    return ok_lin and ok_p2, (
+        f"linear sep(0) = {sep_end:.2e} (bound {max(bound, 1e-10):.2e}); p=2 exit spread {spread:.2e}")
 
 
-def criterion_7a() -> CriterionResult:
+@_register("7a", "grazing-sliding (attracting)",
+           "branch spans mu in [-D eps, 2 D eps] without gap", limit=60.0)
+def _criterion_7a():
     """Grazing-sliding, attracting germ: unbroken branch over [-D eps, 2 D eps]."""
-    t0 = time.perf_counter()
     desc = model("grazing-family", variant="attracting", check=False)
     eps = 1e-3
     delta = desc.facts["delta"]
     grid = np.linspace(-delta * eps, 2 * delta * eps, 13)
     diag = grazing_sliding_scan(desc, phi_linear(), eps, grid)
     present = diag.present()
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        7, "grazing-sliding (attracting)", bool(present.all()),
-        f"fixed point at {int(present.sum())}/{len(present)} grid values",
-        "branch spans mu in [-D eps, 2 D eps] without gap", dt, 60.0,
-    )
+    return bool(present.all()), f"fixed point at {int(present.sum())}/{len(present)} grid values"
 
 
-def criterion_7b() -> CriterionResult:
+@_register("7b", "grazing-sliding (repelling)",
+           "none at +-0.5|D|eps, attracting/repelling pair at +1.5|D|eps, "
+           "|mu_SN/(|D|eps) - 1| <= 0.02", limit=60.0)
+def _criterion_7b():
     """Grazing-sliding, repelling germ: saddle-node at mu = |Delta| eps.
 
     For the affine germ the cross map G is flat to O(eps^2) left of the
@@ -277,7 +277,6 @@ def criterion_7b() -> CriterionResult:
     last two probes is bisected to 1e-3 |Delta| eps on one shared cache of
     G, and the saddle-node must lie within 2% of |Delta| eps.
     """
-    t0 = time.perf_counter()
     desc = model("grazing-family", variant="repelling", check=False)
     eps = 1e-3
     unit = abs(desc.facts["delta"]) * eps
@@ -287,21 +286,16 @@ def criterion_7b() -> CriterionResult:
     pair = sorted(f.stability for f in above.fixed_points) == ["attracting", "repelling"]
     ratio = diag.collision_mu / unit if diag.collision_mu is not None else float("nan")
     ok = absent and pair and abs(ratio - 1.0) <= 0.02
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        7, "grazing-sliding (repelling)", ok,
+    return ok, (
         f"fixed points at -0.5/+0.5/+1.5 |D|eps: {len(minus.fixed_points)}/"
         f"{len(plus.fixed_points)}/{len(above.fixed_points)} "
-        f"({'/'.join(f.stability for f in above.fixed_points)}); mu_SN = {ratio:.4f} |D|eps",
-        "none at +-0.5|D|eps, attracting/repelling pair at +1.5|D|eps, "
-        "|mu_SN/(|D|eps) - 1| <= 0.02",
-        dt, 60.0,
-    )
+        f"({'/'.join(f.stability for f in above.fixed_points)}); mu_SN = {ratio:.4f} |D|eps")
 
 
-def criterion_8() -> CriterionResult:
+@_register("8", "Coulomb semistability",
+           "fixed to 1e-9; increasing to within 1e-6; identity to 1e-8", limit=60.0)
+def _criterion_8():
     """Coulomb semistability: tangent orbit fixed, exterior funnel, interior identity."""
-    t0 = time.perf_counter()
     desc = model("coulomb", check=False)
     rep = centre_semistability(desc, phi_polynomial(2), 1e-3, y0=0.25, max_iter=1500)
     ok = (
@@ -310,18 +304,14 @@ def criterion_8() -> CriterionResult:
         and all(g <= 1e-6 for g in rep.exterior_final_gaps)
         and all(r <= 1e-8 for r in rep.interior_residuals)
     )
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        8, "Coulomb semistability", ok,
+    return ok, (
         f"tangent {rep.tangent_residual:.1e}; exterior gaps <= {max(rep.exterior_final_gaps):.1e} "
-        f"(monotone: {rep.exterior_monotone}); interior <= {max(rep.interior_residuals):.1e}",
-        "fixed to 1e-9; increasing to within 1e-6; identity to 1e-8", dt, 60.0,
-    )
+        f"(monotone: {rep.exterior_monotone}); interior <= {max(rep.interior_residuals):.1e}")
 
 
-def criterion_9() -> CriterionResult:
+@_register("9", "Stribeck attractor", "unique attracting fixed point, Hausdorff <= 5 eps", limit=60.0)
+def _criterion_9():
     """Stribeck attractor: unique fixed point, upper arc 5 eps-close to the cycle."""
-    t0 = time.perf_counter()
     desc = model("stribeck", check=False)
     parts = []
     ok = True
@@ -330,16 +320,13 @@ def criterion_9() -> CriterionResult:
         ok = ok and res.n_fixed_points == 1 and res.stability == "attracting"
         ok = ok and res.hausdorff_upper <= 5 * eps
         parts.append(f"eps={eps:g}: d_H={res.hausdorff_upper:.2e} (5eps={5 * eps:.0e}), n={res.n_fixed_points}")
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        9, "Stribeck attractor", ok,
-        "; ".join(parts), "unique attracting fixed point, Hausdorff <= 5 eps", dt, 60.0,
-    )
+    return ok, "; ".join(parts)
 
 
-def criterion_10() -> CriterionResult:
+@_register("10", "homoclinic bifurcation", "present/present/absent and |mu~* + alpha+| <= 0.2",
+           limit=120.0)
+def _criterion_10():
     """Sliding homoclinic: presence window and the bisected homoclinic parameter."""
-    t0 = time.perf_counter()
     eps = 1e-3
     lin = phi_linear()
 
@@ -356,18 +343,14 @@ def criterion_10() -> CriterionResult:
     mt_half = scan_half.mu_tilde_star
     dev_half = abs(mt_half + scan_half.alpha_plus) if mt_half is not None else float("inf")
     ok = e0 and e05 and (not e15) and dev <= 0.2 and dev_half <= 0.2
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        10, "homoclinic bifurcation", ok,
+    return ok, (
         f"exists at mu~ in (0, -a+/2): ({e0}, {e05}); absent at -1.5a+: {not e15}; "
-        f"|mu~* + a+| = {dev:.3f} (half-eps: {dev_half:.3f}, C = {dev / eps:.0f})",
-        "present/present/absent and |mu~* + alpha+| <= 0.2", dt, 120.0,
-    )
+        f"|mu~* + a+| = {dev:.3f} (half-eps: {dev_half:.3f}, C = {dev / eps:.0f})")
 
 
-def criterion_11() -> CriterionResult:
+@_register("11", "expansion residuals", "same C across eps (ratio within factor 2)", limit=5.0)
+def _criterion_11():
     """Invariance-equation residual of n0 + eps n1 is O(eps^2) with one constant."""
-    t0 = time.perf_counter()
     poly2 = phi_polynomial(2)
     sup = {}
     for eps in (1e-3, 1e-4, 1e-5):
@@ -376,37 +359,16 @@ def criterion_11() -> CriterionResult:
     ratios = [sup[e] / e**2 for e in sup]
     spread = max(ratios) / min(ratios)
     C = max(ratios)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        11, "expansion residuals", spread < 2.0,
-        f"sup residual / eps^2 in [{min(ratios):.3f}, {max(ratios):.3f}] (C = {C:.3f})",
-        "same C across eps (ratio within factor 2)", dt, 5.0,
-    )
-
-
-ALL_CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7a,
-    criterion_7b,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-]
+    return spread < 2.0, f"sup residual / eps^2 in [{min(ratios):.3f}, {max(ratios):.3f}] (C = {C:.3f})"
 
 
 def run_all(selection=None) -> list[CriterionResult]:
-    """Run every criterion, or those named in ``selection``; an unknown
-    name is a ``ConfigError`` raised before any criterion runs."""
-    unknown = sorted(set(selection or ()) - {fn.__name__ for fn in ALL_CRITERIA})
+    """Run every criterion, or those whose labels are in ``selection``; an
+    unknown label is a ``ConfigError`` raised before any criterion runs."""
+    unknown = sorted(set(selection or ()) - {label for label, _run in CRITERIA})
     if unknown:
         raise ConfigError(f"unknown criteria: {', '.join(unknown)}")
-    return [fn() for fn in ALL_CRITERIA if not selection or fn.__name__ in selection]
+    return [run() for label, run in CRITERIA if not selection or label in selection]
 
 
 def format_table(results: list[CriterionResult]) -> str:

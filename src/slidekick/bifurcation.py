@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from slidekick.errors import NumericalFailure
-from slidekick.fields import PlanarField, filippov_flow, find_fold, sign_changes
+from slidekick.fields import PlanarField, filippov_flow, sign_changes
 from slidekick.integrator import NoArrival, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
@@ -387,7 +387,7 @@ def homoclinic_scan(
     """
     def mu_paper(mu_raw: float) -> float:
         desc = make_model(mu_raw)
-        f = find_fold(desc.system, desc.fold_bracket)
+        f = desc.fold()
         x0p = exterior_map(desc.system.x_plus, (f.x, desc.system.offset), Section(y0)).x
         x0s = _separatrix_landing(desc, y0, stable=True)
         return x0p - x0s
@@ -417,13 +417,13 @@ def homoclinic_scan(
     # that member sits at a nonzero raw shift
     raw0 = raw_for(0.0)
     anchor = make_model(raw0)
-    fold0 = find_fold(anchor.system, anchor.fold_bracket)
+    fold0 = anchor.fold()
     constants = fit_tangency_constants(anchor.system.x_plus, fold0, y0)
 
     @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
     def orbit_exists(mu_raw: float) -> tuple[bool, float | None, float | None]:
         desc = make_model(mu_raw)
-        f = find_fold(desc.system, desc.fold_bracket)
+        f = desc.fold()
         R_eps = RegularizedSystem(desc.system, profile, eps)
         x_probe = constants.x0_minus - 0.05
         landing = map_P_epsilon(R_eps, y0, x_probe, fold=f).x
@@ -513,7 +513,7 @@ def stribeck_attractor(
 ) -> StribeckResult:
     """Locate the attracting periodic orbit of the regularized Stribeck model
     and measure how far its upper arc sits from the Filippov sliding cycle."""
-    fold = find_fold(desc.system, desc.fold_bracket)
+    fold = desc.fold()
     R_eps = RegularizedSystem(desc.system, profile, eps)
 
     def pe(z: float) -> float:

@@ -128,8 +128,8 @@ def cmd_simulate(args) -> int:
         traj = filippov_flow(desc.system, args.start, until, t_max=args.t_max)
     else:
         R = RegularizedSystem(desc.system, parse_profile(args.profile), args.eps)
-        traj = integrate(regularized_field(R), args.start, until,
-                         method="LSODA", strip=R.epsilon, strip_center=R.offset, t_max=args.t_max)
+        traj = integrate(regularized_field(R), args.start, until, method="LSODA", rtol=1e-12,
+                         atol=1e-14, strip=R.epsilon, strip_center=R.offset, t_max=args.t_max)
     _write_trajectory(args.out, traj)
     return 0
 
@@ -277,10 +277,7 @@ def cmd_friction(args) -> int:
 def cmd_accept(args) -> int:
     from slidekick.acceptance import format_table, run_all
 
-    selection = None
-    if args.only:
-        selection = [f"criterion_{s.strip()}" for s in args.only.split(",")]
-    results = run_all(selection)
+    results = run_all([s.strip() for s in args.only.split(",")] if args.only else None)
     print(format_table(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -135,6 +135,13 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np
     return shot
 
 
+def _richardson(v_near: float, v_deep: float, r: float) -> tuple[float, float]:
+    """One Richardson step between two runs whose errors are in the ratio
+    r = err(deep)/err(near): the extrapolate and its distance from v_deep."""
+    v_ext = (v_deep - r * v_near) / (1.0 - r)
+    return v_ext, abs(v_ext - v_deep)
+
+
 @lru_cache(maxsize=64)
 def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> InnerSolution:
     """Integrate the inner equation from the asymptotic seed to u = 0.
@@ -163,13 +170,9 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
     # The Richardson companion only needs its endpoint
     sol1 = _integrate_unscaled(p, c_p, u_start, max_step=0.02 if p <= 3 else 0.01, dense=True)
     sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start)
-    v1 = float(sol1.z[0]) / 4.0
-    v2 = float(sol2.z[0]) / 4.0
-    r = 2.0 ** (2 - 3 * p)
-    v_ext = (v2 - r * v1) / (1.0 - r)
-
+    v_ext, err = _richardson(float(sol1.z[0]) / 4.0, float(sol2.z[0]) / 4.0, 2.0 ** (2 - 3 * p))
     return InnerSolution(p=p, c_p=c_p, eta_at_0=v_ext, u_start=u_start,
-                         estimated_error=abs(v_ext - v2), den=sol1.dense(_inner_grid(u_start))[0])
+                         estimated_error=err, den=sol1.dense(_inner_grid(u_start))[0])
 
 
 def _normalized_grid(u_start: float) -> np.ndarray:
@@ -238,12 +241,10 @@ def normalized_solution(p: int) -> NormalizedSolution:
     u_start = -30.0
     sol1 = _integrate_normalized(p, u_start, dense=True)
     sol2 = _integrate_normalized(p, 2.0 * u_start)
-    v1 = float(sol1.z[0])
-    v2 = float(sol2.z[0])
-    r = 2.0 ** (3 - 5 * p)  # the seed keeps three terms, remainder O(ubar^{3-5p})
-    v_ext = (v2 - r * v1) / (1.0 - r)
+    # the seed keeps three terms, remainder O(ubar^{3-5p})
+    v_ext, err = _richardson(float(sol1.z[0]), float(sol2.z[0]), 2.0 ** (3 - 5 * p))
     return NormalizedSolution(p=p, w=sol1.dense(_normalized_grid(u_start))[0], etabar_at_0=v_ext,
-                              u_start=u_start, estimated_error=abs(v_ext - v2))
+                              u_start=u_start, estimated_error=err)
 
 
 def eta_at_zero_via_normalization(p: int, c_p: float) -> float:
@@ -321,9 +322,7 @@ def omega0(u_end: float = 60.0) -> float:
     w0 = float(_integrate_normalized(2, -30.0).z[0])  # deviation at ubar = 0: equals etabar0(0)
     # etabar = w - ubar^2 along the whole forward run: the deviation variable
     # integrates d(etabar + u^2), so etabar(u_end) = w(u_end) - u_end^2
-    values = []
-    for end in (u_end, 2.0 * u_end):
-        w_end = float(_integrate_normalized(2, 0.0, end, w0).z[0])
-        values.append(w_end - end * end + 1.0 / end)
+    values = [float(_integrate_normalized(2, 0.0, end, w0).z[0]) - end * end + 1.0 / end
+              for end in (u_end, 2.0 * u_end)]
     # the second pass doubles the endpoint; the O(u^-3) tail shrinks 8x
-    return values[1] + (values[1] - values[0]) / 7.0
+    return _richardson(*values, 0.125)[0]

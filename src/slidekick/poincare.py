@@ -142,9 +142,8 @@ def map_P_epsilon(
     Orbits whose X+ arc stays above the strip never feel the regularization;
     they are returned with the ``out_of_domain`` flag set and the pure-X+
     landing (P_eps = P0 trivially there).  The flags record the strip entry
-    and exit abscissae and the stage times for diagnostics.  The strip
-    crossing gives up 0.4 right of the fold.  A section at or below the
-    strip top is a ``ConfigError``.
+    and exit abscissae.  The strip crossing gives up 0.4 right of the fold.
+    A section at or below the strip top is a ``ConfigError``.
     """
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
@@ -157,20 +156,14 @@ def map_P_epsilon(
         x_out = exterior_map(R.base.x_plus, (x, y0), Section(y0)).x
         return PoincareResult(x=x_out, time=float("nan"), flags={"out_of_domain": True})
     t_in, x_in = entry
-    x_exit, t_mid, diag = strip_crossing(R, x_in, x_limit=fx + 0.4)
+    x_exit, t_mid, _diag = strip_crossing(R, x_in, x_limit=fx + 0.4)
     # stage Pbar: from below the section the first crossing is upward
     up = exterior_map(R.base.x_plus, (x_exit, y_strip), Section(y0))
 
     return PoincareResult(
         x=up.x,
         time=t_in + t_mid + up.time,
-        flags={
-            "out_of_domain": False,
-            "x_in": x_in,
-            "x_exit": x_exit,
-            "v_min": diag["v_min"],
-            "t_stages": (t_in, t_mid, up.time),
-        },
+        flags={"out_of_domain": False, "x_in": x_in, "x_exit": x_exit},
     )
 
 

@@ -365,8 +365,8 @@ def strip_crossing(
 ) -> tuple[float, float, dict]:
     """Cross the strip from (x_enter, v=1) back to v=1: the middle map.
 
-    Returns (x_exit, transit_time, diagnostics).  Time is recovered by the
-    quadrature dt/dx = 1/B1 alongside the orbit equation.  Raises
+    Returns (x_exit, transit_time, {"n_steps": steps}).  Time is recovered
+    by the quadrature dt/dx = 1/B1 alongside the orbit equation.  Raises
     ``StripCrossingFailed`` if the orbit leaves through the bottom or never
     returns (which cannot happen for entries left of the tangency while the
     lower field pushes up).
@@ -378,5 +378,4 @@ def strip_crossing(
         raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
     if shot.stop is None:
         raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
-    v_min = float(np.min(shot.zs[0]))
-    return shot.t, float(shot.z[1]), {"v_min": v_min, "n_steps": len(shot.ts)}
+    return shot.t, float(shot.z[1]), {"n_steps": shot.n_steps}

@@ -1,6 +1,9 @@
+from typing import NamedTuple
+
 import pytest
 
 from slidekick.fields import FilippovSystem, PlanarField
+from slidekick.integrator import Shot, shoot
 from slidekick.regularization import phi_linear, phi_polynomial
 
 
@@ -24,3 +27,28 @@ def poly2():
 @pytest.fixture(scope="session")
 def poly3():
     return phi_polynomial(3)
+
+
+class ShootCall(NamedTuple):
+    args: tuple
+    kwargs: dict
+    shot: Shot
+
+
+@pytest.fixture
+def shoot_calls(monkeypatch):
+    """``shoot_calls(*modules)`` records every ``shoot`` call that the given
+    modules make, in call order, into the one list it returns."""
+    calls = []
+
+    def record(*args, **kwargs):
+        shot = shoot(*args, **kwargs)
+        calls.append(ShootCall(args, kwargs, shot))
+        return shot
+
+    def spy(*modules):
+        for mod in modules:
+            monkeypatch.setattr(mod, "shoot", record)
+        return calls
+
+    return spy

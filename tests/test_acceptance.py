@@ -1,8 +1,8 @@
 """Acceptance criteria, one test each, at their stated tolerances.
 
 Two criteria are stated at the constants that the fold-passage asymptotics
-fixes (derivations in the docstrings of ``acceptance.criterion_2`` and
-``acceptance.criterion_7b``):
+fixes (derivations in the docstrings of criteria 2 and 7b in
+``slidekick.acceptance``):
 
 * criterion 2: the invariant-manifold series gives the linear strip exit
   x1 = 2 eps - 16 eps^2 + 448 eps^3 - 20480 eps^4 + ..., so the test asks
@@ -17,59 +17,62 @@ fixes (derivations in the docstrings of ``acceptance.criterion_2`` and
   saddle-node within 2% of |Delta| eps.
 """
 
-import pytest
+import re
 
 from slidekick import acceptance
+from slidekick.cli import main
+
+_RUN = dict(acceptance.CRITERIA)
 
 
-def _check(fn):
-    res = fn()
+def _check(label):
+    res = _RUN[label]()
     print(res.line())
     assert res.passed, res.line()
 
 
 def test_criterion_01_linear_profile_map():
-    _check(acceptance.criterion_1)
+    _check("1")
 
 
 def test_criterion_02_linear_strip_exit():
-    _check(acceptance.criterion_2)
+    _check("2")
 
 
 def test_criterion_03_exponent_law():
-    _check(acceptance.criterion_3)
+    _check("3")
 
 
 def test_criterion_04_inner_prefactor():
-    _check(acceptance.criterion_4)
+    _check("4")
 
 
 def test_criterion_05_distinguished_solution():
-    _check(acceptance.criterion_5)
+    _check("5")
 
 
 def test_criterion_06_exponential_attraction():
-    _check(acceptance.criterion_6)
+    _check("6")
 
 
 def test_criterion_07a_grazing_attracting():
-    _check(acceptance.criterion_7a)
+    _check("7a")
 
 
 def test_criterion_07b_grazing_repelling():
-    _check(acceptance.criterion_7b)
+    _check("7b")
 
 
 def test_criterion_08_coulomb_semistability():
-    _check(acceptance.criterion_8)
+    _check("8")
 
 
 def test_criterion_09_stribeck_attractor():
-    _check(acceptance.criterion_9)
+    _check("9")
 
 
 def test_criterion_10_homoclinic():
-    _check(acceptance.criterion_10)
+    _check("10")
 
 
 def test_criterion_10_reads_a_zero_root_as_found(monkeypatch):
@@ -83,18 +86,30 @@ def test_criterion_10_reads_a_zero_root_as_found(monkeypatch):
         return HomoclinicScan(eps, probes, 1.0 if bisect else None, -1.0, None)
 
     monkeypatch.setattr(acceptance, "homoclinic_scan", scan)
-    res = acceptance.criterion_10()
+    res = _RUN["10"]()
     assert "half-eps: 0.100" in res.measured
     assert res.passed, res.line()
 
 
 def test_criterion_11_expansion_residuals():
-    _check(acceptance.criterion_11)
+    _check("11")
 
 
 def test_over_limit_result_fails():
     # met expectations past the wall-time limit still fail the criterion
-    res = acceptance.CriterionResult(1, "demo", True, "m", "e", runtime=10.5, limit=10.0)
+    res = acceptance.CriterionResult("1", "demo", True, "m", "e", runtime=10.5, limit=10.0)
     assert not res.passed
     assert res.line().startswith("[FAIL]")
-    assert acceptance.CriterionResult(1, "demo", True, "m", "e", runtime=9.5, limit=10.0).passed
+    assert acceptance.CriterionResult("1", "demo", True, "m", "e", runtime=9.5, limit=10.0).passed
+
+
+def test_accept_rows_carry_unique_tested_labels(capsys):
+    # one row per criterion under its own label: 7a and 7b no longer both print as " 7."
+    assert main(["accept", "--only", "7b"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2 and rows[1] == "1/1 criteria passed"
+    assert rows[0].startswith("[PASS] 7b. grazing-sliding (repelling): measured ")
+    labels = [label for label, _run in acceptance.CRITERIA]
+    assert len(set(labels)) == len(labels) == 12
+    tested = {m.group(1) for m in map(re.compile(r"test_criterion_0*(\d+[ab]?)_").match, globals()) if m}
+    assert set(labels) <= tested

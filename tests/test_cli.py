@@ -106,6 +106,17 @@ def test_simulate_csv_strip_events():
     assert all(y == pytest.approx(1e-3, abs=1e-12) for _, _, y in strip)
 
 
+def test_simulate_eps_end_time_matches_tight_radau():
+    # the regularized orbit steps with LSODA at rtol 1e-12, atol 1e-14, the
+    # strip crossing's setting; 1.8399990058790427 is the end time of the
+    # same orbit on Radau at rtol 1e-13, atol 1e-15 (measured 6.8e-11 off;
+    # at integrate's default rtol 1e-10 LSODA was 4.5e-9 off)
+    code, text = run_cli("simulate", "--model", "normal-fold", "--eps", "1e-3",
+                         "--start=-0.8,0.1", "--until-y", "0.25")
+    assert code == 0
+    assert abs(float(text.splitlines()[-1].split(",")[0]) - 1.8399990058790427) <= 2e-10
+
+
 def test_simulate_csv_to_stdout():
     code, text = run_cli(
         "simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25",

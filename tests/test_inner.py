@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slidekick import inner
 from slidekick.inner import (
     InnerSolution,
     SeedInconsistent,
@@ -216,27 +217,22 @@ def test_eta1_zero_forcing_decays():
     assert rep.r_squared == 0.0
 
 
-def test_inner_step_budget(monkeypatch):
+def test_inner_step_budget(shoot_calls):
     # LSODA steps per call, summed over its shots; the caps are 1.5x the
     # counts measured at rtol 3e-14, so a slide into Adams-mode stepping
     # shows here as a count before it shows as a timeout
-    steps = []
-
-    def counted(*args, **kwargs):
-        shot = shoot(*args, **kwargs)
-        steps.append(shot.n_steps)
-        return shot
-
-    monkeypatch.setattr("slidekick.inner.shoot", counted)
+    calls = shoot_calls(inner)
     for p, measured in [(2, 3626), (3, 4155), (4, 6177)]:
-        steps.clear()
+        calls.clear()
         distinguished_solution.__wrapped__(p, phi_polynomial(p).c_p)
+        steps = [c.shot.n_steps for c in calls]
         assert len(steps) == 2
         assert sum(steps) <= 1.5 * measured, (p, steps)
     for p, measured in [(2, 1879), (3, 2610)]:
         prof = phi_polynomial(p)
-        steps.clear()
+        calls.clear()
         eta1_check(p, prof.c_p, prof.deriv(1.0, p + 1) / math.factorial(p + 1))
+        steps = [c.shot.n_steps for c in calls]
         assert len(steps) == 1
         assert sum(steps) <= 1.5 * measured, (p, steps)
 

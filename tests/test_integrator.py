@@ -263,17 +263,9 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
     raise NoArrival("restart budget for rejected stop crossings exhausted")
 
 
-def _probe_shots(monkeypatch):
+def _probe_shots(shoot_calls):
     """Every shoot call (arguments and result) of the agreement probe set."""
-    calls = []
-
-    def record(*args, **kwargs):
-        shot = shoot(*args, **kwargs)
-        calls.append((args, kwargs, shot))
-        return shot
-
-    for mod in (fields, inner, poincare, slow_manifold):
-        monkeypatch.setattr(mod, "shoot", record)
+    calls = shoot_calls(fields, inner, poincare, slow_manifold)
     nf = model("normal-fold")
     for profile, eps in ((phi_polynomial(2), 1e-3), (phi_polynomial(2), 1e-4), (phi_linear(), 1e-4)):
         strip_crossing(RegularizedSystem(nf.system, profile, eps), -0.75, x_limit=0.4)
@@ -287,14 +279,13 @@ def _probe_shots(monkeypatch):
                   Section(0.25, "x>0"))
     trace_manifold(RegularizedSystem(nf.system, phi_polynomial(2), 1e-3), -1.0, 1.0)
     distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)
-    monkeypatch.undo()
     return calls
 
 
-def test_shoot_matches_solve_ivp_bitwise(monkeypatch):
+def test_shoot_matches_solve_ivp_bitwise(shoot_calls):
     # the stepping loop reproduces solve_ivp's steps, event roots, polish and
     # dense output digit for digit on orbits without a rejected root
-    calls = _probe_shots(monkeypatch)
+    calls = _probe_shots(shoot_calls)
     seen = {(kw.get("method", "RK45"), s.stop, kw.get("dense", False)) for _a, kw, s in calls}
     assert {("LSODA", 0, False), ("DOP853", 1, True), ("RK45", 1, False), ("LSODA", 1, True),
             ("LSODA", None, True)} <= seen

@@ -184,19 +184,6 @@ def test_exterior_map_no_arrival():
 _GRID = [(dx * 0.04, dy * 0.04) for dx in (-1.0, -0.5, 0.0, 0.5, 1.0) for dy in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
-def _shoot_spy(monkeypatch):
-    """Record every shot of the poincare module's ``shoot``."""
-    shots = []
-
-    def spy(*args, **kwargs):
-        shot = shoot(*args, **kwargs)
-        shots.append(shot)
-        return shot
-
-    monkeypatch.setattr(poincare, "shoot", spy)
-    return shots
-
-
 @pytest.mark.parametrize("model_id, params", [
     ("saddle-homoclinic", {"nu": 0.15}), ("stribeck", {}), ("coulomb", {}),
 ], ids=["saddle-homoclinic", "stribeck", "coulomb"])
@@ -214,16 +201,17 @@ def test_exterior_landings_agree_with_tight_dop853(model_id, params):
             assert abs(exterior_map(field, start, Section(0.25)).x - ref.z[0]) <= 5e-12
 
 
-def test_stage_P_near_grazing_matches_closed_form(monkeypatch, nf):
+def test_stage_P_near_grazing_matches_closed_form(shoot_calls, nf):
     # y - x^2 is constant along X+ = (1, 2x), so the entry is
     # -sqrt(x^2 + y_strip - y0); starts close to the grazing one dip below
     # the strip within one step, which the dip stop and the dense output catch
     y0, y_strip = 0.25, 1e-3
-    shots = _shoot_spy(monkeypatch)
+    calls = shoot_calls(poincare)
     for x in np.linspace(-0.508, -0.49900005, 400):
         entry = _stage_P(nf.system.x_plus, float(x), y0, y_strip)
         assert entry is not None
         assert abs(entry[1] + math.sqrt(x * x + y_strip - y0)) <= 1e-12
+    shots = [c.shot for c in calls]
     direct = sum(s.stop == 0 for s in shots)
     fallback = sum(s.stop == 1 and s.z[1] <= y_strip for s in shots)
     assert direct > 0 and fallback > 0
@@ -233,11 +221,11 @@ def test_stage_P_near_grazing_matches_closed_form(monkeypatch, nf):
 @pytest.mark.parametrize("model_id, params, budget", [
     ("saddle-homoclinic", {"nu": 0.15}, 750), ("stribeck", {}, 520),
 ], ids=["saddle-homoclinic", "stribeck"])
-def test_tangency_fit_step_budget(monkeypatch, model_id, params, budget):
+def test_tangency_fit_step_budget(shoot_calls, model_id, params, budget):
     # 1.5x the measured 501 / 348 steps of the 52 landings
     desc = model(model_id, **params)
     fold = find_fold(desc.system, desc.fold_bracket)
-    shots = _shoot_spy(monkeypatch)
+    calls = shoot_calls(poincare)
     fit_tangency_constants(desc.system.x_plus, fold, 0.25)
-    assert len(shots) == 52
-    assert sum(s.n_steps for s in shots) <= budget
+    assert len(calls) == 52
+    assert sum(c.shot.n_steps for c in calls) <= budget

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slidekick import slow_manifold
 from slidekick.integrator import Stop, shoot
 from slidekick.regularization import RegularizedSystem, parse_profile, phi_linear, phi_polynomial
 from slidekick.slow_manifold import (
@@ -278,25 +279,20 @@ def test_trace_and_probe_agree_with_tight_radau(normal_form, monkeypatch):
     assert np.max(np.abs(got_probe - ref_probe)) <= 3e-13
 
 
-def test_trace_and_probe_step_budget(normal_form, monkeypatch):
+def test_trace_and_probe_step_budget(normal_form, shoot_calls):
     # LSODA steps summed over criterion 2's traces and criterion 6's probe
     # shots; the caps are 1.5x the counts measured at rtol 3e-14, so a slide
     # into Adams-mode stepping shows here as a count before it shows as a
     # timeout
-    steps = []
-
-    def counted(*args, **kwargs):
-        shot = shoot(*args, **kwargs)
-        steps.append(shot.n_steps)
-        return shot
-
-    monkeypatch.setattr("slidekick.slow_manifold.shoot", counted)
+    calls = shoot_calls(slow_manifold)
     for eps in (1e-2, 1e-3, 1e-4):
         trace_manifold(RegularizedSystem(normal_form, phi_linear(), eps), -1.0, 1.0)
+    steps = [c.shot.n_steps for c in calls]
     assert len(steps) == 3
     assert sum(steps) <= 1.5 * (743 + 812 + 823), steps
-    steps.clear()
+    calls.clear()
     contraction_probe(RegularizedSystem(normal_form, phi_linear(), 1e-3), [-0.1, -0.05])
     contraction_probe(RegularizedSystem(normal_form, phi_polynomial(2), 1e-4), [-0.3, -0.2, -0.1])
+    steps = [c.shot.n_steps for c in calls]
     assert len(steps) == 5
     assert sum(steps) <= 1.5 * (362 + 247 + 1526 + 1332 + 1168), steps
