@@ -2,9 +2,9 @@
 
 The return map R = P^e o P_eps is a strong contraction on the flattened
 interval (its Lipschitz constant scales like a positive power of eps), so
-fixed points are found by direct iteration with a bisection fallback on
-R(x) - x.  Scans over the family parameter reproduce the grazing-sliding
-dichotomy, the centre/semistable case and the sliding-homoclinic loop.
+fixed points are found by direct iteration, the Stribeck one certified
+unique on sampled slopes.  Scans over the family parameter reproduce the
+grazing-sliding dichotomy, the centre/semistable case and the homoclinic loop.
 """
 
 from __future__ import annotations
@@ -348,21 +348,27 @@ class HomoclinicScan:
     constants: TangencyConstants
 
 
-def _separatrix_landing(desc: ModelDescriptor, y0: float, *, stable: bool) -> float:
-    """Crossing of W^{s,u}(saddle) with the outer section by shooting from
-    1e-8 off the saddle along the eigendirection."""
+def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]:
+    """Landing of W^s(saddle) on {y = level}: the first crossing of one dense
+    backward shot (``exterior_map``'s setting) down the saddle's loop-side
+    branch to its lowest point or the switching line, None if it misses."""
     w, V = saddle_eigen(desc)
     if not (w[0] > 0.0 > w[1]):
         raise SaddleNotResolved(f"eigenvalues {w} are not a saddle pair")
-    sx, sy = desc.facts["saddle"]
-    v = V[:, 1] if stable else V[:, 0]
-    # the loop-side branches of both manifolds leave the saddle with a
-    # negative x-component (down-left for W^s, up-left for W^u)
-    if v[0] > 0:
-        v = -v
-    start = (sx + 1e-8 * v[0], sy + 1e-8 * v[1])
-    fld = desc.system.x_plus.negated() if stable else desc.system.x_plus
-    return exterior_map(fld, start, Section(y0), t_max=200.0).x
+    (sx, sy), v = desc.facts["saddle"], (-V[:, 1] if V[0, 1] > 0 else V[:, 1])
+    fld = desc.system.x_plus.negated()
+    shot = shoot(fld.rhs, (0.0, 200.0), (sx + 1e-8 * v[0], sy + 1e-8 * v[1]),
+                 [Stop(1, desc.system.offset, -1), Stop(g=lambda t, z: fld(z[0], z[1])[1], direction=1)],
+                 method="DOP853", max_step=0.25, rtol=1e-12, atol=1e-14, dense=True)
+
+    def landing(level: float) -> float | None:
+        k = int(np.argmax(shot.zs[1] <= level))  # the first step end at or below the level
+        if k == 0:
+            return None
+        t = brentq(lambda t: shot.dense(t)[1] - level, shot.ts[k - 1], shot.ts[k], xtol=1e-14)
+        return float(shot.dense(t)[0])
+
+    return landing
 
 
 def homoclinic_scan(
@@ -384,12 +390,21 @@ def homoclinic_scan(
     mu_tilde = 0 and mu_tilde = 2|alpha+|, until the bracket spans at most
     1e-3 in mu_tilde by the secant slope of mu over it; mu_tilde^* is then
     mu at the bracket's midpoint, over eps.
+
+    If member 0 declares ``shifts_with_mu`` (member mu_raw is member 0 moved
+    up by mu_raw), one shot from its saddle lands W^s of every member, on
+    y0 - mu_raw; otherwise, or out of that shot's reach, members shoot their own.
     """
+    base = make_model(0.0)
+    shared = _stable_separatrix(base) if base.facts.get("shifts_with_mu") else None
+
     def mu_paper(mu_raw: float) -> float:
-        desc = make_model(mu_raw)
-        f = desc.fold()
-        x0p = exterior_map(desc.system.x_plus, (f.x, desc.system.offset), Section(y0)).x
-        x0s = _separatrix_landing(desc, y0, stable=True)
+        desc = make_model(mu_raw) if mu_raw else base
+        x0p = exterior_map(desc.system.x_plus, (desc.fold().x, desc.system.offset), Section(y0)).x
+        x0s = shared(y0 - mu_raw) if shared is not None else None
+        x0s = _stable_separatrix(desc)(y0) if x0s is None else x0s
+        if x0s is None:
+            raise NoArrival(f"W^s of member {mu_raw} never comes down to y = {y0}")
         return x0p - x0s
 
     # linearize mu_paper(mu_raw) once; each inversion is a secant iteration
@@ -504,6 +519,17 @@ def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     return float(nearest.max(initial=0.0))
 
 
+def _n_fixed_points(R: Callable[[float], float], lo: float, hi: float) -> int:
+    """1 if R maps 5 samples of I = [lo, hi] into I with every difference
+    quotient below 1 in modulus (Banach's theorem, on sampled slopes), else
+    the number of sign changes of R(x) - x on 48 points of I."""
+    xs = np.linspace(lo, hi, 5)
+    rs = np.array([R(x) for x in xs])
+    if np.all((lo <= rs) & (rs <= hi)) and np.all(np.abs(np.diff(rs) / np.diff(xs)) < 1.0):
+        return 1
+    return len(sign_changes(lambda x: R(x) - x, np.linspace(lo, hi, 48)))
+
+
 def stribeck_attractor(
     desc: ModelDescriptor,
     profile: RegularizationProfile,
@@ -512,34 +538,27 @@ def stribeck_attractor(
     y0: float = 0.25,
 ) -> StribeckResult:
     """Locate the attracting periodic orbit of the regularized Stribeck model
-    and measure how far its upper arc sits from the Filippov sliding cycle."""
+    and measure how far its upper arc sits from the Filippov sliding cycle.
+
+    The fixed point x* is shown unique by ``_n_fixed_points`` on sampled slopes:
+    evidence, not a proof, as the 48-point count it falls back to was."""
     fold = desc.fold()
     R_eps = RegularizedSystem(desc.system, profile, eps)
+    half = Section(y0, "x<0", id="half-1", edge=fold.x)
 
     def pe(z: float) -> float:
-        r = exterior_map(
-            desc.system.x_plus,
-            (z, y0),
-            Section(y0, "x<0", id="half-1", edge=fold.x),
-            floor_margin=eps / 2,
-            t_max=200.0,
-        )
-        return r.x
-
-    def G(x: float) -> float:
-        return map_P_epsilon(R_eps, y0, x, fold=fold).x
+        return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
 
     def R(x: float) -> float:
-        return pe(G(x))
+        return pe(map_P_epsilon(R_eps, y0, x, fold=fold).x)
 
     fold_pt = (fold.x, desc.system.offset)
     x0p = exterior_map(desc.system.x_plus, fold_pt, Section(y0)).x
-    gamma = pe(x0p) - exterior_map(desc.system.x_plus.negated(), fold_pt, Section(y0)).x
+    x1 = pe(x0p)  # the first return of the unstable pseudo-separatrix
+    gamma = x1 - exterior_map(desc.system.x_plus.negated(), fold_pt, Section(y0)).x
 
-    x_star = iterate_to_fixed_point(R, pe(x0p))
-    # uniqueness only needs the count of sign changes, not the polished roots
-    xs = np.linspace(x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3), 48)
-    n_fixed = len(sign_changes(lambda x: R(x) - x, xs))
+    x_star = iterate_to_fixed_point(R, x1)
+    n_fixed = _n_fixed_points(R, x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3))
 
     # upper arc of the regularized orbit: X+ from the strip exit around to the
     # next strip entry (Z_eps = X+ above the strip)

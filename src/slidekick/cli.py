@@ -277,7 +277,7 @@ def cmd_friction(args) -> int:
 def cmd_accept(args) -> int:
     from slidekick.acceptance import format_table, run_all
 
-    results = run_all([s.strip() for s in args.only.split(",")] if args.only else None)
+    results = run_all([s.strip() for s in (args.only or "").split(",") if s.strip()] or None)
     print(format_table(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -22,9 +22,9 @@ of that, the primitive handles three cases:
   level (the <= 1e-12 event contract).  A general ``g`` keeps the bracketed
   root (4 ulp in time).
 
-Each stage picks its stepper.  The exterior maps and stage P of the fold
-map use the explicit Dormand-Prince 8(5,3) pair DOP853 at rtol 1e-12, atol
-1e-14 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10).  The other
+Each stage picks its stepper.  The exterior maps, stage P of the fold map
+and the separatrix shot use the Dormand-Prince 8(5,3) pair DOP853 at rtol
+1e-12, atol 1e-14 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10).  The other
 orbits outside the switching strip (Filippov flows, the densely sampled
 Stribeck upper arc) use the default of :func:`shoot`, the explicit
 Runge-Kutta 5(4) pair.  The strip orbit equations (``slow_manifold``) are

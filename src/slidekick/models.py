@@ -246,6 +246,7 @@ def _saddle_homoclinic(mu: float = 0.0, nu: float = 0.0) -> ModelDescriptor:
         "hamiltonian_variant": nu == 0.0,
         # at nu = 0 the saddle loop dips exactly to y = mu at x = 0
         "dip_height": mu,
+        "shifts_with_mu": True,  # X+ depends on y - mu only: member 0 moved up by mu
     }
     return ModelDescriptor(
         id="saddle-homoclinic", system=system, params={"mu": mu, "nu": nu}, facts=facts,

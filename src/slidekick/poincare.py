@@ -273,7 +273,7 @@ def exterior_map(
     """Landing of the orbit of ``field`` from ``start`` on ``section_to``.
 
     This is the one section map of the package: the exterior return P^e,
-    the stage Pbar of P_eps, the fold-orbit and separatrix landings, and,
+    the stage Pbar of P_eps, the fold-orbit landings, and,
     along ``field.negated()``, every backward landing.  The Dormand-Prince
     8(5,3) pair DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10)
     runs at rtol 1e-12, atol 1e-14 with steps capped at 0.25, so a dip

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from slidekick import bifurcation
 from slidekick.bifurcation import (
     _directed_hausdorff,
+    _n_fixed_points,
     _stability,
+    _stable_separatrix,
     centre_semistability,
     grazing_sliding_scan,
     homoclinic_scan,
@@ -15,9 +18,10 @@ from slidekick.bifurcation import (
     stribeck_attractor,
 )
 from slidekick.fields import sign_changes
-from slidekick.models import model
-from slidekick.poincare import normal_form_constants
-from slidekick.regularization import phi_linear, phi_polynomial
+from slidekick.integrator import Section
+from slidekick.models import Y_TANGENT, model, saddle_eigen
+from slidekick.poincare import exterior_map, map_P_epsilon, normal_form_constants
+from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
 
 
 def test_iterate_contraction():
@@ -131,6 +135,139 @@ def test_stribeck_attractor_smoke(poly2):
     assert res.n_fixed_points == 1
     assert res.gamma < 0.0
     assert res.hausdorff_upper <= 5 * 1e-2
+
+
+def _stribeck_return_map(desc, profile, eps, y0=0.25):
+    # R = P^e o P_eps of the regularized Stribeck model, built from the maps
+    fold = desc.fold()
+    R_eps = RegularizedSystem(desc.system, profile, eps)
+    half = Section(y0, "x<0", edge=fold.x)
+
+    def R(x):
+        z = map_P_epsilon(R_eps, y0, x, fold=fold).x
+        return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
+
+    return R
+
+
+@pytest.mark.parametrize("eps, x_star", [(1e-2, 0.24418968410173014), (1e-3, 0.2320361078659357)])
+def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
+    # the contraction certificate holds, so no grid of maps is counted; a
+    # 48-point sign-change count of R(x) - x on the same interval agrees
+    desc = model("stribeck")
+    grids = []
+    monkeypatch.setattr(bifurcation, "sign_changes", lambda g, xs: grids.append(xs) or sign_changes(g, xs))
+    res = stribeck_attractor(desc, poly2, eps)
+    assert not grids
+    assert res.n_fixed_points == 1
+    # the certificate runs after the direct iteration: x* is pinned to the bit
+    assert res.fixed_point == x_star
+    R = _stribeck_return_map(desc, poly2, eps)
+    assert R(x_star) == pytest.approx(x_star, abs=1e-9)
+    xs = np.linspace(x_star - 0.25, min(x_star + 0.25, desc.fold().x - 1e-3), 48)
+    assert len(sign_changes(lambda x: R(x) - x, xs)) == res.n_fixed_points
+
+
+def test_stribeck_map_budget(poly2, monkeypatch):
+    # count guard: 2 iterations, 5 certificate samples, 2 for the stability
+    # slope and 1 for the orbit make 10 maps (53 with a 48-point grid)
+    calls = []
+    monkeypatch.setattr(bifurcation, "map_P_epsilon", lambda *a, **k: calls.append(a) or map_P_epsilon(*a, **k))
+    stribeck_attractor(model("stribeck"), poly2, 1e-2)
+    assert len(calls) <= 15
+
+
+def test_certificate_passes_on_five_samples():
+    calls = []
+    assert _n_fixed_points(lambda x: calls.append(x) or 0.5 * x + 0.25, 0.0, 1.0) == 1
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("R, n", [
+    # maps I = [0, 1] into itself with slope 1.18 at 0.5: quotients of
+    # 1.055 between the middle samples, fixed points at 0.2, 0.5 and 0.8
+    (lambda x: 0.5 + 1.18 * (x - 0.5) - 2.0 * (x - 0.5) ** 3, 3),
+    # its mirror: quotients of -1.055, one fixed point at 0.5; the test is
+    # on |q|, not on q
+    (lambda x: 0.5 - 1.18 * (x - 0.5) + 2.0 * (x - 0.5) ** 3, 1),
+    # contracts with slope 0.5 but maps 1 to 1.1, outside I: no fixed point
+    (lambda x: 0.5 * x + 0.6, 0),
+], ids=["expands", "expands-flipping", "leaves-interval"])
+def test_failed_certificate_counts_on_the_grid(R, n):
+    calls = []
+    assert _n_fixed_points(lambda x: calls.append(x) or R(x), 0.0, 1.0) == n
+    assert len(calls) == 5 + 48
+
+
+def _own_landing(desc, y0):
+    # the event-located shot from the member's own saddle along W^s
+    _w, V = saddle_eigen(desc)
+    v = -V[:, 1] if V[0, 1] > 0 else V[:, 1]
+    sx, sy = desc.facts["saddle"]
+    start = (sx + 1e-8 * v[0], sy + 1e-8 * v[1])
+    return exterior_map(desc.system.x_plus.negated(), start, Section(y0), t_max=200.0).x
+
+
+@pytest.mark.parametrize("nu", [0.15, 0.0])
+def test_shared_separatrix_lands_like_each_member(nu):
+    # member mu is member 0 moved up by mu: member 0's W^s landing on
+    # 0.25 - mu is member mu's own landing on 0.25 (2.8e-13 measured at nu = 0.15)
+    make = lambda mu: model("saddle-homoclinic", mu=mu, nu=nu, check=False)
+    shared = _stable_separatrix(make(0.0))
+    for mu in np.linspace(-0.004, 0.02, 10):
+        member = make(mu)
+        fresh = _own_landing(member, 0.25)
+        assert shared(0.25 - mu) == pytest.approx(fresh, abs=1e-12)
+        assert _stable_separatrix(member)(0.25) == pytest.approx(fresh, abs=1e-12)
+    # levels above the saddle or below the switching line are not reached
+    assert shared(0.9) is None
+    assert shared(-0.1) is None
+
+
+def _separatrix_shots(shoot_calls, monkeypatch):
+    # every shoot of bifurcation.py inside homoclinic_scan is a separatrix
+    # shot; every exterior_map call without a floor is a mu_paper landing
+    shots = shoot_calls(bifurcation)
+    landings = []
+
+    def spy(*args, **kwargs):
+        if "floor_margin" not in kwargs:
+            landings.append(args)
+        return exterior_map(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "exterior_map", spy)
+    return shots, landings
+
+
+def test_family_without_the_fact_shoots_each_member(lin, shoot_calls, monkeypatch):
+    shots, landings = _separatrix_shots(shoot_calls, monkeypatch)
+
+    def make(mu_raw):
+        desc = model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+        del desc.facts["shifts_with_mu"]
+        return desc
+
+    scan = homoclinic_scan(make, lin, 1e-3, [0.0], y0=0.25, bisect=False)
+    assert scan.probes[0].exists
+    assert len(shots) == len(landings) >= 4
+    # each from the saddle (1, 1 - Y_TANGENT + mu_raw) of a different member
+    starts = [call.args[2] for call in shots]
+    assert all(abs(x - 1.0) < 1e-7 and abs(y - (1.0 - Y_TANGENT)) < 0.2 for x, y in starts)
+    assert len({y for _x, y in starts}) == len(starts)
+
+
+def test_homoclinic_scan_shoots_one_separatrix(lin, shoot_calls, monkeypatch):
+    # count guard on the benchmark's scan shape: one shot serves every
+    # member (23 shots when each member shot its own)
+    shots, landings = _separatrix_shots(shoot_calls, monkeypatch)
+    make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+    scan = homoclinic_scan(make, lin, 5e-4, [0.0, 0.7, 4.1], y0=0.25, bisect=True)
+    assert [p.exists for p in scan.probes] == [True, True, False]
+    # each member shooting its own separatrix puts mu~* at 2.3830388620400544
+    assert scan.mu_tilde_star == pytest.approx(2.3830388620400544, abs=1e-9)
+    assert len(shots) == 1 and len(landings) >= 20
+    x, y = shots[0].args[2]
+    assert abs(x - 1.0) < 1e-7 and abs(y - (1.0 - Y_TANGENT)) < 1e-7
 
 
 def test_homoclinic_probes_and_bisection(lin):

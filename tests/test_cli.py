@@ -278,6 +278,14 @@ def test_rejected_before_any_solve(monkeypatch, capsys, argv):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_accept_only_skips_empty_items(capsys):
+    # a trailing comma leaves an empty item, skipped as the float lists skip it
+    assert main(["accept", "--only", "1,"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2 and rows[1] == "1/1 criteria passed"
+    assert rows[0].startswith("[PASS]  1. linear-profile map: ")
+
+
 def test_programming_error_propagates(monkeypatch):
     # only configuration errors and numerical failures become exit codes
     def broken(args):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidekick.regularization import (
     InvalidP,
@@ -153,3 +155,21 @@ def test_fast_field_vanishes_on_slow_manifold(normal_form, poly2):
     for x in np.linspace(-0.45, -0.05, 9):
         v = poly2.inverse((1 + 2 * x) / (1 - 2 * x))
         assert abs(zf(x, eps * v)[1]) < 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=st.integers(1, 5), v=st.floats(-1.0, 1.0), w=st.floats(-1.0, 1.0), out=st.floats(1.0, 1e3))
+def test_profile_promises(p, v, w, out):
+    # odd, monotone on [-1, 1] (to the 1e-14 rounding of a degree-9 Horner
+    # sum; 8.9e-16 is the worst drop seen on a dense grid at p = 5), C^{p-1}
+    # gluing at +-1 (rounding left: 5.7e-14 at p = 5), flat outside
+    prof = phi_linear() if p == 1 else phi_polynomial(p)
+    assert prof(-v) == -prof(v)
+    lo, hi = sorted((v, w))
+    assert prof(hi) >= prof(lo) - 1e-14
+    assert prof.deriv(v, 1) >= -1e-14
+    for k in range(1, p):
+        assert abs(prof.deriv(1.0, k)) <= 1e-12 and abs(prof.deriv(-1.0, k)) <= 1e-12
+    if out > 1.0:
+        assert prof(out) == 1.0 and prof(-out) == -1.0
+        assert all(prof.deriv(s * out, k) == 0.0 for s in (1.0, -1.0) for k in range(1, p + 3))
