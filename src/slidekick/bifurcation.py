@@ -22,7 +22,6 @@ from slidekick.fields import PlanarField, filippov_flow, sign_changes
 from slidekick.integrator import NoArrival, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
-    TangencyConstants,
     exterior_map,
     fit_tangency_constants,
     map_P_epsilon,
@@ -43,7 +42,6 @@ class SaddleNotResolved(NumericalFailure):
 class FixedPoint:
     x: float
     stability: str  # attracting | repelling | neutral
-    residual: float
 
 
 def _stability(R: Callable[[float], float], x: float, dx: float = 1e-6) -> str:
@@ -140,9 +138,8 @@ def _grazing_fixed_points(
     def accept(x_star: float) -> bool:
         if any(abs(f.x - x_star) < 1e-9 for f in found):
             return False
-        res = abs(R(x_star) - x_star)
-        if res <= 1e-8:
-            found.append(FixedPoint(x=x_star, stability=_stability(R, x_star, dx=1e-7), residual=res))
+        if abs(R(x_star) - x_star) <= 1e-8:
+            found.append(FixedPoint(x=x_star, stability=_stability(R, x_star, dx=1e-7)))
             return True
         return False
 
@@ -179,8 +176,6 @@ class BranchPoint:
 
 @dataclass
 class BranchDiagram:
-    family: str
-    epsilon: float
     points: list[BranchPoint]
     collision_mu: float | None = None
 
@@ -209,7 +204,7 @@ def grazing_sliding_scan(
     for mu in mu_grid:
         fps, gamma, delta = _grazing_fixed_points(desc, profile, eps, float(mu), cache)
         pts.append(BranchPoint(mu=float(mu), fixed_points=fps, gamma=gamma, delta=delta))
-    diagram = BranchDiagram(family=desc.facts["variant"], epsilon=eps, points=pts)
+    diagram = BranchDiagram(points=pts)
     present = diagram.present()
     if not present.all() and present.any():
         # the last absent -> present transition along increasing mu
@@ -234,7 +229,6 @@ class SemistabilityReport:
     tangent_residual: float
     exterior_monotone: bool
     exterior_final_gaps: list[float]
-    exterior_iterations: list[int]
     interior_residuals: list[float]
 
 
@@ -283,7 +277,6 @@ def centre_semistability(
     # (b) exterior iterates
     monotone = True
     gaps: list[float] = []
-    iters: list[int] = []
     for k in range(1, n_exterior + 1):
         x = x_bar - exterior_span * k / n_exterior
         count = 0
@@ -298,7 +291,6 @@ def centre_semistability(
             if x_bar - x <= 1e-6:
                 break
         gaps.append(x_bar - x)
-        iters.append(count)
 
     # (c) interior returns
     interior: list[float] = []
@@ -311,7 +303,6 @@ def centre_semistability(
         tangent_residual=res_tan,
         exterior_monotone=monotone,
         exterior_final_gaps=gaps,
-        exterior_iterations=iters,
         interior_residuals=interior,
     )
 
@@ -336,16 +327,13 @@ class HomoclinicProbe:
     mu: float
     exists: bool
     fixed_point: float | None
-    landing: float | None
 
 
 @dataclass
 class HomoclinicScan:
-    epsilon: float
     probes: list[HomoclinicProbe]
     mu_tilde_star: float | None
     alpha_plus: float
-    constants: TangencyConstants
 
 
 def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]:
@@ -436,7 +424,7 @@ def homoclinic_scan(
     constants = fit_tangency_constants(anchor.system.x_plus, fold0, y0)
 
     @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
-    def orbit_exists(mu_raw: float) -> tuple[bool, float | None, float | None]:
+    def orbit_exists(mu_raw: float) -> tuple[bool, float | None]:
         desc = make_model(mu_raw)
         f = desc.fold()
         R_eps = RegularizedSystem(desc.system, profile, eps)
@@ -453,13 +441,12 @@ def homoclinic_scan(
         x1 = back(landing)
         # one more composition confirms the contraction fixed point
         x2 = None if x1 is None else back(map_P_epsilon(R_eps, y0, x1, fold=f).x)
-        return x2 is not None, x2, landing
+        return x2 is not None, x2
 
     probes: list[HomoclinicProbe] = []
     for mt in mu_tilde_probes:
-        ok, fp, landing = orbit_exists(raw_for(mt * eps) if mt else raw0)
-        probes.append(HomoclinicProbe(mu_tilde=float(mt), mu=mt * eps, exists=ok,
-                                      fixed_point=fp, landing=landing))
+        ok, fp = orbit_exists(raw_for(mt * eps) if mt else raw0)
+        probes.append(HomoclinicProbe(mu_tilde=float(mt), mu=mt * eps, exists=ok, fixed_point=fp))
 
     mt_star = None
     if bisect:
@@ -472,11 +459,9 @@ def homoclinic_scan(
             mid = _bisect(lambda r: not orbit_exists(r)[0], lo, hi, tol)
             mt_star = mu_paper(mid) / eps
     return HomoclinicScan(
-        epsilon=eps,
         probes=probes,
         mu_tilde_star=mt_star,
         alpha_plus=constants.alpha_plus,
-        constants=constants,
     )
 
 
@@ -486,7 +471,6 @@ def homoclinic_scan(
 
 @dataclass
 class StribeckResult:
-    epsilon: float
     fixed_point: float
     stability: str
     n_fixed_points: int
@@ -582,7 +566,6 @@ def stribeck_attractor(
     d2 = _directed_hausdorff(arc0, arc_eps)
     dist = max(d1, d2)
     return StribeckResult(
-        epsilon=eps,
         fixed_point=x_star,
         stability=_stability(R, x_star, dx=1e-5),
         n_fixed_points=n_fixed,

@@ -49,13 +49,19 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _write_trajectory(path, traj) -> None:
-    # a step is labelled with the event at its time; an event between steps
-    # gets a row of its own, in time order
-    ev_at = {round(e.t, 15): e.kind for e in traj.events}
-    steps = {round(float(t), 15) for t in traj.t}
-    rows = [(t, x, y, ev_at.get(round(float(t), 15), "")) for t, x, y in zip(traj.t, traj.x, traj.y)]
-    rows += [(e.t, *e.location, e.kind) for e in traj.events if round(e.t, 15) not in steps]
-    _write_csv(path, "t,x,y,event", sorted(rows, key=lambda row: row[0]))
+    # each event, in order, labels the first unlabelled step at its time or
+    # else gets a row of its own after the steps at that time: events can
+    # share a time (slide end and fold exit) and steps too (an arc's last
+    # state and the next arc's first)
+    key = lambda t: round(float(t), 15)
+    rows = [[t, x, y, ""] for t, x, y in zip(traj.t, traj.x, traj.y)]
+    for e in traj.events:
+        row = next((r for r in rows if not r[3] and key(r[0]) == key(e.t)), None)
+        if row is None:
+            rows.append([e.t, *e.location, e.kind])
+        else:
+            row[3] = e.kind
+    _write_csv(path, "t,x,y,event", sorted(rows, key=lambda row: key(row[0])))
 
 
 def _floats(text: str) -> list[float]:

@@ -255,9 +255,6 @@ class Trajectory:
     y: np.ndarray
     events: list[TrajectoryEvent] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.t)
-
     @property
     def end(self) -> tuple[float, float, float]:
         return float(self.t[-1]), float(self.x[-1]), float(self.y[-1])
@@ -303,7 +300,7 @@ def _strip_notes(shot: Shot, strip: float, center: float) -> list[TrajectoryEven
 def integrate(
     field: "PlanarField",
     start: tuple[float, float],
-    until: "Section | float | Callable[[float, float, float], float]",
+    until: "Section | float",
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
@@ -315,9 +312,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``field`` from ``start`` until a stopping condition.
 
-    ``until`` is a :class:`Section`, a final time, or a scalar event
-    function ``g(t, x, y)`` whose root stops the integration.  Section
-    crossings are Newton-polished.  If ``strip`` is given, entry/exit of the
+    ``until`` is a :class:`Section` or a final time.  Section crossings are
+    Newton-polished.  If ``strip`` is given, entry/exit of the
     band |y - strip_center| <= strip is annotated.
 
     Raises ``StepSizeUnderflow`` on stiffness collapse and
@@ -326,8 +322,6 @@ def integrate(
     """
     if isinstance(until, Section):
         stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
-    elif callable(until):
-        stops, t_end, kind = [Stop(g=lambda t, z: until(t, z[0], z[1]))], t_max, "predicate"
     else:
         stops, t_end, kind = [], float(until), ""
     shot = shoot(field.rhs, (0.0, t_end), start, stops, method=method, rtol=rtol, atol=atol,

@@ -28,7 +28,7 @@ class TangentialCrossing(NumericalFailure):
 
 
 class FitRejected(NumericalFailure):
-    """An exponent fit fell below the r^2 acceptance bar."""
+    """An exponent fit fell below the r^2 acceptance bar, or a value had no logarithm."""
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,7 @@ def map_P_epsilon(
 
 @dataclass(frozen=True)
 class ExponentFit:
-    epsilons: np.ndarray
-    landings: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
     dropped_largest: bool = False
 
@@ -182,10 +179,13 @@ def fit_power_law(epsilons, values, *, r2_min: float = 0.999, allow_drop: bool =
 
     If the largest eps sits more than 3x the RMS of the other residuals off
     the line (pre-asymptotic contamination), it is dropped once and the fit
-    redone.  Fits with r^2 below ``r2_min`` are rejected.
+    redone.  Fits with r^2 below ``r2_min`` are rejected, and so are values
+    that are zero or not finite, which have no logarithm.
     """
     eps = np.asarray(epsilons, dtype=float)
     val = np.abs(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(val) & (val > 0.0)):
+        raise FitRejected(f"no log-log fit through zero or non-finite values {val}")
     order = np.argsort(eps)
     eps, val = eps[order], val[order]
 
@@ -213,10 +213,7 @@ def fit_power_law(epsilons, values, *, r2_min: float = 0.999, allow_drop: bool =
     if r2 < r2_min:
         raise FitRejected(f"r^2 = {r2:.6f} < {r2_min}")
     return ExponentFit(
-        epsilons=eps,
-        landings=val,
         slope=float(coef[0]),
-        intercept=float(coef[1]),
         r_squared=r2,
         dropped_largest=dropped,
     )

@@ -79,9 +79,18 @@ def phi_linear() -> RegularizationProfile:
     return RegularizationProfile(p=1, eval=ev, deriv=dv, phi_p_at_1=1.0, name="linear")
 
 
-def _poly_profile(p: int, dphi: Polynomial, name: str) -> RegularizationProfile:
-    # normalize the antiderivative of dphi so phi(1) = 1, phi odd
-    anti = dphi.integ()
+def phi_polynomial(p: int) -> RegularizationProfile:
+    """Polynomial C^{p-1} profile: phi'(v) proportional to (1 - v^2)^{p-1}.
+
+    The antiderivative is normalized so phi(1) = 1; derivatives of order
+    1..p-1 vanish at both endpoints, giving exact C^{p-1} gluing with a
+    sign-definite p-th derivative at 1 (negative for p even, positive for p
+    odd).
+    """
+    if p < 2:
+        raise InvalidP(f"polynomial profile needs p >= 2, got {p}")
+    # normalize the antiderivative of phi' so phi(1) = 1, phi odd
+    anti = (Polynomial([1.0, 0.0, -1.0]) ** (p - 1)).integ()
     scale = 1.0 / float(anti(1.0))
     phi_poly = anti * scale
     derivs = [phi_poly]
@@ -115,28 +124,10 @@ def _poly_profile(p: int, dphi: Polynomial, name: str) -> RegularizationProfile:
         return 0.0
 
     return RegularizationProfile(
-        p=p, eval=ev, deriv=dv, phi_p_at_1=float(derivs[p](1.0)), name=name
+        p=p, eval=ev, deriv=dv, phi_p_at_1=float(derivs[p](1.0)), name=f"poly({p})"
     )
 
 
-def phi_polynomial(p: int, kill_next_order: bool = False) -> RegularizationProfile:
-    """Polynomial C^{p-1} profile: phi'(v) proportional to (1 - v^2)^{p-1}.
-
-    The antiderivative is normalized so phi(1) = 1; derivatives of order
-    1..p-1 vanish at both endpoints, giving exact C^{p-1} gluing with a
-    sign-definite p-th derivative at 1 (negative for p even, positive for p
-    odd).  With ``kill_next_order`` the density picks up the even factor
-    1 + (p-1)/4 * (1 - v^2), which cancels phi^(p+1)(1) while keeping
-    monotonicity and oddness (used to probe the first-order inner
-    correction with zero forcing).
-    """
-    if p < 2:
-        raise InvalidP(f"polynomial profile needs p >= 2, got {p}")
-    base = Polynomial([1.0, 0.0, -1.0]) ** (p - 1)
-    if kill_next_order:
-        base = base * Polynomial([1.0 + (p - 1) / 4.0, 0.0, -(p - 1) / 4.0])
-    name = f"poly({p})" + ("-flat" if kill_next_order else "")
-    return _poly_profile(p, base, name)
 
 
 def parse_profile(spec: str) -> RegularizationProfile:

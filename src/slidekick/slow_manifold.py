@@ -98,13 +98,11 @@ class ManifoldTrace:
 
     x: np.ndarray
     v: np.ndarray
-    epsilon: float
-    profile: RegularizationProfile
     exit_x: float | None = None  # abscissa where the trace reached v = to_v
     legs: list[str] = field(default_factory=list)
 
 
-def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
+def _slow_fast_rhs(R: RegularizedSystem):
     """(B1, B2)(x, v): the blended field in strip coordinates."""
     eps = R.epsilon
     off = R.base.offset
@@ -112,7 +110,7 @@ def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
     mix = R.mix
 
     def bvals(x: float, v: float) -> tuple[float, float]:
-        return mix(x, off + eps * v, v if unclamped else prof.eval(v))
+        return mix(x, off + eps * v, prof.eval(v))
 
     def dbvals_dv(x: float, v: float) -> tuple[float, float]:
         # dominant v-derivative of the blend: the profile term; the O(eps)
@@ -121,20 +119,20 @@ def _slow_fast_rhs(R: RegularizedSystem, unclamped: bool):
         y = off + eps * v
         fp = R.base.x_plus(x, y)
         fm = R.base.x_minus(x, y)
-        dw = 1.0 if unclamped else prof.deriv(v, 1)
+        dw = prof.deriv(v, 1)
         return 0.5 * dw * (fp[0] - fm[0]), 0.5 * dw * (fp[1] - fm[1])
 
     return bvals, dbvals_dv
 
 
-def _orbit_equation(R: RegularizedSystem, *, unclamped: bool = False, timed: bool = False):
+def _orbit_equation(R: RegularizedSystem, *, timed: bool = False):
     """The strip orbit equation dv/dx = B2 / (eps B1) and its Jacobian.
 
     ``timed`` appends the transit-time quadrature dt/dx = 1/B1 as a second
     component.
     """
     eps = R.epsilon
-    bvals, dbv = _slow_fast_rhs(R, unclamped)
+    bvals, dbv = _slow_fast_rhs(R)
 
     def rhs(x, z):
         b1, b2 = bvals(x, z[0])
@@ -153,24 +151,19 @@ def trace_manifold(
     R: RegularizedSystem,
     from_x: float,
     to_v: float = 1.0,
-    *,
-    to_x: float | None = None,
-    extend_linear: bool = False,
 ) -> ManifoldTrace:
     """Continue the attracting Fenichel manifold from x = from_x.
 
     The trace is seeded with m0 + eps*m1 (the seed error dies at rate
     exp(-c (x - from_x)/eps) before the turning region), integrated as a
-    graph over x, and switched to a graph over v at v = 0.8 where m0' is
-    no longer bounded; each leg is sampled on 1200 points (600 on the
-    v-graph).  With ``to_x`` (extended linear system,
-    phi(v) = v without clamping) the trace is followed as an x-graph to that
-    abscissa instead.
+    graph over x up to v = to_v, and for p >= 2 switched to a graph over v
+    at v = 0.8 where m0' is no longer bounded; each leg is sampled on 1200
+    points (600 on the v-graph).  The extended linear system is traced past
+    the strip with a p = 1 profile that does not clamp, phi(v) = v, and a
+    ``to_v`` above 1.
     """
     exp = SlowManifoldExpansion(R.profile)
     eps = R.epsilon
-    if extend_linear and R.profile.p != 1:
-        raise ConfigError("extend_linear only makes sense for the piecewise linear profile")
 
     # the normal components are checked before the seed: m0 has its pole at f2p = f2m
     f2p, f2m = R.base.normal_components(from_x)
@@ -178,20 +171,17 @@ def trace_manifold(
     if v_seed is None or R.profile.deriv(v_seed, 1) <= 0.0:
         raise HyperbolicityLost(f"seed at x={from_x} is not normally attracting")
 
-    rhs, jac = _orbit_equation(R, unclamped=extend_linear)
+    rhs, jac = _orbit_equation(R)
 
     legs = []
     xs_all: list[np.ndarray] = []
     vs_all: list[np.ndarray] = []
 
-    x_stop = to_x if to_x is not None else from_x + 50.0
-    stops = []
-    if to_x is None:
-        stops.append(Stop(0, to_v, 1))
-        if to_v > 0.8 and R.profile.p >= 2:
-            stops.append(Stop(0, 0.8, 1))
+    stops = [Stop(0, to_v, 1)]
+    if to_v > 0.8 and R.profile.p >= 2:
+        stops.append(Stop(0, 0.8, 1))
 
-    shot = shoot(rhs, (from_x, x_stop), [v_seed], stops, jac=jac, method="LSODA",
+    shot = shoot(rhs, (from_x, from_x + 50.0), [v_seed], stops, jac=jac, method="LSODA",
                  rtol=3e-14, atol=1e-16, dense=True)
     grid = np.linspace(shot.ts[0], shot.t, 1200)
     xs_all.append(grid)
@@ -203,7 +193,7 @@ def trace_manifold(
         exit_x = shot.t
     elif shot.stop == 1:
         # switch to the v-graph for the fold passage
-        bvals, _dbv = _slow_fast_rhs(R, unclamped=extend_linear)
+        bvals, _dbv = _slow_fast_rhs(R)
 
         def dx_dv(v, z):
             b1, b2 = bvals(z[0], v)
@@ -220,8 +210,6 @@ def trace_manifold(
     return ManifoldTrace(
         x=np.concatenate(xs_all),
         v=np.concatenate(vs_all),
-        epsilon=eps,
-        profile=R.profile,
         exit_x=exit_x,
         legs=legs,
     )
@@ -229,14 +217,10 @@ def trace_manifold(
 
 @dataclass
 class SandwichReport:
-    which: str
     count: int
     fraction_ok: float
     min_margin_lower: float
     min_margin_upper: float
-    x: np.ndarray
-    margin_lower: np.ndarray
-    margin_upper: np.ndarray
 
 
 def verify_sandwich(
@@ -259,7 +243,7 @@ def verify_sandwich(
     ``graph_over_x_p``: m0 - eps*K/|x|^{(2p-2)/p} <= v(x) <= m0
                        on x <= -eps^lam
 
-    Margins are reported per point; the fraction of points satisfying the
+    The smallest margins are reported; the fraction of points satisfying the
     inequality must be 1.0.  An empty range is a vacuous pass.
     """
     eps = R.epsilon
@@ -293,25 +277,19 @@ def verify_sandwich(
 
     count = int(mask.sum())
     if count == 0:
-        return SandwichReport(which, 0, 1.0, np.inf, np.inf, np.array([]), np.array([]), np.array([]))
+        return SandwichReport(0, 1.0, np.inf, np.inf)
     ok = (lower >= 0.0) & (upper >= 0.0)
     return SandwichReport(
-        which=which,
         count=count,
         fraction_ok=float(np.mean(ok)),
         min_margin_lower=float(lower.min()),
         min_margin_upper=float(upper.min()),
-        x=xs,
-        margin_lower=lower,
-        margin_upper=upper,
     )
 
 
 @dataclass
 class ContractionReport:
-    starts: list[float]
     exit_points: list[float]
-    milestones: np.ndarray
     # separations[(i, j)][k] = |v_i - v_j| at milestone k (NaN where undefined)
     separations: dict[tuple[int, int], np.ndarray]
 
@@ -352,9 +330,7 @@ def contraction_probe(
                     vals[k] = abs(float(si.dense(xm)[0]) - float(sj.dense(xm)[0]))
             seps[(i, j)] = vals
 
-    return ContractionReport(
-        starts=list(x0_list), exit_points=exits, milestones=milestones, separations=seps
-    )
+    return ContractionReport(exit_points=exits, separations=seps)
 
 
 def strip_crossing(

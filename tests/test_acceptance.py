@@ -81,9 +81,9 @@ def test_criterion_10_reads_a_zero_root_as_found(monkeypatch):
 
     def scan(make_model, profile, eps, mu_tildes, *, y0, bisect):
         if eps < 1e-3:
-            return HomoclinicScan(eps, [], 0.0, -0.1, None)
-        probes = [HomoclinicProbe(m, m * eps, m < 1.0, None, None) for m in mu_tildes]
-        return HomoclinicScan(eps, probes, 1.0 if bisect else None, -1.0, None)
+            return HomoclinicScan([], 0.0, -0.1)
+        probes = [HomoclinicProbe(m, m * eps, m < 1.0, None) for m in mu_tildes]
+        return HomoclinicScan(probes, 1.0 if bisect else None, -1.0)
 
     monkeypatch.setattr(acceptance, "homoclinic_scan", scan)
     res = _RUN["10"]()

@@ -127,6 +127,23 @@ def test_simulate_csv_to_stdout():
     assert lines[-1].split(",")[3].startswith("cross_section")
 
 
+def test_simulate_labels_each_event_once_in_order():
+    # slide_start falls on two steps (the arc's last state and the slide's
+    # first), slide_end and fold_exit on one time; each is labelled once
+    from slidekick.fields import filippov_flow
+    from slidekick.integrator import Section
+    from slidekick.models import model
+
+    code, text = run_cli("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25")
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    traj = filippov_flow(model("normal-fold").system, (-0.8, 0.1), Section(0.25, "all", id="target"), t_max=50.0)
+    kinds = [e.kind for e in traj.events]
+    assert kinds == ["slide_start", "slide_end", "fold_exit", "cross_section:target"]
+    assert [r[3] for r in rows if r[3]] == kinds
+    assert [float(r[0]) for r in rows] == sorted(float(r[0]) for r in rows)
+
+
 def test_manifold_csv(tmp_path):
     out = tmp_path / "trace.csv"
     code, _ = run_cli("manifold", "--profile", "poly(2)", "--eps", "1e-3", "--out", str(out))

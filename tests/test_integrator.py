@@ -67,11 +67,6 @@ def test_until_time(xplus):
     assert traj.end[2] == pytest.approx(4.0, rel=1e-10)
 
 
-def test_until_predicate(xplus):
-    traj = integrate(xplus, (0.1, 0.0), lambda t, x, y: x - 1.0)
-    assert traj.end[1] == pytest.approx(1.0, abs=1e-10)
-
-
 def test_event_not_bracketed(xplus):
     with pytest.raises(EventNotBracketed):
         integrate(xplus, (0.0, 0.25), Section(0.25, "all", id="s"))

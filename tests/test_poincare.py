@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidekick import poincare
 from slidekick.fields import find_fold
@@ -17,7 +19,7 @@ from slidekick.poincare import (
     landing_scan,
     map_P_epsilon,
 )
-from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
+from slidekick.regularization import RegularizedSystem, parse_profile, phi_linear, phi_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,13 @@ def test_fit_power_law_rejects_noise():
         fit_power_law(eps, vals)
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_fit_power_law_rejects_values_without_a_log(bad):
+    # log(0) and log(nan) leave a nan slope that would pass the r^2 gate
+    with pytest.raises(FitRejected):
+        fit_power_law([1e-5, 1e-4, 1e-3], [1e-5, bad, 1e-3])
+
+
 def test_fit_power_law_drops_contaminated_largest():
     eps = np.array([1e-6, 3e-6, 1e-5, 3e-5, 1e-4])
     vals = eps**0.75
@@ -152,6 +161,19 @@ def test_fit_power_law_drops_contaminated_largest():
     fit = fit_power_law(eps, vals)
     assert fit.dropped_largest
     assert fit.slope == pytest.approx(0.75, abs=1e-6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(spec=st.sampled_from(["linear", "poly(2)", "poly(3)"]),
+       lo=st.floats(-6.0, -3.0 - math.log10(1.5)), gap=st.floats(math.log10(1.5), 3.0))
+def test_map_falls_as_eps_grows(nf, nf_fold, spec, lo, gap):
+    # P_eps(-0.8) on y0 = 0.25 falls with eps for every profile (steps of at
+    # least 4.8e-7 between eps 1.5x apart on [1e-6, 1e-3]); monotonicity in
+    # x is not probed: landing independence leaves P_eps flat in x to ~1e-14
+    e_lo, e_hi = 10.0**lo, min(10.0 ** (lo + gap), 1e-3)
+    prof = parse_profile(spec)
+    land = [map_P_epsilon(RegularizedSystem(nf.system, prof, e), 0.25, -0.8, fold=nf_fold).x for e in (e_lo, e_hi)]
+    assert land[1] < land[0]
 
 
 def test_exterior_map_centre_identity():

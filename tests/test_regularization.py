@@ -73,20 +73,17 @@ def test_monotone_and_odd(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-@pytest.mark.parametrize("flat", [False, True])
-def test_profile_values_match_numpy_bitwise(p, flat):
+def test_profile_values_match_numpy_bitwise(p):
     # the Horner evaluation keeps numpy's polyval order, so every value and
     # derivative equals Polynomial.__call__ to the last bit
     from numpy.polynomial import Polynomial
 
     base = Polynomial([1.0, 0.0, -1.0]) ** (p - 1)
-    if flat:
-        base = base * Polynomial([1.0 + (p - 1) / 4.0, 0.0, -(p - 1) / 4.0])
     anti = base.integ()
     polys = [anti * (1.0 / float(anti(1.0)))]
     for _ in range(p + 2):
         polys.append(polys[-1].deriv())
-    prof = phi_polynomial(p, kill_next_order=flat)
+    prof = phi_polynomial(p)
     vs = np.random.default_rng(p).uniform(-1.0, 1.0, 400)
     for k, poly in enumerate(polys):
         assert [prof.deriv(v, k) for v in vs] == [float(poly(v)) for v in vs]
@@ -105,13 +102,6 @@ def test_phi_p_at_1_matches_finite_difference(poly2, poly3):
         r1b = 2.0 * one_sided(2.5e-3) - one_sided(5e-3)
         fd = (4.0 * r1b - r1a) / 3.0
         assert fd == pytest.approx(prof.phi_p_at_1, rel=1e-4)
-
-
-def test_zero_forcing_profile():
-    prof = phi_polynomial(2, kill_next_order=True)
-    assert prof(1.0) == pytest.approx(1.0, abs=1e-14)
-    assert prof.deriv(1.0, 3) == pytest.approx(0.0, abs=1e-10)
-    assert prof.phi_p_at_1 < 0
 
 
 def test_parse_profile():

@@ -5,7 +5,13 @@ import pytest
 
 from slidekick import slow_manifold
 from slidekick.integrator import Stop, shoot
-from slidekick.regularization import RegularizedSystem, parse_profile, phi_linear, phi_polynomial
+from slidekick.regularization import (
+    RegularizationProfile,
+    RegularizedSystem,
+    parse_profile,
+    phi_linear,
+    phi_polynomial,
+)
 from slidekick.slow_manifold import (
     HyperbolicityLost,
     SlowManifoldExpansion,
@@ -132,13 +138,20 @@ def test_hyperbolicity_guard_at_the_pole(normal_form, from_x, p):
         trace_manifold(R, from_x, 1.0)
 
 
-def test_linear_confinement_sandwich(normal_form, lin):
+def test_linear_confinement_sandwich(normal_form):
     # extended linear system on [-1, 1/4]: the confinement constant must
     # dominate |m1|, which grows to 8/(1-2x)^4 = 128 at x = 1/4 (so K = 10
-    # only covers the sliding side x <= 0; K = 150 covers the full range)
+    # only covers the sliding side x <= 0; K = 150 covers the full range).
+    # phi(v) = v without clamping; m0 = 3 at x = 1/4, so the trace to v = 3
+    # covers the range
+    def deriv(v, k):
+        return v if k == 0 else 1.0 if k == 1 else 0.0
+
+    unclamped = RegularizationProfile(p=1, eval=lambda v: v, deriv=deriv, phi_p_at_1=1.0)
     eps = 1e-3
-    R = RegularizedSystem(normal_form, lin, eps)
-    tr = trace_manifold(R, -1.0, to_x=0.25, extend_linear=True)
+    R = RegularizedSystem(normal_form, unclamped, eps)
+    tr = trace_manifold(R, -1.0, to_v=3.0)
+    assert tr.x[-1] > 0.25
     rep = verify_sandwich(R, tr, "linear_conf", K=150.0, x_range=(-1.0, 0.25))
     assert rep.fraction_ok == 1.0
     assert rep.count > 500
