@@ -326,7 +326,7 @@ def _criterion_9():
 @_register("10", "homoclinic bifurcation", "present/present/absent and |mu~* + alpha+| <= 0.2",
            limit=120.0)
 def _criterion_10():
-    """Sliding homoclinic: presence window and the bisected homoclinic parameter."""
+    """Sliding homoclinic: presence window and the parameter rooted on the landing's gap to W^s."""
     eps = 1e-3
     lin = phi_linear()
 

@@ -374,10 +374,10 @@ def homoclinic_scan(
     mu_raw; the bifurcation parameter proper is the section displacement
     mu = x0+ - x0^s, probed at mu = mu_tilde * eps.  The homoclinic value
     mu_tilde^* (where the exterior map loses the landing interval) is
-    located by bisection in mu_raw itself, between the members at
-    mu_tilde = 0 and mu_tilde = 2|alpha+|, until the bracket spans at most
-    1e-3 in mu_tilde by the secant slope of mu over it; mu_tilde^* is then
-    mu at the bracket's midpoint, over eps.
+    rooted on the landing's gap to W^s: brentq in mu_raw itself on the
+    member's P_eps landing on y0 minus its W^s landing there, between the
+    members at mu_tilde = 0 and mu_tilde = 2|alpha+| once the orbit exists
+    at the first and not at the second; mu_tilde^* is mu at the root, over eps.
 
     If member 0 declares ``shifts_with_mu`` (member mu_raw is member 0 moved
     up by mu_raw), one shot from its saddle lands W^s of every member, on
@@ -386,14 +386,17 @@ def homoclinic_scan(
     base = make_model(0.0)
     shared = _stable_separatrix(base) if base.facts.get("shifts_with_mu") else None
 
-    def mu_paper(mu_raw: float) -> float:
-        desc = make_model(mu_raw) if mu_raw else base
-        x0p = exterior_map(desc.system.x_plus, (desc.fold().x, desc.system.offset), Section(y0)).x
+    def w_s(mu_raw: float, desc: ModelDescriptor) -> float:
         x0s = shared(y0 - mu_raw) if shared is not None else None
         x0s = _stable_separatrix(desc)(y0) if x0s is None else x0s
         if x0s is None:
             raise NoArrival(f"W^s of member {mu_raw} never comes down to y = {y0}")
-        return x0p - x0s
+        return x0s
+
+    def mu_paper(mu_raw: float) -> float:
+        desc = make_model(mu_raw) if mu_raw else base
+        x0p = exterior_map(desc.system.x_plus, (desc.fold().x, desc.system.offset), Section(y0)).x
+        return x0p - w_s(mu_raw, desc)
 
     # linearize mu_paper(mu_raw) once; each inversion is a secant iteration
     # whose first step is this linearization
@@ -423,13 +426,20 @@ def homoclinic_scan(
     fold0 = anchor.fold()
     constants = fit_tangency_constants(anchor.system.x_plus, fold0, y0)
 
-    @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
-    def orbit_exists(mu_raw: float) -> tuple[bool, float | None]:
+    @cache  # each member's landing serves both its existence check and its gap
+    def member(mu_raw: float):
         desc = make_model(mu_raw)
         f = desc.fold()
         R_eps = RegularizedSystem(desc.system, profile, eps)
-        x_probe = constants.x0_minus - 0.05
-        landing = map_P_epsilon(R_eps, y0, x_probe, fold=f).x
+        return desc, f, R_eps, map_P_epsilon(R_eps, y0, constants.x0_minus - 0.05, fold=f).x
+
+    def gap(mu_raw: float) -> float:
+        desc, _f, _R, landing = member(mu_raw)
+        return landing - w_s(mu_raw, desc)
+
+    @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
+    def orbit_exists(mu_raw: float) -> tuple[bool, float | None]:
+        desc, f, R_eps, landing = member(mu_raw)
         sec_m = Section(y0, "x<0", id="outer-")
 
         def back(x: float) -> float | None:
@@ -455,9 +465,11 @@ def homoclinic_scan(
         mt_hi = 2.0 * abs(constants.alpha_plus)
         lo, hi = raw0, raw_for(mt_hi * eps)
         if orbit_exists(lo)[0] and not orbit_exists(hi)[0]:
-            tol = 1e-3 * abs(hi - lo) / mt_hi
-            mid = _bisect(lambda r: not orbit_exists(r)[0], lo, hi, tol)
-            mt_star = mu_paper(mid) / eps
+            g_lo, g_hi = gap(lo), gap(hi)
+            if g_lo * g_hi > 0.0:
+                raise SaddleNotResolved(f"the landing's gap to W^s has one sign on the existence "
+                                        f"bracket: {g_lo:g} at mu_raw={lo}, {g_hi:g} at mu_raw={hi}")
+            mt_star = mu_paper(brentq(gap, lo, hi)) / eps
     return HomoclinicScan(
         probes=probes,
         mu_tilde_star=mt_star,

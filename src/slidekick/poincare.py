@@ -180,9 +180,12 @@ def fit_power_law(epsilons, values, *, r2_min: float = 0.999, allow_drop: bool =
     If the largest eps sits more than 3x the RMS of the other residuals off
     the line (pre-asymptotic contamination), it is dropped once and the fit
     redone.  Fits with r^2 below ``r2_min`` are rejected, and so are values
-    that are zero or not finite, which have no logarithm.
+    that are zero or not finite, which have no logarithm; an eps that is not
+    positive and finite is a ``ConfigError``.
     """
     eps = np.asarray(epsilons, dtype=float)
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise ConfigError(f"epsilons must be positive and finite, got {eps}")
     val = np.abs(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(val) & (val > 0.0)):
         raise FitRejected(f"no log-log fit through zero or non-finite values {val}")

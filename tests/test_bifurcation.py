@@ -15,10 +15,11 @@ from slidekick.bifurcation import (
     homoclinic_scan,
     iterate_to_fixed_point,
     IterationDiverged,
+    SaddleNotResolved,
     stribeck_attractor,
 )
 from slidekick.fields import sign_changes
-from slidekick.integrator import Section
+from slidekick.integrator import PoincareResult, Section
 from slidekick.models import Y_TANGENT, model, saddle_eigen
 from slidekick.poincare import exterior_map, map_P_epsilon, normal_form_constants
 from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
@@ -226,21 +227,21 @@ def test_shared_separatrix_lands_like_each_member(nu):
 
 def _separatrix_shots(shoot_calls, monkeypatch):
     # every shoot of bifurcation.py inside homoclinic_scan is a separatrix
-    # shot; every exterior_map call without a floor is a mu_paper landing
+    # shot; every exterior_map call without a floor is a mu_paper landing,
+    # every one with a floor an existence check's back shot
     shots = shoot_calls(bifurcation)
-    landings = []
+    landings, floored = [], []
 
     def spy(*args, **kwargs):
-        if "floor_margin" not in kwargs:
-            landings.append(args)
+        (floored if "floor_margin" in kwargs else landings).append(args)
         return exterior_map(*args, **kwargs)
 
     monkeypatch.setattr(bifurcation, "exterior_map", spy)
-    return shots, landings
+    return shots, landings, floored
 
 
 def test_family_without_the_fact_shoots_each_member(lin, shoot_calls, monkeypatch):
-    shots, landings = _separatrix_shots(shoot_calls, monkeypatch)
+    shots, landings, _floored = _separatrix_shots(shoot_calls, monkeypatch)
 
     def make(mu_raw):
         desc = model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
@@ -259,15 +260,44 @@ def test_family_without_the_fact_shoots_each_member(lin, shoot_calls, monkeypatc
 def test_homoclinic_scan_shoots_one_separatrix(lin, shoot_calls, monkeypatch):
     # count guard on the benchmark's scan shape: one shot serves every
     # member (23 shots when each member shot its own)
-    shots, landings = _separatrix_shots(shoot_calls, monkeypatch)
+    maps = []
+    shots, landings, floored = _separatrix_shots(shoot_calls, monkeypatch)
+    monkeypatch.setattr(bifurcation, "map_P_epsilon", lambda *a, **k: maps.append(a) or map_P_epsilon(*a, **k))
     make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
     scan = homoclinic_scan(make, lin, 5e-4, [0.0, 0.7, 4.1], y0=0.25, bisect=True)
     assert [p.exists for p in scan.probes] == [True, True, False]
-    # each member shooting its own separatrix puts mu~* at 2.3830388620400544
-    assert scan.mu_tilde_star == pytest.approx(2.3830388620400544, abs=1e-9)
+    # each member shooting its own separatrix puts mu~* at 2.383213159017572
+    assert scan.mu_tilde_star == pytest.approx(2.383213159017572, abs=1e-9)
     assert len(shots) == 1 and len(landings) >= 20
     x, y = shots[0].args[2]
     assert abs(x - 1.0) < 1e-7 and abs(y - (1.0 - Y_TANGENT)) < 1e-7
+    # the root costs one map per brentq step and no existence check: 10
+    # maps and 6 back shots (22 and 22 when bisecting on existence)
+    assert len(maps) <= 10 and len(floored) <= 6
+
+
+@pytest.mark.parametrize("eps", [5e-4, 1e-3])
+def test_gap_root_agrees_with_existence(lin, eps):
+    # the full existence check (two compositions, each with a back shot
+    # floored at eps/2) finds the orbit 1e-3 in mu~ below the gap's root and
+    # not 1e-3 above it
+    make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+    mt = homoclinic_scan(make, lin, eps, [], y0=0.25, bisect=True).mu_tilde_star
+    scan = homoclinic_scan(make, lin, eps, [mt - 1e-3, mt + 1e-3], y0=0.25, bisect=False)
+    assert [p.exists for p in scan.probes] == [True, False]
+
+
+def test_gap_of_one_sign_is_a_typed_failure(lin, monkeypatch):
+    # a constant landing from the scan's probe start leaves the gap to W^s
+    # negative at both bracket ends, while the existence check's second
+    # composition still maps for real and loses the orbit at the upper end
+    def fake(R, y0, x, *, fold):
+        return PoincareResult(0.62, 0.0) if x > -0.5 else map_P_epsilon(R, y0, x, fold=fold)
+
+    monkeypatch.setattr(bifurcation, "map_P_epsilon", fake)
+    make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+    with pytest.raises(SaddleNotResolved, match=r"one sign.* at mu_raw=.* at mu_raw="):
+        homoclinic_scan(make, lin, 1e-3, [], y0=0.25, bisect=True)
 
 
 def test_homoclinic_probes_and_bisection(lin):
@@ -283,9 +313,10 @@ def test_homoclinic_probes_and_bisection(lin):
     assert scan.probes[0].exists
     assert scan.mu_tilde_star is not None
     assert abs(scan.mu_tilde_star + ap) <= 0.2
-    # the bisection runs in the raw shift: no mu inversion per step, and
-    # each inversion is a secant iteration (29 builds measured)
-    assert len(builds) <= 32
+    # the root is found in the raw shift: no mu inversion per brentq step,
+    # and each inversion is a secant iteration (20 builds measured, 29 when
+    # bisecting on existence; 2 spare for two more brentq steps)
+    assert len(builds) <= 22
 
 
 def test_homoclinic_hamiltonian_variant(lin):
@@ -325,7 +356,7 @@ def test_contraction_certificate(lin):
 
 def test_return_map_identity_on_coulomb(poly2):
     # c alpha+ = (pi+)'(x0-) alpha- measured on a model with a real exterior
-    from slidekick.integrator import Section
+    from slidekick.integrator import PoincareResult, Section
     from slidekick.poincare import exterior_map, fit_tangency_constants
 
     desc = model("coulomb")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slidekick.fields import (
     EscapeRegion,
@@ -17,6 +19,7 @@ from slidekick.fields import (
     sliding_field,
 )
 from slidekick.integrator import Section
+from slidekick.models import model
 
 
 def test_negated_evaluates_the_field_once():
@@ -48,6 +51,32 @@ def test_classification_partitions_sigma(normal_form):
     ]
     for s in switches:
         assert abs(normal_form.x_plus(s, 0.0)[1]) < 2.5e-3  # grid resolution
+
+
+@settings(derandomize=True, deadline=None)
+@given(name=st.sampled_from(["normal-fold", "stribeck", "coulomb"]),
+       x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.0, 1.0])))
+def test_classification_follows_the_sign_rule(name, x):
+    # one class per point of Sigma, and the one the docstring's sign rule on
+    # (X2+, X2-) names; the drift is defined exactly on the sliding class
+    system = model(name, check=False).system
+    fp, fm = system.x_plus(x, system.offset), system.x_minus(x, system.offset)
+    tol = 1e-10 * max(1.0, *map(abs, fp + fm))
+    cls = classify_point(system, x)
+    assert isinstance(cls, RegionClass)
+    if abs(fp[1]) <= tol:
+        assert cls is RegionClass.TANGENCY_PLUS
+    elif abs(fm[1]) <= tol:
+        assert cls is RegionClass.TANGENCY_MINUS
+    else:
+        signs = (math.copysign(1.0, fp[1]), math.copysign(1.0, fm[1]))
+        assert cls is {(-1.0, 1.0): RegionClass.SLIDING, (1.0, -1.0): RegionClass.ESCAPING}.get(
+            signs, RegionClass.CROSSING)
+    if cls is RegionClass.SLIDING:
+        assert math.isfinite(sliding_field(system, x))
+    else:
+        with pytest.raises(NotSliding):
+            sliding_field(system, x)
 
 
 def test_sliding_field_values(normal_form):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidekick import poincare
+from slidekick.errors import ConfigError
 from slidekick.fields import find_fold
 from slidekick.integrator import NoArrival, Section, shoot
 from slidekick.models import model
@@ -152,6 +153,13 @@ def test_fit_power_law_rejects_values_without_a_log(bad):
     # log(0) and log(nan) leave a nan slope that would pass the r^2 gate
     with pytest.raises(FitRejected):
         fit_power_law([1e-5, 1e-4, 1e-3], [1e-5, bad, 1e-3])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-5, math.nan, math.inf])
+def test_fit_power_law_rejects_eps_without_a_log(bad):
+    # eps 0 and -1e-5 ended in numpy's LinAlgError: SVD did not converge
+    with pytest.raises(ConfigError, match="positive and finite"):
+        fit_power_law([bad, 1e-4, 1e-3], [1e-5, 1e-4, 1e-3])
 
 
 def test_fit_power_law_drops_contaminated_largest():
