@@ -34,7 +34,7 @@ adelta = abs(descr.facts["delta"])
 diagr = grazing_sliding_scan(descr, phi_linear(), eps, np.linspace(0, 1.5 * adelta * eps, 7))
 for pt in diagr.points:
     print(f"  mu = {pt.mu:+.2e}: {len(pt.fixed_points)} fixed point(s)")
-print(f"  saddle-node bisected to mu = {diagr.collision_mu:.4e}  (|Delta| eps = {adelta * eps:.4e})")
+print(f"  saddle-node (minimum of H) at mu = {diagr.collision_mu:.4e}  (|Delta| eps = {adelta * eps:.4e})")
 
 print("\nCoulomb semistability (eps = 1e-3):")
 rep = centre_semistability(model("coulomb"), phi_polynomial(2), eps)

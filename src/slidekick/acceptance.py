@@ -19,8 +19,8 @@ these systems:
   eps^3 coefficient with an eps^4 window;
 * criterion 7b (repelling grazing germ): both fixed points exist only for
   mu >= |Delta| eps (1 + O(eps)), so the criterion checks absence on both
-  sides of mu = 0, the pair above the saddle-node, and the bisected
-  saddle-node location.
+  sides of mu = 0, the pair above the saddle-node, and the saddle-node
+  location, the minimum of the scan's mu-free level function H.
 
 The derivations are in the docstrings of the two criteria.
 """
@@ -273,9 +273,10 @@ def _criterion_7b():
     right of xbar only under the same condition.  With gamma = -mu for the repelling germ, both orbits exist
     only for mu >= |Delta| eps (1 + O(eps)): there is no fixed point at
     -0.5 |Delta| eps nor at +0.5 |Delta| eps, and the attracting/repelling
-    pair is present at +1.5 |Delta| eps.  The presence boundary between the
-    last two probes is bisected to 1e-3 |Delta| eps on one shared cache of
-    G, and the saddle-node must lie within 2% of |Delta| eps.
+    pair is present at +1.5 |Delta| eps.  The fixed points of every member are
+    the level crossings H = mu of one mu-free H(x) = s (x - pe_0(G(x))) on
+    a shared cache of G; the saddle-node is the minimum of H, located with
+    Brent's method, and it must lie within 2% of |Delta| eps.
     """
     desc = model("grazing-family", variant="repelling", check=False)
     eps = 1e-3

@@ -2,9 +2,11 @@
 
 The return map R = P^e o P_eps is a strong contraction on the flattened
 interval (its Lipschitz constant scales like a positive power of eps), so
-fixed points are found by direct iteration, the Stribeck one certified
-unique on sampled slopes.  Scans over the family parameter reproduce the
-grazing-sliding dichotomy, the centre/semistable case and the homoclinic loop.
+the Stribeck fixed point is found by direct iteration and certified unique
+on sampled slopes; the grazing family's fixed points are the level crossings
+of one mu-free function, and its saddle-node is that function's minimum.
+Scans over the family parameter reproduce the grazing-sliding dichotomy, the
+centre/semistable case and the homoclinic loop.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from slidekick.errors import NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, sign_changes
@@ -51,119 +53,28 @@ def _stability(R: Callable[[float], float], x: float, dx: float = 1e-6) -> str:
     return "attracting" if abs(slope) < 1.0 else "repelling"
 
 
-def iterate_to_fixed_point(
-    R: Callable[[float], float],
-    x0: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Direct iteration; raises IterationDiverged if increments grow."""
+def iterate_to_fixed_point(R: Callable[[float], float], x0: float) -> float:
+    """Direct iteration to a step of 1e-10 within 200 maps; raises
+    IterationDiverged if increments grow."""
     x = x0
     prev_step = math.inf
-    for _ in range(max_iter):
+    for _ in range(200):
         try:
             x_new = R(x)
         except NoArrival as exc:
             raise IterationDiverged(f"orbit left the map domain at x={x}") from exc
         step = abs(x_new - x)
-        if step <= tol:
+        if step <= 1e-10:
             return x_new
         if step > 1.5 * prev_step and step > 1e-9:
             raise IterationDiverged(f"increments grew at x={x_new}")
         prev_step = step
         x = x_new
-    raise IterationDiverged(f"no convergence after {max_iter} iterations (step={step:g})")
-
-
-def _bisect(on_right: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi] (either orientation), halved until at most
-    ``tol`` wide around the point where ``on_right`` turns from false at
-    ``lo`` to true at ``hi``."""
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if on_right(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    raise IterationDiverged(f"no convergence after 200 iterations (step={step:g})")
 
 
 # ---------------------------------------------------------------------------
 # grazing-sliding (synthetic germ family over the normal-fold inner dynamics)
-
-
-def _grazing_fixed_points(
-    desc: ModelDescriptor,
-    profile: RegularizationProfile,
-    eps: float,
-    mu: float,
-    cache: dict,
-) -> tuple[list[FixedPoint], float, float]:
-    """Fixed points of the grazing return map R = pe o G, with gamma and
-    Delta, using the map's monotone structure.
-
-    G is the eps-regularized cross map, kept in ``cache`` across mu (it does
-    not depend on the germ parameter).  R is increasing, nearly flat left of
-    the tangent orbit xbar (the orbit grazing the strip boundary) and affine
-    with slope |c| on the pure side.  The stable point (when it exists) is
-    reached by direct iteration from the flattened landing; the pure branch
-    root has the closed form pe(0)/(1+c) for the affine germ.  A local scan
-    across the flat/pure transition backs both up whenever the contraction
-    criterion disagrees with what was found.  Every reported point satisfies
-    |R(x*) - x*| <= 1e-8 under the full numerical map.
-    """
-    y0 = desc.facts["y0"]
-    c = desc.facts["c"]
-    pe = desc.facts["exterior_factory"](mu)
-    R_eps = RegularizedSystem(desc.system, profile, eps)
-    fold_x = desc.facts["fold_x"]
-
-    def G(x: float) -> float:
-        if x not in cache:
-            cache[x] = map_P_epsilon(R_eps, y0, x, fold=fold_x).x
-        return cache[x]
-
-    def R(x: float) -> float:
-        return pe(G(x))
-
-    germ = normal_form_constants(y0)
-    x0m = germ.x0_minus
-    gamma = pe(germ.x0_plus) - x0m
-    delta = desc.facts["delta"]
-    xbar = -math.sqrt(y0 - eps)    # orbit through (xbar, y0) grazes y = eps
-
-    found: list[FixedPoint] = []
-
-    def accept(x_star: float) -> bool:
-        if any(abs(f.x - x_star) < 1e-9 for f in found):
-            return False
-        if abs(R(x_star) - x_star) <= 1e-8:
-            found.append(FixedPoint(x=x_star, stability=_stability(R, x_star, dx=1e-7)))
-            return True
-        return False
-
-    # stable branch: the map contracts onto it from the flattened landing
-    try:
-        x_st = iterate_to_fixed_point(R, pe(G(x0m - 0.2)), tol=1e-11, max_iter=80)
-        accept(x_st)
-    except IterationDiverged:
-        pass
-
-    # pure branch: R(x) = pe(-x) on the untouched side, root at pe(0)/(1+c)
-    if abs(1.0 + c) > 1e-12:
-        x_pure = pe(0.0) / (1.0 + c)
-        if x_pure >= xbar - 1e-12:
-            accept(x_pure)
-
-    # the contraction criterion gamma < Delta*eps promises a stable point;
-    # if it was not caught (root inside the flat/pure transition), or nothing
-    # was found at all, scan the transition zone with the full map
-    promised = gamma < delta * eps and not any(f.stability == "attracting" for f in found)
-    if promised or not found:
-        for a, b in sign_changes(lambda x: R(x) - x, np.linspace(xbar - 8e-3, xbar + 1e-3, 17)):
-            accept(a if a == b else float(brentq(lambda x: R(x) - x, a, b, xtol=1e-13)))
-    return found, gamma, delta
 
 
 @dataclass
@@ -177,7 +88,7 @@ class BranchPoint:
 @dataclass
 class BranchDiagram:
     points: list[BranchPoint]
-    collision_mu: float | None = None
+    collision_mu: float | None = None  # the saddle-node: the interior minimum of H
 
     def present(self) -> np.ndarray:
         return np.array([len(p.fixed_points) > 0 for p in self.points])
@@ -191,32 +102,61 @@ def grazing_sliding_scan(
 ) -> BranchDiagram:
     """Fixed-point branches over a mu grid for the grazing family.
 
+    The germ is affine in mu, pe_mu(z) = pe_0(z) + s mu with s the germ's
+    gamma sign, and the eps-regularized cross map G does not depend on mu.
+    So R_mu(x) - x = s (mu - H(x)) with the mu-free H(x) = s (x - pe_0(G(x))),
+    and the fixed points of every member are the level crossings H = mu.
+    H is tabulated once on 17 points across the flat/pure transition around
+    the tangent orbit xbar (the orbit grazing the strip boundary), widened
+    by one point on each outer branch that holds a root of some member (H is
+    affine there, with slope s on the flattened side and s (1 + c) on the
+    pure side); each crossing is rooted with brentq.  Every reported point
+    satisfies |R(x*) - x*| <= 1e-8 under the full numerical map.
+
     The attracting germ keeps a branch through mu = 0 (handing over from the
-    flattened fixed point to the untouched X+ orbit); the repelling germ
-    loses both fixed points below the collision parameter, which is located
-    as the presence boundary: the last absent -> present grid step is
-    bisected on the same cached cross map down to 1e-3 |Delta| eps (a
-    thousandth of the saddle-node's O(eps) shift), and the midpoint of the
-    final bracket is the collision parameter.
+    flattened fixed point to the untouched X+ orbit).  For the repelling
+    germ H has an interior minimum, where the attracting and repelling
+    roots meet: it is located with Brent's method and ``collision_mu`` is
+    H there, whatever the mu grid; members below it have no fixed point.
     """
-    cache: dict = {}
+    facts = desc.facts
+    y0, c, s = facts["y0"], facts["c"], facts["gamma_sign"]
+    pe0 = facts["exterior_factory"](0.0)
+    R_eps = RegularizedSystem(desc.system, profile, eps)
+
+    @cache  # shared by every member: G does not depend on mu
+    def G(x: float) -> float:
+        return map_P_epsilon(R_eps, y0, x, fold=facts["fold_x"]).x
+
+    def H(x: float) -> float:
+        return s * (x - pe0(G(x)))
+
+    mus = [float(mu) for mu in mu_grid]
+    xbar = -math.sqrt(y0 - eps)    # orbit through (xbar, y0) grazes y = eps
+    xs = np.linspace(xbar - 8e-3, xbar + 1e-3, 17).tolist()
+    lo = min((xs[0] + (mu - H(xs[0])) / s for mu in mus), default=xs[0]) - 1e-3
+    hi = max((xs[-1] + (mu - H(xs[-1])) / (s * (1.0 + c)) for mu in mus), default=xs[-1]) + 1e-3
+    xs = [lo] * (lo < xs[0]) + xs + [hi] * (hi > xs[-1])
+    collision_mu = None
+    k = int(np.argmin([H(x) for x in xs]))
+    if 0 < k < len(xs) - 1:
+        sn = minimize_scalar(H, bracket=(xs[k - 1], xs[k], xs[k + 1]), method="brent")
+        xs, collision_mu = sorted({*xs, sn.x}), float(sn.fun)
+
+    germ = normal_form_constants(y0)
     pts: list[BranchPoint] = []
-    for mu in mu_grid:
-        fps, gamma, delta = _grazing_fixed_points(desc, profile, eps, float(mu), cache)
-        pts.append(BranchPoint(mu=float(mu), fixed_points=fps, gamma=gamma, delta=delta))
-    diagram = BranchDiagram(points=pts)
-    present = diagram.present()
-    if not present.all() and present.any():
-        # the last absent -> present transition along increasing mu
-        mus = np.array([p.mu for p in pts])
-        order = np.argsort(mus)
-        mus, pres = mus[order], present[order]
-        ups = np.nonzero(~pres[:-1] & pres[1:])[0]
-        if ups.size:
-            present_at = lambda mu: bool(_grazing_fixed_points(desc, profile, eps, mu, cache)[0])
-            tol = 1e-3 * abs(desc.facts["delta"]) * eps
-            diagram.collision_mu = float(_bisect(present_at, mus[ups[-1]], mus[ups[-1] + 1], tol))
-    return diagram
+    for mu in mus:
+        pe = facts["exterior_factory"](mu)
+        R = lambda x: pe(G(x))
+        level = lambda x: H(x) - mu
+        found: list[FixedPoint] = []
+        for a, b in sign_changes(level, xs):
+            x = a if a == b else float(brentq(level, a, b, xtol=1e-13))
+            if abs(R(x) - x) <= 1e-8 and all(abs(f.x - x) >= 1e-9 for f in found):
+                found.append(FixedPoint(x=x, stability=_stability(R, x, dx=1e-7)))
+        pts.append(BranchPoint(mu=mu, fixed_points=found, gamma=pe(germ.x0_plus) - germ.x0_minus,
+                               delta=facts["delta"]))
+    return BranchDiagram(points=pts, collision_mu=collision_mu)
 
 
 # ---------------------------------------------------------------------------

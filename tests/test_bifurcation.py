@@ -106,6 +106,37 @@ def test_grazing_repelling_saddle_node(lin):
     assert stabs == ["attracting", "repelling"]
 
 
+@pytest.mark.parametrize("profile", [phi_linear(), phi_polynomial(2), phi_polynomial(3)],
+                         ids=["linear", "poly2", "poly3"])
+def test_grazing_repelling_pair_just_above_the_saddle_node(profile):
+    # no fixed point just below the saddle-node, the pair just above it and
+    # further up; each is a fixed point of an independently built pe_mu o P_eps
+    desc = model("grazing-family", variant="repelling")
+    eps, y0 = 1e-3, desc.facts["y0"]
+    unit = abs(desc.facts["delta"]) * eps
+    mu_sn = grazing_sliding_scan(desc, profile, eps, [-0.5 * unit, 0.5 * unit, 1.5 * unit]).collision_mu
+    diag = grazing_sliding_scan(desc, profile, eps, [0.999 * mu_sn, 1.001 * mu_sn, 1.05 * mu_sn])
+    pair = ["attracting", "repelling"]
+    assert [sorted(f.stability for f in pt.fixed_points) for pt in diag.points] == [[], pair, pair]
+    R_eps = RegularizedSystem(desc.system, profile, eps)
+    for pt in diag.points:
+        pe = desc.facts["exterior_factory"](pt.mu)
+        for f in pt.fixed_points:
+            assert abs(pe(map_P_epsilon(R_eps, y0, f.x, fold=0.0).x) - f.x) <= 1e-8
+
+
+def test_grazing_saddle_node_map_budget(lin, monkeypatch):
+    # count guard on criterion 7b's scan: 17 grid points, 15 for the minimum
+    # of H, 6 for the roots of the pair at 1.5 |D| eps and 5 to check and
+    # classify them make 43 maps (175 with a bisection on presence)
+    calls = []
+    monkeypatch.setattr(bifurcation, "map_P_epsilon", lambda *a, **k: calls.append(a) or map_P_epsilon(*a, **k))
+    desc = model("grazing-family", variant="repelling")
+    unit = abs(desc.facts["delta"]) * 1e-3
+    grazing_sliding_scan(desc, lin, 1e-3, [-0.5 * unit, 0.5 * unit, 1.5 * unit])
+    assert len(calls) <= 50
+
+
 def test_remark_delta_identity(lin):
     # c alpha+ = (pi+)'(x0-) alpha-  on the synthetic germ (exact by build)
     desc = model("grazing-family", variant="attracting")

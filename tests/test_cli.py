@@ -68,6 +68,20 @@ def test_inner_csv_deterministic(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_bifurcate_csv_deterministic(tmp_path):
+    # the README's grazing scan writes the same bytes and the same saddle-node twice
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"bif{k}.csv"
+        code, text = run_cli("bifurcate", "--family", "grazing-repelling", "--eps", "1e-3",
+                             "--mu", "0:1.5e-3:13", "--out", str(out))
+        assert code == 0
+        runs.append((text, out.read_bytes()))
+    assert runs[0][1].splitlines()[0] == b"mu,fixed_point,stability,gamma,delta"
+    assert runs[0][0].startswith("collision_mu=")
+    assert runs[0] == runs[1]
+
+
 def test_models_list():
     code, text = run_cli("models", "list")
     assert code == 0
