@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import FilippovSystem, FoldPoint, PlanarField
@@ -50,24 +49,20 @@ class TangencyConstants:
     beta_minus: float
 
 
-def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float):
+def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float) -> tuple[float, float, bool]:
     """Stage P: ride X+ from (x, y0) down to the strip boundary.
 
-    Returns (time, abscissa) of the strip entry, or None when the orbit's
-    minimum of y stays above the strip.
+    Returns (time, abscissa, entered) of the first of two level stops: the
+    strip top going down (the entry), or y0 going up (the landing of an
+    orbit that misses the strip).  A dip below the strip top inside one
+    step is found at its turn (``integrator.shoot``).
     """
-    dip = Stop(g=lambda t, z: x_plus(z[0], z[1])[1], direction=1)
-    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), dip], method="DOP853",
-                 max_step=0.25, rtol=1e-12, atol=1e-14, dense=True)
-    if shot.stop == 0:
-        return shot.t, float(shot.z[0])
-    if shot.stop == 1 and shot.z[1] <= y_strip:
-        # a wide step can fly over the whole dip without a sign change of the
-        # strip residual; y is monotone down to the minimum, so the crossing
-        # is recovered from the dense output
-        t_in = float(brentq(lambda t: float(shot.dense(t)[1]) - y_strip, 0.0, shot.t, xtol=1e-14))
-        return t_in, float(shot.dense(t_in)[0])
-    return None
+    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), Stop(1, y0, 1)], method="DOP853",
+                 max_step=0.25, rtol=1e-12, atol=1e-14)
+    if shot.stop is None:
+        raise NoArrival(f"stage P: orbit from ({x}, {y0}) reached neither y = {y_strip} nor y0 again; "
+                        f"last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
+    return shot.t, float(shot.z[0]), shot.stop == 0
 
 
 def fit_tangency_constants(
@@ -141,8 +136,8 @@ def map_P_epsilon(
 
     Orbits whose X+ arc stays above the strip never feel the regularization;
     they are returned with the ``out_of_domain`` flag set and the pure-X+
-    landing (P_eps = P0 trivially there).  The flags record the strip entry
-    and exit abscissae.  The strip crossing gives up 0.4 right of the fold.
+    landing (P_eps = P0 trivially there), stage P's own hit of y0.  The
+    flags record the strip entry and exit abscissae.  The strip crossing gives up 0.4 right of the fold.
     A section at or below the strip top is a ``ConfigError``.
     """
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
@@ -150,12 +145,10 @@ def map_P_epsilon(
     if y0 <= y_strip:
         raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
 
-    entry = _stage_P(R.base.x_plus, x, y0, y_strip)
-    if entry is None:
-        # never reached the strip: grazing orbit untouched by regularization
-        x_out = exterior_map(R.base.x_plus, (x, y0), Section(y0)).x
-        return PoincareResult(x=x_out, time=float("nan"), flags={"out_of_domain": True})
-    t_in, x_in = entry
+    t_in, x_in, entered = _stage_P(R.base.x_plus, x, y0, y_strip)
+    if not entered:
+        # stage P's landing back on y0: a grazing orbit untouched by regularization
+        return PoincareResult(x=x_in, time=float("nan"), flags={"out_of_domain": True})
     x_exit, t_mid, _diag = strip_crossing(R, x_in, x_limit=fx + 0.4)
     # stage Pbar: from below the section the first crossing is upward
     up = exterior_map(R.base.x_plus, (x_exit, y_strip), Section(y0))
@@ -276,24 +269,27 @@ def exterior_map(
     the stage Pbar of P_eps, the fold-orbit landings, and,
     along ``field.negated()``, every backward landing.  The Dormand-Prince
     8(5,3) pair DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10)
-    runs at rtol 1e-12, atol 1e-14 with steps capped at 0.25, so a dip
-    below the section wider than one step is not flown over.  At rtol
-    1e-11 it would land 3-5x farther from a tight reference; at 1e-12 the
-    landings near the fold stay within 5e-12 of DOP853 at rtol 1e-13 (a
-    tier-1 test).  ``NoArrival`` is raised when the
-    orbit escapes before coming back; in the sliding-homoclinic setting that
-    is the meaningful signal that the exterior map has lost its domain.
-    With ``floor_margin`` the orbit is also considered lost if it dips below
-    {y = floor_margin}.
+    runs at rtol 1e-12, atol 1e-14 with steps capped at 0.25.  A dip below
+    the section inside one step is found at its turn (``integrator.shoot``),
+    not by the cap.  The cap keeps the landings close to those of the
+    separatrix shot, which has the same cap: without it two W^s landings of
+    saddle-homoclinic members lie 1.2e-12 and 2.3e-12 from the shared
+    separatrix's, past the 1e-12 of a tier-1 test.  At rtol 1e-11 it
+    would land 3-5x farther from a tight reference; at 1e-12 the landings
+    near the fold stay within 5e-12 of DOP853 at rtol 1e-13 (a tier-1
+    test).  ``NoArrival`` is raised when the orbit escapes before coming
+    back; in the sliding-homoclinic setting that is the meaningful signal
+    that the exterior map has lost its domain.  With ``floor_margin`` the
+    orbit is also considered lost if it dips below {y = floor_margin}.
+    Either message names the stage and the last state reached.
     """
     stops = [section_to.stop()]
     if floor_margin is not None:
         stops.append(Stop(1, floor_margin, -1))
     shot = shoot(field.rhs, (0.0, t_max), start, stops, method="DOP853", max_step=0.25,
                  rtol=1e-12, atol=1e-14)
-    if shot.stop is None:
-        raise NoArrival(f"orbit from {start} never reached y = {section_to.y0}")
-    if shot.stop == 1:
-        raise NoArrival("exterior orbit dipped below the floor margin")
-    return PoincareResult(x=float(shot.z[0]), time=shot.t)
+    if shot.stop == 0:
+        return PoincareResult(x=float(shot.z[0]), time=shot.t)
+    why = "dipped below the floor margin" if shot.stop else f"never reached y = {section_to.y0}"
+    raise NoArrival(f"exterior: orbit from {start} {why}; last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
 

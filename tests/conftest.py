@@ -2,6 +2,8 @@ from typing import NamedTuple
 
 import pytest
 
+from lapack_radau import LapackRadau
+from slidekick import integrator
 from slidekick.fields import FilippovSystem, PlanarField
 from slidekick.integrator import Shot, shoot
 from slidekick.regularization import phi_linear, phi_polynomial
@@ -52,3 +54,11 @@ def shoot_calls(monkeypatch):
         return calls
 
     return spy
+
+
+@pytest.fixture
+def lapack_radau(monkeypatch):
+    """``method="Radau"`` steps with :class:`LapackRadau` for one test (the
+    same digits, faster); returns the class for direct ``solve_ivp`` use."""
+    monkeypatch.setitem(integrator._SOLVERS, "Radau", LapackRadau)
+    return LapackRadau

@@ -327,12 +327,19 @@ def test_programming_error_propagates(monkeypatch):
         main(["inner", "--p", "2", "--phi-p", "-3"])
 
 
-def test_bitwise_reproducible_csv(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("poincare", "--model", "normal-fold", "--profile", "poly(2)", "--eps", "1e-3,1e-4", "--y0", "0.25",
+     "--probe=-0.8,-0.6"),
+    ("exponent", "--model", "normal-fold", "--profile", "poly(2)", "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4"),
+    ("manifold", "--model", "normal-fold", "--profile", "poly(2)", "--eps", "1e-4"),
+    ("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25"),
+    # the strip entry and exit rows come from integrate's strip notes
+    ("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25", "--eps", "1e-3"),
+], ids=["poincare", "exponent", "manifold", "simulate", "simulate-eps"])
+def test_bitwise_reproducible_csv(tmp_path, argv):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
-        run_cli("poincare", "--model", "normal-fold", "--profile", "poly(2)",
-                "--eps", "1e-3,1e-4", "--y0", "0.25", "--probe=-0.8,-0.6",
-                "--out", str(out))
+        assert run_cli(*argv, "--out", str(out))[0] == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -142,7 +142,7 @@ def test_normalized_sandwich(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_normalized_route_agrees_with_radau(p):
+def test_normalized_route_agrees_with_radau(p, lapack_radau):
     # the normalized route steps with LSODA at rtol 1e-12; a tight Radau
     # solve of the same deviation equation from the same seed lands within
     # the 3e-11 its docstring promises (measured worst 1.97e-11, at p = 4)
@@ -154,7 +154,7 @@ def test_normalized_route_agrees_with_radau(p):
     u0 = -30.0
     w0 = -(1.0 / p) * u0 ** (1 - p) - ((p - 1) / p**3) * u0 ** (2 - 3 * p)
     ref = solve_ivp(lambda u, z: [1.0 / z[0] + p * u ** (p - 1)], (u0, 0.0), [w0],
-                    method="Radau", jac=lambda u, z: [[-1.0 / (z[0] * z[0])]],
+                    method=lapack_radau, jac=lambda u, z: [[-1.0 / (z[0] * z[0])]],
                     rtol=1e-13, atol=1e-15)
     got = float(_integrate_normalized(p, u0).z[0])
     assert abs(got - ref.y[0, -1]) <= 3e-11
@@ -164,7 +164,7 @@ def test_normalized_route_agrees_with_radau(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_unscaled_route_agrees_with_tight_radau(p, monkeypatch):
+def test_unscaled_route_agrees_with_tight_radau(p, monkeypatch, lapack_radau):
     # the unscaled route steps with LSODA at rtol 3e-14; rerunning the same
     # solves (same seeds, step caps and Richardson step) on Radau at rtol
     # 1e-13, atol 1e-15 must land on the same eta0(0) and grid.  Measured

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import slidekick
 
-from slidekick import fields, inner, integrator, poincare, slow_manifold
+from slidekick import bifurcation, fields, inner, integrator, poincare, slow_manifold
+from slidekick.bifurcation import _stable_separatrix
 from slidekick.cli import _write_trajectory
 from slidekick.errors import NumericalFailure
 from slidekick.fields import FilippovSystem, PlanarField, filippov_flow, find_fold
@@ -184,6 +185,22 @@ def test_no_module_selects_radau():
     assert integrator._SOLVERS["Radau"] is Radau
 
 
+@pytest.mark.parametrize("method, extra", [("LSODA", False), ("RK45", True)])
+def test_turn_costs_calls_only_where_the_rate_is_held(method, extra):
+    # circles about the origin turn at x = -1 once a loop without reaching
+    # the level x = -2: RK45 roots each turn on its interpolant, LSODA,
+    # which holds no rate, makes exactly the calls of a shot without stops
+    def counted():
+        calls = []
+        return calls, lambda t, z: calls.append(t) or [z[1], -z[0]]
+
+    with_stop, rhs = counted()
+    assert shoot(rhs, (0.0, 20.0), [1.0, 0.0], [Stop(0, -2.0, -1)], method=method).stop is None
+    without, rhs = counted()
+    shoot(rhs, (0.0, 20.0), [1.0, 0.0], method=method)
+    assert len(with_stop) > len(without) if extra else len(with_stop) == len(without)
+
+
 def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol=1e-10, atol=1e-12,
                      max_step=np.inf, dense=False):
     """``shoot`` written on ``solve_ivp``: the reference of the agreement
@@ -258,13 +275,19 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
     raise NoArrival("restart budget for rejected stop crossings exhausted")
 
 
+# the second dips to y = -1e-4, below the strip top 1e-3, inside one step:
+# solve_ivp flies over the dip, shoot roots its turn and lands on the
+# closed-form entry
+GRAZING_STAGE_P = (-0.8, -0.5001)
+
+
 def _probe_shots(shoot_calls):
     """Every shoot call (arguments and result) of the agreement probe set."""
-    calls = shoot_calls(fields, inner, poincare, slow_manifold)
+    calls = shoot_calls(bifurcation, fields, inner, poincare, slow_manifold)
     nf = model("normal-fold")
     for profile, eps in ((phi_polynomial(2), 1e-3), (phi_polynomial(2), 1e-4), (phi_linear(), 1e-4)):
         strip_crossing(RegularizedSystem(nf.system, profile, eps), -0.75, x_limit=0.4)
-    for x in (-0.8, -0.5001):  # the second flies over the strip: the dip stop fires
+    for x in GRAZING_STAGE_P:
         _stage_P(nf.system.x_plus, x, 0.25, 1e-3)
     coulomb = model("coulomb")
     fold = find_fold(coulomb.system, coulomb.fold_bracket)
@@ -274,18 +297,24 @@ def _probe_shots(shoot_calls):
                   Section(0.25, "x>0"))
     trace_manifold(RegularizedSystem(nf.system, phi_polynomial(2), 1e-3), -1.0, 1.0)
     distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)
+    _stable_separatrix(model("saddle-homoclinic", nu=0.15))  # DOP853 with dense output
     return calls
 
 
 def test_shoot_matches_solve_ivp_bitwise(shoot_calls):
     # the stepping loop reproduces solve_ivp's steps, event roots, polish and
-    # dense output digit for digit on orbits without a rejected root
+    # dense output digit for digit on orbits without a rejected root, except
+    # where a crossing hides inside one step
     calls = _probe_shots(shoot_calls)
     seen = {(kw.get("method", "RK45"), s.stop, kw.get("dense", False)) for _a, kw, s in calls}
     assert {("LSODA", 0, False), ("DOP853", 1, True), ("RK45", 1, False), ("LSODA", 1, True),
             ("LSODA", None, True)} <= seen
     for args, kwargs, shot in calls:
         ref = _solve_ivp_shoot(*args, **kwargs)
+        if tuple(args[2]) == (GRAZING_STAGE_P[1], 0.25):
+            assert ref.stop != 0 and shot.stop == 0
+            assert abs(shot.z[0] + math.sqrt(0.5001**2 + 1e-3 - 0.25)) <= 1e-12
+            continue
         assert (shot.stop, shot.t, shot.n_steps, shot.min_step) == (ref.stop, ref.t, ref.n_steps, ref.min_step)
         assert np.array_equal(shot.z, ref.z)
         assert np.array_equal(shot.ts, ref.ts) and np.array_equal(shot.zs, ref.zs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidekick import poincare
+from slidekick import integrator, poincare
 from slidekick.errors import ConfigError
 from slidekick.fields import find_fold
 from slidekick.integrator import NoArrival, Section, shoot
@@ -84,11 +84,14 @@ def test_map_p1_branch(nf, nf_fold, lin):
         assert max(vals) - min(vals) <= 10 * eps**2
 
 
-def test_map_out_of_domain_flag(nf, nf_fold, lin):
+def test_map_out_of_domain_flag(shoot_calls, nf, nf_fold, lin):
     R = RegularizedSystem(nf.system, lin, 1e-3)
+    calls = shoot_calls(poincare)
     r = map_P_epsilon(R, 0.25, -0.2, fold=nf_fold)  # orbit dips only to 0.21
     assert r.flags["out_of_domain"]
     assert r.x == pytest.approx(0.2, abs=1e-8)  # the untouched grazing return
+    # stage P's hit of y0 going up is the landing: one exterior shot in all
+    assert [c.kwargs["method"] for c in calls] == ["DOP853"]
 
 
 def test_stage_maps_match_closed_forms(nf):
@@ -200,7 +203,7 @@ def test_exterior_map_centre_identity():
 def test_exterior_map_no_arrival():
     # the normal-form X+ has no recurrence: the orbit escapes upward
     nf = model("normal-fold")
-    with pytest.raises(NoArrival):
+    with pytest.raises(NoArrival, match=r"^exterior: .* never reached y = 0\.25; last state t=30\.0, x=30\.5"):
         exterior_map(
             nf.system.x_plus,
             (0.5, 0.25),
@@ -208,6 +211,18 @@ def test_exterior_map_no_arrival():
             floor_margin=1e-4,
             t_max=30.0,
         )
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_exterior_map_lands_a_graze_inside_one_step(delta):
+    # y = x^2 + 0.25 - delta along X+ = (1, 2x) crosses y = 0.25 at
+    # x = -sqrt(delta) and again at +sqrt(delta); below delta = 1e-2 one
+    # capped step spans both, and each is rooted on its side of the turn
+    xp = model("normal-fold").system.x_plus
+    for x0 in (-1.0, -0.9, -0.77):
+        start = (x0, x0 * x0 + 0.25 - delta)
+        assert abs(exterior_map(xp, start, Section(0.25)).x + math.sqrt(delta)) <= 1e-12
+        assert abs(exterior_map(xp, start, Section(0.25, "x>0")).x - math.sqrt(delta)) <= 1e-12
 
 
 # the 5 x 5 start grid of fit_tangency_constants, offsets from the fold
@@ -231,21 +246,27 @@ def test_exterior_landings_agree_with_tight_dop853(model_id, params):
             assert abs(exterior_map(field, start, Section(0.25)).x - ref.z[0]) <= 5e-12
 
 
-def test_stage_P_near_grazing_matches_closed_form(shoot_calls, nf):
+def test_stage_P_near_grazing_matches_closed_form(shoot_calls, monkeypatch, nf):
     # y - x^2 is constant along X+ = (1, 2x), so the entry is
     # -sqrt(x^2 + y_strip - y0); starts close to the grazing one dip below
-    # the strip within one step, which the dip stop and the dense output catch
+    # the strip within one step, which shoot finds at the step's turn
     y0, y_strip = 0.25, 1e-3
     calls = shoot_calls(poincare)
+    real_turn, turns = integrator._turn, []  # turns: (index of the shot in flight, turn time)
+
+    def turn(*args):
+        turns.append((len(calls), real_turn(*args)))
+        return turns[-1][1]
+
+    monkeypatch.setattr(integrator, "_turn", turn)
     for x in np.linspace(-0.508, -0.49900005, 400):
-        entry = _stage_P(nf.system.x_plus, float(x), y0, y_strip)
-        assert entry is not None
-        assert abs(entry[1] + math.sqrt(x * x + y_strip - y0)) <= 1e-12
+        _t, x_in, entered = _stage_P(nf.system.x_plus, float(x), y0, y_strip)
+        assert entered
+        assert abs(x_in + math.sqrt(x * x + y_strip - y0)) <= 1e-12
     shots = [c.shot for c in calls]
-    direct = sum(s.stop == 0 for s in shots)
-    fallback = sum(s.stop == 1 and s.z[1] <= y_strip for s in shots)
-    assert direct > 0 and fallback > 0
-    assert direct + fallback == len(shots) == 400
+    assert len(shots) == 400 and all(s.stop == 0 for s in shots)
+    # a hit rooted before a turn of its own last step
+    assert any(shots[k].ts[-2] < shots[k].t < t_turn for k, t_turn in turns)
 
 
 @pytest.mark.parametrize("model_id, params, budget", [

@@ -227,7 +227,7 @@ def _strip_entry(x, eps):
     ("poly(3)", 1e-3, -0.8),
     ("poly(3)", 1e-6, -0.75),
 ])
-def test_strip_exit_agrees_with_tight_radau(normal_form, profile, eps, x):
+def test_strip_exit_agrees_with_tight_radau(normal_form, profile, eps, x, lapack_radau):
     # the crossing's LSODA exit against Radau IIA at rtol 1e-13; each
     # profile at both eps and both entries
     R = RegularizedSystem(normal_form, parse_profile(profile), eps)
@@ -268,7 +268,7 @@ def test_strip_crossing_step_budget(normal_form, profile, eps, x):
     assert diag["n_steps"] <= 3000
 
 
-def test_trace_and_probe_agree_with_tight_radau(normal_form, monkeypatch):
+def test_trace_and_probe_agree_with_tight_radau(normal_form, monkeypatch, lapack_radau):
     # the trace's and the probe's LSODA at rtol 3e-14 against the same
     # solves on Radau at rtol 1e-13, atol 1e-15.  Measured: 8.1e-15 in the
     # trace exits (7.7e-14 over the three profiles at eps 1e-2, 1e-3 and
