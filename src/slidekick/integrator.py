@@ -27,7 +27,11 @@ of that, the primitive handles four cases:
   roots the rate on the interpolant; if z there lies beyond the level by
   more than 1e-13, the crossing in the stop's direction is bracketed on
   its side of the turn and treated like any other root (Esposito, Kumar &
-  Pappas, HSCC 2001).  Only RK45, DOP853 and Radau hold that rate.
+  Pappas, HSCC 2001).  A start exactly on a level that it leaves against
+  the stop's direction counts from the side it comes from, so its return
+  is found at the turn and the start itself is never the hit.  One turn
+  per step is seen (opposite rates at the step's ends).  Only RK45, DOP853
+  and Radau hold that rate; LSODA shots keep the end-point rule.
 
 Each stage picks its stepper.  The exterior maps, stage P of the fold map
 and the separatrix shot use the Dormand-Prince 8(5,3) pair DOP853 at rtol
@@ -178,8 +182,14 @@ def shoot(
     g_old = [g(t_cur, z_cur) for g in gs]
     # the level stops that can hide a crossing behind a turn, where the solver
     # holds the rate at the step's ends (LSODA holds none)
-    levels = [k for k, s in enumerate(stops) if s.g is None] if hasattr(solver, "f") else []
+    levels = [k for k, s in enumerate(stops) if s.g is None] if method != "LSODA" else []
     f_old = solver.f if levels else None
+    for k in levels:
+        if g_old[k] == 0.0:
+            # a start on the level that leaves it against the stop's direction
+            # (it was not stepped off) counts from the side it comes from, so
+            # a return inside the first step is rooted at the turn, not at t0
+            g_old[k] = -f_old[stops[k].component]
     fired = None
     while fired is None and solver.status == "running":
         message = solver.step()
@@ -310,7 +320,9 @@ def _strip_notes(shot: Shot, rhs: Callable, strip: float, center: float) -> list
     A step whose y-rate changes sign between its ends (one ``rhs`` call per
     step end) is split at its turn (:func:`_turn`), so a step that passes
     through the band, or dips into it and back out, still shows a sign
-    change at each band edge it crosses.
+    change at each band edge it crosses.  Only one turn per step is seen:
+    a step with two turns inside it (same rate sign at both ends) is not
+    split, and an edge it touches and leaves again is not marked.
     """
     def h(t: float) -> float:
         return float(shot.dense(t)[1]) - center

@@ -94,6 +94,17 @@ def test_map_out_of_domain_flag(shoot_calls, nf, nf_fold, lin):
     assert [c.kwargs["method"] for c in calls] == ["DOP853"]
 
 
+@pytest.mark.parametrize("x", [-0.005, -1e-3])
+def test_map_out_of_domain_near_fold_lands_on_the_mirror(nf, nf_fold, lin, x):
+    # y - x^2 is constant along X+ = (1, 2x): the orbit from (x, y0) comes
+    # back to y0 at -x; so near the fold the first step holds the whole
+    # excursion, and stage P starts on the y0 stop that it leaves downward
+    R = RegularizedSystem(nf.system, lin, 1e-3)
+    r = map_P_epsilon(R, 0.25, x, fold=nf_fold)
+    assert r.flags["out_of_domain"]
+    assert abs(r.x + x) <= 1e-12
+
+
 def test_stage_maps_match_closed_forms(nf):
     eps = 1e-3
     xp = nf.system.x_plus
