@@ -37,7 +37,7 @@ import numpy as np
 from slidekick.bifurcation import (
     centre_semistability,
     grazing_sliding_scan,
-    homoclinic_scan,
+    homoclinic_family,
     stribeck_attractor,
 )
 from slidekick.errors import ConfigError
@@ -327,22 +327,21 @@ def _criterion_9():
 @_register("10", "homoclinic bifurcation", "present/present/absent and |mu~* + alpha+| <= 0.2",
            limit=120.0)
 def _criterion_10():
-    """Sliding homoclinic: presence window and the parameter rooted on the landing's gap to W^s."""
+    """Sliding homoclinic: presence window and the parameter rooted on the
+    landing's gap to W^s, at eps and eps/2 of one ``homoclinic_family``."""
     eps = 1e-3
     lin = phi_linear()
 
     def make(mu_raw: float):
         return model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
 
-    pre = homoclinic_scan(make, lin, eps, [0.0], y0=0.25, bisect=False)
-    ap = pre.alpha_plus
-    scan = homoclinic_scan(make, lin, eps, [0.0, -0.5 * ap, -1.5 * ap], y0=0.25, bisect=True)
-    e0, e05, e15 = (p.exists for p in scan.probes)
-    dev = abs(scan.mu_tilde_star + ap) if scan.mu_tilde_star is not None else float("inf")
+    ap, scan = homoclinic_family(make, y0=0.25)
+    full = scan(lin, eps, [0.0, -0.5 * ap, -1.5 * ap])
+    e0, e05, e15 = (p.exists for p in full.probes)
+    dev = abs(full.mu_tilde_star + ap) if full.mu_tilde_star is not None else float("inf")
     # half-eps cross-check freezes the O(eps) constant
-    scan_half = homoclinic_scan(make, lin, eps / 2, [], y0=0.25, bisect=True)
-    mt_half = scan_half.mu_tilde_star
-    dev_half = abs(mt_half + scan_half.alpha_plus) if mt_half is not None else float("inf")
+    mt_half = scan(lin, eps / 2, []).mu_tilde_star
+    dev_half = abs(mt_half + ap) if mt_half is not None else float("inf")
     ok = e0 and e05 and (not e15) and dev <= 0.2 and dev_half <= 0.2
     return ok, (
         f"exists at mu~ in (0, -a+/2): ({e0}, {e05}); absent at -1.5a+: {not e15}; "

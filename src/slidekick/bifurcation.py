@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from slidekick.errors import NumericalFailure
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, sign_changes
 from slidekick.integrator import NoArrival, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
@@ -299,36 +299,31 @@ def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]
     return landing
 
 
-def homoclinic_scan(
-    make_model: Callable[[float], ModelDescriptor],
-    profile: RegularizationProfile,
-    eps: float,
-    mu_tilde_probes,
-    *,
-    y0: float = 0.25,
-    bisect: bool = True,
-) -> HomoclinicScan:
-    """Probe the sliding-homoclinic family at paper-normalized parameters.
+def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
+                      y0: float = 0.25) -> tuple[float, Callable[..., HomoclinicScan]]:
+    """The eps-free half of the sliding-homoclinic family, built once.
 
-    ``make_model(mu_raw)`` builds the family member with raw vertical shift
-    mu_raw; the bifurcation parameter proper is the section displacement
-    mu = x0+ - x0^s, probed at mu = mu_tilde * eps.  The homoclinic value
-    mu_tilde^* (where the exterior map loses the landing interval) is
-    rooted on the landing's gap to W^s: brentq in mu_raw itself on the
-    member's P_eps landing on y0 minus its W^s landing there, between the
-    members at mu_tilde = 0 and mu_tilde = 2|alpha+| once the orbit exists
-    at the first and not at the second; mu_tilde^* is mu at the root, over eps.
-
-    If member 0 declares ``shifts_with_mu`` (member mu_raw is member 0 moved
-    up by mu_raw), one shot from its saddle lands W^s of every member, on
-    y0 - mu_raw; otherwise, or out of that shot's reach, members shoot their own.
+    ``make_model(mu_raw)`` builds the member with raw vertical shift mu_raw;
+    the bifurcation parameter is the section displacement mu = x0+ - x0^s.
+    Member 0 must declare ``shifts_with_mu`` (member mu_raw is member 0 moved
+    up by mu_raw), else ``ConfigError`` before any shot: one shot from its
+    saddle lands W^s of every member, on y0 - mu_raw.  That shot, mu's
+    linearization, the grazing member (mu = 0) and its tangency fit are made
+    here.  Returns ``(alpha_plus, scan)``; ``scan(profile, eps,
+    mu_tilde_probes, *, bisect=True)`` probes mu = mu_tilde * eps and roots
+    the homoclinic value mu_tilde^* (where the exterior map loses the landing
+    interval) on the landing's gap to W^s: brentq in mu_raw on the member's
+    P_eps landing on y0 minus its W^s landing there, between the members at
+    mu_tilde = 0 and 2|alpha+| once the orbit exists at the first and not at
+    the second; mu_tilde^* is mu at the root, over eps.
     """
     base = make_model(0.0)
-    shared = _stable_separatrix(base) if base.facts.get("shifts_with_mu") else None
+    if not base.facts.get("shifts_with_mu"):
+        raise ConfigError(f"{base.id}: the homoclinic scan needs member 0's fact shifts_with_mu")
+    shared = _stable_separatrix(base)
 
-    def w_s(mu_raw: float, desc: ModelDescriptor) -> float:
-        x0s = shared(y0 - mu_raw) if shared is not None else None
-        x0s = _stable_separatrix(desc)(y0) if x0s is None else x0s
+    def w_s(mu_raw: float) -> float:
+        x0s = shared(y0 - mu_raw)
         if x0s is None:
             raise NoArrival(f"W^s of member {mu_raw} never comes down to y = {y0}")
         return x0s
@@ -336,7 +331,7 @@ def homoclinic_scan(
     def mu_paper(mu_raw: float) -> float:
         desc = make_model(mu_raw) if mu_raw else base
         x0p = exterior_map(desc.system.x_plus, (desc.fold().x, desc.system.offset), Section(y0)).x
-        return x0p - w_s(mu_raw, desc)
+        return x0p - w_s(mu_raw)
 
     # linearize mu_paper(mu_raw) once; each inversion is a secant iteration
     # whose first step is this linearization
@@ -363,58 +358,68 @@ def homoclinic_scan(
     # that member sits at a nonzero raw shift
     raw0 = raw_for(0.0)
     anchor = make_model(raw0)
-    fold0 = anchor.fold()
-    constants = fit_tangency_constants(anchor.system.x_plus, fold0, y0)
+    constants = fit_tangency_constants(anchor.system.x_plus, anchor.fold(), y0)
 
-    @cache  # each member's landing serves both its existence check and its gap
-    def member(mu_raw: float):
-        desc = make_model(mu_raw)
-        f = desc.fold()
-        R_eps = RegularizedSystem(desc.system, profile, eps)
-        return desc, f, R_eps, map_P_epsilon(R_eps, y0, constants.x0_minus - 0.05, fold=f).x
+    def scan(profile, eps: float, mu_tilde_probes, *, bisect: bool = True) -> HomoclinicScan:
+        @cache  # each member's landing serves both its existence check and its gap
+        def member(mu_raw: float):
+            desc = make_model(mu_raw)
+            f = desc.fold()
+            R_eps = RegularizedSystem(desc.system, profile, eps)
+            return desc, f, R_eps, map_P_epsilon(R_eps, y0, constants.x0_minus - 0.05, fold=f).x
 
-    def gap(mu_raw: float) -> float:
-        desc, _f, _R, landing = member(mu_raw)
-        return landing - w_s(mu_raw, desc)
+        def gap(mu_raw: float) -> float:
+            return member(mu_raw)[3] - w_s(mu_raw)
 
-    @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
-    def orbit_exists(mu_raw: float) -> tuple[bool, float | None]:
-        desc, f, R_eps, landing = member(mu_raw)
-        sec_m = Section(y0, "x<0", id="outer-")
+        @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
+        def orbit_exists(mu_raw: float) -> tuple[bool, float | None]:
+            desc, f, R_eps, landing = member(mu_raw)
+            sec_m = Section(y0, "x<0", id="outer-")
 
-        def back(x: float) -> float | None:
-            try:
-                return exterior_map(desc.system.x_plus, (x, y0), sec_m, floor_margin=eps / 2, t_max=400.0).x
-            except NoArrival:
-                return None
+            def back(x: float) -> float | None:
+                try:
+                    return exterior_map(desc.system.x_plus, (x, y0), sec_m, floor_margin=eps / 2, t_max=400.0).x
+                except NoArrival:
+                    return None
 
-        x1 = back(landing)
-        # one more composition confirms the contraction fixed point
-        x2 = None if x1 is None else back(map_P_epsilon(R_eps, y0, x1, fold=f).x)
-        return x2 is not None, x2
+            x1 = back(landing)
+            # one more composition confirms the contraction fixed point
+            x2 = None if x1 is None else back(map_P_epsilon(R_eps, y0, x1, fold=f).x)
+            return x2 is not None, x2
 
-    probes: list[HomoclinicProbe] = []
-    for mt in mu_tilde_probes:
-        ok, fp = orbit_exists(raw_for(mt * eps) if mt else raw0)
-        probes.append(HomoclinicProbe(mu_tilde=float(mt), mu=mt * eps, exists=ok, fixed_point=fp))
+        probes: list[HomoclinicProbe] = []
+        for mt in mu_tilde_probes:
+            ok, fp = orbit_exists(raw_for(mt * eps) if mt else raw0)
+            probes.append(HomoclinicProbe(mu_tilde=float(mt), mu=mt * eps, exists=ok, fixed_point=fp))
 
-    mt_star = None
-    if bisect:
-        # the orbit dies at mu_tilde = -alpha+ + O(eps); the bracket's upper
-        # end lies twice as far out
-        mt_hi = 2.0 * abs(constants.alpha_plus)
-        lo, hi = raw0, raw_for(mt_hi * eps)
-        if orbit_exists(lo)[0] and not orbit_exists(hi)[0]:
-            g_lo, g_hi = gap(lo), gap(hi)
-            if g_lo * g_hi > 0.0:
-                raise SaddleNotResolved(f"the landing's gap to W^s has one sign on the existence "
-                                        f"bracket: {g_lo:g} at mu_raw={lo}, {g_hi:g} at mu_raw={hi}")
-            mt_star = mu_paper(brentq(gap, lo, hi)) / eps
-    return HomoclinicScan(
-        probes=probes,
-        mu_tilde_star=mt_star,
-        alpha_plus=constants.alpha_plus,
-    )
+        mt_star = None
+        if bisect:
+            # the orbit dies at mu_tilde = -alpha+ + O(eps); the bracket's upper
+            # end lies twice as far out
+            mt_hi = 2.0 * abs(constants.alpha_plus)
+            lo, hi = raw0, raw_for(mt_hi * eps)
+            if orbit_exists(lo)[0] and not orbit_exists(hi)[0]:
+                g_lo, g_hi = gap(lo), gap(hi)
+                if g_lo * g_hi > 0.0:
+                    raise SaddleNotResolved(f"the landing's gap to W^s has one sign on the existence "
+                                            f"bracket: {g_lo:g} at mu_raw={lo}, {g_hi:g} at mu_raw={hi}")
+                mt_star = mu_paper(brentq(gap, lo, hi)) / eps
+        return HomoclinicScan(probes=probes, mu_tilde_star=mt_star, alpha_plus=constants.alpha_plus)
+
+    return constants.alpha_plus, scan
+
+
+def homoclinic_scan(
+    make_model: Callable[[float], ModelDescriptor],
+    profile: RegularizationProfile,
+    eps: float,
+    mu_tilde_probes,
+    *,
+    y0: float = 0.25,
+    bisect: bool = True,
+) -> HomoclinicScan:
+    """One scan of a fresh ``homoclinic_family``; scans at several eps should share one."""
+    return homoclinic_family(make_model, y0=y0)[1](profile, eps, mu_tilde_probes, bisect=bisect)
 
 
 # ---------------------------------------------------------------------------

@@ -75,17 +75,31 @@ def test_criterion_10_homoclinic():
     _check("10")
 
 
+def test_criterion_10_fits_once_and_shoots_one_separatrix(monkeypatch, shoot_calls):
+    # one family serves the scans at eps and eps/2: one tangency fit and one
+    # separatrix shot (a pre-scan for alpha+ and two fresh scans made 3 each)
+    from slidekick import bifurcation
+
+    fits = []
+    fit = bifurcation.fit_tangency_constants
+    monkeypatch.setattr(bifurcation, "fit_tangency_constants", lambda *a: fits.append(a) or fit(*a))
+    shots = shoot_calls(bifurcation)
+    assert _RUN["10"]().ok
+    assert len(fits) == 1 and len(shots) == 1
+
+
 def test_criterion_10_reads_a_zero_root_as_found(monkeypatch):
-    # a half-eps scan that bisects mu~* to exactly 0.0 has found its root
+    # a half-eps scan that roots mu~* at exactly 0.0 has found its root
     from slidekick.bifurcation import HomoclinicProbe, HomoclinicScan
 
-    def scan(make_model, profile, eps, mu_tildes, *, y0, bisect):
-        if eps < 1e-3:
-            return HomoclinicScan([], 0.0, -0.1)
-        probes = [HomoclinicProbe(m, m * eps, m < 1.0, None) for m in mu_tildes]
-        return HomoclinicScan(probes, 1.0 if bisect else None, -1.0)
+    def family(make_model, *, y0):
+        def scan(profile, eps, mu_tildes, *, bisect=True):
+            probes = [HomoclinicProbe(m, m * eps, m < 0.1, None) for m in mu_tildes]
+            return HomoclinicScan(probes, 0.1 if eps == 1e-3 else 0.0, -0.1)
 
-    monkeypatch.setattr(acceptance, "homoclinic_scan", scan)
+        return -0.1, scan
+
+    monkeypatch.setattr(acceptance, "homoclinic_family", family)
     res = _RUN["10"]()
     assert "half-eps: 0.100" in res.measured
     assert res.passed, res.line()

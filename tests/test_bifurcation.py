@@ -12,12 +12,14 @@ from slidekick.bifurcation import (
     _stable_separatrix,
     centre_semistability,
     grazing_sliding_scan,
+    homoclinic_family,
     homoclinic_scan,
     iterate_to_fixed_point,
     IterationDiverged,
     SaddleNotResolved,
     stribeck_attractor,
 )
+from slidekick.errors import ConfigError
 from slidekick.fields import sign_changes
 from slidekick.integrator import PoincareResult, Section
 from slidekick.models import Y_TANGENT, model, saddle_eigen
@@ -271,21 +273,19 @@ def _separatrix_shots(shoot_calls, monkeypatch):
     return shots, landings, floored
 
 
-def test_family_without_the_fact_shoots_each_member(lin, shoot_calls, monkeypatch):
-    shots, landings, _floored = _separatrix_shots(shoot_calls, monkeypatch)
+def test_family_without_the_fact_is_a_config_error(shoot_calls, monkeypatch):
+    # the scan lands every member's W^s on member 0's separatrix, so a family
+    # that does not declare the shift is rejected before any shot
+    shots, landings, floored = _separatrix_shots(shoot_calls, monkeypatch)
 
     def make(mu_raw):
         desc = model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
         del desc.facts["shifts_with_mu"]
         return desc
 
-    scan = homoclinic_scan(make, lin, 1e-3, [0.0], y0=0.25, bisect=False)
-    assert scan.probes[0].exists
-    assert len(shots) == len(landings) >= 4
-    # each from the saddle (1, 1 - Y_TANGENT + mu_raw) of a different member
-    starts = [call.args[2] for call in shots]
-    assert all(abs(x - 1.0) < 1e-7 and abs(y - (1.0 - Y_TANGENT)) < 0.2 for x, y in starts)
-    assert len({y for _x, y in starts}) == len(starts)
+    with pytest.raises(ConfigError, match="shifts_with_mu"):
+        homoclinic_family(make, y0=0.25)
+    assert shots == [] and landings == [] and floored == []
 
 
 def test_homoclinic_scan_shoots_one_separatrix(lin, shoot_calls, monkeypatch):
@@ -312,10 +312,11 @@ def test_gap_root_agrees_with_existence(lin, eps):
     # the full existence check (two compositions, each with a back shot
     # floored at eps/2) finds the orbit 1e-3 in mu~ below the gap's root and
     # not 1e-3 above it
+    # (two scans of one family)
     make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
-    mt = homoclinic_scan(make, lin, eps, [], y0=0.25, bisect=True).mu_tilde_star
-    scan = homoclinic_scan(make, lin, eps, [mt - 1e-3, mt + 1e-3], y0=0.25, bisect=False)
-    assert [p.exists for p in scan.probes] == [True, False]
+    _ap, scan = homoclinic_family(make, y0=0.25)
+    mt = scan(lin, eps, []).mu_tilde_star
+    assert [p.exists for p in scan(lin, eps, [mt - 1e-3, mt + 1e-3], bisect=False).probes] == [True, False]
 
 
 def test_gap_of_one_sign_is_a_typed_failure(lin, monkeypatch):
