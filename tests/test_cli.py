@@ -82,6 +82,17 @@ def test_bifurcate_csv_deterministic(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_exponent_on_a_fitted_germ(tmp_path):
+    # general-fold's germ is fitted, and its x0 is the fold orbit's own
+    # landing: a least-squares intercept 1.8e-6 off bent the deviations
+    # so far that the fit was rejected (r^2 = 0.79)
+    code, text = run_cli("exponent", "--model", "general-fold", "--profile", "poly(2)",
+                         "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4", "--out", str(tmp_path / "e.csv"))
+    assert code == 0
+    slope = float(text.split()[0].split("=")[1])
+    assert slope == pytest.approx(2.0 / 3.0, abs=0.02)
+
+
 def test_models_list():
     code, text = run_cli("models", "list")
     assert code == 0

@@ -40,8 +40,9 @@ def constants(nf, nf_fold):
 
 def test_tangency_constants_normal_form(constants):
     # closed forms at y0 = 1/4: x0 = +-1/2, alpha = -+1, beta = +-1
-    assert constants.x0_plus == pytest.approx(0.5, abs=1e-5)
-    assert constants.x0_minus == pytest.approx(-0.5, abs=1e-5)
+    # x0 is the fold orbit's own landing, not the fit's intercept
+    assert constants.x0_plus == pytest.approx(0.5, abs=1e-10)
+    assert constants.x0_minus == pytest.approx(-0.5, abs=1e-10)
     assert constants.alpha_plus == pytest.approx(-1.0, abs=5e-3)
     assert constants.alpha_minus == pytest.approx(1.0, abs=5e-3)
     assert constants.beta_plus == pytest.approx(1.0, abs=5e-3)
@@ -63,7 +64,7 @@ def test_translation_invariance(nf_fold):
     f = find_fold(sys_shift, (-1.0, 1.0))
     assert f.x == pytest.approx(0.3, abs=1e-12)
     tc = fit_tangency_constants(xp, f, 0.25)
-    assert tc.x0_plus - f.x == pytest.approx(0.5, abs=1e-5)
+    assert tc.x0_plus - f.x == pytest.approx(0.5, abs=1e-10)
     assert tc.alpha_plus == pytest.approx(-1.0, abs=5e-3)
     assert tc.beta_plus == pytest.approx(1.0, abs=5e-3)
 
