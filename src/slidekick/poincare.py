@@ -138,12 +138,15 @@ def map_P_epsilon(
     they are returned with the ``out_of_domain`` flag set and the pure-X+
     landing (P_eps = P0 trivially there), stage P's own hit of y0.  The
     flags record the strip entry and exit abscissae.  The strip crossing gives up 0.4 right of the fold.
-    A section at or below the strip top is a ``ConfigError``.
+    A section at or below the strip top, or a start at or right of the fold,
+    is a ``ConfigError``.
     """
     fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
     if y0 <= y_strip:
         raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
+    if not x < fx:
+        raise ConfigError(f"start x={x} must lie left of the fold x={fx}")
 
     t_in, x_in, entered = _stage_P(R.base.x_plus, x, y0, y_strip)
     if not entered:

@@ -277,8 +277,8 @@ POINCARE = ("poincare", "--model", "normal-fold", "--probe=-0.8")
     (("simulate", "--model", "normal-fold", "--start=1"), None, 2),
     (POINCARE, "eps = abc\n", 2),
     (("manifold", "--profile", "linear", "--eps", "1e-3", "--from-x", "0.5"), None, 2),
-    # a probe on the wrong side of the fold never reaches the strip or returns
-    (("poincare", "--model", "normal-fold", "--eps", "1e-3", "--probe", "2.5"), None, 1),
+    # a probe on the wrong side of the fold is outside the fold map's domain
+    (("poincare", "--model", "normal-fold", "--eps", "1e-3", "--probe", "2.5"), None, 2),
 ], ids=["eps-abc", "eps-negative", "config-missing", "nu-abc", "p-x", "phi-p-sign", "mu-grid-x",
         "start-one-number", "config-eps-abc", "manifold-pole", "probe-past-fold"])
 def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
@@ -301,6 +301,16 @@ def test_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
 
     monkeypatch.setattr(slidekick.poincare, "_stage_P", _must_not_run)
     assert main([*POINCARE, "--eps", "1e-3", f"--y0={y0}"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("probe", ["0", "2.5"], ids=["at-fold", "past-fold"])
+def test_start_at_or_past_fold_rejected(monkeypatch, capsys, probe):
+    # the fold map's domain is {y = y0, x < fold}: checked before stage P
+    import slidekick.poincare
+
+    monkeypatch.setattr(slidekick.poincare, "_stage_P", _must_not_run)
+    assert main(["poincare", "--model", "normal-fold", "--eps", "1e-3", f"--probe={probe}"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
