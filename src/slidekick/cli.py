@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bifurcate)
 
     p = sub.add_parser("friction", help="dry-friction experiments (coulomb, stribeck)")
-    common(p)
+    p.add_argument("--config", help="key = value config file; flags win")  # prints, writes no CSV
     p.add_argument("--model", required=True, choices=["coulomb", "stribeck"])
     p.add_argument("--profile", default="poly(2)")
     p.add_argument("--eps", required=True, type=float)

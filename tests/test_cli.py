@@ -93,6 +93,15 @@ def test_exponent_on_a_fitted_germ(tmp_path):
     assert slope == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
+def test_friction_stdout_deterministic():
+    # the README's friction command prints the same summary twice; it writes
+    # no CSV, so it takes no --out
+    runs = [run_cli("friction", "--model", "coulomb", "--eps", "1e-3") for _ in range(2)]
+    assert runs[0][0] == 0 and runs[0][1].startswith("tangent_x=")
+    assert runs[0] == runs[1]
+    assert run_cli("friction", "--model", "coulomb", "--eps", "1e-3", "--out", "f.csv")[0] == 2
+
+
 def test_models_list():
     code, text = run_cli("models", "list")
     assert code == 0
