@@ -365,7 +365,8 @@ def test_programming_error_propagates(monkeypatch):
     ("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25"),
     # the strip entry and exit rows come from integrate's strip notes
     ("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25", "--eps", "1e-3"),
-], ids=["poincare", "exponent", "manifold", "simulate", "simulate-eps"])
+    ("bifurcate", "--family", "homoclinic", "--eps", "1e-3", "--mu", "0,1"),
+], ids=["poincare", "exponent", "manifold", "simulate", "simulate-eps", "bifurcate-homoclinic"])
 def test_bitwise_reproducible_csv(tmp_path, argv):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
