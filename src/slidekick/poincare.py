@@ -105,8 +105,8 @@ def fit_tangency_constants(
     return TangencyConstants(
         y0=y0,
         fold_x=fx,
-        x0_plus=float(x0p),
-        x0_minus=float(x0m),
+        x0_plus=x0p,
+        x0_minus=x0m,
         alpha_plus=float(cp[1]),
         alpha_minus=float(cm[1]),
         beta_plus=float(cp[2]),
