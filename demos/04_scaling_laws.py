@@ -6,15 +6,14 @@ eps^{2p/(2p-1)}, with the prefactor of the latter set by the inner
 constant: beta+ eta0(0)^2.
 """
 
-from slidekick.poincare import normal_form_constants
 from slidekick.inner import distinguished_solution
 from slidekick.models import model
-from slidekick.poincare import landing_scan, map_P_epsilon
+from slidekick.poincare import landing_scan, map_P_epsilon, normal_form_constants
 from slidekick.regularization import RegularizedSystem, phi_polynomial
 
 nf = model("normal-fold")
 y0 = 0.25
-tc = normal_form_constants(y0)
+tc = normal_form_constants(y0)[0]  # the germ of X+
 eps_list = [1e-6, 3e-6, 1e-5, 3e-5, 1e-4]
 
 for p in (2, 3):
@@ -28,5 +27,5 @@ eta0 = distinguished_solution(2, poly2.c_p).eta_at_0
 print("\nprefactor of the eps^{4/3} deviation (p = 2):")
 for eps in (1e-4, 1e-5, 1e-6):
     r = map_P_epsilon(RegularizedSystem(nf.system, poly2, eps), y0, -0.8, fold=0.0)
-    lhs = (r.x - (tc.x0_plus + tc.alpha_plus * eps)) / eps ** (4 / 3)
-    print(f"  eps = {eps:7.0e}: measured {lhs:.6f}   beta+ eta0(0)^2 = {tc.beta_plus * eta0**2:.6f}")
+    lhs = (r.x - (tc.x0 + tc.alpha * eps)) / eps ** (4 / 3)
+    print(f"  eps = {eps:7.0e}: measured {lhs:.6f}   beta+ eta0(0)^2 = {tc.beta * eta0**2:.6f}")

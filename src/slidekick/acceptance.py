@@ -164,7 +164,7 @@ def _criterion_3():
     """Exit-abscissa and landing-deviation exponents for p = 2 and p = 3."""
     nf = model("normal-fold", check=False)
     y0 = 0.25
-    tc = normal_form_constants(y0)
+    tc = normal_form_constants(y0)[0]
     eps_list = [1e-6, 3e-6, 1e-5, 3e-5, 1e-4]
     parts = []
     ok = True
@@ -186,13 +186,13 @@ def _criterion_4():
     nf = model("normal-fold", check=False)
     poly2 = phi_polynomial(2)
     y0, eps = 0.25, 1e-6
-    tc = normal_form_constants(y0)
+    tc = normal_form_constants(y0)[0]
     sol = distinguished_solution(2, poly2.c_p)
     ok_inner = sol.estimated_error <= 1e-8
     R = RegularizedSystem(nf.system, poly2, eps)
     r = map_P_epsilon(R, y0, -0.8, fold=0.0)
-    lhs = (r.x - (tc.x0_plus + tc.alpha_plus * eps)) / eps ** (4.0 / 3.0)
-    rhs = tc.beta_plus * sol.eta_at_0**2
+    lhs = (r.x - (tc.x0 + tc.alpha * eps)) / eps ** (4.0 / 3.0)
+    rhs = tc.beta * sol.eta_at_0**2
     rel = abs(lhs - rhs) / abs(rhs)
     return rel <= 0.10 and ok_inner, (
         f"ratio deviation {100 * rel:.2f}% (eta0(0) = {sol.eta_at_0:.8f} +- {sol.estimated_error:.1e})")

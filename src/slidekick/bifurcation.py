@@ -143,7 +143,7 @@ def grazing_sliding_scan(
         sn = minimize_scalar(H, bracket=(xs[k - 1], xs[k], xs[k + 1]), method="brent")
         xs, collision_mu = sorted({*xs, sn.x}), float(sn.fun)
 
-    germ = normal_form_constants(y0)
+    plus, minus = normal_form_constants(y0)
     pts: list[BranchPoint] = []
     for mu in mus:
         pe = facts["exterior_factory"](mu)
@@ -154,7 +154,7 @@ def grazing_sliding_scan(
             x = a if a == b else float(brentq(level, a, b, xtol=1e-13))
             if abs(R(x) - x) <= 1e-8 and all(abs(f.x - x) >= 1e-9 for f in found):
                 found.append(FixedPoint(x=x, stability=_stability(R, x, dx=1e-7)))
-        pts.append(BranchPoint(mu=mu, fixed_points=found, gamma=pe(germ.x0_plus) - germ.x0_minus,
+        pts.append(BranchPoint(mu=mu, fixed_points=found, gamma=pe(plus.x0) - minus.x0,
                                delta=facts["delta"]))
     return BranchDiagram(points=pts, collision_mu=collision_mu)
 
@@ -308,14 +308,17 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
     Member 0 must declare ``shifts_with_mu`` (member mu_raw is member 0 moved
     up by mu_raw), else ``ConfigError`` before any shot: one shot from its
     saddle lands W^s of every member, on y0 - mu_raw.  That shot, mu's
-    linearization, the grazing member (mu = 0) and its tangency fit are made
-    here.  Returns ``(alpha_plus, scan)``; ``scan(profile, eps,
-    mu_tilde_probes, *, bisect=True)`` probes mu = mu_tilde * eps and roots
-    the homoclinic value mu_tilde^* (where the exterior map loses the landing
-    interval) on the landing's gap to W^s: brentq in mu_raw on the member's
-    P_eps landing on y0 minus its W^s landing there, between the members at
-    mu_tilde = 0 and 2|alpha+| once the orbit exists at the first and not at
-    the second; mu_tilde^* is mu at the root, over eps.
+    linearization and the grazing member (mu = 0) are made here, with the
+    two constants the scan reads from that member: alpha+ from the fit of
+    its X+ germ, and x0-, one backward landing of its fold point (each
+    member's P_eps starts 0.05 left of it).  Returns ``(alpha_plus, scan)``;
+    ``scan(profile, eps, mu_tilde_probes, *, bisect=True)`` probes
+    mu = mu_tilde * eps and roots the homoclinic value mu_tilde^* (where the
+    exterior map loses the landing interval) on the landing's gap to W^s:
+    brentq in mu_raw on the member's P_eps landing on y0 minus its W^s
+    landing there, between the members at mu_tilde = 0 and 2|alpha+| once
+    the orbit exists at the first and not at the second; mu_tilde^* is mu at
+    the root, over eps.
     """
     base = make_model(0.0)
     if not base.facts.get("shifts_with_mu"):
@@ -353,20 +356,22 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
                 return r
         raise SaddleNotResolved(f"secant for mu_raw did not converge at mu={mu_target}")
 
-    # the germ constants belong to the grazing member of the family (where
-    # the stable manifold is tangent to the switching line); with dissipation
-    # that member sits at a nonzero raw shift
+    # the germ of X+ and the minus pseudo-separatrix belong to the grazing
+    # member of the family (where the stable manifold is tangent to the
+    # switching line); with dissipation that member sits at a nonzero raw shift
     raw0 = raw_for(0.0)
     anchor = make_model(raw0)
-    constants = fit_tangency_constants(anchor.system.x_plus, anchor.fold(), y0)
+    fold_x = anchor.fold().x
+    alpha_plus = fit_tangency_constants(anchor.system.x_plus, fold_x, y0).alpha
+    x0_minus = exterior_map(anchor.system.x_plus.negated(), (fold_x, 0.0), Section(y0)).x
 
     def scan(profile, eps: float, mu_tilde_probes, *, bisect: bool = True) -> HomoclinicScan:
         @cache  # each member's landing serves both its existence check and its gap
         def member(mu_raw: float):
             desc = make_model(mu_raw)
-            f = desc.fold()
+            f = desc.fold().x
             R_eps = RegularizedSystem(desc.system, profile, eps)
-            return desc, f, R_eps, map_P_epsilon(R_eps, y0, constants.x0_minus - 0.05, fold=f).x
+            return desc, f, R_eps, map_P_epsilon(R_eps, y0, x0_minus - 0.05, fold=f).x
 
         def gap(mu_raw: float) -> float:
             return member(mu_raw)[3] - w_s(mu_raw)
@@ -396,7 +401,7 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
         if bisect:
             # the orbit dies at mu_tilde = -alpha+ + O(eps); the bracket's upper
             # end lies twice as far out
-            mt_hi = 2.0 * abs(constants.alpha_plus)
+            mt_hi = 2.0 * abs(alpha_plus)
             lo, hi = raw0, raw_for(mt_hi * eps)
             if orbit_exists(lo)[0] and not orbit_exists(hi)[0]:
                 g_lo, g_hi = gap(lo), gap(hi)
@@ -404,9 +409,9 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
                     raise SaddleNotResolved(f"the landing's gap to W^s has one sign on the existence "
                                             f"bracket: {g_lo:g} at mu_raw={lo}, {g_hi:g} at mu_raw={hi}")
                 mt_star = mu_paper(brentq(gap, lo, hi)) / eps
-        return HomoclinicScan(probes=probes, mu_tilde_star=mt_star, alpha_plus=constants.alpha_plus)
+        return HomoclinicScan(probes=probes, mu_tilde_star=mt_star, alpha_plus=alpha_plus)
 
-    return constants.alpha_plus, scan
+    return alpha_plus, scan
 
 
 def homoclinic_scan(
@@ -491,7 +496,7 @@ def stribeck_attractor(
         return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
 
     def R(x: float) -> float:
-        return pe(map_P_epsilon(R_eps, y0, x, fold=fold).x)
+        return pe(map_P_epsilon(R_eps, y0, x, fold=fold.x).x)
 
     fold_pt = (fold.x, desc.system.offset)
     x0p = exterior_map(desc.system.x_plus, fold_pt, Section(y0)).x
@@ -503,7 +508,7 @@ def stribeck_attractor(
 
     # upper arc of the regularized orbit: X+ from the strip exit around to the
     # next strip entry (Z_eps = X+ above the strip)
-    r_full = map_P_epsilon(R_eps, y0, x_star, fold=fold)
+    r_full = map_P_epsilon(R_eps, y0, x_star, fold=fold.x)
     arc_eps = _upper_arc(desc.system.x_plus, r_full.flags["x_exit"], eps, t_max=200.0)
 
     # Filippov sliding cycle: upper arc from the fold exit until sliding,

@@ -146,7 +146,7 @@ def cmd_poincare(args) -> int:
     from slidekick.regularization import RegularizedSystem, parse_profile
 
     desc = model(args.model)
-    fold = desc.fold()
+    fold = desc.fold().x
     profile = parse_profile(args.profile)
     rows = []
     for eps in args.eps:
@@ -164,14 +164,13 @@ def cmd_exponent(args) -> int:
     from slidekick.regularization import parse_profile
 
     desc = model(args.model)
-    fold = desc.fold()
     profile = parse_profile(args.profile)
     if desc.id == "normal-fold":
         from slidekick.poincare import normal_form_constants
 
-        constants = normal_form_constants(args.y0)
+        constants = normal_form_constants(args.y0)[0]
     else:
-        constants = fit_tangency_constants(desc.system.x_plus, fold, args.y0)
+        constants = fit_tangency_constants(desc.system.x_plus, desc.fold().x, args.y0)
     scan = landing_scan(desc.system, profile, args.eps_list, args.y0, args.probe, constants=constants)
     _write_csv(args.out, "eps,exit_x,deviation",
                list(zip(scan.epsilons, scan.exits, scan.deviations)))

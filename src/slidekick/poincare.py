@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.fields import FilippovSystem, FoldPoint, PlanarField
+from slidekick.fields import FilippovSystem, PlanarField
 from slidekick.integrator import EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
 from slidekick.slow_manifold import strip_crossing
@@ -32,21 +32,18 @@ class FitRejected(NumericalFailure):
 
 @dataclass(frozen=True)
 class TangencyConstants:
-    """Quadratic germ of the near-fold section maps.
+    """Quadratic germ of one field's landing map near the fold.
 
     Landings on {y = y0} from a point (x, y) near the fold obey
-    x0 + alpha*y + beta*x^2 + O(xy, y^2) in fold-centered coordinates, with
-    the sign pattern alpha+ < 0, beta+ > 0, alpha- > 0, beta- < 0.
+    x0 + alpha*y + beta*x^2 + O(xy, y^2) in fold-centered coordinates.  The
+    germ of X+ has alpha < 0 < beta, that of the backward field -X+ (the
+    minus pseudo-separatrix) alpha > 0 > beta.
     """
 
-    y0: float
     fold_x: float
-    x0_plus: float
-    x0_minus: float
-    alpha_plus: float
-    alpha_minus: float
-    beta_plus: float
-    beta_minus: float
+    x0: float
+    alpha: float
+    beta: float
 
 
 def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float) -> tuple[float, float, bool]:
@@ -65,64 +62,41 @@ def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float) -> tuple[
     return shot.t, float(shot.z[0]), shot.stop == 0
 
 
-def fit_tangency_constants(
-    x_plus: PlanarField,
-    fold: FoldPoint | float,
-    y0: float,
-) -> TangencyConstants:
-    """Fit x0, alpha, beta for both pseudo-separatrix maps.
+def fit_tangency_constants(field: PlanarField, fold_x: float, y0: float) -> TangencyConstants:
+    """Fit the germ x0, alpha, beta of ``field``'s landings on {y = y0}.
 
-    x0 comes from integrating the orbit of the fold point (fold, 0) itself;
-    alpha and beta from least squares over landings of a 5 x 5 grid of
-    starts within 0.04 of it against the model 1, y, x^2 (with xy, y^2, x^3
+    x0 is the landing of the fold orbit, from (fold_x, 0) itself; alpha and
+    beta come from least squares over the landings of a 5 x 5 grid of starts
+    within 0.04 of it against the model 1, y, x^2 (with xy, y^2, x^3
     columns absorbing the next order so the quadratic coefficients stay
-    unbiased).
+    unbiased).  That is 26 shots; the germ of the minus pseudo-separatrix is
+    the fit of ``x_plus.negated()``.
     """
-    fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
-
     try:
-        x0p = exterior_map(x_plus, (fx, 0.0), Section(y0)).x
-        x0m = exterior_map(x_plus.negated(), (fx, 0.0), Section(y0)).x
+        x0 = exterior_map(field, (fold_x, 0.0), Section(y0)).x
     except EventNotBracketed as exc:
         raise TangentialCrossing(f"the fold itself lies on y0={y0}") from exc
-    for x0 in (x0p, x0m):
-        if abs(x_plus(x0, y0)[1]) < 1e-8:
-            raise TangentialCrossing(f"separatrix meets y0={y0} tangentially at x={x0}")
+    if abs(field(x0, y0)[1]) < 1e-8:
+        raise TangentialCrossing(f"separatrix meets y0={y0} tangentially at x={x0}")
 
     dxs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * 0.04
     dys = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * 0.04
-    rows, land_p, land_m = [], [], []
+    rows, landings = [], []
     for dx in dxs:
         for dy in dys:
-            start = (fx + dx, dy)
-            land_p.append(exterior_map(x_plus, start, Section(y0)).x)
-            land_m.append(exterior_map(x_plus.negated(), start, Section(y0)).x)
+            landings.append(exterior_map(field, (fold_x + dx, dy), Section(y0)).x)
             # columns past x^2 absorb the next orders so alpha, beta stay unbiased
             rows.append([1.0, dy, dx * dx, dx * dy, dy * dy, dx**3, dx**4, dx * dx * dy])
-    A = np.asarray(rows)
-    cp, *_ = np.linalg.lstsq(A, np.asarray(land_p), rcond=None)
-    cm, *_ = np.linalg.lstsq(A, np.asarray(land_m), rcond=None)
-    return TangencyConstants(
-        y0=y0,
-        fold_x=fx,
-        x0_plus=x0p,
-        x0_minus=x0m,
-        alpha_plus=float(cp[1]),
-        alpha_minus=float(cm[1]),
-        beta_plus=float(cp[2]),
-        beta_minus=float(cm[2]),
-    )
+    c, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(landings), rcond=None)
+    return TangencyConstants(fold_x=fold_x, x0=x0, alpha=float(c[1]), beta=float(c[2]))
 
 
-def normal_form_constants(y0: float) -> TangencyConstants:
-    """Closed-form germ of the normal-form pair: x0 = +-sqrt(y0),
+def normal_form_constants(y0: float) -> tuple[TangencyConstants, TangencyConstants]:
+    """Closed-form germs (plus, minus) of the normal-form pair: x0 = +-sqrt(y0),
     alpha = -+1/(2 sqrt(y0)), beta = +-1/(2 sqrt(y0))."""
     r = math.sqrt(y0)
-    return TangencyConstants(
-        y0=y0, fold_x=0.0, x0_plus=r, x0_minus=-r,
-        alpha_plus=-1.0 / (2.0 * r), alpha_minus=1.0 / (2.0 * r),
-        beta_plus=1.0 / (2.0 * r), beta_minus=-1.0 / (2.0 * r),
-    )
+    a = 1.0 / (2.0 * r)
+    return TangencyConstants(0.0, r, -a, a), TangencyConstants(0.0, -r, a, -a)
 
 
 def map_P_epsilon(
@@ -130,7 +104,7 @@ def map_P_epsilon(
     y0: float,
     x: float,
     *,
-    fold: FoldPoint | float,
+    fold: float,
 ) -> PoincareResult:
     """Full numerical transit {y=y0, x<fold} -> {y=y0, x>fold} through the strip.
 
@@ -141,18 +115,17 @@ def map_P_epsilon(
     A section at or below the strip top, or a start at or right of the fold,
     is a ``ConfigError``.
     """
-    fx = fold.x if isinstance(fold, FoldPoint) else float(fold)
     y_strip = R.base.offset + R.epsilon
     if y0 <= y_strip:
         raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
-    if not x < fx:
-        raise ConfigError(f"start x={x} must lie left of the fold x={fx}")
+    if not x < fold:
+        raise ConfigError(f"start x={x} must lie left of the fold x={fold}")
 
     t_in, x_in, entered = _stage_P(R.base.x_plus, x, y0, y_strip)
     if not entered:
         # stage P's landing back on y0: a grazing orbit untouched by regularization
         return PoincareResult(x=x_in, time=float("nan"), flags={"out_of_domain": True})
-    x_exit, t_mid, _diag = strip_crossing(R, x_in, x_limit=fx + 0.4)
+    x_exit, t_mid, _diag = strip_crossing(R, x_in, x_limit=fold + 0.4)
     # stage Pbar: from below the section the first crossing is upward
     up = exterior_map(R.base.x_plus, (x_exit, y_strip), Section(y0))
 
@@ -238,7 +211,8 @@ def landing_scan(
 ) -> LandingScan:
     """Sweep eps, collect strip exits and landing deviations, fit exponents.
 
-    The exit abscissa scales like eps^{p/(2p-1)} and the deviation of the
+    ``constants`` is the germ of X+ (it reads its fold_x, x0 and alpha).  The
+    exit abscissa scales like eps^{p/(2p-1)} and the deviation of the
     landing from x0+ + alpha+ eps like eps^{2p/(2p-1)}.
     """
     fx = constants.fold_x
@@ -247,7 +221,7 @@ def landing_scan(
         R = RegularizedSystem(base, profile, eps)
         r = map_P_epsilon(R, y0, probe_x, fold=fx)
         exits.append(r.flags["x_exit"] - fx)
-        devs.append(r.x - (constants.x0_plus + constants.alpha_plus * eps))
+        devs.append(r.x - (constants.x0 + constants.alpha * eps))
     eps_arr = np.asarray(list(eps_list), dtype=float)
     return LandingScan(
         epsilons=eps_arr,

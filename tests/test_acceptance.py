@@ -77,15 +77,31 @@ def test_criterion_10_homoclinic():
 
 def test_criterion_10_fits_once_and_shoots_one_separatrix(monkeypatch, shoot_calls):
     # one family serves the scans at eps and eps/2: one tangency fit and one
-    # separatrix shot (a pre-scan for alpha+ and two fresh scans made 3 each)
-    from slidekick import bifurcation
+    # separatrix shot (a pre-scan for alpha+ and two fresh scans made 3 each).
+    # The fit is X+'s alone, 26 landings; the minus pseudo-separatrix is one
+    # backward landing (a fit of both germs made 52, 26 of them backward)
+    from slidekick import bifurcation, poincare
 
-    fits = []
-    fit = bifurcation.fit_tangency_constants
-    monkeypatch.setattr(bifurcation, "fit_tangency_constants", lambda *a: fits.append(a) or fit(*a))
+    landings, fits = [], []
+    land, fit = poincare.exterior_map, bifurcation.fit_tangency_constants
+
+    def spy_land(field, *args, **kwargs):
+        landings.append(field.name)
+        return land(field, *args, **kwargs)
+
+    def spy_fit(*args):
+        n = len(landings)
+        germ = fit(*args)
+        fits.append(len(landings) - n)
+        return germ
+
+    for mod in (bifurcation, poincare):
+        monkeypatch.setattr(mod, "exterior_map", spy_land)
+    monkeypatch.setattr(bifurcation, "fit_tangency_constants", spy_fit)
     shots = shoot_calls(bifurcation)
     assert _RUN["10"]().ok
-    assert len(fits) == 1 and len(shots) == 1
+    assert fits == [26] and len(shots) == 1
+    assert sum(name.startswith("-") for name in landings) == 1
 
 
 def test_criterion_10_reads_a_zero_root_as_found(monkeypatch):

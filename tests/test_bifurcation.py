@@ -144,7 +144,7 @@ def test_remark_delta_identity(lin):
     desc = model("grazing-family", variant="attracting")
     c = desc.facts["c"]
     y0 = desc.facts["y0"]
-    alpha_p = normal_form_constants(y0).alpha_plus
+    alpha_p = normal_form_constants(y0)[0].alpha
     alpha_m = -alpha_p
     # pi+ = P^e o P+ with P+(x) = -x: slope is -c
     pi_slope = -c
@@ -178,7 +178,7 @@ def _stribeck_return_map(desc, profile, eps, y0=0.25):
     half = Section(y0, "x<0", edge=fold.x)
 
     def R(x):
-        z = map_P_epsilon(R_eps, y0, x, fold=fold).x
+        z = map_P_epsilon(R_eps, y0, x, fold=fold.x).x
         return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
 
     return R
@@ -394,7 +394,8 @@ def test_return_map_identity_on_coulomb(poly2):
     desc = model("coulomb")
     fold = desc.fold()
     y0 = 0.25
-    tc = fit_tangency_constants(desc.system.x_plus, fold, y0)
+    plus = fit_tangency_constants(desc.system.x_plus, fold.x, y0)
+    minus = fit_tangency_constants(desc.system.x_plus.negated(), fold.x, y0)
     up = Section(y0, "all", id="up")
     # c at the unstable-separatrix crossing; pi+' by chaining the two maps
     dx = 1e-6
@@ -402,13 +403,13 @@ def test_return_map_identity_on_coulomb(poly2):
     def land(x):
         return exterior_map(desc.system.x_plus, (x, y0), up).x
 
-    c = (land(tc.x0_plus + dx) - land(tc.x0_plus - dx)) / (2 * dx)
+    c = (land(plus.x0 + dx) - land(plus.x0 - dx)) / (2 * dx)
 
     def pi_plus(x):
         return land(land(x))
 
-    slope = (pi_plus(tc.x0_minus + dx) - pi_plus(tc.x0_minus - dx)) / (2 * dx)
-    assert c * tc.alpha_plus == pytest.approx(slope * tc.alpha_minus, rel=0.05)
+    slope = (pi_plus(minus.x0 + dx) - pi_plus(minus.x0 - dx)) / (2 * dx)
+    assert c * plus.alpha == pytest.approx(slope * minus.alpha, rel=0.05)
     # the centre makes pi+ the identity, hence Delta = 0 within tolerance
     assert slope == pytest.approx(1.0, abs=1e-3)
 

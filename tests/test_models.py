@@ -49,9 +49,9 @@ def test_normal_fold_facts():
     desc = model("normal-fold")
     assert desc.facts["fold_x"] == 0.0
     assert classify_point(desc.system, -0.4) is RegionClass.SLIDING
-    germ = normal_form_constants(0.25)
-    assert germ.x0_plus == 0.5
-    assert germ.alpha_plus == -1.0
+    plus, minus = normal_form_constants(0.25)
+    assert (plus.x0, plus.alpha, plus.beta) == (0.5, -1.0, 1.0)
+    assert (minus.x0, minus.alpha, minus.beta) == (-0.5, 1.0, -1.0)
     # first integral conserved along X+
     traj = integrate(desc.system.x_plus, (-0.7, 0.3), 1.3, rtol=1e-12, atol=1e-14)
     fi = desc.facts["first_integral"]
@@ -134,7 +134,7 @@ def test_saddle_hamiltonian_invariant():
 def test_grazing_family_germ():
     desc = model("grazing-family", variant="attracting")
     pe = desc.facts["exterior_factory"](0.002)
-    x0p = normal_form_constants(desc.facts["y0"]).x0_plus
+    x0p = normal_form_constants(desc.facts["y0"])[0].x0
     assert pe(x0p) == pytest.approx(-x0p + 0.002, abs=1e-14)
     desc_r = model("grazing-family", variant="repelling")
     assert desc_r.facts["exterior_factory"](0.002)(x0p) == pytest.approx(-x0p - 0.002, abs=1e-14)

@@ -30,28 +30,32 @@ def nf():
 
 @pytest.fixture(scope="module")
 def nf_fold(nf):
-    return find_fold(nf.system, nf.fold_bracket)
+    return find_fold(nf.system, nf.fold_bracket).x
 
 
 @pytest.fixture(scope="module")
-def constants(nf, nf_fold):
-    return fit_tangency_constants(nf.system.x_plus, nf_fold, 0.25)
+def germs(nf, nf_fold):
+    # (plus, minus): the germs of X+ and of the backward field -X+
+    xp = nf.system.x_plus
+    return fit_tangency_constants(xp, nf_fold, 0.25), fit_tangency_constants(xp.negated(), nf_fold, 0.25)
 
 
-def test_tangency_constants_normal_form(constants):
+def test_tangency_constants_normal_form(germs):
     # closed forms at y0 = 1/4: x0 = +-1/2, alpha = -+1, beta = +-1
     # x0 is the fold orbit's own landing, not the fit's intercept
-    assert constants.x0_plus == pytest.approx(0.5, abs=1e-10)
-    assert constants.x0_minus == pytest.approx(-0.5, abs=1e-10)
-    assert constants.alpha_plus == pytest.approx(-1.0, abs=5e-3)
-    assert constants.alpha_minus == pytest.approx(1.0, abs=5e-3)
-    assert constants.beta_plus == pytest.approx(1.0, abs=5e-3)
-    assert constants.beta_minus == pytest.approx(-1.0, abs=5e-3)
+    plus, minus = germs
+    assert plus.x0 == pytest.approx(0.5, abs=1e-10)
+    assert minus.x0 == pytest.approx(-0.5, abs=1e-10)
+    assert plus.alpha == pytest.approx(-1.0, abs=5e-3)
+    assert minus.alpha == pytest.approx(1.0, abs=5e-3)
+    assert plus.beta == pytest.approx(1.0, abs=5e-3)
+    assert minus.beta == pytest.approx(-1.0, abs=5e-3)
 
 
-def test_sign_pattern(constants):
-    assert constants.alpha_plus < 0 < constants.beta_plus
-    assert constants.beta_minus < 0 < constants.alpha_minus
+def test_sign_pattern(germs):
+    plus, minus = germs
+    assert plus.alpha < 0 < plus.beta
+    assert minus.beta < 0 < minus.alpha
 
 
 def test_translation_invariance(nf_fold):
@@ -63,10 +67,10 @@ def test_translation_invariance(nf_fold):
     sys_shift = FilippovSystem(xp, xm)
     f = find_fold(sys_shift, (-1.0, 1.0))
     assert f.x == pytest.approx(0.3, abs=1e-12)
-    tc = fit_tangency_constants(xp, f, 0.25)
-    assert tc.x0_plus - f.x == pytest.approx(0.5, abs=1e-10)
-    assert tc.alpha_plus == pytest.approx(-1.0, abs=5e-3)
-    assert tc.beta_plus == pytest.approx(1.0, abs=5e-3)
+    tc = fit_tangency_constants(xp, f.x, 0.25)
+    assert tc.x0 - f.x == pytest.approx(0.5, abs=1e-10)
+    assert tc.alpha == pytest.approx(-1.0, abs=5e-3)
+    assert tc.beta == pytest.approx(1.0, abs=5e-3)
 
 
 def test_tangential_crossing_guard(nf, nf_fold):
@@ -141,15 +145,12 @@ def test_prefactor_ties_to_inner(nf, nf_fold, poly2):
     assert lhs == pytest.approx(1.0 * eta0**2, rel=0.1)
 
 
-def test_landing_scan_exponents_p2(nf, nf_fold, poly2, constants):
+def test_landing_scan_exponents_p2(nf, poly2):
     eps_list = [1e-6, 3e-6, 1e-5, 3e-5, 1e-4]
     # exact constants keep the eps^{4/3} signal clean at the smallest eps
     from slidekick.poincare import TangencyConstants
 
-    exact = TangencyConstants(
-        y0=0.25, fold_x=0.0, x0_plus=0.5, x0_minus=-0.5,
-        alpha_plus=-1.0, alpha_minus=1.0, beta_plus=1.0, beta_minus=-1.0,
-    )
+    exact = TangencyConstants(fold_x=0.0, x0=0.5, alpha=-1.0, beta=1.0)
     scan = landing_scan(nf.system, poly2, eps_list, 0.25, -0.8, constants=exact)
     assert scan.exit_fit.slope == pytest.approx(2.0 / 3.0, abs=0.02)
     assert scan.exit_fit.r_squared >= 0.999
@@ -282,13 +283,14 @@ def test_stage_P_near_grazing_matches_closed_form(shoot_calls, monkeypatch, nf):
 
 
 @pytest.mark.parametrize("model_id, params, budget", [
-    ("saddle-homoclinic", {"nu": 0.15}, 750), ("stribeck", {}, 520),
+    ("saddle-homoclinic", {"nu": 0.15}, 432), ("stribeck", {}, 261),
 ], ids=["saddle-homoclinic", "stribeck"])
 def test_tangency_fit_step_budget(shoot_calls, model_id, params, budget):
-    # 1.5x the measured 501 / 348 steps of the 52 landings
+    # one germ is one field's fit: the fold orbit and the 25 grid landings,
+    # 1.5x the measured 288 / 174 steps of X+
     desc = model(model_id, **params)
     fold = find_fold(desc.system, desc.fold_bracket)
     calls = shoot_calls(poincare)
-    fit_tangency_constants(desc.system.x_plus, fold, 0.25)
-    assert len(calls) == 52
+    fit_tangency_constants(desc.system.x_plus, fold.x, 0.25)
+    assert len(calls) == 26
     assert sum(c.shot.n_steps for c in calls) <= budget
