@@ -111,15 +111,16 @@ def map_P_epsilon(
     Orbits whose X+ arc stays above the strip never feel the regularization;
     they are returned with the ``out_of_domain`` flag set and the pure-X+
     landing (P_eps = P0 trivially there), stage P's own hit of y0.  The
-    flags record the strip entry and exit abscissae.  The strip crossing gives up 0.4 right of the fold.
-    A section at or below the strip top, or a start at or right of the fold,
-    is a ``ConfigError``.
+    flags record the strip entry and exit abscissae; the strip crossing
+    gives up 0.4 right of the fold.  The domain is the part of
+    {y = y0, x < fold} where X+ points down: a start elsewhere, or a section
+    at or below the strip top, is a ``ConfigError`` raised before any shot.
     """
     y_strip = R.base.offset + R.epsilon
     if y0 <= y_strip:
         raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
-    if not x < fold:
-        raise ConfigError(f"start x={x} must lie left of the fold x={fold}")
+    if not (x < fold and R.base.x_plus(x, y0)[1] < 0.0):
+        raise ConfigError(f"start x={x} must lie left of the fold x={fold}, where X+ points down across y0={y0}")
 
     t_in, x_in, entered = _stage_P(R.base.x_plus, x, y0, y_strip)
     if not entered:

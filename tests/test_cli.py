@@ -323,6 +323,16 @@ def test_start_at_or_past_fold_rejected(monkeypatch, capsys, probe):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_start_where_x_plus_points_up_rejected(monkeypatch, capsys):
+    # Stribeck's X+ points up across y0 = 0.25 for x in (0.9938, 1): left of
+    # the fold at 1, but outside the fold map's domain
+    import slidekick.poincare
+
+    monkeypatch.setattr(slidekick.poincare, "_stage_P", _must_not_run)
+    assert main(["poincare", "--model", "stribeck", "--eps", "1e-3", "--probe", "0.996"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("inner", "--p", "0", "--phi-p", "-3"),
     ("inner", "--p", "1", "--phi-p", "3"),

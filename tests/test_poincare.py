@@ -89,6 +89,23 @@ def test_map_p1_branch(nf, nf_fold, lin):
         assert max(vals) - min(vals) <= 10 * eps**2
 
 
+@pytest.mark.parametrize("model_id, params, dx", [
+    ("stribeck", {}, -0.004), ("general-fold", {}, -0.01), ("saddle-homoclinic", {"nu": 0.15}, -0.001),
+], ids=["stribeck", "general-fold", "saddle-homoclinic"])
+def test_start_where_x_plus_points_up_rejected(monkeypatch, lin, model_id, params, dx):
+    # left of the fold but where X+ points up across y0 an orbit leaves the
+    # section upward and loops (or steps to its time limit): outside the fold
+    # map's domain, rejected before stage P
+    def must_not_run(*args):
+        raise AssertionError("stage P ran")
+
+    desc = model(model_id, **params)
+    fold = desc.fold().x
+    monkeypatch.setattr(poincare, "_stage_P", must_not_run)
+    with pytest.raises(ConfigError, match="points down"):
+        map_P_epsilon(RegularizedSystem(desc.system, lin, 1e-3), 0.25, fold + dx, fold=fold)
+
+
 def test_map_out_of_domain_flag(shoot_calls, nf, nf_fold, lin):
     R = RegularizedSystem(nf.system, lin, 1e-3)
     calls = shoot_calls(poincare)
