@@ -64,7 +64,6 @@ def _normal_fold() -> ModelDescriptor:
         "P_exact": lambda x, eps, y0: -math.sqrt(x * x + eps - y0),
         "Pbar_exact": lambda x, eps, y0: math.sqrt(x * x - eps + y0),
         "first_integral": lambda x, y: y - x * x,
-        "sliding_speed": lambda x: 1.0 / (1.0 - 2.0 * x),
     }
     return ModelDescriptor(id="normal-fold", system=system, params={}, facts=facts)
 
@@ -111,7 +110,6 @@ def _stribeck(F_s: float = 1.0, F_d: float = 0.5, delta: float = 0.05) -> ModelD
         "fold_bracket": (0.5 * fs, 1.5 * fs),
         "lower_tangency_x": -fs,
         "sliding_for": f"|x|<{fs}",
-        "sliding_speed": lambda x: 1.0,
         "focus_physical": focus,
         # V grows along the physical slip-down field while y < (1+delta)/delta
         "lyapunov_like": lambda x, y: (x - fd - (fs - fd) / (1.0 + dl)) ** 2 + y * y,
@@ -165,7 +163,6 @@ def _coulomb(F_s: float = 1.0) -> ModelDescriptor:
         "Pbar_exact": pbar_exact,
         "exterior_exact": lambda z: 2.0 * fs - z,
         "tangent_orbit_x": lambda eps, y0: fs - math.sqrt((1.0 - eps) ** 2 - (1.0 - y0) ** 2),
-        "sliding_speed": lambda x: 1.0,
         "reflected": True,
     }
     return ModelDescriptor(
@@ -300,7 +297,7 @@ def _self_check(desc: ModelDescriptor) -> None:
     if not fold.visible:
         raise BadParams(f"{desc.id}: the fold is not visible")
 
-    if "P_exact" in desc.facts and desc.id == "normal-fold":
+    if desc.id == "normal-fold":
         eps, y0 = 1e-3, 0.25
         for x in (-0.9, -0.7, -0.6):
             want = desc.facts["P_exact"](x, eps, y0)
