@@ -67,10 +67,11 @@ def fit_tangency_constants(field: PlanarField, fold_x: float, y0: float) -> Tang
 
     x0 is the landing of the fold orbit, from (fold_x, 0) itself; alpha and
     beta come from least squares over the landings of a 5 x 5 grid of starts
-    within 0.04 of it against the model 1, y, x^2 (with xy, y^2, x^3
-    columns absorbing the next order so the quadratic coefficients stay
-    unbiased).  That is 26 shots; the germ of the minus pseudo-separatrix is
-    the fit of ``x_plus.negated()``.
+    within 0.04 of it against the model 1, y, x^2, with the columns xy, y^2,
+    x^3, x^4, x^2 y, y^3 and x^2 y^2 absorbing the next orders so that alpha
+    and beta stay unbiased (without y^3 and x^2 y^2 the normal fold's alpha+
+    read -0.9982 against -1).  That is 26 shots; the germ of the minus
+    pseudo-separatrix is the fit of ``x_plus.negated()``.
     """
     try:
         x0 = exterior_map(field, (fold_x, 0.0), Section(y0)).x
@@ -86,7 +87,7 @@ def fit_tangency_constants(field: PlanarField, fold_x: float, y0: float) -> Tang
         for dy in dys:
             landings.append(exterior_map(field, (fold_x + dx, dy), Section(y0)).x)
             # columns past x^2 absorb the next orders so alpha, beta stay unbiased
-            rows.append([1.0, dy, dx * dx, dx * dy, dy * dy, dx**3, dx**4, dx * dx * dy])
+            rows.append([1.0, dy, dx * dx, dx * dy, dy * dy, dx**3, dx**4, dx * dx * dy, dy**3, dx * dx * dy * dy])
     c, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(landings), rcond=None)
     return TangencyConstants(fold_x=fold_x, x0=x0, alpha=float(c[1]), beta=float(c[2]))
 

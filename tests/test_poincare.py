@@ -46,10 +46,11 @@ def test_tangency_constants_normal_form(germs):
     plus, minus = germs
     assert plus.x0 == pytest.approx(0.5, abs=1e-10)
     assert minus.x0 == pytest.approx(-0.5, abs=1e-10)
-    assert plus.alpha == pytest.approx(-1.0, abs=5e-3)
-    assert minus.alpha == pytest.approx(1.0, abs=5e-3)
-    assert plus.beta == pytest.approx(1.0, abs=5e-3)
-    assert minus.beta == pytest.approx(-1.0, abs=5e-3)
+    # measured: 7.1e-5 off on alpha, 2.8e-4 on beta
+    assert plus.alpha == pytest.approx(-1.0, abs=5e-4)
+    assert minus.alpha == pytest.approx(1.0, abs=5e-4)
+    assert plus.beta == pytest.approx(1.0, abs=5e-4)
+    assert minus.beta == pytest.approx(-1.0, abs=5e-4)
 
 
 def test_sign_pattern(germs):
