@@ -160,14 +160,12 @@ def cmd_poincare(args) -> int:
 
 def cmd_exponent(args) -> int:
     from slidekick.models import model
-    from slidekick.poincare import fit_tangency_constants, landing_scan
+    from slidekick.poincare import fit_tangency_constants, landing_scan, normal_form_constants
     from slidekick.regularization import parse_profile
 
     desc = model(args.model)
     profile = parse_profile(args.profile)
     if desc.id == "normal-fold":
-        from slidekick.poincare import normal_form_constants
-
         constants = normal_form_constants(args.y0)[0]
     else:
         constants = fit_tangency_constants(desc.system.x_plus, desc.fold().x, args.y0)

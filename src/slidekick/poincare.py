@@ -69,9 +69,9 @@ def fit_tangency_constants(field: PlanarField, fold_x: float, y0: float) -> Tang
     beta come from least squares over the landings of a 5 x 5 grid of starts
     within 0.04 of it against the model 1, y, x^2, with the columns xy, y^2,
     x^3, x^4, x^2 y, y^3 and x^2 y^2 absorbing the next orders so that alpha
-    and beta stay unbiased (without y^3 and x^2 y^2 the normal fold's alpha+
-    read -0.9982 against -1).  That is 26 shots; the germ of the minus
-    pseudo-separatrix is the fit of ``x_plus.negated()``.
+    and beta stay unbiased (a fit without y^3 and x^2 y^2 reads the normal
+    fold's alpha+ as -0.9982 against -1).  That is 26 shots; the germ of
+    the minus pseudo-separatrix is the fit of ``x_plus.negated()``.
     """
     try:
         x0 = exterior_map(field, (fold_x, 0.0), Section(y0)).x

@@ -316,23 +316,15 @@ def test_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.parametrize("probe", ["0", "2.5"], ids=["at-fold", "past-fold"])
-def test_start_at_or_past_fold_rejected(monkeypatch, capsys, probe):
-    # the fold map's domain is {y = y0, x < fold}: checked before stage P
+@pytest.mark.parametrize("model_id, probe", [("normal-fold", "0"), ("normal-fold", "2.5"), ("stribeck", "0.996")],
+                         ids=["at-fold", "past-fold", "x-plus-up"])
+def test_start_at_or_past_fold_rejected(monkeypatch, capsys, model_id, probe):
+    # the fold map's domain is the part of {y = y0, x < fold} where X+ points
+    # down (Stribeck's points up for x in (0.9938, 1)): checked before stage P
     import slidekick.poincare
 
     monkeypatch.setattr(slidekick.poincare, "_stage_P", _must_not_run)
-    assert main(["poincare", "--model", "normal-fold", "--eps", "1e-3", f"--probe={probe}"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-
-
-def test_start_where_x_plus_points_up_rejected(monkeypatch, capsys):
-    # Stribeck's X+ points up across y0 = 0.25 for x in (0.9938, 1): left of
-    # the fold at 1, but outside the fold map's domain
-    import slidekick.poincare
-
-    monkeypatch.setattr(slidekick.poincare, "_stage_P", _must_not_run)
-    assert main(["poincare", "--model", "stribeck", "--eps", "1e-3", "--probe", "0.996"]) == 2
+    assert main(["poincare", "--model", model_id, "--eps", "1e-3", f"--probe={probe}"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
