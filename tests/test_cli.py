@@ -366,12 +366,13 @@ def test_programming_error_propagates(monkeypatch):
     ("poincare", "--model", "normal-fold", "--profile", "poly(2)", "--eps", "1e-3,1e-4", "--y0", "0.25",
      "--probe=-0.8,-0.6"),
     ("exponent", "--model", "normal-fold", "--profile", "poly(2)", "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4"),
+    ("exponent", "--model", "general-fold", "--profile", "poly(2)", "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4"),
     ("manifold", "--model", "normal-fold", "--profile", "poly(2)", "--eps", "1e-4"),
     ("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25"),
     # the strip entry and exit rows come from integrate's strip notes
     ("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25", "--eps", "1e-3"),
     ("bifurcate", "--family", "homoclinic", "--eps", "1e-3", "--mu", "0,1"),
-], ids=["poincare", "exponent", "manifold", "simulate", "simulate-eps", "bifurcate-homoclinic"])
+], ids=["poincare", "exponent", "exponent-fitted", "manifold", "simulate", "simulate-eps", "bifurcate-homoclinic"])
 def test_bitwise_reproducible_csv(tmp_path, argv):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
