@@ -181,3 +181,46 @@ def test_offset_switching_line():
     assert classify_point(sys1, -0.3) is RegionClass.SLIDING
     f = find_fold(sys1, (-1.0, 1.0))
     assert f.x == pytest.approx(0.0, abs=1e-12)
+
+
+def test_filippov_flow_crossing_from_below(normal_form):
+    # X- lifts (0.3, -0.5) onto Sigma at t = 0.5, where the orbit crosses into
+    # V+ and rides y = x^2 - 0.09 up to y = 0.25
+    traj = filippov_flow(normal_form, (0.3, -0.5), Section(0.25, "x>0", id="out"))
+    assert [e.kind for e in traj.events] == ["switch_plus", "cross_section:out"]
+    t, x, y = traj.end
+    assert x == pytest.approx(math.sqrt(0.34), abs=1e-10)
+    assert t == pytest.approx(0.2 + math.sqrt(0.34), abs=1e-10)
+    assert y == pytest.approx(0.25, abs=1e-12)
+
+
+def test_filippov_flow_slide_ends_where_x_minus_is_tangent():
+    # a start on Sigma in the sliding set; the drift (x - 1)/(x + 1) carries
+    # it to x = 0, where X2- = x vanishes, at t = 2 ln 2 - 1/2, and X- takes
+    # the orbit below Sigma
+    system = FilippovSystem(PlanarField(lambda x, y: (1.0, -1.0)), PlanarField(lambda x, y: (-1.0, x)))
+    traj = filippov_flow(system, (0.5, 0.0), 2.0)
+    assert [e.kind for e in traj.events] == ["slide_end"]
+    t_end = traj.events[0].t
+    assert t_end == pytest.approx(2.0 * math.log(2.0) - 0.5, abs=1e-9)
+    after = traj.t > t_end + 1e-6
+    assert after.any() and np.all(traj.y[after] < 0.0)
+    assert traj.end[0] == pytest.approx(2.0, abs=1e-14)
+
+
+def test_filippov_flow_section_on_sigma(normal_form):
+    # the section is Sigma itself: the flow ends at the slide_start hit
+    traj = filippov_flow(normal_form, (-0.8, 0.1), Section(0.0))
+    assert [e.kind for e in traj.events] == ["slide_start"]
+    assert traj.end[0] == traj.events[0].t
+    assert traj.end[2] == 0.0
+
+
+def test_readme_simulate_shoots_arc_slide_arc(shoot_calls):
+    # the README's simulate run: one shot per segment, and no restart shots
+    from slidekick import fields
+
+    calls = shoot_calls(fields)
+    traj = filippov_flow(model("normal-fold").system, (-0.8, 0.1), Section(0.25, "all", id="target"), t_max=50.0)
+    assert [len(c.args[2]) for c in calls] == [2, 1, 2]
+    assert [e.kind for e in traj.events] == ["slide_start", "slide_end", "fold_exit", "cross_section:target"]
