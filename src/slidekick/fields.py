@@ -202,6 +202,22 @@ def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint
     return FoldPoint(x=float(x_f), visible=bool(dfx * f1 > 0.0), direction=int(math.copysign(1, f1)))
 
 
+def _arrival(system: FilippovSystem, x: float) -> tuple[str, str]:
+    """Regime and event kind at the point (x, offset) of Sigma: a slide
+    (``slide_start``), a tangency left into V+ (``fold_exit``), or in the
+    crossing set the side X2- points to (``switch_plus``, ``switch_minus``).
+    The escaping set raises ``EscapeRegion``."""
+    cls = classify_point(system, x)
+    if cls is RegionClass.ESCAPING:
+        raise EscapeRegion(f"the orbit is in the escaping set at x={x}")
+    if cls is RegionClass.SLIDING:
+        return "slide", "slide_start"
+    if cls is RegionClass.CROSSING:
+        side = "plus" if system.normal_components(x)[1] > 0 else "minus"
+        return side, f"switch_{side}"
+    return "plus", "fold_exit"
+
+
 def filippov_flow(
     system: FilippovSystem,
     start: tuple[float, float],
@@ -216,54 +232,52 @@ def filippov_flow(
     segments governed by :func:`sliding_field`, and the exit at a visible
     fold along the unstable pseudo-separatrix of X+.  ``stop`` is a
     :class:`~slidekick.integrator.Section`, a final time, or ``"sliding"``,
-    which ends the flow at its first ``slide_start``.
+    which ends the flow at its first ``slide_start``; a section or
+    ``"sliding"`` gives up at ``t_max``.
+
+    A start on Sigma and every hit of Sigma are classified by one rule
+    (:func:`_arrival`).  An arc that starts with vanishing normal velocity
+    (a fold exit, a slide end, the restart after a graze) first takes one
+    Euler step of 1e-10 along its field, so its own tangency stop does not
+    fire at once.  A graze of Sigma in V+ is a fold exit: y is put back on
+    Sigma and the orbit goes on in V+.
 
     Events are annotated in order: ``cross_section``, ``slide_start``,
-    ``slide_end``, ``fold_exit`` and the region switches.
+    ``slide_end``, ``fold_exit`` and the region switches.  Raises
+    ``EscapeRegion`` in the escaping set and ``StepLimitExceeded`` after
+    200 segments.
     """
     y_sw = system.offset
     sec = stop if isinstance(stop, Section) else None
-    stop_at_slide = stop == "sliding"
-    t_final = float(stop) if not (sec is not None or stop_at_slide) else t_max
+    t_final = t_max if sec is not None or stop == "sliding" else float(stop)
 
-    t0 = 0.0
-    x0, y0 = float(start[0]), float(start[1])
-    ts: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    events: list[TrajectoryEvent] = []
-
-    def trajectory() -> Trajectory:
-        return Trajectory(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), events)
-
-    # starting exactly on Sigma: decide regime from the classification
+    t0, x0, y0 = 0.0, float(start[0]), float(start[1])
     if abs(y0 - y_sw) <= 1e-14:
-        cls = classify_point(system, x0)
-        if cls is RegionClass.ESCAPING:
-            raise EscapeRegion(f"start ({x0}, {y0}) lies in the escaping set")
-        if cls is RegionClass.SLIDING:
-            regime = "slide"
-        elif cls is RegionClass.CROSSING:
-            # both normal components share a sign in the crossing set; upward
-            # transit continues into V+, downward into V-
-            regime = "plus" if system.normal_components(x0)[1] > 0 else "minus"
-        else:  # tangency of X+: leave along the unstable pseudo-separatrix
-            regime = "plus"
+        regime, _ = _arrival(system, x0)
     else:
         regime = "plus" if y0 > y_sw else "minus"
-
-    def _done(t: float, x: float, y: float) -> bool:
-        if sec is not None and abs(y - sec.y0) <= 1e-12 and sec.contains(x):
-            return True
-        return t >= t_final - 1e-14
+    arcs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    events: list[TrajectoryEvent] = []
 
     for _ in range(200):
-        if regime in ("plus", "minus"):
+        if regime == "slide":
+            stops = [Stop(g=lambda t, z: system.x_plus(z[0], y_sw)[1]),
+                     Stop(g=lambda t, z: system.x_minus(z[0], y_sw)[1])]
+            shot = shoot(lambda t, z: [_drift(system, z[0])], (t0, t_final), [x0], stops)
+            arcs.append((shot.ts, shot.zs[0], np.full_like(shot.ts, y_sw)))
+            t0, x0, y0 = shot.t, float(shot.z[0]), y_sw
+            if shot.stop is not None:
+                # the slide reached the fold of X+ (exit along W^u into V+) or
+                # a tangency of X- (into V-)
+                events.append(TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
+                regime = "minus" if shot.stop else "plus"
+                if regime == "plus":
+                    events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
+        else:
             field = system.x_plus if regime == "plus" else system.x_minus
             toward = -1 if regime == "plus" else +1  # direction of approach to Sigma
 
-            # a start with vanishing normal velocity (fold exit) would retrigger
-            # the tangency stop immediately; advance one tiny Euler step
+            # the one restart rule: step off a start with vanishing normal velocity
             f_at = field(x0, y0)
             if abs(f_at[1]) <= 1e-12 * max(1.0, abs(f_at[0])):
                 t0 += 1e-10
@@ -281,66 +295,23 @@ def filippov_flow(
             if sec is not None:
                 stops.append(sec.stop())
             shot = shoot(field.rhs, (t0, t_final), [x0, y0], stops, max_step=max_step)
-            ts.append(shot.ts)
-            xs.append(shot.zs[0])
-            ys.append(shot.zs[1])
-            t0 = shot.t
-            x0, y0 = float(shot.z[0]), float(shot.z[1])
+            arcs.append((shot.ts, shot.zs[0], shot.zs[1]))
+            t0, x0, y0 = shot.t, float(shot.z[0]), float(shot.z[1])
 
             if shot.stop == 2:
                 events.append(TrajectoryEvent(t0, f"cross_section:{sec.id}", (x0, y0)))
-                return trajectory()
+                break
             if shot.stop == 0:
-                cls = classify_point(system, x0)
-                if cls is RegionClass.SLIDING:
-                    events.append(TrajectoryEvent(t0, "slide_start", (x0, y_sw)))
-                    if stop_at_slide:
-                        return trajectory()
-                    regime = "slide"
-                    y0 = y_sw
-                elif cls is RegionClass.ESCAPING:
-                    raise EscapeRegion(f"orbit reached the escaping set at x={x0}")
-                elif cls is RegionClass.CROSSING:
-                    new = "minus" if regime == "plus" else "plus"
-                    events.append(TrajectoryEvent(t0, f"switch_{new}", (x0, y_sw)))
-                    regime = new
-                    y0 = y_sw
-                else:
-                    # tangency point itself: continue in V+ along W^u
-                    events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
-                    regime = "plus"
-                    y0 = y_sw
-            elif shot.stop == 1:
-                # a graze of the line; in V+ it is the fold exit.  Step along
-                # the line so the stop does not refire at the restart
-                if regime == "plus":
-                    events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
-                    y0 = y_sw
-                dt = 1e-10
-                t0 += dt
-                x0 += dt * field(x0, y0)[0]
-            elif t0 >= t_final - 1e-14:
-                return trajectory()
-        else:  # sliding
-            stops = [Stop(g=lambda t, z: system.x_plus(z[0], y_sw)[1]),
-                     Stop(g=lambda t, z: system.x_minus(z[0], y_sw)[1])]
-            shot = shoot(lambda t, z: [_drift(system, z[0])], (t0, t_final), [x0], stops)
-            ts.append(shot.ts)
-            xs.append(shot.zs[0])
-            ys.append(np.full_like(shot.ts, y_sw))
-            t0 = shot.t
-            x0 = float(shot.z[0])
-            y0 = y_sw
-            if shot.stop == 0:
-                # the slide reached the fold of X+: exit along W^u into V+
-                events.append(TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
+                regime, kind = _arrival(system, x0)
+                events.append(TrajectoryEvent(t0, kind, (x0, y_sw)))
+                y0 = y_sw
+            elif shot.stop == 1 and regime == "plus":
                 events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
-                regime = "plus"
-            elif shot.stop == 1:
-                events.append(TrajectoryEvent(t0, "slide_end", (x0, y_sw)))
-                regime = "minus"
-            else:
-                return trajectory()
-        if _done(t0, x0, y0):
-            return trajectory()
-    raise StepLimitExceeded("hybrid flow did not terminate within 200 segments")
+                y0 = y_sw
+        if (t0 >= t_final - 1e-14 or regime == "slide" and stop == "sliding"
+                or sec is not None and abs(y0 - sec.y0) <= 1e-12 and sec.contains(x0)):
+            break
+    else:
+        raise StepLimitExceeded("hybrid flow did not terminate within 200 segments")
+    t, x, y = (np.concatenate(a) for a in zip(*arcs))
+    return Trajectory(t, x, y, events)
