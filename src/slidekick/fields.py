@@ -232,20 +232,14 @@ def filippov_flow(
     segments governed by :func:`sliding_field`, and the exit at a visible
     fold along the unstable pseudo-separatrix of X+.  ``stop`` is a
     :class:`~slidekick.integrator.Section`, a final time, or ``"sliding"``,
-    which ends the flow at its first ``slide_start``; a section or
-    ``"sliding"`` gives up at ``t_max``.
-
-    A start on Sigma and every hit of Sigma are classified by one rule
-    (:func:`_arrival`).  An arc that starts with vanishing normal velocity
-    (a fold exit, a slide end, the restart after a graze) first takes one
-    Euler step of 1e-10 along its field, so its own tangency stop does not
-    fire at once.  A graze of Sigma in V+ is a fold exit: y is put back on
-    Sigma and the orbit goes on in V+.
+    which ends the flow at its first ``slide_start``.  A start on Sigma and
+    every hit of Sigma follow one rule (:func:`_arrival`); a graze of Sigma
+    in V+ is a fold exit.  An arc that starts with vanishing normal velocity
+    first steps 1e-10 in time along its field, so that its own stops do not
+    fire at once.
 
     Events are annotated in order: ``cross_section``, ``slide_start``,
-    ``slide_end``, ``fold_exit`` and the region switches.  Raises
-    ``EscapeRegion`` in the escaping set and ``StepLimitExceeded`` after
-    200 segments.
+    ``slide_end``, ``fold_exit`` and the region switches.
     """
     y_sw = system.offset
     sec = stop if isinstance(stop, Section) else None
@@ -301,12 +295,9 @@ def filippov_flow(
             if shot.stop == 2:
                 events.append(TrajectoryEvent(t0, f"cross_section:{sec.id}", (x0, y0)))
                 break
-            if shot.stop == 0:
-                regime, kind = _arrival(system, x0)
+            if shot.stop == 0 or shot.stop == 1 and regime == "plus":
+                regime, kind = _arrival(system, x0) if shot.stop == 0 else ("plus", "fold_exit")
                 events.append(TrajectoryEvent(t0, kind, (x0, y_sw)))
-                y0 = y_sw
-            elif shot.stop == 1 and regime == "plus":
-                events.append(TrajectoryEvent(t0, "fold_exit", (x0, y_sw)))
                 y0 = y_sw
         if (t0 >= t_final - 1e-14 or regime == "slide" and stop == "sliding"
                 or sec is not None and abs(y0 - sec.y0) <= 1e-12 and sec.contains(x0)):
