@@ -30,6 +30,7 @@ from slidekick.poincare import (
     normal_form_constants,
 )
 from slidekick.regularization import RegularizationProfile, RegularizedSystem
+from slidekick.slow_manifold import strip_crossing
 
 
 class IterationDiverged(NumericalFailure):
@@ -200,15 +201,13 @@ def centre_semistability(
     p_down = lambda x: facts["P_exact"](x, eps, y0)
     p_up = lambda x: facts["Pbar_exact"](x, eps, y0)
 
-    from slidekick.slow_manifold import strip_crossing
-
     @cache  # after one return the exterior starts replay the same orbit
     def return_map(x: float) -> float:
         if x >= x_bar:
             # the orbit clears the strip: exact circle return (identity)
             return x
         x_in = p_down(x)
-        x_exit, _t, _d = strip_crossing(R_eps, x_in, x_limit=fold_x + 0.45)
+        x_exit, _t = strip_crossing(R_eps, x_in, x_limit=fold_x + 0.45)
         return pe(p_up(x_exit))
 
     # (a) tangent orbit fixed: follow the actual flow, not the closed form

@@ -194,23 +194,12 @@ def cmd_inner(args) -> int:
 def cmd_manifold(args) -> int:
     from slidekick.models import model
     from slidekick.regularization import RegularizedSystem, parse_profile
-    from slidekick.slow_manifold import SlowManifoldExpansion, trace_manifold
+    from slidekick.slow_manifold import sandwich_margins, trace_manifold
 
     desc = model(args.model)
-    profile = parse_profile(args.profile)
-    eps = args.eps
-    R = RegularizedSystem(desc.system, profile, eps)
+    R = RegularizedSystem(desc.system, parse_profile(args.profile), args.eps)
     tr = trace_manifold(R, args.from_x, args.to_v)
-    exp = SlowManifoldExpansion(profile)
-    lower, upper = [], []
-    for x, v in zip(tr.x, tr.v):
-        if x < 0:
-            m0 = exp.m0(x)
-            lower.append(v - (m0 - 10.0 * eps))
-            upper.append(m0 - v)
-        else:
-            lower.append(float("nan"))
-            upper.append(float("nan"))
+    _inside, lower, upper = sandwich_margins(R, tr, "graph_over_x_p")
     _write_csv(args.out, "x,v,margin_lower,margin_upper",
                list(zip(tr.x, tr.v, lower, upper)))
     if tr.exit_x is not None:

@@ -127,7 +127,7 @@ def map_P_epsilon(
     if not entered:
         # stage P's landing back on y0: a grazing orbit untouched by regularization
         return PoincareResult(x=x_in, time=float("nan"), flags={"out_of_domain": True})
-    x_exit, t_mid, _diag = strip_crossing(R, x_in, x_limit=fold + 0.4)
+    x_exit, t_mid = strip_crossing(R, x_in, x_limit=fold + 0.4)
     # stage Pbar: from below the section the first crossing is upward
     up = exterior_map(R.base.x_plus, (x_exit, y_strip), Section(y0))
 
@@ -215,13 +215,17 @@ def landing_scan(
 
     ``constants`` is the germ of X+ (it reads its fold_x, x0 and alpha).  The
     exit abscissa scales like eps^{p/(2p-1)} and the deviation of the
-    landing from x0+ + alpha+ eps like eps^{2p/(2p-1)}.
+    landing from x0+ + alpha+ eps like eps^{2p/(2p-1)}.  A probe whose X+
+    orbit misses the strip has no exit: ``NoArrival`` names it and the eps.
     """
     fx = constants.fold_x
     exits, devs = [], []
     for eps in eps_list:
         R = RegularizedSystem(base, profile, eps)
         r = map_P_epsilon(R, y0, probe_x, fold=fx)
+        if r.flags["out_of_domain"]:
+            raise NoArrival(f"landing scan: the X+ orbit from probe x={probe_x} misses the strip at eps={eps} "
+                            f"and lands back on y0 at x={r.x}")
         exits.append(r.flags["x_exit"] - fx)
         devs.append(r.x - (constants.x0 + constants.alpha * eps))
     eps_arr = np.asarray(list(eps_list), dtype=float)

@@ -223,7 +223,7 @@ class SandwichReport:
     min_margin_upper: float
 
 
-def verify_sandwich(
+def sandwich_margins(
     R: RegularizedSystem,
     trace: ManifoldTrace,
     which: str,
@@ -234,8 +234,8 @@ def verify_sandwich(
     lambda1: float = 0.2,
     lam: float = 0.45,
     x_range: tuple[float, float] | None = None,
-) -> SandwichReport:
-    """Check one of the isolating-block inequalities along a trace.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-point margins of one of the isolating-block inequalities.
 
     ``linear_conf``:   m0 - eps*K <= v(x) <= m0          on x in x_range
     ``outer_block_p``: n0 <= x(v) <= n0 + M*eps/(1-v)^{p-1}
@@ -243,8 +243,9 @@ def verify_sandwich(
     ``graph_over_x_p``: m0 - eps*K/|x|^{(2p-2)/p} <= v(x) <= m0
                        on x <= -eps^lam
 
-    The smallest margins are reported; the fraction of points satisfying the
-    inequality must be 1.0.  An empty range is a vacuous pass.
+    Returns (inside, lower, upper), one entry per trace point: the mask of
+    the points in the inequality's range and the lower and upper margins,
+    which are NaN outside it.  The inequality holds where both are >= 0.
     """
     eps = R.epsilon
     exp = SlowManifoldExpansion(R.profile)
@@ -252,30 +253,44 @@ def verify_sandwich(
 
     if which == "linear_conf":
         lo_x, hi_x = x_range if x_range is not None else (float(trace.x.min()), 0.25)
-        mask = (trace.x >= lo_x) & (trace.x <= hi_x)
-        xs, vs = trace.x[mask], trace.v[mask]
+        inside = (trace.x >= lo_x) & (trace.x <= hi_x)
+        xs, vs = trace.x[inside], trace.v[inside]
         m0 = np.array([(1.0 + 2.0 * x) / (1.0 - 2.0 * x) for x in xs])
         lower = vs - (m0 - eps * K)
         upper = m0 - vs
     elif which == "outer_block_p":
         v_lo, v_hi = 1.0 - delta, 1.0 - eps**lambda1
-        mask = (trace.v >= v_lo) & (trace.v <= v_hi)
-        xs, vs = trace.x[mask], trace.v[mask]
+        inside = (trace.v >= v_lo) & (trace.v <= v_hi)
+        xs, vs = trace.x[inside], trace.v[inside]
         n0 = np.array([exp.n0(v) for v in vs])
         lower = xs - n0
         upper = n0 + M * eps / np.abs(1.0 - vs) ** (p - 1) - xs
     elif which == "graph_over_x_p":
         hi_x = -(eps**lam)
         lo_x = x_range[0] if x_range is not None else float(trace.x.min())
-        mask = (trace.x >= lo_x) & (trace.x <= hi_x)
-        xs, vs = trace.x[mask], trace.v[mask]
+        inside = (trace.x >= lo_x) & (trace.x <= hi_x)
+        xs, vs = trace.x[inside], trace.v[inside]
         m0 = np.array([exp.m0(x) for x in xs])
         lower = vs - (m0 - eps * K / np.abs(xs) ** ((2.0 * p - 2.0) / p))
         upper = m0 - vs
     else:
         raise ConfigError(f"unknown sandwich kind {which!r}")
 
-    count = int(mask.sum())
+    margins = np.full((2, len(trace.x)), np.nan)
+    margins[:, inside] = lower, upper
+    return inside, margins[0], margins[1]
+
+
+def verify_sandwich(R: RegularizedSystem, trace: ManifoldTrace, which: str, **bounds) -> SandwichReport:
+    """Check one of the isolating-block inequalities of
+    :func:`sandwich_margins` (``bounds`` are its keywords) along a trace.
+
+    The smallest margins are reported; the fraction of points satisfying the
+    inequality must be 1.0.  An empty range is a vacuous pass.
+    """
+    inside, lower, upper = sandwich_margins(R, trace, which, **bounds)
+    lower, upper = lower[inside], upper[inside]
+    count = int(inside.sum())
     if count == 0:
         return SandwichReport(0, 1.0, np.inf, np.inf)
     ok = (lower >= 0.0) & (upper >= 0.0)
@@ -338,10 +353,10 @@ def strip_crossing(
     x_enter: float,
     *,
     x_limit: float,
-) -> tuple[float, float, dict]:
+) -> tuple[float, float]:
     """Cross the strip from (x_enter, v=1) back to v=1: the middle map.
 
-    Returns (x_exit, transit_time, {"n_steps": steps}).  Time is recovered
+    Returns (x_exit, transit_time).  Time is recovered
     by the quadrature dt/dx = 1/B1 alongside the orbit equation.  Raises
     ``StripCrossingFailed`` if the orbit leaves through the bottom or never
     returns (which cannot happen for entries left of the tangency while the
@@ -354,4 +369,4 @@ def strip_crossing(
         raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
     if shot.stop is None:
         raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
-    return shot.t, float(shot.z[1]), {"n_steps": shot.n_steps}
+    return shot.t, float(shot.z[1])

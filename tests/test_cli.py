@@ -1,4 +1,5 @@
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -188,9 +189,23 @@ def test_manifold_csv(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x,v,margin_lower,margin_upper"
     rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
-    left = [r for r in rows if r[0] < 0]
-    assert len(left) > 100
-    assert all(math.isfinite(r[2]) and math.isfinite(r[3]) for r in left)
+    # the margins of the graph-over-x inequality, which applies on x <= -eps^0.45
+    inside = [r for r in rows if r[0] <= -1e-3 ** 0.45]
+    assert len(inside) > 100
+    assert all(math.isfinite(r[2]) and math.isfinite(r[3]) for r in inside)
+    assert all(math.isnan(r[2]) and math.isnan(r[3]) for r in rows if r[0] > -1e-3 ** 0.45)
+
+
+def test_readme_manifold_margins_not_negative(tmp_path):
+    # the README's manifold command: the trace satisfies the graph-over-x
+    # inequality (K = 10, lam = 0.45) on every row where it applies
+    out = tmp_path / "trace.csv"
+    assert run_cli("manifold", "--model", "normal-fold", "--profile", "poly(2)", "--eps", "1e-4",
+                   "--out", str(out))[0] == 0
+    rows = [[float(c) for c in ln.split(",")] for ln in out.read_text(encoding="utf-8").splitlines()[1:]]
+    inside = [r for r in rows if not math.isnan(r[2])]
+    assert len(inside) > 1000
+    assert all(r[2] >= 0.0 and r[3] >= 0.0 for r in inside)
 
 
 def test_csv_number_format_only_in_cli():
@@ -302,6 +317,16 @@ def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
     assert code == expected
 
 
+def test_exponent_probe_missing_the_strip_exits_1(capsys):
+    # the X+ orbit from -0.4 bottoms out at y = 0.09, above every strip
+    code, _ = run_cli("exponent", "--model", "normal-fold", "--profile", "poly(2)",
+                      "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4", "--probe=-0.4")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoArrival: landing scan:")
+    assert "probe x=-0.4 " in err and "eps=1e-06 " in err
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a solve started")
 
@@ -378,6 +403,20 @@ def test_bitwise_reproducible_csv(tmp_path, argv):
     for out in (a, b):
         assert run_cli(*argv, "--out", str(out))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_cli_block_parses():
+    # every command of the README's CLI block parses with today's flags and
+    # subcommands; nothing is solved
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 10
+    parser = slidekick.cli.build_parser()
+    for argv in commands:
+        assert argv[0] == "slidekick"
+        parser.parse_args(argv[1:])
 
 
 def test_entry_point_installed():

@@ -87,7 +87,7 @@ def test_trace_agrees_with_orbit_crossing(normal_form, poly2):
     eps = 1e-4
     R = RegularizedSystem(normal_form, poly2, eps)
     tr = trace_manifold(R, -1.0, 1.0)
-    x_exit, _t, _d = strip_crossing(R, -0.5, x_limit=0.4)
+    x_exit, _t = strip_crossing(R, -0.5, x_limit=0.4)
     assert tr.exit_x == pytest.approx(x_exit, abs=1e-7)
 
 
@@ -235,7 +235,7 @@ def test_strip_exit_agrees_with_tight_radau(normal_form, profile, eps, x, lapack
     rhs, jac = _orbit_equation(R, timed=True)
     ref = shoot(rhs, (x_in, 0.4), [1.0, 0.0], [Stop(0, 1.0, 1)], jac=jac, method="Radau",
                 rtol=1e-13, atol=1e-15)
-    x_exit, _t, _d = strip_crossing(R, x_in, x_limit=0.4)
+    x_exit, _t = strip_crossing(R, x_in, x_limit=0.4)
     assert abs(x_exit - ref.t) <= 1e-11
 
 
@@ -260,12 +260,13 @@ _STUCK = pytest.mark.xfail(strict=True, reason="LSODA stays in its non-stiff mod
     pytest.param("poly(2)", 1e-4, -0.71, marks=_STUCK),
     pytest.param("poly(3)", 1e-4, -0.71, marks=_STUCK),
 ])
-def test_strip_crossing_step_budget(normal_form, profile, eps, x):
+def test_strip_crossing_step_budget(normal_form, shoot_calls, profile, eps, x):
     # a count-based guard: a crossing that falls back to steps of order eps
     # shows here on any machine, before it shows as a timeout
-    R = RegularizedSystem(normal_form, parse_profile(profile), eps)
-    _x, _t, diag = strip_crossing(R, _strip_entry(x, eps), x_limit=0.4)
-    assert diag["n_steps"] <= 3000
+    calls = shoot_calls(slow_manifold)
+    strip_crossing(RegularizedSystem(normal_form, parse_profile(profile), eps), _strip_entry(x, eps), x_limit=0.4)
+    (call,) = calls
+    assert call.shot.n_steps <= 3000
 
 
 def test_trace_and_probe_agree_with_tight_radau(normal_form, monkeypatch, lapack_radau):
