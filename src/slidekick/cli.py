@@ -199,7 +199,7 @@ def cmd_manifold(args) -> int:
     desc = model(args.model)
     R = RegularizedSystem(desc.system, parse_profile(args.profile), args.eps)
     tr = trace_manifold(R, args.from_x, args.to_v)
-    _inside, lower, upper = sandwich_margins(R, tr, "graph_over_x_p")
+    _mask, lower, upper = sandwich_margins(R, tr, "graph_over_x_p")
     _write_csv(args.out, "x,v,margin_lower,margin_upper",
                list(zip(tr.x, tr.v, lower, upper)))
     if tr.exit_x is not None:

@@ -243,7 +243,7 @@ def sandwich_margins(
     ``graph_over_x_p``: m0 - eps*K/|x|^{(2p-2)/p} <= v(x) <= m0
                        on x <= -eps^lam
 
-    Returns (inside, lower, upper), one entry per trace point: the mask of
+    Returns (mask, lower, upper), one entry per trace point: the mask of
     the points in the inequality's range and the lower and upper margins,
     which are NaN outside it.  The inequality holds where both are >= 0.
     """
@@ -253,23 +253,23 @@ def sandwich_margins(
 
     if which == "linear_conf":
         lo_x, hi_x = x_range if x_range is not None else (float(trace.x.min()), 0.25)
-        inside = (trace.x >= lo_x) & (trace.x <= hi_x)
-        xs, vs = trace.x[inside], trace.v[inside]
+        mask = (trace.x >= lo_x) & (trace.x <= hi_x)
+        xs, vs = trace.x[mask], trace.v[mask]
         m0 = np.array([(1.0 + 2.0 * x) / (1.0 - 2.0 * x) for x in xs])
         lower = vs - (m0 - eps * K)
         upper = m0 - vs
     elif which == "outer_block_p":
         v_lo, v_hi = 1.0 - delta, 1.0 - eps**lambda1
-        inside = (trace.v >= v_lo) & (trace.v <= v_hi)
-        xs, vs = trace.x[inside], trace.v[inside]
+        mask = (trace.v >= v_lo) & (trace.v <= v_hi)
+        xs, vs = trace.x[mask], trace.v[mask]
         n0 = np.array([exp.n0(v) for v in vs])
         lower = xs - n0
         upper = n0 + M * eps / np.abs(1.0 - vs) ** (p - 1) - xs
     elif which == "graph_over_x_p":
         hi_x = -(eps**lam)
         lo_x = x_range[0] if x_range is not None else float(trace.x.min())
-        inside = (trace.x >= lo_x) & (trace.x <= hi_x)
-        xs, vs = trace.x[inside], trace.v[inside]
+        mask = (trace.x >= lo_x) & (trace.x <= hi_x)
+        xs, vs = trace.x[mask], trace.v[mask]
         m0 = np.array([exp.m0(x) for x in xs])
         lower = vs - (m0 - eps * K / np.abs(xs) ** ((2.0 * p - 2.0) / p))
         upper = m0 - vs
@@ -277,8 +277,8 @@ def sandwich_margins(
         raise ConfigError(f"unknown sandwich kind {which!r}")
 
     margins = np.full((2, len(trace.x)), np.nan)
-    margins[:, inside] = lower, upper
-    return inside, margins[0], margins[1]
+    margins[:, mask] = lower, upper
+    return mask, margins[0], margins[1]
 
 
 def verify_sandwich(R: RegularizedSystem, trace: ManifoldTrace, which: str, **bounds) -> SandwichReport:
@@ -288,9 +288,9 @@ def verify_sandwich(R: RegularizedSystem, trace: ManifoldTrace, which: str, **bo
     The smallest margins are reported; the fraction of points satisfying the
     inequality must be 1.0.  An empty range is a vacuous pass.
     """
-    inside, lower, upper = sandwich_margins(R, trace, which, **bounds)
-    lower, upper = lower[inside], upper[inside]
-    count = int(inside.sum())
+    mask, lower, upper = sandwich_margins(R, trace, which, **bounds)
+    lower, upper = lower[mask], upper[mask]
+    count = int(mask.sum())
     if count == 0:
         return SandwichReport(0, 1.0, np.inf, np.inf)
     ok = (lower >= 0.0) & (upper >= 0.0)
