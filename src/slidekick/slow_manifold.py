@@ -11,10 +11,23 @@ along the whole manifold at steps of order eps, twenty times the usual
 count.  ``trace_manifold`` and ``contraction_probe`` step with LSODA at
 rtol 3e-14, atol 1e-16: the linear strip exit must be right to about
 1e-13, and at rtol 1e-12 it is not.
+
+A repeat ``strip_crossing`` of one ``RegularizedSystem`` joins the passage
+recorded by an earlier one.  Orbits entering the strip contract onto the
+attracting Fenichel manifold (Fenichel, J. Diff. Eq. 31, 1979; Krupa &
+Szmolyan, SIAM J. Math. Anal. 33, 2001), so after a fast layer a few eps
+wide all of them leave at one exit, up to exponentially small terms.  The
+new orbit is shot only to the first recorded step end at least L = 20 eps
+beyond both entries; where it lies within 1e-10 in v of the record, the
+recorded exit is returned.  Records are kept per R in a module-private
+store of at most 32 (least recently used evicted), each of at most 512 step
+ends.  A result can therefore depend, at about 1e-12, on which crossing of
+an R came first.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,8 +172,8 @@ def trace_manifold(
     graph over x up to v = to_v, and for p >= 2 switched to a graph over v
     at v = 0.8 where m0' is no longer bounded; each leg is sampled on 1200
     points (600 on the v-graph).  The extended linear system is traced past
-    the strip with a p = 1 profile that does not clamp, phi(v) = v, and a
-    ``to_v`` above 1.
+    the strip with a ``to_v`` above 1 and an R on a p = 1 profile built as
+    phi(v) = v, which does not clamp (``phi_linear`` clamps at |v| = 1).
     """
     exp = SlowManifoldExpansion(R.profile)
     eps = R.epsilon
@@ -348,6 +361,23 @@ def contraction_probe(
     return ContractionReport(exit_points=exits, separations=seps)
 
 
+@dataclass(frozen=True)
+class _Passage:
+    """One recorded strip crossing: its entry, its step ends and its exit."""
+
+    entry: float
+    knots: np.ndarray  # rows x_k, v_k, t_k at the accepted step ends
+    exit: float
+    time: float
+
+
+_JOIN_L = 20.0  # the join knot lies at least this many eps beyond the entries
+_JOIN_TOL = 1e-10  # largest |v(x_k) - v_k| that joins the recorded passage
+_STORE_SIZE = 32  # recorded passages, least recently used evicted first
+_STORE_KNOTS = 512  # knots kept per passage; longer ones keep every k-th
+_passages: OrderedDict[RegularizedSystem, _Passage] = OrderedDict()
+
+
 def strip_crossing(
     R: RegularizedSystem,
     x_enter: float,
@@ -361,12 +391,53 @@ def strip_crossing(
     ``StripCrossingFailed`` if the orbit leaves through the bottom or never
     returns (which cannot happen for entries left of the tangency while the
     lower field pushes up).
+
+    A repeat crossing of the same ``R`` joins the passage recorded for it
+    (landing independence as an algorithm).  Every orbit that enters the
+    strip contracts onto the attracting slow manifold at the rate
+    exp(-int lambda / eps), so after its fast layer it follows the recorded
+    orbit to the recorded exit up to exponentially small terms.  The new
+    orbit is shot, at the same settings and stops, to the first recorded
+    step end x_k at least L = 20 eps beyond both entries; if there
+    |v(x_k) - v_k| <= 1e-10 the recorded exit is returned, with transit time
+    t(x_k) + T_rec - t_k.  A stop that fires first is handled as in a full
+    crossing.  Otherwise (a miss, or no such x_k left of ``x_limit``) the
+    orbit crosses in full, exactly as a first crossing does, and the
+    crossing whose entry lies farthest left is kept as the record.  The
+    store holds at most 32 passages (least recently used evicted) of at
+    most 512 step ends each (a longer crossing keeps every k-th), under
+    0.5 MB; no dense output is kept.
     """
     rhs, jac = _orbit_equation(R, timed=True)
-    shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], [Stop(0, 1.0, 1), Stop(0, -1.0, -1)],
-                 jac=jac, method="LSODA", rtol=1e-12, atol=1e-14)
-    if shot.stop == 1:
-        raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
+
+    def cross(x_end: float):
+        shot = shoot(rhs, (x_enter, x_end), [1.0, 0.0], [Stop(0, 1.0, 1), Stop(0, -1.0, -1)],
+                     jac=jac, method="LSODA", rtol=1e-12, atol=1e-14)
+        if shot.stop == 1:
+            raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
+        return shot
+
+    rec = _passages.get(R)
+    if rec is not None:
+        _passages.move_to_end(R)
+        xs, vs, ts = rec.knots
+        k = int(np.searchsorted(xs, max(x_enter, rec.entry) + _JOIN_L * R.epsilon))
+        if k < len(xs) and xs[k] <= x_limit:
+            shot = cross(float(xs[k]))
+            if shot.stop == 0:
+                return shot.t, float(shot.z[1])
+            if abs(shot.z[0] - vs[k]) <= _JOIN_TOL:
+                if rec.exit > x_limit:
+                    raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
+                return rec.exit, float(shot.z[1] + (rec.time - ts[k]))
+
+    shot = cross(x_limit)
     if shot.stop is None:
         raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
+    if rec is None or x_enter < rec.entry:
+        stride = -(-len(shot.ts) // _STORE_KNOTS)
+        knots = np.vstack([shot.ts[::stride], shot.zs[:, ::stride]])
+        _passages[R] = _Passage(x_enter, knots, shot.t, float(shot.z[1]))
+        if len(_passages) > _STORE_SIZE:
+            _passages.popitem(last=False)
     return shot.t, float(shot.z[1])

@@ -3,10 +3,18 @@ from typing import NamedTuple
 import pytest
 
 from lapack_radau import LapackRadau
-from slidekick import integrator
+from slidekick import integrator, slow_manifold
 from slidekick.fields import FilippovSystem, PlanarField
 from slidekick.integrator import Shot, shoot
 from slidekick.regularization import phi_linear, phi_polynomial
+
+
+@pytest.fixture(autouse=True)
+def _no_recorded_passages():
+    """Every test starts with an empty store of recorded strip passages: the
+    session-scoped models and profiles make equal ``RegularizedSystem`` keys
+    recur across tests, and a joined crossing must not leak between them."""
+    slow_manifold._passages.clear()
 
 
 @pytest.fixture(scope="session")

@@ -229,14 +229,25 @@ def _strip_entry(x, eps):
 ])
 def test_strip_exit_agrees_with_tight_radau(normal_form, profile, eps, x, lapack_radau):
     # the crossing's LSODA exit against Radau IIA at rtol 1e-13; each
-    # profile at both eps and both entries
+    # profile at both eps and both entries.  The first crossing of R, from
+    # 0.02 further left, is the plain LSODA shot to the bit; the crossing
+    # from x joins its recorded passage within 5e-12 of its own plain shot
     R = RegularizedSystem(normal_form, parse_profile(profile), eps)
-    x_in = _strip_entry(x, eps)
     rhs, jac = _orbit_equation(R, timed=True)
+
+    def plain(x_in):
+        shot = shoot(rhs, (x_in, 0.4), [1.0, 0.0], [Stop(0, 1.0, 1), Stop(0, -1.0, -1)], jac=jac,
+                     method="LSODA", rtol=1e-12, atol=1e-14)
+        return shot.t, float(shot.z[1])
+
+    x_rec, x_in = _strip_entry(x - 0.02, eps), _strip_entry(x, eps)
+    assert strip_crossing(R, x_rec, x_limit=0.4) == plain(x_rec)
+    joined, fresh = strip_crossing(R, x_in, x_limit=0.4), plain(x_in)
+    assert np.max(np.abs(np.subtract(joined, fresh))) <= 5e-12
     ref = shoot(rhs, (x_in, 0.4), [1.0, 0.0], [Stop(0, 1.0, 1)], jac=jac, method="Radau",
                 rtol=1e-13, atol=1e-15)
-    x_exit, _t = strip_crossing(R, x_in, x_limit=0.4)
-    assert abs(x_exit - ref.t) <= 1e-11
+    assert abs(fresh[0] - ref.t) <= 1e-11
+    assert abs(joined[0] - ref.t) <= 1e-11
 
 
 _STUCK = pytest.mark.xfail(strict=True, reason="LSODA stays in its non-stiff mode along the "
@@ -262,11 +273,59 @@ _STUCK = pytest.mark.xfail(strict=True, reason="LSODA stays in its non-stiff mod
 ])
 def test_strip_crossing_step_budget(normal_form, shoot_calls, profile, eps, x):
     # a count-based guard: a crossing that falls back to steps of order eps
-    # shows here on any machine, before it shows as a timeout
+    # shows here on any machine, before it shows as a timeout.  A second
+    # crossing of the same R joins the recorded passage after its fast layer
     calls = shoot_calls(slow_manifold)
-    strip_crossing(RegularizedSystem(normal_form, parse_profile(profile), eps), _strip_entry(x, eps), x_limit=0.4)
+    R = RegularizedSystem(normal_form, parse_profile(profile), eps)
+    strip_crossing(R, _strip_entry(x, eps), x_limit=0.4)
     (call,) = calls
     assert call.shot.n_steps <= 3000
+    strip_crossing(R, _strip_entry(x + 0.01, eps), x_limit=0.4)
+    (join,) = calls[1:]
+    assert join.shot.n_steps <= 400
+
+
+def test_strip_crossing_miss_is_a_plain_crossing(normal_form, poly2, shoot_calls):
+    # an entry close to the fold has not reached the recorded passage 20 eps
+    # on: the attempt misses, and the crossing is the plain one to the bit
+    R = RegularizedSystem(normal_form, poly2, 1e-2)
+    fresh = strip_crossing(R, -0.2, x_limit=0.4)
+    slow_manifold._passages.clear()
+    calls = shoot_calls(slow_manifold)
+    strip_crossing(R, -0.7, x_limit=0.4)
+    assert strip_crossing(R, -0.2, x_limit=0.4) == fresh
+    attempt, full = calls[1:]
+    assert attempt.shot.stop is None and full.shot.t == fresh[0]
+    assert slow_manifold._passages[R].entry == -0.7  # the entry farthest left stays the record
+
+
+def test_joined_exit_beyond_the_limit_fails(normal_form, poly2, shoot_calls):
+    # the recorded exit lies right of this call's x_limit: the join (one
+    # shot) raises, like the plain crossing of the same entry
+    R = RegularizedSystem(normal_form, poly2, 1e-3)
+    x_exit, _t = strip_crossing(R, -0.75, x_limit=0.4)
+    calls = shoot_calls(slow_manifold)
+    with pytest.raises(slow_manifold.StripCrossingFailed, match="did not return"):
+        strip_crossing(R, -0.74, x_limit=x_exit / 2)
+    assert len(calls) == 1
+    slow_manifold._passages.clear()
+    with pytest.raises(slow_manifold.StripCrossingFailed, match="did not return"):
+        strip_crossing(R, -0.74, x_limit=x_exit / 2)
+
+
+def test_passage_store_bound(normal_form, lin, poly3, shoot_calls):
+    # at most 32 passages, least recently used evicted, of at most 512 step
+    # ends each: under 0.5 MB.  poly(3) at eps 1e-6 takes about 2000 steps
+    calls = shoot_calls(slow_manifold)
+    long = RegularizedSystem(normal_form, poly3, 1e-6)
+    strip_crossing(long, -0.75, x_limit=0.4)
+    assert calls[0].shot.n_steps > 1024
+    assert 256 < slow_manifold._passages[long].knots.shape[1] <= 512
+    systems = [RegularizedSystem(normal_form, lin, 1e-3 * (1 + k / 64)) for k in range(32)]
+    for R in systems:
+        strip_crossing(R, -0.75, x_limit=0.4)
+    assert list(slow_manifold._passages) == systems
+    assert sum(rec.knots.nbytes for rec in slow_manifold._passages.values()) < 0.5e6
 
 
 def test_trace_and_probe_agree_with_tight_radau(normal_form, monkeypatch, lapack_radau):
