@@ -184,8 +184,8 @@ class NormalizedSolution:
     """Distinguished solution of d(etabar)/d(ubar) = 1/(etabar + ubar^p)
     on 2001 points of [u_start, 0].
 
-    Only the integrated deviation w = etabar + ubar^p is stored; ``ubar``
-    and ``etabar`` are rebuilt from it.
+    Only the integrated deviation w = etabar + ubar^p is stored, on the
+    grid ``ubar``; etabar is w - ubar^p.
     """
 
     p: int
@@ -197,10 +197,6 @@ class NormalizedSolution:
     @property
     def ubar(self) -> np.ndarray:
         return _normalized_grid(self.u_start)
-
-    @property
-    def etabar(self) -> np.ndarray:
-        return self.w - self.ubar**self.p
 
     def deviation(self) -> np.ndarray:
         """etabar + ubar^p: positive for even p, negative for odd p."""

@@ -43,7 +43,7 @@ stiff: the passage along the attracting slow manifold would force O(1/eps)
 explicit steps.  The strip crossing, the middle map of every fold and
 return map, steps with LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 1983)
 at rtol 1e-12, atol 1e-14 and an analytic Jacobian; its compiled steps cost
-about a tenth of scipy's Python-level Radau.  It does not run at 1e-11: there LSODA can stay in its non-stiff
+about a twentieth of scipy's Python-level Radau at the same tolerances.  It does not run at 1e-11: there LSODA can stay in its non-stiff
 Adams mode along the whole manifold, at steps of order eps (about 13,000
 steps instead of about 650 on some linear eps = 1e-4 crossings).  The
 manifold trace and the contraction probe step with LSODA at rtol 3e-14,
@@ -116,11 +116,17 @@ class Shot:
     zs: np.ndarray  # states at ts, one column per time
     dense: OdeSolution | None
     n_steps: int
+    nfev: int  # the solver's own rhs calls (not the step-off, turn or polish ones)
     min_step: float
 
 
 _SOLVERS = {"LSODA": LSODA, "RK45": RK45, "DOP853": DOP853, "Radau": Radau}
 _EPS4 = 4 * np.finfo(float).eps  # the brentq tolerance of solve_ivp's event location
+TOUCH = 1e-13  # a level this close to the state is touched: the step-off and turn tolerance
+
+
+def _gap(stop: Stop, t: float, z: np.ndarray) -> float:  # the stop's signed distance
+    return z[stop.component] - stop.level if stop.g is None else stop.g(t, z)
 
 
 def _crossed(g: float, g_new: float, direction: int) -> bool:
@@ -151,21 +157,22 @@ def shoot(
     and the first with an accepted state fires.  The turn is looked for only
     where the solver holds the rate at the step's ends (RK45, DOP853,
     Radau).  LSODA does not: one ``rhs`` call per step would add about
-    1.5 us to an 11.5 us strip-crossing step, and a sweep of 144 fold maps
-    took 13% longer with it, so LSODA shots (the strip crossing, the
+    1.1 us to an 8.8 us strip-crossing step, and a sweep of 144 fold maps
+    took about 3% longer with it, so LSODA shots (the strip crossing, the
     manifold trace, the inner equation) keep the end-point rule.
 
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if
-    ``dense`` is set, the step count and the smallest step.  Raises
-    ``EventNotBracketed`` for a start on an accepted level with zero rate,
-    ``StepSizeUnderflow`` when the solver's step size collapses and
-    ``NumericalFailure`` with the solver's message on any other failure.
+    ``dense`` is set, the step count, the solver's ``rhs`` call count and
+    the smallest step.  Raises ``EventNotBracketed`` for a start on an
+    accepted level with zero rate, ``StepSizeUnderflow`` when the solver's
+    step size collapses and ``NumericalFailure`` with the solver's message
+    on any other failure.
     """
     t_cur, t_end = float(t_span[0]), float(t_span[1])
     z_cur = np.asarray(z0, dtype=float)
     for s in stops:
-        if s.g is None and abs(z_cur[s.component] - s.level) <= 1e-13:
+        if s.g is None and abs(z_cur[s.component] - s.level) <= TOUCH:
             f0 = np.asarray(rhs(t_cur, z_cur), dtype=float)
             rate = f0[s.component]
             if rate * s.direction >= 0.0:
@@ -175,11 +182,11 @@ def shoot(
                 z_cur = z_cur + 1e-11 * f0
                 break
 
-    gs = [s.g or (lambda t, z, i=s.component, c=s.level: z[i] - c) for s in stops]
     extra = {"jac": jac} if jac is not None else {}
     solver = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
-    ts, zs, parts = [t_cur], [z_cur], []
-    g_old = [g(t_cur, z_cur) for g in gs]
+    ts, zs, parts, min_step = [t_cur], [z_cur], [], np.inf
+    specs = [(s.component, s.level, s.g, s.direction) for s in stops]
+    g_old = [_gap(s, t_cur, z_cur) for s in stops]
     # the level stops that can hide a crossing behind a turn, where the solver
     # holds the rate at the step's ends (LSODA holds none)
     levels = [k for k, s in enumerate(stops) if s.g is None] if method != "LSODA" else []
@@ -199,8 +206,13 @@ def shoot(
         sol = solver.dense_output() if dense else None
         if dense:
             parts.append(sol)
-        g_new = [g(t, z) for g in gs]
-        brackets = [(t_old, t, k) for k, s in enumerate(stops) if _crossed(g_old[k], g_new[k], s.direction)]
+        g_new, brackets = [], []
+        for k, (c, level, g, direction) in enumerate(specs):
+            g1 = z[c] - level if g is None else g(t, z)  # _gap, inlined
+            g_new.append(g1)
+            # only a stop whose sign changed (or that touched zero) can have crossed
+            if not g_old[k] * g1 > 0.0 and _crossed(g_old[k], g1, direction):
+                brackets.append((t_old, t, k))
         for k in levels:
             c, g0 = stops[k].component, g_old[k]
             # z moved toward the level and then away, on one side of it at both ends
@@ -209,12 +221,12 @@ def shoot(
             sol = solver.dense_output() if sol is None else sol
             t_turn = _turn(lambda u: rhs(u, sol(u))[c], t_old, t, f_old[c], solver.f[c])
             side = np.sign(g0)
-            if side * gs[k](t_turn, sol(t_turn)) < -1e-13:  # beyond the level: it crossed and came back
+            if side * _gap(stops[k], t_turn, sol(t_turn)) < -TOUCH:  # beyond the level: it crossed and came back
                 brackets += [(a, b, k) for a, b, d in ((t_old, t_turn, -side), (t_turn, t, side))
                              if stops[k].direction in (0, d)]
         if brackets:
             sol = solver.dense_output() if sol is None else sol
-            roots = sorted((brentq(lambda u, g=gs[k]: g(u, sol(u)), a, b, xtol=_EPS4, rtol=_EPS4), k)
+            roots = sorted((brentq(lambda u, s=stops[k]: _gap(s, u, sol(u)), a, b, xtol=_EPS4, rtol=_EPS4), k)
                            for a, b, k in brackets)
             for root, k in roots:
                 # like solve_ivp, a root on the last step's end adds no new segment
@@ -227,17 +239,18 @@ def shoot(
         if dense and len(ts) > 1 and t == ts[-1]:
             parts.pop()
         else:
+            h = t - ts[-1]
+            if 0.0 < h < min_step:
+                min_step = h
             ts.append(t)
             zs.append(z)
 
     ts, zs = np.array(ts), np.array(zs).T
     out = OdeSolution(ts, parts, alt_segment=(method == "LSODA")) if dense else None
-    steps = np.diff(ts)
-    n_steps, min_step = len(ts) - 1, float(steps[steps > 0.0].min()) if np.any(steps > 0.0) else np.inf
     if fired is not None:
         ts[-1], zs[:, -1] = hit  # the polished hit replaces the bracketed root
     return Shot(stop=fired, t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs, dense=out,
-                n_steps=n_steps, min_step=min_step)
+                n_steps=len(ts) - 1, nfev=solver.nfev, min_step=float(min_step))
 
 
 def _turn(rate: Callable[[float], float], a: float, b: float, rate_a: float, rate_b: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import FilippovSystem, PlanarField
-from slidekick.integrator import EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
+from slidekick.integrator import TOUCH, EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
 from slidekick.slow_manifold import strip_crossing
 
@@ -114,14 +114,22 @@ def map_P_epsilon(
     landing (P_eps = P0 trivially there), stage P's own hit of y0.  The
     flags record the strip entry and exit abscissae; the strip crossing
     gives up 0.4 right of the fold.  The domain is the part of
-    {y = y0, x < fold} where X+ points down: a start elsewhere, or a section
-    at or below the strip top, is a ``ConfigError`` raised before any shot.
+    {y = y0, x < fold} where X+ points down and the orbit's first-order dip
+    below y0 is at least ``integrator.TOUCH`` (about 3e-7 from the normal
+    fold): a start elsewhere, or a section at or below the strip top, is a
+    ``ConfigError`` raised before any shot.
     """
     y_strip = R.base.offset + R.epsilon
     if y0 <= y_strip:
         raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
-    if not (x < fold and R.base.x_plus(x, y0)[1] < 0.0):
+    f = R.base.x_plus(x, y0)
+    if not (x < fold and f[1] < 0.0):
         raise ConfigError(f"start x={x} must lie left of the fold x={fold}, where X+ points down across y0={y0}")
+    rate = R.base.x_plus.jacobian(x, y0)[1] @ f  # dX2+/dt: the orbit dips X2+^2 / (2 rate) below y0
+    dip = f[1] * f[1] / (2.0 * rate) if rate > 0.0 else np.inf
+    if dip < TOUCH:  # stage P would not see the landing back on y0
+        raise ConfigError(f"start x={x} lies too close to the fold x={fold}: its orbit dips {dip:.1e} "
+                          f"below y0={y0}, inside the {TOUCH:g} touch tolerance")
 
     t_in, x_in, entered = _stage_P(R.base.x_plus, x, y0, y_strip)
     if not entered:

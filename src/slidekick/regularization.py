@@ -170,9 +170,9 @@ class RegularizedSystem:
         return self.mix(x, y, self.profile.eval(v))
 
     def mix(self, x: float, y: float, w: float) -> tuple[float, float]:
-        """(X+ + X-)/2 + w (X+ - X-)/2 at (x, y) for a given weight w."""
-        fp = self.base.x_plus(x, y)
-        fm = self.base.x_minus(x, y)
+        """(X+ + X-)/2 + w (X+ - X-)/2 at (x, y) for a given weight w, on the fields' raw ``func``."""
+        fp = self.base.x_plus.func(x, y)
+        fm = self.base.x_minus.func(x, y)
         return (
             0.5 * (fp[0] + fm[0]) + 0.5 * w * (fp[0] - fm[0]),
             0.5 * (fp[1] + fm[1]) + 0.5 * w * (fp[1] - fm[1]),

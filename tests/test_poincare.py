@@ -128,6 +128,22 @@ def test_map_out_of_domain_near_fold_lands_on_the_mirror(nf, nf_fold, lin, x):
     assert abs(r.x + x) <= 1e-12
 
 
+def test_map_start_whose_dip_hides_in_the_touch_tolerance_rejected(shoot_calls, nf, nf_fold, poly2):
+    # the orbit from (x, y0) dips x^2 below y0: at -1e-8 and -1e-7 that is
+    # inside shoot's 1e-13 touch tolerance, so stage P would never see the
+    # landing and would step to t = 1e3; it is a ConfigError before any shot
+    R = RegularizedSystem(nf.system, poly2, 1e-3)
+    calls = shoot_calls(poincare)
+    for x in (-1e-8, -1e-7):
+        with pytest.raises(ConfigError, match="touch tolerance"):
+            map_P_epsilon(R, 0.25, x, fold=nf_fold)
+    assert calls == []
+    r = map_P_epsilon(R, 0.25, -5e-7, fold=nf_fold)  # dips 2.5e-13: lands on the mirror
+    assert r.flags["out_of_domain"]
+    assert abs(r.x - 5e-7) <= 1e-10
+    assert [c.shot.t < 1e-3 for c in calls] == [True]
+
+
 def test_stage_maps_match_closed_forms(nf):
     eps = 1e-3
     xp = nf.system.x_plus

@@ -20,13 +20,18 @@ def _uses(tree: ast.AST) -> Counter:
     return uses
 
 
-def test_every_public_name_is_reached_outside_the_tests():
-    # a public function or class stays only if the package itself, a demo or
-    # the benchmark uses it; code that only its own tests call is deleted
+def _reached_outside_the_tests() -> Counter:
     reachers = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     total = Counter()
     for path in reachers:
         total += _uses(ast.parse(path.read_text(encoding="utf-8")))
+    return total
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a public function or class stays only if the package itself, a demo or
+    # the benchmark uses it; code that only its own tests call is deleted
+    total = _reached_outside_the_tests()
     unreached = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -35,6 +40,21 @@ def test_every_public_name_is_reached_outside_the_tests():
                     unreached.append(f"{path.stem}.{node.name}")
     assert not unreached, f"only the tests reach {unreached}"
 
+
+def test_every_public_method_is_reached_outside_the_tests():
+    # the same count for the public methods and properties of every class:
+    # by name, so a name shared with another method or field counts as a use
+    total = _reached_outside_the_tests()
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    if total[node.name] - _uses(node)[node.name] <= 0:
+                        unreached.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert not unreached, f"only the tests reach {unreached}"
 
 
 def _dataclass_fields(tree: ast.AST):
