@@ -18,10 +18,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
+from scipy.spatial import cKDTree
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, sign_changes
-from slidekick.integrator import NoArrival, Section, Stop, shoot
+from slidekick.integrator import NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     exterior_map,
@@ -442,26 +443,66 @@ class StribeckResult:
 def _directed_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
     """Largest distance from points of P to the polyline Q (point-to-segment).
 
-    The loop runs over the shorter of P and the segments of Q and each pass
-    is vectorized over the other, so temporaries stay one-dimensional.
+    Exact: the result equals, to the bit, the max over P of the min over
+    every segment of Q of the per-pair formula below. The search is pruned,
+    not the formula. For the index only, each segment is cut into pieces no
+    longer than twice the median segment, or than a third of the mean one if
+    that is longer (so there are at most four pieces per segment on
+    average), and a k-d tree (scipy's cKDTree) holds the piece midpoints. A point is
+    measured against the segments of its k = 8 nearest midpoints. A segment
+    none of whose pieces is among them lies at least r_k - h away, where r_k
+    is the k-th midpoint distance and h the largest piece half-length; when
+    that bound exceeds the best candidate by more than any rounding, the
+    candidate is the minimum. A point without that proof is queried again
+    with 4k midpoints, up to every piece. On the Stribeck arcs nearly every
+    point is settled by its first query, so a call costs about
+    (|P| + |Q|) log |Q| tree work and 8 |P| pairs instead of |P| |Q|.
+    Points go in chunks of 4096 / k, so a temporary holds at most 4096
+    pairs (k pairs once k passes 4096) and on the first query all of them
+    together stay under 1 MB.
     """
+    if len(P) == 0:
+        return 0.0
+    if len(Q) < 2:
+        return math.inf
     a = Q[:-1]
     d = Q[1:] - a
     L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    length = np.sqrt(L2)
     L2[L2 == 0.0] = 1.0
+    cap = max(2.0 * float(np.median(length)), length.sum() / (3 * len(a))) or 1.0
+    pieces = np.maximum(np.ceil(length / cap), 1.0).astype(np.intp)
+    seg = np.repeat(np.arange(len(a)), pieces)
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+    frac = (np.arange(len(seg)) - first + 0.5) / pieces[seg]
+    tree = cKDTree(a[seg] + frac[:, None] * d[seg])
+    h = 0.5 * float((length / pieces).max())
+    slack = 1e-9 * (1.0 + max(np.abs(P).max(), np.abs(Q).max()))  # far above any rounding
+    ax, ay, dx, dy = a[:, 0].copy(), a[:, 1].copy(), d[:, 0].copy(), d[:, 1].copy()
 
-    def dist(p, a, d, L2):
-        t = np.clip(((p[..., 0] - a[..., 0]) * d[..., 0] + (p[..., 1] - a[..., 1]) * d[..., 1]) / L2, 0.0, 1.0)
-        ex = p[..., 0] - (a[..., 0] + t * d[..., 0])
-        ey = p[..., 1] - (a[..., 1] + t * d[..., 1])
+    def dist(px, py, s):
+        # the per-pair formula, points (m, 1) against segments s (m, k)
+        t = np.clip(((px - ax[s]) * dx[s] + (py - ay[s]) * dy[s]) / L2[s], 0.0, 1.0)
+        ex = px - (ax[s] + t * dx[s])
+        ey = py - (ay[s] + t * dy[s])
         return np.sqrt(ex * ex + ey * ey)
 
-    if len(P) <= len(a):
-        return float(max((dist(p, a, d, L2).min() for p in P), default=0.0))
-    nearest = np.full(len(P), np.inf)
-    for k in range(len(a)):
-        np.minimum(nearest, dist(P, a[k], d[k], L2[k]), out=nearest)
-    return float(nearest.max(initial=0.0))
+    nearest = np.empty(len(P))
+    todo, k = np.arange(len(P)), 8
+    while todo.size:
+        k = min(k, len(seg))
+        step = max(1, 4096 // k)
+        left = []
+        for lo in range(0, len(todo), step):
+            idx = todo[lo:lo + step]
+            r, j = tree.query(P[idx], k)
+            r, j = r.reshape(len(idx), k), j.reshape(len(idx), k)
+            best = dist(P[idx, 0, None], P[idx, 1, None], seg[j]).min(axis=1)
+            done = (r[:, -1] - h > best + slack) | (k == len(seg))
+            nearest[idx[done]] = best[done]
+            left.append(idx[~done])
+        todo, k = np.concatenate(left), 4 * k
+    return float(nearest.max())
 
 
 def _n_fixed_points(R: Callable[[float], float], lo: float, hi: float) -> int:
@@ -486,7 +527,12 @@ def stribeck_attractor(
     and measure how far its upper arc sits from the Filippov sliding cycle.
 
     The fixed point x* is shown unique by ``_n_fixed_points`` on sampled slopes:
-    evidence, not a proof, as the 48-point count it falls back to was."""
+    evidence, not a proof, as the 48-point count it falls back to was.
+
+    The fold map is memoized for the length of one call, so the orbit at x*
+    reuses the certificate's middle sample: a call makes 9 fold maps (2
+    iterations, 5 samples, 2 for the stability slope), each followed by one
+    exterior return, and 3 exterior shots from the fold."""
     fold = desc.fold()
     R_eps = RegularizedSystem(desc.system, profile, eps)
     half = Section(y0, "x<0", id="half-1", edge=fold.x)
@@ -494,8 +540,12 @@ def stribeck_attractor(
     def pe(z: float) -> float:
         return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
 
+    @cache  # the certificate's middle sample is x*, whose orbit is traced below
+    def P_eps(x: float) -> PoincareResult:
+        return map_P_epsilon(R_eps, y0, x, fold=fold.x)
+
     def R(x: float) -> float:
-        return pe(map_P_epsilon(R_eps, y0, x, fold=fold.x).x)
+        return pe(P_eps(x).x)
 
     fold_pt = (fold.x, desc.system.offset)
     x0p = exterior_map(desc.system.x_plus, fold_pt, Section(y0)).x
@@ -507,7 +557,7 @@ def stribeck_attractor(
 
     # upper arc of the regularized orbit: X+ from the strip exit around to the
     # next strip entry (Z_eps = X+ above the strip)
-    r_full = map_P_epsilon(R_eps, y0, x_star, fold=fold.x)
+    r_full = P_eps(x_star)
     arc_eps = _upper_arc(desc.system.x_plus, r_full.flags["x_exit"], eps, t_max=200.0)
 
     # Filippov sliding cycle: upper arc from the fold exit until sliding,

@@ -198,6 +198,8 @@ def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
     # At 1e-3 the iteration's repeat crossings join the recorded passage of
     # R_eps, which moved x* by 3.4e-15 from a run of full crossings
     assert res.fixed_point == x_star
+    # the pruned Hausdorff search is exact: the all-pairs scan's values, to the bit
+    assert res.hausdorff_upper == {1e-2: 0.009705701671561883, 1e-3: 0.0010217018609755104}[eps]
     R = _stribeck_return_map(desc, poly2, eps)
     assert R(x_star) == pytest.approx(x_star, abs=1e-9)
     xs = np.linspace(x_star - 0.25, min(x_star + 0.25, desc.fold().x - 1e-3), 48)
@@ -205,12 +207,17 @@ def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
 
 
 def test_stribeck_map_budget(poly2, monkeypatch):
-    # count guard: 2 iterations, 5 certificate samples, 2 for the stability
-    # slope and 1 for the orbit make 10 maps (53 with a 48-point grid)
-    calls = []
+    # count guard: 2 iterations, 5 certificate samples (the middle one is x*,
+    # whose map the orbit reuses) and 2 for the stability slope make 9 maps
+    # (53 with a 48-point grid); each is followed by one exterior return,
+    # after the 3 shots from the fold that give gamma and x1
+    calls, returns = [], []
     monkeypatch.setattr(bifurcation, "map_P_epsilon", lambda *a, **k: calls.append(a) or map_P_epsilon(*a, **k))
+    monkeypatch.setattr(bifurcation, "exterior_map", lambda *a, **k: returns.append(a) or exterior_map(*a, **k))
     stribeck_attractor(model("stribeck"), poly2, 1e-2)
-    assert len(calls) <= 15
+    assert len(calls) == 9
+    assert len({x for _R, _y0, x in calls}) == 9
+    assert len(returns) == 12
 
 
 def test_certificate_passes_on_five_samples():
@@ -434,18 +441,19 @@ def test_lipschitz_gate_p2(poly2):
 
 
 def _hausdorff_brute(P, Q):
+    # every (point, segment) pair; sqrt is monotone, so it is taken once per point
+    segs = []
+    for (ax, ay), (bx, by) in zip(Q[:-1].tolist(), Q[1:].tolist()):
+        dx, dy = bx - ax, by - ay
+        segs.append((ax, ay, dx, dy, dx * dx + dy * dy or 1.0))
     worst = 0.0
     for px, py in P.tolist():
         best = math.inf
-        for (ax, ay), (bx, by) in zip(Q[:-1].tolist(), Q[1:].tolist()):
-            dx, dy = bx - ax, by - ay
-            L2 = dx * dx + dy * dy
-            if L2 == 0.0:
-                L2 = 1.0
+        for ax, ay, dx, dy, L2 in segs:
             t = min(max(((px - ax) * dx + (py - ay) * dy) / L2, 0.0), 1.0)
             ex, ey = px - (ax + t * dx), py - (ay + t * dy)
-            best = min(best, math.sqrt(ex * ex + ey * ey))
-        worst = max(worst, best)
+            best = min(best, ex * ex + ey * ey)
+        worst = max(worst, math.sqrt(best))
     return worst
 
 
@@ -460,3 +468,61 @@ def test_directed_hausdorff_matches_brute_force(n, m):
         Q[1] = Q[0]
         assert _directed_hausdorff(P, Q) == _hausdorff_brute(P, Q)
         assert _directed_hausdorff(Q, P) == _hausdorff_brute(Q, P)
+
+
+def _stribeck_like_arcs():
+    # a dense upper arc 0.004 above a sparse closed cycle of 99 arc segments
+    # and 20 flat sliding ones, like the arcs stribeck_attractor compares
+    s = np.linspace(0.05, np.pi - 0.05, 1500)
+    u = np.linspace(0.0, np.pi, 100)
+    cycle = np.vstack([np.column_stack([np.cos(u), 0.5 * np.sin(u)]),
+                       np.column_stack([np.linspace(-1.0, 1.0, 21)[1:], np.zeros(20)])])
+    return np.column_stack([np.cos(s), 0.5 * np.sin(s) + 0.004]), cycle
+
+
+def _one_long_segment():
+    # a half circle closed by its chord, about 38 times longer than the other segments
+    u = np.linspace(0.0, np.pi, 60)
+    Q = np.vstack([np.column_stack([np.cos(u), np.sin(u)]), [[1.0, 0.0]]])
+    rng = np.random.default_rng(7)
+    return Q[rng.integers(0, len(Q), 300)] + rng.normal(scale=0.05, size=(300, 2)), Q
+
+
+def _repeated_vertices():
+    rng = np.random.default_rng(3)
+    Q = np.repeat(np.cumsum(rng.normal(scale=0.1, size=(40, 2)), axis=0), 3, axis=0)
+    return Q[::2] + rng.normal(scale=0.02, size=(60, 2)), Q
+
+
+def _two_point_polyline():
+    rng = np.random.default_rng(5)
+    return rng.normal(size=(200, 2)), np.array([[-0.5, 0.1], [0.7, -0.3]])
+
+
+@pytest.mark.parametrize("curves", [_stribeck_like_arcs, _one_long_segment, _repeated_vertices, _two_point_polyline],
+                         ids=["stribeck-like", "one-long-segment", "repeated-vertices", "two-point"])
+def test_directed_hausdorff_exact_where_pruning_acts(curves):
+    # the tree prunes candidates, never the per-pair formula: both
+    # orientations equal the all-pairs scan to the bit, including the points
+    # that need a second query or every segment
+    P, Q = curves()
+    assert _directed_hausdorff(P, Q) == _hausdorff_brute(P, Q)
+    assert _directed_hausdorff(Q, P) == _hausdorff_brute(Q, P)
+    assert _directed_hausdorff(P[:0], Q) == _hausdorff_brute(P[:0], Q) == 0.0
+
+
+def test_directed_hausdorff_settles_dense_arcs_on_the_first_query(monkeypatch):
+    # cost guard: each point of the dense arc is proved nearest among its 8
+    # nearest midpoints, so no point is queried twice
+    queries = []
+
+    class Tree(bifurcation.cKDTree):
+        def query(self, x, k):
+            queries.append((len(x), k))
+            return super().query(x, k)
+
+    monkeypatch.setattr(bifurcation, "cKDTree", Tree)
+    P, Q = _stribeck_like_arcs()
+    _directed_hausdorff(P, Q)
+    assert {k for _n, k in queries} == {8}
+    assert sum(n for n, _k in queries) == len(P)
