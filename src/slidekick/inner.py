@@ -311,9 +311,12 @@ def omega0(u_end: float = 60.0) -> float:
     """Forward-asymptote constant of the p = 2 normalized solution.
 
     Past the fold the distinguished solution settles onto
-    etabar0(ubar) = Omega0 - 1/ubar + O(ubar^{-3}); the constant has no
-    closed form and is computed by continuing the deviation equation to
-    ubar = u_end and removing the 1/ubar tail.
+    etabar0(ubar) = Omega0 - 1/ubar + O(ubar^{-3}).  The constant is -a1,
+    minus the first zero of Ai: du/d(eta) = eta + u^2 is an Airy Riccati
+    equation, u = -w'/w with w(eta) = Ai(-eta), so ubar blows up where w
+    first vanishes (the same equation gives etabar0(0) = -a1').  It is
+    computed here by continuing the deviation equation to ubar = u_end and
+    removing the 1/ubar tail, which lands within 1e-8 of -a1.
     """
     w0 = float(_integrate_normalized(2, -30.0).z[0])  # deviation at ubar = 0: equals etabar0(0)
     # etabar = w - ubar^2 along the whole forward run: the deviation variable

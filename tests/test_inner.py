@@ -163,6 +163,16 @@ def test_normalized_route_agrees_with_radau(p, lapack_radau):
         assert abs(normalized_solution(2).etabar_at_0 + ai_zeros(1)[1][0]) <= 1e-10
 
 
+def test_omega0_is_minus_the_first_airy_zero():
+    # the same Airy Riccati equation blows up where Ai(-etabar) first
+    # vanishes: the forward constant is -a1 (measured 6.1e-10 off)
+    from scipy.special import ai_zeros
+
+    from slidekick.inner import omega0
+
+    assert abs(omega0() + ai_zeros(1)[0][0]) <= 1e-8
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_unscaled_route_agrees_with_tight_radau(p, monkeypatch, lapack_radau):
     # the unscaled route steps with LSODA at rtol 3e-14; rerunning the same

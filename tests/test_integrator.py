@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import LSODA
 
 import slidekick
 
@@ -14,7 +15,7 @@ from slidekick.bifurcation import _stable_separatrix
 from slidekick.cli import _write_trajectory
 from slidekick.errors import NumericalFailure
 from slidekick.fields import FilippovSystem, PlanarField, filippov_flow, find_fold
-from slidekick.inner import distinguished_solution
+from slidekick.inner import distinguished_solution, eta1_check, normalized_solution
 from slidekick.integrator import (
     EventNotBracketed,
     NoArrival,
@@ -235,7 +236,7 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
     events = [event(s) for s in stops] or None
     extra = {"jac": jac} if jac is not None else {}
     ts, zs, parts = [], [], []
-    n_steps, nfev, min_step = 0, 0, np.inf
+    n_steps, nfev, njev, nlu, min_step = 0, 0, 0, 0, np.inf
     for _ in range(64):
         sol = solve_ivp(rhs, (t_cur, t_end), z_cur, method=method, rtol=rtol, atol=atol,
                         max_step=max_step, dense_output=dense, events=events, **extra)
@@ -244,7 +245,7 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
                 raise StepSizeUnderflow(sol.message)
             raise NumericalFailure(sol.message)
         n_steps += len(sol.t) - 1
-        nfev += sol.nfev
+        nfev, njev, nlu = nfev + sol.nfev, njev + sol.njev, nlu + sol.nlu
         steps = np.diff(sol.t)
         if np.any(steps > 0.0):
             min_step = min(min_step, float(steps[steps > 0.0].min()))
@@ -272,7 +273,7 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
             joined = parts[0] if dense else None
         return Shot(stop=fired, t=float(t), z=np.array(z), ts=np.concatenate(ts),
                     zs=np.concatenate(zs, axis=1), dense=joined, n_steps=n_steps, nfev=nfev,
-                    min_step=float(min_step) if n_steps else 0.0)
+                    min_step=float(min_step) if n_steps else 0.0, njev=njev, nlu=nlu)
     raise NoArrival("restart budget for rejected stop crossings exhausted")
 
 
@@ -282,9 +283,32 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
 GRAZING_STAGE_P = (-0.8, -0.5001)
 
 
-def _probe_shots(shoot_calls):
-    """Every shoot call (arguments and result) of the agreement probe set."""
-    calls = shoot_calls(bifurcation, fields, inner, poincare, slow_manifold)
+class _LoggedDense:
+    """A shot's dense output that logs every query made of it."""
+
+    def __init__(self, dense):
+        self.dense, self.queries = dense, []
+
+    def __call__(self, t):
+        self.queries.append(t)
+        return self.dense(t)
+
+
+def _probe_shots(shoot_calls, monkeypatch):
+    """Every shoot call (arguments and result) of the agreement probe set;
+    a dense result logs the queries that its caller makes of it."""
+    modules = (bifurcation, fields, inner, poincare, slow_manifold)
+    calls = shoot_calls(*modules)
+    record = inner.shoot  # the fixture's recording shoot
+
+    def logged(*args, **kwargs):
+        shot = record(*args, **kwargs)
+        if shot.dense is not None:
+            shot.dense = _LoggedDense(shot.dense)
+        return shot
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "shoot", logged)
     nf = model("normal-fold")
     for profile, eps in ((phi_polynomial(2), 1e-3), (phi_polynomial(2), 1e-4), (phi_linear(), 1e-4)):
         strip_crossing(RegularizedSystem(nf.system, profile, eps), -0.75, x_limit=0.4)
@@ -298,18 +322,24 @@ def _probe_shots(shoot_calls):
                   Section(0.25, "x>0"))
     trace_manifold(RegularizedSystem(nf.system, phi_polynomial(2), 1e-3), -1.0, 1.0)
     distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)
+    normalized_solution.__wrapped__(2)
+    eta1_check(2, -1.5, 0.3)  # the 2-D state
     _stable_separatrix(model("saddle-homoclinic", nu=0.15))  # DOP853 with dense output
     return calls
 
 
-def test_shoot_matches_solve_ivp_bitwise(shoot_calls):
-    # the stepping loop reproduces solve_ivp's steps, event roots, polish and
-    # dense output digit for digit on orbits without a rejected root, except
-    # where a crossing hides inside one step
-    calls = _probe_shots(shoot_calls)
+def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
+    # the stepping loop reproduces solve_ivp's steps, event roots, polish,
+    # work counts and dense output digit for digit on orbits without a
+    # rejected root, except where a crossing hides inside one step; the dense
+    # output agrees on every query its callers made (the inner 4001- and
+    # 2001-point grids, the manifold trace's 1200 + 600 points, eta1_check's
+    # 60 points and its scalar at u = -10)
+    calls = _probe_shots(shoot_calls, monkeypatch)
     seen = {(kw.get("method", "RK45"), s.stop, kw.get("dense", False)) for _a, kw, s in calls}
     assert {("LSODA", 0, False), ("DOP853", 1, True), ("RK45", 1, False), ("LSODA", 1, True),
             ("LSODA", None, True)} <= seen
+    queried = set()
     for args, kwargs, shot in calls:
         ref = _solve_ivp_shoot(*args, **kwargs)
         if tuple(args[2]) == (GRAZING_STAGE_P[1], 0.25):
@@ -317,6 +347,7 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls):
             assert abs(shot.z[0] + math.sqrt(0.5001**2 + 1e-3 - 0.25)) <= 1e-12
             continue
         assert (shot.stop, shot.t, shot.n_steps, shot.min_step) == (ref.stop, ref.t, ref.n_steps, ref.min_step)
+        assert (shot.njev, shot.nlu) == (ref.njev, ref.nlu)
         # DOP853's interpolant costs 3 extra stages, so a step whose turn is
         # looked at costs 3 calls that solve_ivp does not make
         assert shot.nfev == ref.nfev if kwargs.get("method") != "DOP853" else shot.nfev >= ref.nfev
@@ -326,7 +357,81 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls):
         if ref.dense is not None:
             # at a step time the segment chosen (alt_segment) decides the digits
             u = np.concatenate([np.linspace(ref.ts[0], ref.ts[-1], 50), ref.ts[1:51]])
-            assert np.array_equal(shot.dense(u), ref.dense(u))
+            assert np.array_equal(shot.dense.dense(u), ref.dense(u))
+            for q in shot.dense.queries:
+                got, want = shot.dense.dense(q), ref.dense(q)
+                assert got.shape == want.shape and np.array_equal(got, want)
+            queried |= {np.shape(q) for q in shot.dense.queries}
+    assert {(4001,), (2001,), (1200,), (600,), (60,), ()} <= queried
+
+
+def test_nordsieck_record_is_scipys_dense_output(shoot_calls, normal_form, poly2):
+    # the record that LSODA's dense output is evaluated from is read off the
+    # solver's work arrays; at every step of the inner (1-D and 2-D) and
+    # strip probes it must equal the installed scipy's own interpolant, so a
+    # scipy that moves the Nordsieck array fails here rather than in a digit
+    calls = shoot_calls(inner, slow_manifold)
+    distinguished_solution.__wrapped__(4, phi_polynomial(4).c_p)
+    eta1_check(2, -1.5, 0.3)
+    strip_crossing(RegularizedSystem(normal_form, poly2, 1e-4), -0.75, x_limit=0.4)
+    decreases, dims = 0, set()
+    for (rhs, t_span, z0, *_stops), kwargs, _shot in calls:
+        assert kwargs["method"] == "LSODA"
+        solver = LSODA(rhs, t_span[0], z0, t_span[1], rtol=kwargs["rtol"], atol=kwargs["atol"],
+                       max_step=kwargs.get("max_step", np.inf), jac=kwargs["jac"])
+        iwork = solver._lsoda_solver._integrator.iwork
+        while solver.status == "running":
+            solver.step()
+            t, h, order, yh = integrator._nordsieck(solver)
+            ref = solver.dense_output()
+            assert (t, h, order + 1) == (ref.t, ref.h, ref.p.size)
+            assert yh.flags.c_contiguous and yh.dtype == ref.yh.dtype and np.array_equal(yh, ref.yh)
+            decreases += int(iwork[14] < iwork[13])
+        dims.add(solver.n)
+    assert decreases > 0 and dims == {1, 2}
+
+
+def test_lsoda_dense_matches_odesolution_everywhere():
+    # a descending 2-D shot whose stop fires: the polished hit bounds the last
+    # segment, step times pick the step that starts there, queries beyond
+    # either end extrapolate the end steps, and unsorted arrays and scalars
+    # keep OdeSolution's shapes and digits
+    def rhs(t, z):
+        return [z[1], -z[0] - 0.1 * z[1]]
+
+    args = (rhs, (0.0, -40.0), [1.0, 0.0], [Stop(0, 2.0, 1)])
+    kwargs = {"method": "LSODA", "rtol": 1e-10, "atol": 1e-12, "dense": True}
+    shot, ref = shoot(*args, **kwargs), _solve_ivp_shoot(*args, **kwargs)
+    assert shot.stop == ref.stop == 0 and np.array_equal(shot.ts, ref.ts)
+    assert shot.ts[-1] != ref.dense.interpolants[-1].t  # the polished hit is not the step's end
+    u = np.concatenate([shot.ts, np.linspace(1.0, shot.t - 1.0, 301)])
+    u = np.random.default_rng(1).permutation(u)
+    got = shot.dense(u)
+    assert got.shape == (2, u.size) and np.array_equal(got, ref.dense(u))
+    for q in (1.0, 0.0, shot.ts[5], shot.t, shot.t - 1.0, np.float64(-3.3), np.array(-3.3)):
+        got = shot.dense(q)
+        assert got.shape == (2,) and np.array_equal(got, ref.dense(q))
+
+
+def test_lsoda_dense_builds_interpolants_only_for_bracketed_steps(monkeypatch):
+    # LSODA's dense output is recorded, not built per step: scipy's
+    # dense_output() runs only on a step that brackets a stop's root
+    built = []
+    dense_output = LSODA.dense_output
+    monkeypatch.setattr(LSODA, "dense_output", lambda self: built.append(self.t) or dense_output(self))
+
+    def circle(t, z):
+        return [z[1], -z[0]]
+
+    free = shoot(circle, (0.0, 20.0), [0.0, 1.0], method="LSODA", dense=True)
+    assert free.stop is None and free.n_steps > 100 and built == []
+    distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)  # its stop never fires
+    assert built == []
+    # y = 0 is crossed at x = 1 (passed over) and then at x = -1 (fires):
+    # two bracketed steps, one interpolant each
+    hit = shoot(circle, (0.0, 20.0), [0.0, 1.0], [Stop(1, 0.0, accept=lambda z: z[0] < 0)],
+                method="LSODA", dense=True)
+    assert hit.stop == 0 and abs(hit.z[0] + 1.0) < 1e-8 and len(built) == 2
 
 
 def test_radau_steps_match_scipy_bitwise():
