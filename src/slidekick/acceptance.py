@@ -38,7 +38,7 @@ from slidekick.bifurcation import (
     centre_semistability,
     grazing_sliding_scan,
     homoclinic_family,
-    stribeck_attractor,
+    stribeck_family,
 )
 from slidekick.errors import ConfigError
 from slidekick.inner import (
@@ -313,11 +313,11 @@ def _criterion_8():
 @_register("9", "Stribeck attractor", "unique attracting fixed point, Hausdorff <= 5 eps", limit=60.0)
 def _criterion_9():
     """Stribeck attractor: unique fixed point, upper arc 5 eps-close to the cycle."""
-    desc = model("stribeck", check=False)
+    attractor = stribeck_family(model("stribeck", check=False), y0=0.25)
     parts = []
     ok = True
     for eps in (1e-2, 1e-3):
-        res = stribeck_attractor(desc, phi_polynomial(2), eps, y0=0.25)
+        res = attractor(phi_polynomial(2), eps)
         ok = ok and res.n_fixed_points == 1 and res.stability == "attracting"
         ok = ok and res.hausdorff_upper <= 5 * eps
         parts.append(f"eps={eps:g}: d_H={res.hausdorff_upper:.2e} (5eps={5 * eps:.0e}), n={res.n_fixed_points}")

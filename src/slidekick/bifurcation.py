@@ -516,49 +516,25 @@ def _n_fixed_points(R: Callable[[float], float], lo: float, hi: float) -> int:
     return len(sign_changes(lambda x: R(x) - x, np.linspace(lo, hi, 48)))
 
 
-def stribeck_attractor(
-    desc: ModelDescriptor,
-    profile: RegularizationProfile,
-    eps: float,
-    *,
-    y0: float = 0.25,
-) -> StribeckResult:
-    """Locate the attracting periodic orbit of the regularized Stribeck model
-    and measure how far its upper arc sits from the Filippov sliding cycle.
+def stribeck_family(desc: ModelDescriptor, *, y0: float = 0.25) -> Callable[..., StribeckResult]:
+    """The eps-free half of the Stribeck attractor, built once: the fold,
+    its two shots to {y = y0} (forward along X+ to x0+, backward to x0-)
+    and the Filippov sliding cycle.  Returns ``attractor(profile, eps)``,
+    which locates the attracting periodic orbit of the regularized model and
+    measures how far its upper arc sits from the sliding cycle.
 
     The fixed point x* is shown unique by ``_n_fixed_points`` on sampled slopes:
     evidence, not a proof, as the 48-point count it falls back to was.
 
-    The fold map is memoized for the length of one call, so the orbit at x*
-    reuses the certificate's middle sample: a call makes 9 fold maps (2
-    iterations, 5 samples, 2 for the stability slope), each followed by one
-    exterior return, and 3 exterior shots from the fold."""
+    The fold map is memoized for the length of one ``attractor`` call, so
+    the orbit at x* reuses the certificate's middle sample: a call makes 9
+    fold maps (2 iterations, 5 samples, 2 for the stability slope), each
+    followed by one exterior return, and one exterior return of x0+ (the
+    first return of the unstable pseudo-separatrix)."""
     fold = desc.fold()
-    R_eps = RegularizedSystem(desc.system, profile, eps)
-    half = Section(y0, "x<0", id="half-1", edge=fold.x)
-
-    def pe(z: float) -> float:
-        return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
-
-    @cache  # the certificate's middle sample is x*, whose orbit is traced below
-    def P_eps(x: float) -> PoincareResult:
-        return map_P_epsilon(R_eps, y0, x, fold=fold.x)
-
-    def R(x: float) -> float:
-        return pe(P_eps(x).x)
-
     fold_pt = (fold.x, desc.system.offset)
     x0p = exterior_map(desc.system.x_plus, fold_pt, Section(y0)).x
-    x1 = pe(x0p)  # the first return of the unstable pseudo-separatrix
-    gamma = x1 - exterior_map(desc.system.x_plus.negated(), fold_pt, Section(y0)).x
-
-    x_star = iterate_to_fixed_point(R, x1)
-    n_fixed = _n_fixed_points(R, x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3))
-
-    # upper arc of the regularized orbit: X+ from the strip exit around to the
-    # next strip entry (Z_eps = X+ above the strip)
-    r_full = P_eps(x_star)
-    arc_eps = _upper_arc(desc.system.x_plus, r_full.flags["x_exit"], eps, t_max=200.0)
+    x0m = exterior_map(desc.system.x_plus.negated(), fold_pt, Section(y0)).x
 
     # Filippov sliding cycle: upper arc from the fold exit until sliding,
     # closed by the sliding segment on the switching line
@@ -566,23 +542,56 @@ def stribeck_attractor(
     x_land = traj0.end[1]
     slide = np.column_stack([np.linspace(x_land, fold.x, 200), np.zeros(200)])
     cycle0 = np.vstack([np.column_stack([traj0.x, traj0.y]), slide])
+    half = Section(y0, "x<0", id="half-1", edge=fold.x)
 
-    # the eps-closeness of the regularized orbit holds against the whole
-    # sliding cycle; cutting both curves at y = eps would instead compare
-    # the O(eps^{p/(2p-1)}) strip exit against the cycle's O(sqrt(eps))
-    # boundary crossing (the stated non-uniformity of the limit)
-    mask0 = traj0.y > eps
-    arc0 = np.column_stack([traj0.x[mask0], traj0.y[mask0]])
-    d1 = _directed_hausdorff(arc_eps, cycle0)
-    d2 = _directed_hausdorff(arc0, arc_eps)
-    dist = max(d1, d2)
-    return StribeckResult(
-        fixed_point=x_star,
-        stability=_stability(R, x_star, dx=1e-5),
-        n_fixed_points=n_fixed,
-        hausdorff_upper=dist,
-        gamma=gamma,
-    )
+    def attractor(profile: RegularizationProfile, eps: float) -> StribeckResult:
+        R_eps = RegularizedSystem(desc.system, profile, eps)
+
+        def pe(z: float) -> float:
+            return exterior_map(desc.system.x_plus, (z, y0), half, floor_margin=eps / 2, t_max=200.0).x
+
+        @cache  # the certificate's middle sample is x*, whose orbit is traced below
+        def P_eps(x: float) -> PoincareResult:
+            return map_P_epsilon(R_eps, y0, x, fold=fold.x)
+
+        def R(x: float) -> float:
+            return pe(P_eps(x).x)
+
+        x1 = pe(x0p)  # the first return of the unstable pseudo-separatrix
+        x_star = iterate_to_fixed_point(R, x1)
+        n_fixed = _n_fixed_points(R, x_star - 0.25, min(x_star + 0.25, fold.x - 1e-3))
+
+        # upper arc of the regularized orbit: X+ from the strip exit around to
+        # the next strip entry (Z_eps = X+ above the strip)
+        arc_eps = _upper_arc(desc.system.x_plus, P_eps(x_star).flags["x_exit"], eps, t_max=200.0)
+
+        # the eps-closeness of the regularized orbit holds against the whole
+        # sliding cycle; cutting both curves at y = eps would instead compare
+        # the O(eps^{p/(2p-1)}) strip exit against the cycle's O(sqrt(eps))
+        # boundary crossing (the stated non-uniformity of the limit)
+        mask0 = traj0.y > eps
+        arc0 = np.column_stack([traj0.x[mask0], traj0.y[mask0]])
+        dist = max(_directed_hausdorff(arc_eps, cycle0), _directed_hausdorff(arc0, arc_eps))
+        return StribeckResult(
+            fixed_point=x_star,
+            stability=_stability(R, x_star, dx=1e-5),
+            n_fixed_points=n_fixed,
+            hausdorff_upper=dist,
+            gamma=x1 - x0m,
+        )
+
+    return attractor
+
+
+def stribeck_attractor(
+    desc: ModelDescriptor,
+    profile: RegularizationProfile,
+    eps: float,
+    *,
+    y0: float = 0.25,
+) -> StribeckResult:
+    """One attractor of a fresh ``stribeck_family``; attractors at several eps should share one."""
+    return stribeck_family(desc, y0=y0)(profile, eps)
 
 
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:

@@ -7,7 +7,7 @@ as a graph x(v) near the fold where m0' blows up.  Stiff steppers keep the
 cost independent of 1/eps along the attracting branch.  ``strip_crossing``
 steps with LSODA at rtol 1e-12, atol 1e-14, about fifty times cheaper than
 scipy's Radau at the same tolerances (normal fold, poly(2), eps = 1e-4:
-1376 steps of about 8.8 us, each with 1.7 ``rhs`` calls of about 1.1 us,
+1376 steps of about 6.1 us, each with 1.7 ``rhs`` calls of about 1.1 us,
 against 3038 Radau steps in 0.54 s); at rtol 1e-11 LSODA can stay in its
 non-stiff Adams mode along the whole manifold at steps of order eps,
 twenty times the usual count.  ``trace_manifold`` and
@@ -20,12 +20,13 @@ recorded by an earlier one.  Orbits entering the strip contract onto the
 attracting Fenichel manifold (Fenichel, J. Diff. Eq. 31, 1979; Krupa &
 Szmolyan, SIAM J. Math. Anal. 33, 2001), so after a fast layer a few eps
 wide all of them leave at one exit, up to exponentially small terms.  The
-new orbit is shot only to the first recorded step end at least L = 20 eps
-beyond both entries; where it lies within 1e-10 in v of the record, the
-recorded exit is returned.  Records are kept per R in a module-private
-store of at most 32 (least recently used evicted), each of at most 512 step
-ends.  A result can therefore depend, at about 1e-12, on which crossing of
-an R came first.
+new orbit is shot once, with the join test as one more stop: at the first
+recorded step end at least L = 20 eps beyond both entries, where it lies
+within 1e-10 in v of the record, the recorded exit is returned; otherwise
+the shot goes on as the plain crossing.  Records are kept per R in a
+module-private store of at most 32 (least recently used evicted), each of
+at most 512 step ends.  A result can therefore depend, at about 1e-12, on
+which crossing of an R came first.
 """
 
 from __future__ import annotations
@@ -377,43 +378,40 @@ def strip_crossing(
     strip contracts onto the attracting slow manifold at the rate
     exp(-int lambda / eps), so after its fast layer it follows the recorded
     orbit to the recorded exit up to exponentially small terms.  The new
-    orbit is shot, at the same settings and stops, to the first recorded
-    step end x_k at least L = 20 eps beyond both entries; if there
-    |v(x_k) - v_k| <= 1e-10 the recorded exit is returned, with transit time
-    t(x_k) + T_rec - t_k.  A stop that fires first is handled as in a full
-    crossing.  Otherwise (a miss, or no such x_k left of ``x_limit``) the
-    orbit crosses in full, exactly as a first crossing does, and the
-    crossing whose entry lies farthest left is kept as the record.  The
-    store holds at most 32 passages (least recently used evicted) of at
-    most 512 step ends each (a longer crossing keeps every k-th), under
-    0.5 MB; no dense output is kept.
+    orbit is shot once, at the same settings, from the entry to ``x_limit``
+    with one stop more: the join test at the first recorded step end x_k at
+    least L = 20 eps beyond both entries.  Its root x = x_k is accepted
+    where |v(x_k) - v_k| <= 1e-10, and the recorded exit is returned with
+    transit time t(x_k) + T_rec - t_k (v and t read off the step's
+    interpolant).  A stop that fires first is handled as in a full
+    crossing.  A missed join is passed over, so the shot goes on as the
+    plain crossing, to the bit, with no step spent twice; so it does where
+    no such x_k lies left of ``x_limit``.  The crossing whose entry lies
+    farthest left is kept as the record.  The store holds at most 32
+    passages (least recently used evicted) of at most 512 step ends each (a
+    longer crossing keeps every k-th), under 0.5 MB; no dense output is
+    kept.
     """
     rhs, jac, _over_v = _orbit_equation(R, timed=True)
-
-    def cross(x_end: float):
-        shot = shoot(rhs, (x_enter, x_end), [1.0, 0.0], [Stop(0, 1.0, 1), Stop(0, -1.0, -1)],
-                     jac=jac, method="LSODA", rtol=1e-12, atol=1e-14)
-        if shot.stop == 1:
-            raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
-        return shot
-
+    stops = [Stop(0, 1.0, 1), Stop(0, -1.0, -1)]
     rec = _passages.get(R)
     if rec is not None:
         _passages.move_to_end(R)
         xs, vs, ts = rec.knots
         k = int(np.searchsorted(xs, max(x_enter, rec.entry) + _JOIN_L * R.epsilon))
         if k < len(xs) and xs[k] <= x_limit:
-            shot = cross(float(xs[k]))
-            if shot.stop == 0:
-                return shot.t, float(shot.z[1])
-            if abs(shot.z[0] - vs[k]) <= _JOIN_TOL:
-                if rec.exit > x_limit:
-                    raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
-                return rec.exit, float(shot.z[1] + (rec.time - ts[k]))
+            # the join test: a root whose v misses v_k is passed over, and the
+            # shot goes on as the plain crossing
+            x_k, v_k = float(xs[k]), vs[k]
+            stops.append(Stop(g=lambda x, z: x - x_k, direction=1, accept=lambda z: abs(z[0] - v_k) <= _JOIN_TOL))
 
-    shot = cross(x_limit)
-    if shot.stop is None:
+    shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], stops, jac=jac, method="LSODA", rtol=1e-12, atol=1e-14)
+    if shot.stop == 1:
+        raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
+    if shot.stop is None or (shot.stop == 2 and rec.exit > x_limit):
         raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
+    if shot.stop == 2:
+        return rec.exit, float(shot.z[1] + (rec.time - ts[k]))
     if rec is None or x_enter < rec.entry:
         stride = -(-len(shot.ts) // _STORE_KNOTS)
         knots = np.vstack([shot.ts[::stride], shot.zs[:, ::stride]])

@@ -18,9 +18,10 @@ from slidekick.bifurcation import (
     IterationDiverged,
     SaddleNotResolved,
     stribeck_attractor,
+    stribeck_family,
 )
 from slidekick.errors import ConfigError
-from slidekick.fields import sign_changes
+from slidekick.fields import filippov_flow, sign_changes
 from slidekick.integrator import PoincareResult, Section
 from slidekick.models import Y_TANGENT, model, saddle_eigen
 from slidekick.poincare import exterior_map, map_P_epsilon, normal_form_constants
@@ -218,6 +219,21 @@ def test_stribeck_map_budget(poly2, monkeypatch):
     assert len(calls) == 9
     assert len({x for _R, _y0, x in calls}) == 9
     assert len(returns) == 12
+
+
+def test_stribeck_family_builds_the_eps_free_half_once(poly2, monkeypatch):
+    # criterion 9 shares one family between its two eps: the fold's two
+    # shots and the sliding cycle are made once, and each attractor keeps
+    # the one-call wrapper's digits (pinned in the certificate test above)
+    flows, returns = [], []
+    monkeypatch.setattr(bifurcation, "filippov_flow", lambda *a, **k: flows.append(a) or filippov_flow(*a, **k))
+    monkeypatch.setattr(bifurcation, "exterior_map", lambda *a, **k: returns.append(a) or exterior_map(*a, **k))
+    attractor = stribeck_family(model("stribeck"))
+    assert (len(flows), len(returns)) == (1, 2)
+    got = [attractor(poly2, eps) for eps in (1e-2, 1e-3)]
+    assert (len(flows), len(returns)) == (1, 2 + 2 * 10)
+    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173014, 0.009705701671561883),
+                                                                 (0.23203610786590181, 0.0010217018609755104)]
 
 
 def test_certificate_passes_on_five_samples():

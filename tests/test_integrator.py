@@ -365,30 +365,57 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
     assert {(4001,), (2001,), (1200,), (600,), (60,), ()} <= queried
 
 
-def test_nordsieck_record_is_scipys_dense_output(shoot_calls, normal_form, poly2):
-    # the record that LSODA's dense output is evaluated from is read off the
-    # solver's work arrays; at every step of the inner (1-D and 2-D) and
-    # strip probes it must equal the installed scipy's own interpolant, so a
-    # scipy that moves the Nordsieck array fails here rather than in a digit
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+def test_lsoda_stepper_steps_as_scipys_lsoda(shoot_calls, normal_form, poly2):
+    # shoot steps LSODA on scipy's ode integrator, not on scipy's LSODA
+    # object.  At every step of the inner (1-D and 2-D), strip and trace
+    # probes, a descending shot (at an rtol that LSODA raises to 100 ulp)
+    # and a zero-length span, the stepper's state,
+    # work counts and Nordsieck record must equal a parallel LSODA run's
+    # state, counts and dense_output(), so a scipy that changes ode's
+    # integrator or moves the Nordsieck array fails here, not in a digit
     calls = shoot_calls(inner, slow_manifold)
     distinguished_solution.__wrapped__(4, phi_polynomial(4).c_p)
     eta1_check(2, -1.5, 0.3)
     strip_crossing(RegularizedSystem(normal_form, poly2, 1e-4), -0.75, x_limit=0.4)
-    decreases, dims = 0, set()
-    for (rhs, t_span, z0, *_stops), kwargs, _shot in calls:
-        assert kwargs["method"] == "LSODA"
-        solver = LSODA(rhs, t_span[0], z0, t_span[1], rtol=kwargs["rtol"], atol=kwargs["atol"],
-                       max_step=kwargs.get("max_step", np.inf), jac=kwargs["jac"])
-        iwork = solver._lsoda_solver._integrator.iwork
-        while solver.status == "running":
-            solver.step()
-            t, h, order, yh = integrator._nordsieck(solver)
-            ref = solver.dense_output()
-            assert (t, h, order + 1) == (ref.t, ref.h, ref.p.size)
-            assert yh.flags.c_contiguous and yh.dtype == ref.yh.dtype and np.array_equal(yh, ref.yh)
-            decreases += int(iwork[14] < iwork[13])
-        dims.add(solver.n)
-    assert decreases > 0 and dims == {1, 2}
+    trace_manifold(RegularizedSystem(normal_form, poly2, 1e-3), -1.0, 1.0)
+    probes = [(rhs, (shot.ts[0], t_span[1]), shot.zs[:, 0], kwargs) for (rhs, t_span, *_z0), kwargs, shot in calls]
+    assert all(kwargs["method"] == "LSODA" for *_, kwargs in probes)
+    probes += [(lambda t, z: [z[1], -z[0] - 0.1 * z[1]], (0.0, -40.0), np.array([1.0, 0.0]),
+                {"rtol": 1e-15, "atol": 1e-16}),
+               (lambda t, z: [-z[0]], (2.0, 2.0), np.array([1.0]), {"rtol": 1e-10, "atol": 1e-12})]
+    decreases, dims, steps = 0, set(), 0
+    for rhs, (t0, t_end), z0, kwargs in probes:
+        settings = {"rtol": kwargs["rtol"], "atol": kwargs["atol"], "max_step": kwargs.get("max_step", np.inf),
+                    "jac": kwargs.get("jac")}
+        stepper, ref = integrator._Lsoda(rhs, t0, z0, t_end, **settings), LSODA(rhs, t0, z0, t_end, **settings)
+        while ref.status == "running":
+            ref.step()
+            stepper.step()
+            steps += 1
+            assert (stepper.status, stepper.t_old, stepper.t) == (ref.status, ref.t_old, ref.t)
+            assert np.array_equal(stepper.y, ref.y)
+            assert (stepper.nfev, stepper.njev, stepper.nlu) == (ref.nfev, ref.njev, ref.nlu)
+            if ref.t == ref.t_old:  # the zero-length span's one empty step
+                continue
+            t, h, order, yh = stepper.record()
+            dense = ref.dense_output()
+            assert (t, h, order + 1) == (dense.t, dense.h, dense.p.size)
+            assert yh.flags.c_contiguous and yh.dtype == dense.yh.dtype and np.array_equal(yh, dense.yh)
+            decreases += int(stepper.lsoda.iwork[14] < stepper.lsoda.iwork[13])
+        dims.add(ref.n)
+    assert decreases > 0 and dims == {1, 2} and steps > 10000
+    assert (ref.t_old, ref.t, stepper.nfev) == (2.0, 2.0, 0)
+
+
+def test_lsoda_failure_names_istate_and_state():
+    # z' = -z at atol 0: the error weight rtol |z| shrinks with z until LSODA
+    # is asked for more accuracy than the machine has (istate -2)
+    with pytest.warns(UserWarning, match="Excess accuracy"):
+        with pytest.raises(NumericalFailure, match=r"istate -2 \(Excess accuracy requested.*\) at t=6\d\d\.\d+, "
+                                                   r"z=\[\d\.\d+e-\d+\]") as info:
+            shoot(lambda t, z: [-z[0]], (0.0, 2000.0), [1.0], method="LSODA", atol=0.0)
+    assert not isinstance(info.value, StepSizeUnderflow)
 
 
 def test_lsoda_dense_matches_odesolution_everywhere():
@@ -413,25 +440,58 @@ def test_lsoda_dense_matches_odesolution_everywhere():
         assert got.shape == (2,) and np.array_equal(got, ref.dense(q))
 
 
-def test_lsoda_dense_builds_interpolants_only_for_bracketed_steps(monkeypatch):
-    # LSODA's dense output is recorded, not built per step: scipy's
-    # dense_output() runs only on a step that brackets a stop's root
+def test_lsoda_shots_build_no_scipy_interpolant(monkeypatch):
+    # LSODA's dense output is recorded and a bracketed root is found on its
+    # step's Nordsieck record: no LSODA shot builds scipy's interpolant, and
+    # the roots are those of solve_ivp, which does build it, to the bit
+    from scipy.integrate._ivp.lsoda import LsodaDenseOutput
+
     built = []
-    dense_output = LSODA.dense_output
-    monkeypatch.setattr(LSODA, "dense_output", lambda self: built.append(self.t) or dense_output(self))
+    monkeypatch.setattr(LsodaDenseOutput, "__init__", lambda self, *a: built.append(a))
 
     def circle(t, z):
         return [z[1], -z[0]]
 
     free = shoot(circle, (0.0, 20.0), [0.0, 1.0], method="LSODA", dense=True)
-    assert free.stop is None and free.n_steps > 100 and built == []
+    assert free.stop is None and free.n_steps > 100
     distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)  # its stop never fires
-    assert built == []
-    # y = 0 is crossed at x = 1 (passed over) and then at x = -1 (fires):
-    # two bracketed steps, one interpolant each
+    # y = 0 is crossed at x = 1 (passed over) and then at x = -1 (fires)
     hit = shoot(circle, (0.0, 20.0), [0.0, 1.0], [Stop(1, 0.0, accept=lambda z: z[0] < 0)],
                 method="LSODA", dense=True)
-    assert hit.stop == 0 and abs(hit.z[0] + 1.0) < 1e-8 and len(built) == 2
+    assert hit.stop == 0 and abs(hit.z[0] + 1.0) < 1e-8
+    probes = [((circle, (0.0, 20.0), [0.0, 1.0], [Stop(1, 0.0, -1)]), {"dense": dense}) for dense in (False, True)]
+    probes.append(((circle, (0.0, 20.0), [0.0, 1.0], [Stop(g=lambda t, z: z[0] + z[1] - 0.5, direction=-1)]), {}))
+    shots = [shoot(*args, method="LSODA", **kwargs) for args, kwargs in probes]
+    assert built == []
+    monkeypatch.undo()
+    for shot, (args, kwargs) in zip(shots, probes):
+        ref = _solve_ivp_shoot(*args, method="LSODA", **kwargs)
+        assert shot.stop == ref.stop == 0
+        assert (shot.t, shot.n_steps, shot.nfev) == (ref.t, ref.n_steps, ref.nfev)
+        assert np.array_equal(shot.z, ref.z) and np.array_equal(shot.zs, ref.zs)
+
+
+def test_lsoda_steps_only_on_its_stepper():
+    # _Lsoda is the one LSODA path: no module names scipy's LSODA or its
+    # interpolant (so none can build one or call its dense_output()), and the
+    # stepper has no dense_output() to call
+    src = Path(slidekick.__file__).parent
+    banned = {"LSODA", "LsodaDenseOutput"}
+    users = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & banned:
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
+    assert "LSODA" not in integrator._SOLVERS and not hasattr(integrator._Lsoda, "dense_output")
 
 
 def test_radau_steps_match_scipy_bitwise():

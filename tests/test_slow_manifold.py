@@ -334,15 +334,16 @@ def test_strip_crossing_work_and_digits_pinned(shoot_calls, model_id, profile, e
 
 def test_strip_crossing_miss_is_a_plain_crossing(normal_form, poly2, shoot_calls):
     # an entry close to the fold has not reached the recorded passage 20 eps
-    # on: the attempt misses, and the crossing is the plain one to the bit
+    # on: the join test inside the one shot passes its root over, and the
+    # crossing is the plain one to the bit
     R = RegularizedSystem(normal_form, poly2, 1e-2)
     fresh = strip_crossing(R, -0.2, x_limit=0.4)
     slow_manifold._passages.clear()
     calls = shoot_calls(slow_manifold)
     strip_crossing(R, -0.7, x_limit=0.4)
     assert strip_crossing(R, -0.2, x_limit=0.4) == fresh
-    attempt, full = calls[1:]
-    assert attempt.shot.stop is None and full.shot.t == fresh[0]
+    (crossing,) = calls[1:]
+    assert len(crossing.args[3]) == 3 and crossing.shot.stop == 0 and crossing.shot.t == fresh[0]
     assert slow_manifold._passages[R].entry == -0.7  # the entry farthest left stays the record
 
 
