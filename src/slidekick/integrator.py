@@ -34,56 +34,54 @@ handles four cases:
   and Radau hold that rate; LSODA shots keep the end-point rule.
 
 Each stage picks its stepper.  The exterior maps, stage P of the fold map
-and the separatrix shot use the Dormand-Prince 8(5,3) pair DOP853 at rtol
-1e-12, atol 1e-14 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10).  The other
-orbits outside the switching strip (Filippov flows, the densely sampled
-Stribeck upper arc) use the default of :func:`shoot`, the explicit
-Runge-Kutta 5(4) pair.  The strip orbit equations (``slow_manifold``) are
-stiff: the passage along the attracting slow manifold would force O(1/eps)
-explicit steps.  The strip crossing, the middle map of every fold and
+and the separatrix shot use the Dormand-Prince 8(5,3) pair DOP853 (Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.10) at rtol 1e-12, atol 1e-14; the
+other orbits outside the switching strip (Filippov flows, the densely
+sampled Stribeck upper arc) use the default RK45.  The strip orbit
+equations (``slow_manifold``) are stiff, O(1/eps) explicit steps along the
+slow manifold, so the strip crossing, the middle map of every fold and
 return map, steps with LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 1983)
-at rtol 1e-12, atol 1e-14 and an analytic Jacobian; its compiled steps cost
-about a twentieth of scipy's Python-level Radau at the same tolerances.  It does not run at 1e-11: there LSODA can stay in its non-stiff
-Adams mode along the whole manifold, at steps of order eps (about 13,000
-steps instead of about 650 on some linear eps = 1e-4 crossings).  The
-manifold trace and the contraction probe step with LSODA at rtol 3e-14,
-atol 1e-16, the x-graph orbit equation with its analytic Jacobian.  Both
-routes of the inner equation (``inner``) step with LSODA and analytic
-Jacobians: the unscaled equation and its first-order correction at rtol
-3e-14, atol 1e-16, the normalized one at rtol 1e-12, atol 1e-14.  scipy's
-Radau IIA is selectable as ``method="Radau"`` for tight reference solves;
-no stage of the package uses it.
+at rtol 1e-12, atol 1e-14 and an analytic Jacobian, at about a twentieth
+of the cost of scipy's Python-level Radau.  Not at 1e-11: there LSODA can
+stay in its non-stiff Adams mode along the whole manifold, at steps of
+order eps (about 13,000 steps instead of about 650 on some linear eps =
+1e-4 crossings); ``Shot.n_bdf`` counts the steps in its stiff BDF mode.
+The manifold trace, the contraction probe and the inner equation
+(``inner``) step with LSODA and analytic Jacobians at rtol 3e-14, atol
+1e-16 (the normalized inner equation at 1e-12, 1e-14).  scipy's Radau IIA
+is selectable as ``method="Radau"`` for tight reference solves; no stage
+of the package uses it.
 
 RK45, DOP853 and Radau are scipy's ``OdeSolver`` objects, stepped by their
-``step()``.  LSODA is stepped by :class:`_Lsoda` straight on the compiled
-``lsoda`` integrator of ``scipy.integrate.ode``, with the calls that
-scipy's ``LSODA`` makes: one compiled call per step, and ``rhs`` called
-with no Python wrapper around it.  The steps, states and ``nfev``,
-``njev`` and ``nlu`` are ``LSODA``'s to the bit, and a step costs about
-15% less: 9.6 -> 8.2 us on a Coulomb strip crossing, 7.3 -> 6.1 us on a
-normal-fold poly(2) eps = 1e-4 one (first crossings, 2-core machine, the
-two paths interleaved in one process).
+``step()``.  LSODA steps on :class:`_Lsoda`, which is built on scipy's
+``lsoda`` integrator class with no ``ode`` object: a step is one direct
+call of its compiled runner, and ``rhs`` is called with no Python wrapper.
+The steps, states, ``nfev``, ``njev`` and ``nlu`` are scipy ``LSODA``'s to
+the bit.  Against stepping through ``ode``'s ``run``, a strip-crossing step
+through :func:`shoot` costs 16.1 -> 13.1 us on a Coulomb crossing and 9.7
+-> 7.5 us on a normal-fold poly(2) eps = 1e-4 one, and a build 24 -> 5.5 us
+(shared 2-core machine, both paths interleaved in one process).
 
-Dense output is scipy's interpolant of each step, joined as
-``OdeSolution`` joins them.  LSODA builds no interpolant object at all:
-each step records its end, step size, order and Nordsieck history, read off
-the integrator's work arrays as scipy's ``LSODA.dense_output`` reads them,
-and :class:`_NordsieckSolution` evaluates scipy's interpolant from the
-records, segment by segment, to the same digits.  A step that brackets a
-stop's root is rooted on its own record.  A tier-1 test pins the stepper's
-states, counts and records to a parallel run of the installed scipy's
-``LSODA`` and its ``dense_output()`` at every step.
+Dense output is scipy's interpolant of each step, joined as ``OdeSolution``
+joins them.  An LSODA step builds no interpolant object: it records its
+end, step size, order and Nordsieck history, read off the work arrays as
+scipy's ``LSODA.dense_output`` reads them, and :class:`_NordsieckSolution`
+evaluates the records (a bracketed root, its own step's record) to
+scipy's digits.  A tier-1 test pins the stepper's states, counts and
+records to a parallel scipy ``LSODA`` and its ``dense_output()`` at every
+step.
 
 :func:`integrate` builds annotated trajectories on top of :func:`shoot`.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, OdeSolution, Radau, ode
+from scipy.integrate import DOP853, RK45, OdeSolution, Radau, _ode
 from scipy.integrate._ivp.common import validate_tol
 from scipy.optimize import brentq
 
@@ -111,13 +109,10 @@ class NoArrival(NumericalFailure):
 
 @dataclass(frozen=True)
 class Stop:
-    """A terminal stop condition of :func:`shoot`.
-
-    With ``g`` unset the stop is the level ``z[component] = level``.
-    Otherwise it is the zero of ``g(t, z)``.  ``direction`` selects upward
-    (+1), downward (-1) or either (0) crossings.  A root whose state fails
-    ``accept`` is passed over.
-    """
+    """A terminal stop condition of :func:`shoot`: the level ``z[component]
+    = level`` with ``g`` unset, else the zero of ``g(t, z)``.  ``direction``
+    selects upward (+1), downward (-1) or either (0) crossings.  A root whose
+    state fails ``accept`` is passed over."""
 
     component: int | None = None
     level: float = 0.0
@@ -141,11 +136,13 @@ class Shot:
     min_step: float
     njev: int  # the solver's Jacobian evaluations
     nlu: int  # the solver's LU decompositions
+    n_bdf: int = 0  # LSODA steps taken in BDF (stiff) mode, iwork[18] = 2; 0 for the other methods
 
 
 _SOLVERS = {"RK45": RK45, "DOP853": DOP853, "Radau": Radau}  # LSODA steps on _Lsoda
 _EPS4 = 4 * np.finfo(float).eps  # the brentq tolerance of solve_ivp's event location
 TOUCH = 1e-13  # a level this close to the state is touched: the step-off and turn tolerance
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # validate_tol raises a smaller rtol to this, with a warning
 
 
 def _gap(stop: Stop, t: float, z: np.ndarray) -> float:  # the stop's signed distance
@@ -179,22 +176,21 @@ def shoot(
     hidden behind a turn inside the step; the roots are tried in time order
     and the first with an accepted state fires.  The turn is looked for only
     where the solver holds the rate at the step's ends (RK45, DOP853,
-    Radau).  LSODA does not: one ``rhs`` call per step would add about
-    1.1 us to an 8.8 us strip-crossing step, and a sweep of 144 fold maps
-    took about 3% longer with it, so LSODA shots (the strip crossing, the
-    manifold trace, the inner equation) keep the end-point rule.
+    Radau).  LSODA does not, and one ``rhs`` call per step would add about
+    0.7 us to a 7.5 us strip-crossing step (normal-fold poly(2), eps =
+    1e-4), so LSODA shots (the strip crossing, the manifold trace, the inner
+    equation) keep the end-point rule.
 
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if
     ``dense`` is set, the step count, the solver's ``rhs`` call, Jacobian
-    and LU counts and the smallest step.  The dense solution is called with
-    a time or an array of times and gives ``(n,)`` or ``(n, m)`` values; it
-    is an ``OdeSolution`` except for LSODA, whose steps are recorded instead
-    (at most 13 n floats of Nordsieck history per step) and evaluated to the
-    digits of ``OdeSolution``.  On the p = 4 inner shot a recorded step costs
-    about 2.6 us more than a bare one, against 6.9 us with one scipy
-    ``LsodaDenseOutput`` per step.  An LSODA step that brackets a root is
-    rooted on its Nordsieck record, with ``LsodaDenseOutput``'s expression.
+    and LU counts, the smallest step and, for LSODA, the steps taken in BDF
+    mode.  The dense solution maps a time or an array of times to ``(n,)``
+    or ``(n, m)`` values; it is an ``OdeSolution`` except for LSODA, whose
+    steps are recorded (at most 13 n floats of Nordsieck history per step)
+    and evaluated to the digits of ``OdeSolution``.  On the p = 4 inner
+    shot a recorded step costs about 2.6 us more than a bare one, against
+    6.9 us with one scipy ``LsodaDenseOutput`` per step.
 
     Raises ``EventNotBracketed`` for a start on an accepted level with zero
     rate, ``StepSizeUnderflow`` when the solver's step size collapses and
@@ -214,18 +210,80 @@ def shoot(
                 z_cur = z_cur + 1e-11 * f0
                 break
 
-    lsoda = method == "LSODA"
-    if lsoda:
+    g_old = [_gap(s, t_cur, z_cur) for s in stops]
+    if method == "LSODA":
         solver = _Lsoda(rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, jac=jac)
+        ts, zs, parts, fired, n_bdf = _lsoda_loop(solver, rhs, stops, g_old, dense)
     else:
         extra = {"jac": jac} if jac is not None else {}
         solver = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
-    ts, zs, parts, min_step = [t_cur], [z_cur], [], np.inf
+        ts, zs, parts, fired, n_bdf = *_solver_loop(solver, rhs, stops, g_old, dense), 0
+    ts = np.array(ts)
+    steps = ts[1:] - ts[:-1]  # before the polished hit replaces the root
+    # both evaluators keep views of ts, so the polished hit bounds the last segment
+    out = (OdeSolution(ts, parts) if method != "LSODA" else _NordsieckSolution(ts, parts)) if dense else None
+    if fired is not None:
+        ts[-1], zs[:, -1] = fired[1]  # the polished hit replaces the bracketed root
+    return Shot(stop=None if fired is None else fired[0], t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs,
+                dense=out, n_steps=len(ts) - 1, nfev=int(solver.nfev), min_step=float(steps[steps > 0.0].min(
+                    initial=np.inf)), njev=int(solver.njev), nlu=int(solver.nlu), n_bdf=n_bdf)
+
+
+def _first_hit(stops, brackets, sol, rhs, last):
+    # the roots bracketed in one step, in time order on its interpolant sol:
+    # the first whose polished state is accepted fires, as (k, hit, root,
+    # z_root).  Like solve_ivp, a root on the last step's end keeps last's z
+    for root, k in sorted((brentq(lambda u, s=stops[k]: _gap(s, u, sol(u)), a, b, xtol=_EPS4, rtol=_EPS4), k)
+                          for a, b, k in brackets):
+        s, z_root = stops[k], last[1] if last is not None and root == last[0] else sol(root)
+        hit = root, z_root
+        if s.g is None:
+            # one Newton step of a level stop's hit time along rhs: the root is
+            # within a few ulp, so the first-order move is exact to rounding
+            f = np.asarray(rhs(root, z_root), dtype=float)
+            if f[s.component] != 0.0 and np.isfinite(f[s.component]):
+                dt = -(z_root[s.component] - s.level) / f[s.component]
+                hit = root + dt, z_root + dt * f
+        if s.accept is None or s.accept(hit[1]):
+            return k, hit, root, z_root
+    return None
+
+
+def _lsoda_loop(stepper: _Lsoda, rhs, stops, g_old, dense):
+    # the state is read once per step as floats, the stop values are updated
+    # in place, and only a sign change is rooted (on the step's record)
+    y, n = stepper.y, len(stepper.y)
+    ts, zs, parts, fired, n_bdf = [stepper.t], y.tolist(), [], None, 0
+    specs = [(k, s.component, s.level, s.g, s.direction) for k, s in enumerate(stops)]
+    method_used = memoryview(stepper.lsoda.iwork)  # [18]: 1 after an Adams step, 2 after a BDF one
+    while fired is None and stepper.status == "running":
+        stepper.step()
+        t, z = stepper.t, y.tolist()
+        n_bdf += method_used[18] == 2
+        brackets = []
+        for k, c, level, g, direction in specs:
+            g0 = g_old[k]
+            g_old[k] = g1 = z[c] - level if g is None else g(t, y)
+            if not g0 * g1 > 0.0 and _crossed(g0, g1, direction):
+                brackets.append((stepper.t_old, t, k))
+        record = stepper.record() if dense else None
+        if brackets:
+            last = (ts[-1], np.array(zs[-n:])) if dense and len(ts) > 1 else None
+            fired = _first_hit(stops, brackets, _record_interpolant(record or stepper.record()), rhs, last)
+            t, z = (t, z) if fired is None else (fired[2], fired[3].tolist())
+        if not (dense and len(ts) > 1 and t == ts[-1]):  # a root on the last step's end adds no segment
+            ts.append(t)
+            zs += z
+            if dense:
+                parts.append(record)
+    return ts, np.array(zs).reshape(-1, n).T, parts, fired, n_bdf
+
+
+def _solver_loop(solver, rhs, stops, g_old, dense):
+    # an OdeSolver's loop, with the turn rule for its level stops
+    ts, zs, parts, fired = [solver.t], [solver.y], [], None
     specs = [(s.component, s.level, s.g, s.direction) for s in stops]
-    g_old = [_gap(s, t_cur, z_cur) for s in stops]
-    # the level stops that can hide a crossing behind a turn, where the solver
-    # holds the rate at the step's ends (LSODA holds none)
-    levels = [k for k, s in enumerate(stops) if s.g is None] if not lsoda else []
+    levels = [k for k, s in enumerate(stops) if s.g is None]  # the stops that can hide a crossing behind a turn
     f_old = solver.f if levels else None
     for k in levels:
         if g_old[k] == 0.0:
@@ -233,21 +291,12 @@ def shoot(
             # (it was not stepped off) counts from the side it comes from, so
             # a return inside the first step is rooted at the turn, not at t0
             g_old[k] = -f_old[stops[k].component]
-    # an LSODA step records its Nordsieck history instead of an interpolant
-    nordsieck = dense and lsoda
-    fired = None
     while fired is None and solver.status == "running":
-        message = solver.step()  # the LSODA stepper raises its own failures
+        message = solver.step()
         if solver.status == "failed":
             raise (StepSizeUnderflow if "step size" in message.lower() else NumericalFailure)(message)
         t, z, t_old = solver.t, solver.y, solver.t_old
-        sol = record = None
-        if nordsieck:
-            record = solver.record()
-            parts.append(record)
-        elif dense:
-            sol = solver.dense_output()
-            parts.append(sol)
+        sol = solver.dense_output() if dense else None
         g_new, brackets = [], []
         for k, (c, level, g, direction) in enumerate(specs):
             g1 = z[c] - level if g is None else g(t, z)  # _gap, inlined
@@ -267,76 +316,53 @@ def shoot(
                 brackets += [(a, b, k) for a, b, d in ((t_old, t_turn, -side), (t_turn, t, side))
                              if stops[k].direction in (0, d)]
         if brackets:
-            if sol is None:
-                # an LSODA step is rooted on its Nordsieck record
-                sol = _record_interpolant(record or solver.record()) if lsoda else solver.dense_output()
-            roots = sorted((brentq(lambda u, s=stops[k]: _gap(s, u, sol(u)), a, b, xtol=_EPS4, rtol=_EPS4), k)
-                           for a, b, k in brackets)
-            for root, k in roots:
-                # like solve_ivp, a root on the last step's end adds no new segment
-                z_root = zs[-1] if dense and len(ts) > 1 and root == ts[-1] else sol(root)
-                hit = _polished(stops[k], rhs, float(root), z_root)
-                if stops[k].accept is None or stops[k].accept(hit[1]):
-                    t, z, fired = root, z_root, k
-                    break
+            sol = solver.dense_output() if sol is None else sol
+            fired = _first_hit(stops, brackets, sol, rhs, (ts[-1], zs[-1]) if dense and len(ts) > 1 else None)
+            t, z = (t, z) if fired is None else fired[2:]
         g_old, f_old = g_new, solver.f if levels else None
-        if dense and len(ts) > 1 and t == ts[-1]:
-            parts.pop()
-        else:
-            h = t - ts[-1]
-            if 0.0 < h < min_step:
-                min_step = h
+        if not (dense and len(ts) > 1 and t == ts[-1]):  # a root on the last step's end adds no segment
             ts.append(t)
             zs.append(z)
-
-    ts, zs = np.array(ts), np.array(zs).T
-    # both evaluators keep views of ts, so the polished hit bounds the last segment
-    out = (_NordsieckSolution(ts, parts) if nordsieck else OdeSolution(ts, parts)) if dense else None
-    if fired is not None:
-        ts[-1], zs[:, -1] = hit  # the polished hit replaces the bracketed root
-    return Shot(stop=fired, t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs, dense=out,
-                n_steps=len(ts) - 1, nfev=int(solver.nfev), min_step=float(min_step),
-                njev=int(solver.njev), nlu=int(solver.nlu))
+            if dense:
+                parts.append(sol)
+    return ts, np.array(zs).T, parts, fired
 
 
 class _Lsoda:
-    """LSODA stepped one step at a time on the ``lsoda`` integrator of
-    ``scipy.integrate.ode``, with the calls of scipy's ``LSODA.__init__``
-    and ``LSODA._step_impl``: the same settings, ``rwork[0] = t_bound`` and
-    ``itask = 5`` (one step that does not pass ``t_bound``).  A step is one
-    compiled call, and ``rhs`` is called with no wrapper around it; the
-    states, ``nfev``, ``njev`` and ``nlu`` are those of ``LSODA`` to the bit.
-    """
+    """LSODA stepped one step at a time on the compiled runner of scipy's
+    ``lsoda`` integrator class, with the settings of scipy's ``LSODA``: its
+    tolerance check, ``rwork[0] = t_bound`` and ``itask = 5`` (one step that
+    does not pass ``t_bound``).  No ``ode`` object is built, a step is one
+    runner call that writes ``y`` in place, and ``rhs`` has no wrapper."""
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, t_bound: float, *, rtol: float, atol: float,
                  max_step: float, jac: Callable | None):
-        rtol, atol = validate_tol(rtol, atol, len(y0))  # LSODA's check: rtol is raised to 100 ulp
-        solver = ode(rhs, jac).set_integrator("lsoda", rtol=rtol, atol=atol, first_step=0.0, min_step=0.0,
-                                              max_step=0.0 if max_step == np.inf else max_step)  # 0 is infinity
-        solver.set_initial_value(y0, t0)  # copies y0: the compiled step writes y in place
-        self.lsoda = solver._integrator
-        self.lsoda.rwork[0] = t_bound
-        self.lsoda.call_args[2] = 5
-        self.rhs, self.jac = rhs, jac or (lambda: None)
-        self.t, self.t_old, self.t_bound, self.y, self._y = t0, None, t_bound, y0, solver._y
-        self.forward = t_bound >= t0
-        self.status = "running"
+        if not (isinstance(rtol, float) and isinstance(atol, float) and rtol >= _RTOL_FLOOR and atol >= 0.0):
+            rtol, atol = validate_tol(rtol, atol, len(y0))  # LSODA's check, where it can change or reject one
+        self.lsoda = lsoda = _ode.lsoda(rtol=rtol, atol=atol, max_step=0.0 if max_step == np.inf else max_step)
+        lsoda.reset(len(y0), jac is not None)  # fresh work arrays; a max_step of 0 is no bound
+        lsoda.rwork[0], self.y = t_bound, np.array(y0, dtype=float)
+        # rhs, y, t, tout, rtol, atol, itask, istate, rwork, iwork, jac, jt, f/jac params and the saved state
+        self._args = [rhs, self.y, t0, t_bound, rtol, atol, 5, 1, lsoda.rwork, lsoda.iwork, jac or (lambda: None),
+                      lsoda.call_args[6], (), 1, (), lsoda.state_doubles, lsoda.state_ints]
+        self.t, self.t_old, self.t_bound, self.forward, self.status = t0, None, t_bound, t_bound >= t0, "running"
 
     def step(self) -> None:
-        """Take one step, as ``OdeSolver.step`` takes it; a zero-length span
-        is one empty step.  A failed step raises ``NumericalFailure`` with
-        LSODA's istate, its message and the last state reached."""
-        t = self.t
+        """One step, as ``OdeSolver.step`` takes it (a zero-length span is one
+        empty step).  A failure warns with scipy's text, then raises
+        ``NumericalFailure`` with the istate, its message and the last state."""
+        t, args = self.t, self._args
         if t == self.t_bound:
             self.t_old, self.status = t, "finished"
             return
-        lsoda = self.lsoda
-        self._y, t_new = lsoda.run(self.rhs, self.jac, self._y, t, self.t_bound, (), ())
-        if lsoda.istate < 0:
-            raise NumericalFailure(f"LSODA failed with istate {lsoda.istate} "
-                                   f"({lsoda.messages.get(lsoda.istate, 'unknown istate')}) "
-                                   f"at t={t_new!r}, z={self._y.tolist()}")
-        self.t_old, self.t, self.y = t, t_new, self._y.copy()
+        args[2] = t
+        _y, t_new, istate = self.lsoda.runner(*args)
+        if istate < 0:
+            message = self.lsoda.messages.get(istate)
+            warnings.warn(f"lsoda: {message or f'Unexpected istate={istate:d}'}", stacklevel=2)
+            raise NumericalFailure(f"LSODA failed with istate {istate} ({message or 'unknown istate'}) "
+                                   f"at t={t_new!r}, z={self.y.tolist()}")
+        args[7], self.t_old, self.t = 2, t, t_new  # istate 2 continues the integration
         if (t_new >= self.t_bound) if self.forward else (t_new <= self.t_bound):
             self.status = "finished"
 
@@ -367,25 +393,20 @@ _POWERS = [np.arange(k + 1)[:, None] for k in range(13)]  # LSODA's orders are a
 
 
 def _record_interpolant(record: tuple[float, float, int, np.ndarray]) -> Callable:
-    """One step's interpolant from its :meth:`_Lsoda.record`, evaluated at a
-    time with ``LsodaDenseOutput``'s expression (the same digits)."""
+    """One step's interpolant from its :meth:`_Lsoda.record`, with ``LsodaDenseOutput``'s digits."""
     t_end, h, order, yh = record
     p = _POWERS[order][:, 0]
     return lambda u: np.dot(yh, ((u - t_end) / h) ** p)
 
 
 class _NordsieckSolution:
-    """LSODA's dense output over a shot, from one :meth:`_Lsoda.record`
-    per step: the digits of ``OdeSolution(ts, [LsodaDenseOutput, ...],
-    alt_segment=True)`` without an object per step.
-
-    A query picks its segment by ``OdeSolution``'s rule (a step time belongs
-    to the step that starts there, times outside ``ts`` to the end steps)
-    and is evaluated with ``LsodaDenseOutput``'s expression, one ``np.dot``
-    per segment over the sorted points in it.  The grouping is kept because
-    the power and BLAS kernels round by the group's shape: one product over
-    all points moves digits.
-    """
+    """LSODA's dense output over a shot, from one :meth:`_Lsoda.record` per
+    step: the digits of ``OdeSolution(ts, [LsodaDenseOutput, ...],
+    alt_segment=True)``.  A query picks its segment by ``OdeSolution``'s rule
+    (a step time belongs to the step that starts there, times outside ``ts``
+    to the end steps), with one ``np.dot`` per segment over its sorted points:
+    the power and BLAS kernels round by the group's shape, so one product
+    over all points would move digits."""
 
     def __init__(self, ts: np.ndarray, steps: list):
         self.steps = steps
@@ -424,25 +445,11 @@ def _turn(rate: Callable[[float], float], a: float, b: float, rate_a: float, rat
     return brentq(lambda u: rate_a if u == a else rate_b if u == b else rate(u), a, b, xtol=_EPS4, rtol=_EPS4)
 
 
-def _polished(stop: Stop, rhs: Callable, t: float, z: np.ndarray) -> tuple[float, np.ndarray]:
-    # one Newton step of a level stop's hit time along rhs: the bracketed
-    # root is within a few ulp, so the first-order move is exact to rounding
-    if stop.g is not None:
-        return t, z
-    f = np.asarray(rhs(t, z), dtype=float)
-    if f[stop.component] == 0.0 or not np.isfinite(f[stop.component]):
-        return t, z
-    dt = -(z[stop.component] - stop.level) / f[stop.component]
-    return t + dt, z + dt * f
-
-
 @dataclass(frozen=True)
 class Section:
-    """A horizontal Poincare section {y = y0} restricted to a half-line.
-
+    """A horizontal Poincare section {y = y0} restricted to a half-line:
     ``half`` keeps x < edge ("x<0"), x > edge ("x>0") or the whole line
-    ("all"); the half-line's end point ``edge`` defaults to 0.
-    """
+    ("all"); the half-line's end point ``edge`` defaults to 0."""
 
     y0: float
     half: str = "all"  # "x<0" | "x>0" | "all"
@@ -493,15 +500,12 @@ class PoincareResult:
 
 def _strip_notes(shot: Shot, rhs: Callable, strip: float, center: float) -> list[TrajectoryEvent]:
     """Entries into and exits from the band |y - center| <= strip, located
-    on the dense output like scipy's own events.
-
-    A step whose y-rate changes sign between its ends (one ``rhs`` call per
-    step end) is split at its turn (:func:`_turn`), so a step that passes
-    through the band, or dips into it and back out, still shows a sign
-    change at each band edge it crosses.  Only one turn per step is seen:
-    a step with two turns inside it (same rate sign at both ends) is not
-    split, and an edge it touches and leaves again is not marked.
-    """
+    on the dense output like scipy's own events.  A step whose y-rate changes
+    sign between its ends (one ``rhs`` call per step end) is split at its
+    turn (:func:`_turn`), so a step that passes through the band, or dips
+    into it and back out, shows a sign change at each band edge it crosses.
+    A step with two turns (same rate sign at both ends) is not split, and an
+    edge it touches and leaves again is not marked."""
     def h(t: float) -> float:
         return float(shot.dense(t)[1]) - center
 
@@ -537,16 +541,12 @@ def integrate(
     strip: float | None = None,
     strip_center: float = 0.0,
 ) -> Trajectory:
-    """Integrate ``field`` from ``start`` until a stopping condition.
-
-    ``until`` is a :class:`Section` or a final time.  Section crossings are
-    Newton-polished.  If ``strip`` is given, entry/exit of the
-    band |y - strip_center| <= strip is annotated.
-
+    """Integrate ``field`` from ``start`` until ``until``, a :class:`Section`
+    (its crossing Newton-polished) or a final time.  With ``strip``, entries
+    into and exits from the band |y - strip_center| <= strip are annotated.
     Raises ``StepSizeUnderflow`` on stiffness collapse and
-    ``EventNotBracketed`` for a start lying on the target section with
-    vanishing outgoing velocity.
-    """
+    ``EventNotBracketed`` for a start on the target section with no
+    outgoing velocity."""
     if isinstance(until, Section):
         stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
     else:

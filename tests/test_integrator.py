@@ -365,15 +365,39 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
     assert {(4001,), (2001,), (1200,), (600,), (60,), ()} <= queried
 
 
+def _step_alongside_lsoda(rhs, t0, z0, t_end, settings):
+    """Step ``_Lsoda`` and a fresh ``scipy.integrate.LSODA`` side by side:
+    at every step the status, t_old, t and y must agree bitwise, and so must
+    nfev/njev/nlu and the Nordsieck record against ``dense_output()``.
+    Returns (steps, order decreases, the finished stepper, the reference)."""
+    stepper, ref = integrator._Lsoda(rhs, t0, z0, t_end, **settings), LSODA(rhs, t0, z0, t_end, **settings)
+    steps = decreases = 0
+    while ref.status == "running":
+        ref.step()
+        stepper.step()
+        steps += 1
+        assert (stepper.status, stepper.t_old, stepper.t) == (ref.status, ref.t_old, ref.t)
+        assert np.array_equal(stepper.y, ref.y)
+        assert (stepper.nfev, stepper.njev, stepper.nlu) == (ref.nfev, ref.njev, ref.nlu)
+        if ref.t == ref.t_old:  # the zero-length span's one empty step
+            continue
+        t, h, order, yh = stepper.record()
+        dense = ref.dense_output()
+        assert (t, h, order + 1) == (dense.t, dense.h, dense.p.size)
+        assert yh.flags.c_contiguous and yh.dtype == dense.yh.dtype and np.array_equal(yh, dense.yh)
+        decreases += int(stepper.lsoda.iwork[14] < stepper.lsoda.iwork[13])
+    return steps, decreases, stepper, ref
+
+
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
 def test_lsoda_stepper_steps_as_scipys_lsoda(shoot_calls, normal_form, poly2):
-    # shoot steps LSODA on scipy's ode integrator, not on scipy's LSODA
-    # object.  At every step of the inner (1-D and 2-D), strip and trace
-    # probes, a descending shot (at an rtol that LSODA raises to 100 ulp)
-    # and a zero-length span, the stepper's state,
-    # work counts and Nordsieck record must equal a parallel LSODA run's
-    # state, counts and dense_output(), so a scipy that changes ode's
-    # integrator or moves the Nordsieck array fails here, not in a digit
+    # shoot steps LSODA on scipy's compiled lsoda runner, not on scipy's
+    # LSODA object.  At every step of the inner (1-D and 2-D), strip and
+    # trace probes, a descending shot (at an rtol that LSODA raises to 100
+    # ulp) and a zero-length span, the stepper's state, work counts and
+    # Nordsieck record must equal a parallel LSODA run's state, counts and
+    # dense_output(), so a scipy that changes the runner's arguments or moves
+    # the Nordsieck array fails here, not in a digit
     calls = shoot_calls(inner, slow_manifold)
     distinguished_solution.__wrapped__(4, phi_polynomial(4).c_p)
     eta1_check(2, -1.5, 0.3)
@@ -388,24 +412,37 @@ def test_lsoda_stepper_steps_as_scipys_lsoda(shoot_calls, normal_form, poly2):
     for rhs, (t0, t_end), z0, kwargs in probes:
         settings = {"rtol": kwargs["rtol"], "atol": kwargs["atol"], "max_step": kwargs.get("max_step", np.inf),
                     "jac": kwargs.get("jac")}
-        stepper, ref = integrator._Lsoda(rhs, t0, z0, t_end, **settings), LSODA(rhs, t0, z0, t_end, **settings)
-        while ref.status == "running":
-            ref.step()
-            stepper.step()
-            steps += 1
-            assert (stepper.status, stepper.t_old, stepper.t) == (ref.status, ref.t_old, ref.t)
-            assert np.array_equal(stepper.y, ref.y)
-            assert (stepper.nfev, stepper.njev, stepper.nlu) == (ref.nfev, ref.njev, ref.nlu)
-            if ref.t == ref.t_old:  # the zero-length span's one empty step
-                continue
-            t, h, order, yh = stepper.record()
-            dense = ref.dense_output()
-            assert (t, h, order + 1) == (dense.t, dense.h, dense.p.size)
-            assert yh.flags.c_contiguous and yh.dtype == dense.yh.dtype and np.array_equal(yh, dense.yh)
-            decreases += int(stepper.lsoda.iwork[14] < stepper.lsoda.iwork[13])
+        n, d, stepper, ref = _step_alongside_lsoda(rhs, t0, z0, t_end, settings)
+        steps, decreases = steps + n, decreases + d
         dims.add(ref.n)
     assert decreases > 0 and dims == {1, 2} and steps > 10000
     assert (ref.t_old, ref.t, stepper.nfev) == (2.0, 2.0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+def test_lsoda_shots_share_no_state():
+    # plain scalar tolerances skip scipy's tolerance check, which leaves them
+    # as they are: after a failed shot (istate -2) and after 1-D and 2-D
+    # shots at other tolerances, a 2-D shot with an array atol, shots at rtol
+    # 1e-15 (raised to 100 ulp) and shots at the earlier tolerances still
+    # step bitwise like a fresh scipy LSODA
+    def decay(t, z):
+        return [-z[0]]
+
+    def oscillator(t, z):
+        return [z[1], -z[0] - 0.1 * z[1]]
+
+    with pytest.warns(UserWarning, match="Excess accuracy"), pytest.raises(NumericalFailure, match="istate -2"):
+        shoot(decay, (0.0, 2000.0), [1.0], method="LSODA", atol=0.0)
+    shoot(decay, (0.0, 5.0), [1.0], method="LSODA", rtol=1e-8, atol=1e-10)
+    shoot(oscillator, (0.0, 5.0), [1.0, 0.0], method="LSODA", rtol=1e-8, atol=1e-10)
+    for rhs, z0, settings in ((oscillator, [1.0, 0.0], {"rtol": 1e-10, "atol": np.array([1e-12, 1e-9])}),
+                              (oscillator, [1.0, 0.0], {"rtol": 1e-15, "atol": 1e-16}),
+                              (decay, [1.0], {"rtol": 1e-15, "atol": 1e-16}),
+                              (oscillator, [1.0, 0.0], {"rtol": 1e-8, "atol": 1e-10}),
+                              (decay, [1.0], {"rtol": 1e-8, "atol": 1e-10})):
+        steps, *_ = _step_alongside_lsoda(rhs, 0.0, np.array(z0), 20.0, {**settings, "max_step": np.inf, "jac": None})
+        assert steps > 50
 
 
 def test_lsoda_failure_names_istate_and_state():
@@ -492,6 +529,56 @@ def test_lsoda_steps_only_on_its_stepper():
                 users.append(f"{path.name}:{node.lineno}")
     assert users == []
     assert "LSODA" not in integrator._SOLVERS and not hasattr(integrator._Lsoda, "dense_output")
+
+
+def test_lsoda_shots_build_no_ode(monkeypatch, normal_form, poly2):
+    # the stepper is built on scipy's lsoda integrator class and steps on its
+    # compiled runner: a strip crossing, an inner solve and a manifold trace
+    # build no scipy.integrate.ode and never go through lsoda.run
+    from scipy.integrate import _ode
+
+    counts = {"__init__": 0, "run": 0}
+    for cls, name in ((_ode.ode, "__init__"), (_ode.lsoda, "run")):
+        def counted(*args, _f=getattr(cls, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    strip_crossing(RegularizedSystem(normal_form, poly2, 1e-3), -0.75, x_limit=0.4)
+    distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)
+    trace_manifold(RegularizedSystem(normal_form, poly2, 1e-3), -1.0, 1.0)
+    assert counts == {"__init__": 0, "run": 0}
+    _ode.ode(lambda t, z: [-z[0]]).set_integrator("lsoda").set_initial_value([1.0]).integrate(0.1)
+    assert counts["__init__"] == 1 and counts["run"] >= 1  # the counters see scipy's own path
+
+
+def test_lsoda_loop_makes_no_extra_rhs_call(monkeypatch, normal_form, poly2, shoot_calls):
+    # the pinned normal-fold poly(2), eps = 1e-4 crossing: rhs is called by
+    # the stepper (nfev) plus twice by shoot itself, once because the entry
+    # lies on the level v = 1 of its first stop (the step-off probe) and once
+    # for the polish of the hit; the Jacobian only by the stepper (njev).  A
+    # Python-level call slipped into the step loop shows here
+    counts = {"rhs": 0, "jac": 0}
+    orbit_equation = slow_manifold._orbit_equation
+
+    def counted(R, timed=False):
+        rhs, jac, over_v = orbit_equation(R, timed=timed)
+
+        def counted_rhs(x, z):
+            counts["rhs"] += 1
+            return rhs(x, z)
+
+        def counted_jac(x, z):
+            counts["jac"] += 1
+            return jac(x, z)
+
+        return counted_rhs, counted_jac, over_v
+
+    monkeypatch.setattr(slow_manifold, "_orbit_equation", counted)
+    calls = shoot_calls(slow_manifold)
+    strip_crossing(RegularizedSystem(normal_form, poly2, 1e-4), -0.8, x_limit=0.4)
+    (call,) = calls
+    assert (call.shot.n_steps, call.shot.nfev, call.shot.njev) == (1376, 2281, 112)
+    assert counts == {"rhs": call.shot.nfev + 2, "jac": call.shot.njev}
 
 
 def test_radau_steps_match_scipy_bitwise():

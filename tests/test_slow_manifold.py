@@ -312,23 +312,25 @@ def test_strip_crossing_step_budget(normal_form, shoot_calls, profile, eps, x):
     assert join.shot.n_steps <= 400
 
 
-@pytest.mark.parametrize("model_id, profile, eps, x, x_limit, n_steps, nfev, exit, time", [
-    ("normal-fold", "poly(2)", 1e-4, -0.8, 0.4, 1376, 2281, "0.001928401248042381", "1.4419246825166592"),
-    ("normal-fold", "linear", 1e-3, -0.8, 0.4, 729, 1222, "0.001984428684283231", "1.4419804907267268"),
-    ("coulomb", "poly(2)", 1e-3, 0.995, 1.45, 62, 130, "1.0047726141920093", "0.009782318633180439"),
+@pytest.mark.parametrize("model_id, profile, eps, x, x_limit, n_steps, nfev, n_bdf, exit, time", [
+    ("normal-fold", "poly(2)", 1e-4, -0.8, 0.4, 1376, 2281, 1123, "0.001928401248042381", "1.4419246825166592"),
+    ("normal-fold", "linear", 1e-3, -0.8, 0.4, 729, 1222, 454, "0.001984428684283231", "1.4419804907267268"),
+    ("coulomb", "poly(2)", 1e-3, 0.995, 1.45, 62, 130, 0, "1.0047726141920093", "0.009782318633180439"),
 ])
 def test_strip_crossing_work_and_digits_pinned(shoot_calls, model_id, profile, eps, x, x_limit, n_steps, nfev,
-                                               exit, time):
+                                               n_bdf, exit, time):
     # a count guard on first crossings at the callers' x_limit (fold + 0.4
     # in the fold map, + 0.45 in centre_semistability).  The pins were taken
     # while the blend still went through PlanarField.__call__, nfev by
     # wrapping rhs and leaving out shoot's own calls (the start-on-level
-    # probe and the polish); a cheaper step must not change one of them
+    # probe and the polish); a cheaper step must not change one of them.
+    # n_bdf counts the steps LSODA took in its stiff (BDF) mode: the short
+    # Coulomb crossing stays in Adams mode throughout
     calls = shoot_calls(slow_manifold)
     R = RegularizedSystem(models.model(model_id, check=False).system, parse_profile(profile), eps)
     got = strip_crossing(R, x, x_limit=x_limit)
     (call,) = calls
-    assert (call.shot.n_steps, call.shot.nfev) == (n_steps, nfev)
+    assert (call.shot.n_steps, call.shot.nfev, call.shot.n_bdf) == (n_steps, nfev, n_bdf)
     assert tuple(map(repr, got)) == (exit, time)
 
 
