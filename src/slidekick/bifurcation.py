@@ -309,8 +309,8 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
     up by mu_raw), else ``ConfigError`` before any shot: one shot from its
     saddle lands W^s of every member, on y0 - mu_raw.  That shot, mu's
     linearization and the grazing member (mu = 0) are made here, with the
-    two constants the scan reads from that member: alpha+ from the fit of
-    its X+ germ, and x0-, one backward landing of its fold point (each
+    two constants the scan reads from that member: alpha+ from its X+ germ
+    (9 shots), and x0-, one backward landing of its fold point (each
     member's P_eps starts 0.05 left of it).  Returns ``(alpha_plus, scan)``;
     ``scan(profile, eps, mu_tilde_probes, *, bisect=True)`` probes
     mu = mu_tilde * eps and roots the homoclinic value mu_tilde^* (where the
@@ -399,8 +399,8 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
 
         mt_star = None
         if bisect:
-            # the orbit dies at mu_tilde = -alpha+ + O(eps); the bracket's upper
-            # end lies twice as far out
+            # the orbit dies at mu_tilde = -alpha+ + O(eps^{1/(2p-1)}) for poly(p),
+            # O(eps) for the linear profile; the bracket's upper end lies twice as far out
             mt_hi = 2.0 * abs(alpha_plus)
             lo, hi = raw0, raw_for(mt_hi * eps)
             if orbit_exists(lo)[0] and not orbit_exists(hi)[0]:

@@ -38,14 +38,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="\n")
+    text = "".join(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows)
+    if path is None:
+        sys.stdout.write(header + "\n" + text)
+        return
     try:
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    finally:
-        if path is not None:
-            out.close()
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.write(header + "\n" + text)
+    except OSError as exc:  # an unwritable --out, like an unreadable --config
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_trajectory(path, traj) -> None:

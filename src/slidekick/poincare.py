@@ -4,7 +4,7 @@ P_eps is assembled from three stages: P carries a point of the outer
 section {y = y0, x < fold} down to the strip boundary under X+ alone, the
 middle map crosses the strip along the attracting manifold, and Pbar lifts
 the exit back to {y = y0, x > fold}.  The tangency constants x0, alpha,
-beta of Prop-type quadratic germs are fitted from perturbed landings, and
+beta of Prop-type quadratic germs are centered differences of landings, and
 the exit abscissa / landing deviation are fitted against powers of eps.
 """
 
@@ -30,12 +30,16 @@ class FitRejected(NumericalFailure):
     """An exponent fit fell below the r^2 acceptance bar, or a value had no logarithm."""
 
 
+_H = 1e-3  # the germ stencil's step; at 1e-2 its alpha is up to 1e-5 off on saddle-homoclinic
+
+
 @dataclass(frozen=True)
 class TangencyConstants:
     """Quadratic germ of one field's landing map near the fold.
 
     Landings on {y = y0} from a point (x, y) near the fold obey
-    x0 + alpha*y + beta*x^2 + O(xy, y^2) in fold-centered coordinates.  The
+    x0 + alpha*y + beta*x^2 + O(xy, y^2, x^3) in fold-centered coordinates,
+    so alpha = dL/dy and beta = d^2L/dx^2 / 2 at the fold orbit.  The
     germ of X+ has alpha < 0 < beta, that of the backward field -X+ (the
     minus pseudo-separatrix) alpha > 0 > beta.
     """
@@ -63,33 +67,25 @@ def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float) -> tuple[
 
 
 def fit_tangency_constants(field: PlanarField, fold_x: float, y0: float) -> TangencyConstants:
-    """Fit the germ x0, alpha, beta of ``field``'s landings on {y = y0}.
-
-    x0 is the landing of the fold orbit, from (fold_x, 0) itself; alpha and
-    beta come from least squares over the landings of a 5 x 5 grid of starts
-    within 0.04 of it against the model 1, y, x^2, with the columns xy, y^2,
-    x^3, x^4, x^2 y, y^3 and x^2 y^2 absorbing the next orders so that alpha
-    and beta stay unbiased (a fit without y^3 and x^2 y^2 reads the normal
-    fold's alpha+ as -0.9982 against -1).  That is 26 shots; the germ of
-    the minus pseudo-separatrix is the fit of ``x_plus.negated()``.
+    """The germ of ``field``'s landings L(dx, dy) on {y = y0} from (fold_x + dx, dy),
+    from 9 shots: x0 = L(0, 0), and alpha and beta from the centered differences
+    Da(k) = (L(0, k) - L(0, -k)) / 2k and Db(k) = (L(k, 0) + L(-k, 0) - 2 x0) / 2k^2
+    Richardson-extrapolated as (4 D(h/2) - D(h)) / 3 with h = ``_H``.  The starts
+    (0, -k) lie below Sigma, where ``field`` is read as a smooth field.  The germ
+    of the minus pseudo-separatrix is that of ``x_plus.negated()``.
     """
+    def land(dx: float, dy: float) -> float:
+        return exterior_map(field, (fold_x + dx, dy), Section(y0)).x
+
     try:
-        x0 = exterior_map(field, (fold_x, 0.0), Section(y0)).x
+        x0 = land(0.0, 0.0)
     except EventNotBracketed as exc:
         raise TangentialCrossing(f"the fold itself lies on y0={y0}") from exc
     if abs(field(x0, y0)[1]) < 1e-8:
         raise TangentialCrossing(f"separatrix meets y0={y0} tangentially at x={x0}")
-
-    dxs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * 0.04
-    dys = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * 0.04
-    rows, landings = [], []
-    for dx in dxs:
-        for dy in dys:
-            landings.append(exterior_map(field, (fold_x + dx, dy), Section(y0)).x)
-            # columns past x^2 absorb the next orders so alpha, beta stay unbiased
-            rows.append([1.0, dy, dx * dx, dx * dy, dy * dy, dx**3, dx**4, dx * dx * dy, dy**3, dx * dx * dy * dy])
-    c, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(landings), rcond=None)
-    return TangencyConstants(fold_x=fold_x, x0=x0, alpha=float(c[1]), beta=float(c[2]))
+    da = [(land(0.0, k) - land(0.0, -k)) / (2.0 * k) for k in (_H, _H / 2)]
+    db = [(land(k, 0.0) + land(-k, 0.0) - 2.0 * x0) / (2.0 * k * k) for k in (_H, _H / 2)]
+    return TangencyConstants(fold_x, x0, (4.0 * da[1] - da[0]) / 3.0, (4.0 * db[1] - db[0]) / 3.0)
 
 
 def normal_form_constants(y0: float) -> tuple[TangencyConstants, TangencyConstants]:

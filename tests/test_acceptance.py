@@ -78,8 +78,8 @@ def test_criterion_10_homoclinic():
 def test_criterion_10_fits_once_and_shoots_one_separatrix(monkeypatch, shoot_calls):
     # one family serves the scans at eps and eps/2: one tangency fit and one
     # separatrix shot (a pre-scan for alpha+ and two fresh scans made 3 each).
-    # The fit is X+'s alone, 26 landings; the minus pseudo-separatrix is one
-    # backward landing (a fit of both germs made 52, 26 of them backward)
+    # The germ is X+'s alone, 9 stencil landings; the minus pseudo-separatrix
+    # is one backward landing (a fit of both germs made 52, 26 of them backward)
     from slidekick import bifurcation, poincare
 
     landings, fits = [], []
@@ -100,7 +100,7 @@ def test_criterion_10_fits_once_and_shoots_one_separatrix(monkeypatch, shoot_cal
     monkeypatch.setattr(bifurcation, "fit_tangency_constants", spy_fit)
     shots = shoot_calls(bifurcation)
     assert _RUN["10"]().ok
-    assert fits == [26] and len(shots) == 1
+    assert fits == [9] and len(shots) == 1
     assert sum(name.startswith("-") for name in landings) == 1
 
 

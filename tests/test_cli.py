@@ -84,11 +84,11 @@ def test_bifurcate_csv_deterministic(tmp_path):
 
 
 def test_exponent_on_a_fitted_germ(tmp_path):
-    # general-fold's germ is fitted, and its x0 is the fold orbit's own
-    # landing: a least-squares intercept 1.8e-6 off bent the deviations
+    # general-fold's germ has no closed form, and its x0 is the fold orbit's
+    # own landing: a least-squares intercept 1.8e-6 off bent the deviations
     # so far that the fit was rejected (r^2 = 0.79).  The deviation is
     # measured from x0+ + alpha+ eps, so a biased alpha+ bends its eps^{4/3}
-    # law (1.378 without the germ's y^3 and x^2 y^2 columns)
+    # law (1.378 with a 3e-4 bias; the stencil's alpha+ reads 1.334643)
     code, text = run_cli("exponent", "--model", "general-fold", "--profile", "poly(2)",
                          "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4", "--out", str(tmp_path / "e.csv"))
     assert code == 0
@@ -315,6 +315,15 @@ def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
     else:
         code, _ = run_with_config(tmp_path, config, *argv)
     assert code == expected
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # an --out in a directory that does not exist is a configuration error
+    # that names the path, not a traceback from the CSV writer
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*POINCARE, "--eps", "1e-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and str(out) in err
 
 
 def test_exponent_probe_missing_the_strip_exits_1(capsys):

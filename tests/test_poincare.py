@@ -13,12 +13,14 @@ from slidekick.models import model
 from slidekick.poincare import (
     FitRejected,
     TangentialCrossing,
+    _H,
     _stage_P,
     exterior_map,
     fit_power_law,
     fit_tangency_constants,
     landing_scan,
     map_P_epsilon,
+    normal_form_constants,
 )
 from slidekick.regularization import RegularizedSystem, parse_profile, phi_linear, phi_polynomial
 
@@ -40,17 +42,43 @@ def germs(nf, nf_fold):
     return fit_tangency_constants(xp, nf_fold, 0.25), fit_tangency_constants(xp.negated(), nf_fold, 0.25)
 
 
+def _assert_closed_form(germ, exact):
+    # x0 is the fold orbit's own landing; alpha and beta the stencil's
+    # (measured: within 3.7e-12 on alpha and 2.9e-11 on beta)
+    assert germ.x0 - germ.fold_x == pytest.approx(exact.x0, abs=1e-10)
+    assert germ.alpha == pytest.approx(exact.alpha, abs=1e-8)
+    assert germ.beta == pytest.approx(exact.beta, abs=1e-8)
+
+
 def test_tangency_constants_normal_form(germs):
-    # closed forms at y0 = 1/4: x0 = +-1/2, alpha = -+1, beta = +-1
-    # x0 is the fold orbit's own landing, not the fit's intercept
-    plus, minus = germs
-    assert plus.x0 == pytest.approx(0.5, abs=1e-10)
-    assert minus.x0 == pytest.approx(-0.5, abs=1e-10)
-    # measured: 7.1e-5 off on alpha, 2.8e-4 on beta
-    assert plus.alpha == pytest.approx(-1.0, abs=5e-4)
-    assert minus.alpha == pytest.approx(1.0, abs=5e-4)
-    assert plus.beta == pytest.approx(1.0, abs=5e-4)
-    assert minus.beta == pytest.approx(-1.0, abs=5e-4)
+    # closed forms at y0 = 1/4: x0 = +-1/2, alpha = -+1, beta = +-1; the
+    # grazing family's X+ at mu = 0 is the normal fold's (1, 2x)
+    graze = model("grazing-family")
+    graze_plus = fit_tangency_constants(graze.system.x_plus, graze.fold().x, 0.25)
+    closed = normal_form_constants(0.25)
+    for germ, exact in [*zip(germs, closed), (graze_plus, closed[0])]:
+        _assert_closed_form(germ, exact)
+
+
+def test_saddle_homoclinic_alpha_is_the_section_displacement_rate():
+    # on the grazing member a raw shift mu_raw moves the section displacement
+    # mu = x0+ - x0^s by -alpha+ mu_raw to first order; dmu/dmu_raw is the
+    # central difference, step 1e-5, of the fold orbit's landing minus the
+    # W^s landing (measured: 2.3859530218 against -alpha+ = 2.3859530200)
+    from slidekick.bifurcation import _stable_separatrix
+
+    def member(mu_raw):
+        return model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+
+    def mu(mu_raw):
+        desc = member(mu_raw)
+        x0_plus = exterior_map(desc.system.x_plus, (desc.fold().x, 0.0), Section(0.25)).x
+        return x0_plus - _stable_separatrix(desc)(0.25)
+
+    raw0, h = -0.0953706501744, 1e-5
+    anchor = member(raw0)
+    alpha = fit_tangency_constants(anchor.system.x_plus, anchor.fold().x, 0.25).alpha
+    assert alpha == pytest.approx(-(mu(raw0 + h) - mu(raw0 - h)) / (2 * h), abs=1e-7)
 
 
 def test_sign_pattern(germs):
@@ -68,10 +96,7 @@ def test_translation_invariance(nf_fold):
     sys_shift = FilippovSystem(xp, xm)
     f = find_fold(sys_shift, (-1.0, 1.0))
     assert f.x == pytest.approx(0.3, abs=1e-12)
-    tc = fit_tangency_constants(xp, f.x, 0.25)
-    assert tc.x0 - f.x == pytest.approx(0.5, abs=1e-10)
-    assert tc.alpha == pytest.approx(-1.0, abs=5e-3)
-    assert tc.beta == pytest.approx(1.0, abs=5e-3)
+    _assert_closed_form(fit_tangency_constants(xp, f.x, 0.25), normal_form_constants(0.25)[0])
 
 
 def test_tangential_crossing_guard(nf, nf_fold):
@@ -272,20 +297,21 @@ def test_exterior_map_lands_a_graze_inside_one_step(delta):
         assert abs(exterior_map(xp, start, Section(0.25, "x>0")).x - math.sqrt(delta)) <= 1e-12
 
 
-# the 5 x 5 start grid of fit_tangency_constants, offsets from the fold
-_GRID = [(dx * 0.04, dy * 0.04) for dx in (-1.0, -0.5, 0.0, 0.5, 1.0) for dy in (0.0, 0.25, 0.5, 0.75, 1.0)]
+# the 9 starts of fit_tangency_constants' stencil, offsets from the fold;
+# (0, -h) and (0, -h/2) lie below Sigma
+_STENCIL = [(0.0, 0.0)] + [(a * k, b * k) for k in (_H, _H / 2) for a, b in ((0, 1), (0, -1), (1, 0), (-1, 0))]
 
 
 @pytest.mark.parametrize("model_id, params", [
     ("saddle-homoclinic", {"nu": 0.15}), ("stribeck", {}), ("coulomb", {}),
 ], ids=["saddle-homoclinic", "stribeck", "coulomb"])
 def test_exterior_landings_agree_with_tight_dop853(model_id, params):
-    # forward and backward landings of the tangency grid against DOP853 at
-    # rtol 1e-13, atol 1e-15 (measured: at most 2.1e-12 / 5.9e-13 / 5.8e-13)
+    # forward and backward landings of the tangency stencil against DOP853 at
+    # rtol 1e-13, atol 1e-15 (measured: at most 1.9e-12 / 1.6e-13 / 1.5e-13)
     desc = model(model_id, **params)
     fold = find_fold(desc.system, desc.fold_bracket)
     for field in (desc.system.x_plus, desc.system.x_plus.negated()):
-        for dx, dy in _GRID:
+        for dx, dy in _STENCIL:
             start = (fold.x + dx, dy)
             ref = shoot(field.rhs, (0.0, 1e3), start, [Section(0.25).stop()], method="DOP853",
                         max_step=0.25, rtol=1e-13, atol=1e-15)
@@ -317,14 +343,14 @@ def test_stage_P_near_grazing_matches_closed_form(shoot_calls, monkeypatch, nf):
 
 
 @pytest.mark.parametrize("model_id, params, budget", [
-    ("saddle-homoclinic", {"nu": 0.15}, 432), ("stribeck", {}, 261),
+    ("saddle-homoclinic", {"nu": 0.15}, 162), ("stribeck", {}, 95),
 ], ids=["saddle-homoclinic", "stribeck"])
 def test_tangency_fit_step_budget(shoot_calls, model_id, params, budget):
-    # one germ is one field's fit: the fold orbit and the 25 grid landings,
-    # 1.5x the measured 288 / 174 steps of X+
+    # one germ is one field's stencil: the fold orbit and 8 landings at
+    # steps h and h/2, 1.5x the measured 108 / 63 steps of X+
     desc = model(model_id, **params)
     fold = find_fold(desc.system, desc.fold_bracket)
     calls = shoot_calls(poincare)
     fit_tangency_constants(desc.system.x_plus, fold.x, 0.25)
-    assert len(calls) == 26
+    assert len(calls) == 9
     assert sum(c.shot.n_steps for c in calls) <= budget
