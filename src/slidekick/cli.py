@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -377,6 +378,9 @@ def main(argv=None) -> int:
     try:
         _config_defaults(ap, argv)
         args = ap.parse_args(argv)
+        out = getattr(args, "out", None)
+        if out is not None and not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
+            raise ConfigError(f"cannot write {out}: its directory does not exist or is not writable")
         return args.fn(args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; pass both through

@@ -1,14 +1,14 @@
 """Event-located shooting: the one place where the package steps an ODE solver.
 
-:func:`shoot` steps a solver one step at a time, in its own loop, until
-the first of a list of :class:`Stop` conditions fires.  A stop is a level
-of one state component (``z[component]`` crossing ``level``) or the zero
-of a scalar ``g(t, z)``.  It has a crossing direction (+1 upward, -1
-downward, 0 either way) and an optional ``accept(z)`` predicate.  Event
-location is ``solve_ivp``'s, after Shampine & Thompson (Comput. Math.
-Appl. 39, 2000): sign changes are found step by step and the root is
-bracketed on the step's interpolant.  On top of that, the primitive
-handles four cases:
+:func:`shoot` steps a solver one step at a time, in one loop for every
+method, until the first of a list of :class:`Stop` conditions fires.  A
+stop is a level of one state component (``z[component]`` crossing
+``level``) or the zero of a scalar ``g(t, z)``.  It has a crossing
+direction (+1 upward, -1 downward, 0 either way) and an optional
+``accept(z)`` predicate.  Event location is ``solve_ivp``'s, after Shampine
+& Thompson (Comput. Math. Appl. 39, 2000): sign changes are found step by
+step and the root is bracketed on the step's interpolant.  On top of that,
+the primitive handles four cases:
 
 - step-off: a start within 1e-13 of a level that it would cross at once is
   advanced 1e-11 in time along ``rhs``, so the zero residual of the start is
@@ -52,15 +52,14 @@ The manifold trace, the contraction probe and the inner equation
 is selectable as ``method="Radau"`` for tight reference solves; no stage
 of the package uses it.
 
-RK45, DOP853 and Radau are scipy's ``OdeSolver`` objects, stepped by their
-``step()``.  LSODA steps on :class:`_Lsoda`, which is built on scipy's
-``lsoda`` integrator class with no ``ode`` object: a step is one direct
-call of its compiled runner, and ``rhs`` is called with no Python wrapper.
-The steps, states, ``nfev``, ``njev`` and ``nlu`` are scipy ``LSODA``'s to
-the bit.  Against stepping through ``ode``'s ``run``, a strip-crossing step
-through :func:`shoot` costs 16.1 -> 13.1 us on a Coulomb crossing and 9.7
--> 7.5 us on a normal-fold poly(2) eps = 1e-4 one, and a build 24 -> 5.5 us
-(shared 2-core machine, both paths interleaved in one process).
+RK45, DOP853 and Radau are scipy's ``OdeSolver`` objects.  LSODA steps on
+:class:`_Lsoda`, built on scipy's ``lsoda`` integrator class with no
+``ode`` object: a step is one direct call of its compiled runner, with no
+Python wrapper around ``rhs``, and its steps, states, ``nfev``, ``njev``
+and ``nlu`` are scipy ``LSODA``'s to the bit.  Both expose ``step()``,
+``t``, ``t_old``, ``y`` and ``status``, and one loop steps them; the type
+of the stepper fixes, once per shot, whether turns are looked for (an
+``OdeSolver`` holds the rate ``f``) and what a step leaves for dense output.
 
 Dense output is scipy's interpolant of each step, joined as ``OdeSolution``
 joins them.  An LSODA step builds no interpolant object: it records its
@@ -170,16 +169,16 @@ def shoot(
 ) -> Shot:
     """Integrate ``rhs`` forward over ``t_span`` until the first accepted stop.
 
-    Steps the ``method`` solver (LSODA, RK45, DOP853 or Radau) in its own
-    loop.  The stops whose sign changed over a step, in their direction,
-    are rooted on the step's interpolant, and so is a level stop's crossing
-    hidden behind a turn inside the step; the roots are tried in time order
-    and the first with an accepted state fires.  The turn is looked for only
-    where the solver holds the rate at the step's ends (RK45, DOP853,
-    Radau).  LSODA does not, and one ``rhs`` call per step would add about
-    0.7 us to a 7.5 us strip-crossing step (normal-fold poly(2), eps =
-    1e-4), so LSODA shots (the strip crossing, the manifold trace, the inner
-    equation) keep the end-point rule.
+    Steps the ``method`` solver (LSODA, RK45, DOP853 or Radau) in one loop
+    shared by all four.  The stops whose sign changed over a step, in their
+    direction, are rooted on the step's interpolant, and so is a level
+    stop's crossing hidden behind a turn inside the step; the roots are
+    tried in time order and the first with an accepted state fires.  The
+    turn is looked for only where the solver holds the rate at the step's
+    ends (RK45, DOP853, Radau).  LSODA does not, and one ``rhs`` call per
+    step would add about 0.7 us to a 7.5 us strip-crossing step
+    (normal-fold poly(2), eps = 1e-4), so LSODA shots keep the end-point
+    rule.
 
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if
@@ -210,23 +209,23 @@ def shoot(
                 z_cur = z_cur + 1e-11 * f0
                 break
 
-    g_old = [_gap(s, t_cur, z_cur) for s in stops]
-    if method == "LSODA":
-        solver = _Lsoda(rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, jac=jac)
-        ts, zs, parts, fired, n_bdf = _lsoda_loop(solver, rhs, stops, g_old, dense)
+    lsoda = method == "LSODA"
+    if lsoda:
+        stepper = _Lsoda(rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, jac=jac)
     else:
         extra = {"jac": jac} if jac is not None else {}
-        solver = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
-        ts, zs, parts, fired, n_bdf = *_solver_loop(solver, rhs, stops, g_old, dense), 0
+        stepper = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
+    ts, zs, parts, fired = _step_loop(stepper, rhs, stops, dense)
     ts = np.array(ts)
     steps = ts[1:] - ts[:-1]  # before the polished hit replaces the root
     # both evaluators keep views of ts, so the polished hit bounds the last segment
-    out = (OdeSolution(ts, parts) if method != "LSODA" else _NordsieckSolution(ts, parts)) if dense else None
+    out = (_NordsieckSolution if lsoda else OdeSolution)(ts, parts) if dense else None
     if fired is not None:
         ts[-1], zs[:, -1] = fired[1]  # the polished hit replaces the bracketed root
     return Shot(stop=None if fired is None else fired[0], t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs,
-                dense=out, n_steps=len(ts) - 1, nfev=int(solver.nfev), min_step=float(steps[steps > 0.0].min(
-                    initial=np.inf)), njev=int(solver.njev), nlu=int(solver.nlu), n_bdf=n_bdf)
+                dense=out, n_steps=len(ts) - 1, nfev=int(stepper.nfev), min_step=float(steps[steps > 0.0].min(
+                    initial=np.inf)), njev=int(stepper.njev), nlu=int(stepper.nlu),
+                n_bdf=stepper.n_bdf if lsoda else 0)
 
 
 def _first_hit(stops, brackets, sol, rhs, last):
@@ -249,83 +248,58 @@ def _first_hit(stops, brackets, sol, rhs, last):
     return None
 
 
-def _lsoda_loop(stepper: _Lsoda, rhs, stops, g_old, dense):
-    # the state is read once per step as floats, the stop values are updated
-    # in place, and only a sign change is rooted (on the step's record)
-    y, n = stepper.y, len(stepper.y)
-    ts, zs, parts, fired, n_bdf = [stepper.t], y.tolist(), [], None, 0
-    specs = [(k, s.component, s.level, s.g, s.direction) for k, s in enumerate(stops)]
-    method_used = memoryview(stepper.lsoda.iwork)  # [18]: 1 after an Adams step, 2 after a BDF one
+def _step_loop(stepper, rhs, stops, dense):
+    # the one step loop, for _Lsoda and the OdeSolvers alike: the state is
+    # read once per step as floats, the stop values are updated in place, and
+    # a stop is rooted on the step's interpolant only where its sign changed
+    # or, with the rates at the step's ends in hand (an OdeSolver's f; _Lsoda
+    # holds none), where a level's crossing hides behind a turn
+    holds_rate = not isinstance(stepper, _Lsoda)
+    # what a step leaves for dense output (scipy's interpolant or _Lsoda's record), and its interpolant
+    part_of, interpolant = (stepper.dense_output, lambda p: p) if holds_rate else (stepper.record, _record_interpolant)
+    y, sol, f = stepper.y, None, stepper.f if holds_rate else None
+    n, ts, zs, parts, fired = len(y), [stepper.t], y.tolist(), [], None
+    g_old = [_gap(s, stepper.t, y) for s in stops]
+    specs = [(k, s.component, s.level, s.g, s.direction, holds_rate and s.g is None) for k, s in enumerate(stops)]
+    for k, s in enumerate(stops):
+        if holds_rate and s.g is None and g_old[k] == 0.0:
+            # a start on the level that leaves it against the stop's direction
+            # (it was not stepped off) counts from the side it comes from, so
+            # a return inside the first step is rooted at the turn, not at t0
+            g_old[k] = -f[s.component]
     while fired is None and stepper.status == "running":
-        stepper.step()
+        message = stepper.step()
+        if message is not None:
+            raise (StepSizeUnderflow if "step size" in message.lower() else NumericalFailure)(message)
+        if holds_rate:  # an OdeSolver's y and f are new arrays at each step; _Lsoda writes its y in place
+            y, f_old, f, sol = stepper.y, f, stepper.f, None
         t, z = stepper.t, y.tolist()
-        n_bdf += method_used[18] == 2
+        part = part_of() if dense else None
         brackets = []
-        for k, c, level, g, direction in specs:
+        for k, c, level, g, direction, turns in specs:
             g0 = g_old[k]
             g_old[k] = g1 = z[c] - level if g is None else g(t, y)
-            if not g0 * g1 > 0.0 and _crossed(g0, g1, direction):
-                brackets.append((stepper.t_old, t, k))
-        record = stepper.record() if dense else None
+            if not g0 * g1 > 0.0:  # only a stop whose sign changed (or that touched zero) can have crossed
+                if _crossed(g0, g1, direction):
+                    brackets.append((stepper.t_old, t, k))
+            elif turns and f_old[c] * g0 < 0.0 < f[c] * g0:
+                # z moved toward the level and then away, on one side of it at both ends
+                sol, t_old = sol or interpolant(part or part_of()), stepper.t_old
+                t_turn = _turn(lambda u: rhs(u, sol(u))[c], t_old, t, f_old[c], f[c])
+                side = np.sign(g0)
+                if side * (sol(t_turn)[c] - level) < -TOUCH:  # beyond the level: it crossed and came back
+                    brackets += [(a, b, k) for a, b, d in ((t_old, t_turn, -side), (t_turn, t, side))
+                                 if direction in (0, d)]
         if brackets:
             last = (ts[-1], np.array(zs[-n:])) if dense and len(ts) > 1 else None
-            fired = _first_hit(stops, brackets, _record_interpolant(record or stepper.record()), rhs, last)
+            fired = _first_hit(stops, brackets, sol or interpolant(part or part_of()), rhs, last)
             t, z = (t, z) if fired is None else (fired[2], fired[3].tolist())
         if not (dense and len(ts) > 1 and t == ts[-1]):  # a root on the last step's end adds no segment
             ts.append(t)
             zs += z
             if dense:
-                parts.append(record)
-    return ts, np.array(zs).reshape(-1, n).T, parts, fired, n_bdf
-
-
-def _solver_loop(solver, rhs, stops, g_old, dense):
-    # an OdeSolver's loop, with the turn rule for its level stops
-    ts, zs, parts, fired = [solver.t], [solver.y], [], None
-    specs = [(s.component, s.level, s.g, s.direction) for s in stops]
-    levels = [k for k, s in enumerate(stops) if s.g is None]  # the stops that can hide a crossing behind a turn
-    f_old = solver.f if levels else None
-    for k in levels:
-        if g_old[k] == 0.0:
-            # a start on the level that leaves it against the stop's direction
-            # (it was not stepped off) counts from the side it comes from, so
-            # a return inside the first step is rooted at the turn, not at t0
-            g_old[k] = -f_old[stops[k].component]
-    while fired is None and solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise (StepSizeUnderflow if "step size" in message.lower() else NumericalFailure)(message)
-        t, z, t_old = solver.t, solver.y, solver.t_old
-        sol = solver.dense_output() if dense else None
-        g_new, brackets = [], []
-        for k, (c, level, g, direction) in enumerate(specs):
-            g1 = z[c] - level if g is None else g(t, z)  # _gap, inlined
-            g_new.append(g1)
-            # only a stop whose sign changed (or that touched zero) can have crossed
-            if not g_old[k] * g1 > 0.0 and _crossed(g_old[k], g1, direction):
-                brackets.append((t_old, t, k))
-        for k in levels:
-            c, g0 = stops[k].component, g_old[k]
-            # z moved toward the level and then away, on one side of it at both ends
-            if g0 * g_new[k] <= 0 or not f_old[c] * g0 < 0 < solver.f[c] * g0:
-                continue
-            sol = solver.dense_output() if sol is None else sol
-            t_turn = _turn(lambda u: rhs(u, sol(u))[c], t_old, t, f_old[c], solver.f[c])
-            side = np.sign(g0)
-            if side * _gap(stops[k], t_turn, sol(t_turn)) < -TOUCH:  # beyond the level: it crossed and came back
-                brackets += [(a, b, k) for a, b, d in ((t_old, t_turn, -side), (t_turn, t, side))
-                             if stops[k].direction in (0, d)]
-        if brackets:
-            sol = solver.dense_output() if sol is None else sol
-            fired = _first_hit(stops, brackets, sol, rhs, (ts[-1], zs[-1]) if dense and len(ts) > 1 else None)
-            t, z = (t, z) if fired is None else fired[2:]
-        g_old, f_old = g_new, solver.f if levels else None
-        if not (dense and len(ts) > 1 and t == ts[-1]):  # a root on the last step's end adds no segment
-            ts.append(t)
-            zs.append(z)
-            if dense:
-                parts.append(sol)
-    return ts, np.array(zs).T, parts, fired
+                parts.append(part)
+    return ts, np.array(zs).reshape(-1, n).T, parts, fired
 
 
 class _Lsoda:
@@ -346,23 +320,27 @@ class _Lsoda:
         self._args = [rhs, self.y, t0, t_bound, rtol, atol, 5, 1, lsoda.rwork, lsoda.iwork, jac or (lambda: None),
                       lsoda.call_args[6], (), 1, (), lsoda.state_doubles, lsoda.state_ints]
         self.t, self.t_old, self.t_bound, self.forward, self.status = t0, None, t_bound, t_bound >= t0, "running"
+        self.n_bdf, self._method_used = 0, memoryview(lsoda.iwork)  # [18]: 1 after an Adams step, 2 after a BDF one
+        self._runner = lsoda.runner  # the compiled step, looked up once
 
     def step(self) -> None:
         """One step, as ``OdeSolver.step`` takes it (a zero-length span is one
-        empty step).  A failure warns with scipy's text, then raises
-        ``NumericalFailure`` with the istate, its message and the last state."""
+        empty step) and counted in ``n_bdf`` if taken in BDF mode.  A failure warns
+        with scipy's text, then raises ``NumericalFailure`` with the istate, its
+        message and the last state."""
         t, args = self.t, self._args
         if t == self.t_bound:
             self.t_old, self.status = t, "finished"
             return
         args[2] = t
-        _y, t_new, istate = self.lsoda.runner(*args)
+        _y, t_new, istate = self._runner(*args)
         if istate < 0:
             message = self.lsoda.messages.get(istate)
             warnings.warn(f"lsoda: {message or f'Unexpected istate={istate:d}'}", stacklevel=2)
             raise NumericalFailure(f"LSODA failed with istate {istate} ({message or 'unknown istate'}) "
                                    f"at t={t_new!r}, z={self.y.tolist()}")
         args[7], self.t_old, self.t = 2, t, t_new  # istate 2 continues the integration
+        self.n_bdf += self._method_used[18] == 2
         if (t_new >= self.t_bound) if self.forward else (t_new <= self.t_bound):
             self.status = "finished"
 

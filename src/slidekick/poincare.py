@@ -41,7 +41,9 @@ class TangencyConstants:
     x0 + alpha*y + beta*x^2 + O(xy, y^2, x^3) in fold-centered coordinates,
     so alpha = dL/dy and beta = d^2L/dx^2 / 2 at the fold orbit.  The
     germ of X+ has alpha < 0 < beta, that of the backward field -X+ (the
-    minus pseudo-separatrix) alpha > 0 > beta.
+    minus pseudo-separatrix) alpha > 0 > beta.  From
+    :func:`fit_tangency_constants`, x0 is a landing (about 1e-13), alpha
+    holds about 1e-10 and beta only a few 1e-7 (see there).
     """
 
     fold_x: float
@@ -73,6 +75,11 @@ def fit_tangency_constants(field: PlanarField, fold_x: float, y0: float) -> Tang
     Richardson-extrapolated as (4 D(h/2) - D(h)) / 3 with h = ``_H``.  The starts
     (0, -k) lie below Sigma, where ``field`` is read as a smooth field.  The germ
     of the minus pseudo-separatrix is that of ``x_plus.negated()``.
+
+    The landings hold about 1e-13.  alpha divides their differences by h, so
+    it holds about 1e-10 (Coulomb's mirror germs agree to 5.6e-11); beta has
+    a rounding floor of a few 1e-7, because Db(h/2) divides them by
+    2 (h/2)^2 = 5e-7 (the mirror germs' beta agree to 1.8e-7 only).
     """
     def land(dx: float, dy: float) -> float:
         return exterior_map(field, (fold_x + dx, dy), Section(y0)).x
@@ -149,6 +156,16 @@ class ExponentFit:
     dropped_largest: bool = False
 
 
+def _fit_epsilons(epsilons) -> np.ndarray:
+    # the eps of a log-log fit: positive, finite, and at least two distinct ones for a line
+    eps = np.asarray(epsilons, dtype=float)
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise ConfigError(f"epsilons must be positive and finite, got {eps}")
+    if len(np.unique(eps)) < 2:
+        raise ConfigError(f"a power-law fit needs at least two distinct epsilons, got {eps}")
+    return eps
+
+
 def fit_power_law(epsilons, values, *, r2_min: float = 0.999, allow_drop: bool = True) -> ExponentFit:
     """Least-squares slope of log|value| against log eps.
 
@@ -156,11 +173,9 @@ def fit_power_law(epsilons, values, *, r2_min: float = 0.999, allow_drop: bool =
     the line (pre-asymptotic contamination), it is dropped once and the fit
     redone.  Fits with r^2 below ``r2_min`` are rejected, and so are values
     that are zero or not finite, which have no logarithm; an eps that is not
-    positive and finite is a ``ConfigError``.
+    positive and finite, or fewer than two distinct eps, is a ``ConfigError``.
     """
-    eps = np.asarray(epsilons, dtype=float)
-    if not np.all(np.isfinite(eps) & (eps > 0.0)):
-        raise ConfigError(f"epsilons must be positive and finite, got {eps}")
+    eps = _fit_epsilons(epsilons)
     val = np.abs(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(val) & (val > 0.0)):
         raise FitRejected(f"no log-log fit through zero or non-finite values {val}")
@@ -221,8 +236,9 @@ def landing_scan(
     exit abscissa scales like eps^{p/(2p-1)} and the deviation of the
     landing from x0+ + alpha+ eps like eps^{2p/(2p-1)}.  A probe whose X+
     orbit misses the strip has no exit: ``NoArrival`` names it and the eps.
+    An eps list the fits would reject is a ``ConfigError`` before the first map.
     """
-    fx = constants.fold_x
+    eps_arr, fx = _fit_epsilons(eps_list), constants.fold_x
     exits, devs = [], []
     for eps in eps_list:
         R = RegularizedSystem(base, profile, eps)
@@ -232,7 +248,6 @@ def landing_scan(
                             f"and lands back on y0 at x={r.x}")
         exits.append(r.flags["x_exit"] - fx)
         devs.append(r.x - (constants.x0 + constants.alpha * eps))
-    eps_arr = np.asarray(list(eps_list), dtype=float)
     return LandingScan(
         epsilons=eps_arr,
         exits=np.asarray(exits),

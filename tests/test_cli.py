@@ -340,6 +340,30 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("a solve started")
 
 
+def test_unwritable_out_exits_2_before_the_solve(monkeypatch, capsys, tmp_path):
+    # the --out directory is checked before the command runs: no germ and no fold map
+    import slidekick.poincare
+
+    for name in ("fit_tangency_constants", "map_P_epsilon"):
+        monkeypatch.setattr(slidekick.poincare, name, _must_not_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["exponent", "--model", "general-fold", "--profile", "poly(2)",
+                 "--eps-list", "1e-6,3e-6,1e-5,3e-5,1e-4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and str(out) in err
+
+
+@pytest.mark.parametrize("eps_list", ["1e-4", "1e-4,1e-4"], ids=["one", "repeated"])
+def test_exponent_needs_two_distinct_eps(monkeypatch, capsys, eps_list):
+    # one distinct eps has no power law: a configuration error before the first map
+    import slidekick.poincare
+
+    monkeypatch.setattr(slidekick.poincare, "map_P_epsilon", _must_not_run)
+    assert main(["exponent", "--model", "normal-fold", "--profile", "poly(2)", "--eps-list", eps_list,
+                 "--probe", "-0.8"]) == 2
+    assert capsys.readouterr().err.startswith("config error: a power-law fit needs at least two distinct")
+
+
 @pytest.mark.parametrize("y0", ["0", "-1", "1e-3"], ids=["zero", "negative", "strip-top"])
 def test_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
     # the fold map checks its section against the strip top eps before stage P

@@ -202,6 +202,47 @@ def test_turn_costs_calls_only_where_the_rate_is_held(method, extra):
     assert len(with_stop) > len(without) if extra else len(with_stop) == len(without)
 
 
+def test_one_step_loop_serves_every_method():
+    # every stepper, scipy's OdeSolvers and _Lsoda alike, is stepped in one
+    # loop: integrator.py has exactly one while loop that calls .step()
+    tree = ast.parse(Path(integrator.__file__).read_text(encoding="utf-8"))
+    loops = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)
+             and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "step"
+                     for call in ast.walk(node))]
+    assert len(loops) == 1
+
+
+# x' = 1, y' = 1 - 2x from the origin: y = t - t^2 peaks at 1/4 at t = 1/2.
+# RK45 steps over [0.111, 1.111] and DOP853 over [0.177, 0.833], below
+# y = 0.2 at both ends: the crossings of that level at 1/2 -+ sqrt(0.05)
+# hide behind the turn, while x crosses 0.8 or 0.25 inside the same step
+def _hill(t, z):
+    return [1.0, 1.0 - 2.0 * z[0]]
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("hidden, seen, fires, t_hit", [
+    (Stop(1, 0.2), Stop(0, 0.8, 1), 0, 0.5 - math.sqrt(0.05)),
+    (Stop(1, 0.2, -1), Stop(0, 0.8, 1), 0, 0.5 + math.sqrt(0.05)),
+    (Stop(1, 0.2), Stop(0, 0.25, 1), 1, 0.25),
+], ids=["hidden-up-first", "hidden-down-first", "sign-change-first"])
+def test_turn_and_sign_change_in_one_step(method, hidden, seen, fires, t_hit):
+    # one step brackets stop A behind its turn and stop B by its sign change;
+    # the earlier root fires, whichever order the stops are given in
+    plain = shoot(_hill, (0.0, 2.0), [0.0, 0.0], method=method)
+    k = int(np.searchsorted(plain.ts, 0.5))
+    a, b = plain.ts[k - 1], plain.ts[k]
+    assert a < 0.5 - math.sqrt(0.05) and 0.5 + math.sqrt(0.05) < b and a < seen.level < b
+    assert max(plain.zs[1, k - 1], plain.zs[1, k]) < 0.2
+    hits = []
+    for stops in ([hidden, seen], [seen, hidden]):
+        shot = shoot(_hill, (0.0, 2.0), [0.0, 0.0], stops, method=method)
+        assert stops[shot.stop] is (hidden, seen)[fires]
+        assert shot.ts[-2] == a and shot.t == pytest.approx(t_hit, abs=1e-12)
+        hits.append((shot.t, *shot.z))
+    assert hits[0] == hits[1]
+
+
 def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol=1e-10, atol=1e-12,
                      max_step=np.inf, dense=False):
     """``shoot`` written on ``solve_ivp``: the reference of the agreement

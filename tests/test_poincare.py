@@ -81,6 +81,18 @@ def test_saddle_homoclinic_alpha_is_the_section_displacement_rate():
     assert alpha == pytest.approx(-(mu(raw0 + h) - mu(raw0 - h)) / (2 * h), abs=1e-7)
 
 
+def test_coulomb_mirror_germs_agree_to_the_stencils_accuracy():
+    # Coulomb's X+ and -X+ are mirror images about its fold, so their germs
+    # have opposite alpha and beta; alpha divides the landings by h, beta by
+    # 2 (h/2)^2 = 5e-7 (measured: 5.6e-11 and 1.77e-7)
+    desc = model("coulomb")
+    fold = find_fold(desc.system, desc.fold_bracket).x
+    plus = fit_tangency_constants(desc.system.x_plus, fold, 0.25)
+    minus = fit_tangency_constants(desc.system.x_plus.negated(), fold, 0.25)
+    assert abs(plus.alpha + minus.alpha) <= 1e-9
+    assert abs(plus.beta + minus.beta) <= 5e-7
+
+
 def test_sign_pattern(germs):
     plus, minus = germs
     assert plus.alpha < 0 < plus.beta
@@ -235,6 +247,13 @@ def test_fit_power_law_rejects_eps_without_a_log(bad):
     # eps 0 and -1e-5 ended in numpy's LinAlgError: SVD did not converge
     with pytest.raises(ConfigError, match="positive and finite"):
         fit_power_law([bad, 1e-4, 1e-3], [1e-5, 1e-4, 1e-3])
+
+
+@pytest.mark.parametrize("eps, vals", [([1e-4], [1e-3]), ([1e-4, 1e-4], [1e-3, 2e-3])], ids=["one", "repeated"])
+def test_fit_power_law_needs_two_distinct_eps(eps, vals):
+    # a line through one distinct log eps has no slope: lstsq read 0 with r^2 = 1
+    with pytest.raises(ConfigError, match="two distinct"):
+        fit_power_law(eps, vals)
 
 
 def test_fit_power_law_drops_contaminated_largest():
