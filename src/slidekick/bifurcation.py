@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, sign_changes
-from slidekick.integrator import NoArrival, PoincareResult, Section, Stop, shoot
+from slidekick.integrator import EXTERIOR, UPPER_ARC, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     exterior_map,
@@ -278,8 +278,9 @@ class HomoclinicScan:
 
 def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]:
     """Landing of W^s(saddle) on {y = level}: the first crossing of one dense
-    backward shot (``exterior_map``'s setting) down the saddle's loop-side
-    branch to its lowest point or the switching line, None if it misses."""
+    backward shot (at ``EXTERIOR``, ``exterior_map``'s setting) down the
+    saddle's loop-side branch to its lowest point or the switching line,
+    None if it misses."""
     w, V = saddle_eigen(desc)
     if not (w[0] > 0.0 > w[1]):
         raise SaddleNotResolved(f"eigenvalues {w} are not a saddle pair")
@@ -287,7 +288,7 @@ def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]
     fld = desc.system.x_plus.negated()
     shot = shoot(fld.rhs, (0.0, 200.0), (sx + 1e-8 * v[0], sy + 1e-8 * v[1]),
                  [Stop(1, desc.system.offset, -1), Stop(g=lambda t, z: fld(z[0], z[1])[1], direction=1)],
-                 method="DOP853", max_step=0.25, rtol=1e-12, atol=1e-14, dense=True)
+                 dense=True, **EXTERIOR)
 
     def landing(level: float) -> float | None:
         k = int(np.argmax(shot.zs[1] <= level))  # the first step end at or below the level
@@ -595,10 +596,7 @@ def stribeck_attractor(
 
 
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:
-    # RK45, not DOP853: the 0.02 cap for the dense samples binds, so the
-    # eighth-order steps would be as many and each costs about twice as much
-    shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], max_step=0.02,
-                 rtol=1e-11, atol=1e-13, dense=True)
+    shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], dense=True, **UPPER_ARC)
     if shot.stop is None:
         raise NoArrival("upper arc never returned to the strip boundary")
     pts = shot.dense(np.linspace(shot.ts[0], shot.t, 6000))

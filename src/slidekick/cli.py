@@ -18,8 +18,8 @@ header row, '.' decimals, LF line endings and 17 significant digits.
 Everything is deterministic: identical configs give bit-identical files.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error (a flag
-or config value that does not parse, or an argument the library rejects
-before solving).  Any other exception is a bug and propagates.
+or config value that does not parse or is not finite, or an argument the
+library rejects before solving).  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -66,8 +66,20 @@ def _write_trajectory(path, traj) -> None:
     _write_csv(path, "t,x,y,event", sorted(rows, key=lambda row: key(row[0])))
 
 
+def _finite(text: str) -> float:
+    # the converter of every float flag and list entry: NaN and inf would
+    # hang a shot or come out as NaN rows, so they do not parse
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _floats(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s.strip()]
+    values = [_finite(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
 
 
 def _point(text: str) -> tuple[float, float]:
@@ -79,7 +91,9 @@ def _mu_grid(text: str) -> np.ndarray:
     # a:b:n grid or a comma list
     if ":" in text:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        if int(n) < 1:
+            raise argparse.ArgumentTypeError(f"an a:b:n grid needs n >= 1, got {text!r}")
+        return np.linspace(_finite(a), _finite(b), int(n))
     return np.asarray(_floats(text))
 
 
@@ -126,18 +140,20 @@ def _config_defaults(ap: argparse.ArgumentParser, argv) -> None:
 
 def cmd_simulate(args) -> int:
     from slidekick.fields import filippov_flow
-    from slidekick.integrator import Section, integrate
+    from slidekick.integrator import STIFF, Section, integrate
     from slidekick.models import model
     from slidekick.regularization import RegularizedSystem, parse_profile, regularized_field
 
+    if not args.t_max > 0.0:
+        raise ConfigError(f"--t-max must be positive, got {args.t_max}")
     desc = model(args.model)
     until = Section(args.until_y, "all", id="target") if args.until_y is not None else args.t_max
     if args.eps is None:
         traj = filippov_flow(desc.system, args.start, until, t_max=args.t_max)
     else:
         R = RegularizedSystem(desc.system, parse_profile(args.profile), args.eps)
-        traj = integrate(regularized_field(R), args.start, until, method="LSODA", rtol=1e-12,
-                         atol=1e-14, strip=R.epsilon, strip_center=R.offset, t_max=args.t_max)
+        traj = integrate(regularized_field(R), args.start, until, strip=R.epsilon, strip_center=R.offset,
+                         t_max=args.t_max, **STIFF)
     _write_trajectory(args.out, traj)
     return 0
 
@@ -301,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--profile", default="linear")
-    p.add_argument("--eps", type=float, help="regularize with this eps; omit for the Filippov flow")
+    p.add_argument("--eps", type=_finite, help="regularize with this eps; omit for the Filippov flow")
     p.add_argument("--start", required=True, type=_point, help="x,y")
-    p.add_argument("--until-y", dest="until_y", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float, default=50.0)
+    p.add_argument("--until-y", dest="until_y", type=_finite)
+    p.add_argument("--t-max", dest="t_max", type=_finite, default=50.0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("poincare", help="apply the fold map P_eps to probe points")
@@ -312,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--profile", default="linear")
     p.add_argument("--eps", required=True, type=_floats, help="comma list")
-    p.add_argument("--y0", type=float, default=0.25)
+    p.add_argument("--y0", type=_finite, default=0.25)
     p.add_argument("--probe", required=True, type=_floats, help="comma list of section abscissae")
     p.set_defaults(fn=cmd_poincare)
 
@@ -321,24 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="normal-fold")
     p.add_argument("--profile", required=True)
     p.add_argument("--eps-list", dest="eps_list", required=True, type=_floats)
-    p.add_argument("--y0", type=float, default=0.25)
-    p.add_argument("--probe", type=float, default=-0.8)
+    p.add_argument("--y0", type=_finite, default=0.25)
+    p.add_argument("--probe", type=_finite, default=-0.8)
     p.set_defaults(fn=cmd_exponent)
 
     p = sub.add_parser("inner", help="distinguished solution of the inner equation")
     common(p)
     p.add_argument("--p", required=True, type=int)
-    p.add_argument("--phi-p", dest="phi_p", required=True, type=float, help="phi^(p)(1), e.g. -3")
-    p.add_argument("--u-start", dest="u_start", type=float)
+    p.add_argument("--phi-p", dest="phi_p", required=True, type=_finite, help="phi^(p)(1), e.g. -3")
+    p.add_argument("--u-start", dest="u_start", type=_finite)
     p.set_defaults(fn=cmd_inner)
 
     p = sub.add_parser("manifold", help="trace the attracting Fenichel manifold")
     common(p)
     p.add_argument("--model", default="normal-fold")
     p.add_argument("--profile", required=True)
-    p.add_argument("--eps", required=True, type=float)
-    p.add_argument("--from-x", dest="from_x", type=float, default=-1.0)
-    p.add_argument("--to-v", dest="to_v", type=float, default=1.0)
+    p.add_argument("--eps", required=True, type=_finite)
+    p.add_argument("--from-x", dest="from_x", type=_finite, default=-1.0)
+    p.add_argument("--to-v", dest="to_v", type=_finite, default=1.0)
     p.set_defaults(fn=cmd_manifold)
 
     p = sub.add_parser("bifurcate", help="parameter scans of the return map")
@@ -347,19 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["grazing-attracting", "grazing-repelling",
                             "homoclinic", "homoclinic-hamiltonian"])
     p.add_argument("--profile", default="linear")
-    p.add_argument("--eps", required=True, type=float)
+    p.add_argument("--eps", required=True, type=_finite)
     p.add_argument("--mu", required=True, type=_mu_grid,
                    help="a:b:n grid or comma list (mu~ for homoclinic)")
-    p.add_argument("--y0", type=float, default=0.25)
-    p.add_argument("--nu", type=float, default=0.15)
+    p.add_argument("--y0", type=_finite, default=0.25)
+    p.add_argument("--nu", type=_finite, default=0.15)
     p.set_defaults(fn=cmd_bifurcate)
 
     p = sub.add_parser("friction", help="dry-friction experiments (coulomb, stribeck)")
     p.add_argument("--config", help="key = value config file; flags win")  # prints, writes no CSV
     p.add_argument("--model", required=True, choices=["coulomb", "stribeck"])
     p.add_argument("--profile", default="poly(2)")
-    p.add_argument("--eps", required=True, type=float)
-    p.add_argument("--y0", type=float, default=0.25)
+    p.add_argument("--eps", required=True, type=_finite)
+    p.add_argument("--y0", type=_finite, default=0.25)
     p.set_defaults(fn=cmd_friction)
 
     p = sub.add_parser("accept", help="run the acceptance suite")

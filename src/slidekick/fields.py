@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.integrator import Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, shoot
+from slidekick.integrator import NoArrival, Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, shoot
 
 
 class NotSliding(ConfigError):
@@ -232,11 +232,12 @@ def filippov_flow(
     segments governed by :func:`sliding_field`, and the exit at a visible
     fold along the unstable pseudo-separatrix of X+.  ``stop`` is a
     :class:`~slidekick.integrator.Section`, a final time, or ``"sliding"``,
-    which ends the flow at its first ``slide_start``.  A start on Sigma and
-    every hit of Sigma follow one rule (:func:`_arrival`); a graze of Sigma
-    in V+ is a fold exit.  An arc that starts with vanishing normal velocity
-    first steps 1e-10 in time along its field, so that its own stops do not
-    fire at once.
+    which ends the flow at its first ``slide_start``; ``NoArrival``, naming
+    the last state, is raised when ``t_max`` runs out before either of the
+    last two.  A start on Sigma and every hit of Sigma follow one rule
+    (:func:`_arrival`); a graze of Sigma in V+ is a fold exit.  An arc that
+    starts with vanishing normal velocity first steps 1e-10 in time along
+    its field, so that its own stops do not fire at once.
 
     Events are annotated in order: ``cross_section``, ``slide_start``,
     ``slide_end``, ``fold_exit`` and the region switches.
@@ -299,8 +300,13 @@ def filippov_flow(
                 regime, kind = _arrival(system, x0) if shot.stop == 0 else ("plus", "fold_exit")
                 events.append(TrajectoryEvent(t0, kind, (x0, y_sw)))
                 y0 = y_sw
-        if (t0 >= t_final - 1e-14 or regime == "slide" and stop == "sliding"
-                or sec is not None and abs(y0 - sec.y0) <= 1e-12 and sec.contains(x0)):
+        arrived = (regime == "slide" and stop == "sliding"
+                   or sec is not None and abs(y0 - sec.y0) <= 1e-12 and sec.contains(x0))
+        if arrived or t0 >= t_final - 1e-14:
+            if not arrived and (sec is not None or stop == "sliding"):
+                target = "a slide" if sec is None else f"y = {sec.y0}"
+                raise NoArrival(f"filippov flow: t_max={t_max} ran out before {target}; "
+                                f"last state t={t0}, x={x0}, y={y0} ({regime})")
             break
     else:
         raise StepLimitExceeded("hybrid flow did not terminate within 200 segments")

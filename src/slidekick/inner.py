@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.integrator import Stop, shoot
+from slidekick.integrator import STIFF, STIFF_TIGHT, Stop, shoot
 from slidekick.regularization import InvalidP
 
 
@@ -128,8 +128,8 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np
     alpha, beta = alpha_beta(p, c_p)
     third = -((p - 1) / p**3) * beta ** (2 - 3 * p) / alpha * u_start ** (2 - 3 * p)
     d_seed = 4.0 * (asymptotic_seed(p, c_p, u_start) + third) - c_p * u_start**p
-    shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, method="LSODA",
-                 rtol=3e-14, atol=1e-16, max_step=max_step, dense=dense)
+    shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, max_step=max_step, dense=dense,
+                 **STIFF_TIGHT)
     if shot.stop is not None:
         raise BlowUp(f"denominator crossed zero integrating from u_start={u_start}")
     return shot
@@ -159,14 +159,13 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
     _check_p(p)
     if u_start is None:
         u_start = -30.0 if p == 2 else -12.0
-    if u_start > -10.0:
-        raise SeedInconsistent(f"u_start must be <= -10, got {u_start}")
+    if not -np.inf < u_start <= -10.0:  # NaN fails both
+        raise SeedInconsistent(f"u_start must be finite and <= -10, got {u_start}")
     _check_parity(p, c_p)
 
     # the grid run caps the step so the dense interpolant meets the
     # 1e-10 pointwise residual contract; p >= 4 runs closer to the
-    # null-cline and needs the finer cap.  LSODA runs at rtol 3e-14: at
-    # 1e-12 its interpolant reads 3.5e-10 at p = 4 even with the 0.01 cap.
+    # null-cline and needs the finer cap (and ``STIFF_TIGHT``'s rtol).
     # The Richardson companion only needs its endpoint
     sol1 = _integrate_unscaled(p, c_p, u_start, max_step=0.02 if p <= 3 else 0.01, dense=True)
     sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start)
@@ -210,9 +209,7 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
     The distinguished branch keeps w of one sign (positive for even p,
     negative for odd p) and w ~ -(1/p) ubar^{1-p}, so the variable stays
     well scaled.  The seed defaults to the three-term series at u_start.
-    The stepper is LSODA with the analytic Jacobian, like the unscaled
-    route's: at rtol 1e-12 and atol 1e-14 etabar0(0) lands within 3e-11 of
-    a Radau solve at rtol 1e-13 for p = 2, 3, 4.
+    The shot is at ``STIFF``, with the analytic Jacobian.
     """
     def rhs(u, z):
         return [1.0 / z[0] + p * u ** (p - 1)]
@@ -222,8 +219,8 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
 
     if w_seed is None:
         w_seed = -(1.0 / p) * u_start ** (1 - p) - ((p - 1) / p**3) * u_start ** (2 - 3 * p)
-    shot = shoot(rhs, (u_start, u_end), [w_seed], [Stop(0, 0.0, -1 if p % 2 == 0 else 1)], jac=jac,
-                 method="LSODA", rtol=1e-12, atol=1e-14, dense=dense)
+    shot = shoot(rhs, (u_start, u_end), [w_seed], [Stop(0, 0.0, -1 if p % 2 == 0 else 1)], jac=jac, dense=dense,
+                 **STIFF)
     if shot.stop is not None:
         raise BlowUp(f"normalized denominator crossed zero from u_start={u_start}")
     return shot
@@ -295,8 +292,7 @@ def eta1_check(
     u_start = -80.0
     eta1_seed = 0.25 * c_p1 * u_start ** (p + 1) if seed_eta1 is None else seed_eta1
     d_seed = 4.0 * asymptotic_seed(p, c_p, u_start) - c_p * u_start**p
-    sol = shoot(rhs, (u_start, -1.0), [d_seed, eta1_seed], jac=jac, method="LSODA",
-                rtol=3e-14, atol=1e-16, dense=True)
+    sol = shoot(rhs, (u_start, -1.0), [d_seed, eta1_seed], jac=jac, dense=True, **STIFF_TIGHT)
 
     final_mag = abs(float(sol.dense(-10.0)[1]))
     if c_p1 == 0.0:

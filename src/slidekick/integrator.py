@@ -33,24 +33,12 @@ the primitive handles four cases:
   per step is seen (opposite rates at the step's ends).  Only RK45, DOP853
   and Radau hold that rate; LSODA shots keep the end-point rule.
 
-Each stage picks its stepper.  The exterior maps, stage P of the fold map
-and the separatrix shot use the Dormand-Prince 8(5,3) pair DOP853 (Hairer,
-Norsett & Wanner, *Solving ODEs I*, II.10) at rtol 1e-12, atol 1e-14; the
-other orbits outside the switching strip (Filippov flows, the densely
-sampled Stribeck upper arc) use the default RK45.  The strip orbit
-equations (``slow_manifold``) are stiff, O(1/eps) explicit steps along the
-slow manifold, so the strip crossing, the middle map of every fold and
-return map, steps with LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 1983)
-at rtol 1e-12, atol 1e-14 and an analytic Jacobian, at about a twentieth
-of the cost of scipy's Python-level Radau.  Not at 1e-11: there LSODA can
-stay in its non-stiff Adams mode along the whole manifold, at steps of
-order eps (about 13,000 steps instead of about 650 on some linear eps =
-1e-4 crossings); ``Shot.n_bdf`` counts the steps in its stiff BDF mode.
-The manifold trace, the contraction probe and the inner equation
-(``inner``) step with LSODA and analytic Jacobians at rtol 3e-14, atol
-1e-16 (the normalized inner equation at 1e-12, 1e-14).  scipy's Radau IIA
-is selectable as ``method="Radau"`` for tight reference solves; no stage
-of the package uses it.
+Each stage picks its stepper from one table, the read-only keyword sets
+:data:`EXTERIOR`, :data:`STIFF`, :data:`STIFF_TIGHT` and :data:`UPPER_ARC`
+passed as ``shoot(..., **NAME)``; each names its users and the reason for
+its values.  The Filippov flows keep ``shoot``'s defaults.  scipy's Radau
+IIA is selectable as ``method="Radau"`` for tight reference solves; no
+stage of the package uses it.
 
 RK45, DOP853 and Radau are scipy's ``OdeSolver`` objects.  LSODA steps on
 :class:`_Lsoda`, built on scipy's ``lsoda`` integrator class with no
@@ -77,6 +65,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -142,6 +131,37 @@ _SOLVERS = {"RK45": RK45, "DOP853": DOP853, "Radau": Radau}  # LSODA steps on _L
 _EPS4 = 4 * np.finfo(float).eps  # the brentq tolerance of solve_ivp's event location
 TOUCH = 1e-13  # a level this close to the state is touched: the step-off and turn tolerance
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # validate_tol raises a smaller rtol to this, with a warning
+
+# Orbits outside the strip: poincare.exterior_map (exterior returns, stage Pbar,
+# every landing), poincare._stage_P and bifurcation._stable_separatrix, on the
+# Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
+# At rtol 1e-11 the landings lie 3-5x farther from a tight reference; at 1e-12
+# those near the fold are within 5e-12 of DOP853 at rtol 1e-13.  The cap (a
+# graze is found at its turn, not by it) keeps exterior_map's landings within
+# the 1e-12 of a tier-1 test of the separatrix shot's, so the three share it:
+# without it two saddle-homoclinic W^s landings lie 1.2e-12 and 2.3e-12 off.
+EXTERIOR = MappingProxyType({"method": "DOP853", "rtol": 1e-12, "atol": 1e-14, "max_step": 0.25})
+# The stiff orbits: slow_manifold.strip_crossing (the middle map of every fold
+# and return map), inner._integrate_normalized and cli.cmd_simulate --eps, on
+# LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 1983).  A strip crossing takes
+# O(1/eps) explicit steps; LSODA's compiled ones cost about a fiftieth of scipy's
+# Radau at the same tolerances (normal fold, poly(2), eps = 1e-4: 1376 steps of
+# about 6.1 us against 3038 Radau steps in 0.54 s), and its exits and the
+# normalized inner etabar0(0) (p = 2, 3, 4) lie within 1e-11 and 3e-11 of Radau
+# at rtol 1e-13.  At rtol 1e-11 LSODA can stay in its non-stiff Adams mode along
+# the whole manifold at steps of order eps: about 13,000 steps instead of about
+# 650 on some linear eps = 1e-4 crossings (Shot.n_bdf counts the BDF steps).
+STIFF = MappingProxyType({"method": "LSODA", "rtol": 1e-12, "atol": 1e-14})
+# Stiff orbits held to about 1e-13: both legs of slow_manifold.trace_manifold,
+# slow_manifold.contraction_probe, inner._integrate_unscaled and
+# inner.eta1_check (the same denominator).  At rtol 1e-12 the linear strip exit
+# of criterion 2 misses 1e-13, and the p = 4 inner grid's interpolant reads
+# 3.5e-10 against its 1e-10 contract, even with the 0.01 step cap.
+STIFF_TIGHT = MappingProxyType({"method": "LSODA", "rtol": 3e-14, "atol": 1e-16})
+# The densely sampled Stribeck upper arc, bifurcation._upper_arc: RK45, not
+# DOP853, because the 0.02 cap for the dense samples binds, so the eighth-order
+# steps would be as many and each costs about twice as much.
+UPPER_ARC = MappingProxyType({"method": "RK45", "rtol": 1e-11, "atol": 1e-13, "max_step": 0.02})
 
 
 def _gap(stop: Stop, t: float, z: np.ndarray) -> float:  # the stop's signed distance

@@ -17,7 +17,7 @@ import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import FilippovSystem, PlanarField
-from slidekick.integrator import TOUCH, EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
+from slidekick.integrator import EXTERIOR, TOUCH, EventNotBracketed, NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.regularization import RegularizedSystem
 from slidekick.slow_manifold import strip_crossing
 
@@ -60,8 +60,7 @@ def _stage_P(x_plus: PlanarField, x: float, y0: float, y_strip: float) -> tuple[
     orbit that misses the strip).  A dip below the strip top inside one
     step is found at its turn (``integrator.shoot``).
     """
-    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), Stop(1, y0, 1)], method="DOP853",
-                 max_step=0.25, rtol=1e-12, atol=1e-14)
+    shot = shoot(x_plus.rhs, (0.0, 1e3), [x, y0], [Stop(1, y_strip, -1), Stop(1, y0, 1)], **EXTERIOR)
     if shot.stop is None:
         raise NoArrival(f"stage P: orbit from ({x}, {y0}) reached neither y = {y_strip} nor y0 again; "
                         f"last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
@@ -269,27 +268,19 @@ def exterior_map(
 
     This is the one section map of the package: the exterior return P^e,
     the stage Pbar of P_eps, the fold-orbit landings, and,
-    along ``field.negated()``, every backward landing.  The Dormand-Prince
-    8(5,3) pair DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10)
-    runs at rtol 1e-12, atol 1e-14 with steps capped at 0.25.  A dip below
-    the section inside one step is found at its turn (``integrator.shoot``),
-    not by the cap.  The cap keeps the landings close to those of the
-    separatrix shot, which has the same cap: without it two W^s landings of
-    saddle-homoclinic members lie 1.2e-12 and 2.3e-12 from the shared
-    separatrix's, past the 1e-12 of a tier-1 test.  At rtol 1e-11 it
-    would land 3-5x farther from a tight reference; at 1e-12 the landings
-    near the fold stay within 5e-12 of DOP853 at rtol 1e-13 (a tier-1
-    test).  ``NoArrival`` is raised when the orbit escapes before coming
-    back; in the sliding-homoclinic setting that is the meaningful signal
-    that the exterior map has lost its domain.  With ``floor_margin`` the
-    orbit is also considered lost if it dips below {y = floor_margin}.
-    Either message names the stage and the last state reached.
+    along ``field.negated()``, every backward landing, shot at
+    ``integrator.EXTERIOR``.  A dip below the section inside one step is
+    found at its turn (``integrator.shoot``).  ``NoArrival`` is raised when
+    the orbit escapes before coming back; in the sliding-homoclinic setting
+    that is the meaningful signal that the exterior map has lost its
+    domain.  With ``floor_margin`` the orbit is also considered lost if it
+    dips below {y = floor_margin}.  Either message names the stage and the
+    last state reached.
     """
     stops = [section_to.stop()]
     if floor_margin is not None:
         stops.append(Stop(1, floor_margin, -1))
-    shot = shoot(field.rhs, (0.0, t_max), start, stops, method="DOP853", max_step=0.25,
-                 rtol=1e-12, atol=1e-14)
+    shot = shoot(field.rhs, (0.0, t_max), start, stops, **EXTERIOR)
     if shot.stop == 0:
         return PoincareResult(x=float(shot.z[0]), time=shot.t)
     why = "dipped below the floor margin" if shot.stop else f"never reached y = {section_to.y0}"

@@ -153,8 +153,8 @@ class RegularizedSystem:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # NaN fails both
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def offset(self) -> float:

@@ -4,16 +4,9 @@ manifold through the strip, and the sandwich/isolating-block checks.
 All strip integrations use the orbit equations rather than time
 parametrization: as a graph v(x) while the manifold is a graph over x, and
 as a graph x(v) near the fold where m0' blows up.  Stiff steppers keep the
-cost independent of 1/eps along the attracting branch.  ``strip_crossing``
-steps with LSODA at rtol 1e-12, atol 1e-14, about fifty times cheaper than
-scipy's Radau at the same tolerances (normal fold, poly(2), eps = 1e-4:
-1376 steps of about 6.1 us, each with 1.7 ``rhs`` calls of about 1.1 us,
-against 3038 Radau steps in 0.54 s); at rtol 1e-11 LSODA can stay in its
-non-stiff Adams mode along the whole manifold at steps of order eps,
-twenty times the usual count.  ``trace_manifold`` and
-``contraction_probe`` step with LSODA at rtol 3e-14, atol 1e-16: the
-linear strip exit must be right to about 1e-13, and at rtol 1e-12 it is
-not.
+cost independent of 1/eps along the attracting branch: ``strip_crossing``
+steps at ``integrator.STIFF``, ``trace_manifold`` and ``contraction_probe``
+at ``integrator.STIFF_TIGHT``.
 
 A repeat ``strip_crossing`` of one ``RegularizedSystem`` joins the passage
 recorded by an earlier one.  Orbits entering the strip contract onto the
@@ -37,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.integrator import Stop, shoot
+from slidekick.integrator import STIFF, STIFF_TIGHT, Stop, shoot
 from slidekick.regularization import RegularizationProfile, RegularizedSystem
 
 
@@ -184,8 +177,7 @@ def trace_manifold(
     if to_v > 0.8 and R.profile.p >= 2:
         stops.append(Stop(0, 0.8, 1))
 
-    shot = shoot(rhs, (from_x, from_x + 50.0), [v_seed], stops, jac=jac, method="LSODA",
-                 rtol=3e-14, atol=1e-16, dense=True)
+    shot = shoot(rhs, (from_x, from_x + 50.0), [v_seed], stops, jac=jac, dense=True, **STIFF_TIGHT)
     grid = np.linspace(shot.ts[0], shot.t, 1200)
     xs_all.append(grid)
     vs_all.append(shot.dense(grid)[0])
@@ -195,8 +187,7 @@ def trace_manifold(
         exit_x = shot.t
     elif shot.stop == 1:
         # switch to the v-graph for the fold passage
-        leg = shoot(over_v, (float(shot.z[0]), to_v), [shot.t], method="LSODA",
-                    rtol=3e-14, atol=1e-16, dense=True)
+        leg = shoot(over_v, (float(shot.z[0]), to_v), [shot.t], dense=True, **STIFF_TIGHT)
         grid2 = np.linspace(leg.ts[0], leg.t, 600)
         vs_all.append(grid2)
         xs_all.append(leg.dense(grid2)[0])
@@ -318,8 +309,7 @@ def contraction_probe(
     rhs, jac, _over_v = _orbit_equation(R)
     shots = []
     for x0 in x0_list:
-        shot = shoot(rhs, (x0, 0.5), [1.0], [Stop(0, 1.0, 1)], jac=jac, method="LSODA",
-                     rtol=3e-14, atol=1e-16, dense=True)
+        shot = shoot(rhs, (x0, 0.5), [1.0], [Stop(0, 1.0, 1)], jac=jac, dense=True, **STIFF_TIGHT)
         if shot.stop is None:
             raise StripCrossingFailed(f"orbit from x0={x0} did not return to v=1")
         shots.append(shot)
@@ -405,7 +395,7 @@ def strip_crossing(
             x_k, v_k = float(xs[k]), vs[k]
             stops.append(Stop(g=lambda x, z: x - x_k, direction=1, accept=lambda z: abs(z[0] - v_k) <= _JOIN_TOL))
 
-    shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], stops, jac=jac, method="LSODA", rtol=1e-12, atol=1e-14)
+    shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], stops, jac=jac, **STIFF)
     if shot.stop == 1:
         raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
     if shot.stop is None or (shot.stop == 2 and rec.exit > x_limit):

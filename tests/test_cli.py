@@ -306,8 +306,25 @@ POINCARE = ("poincare", "--model", "normal-fold", "--probe=-0.8")
     (("manifold", "--profile", "linear", "--eps", "1e-3", "--from-x", "0.5"), None, 2),
     # a probe on the wrong side of the fold is outside the fold map's domain
     (("poincare", "--model", "normal-fold", "--eps", "1e-3", "--probe", "2.5"), None, 2),
+    # non-finite and non-positive numbers: these hung, printed NaN rows or
+    # ended in a scipy traceback, and a negative t-max integrated backward
+    (("inner", "--p", "2", "--phi-p", "-3", "--u-start", "nan"), None, 2),
+    (("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--t-max", "nan"), None, 2),
+    ((*POINCARE, "--eps", "nan"), None, 2),
+    ((*POINCARE, "--eps", "1e-3", "--y0", "nan"), None, 2),
+    (("friction", "--model", "coulomb", "--eps", "nan"), None, 2),
+    (("simulate", "--model", "normal-fold", "--start=nan,0.1"), None, 2),
+    (("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--t-max=-1"), None, 2),
+    (("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--t-max=-1", "--eps", "1e-3"), None, 2),
+    (("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "nan"), None, 2),
+    (("bifurcate", "--family", "grazing-attracting", "--eps", "1e-3", "--mu", "0:1:0"), None, 2),
+    (POINCARE, "eps = inf\n", 2),
+    # t-max runs out on Sigma before the section: no arrival, as with --eps
+    (("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25", "--t-max", "0.1"), None, 1),
 ], ids=["eps-abc", "eps-negative", "config-missing", "nu-abc", "p-x", "phi-p-sign", "mu-grid-x",
-        "start-one-number", "config-eps-abc", "manifold-pole", "probe-past-fold"])
+        "start-one-number", "config-eps-abc", "manifold-pole", "probe-past-fold", "u-start-nan",
+        "t-max-nan", "eps-nan", "y0-nan", "friction-eps-nan", "start-nan", "t-max-negative",
+        "t-max-negative-eps", "until-y-nan", "mu-grid-empty", "config-eps-inf", "t-max-before-section"])
 def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
     monkeypatch.chdir(tmp_path)
     if config is None:

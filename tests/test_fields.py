@@ -18,7 +18,7 @@ from slidekick.fields import (
     find_fold,
     sliding_field,
 )
-from slidekick.integrator import Section
+from slidekick.integrator import NoArrival, Section
 from slidekick.models import model
 
 
@@ -214,6 +214,16 @@ def test_filippov_flow_section_on_sigma(normal_form):
     assert [e.kind for e in traj.events] == ["slide_start"]
     assert traj.end[0] == traj.events[0].t
     assert traj.end[2] == 0.0
+
+
+@pytest.mark.parametrize("stop, t_max", [(Section(0.25, "all", id="target"), 0.1), ("sliding", 0.05)],
+                         ids=["section-mid-slide", "sliding-before-sigma"])
+def test_filippov_flow_raises_when_time_runs_out(normal_form, stop, t_max):
+    # t_max running out before the stop is no arrival, whether the flow is
+    # sliding on Sigma (t = 0.1) or still above it (the slide starts at
+    # t = 0.067); the error names the last state
+    with pytest.raises(NoArrival, match=rf"t_max={t_max} ran out .*last state t={t_max}, "):
+        filippov_flow(normal_form, (-0.8, 0.1), stop, t_max=t_max)
 
 
 def test_readme_simulate_shoots_arc_slide_arc(shoot_calls):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slidekick import inner
+from slidekick.errors import ConfigError
 from slidekick.inner import (
     InnerSolution,
     SeedInconsistent,
@@ -49,6 +50,13 @@ def test_parity_guards():
         distinguished_solution(3, -2.5)
     with pytest.raises(SeedInconsistent):
         distinguished_solution(2, -1.5, -5.0)
+
+
+@pytest.mark.parametrize("u_start", [math.nan, -math.inf])
+def test_non_finite_u_start_rejected(u_start):
+    # a NaN start passed the old `u_start > -10` check and hung the shot
+    with pytest.raises(ConfigError):
+        distinguished_solution(2, -1.5, u_start)
 
 
 @pytest.mark.parametrize("p", [-1, 0, 1])

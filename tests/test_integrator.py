@@ -186,6 +186,39 @@ def test_no_module_selects_radau():
     assert integrator._SOLVERS["Radau"] is Radau
 
 
+def test_shot_settings_come_from_the_table():
+    # a stage's method and tolerances are written once, in integrator's table:
+    # no other module passes method, rtol or atol to shoot or integrate as a
+    # literal (a call spreads **EXTERIOR, **STIFF, ... instead)
+    src = Path(slidekick.__file__).parent
+    literals = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "integrator.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("shoot", "integrate")):
+                continue
+            for kw in node.keywords:
+                if kw.arg in ("method", "rtol", "atol"):
+                    try:
+                        ast.literal_eval(kw.value)
+                    except ValueError:
+                        continue
+                    literals.append(f"{path.name}:{kw.value.lineno} {kw.arg}")
+    assert literals == []
+
+
+def test_shot_settings_table():
+    # the values every stage has been shot at, in read-only keyword sets
+    assert dict(integrator.EXTERIOR) == {"method": "DOP853", "rtol": 1e-12, "atol": 1e-14, "max_step": 0.25}
+    assert dict(integrator.STIFF) == {"method": "LSODA", "rtol": 1e-12, "atol": 1e-14}
+    assert dict(integrator.STIFF_TIGHT) == {"method": "LSODA", "rtol": 3e-14, "atol": 1e-16}
+    assert dict(integrator.UPPER_ARC) == {"method": "RK45", "rtol": 1e-11, "atol": 1e-13, "max_step": 0.02}
+    with pytest.raises(TypeError):
+        integrator.STIFF["rtol"] = 1e-11
+
+
 @pytest.mark.parametrize("method, extra", [("LSODA", False), ("RK45", True)])
 def test_turn_costs_calls_only_where_the_rate_is_held(method, extra):
     # circles about the origin turn at x = -1 once a loop without reaching

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slidekick.errors import ConfigError
 from slidekick.regularization import (
     InvalidP,
     RegularizedSystem,
@@ -163,3 +164,10 @@ def test_profile_promises(p, v, w, out):
     if out > 1.0:
         assert prof(out) == 1.0 and prof(-out) == -1.0
         assert all(prof.deriv(s * out, k) == 0.0 for s in (1.0, -1.0) for k in range(1, p + 3))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_non_positive_or_non_finite_eps_rejected(normal_form, eps):
+    # a NaN eps passed the old `eps <= 0` check and gave NaN fold maps
+    with pytest.raises(ConfigError):
+        RegularizedSystem(normal_form, phi_linear(), eps)
