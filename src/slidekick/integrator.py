@@ -48,6 +48,8 @@ and ``nlu`` are scipy ``LSODA``'s to the bit.  Both expose ``step()``,
 ``t``, ``t_old``, ``y`` and ``status``, and one loop steps them; the type
 of the stepper fixes, once per shot, whether turns are looked for (an
 ``OdeSolver`` holds the rate ``f``) and what a step leaves for dense output.
+scipy 1.17.1's runner never frees the work arrays it steps on, so an ended
+LSODA shot gives its pair to a free list, and the next stepper reuses it.
 
 Dense output is scipy's interpolant of each step, joined as ``OdeSolution``
 joins them.  An LSODA step builds no interpolant object: it records its
@@ -63,7 +65,9 @@ step.
 
 from __future__ import annotations
 
+import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
@@ -73,7 +77,7 @@ from scipy.integrate import DOP853, RK45, OdeSolution, Radau, _ode
 from scipy.integrate._ivp.common import validate_tol
 from scipy.optimize import brentq
 
-from slidekick.errors import NumericalFailure
+from slidekick.errors import ConfigError, NumericalFailure
 
 if TYPE_CHECKING:
     from slidekick.fields import PlanarField
@@ -131,6 +135,7 @@ _SOLVERS = {"RK45": RK45, "DOP853": DOP853, "Radau": Radau}  # LSODA steps on _L
 _EPS4 = 4 * np.finfo(float).eps  # the brentq tolerance of solve_ivp's event location
 TOUCH = 1e-13  # a level this close to the state is touched: the step-off and turn tolerance
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # validate_tol raises a smaller rtol to this, with a warning
+_FREE_WORK: dict[tuple[int, int], list] = {}  # (rwork, iwork) pairs of ended LSODA shots, by their lengths
 
 # Orbits outside the strip: poincare.exterior_map (exterior returns, stage Pbar,
 # every landing), poincare._stage_P and bifurcation._stable_separatrix, on the
@@ -214,10 +219,13 @@ def shoot(
     Raises ``EventNotBracketed`` for a start on an accepted level with zero
     rate, ``StepSizeUnderflow`` when the solver's step size collapses and
     ``NumericalFailure`` with the solver's message on any other failure (for
-    LSODA: its istate, scipy's text for it and the last (t, z) reached).
+    LSODA: its istate, scipy's text for it and the last (t, z) reached), and
+    ``ConfigError``, before any ``rhs`` call, on a non-finite ``t_span`` or ``z0``.
     """
     t_cur, t_end = float(t_span[0]), float(t_span[1])
     z_cur = np.asarray(z0, dtype=float)
+    if not all(map(math.isfinite, (t_cur, t_end, *z_cur.tolist()))):
+        raise ConfigError(f"shoot needs a finite t_span and z0, got t_span={t_span}, z0={z_cur.tolist()}")
     for s in stops:
         if s.g is None and abs(z_cur[s.component] - s.level) <= TOUCH:
             f0 = np.asarray(rhs(t_cur, z_cur), dtype=float)
@@ -235,7 +243,12 @@ def shoot(
     else:
         extra = {"jac": jac} if jac is not None else {}
         stepper = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
-    ts, zs, parts, fired = _step_loop(stepper, rhs, stops, dense)
+    try:
+        ts, zs, parts, fired = _step_loop(stepper, rhs, stops, dense)
+        nfev, njev, nlu, n_bdf = int(stepper.nfev), int(stepper.njev), int(stepper.nlu), stepper.n_bdf if lsoda else 0
+    finally:
+        if lsoda:
+            stepper.release()
     ts = np.array(ts)
     steps = ts[1:] - ts[:-1]  # before the polished hit replaces the root
     # both evaluators keep views of ts, so the polished hit bounds the last segment
@@ -243,9 +256,8 @@ def shoot(
     if fired is not None:
         ts[-1], zs[:, -1] = fired[1]  # the polished hit replaces the bracketed root
     return Shot(stop=None if fired is None else fired[0], t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs,
-                dense=out, n_steps=len(ts) - 1, nfev=int(stepper.nfev), min_step=float(steps[steps > 0.0].min(
-                    initial=np.inf)), njev=int(stepper.njev), nlu=int(stepper.nlu),
-                n_bdf=stepper.n_bdf if lsoda else 0)
+                dense=out, n_steps=len(ts) - 1, nfev=nfev, min_step=float(steps[steps > 0.0].min(initial=np.inf)),
+                njev=njev, nlu=nlu, n_bdf=n_bdf)
 
 
 def _first_hit(stops, brackets, sol, rhs, last):
@@ -327,15 +339,23 @@ class _Lsoda:
     ``lsoda`` integrator class, with the settings of scipy's ``LSODA``: its
     tolerance check, ``rwork[0] = t_bound`` and ``itask = 5`` (one step that
     does not pass ``t_bound``).  No ``ode`` object is built, a step is one
-    runner call that writes ``y`` in place, and ``rhs`` has no wrapper."""
+    runner call that writes ``y`` in place, and ``rhs`` has no wrapper.
+    The runner keeps a reference to its ``rwork`` and ``iwork`` on every step,
+    so the stepper takes a free pair from ``_FREE_WORK`` if there is one, every
+    slot rewritten as ``reset`` wrote it, and :meth:`release` gives it back;
+    ``list.pop`` and ``append`` are atomic, so no two steppers share a pair."""
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, t_bound: float, *, rtol: float, atol: float,
                  max_step: float, jac: Callable | None):
         if not (isinstance(rtol, float) and isinstance(atol, float) and rtol >= _RTOL_FLOOR and atol >= 0.0):
             rtol, atol = validate_tol(rtol, atol, len(y0))  # LSODA's check, where it can change or reject one
         self.lsoda = lsoda = _ode.lsoda(rtol=rtol, atol=atol, max_step=0.0 if max_step == np.inf else max_step)
-        lsoda.reset(len(y0), jac is not None)  # fresh work arrays; a max_step of 0 is no bound
+        lsoda.reset(len(y0), jac is not None)  # a max_step of 0 is no bound
         lsoda.rwork[0], self.y = t_bound, np.array(y0, dtype=float)
+        with suppress(IndexError):  # no free pair: step on reset's
+            rwork, iwork = _FREE_WORK.setdefault((lsoda.rwork.size, lsoda.iwork.size), []).pop()
+            rwork[:], iwork[:] = lsoda.rwork, lsoda.iwork  # nothing of the pair's last shot survives
+            lsoda.rwork, lsoda.iwork = rwork, iwork
         # rhs, y, t, tout, rtol, atol, itask, istate, rwork, iwork, jac, jt, f/jac params and the saved state
         self._args = [rhs, self.y, t0, t_bound, rtol, atol, 5, 1, lsoda.rwork, lsoda.iwork, jac or (lambda: None),
                       lsoda.call_args[6], (), 1, (), lsoda.state_doubles, lsoda.state_ints]
@@ -363,6 +383,10 @@ class _Lsoda:
         self.n_bdf += self._method_used[18] == 2
         if (t_new >= self.t_bound) if self.forward else (t_new <= self.t_bound):
             self.status = "finished"
+
+    def release(self) -> None:
+        """Free the work arrays for the next stepper; this one is not read again."""
+        _FREE_WORK[self.lsoda.rwork.size, self.lsoda.iwork.size].append((self.lsoda.rwork, self.lsoda.iwork))
 
     @property
     def nfev(self) -> int:

@@ -1,3 +1,4 @@
+import signal
 from typing import NamedTuple
 
 import pytest
@@ -15,6 +16,20 @@ def _no_recorded_passages():
     session-scoped models and profiles make equal ``RegularizedSystem`` keys
     recur across tests, and a joined crossing must not leak between them."""
     slow_manifold._passages.clear()
+
+
+@pytest.fixture
+def hang_guard():
+    """Raises ``TimeoutError`` in a test still running after 10 s, so a shot
+    that never finishes fails the suite instead of stalling it."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,9 @@
 import ast
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,7 @@ import slidekick
 from slidekick import bifurcation, fields, inner, integrator, poincare, slow_manifold
 from slidekick.bifurcation import _stable_separatrix
 from slidekick.cli import _write_trajectory
-from slidekick.errors import NumericalFailure
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import FilippovSystem, PlanarField, filippov_flow, find_fold
 from slidekick.inner import distinguished_solution, eta1_check, normalized_solution
 from slidekick.integrator import (
@@ -517,6 +521,100 @@ def test_lsoda_shots_share_no_state():
                               (decay, [1.0], {"rtol": 1e-8, "atol": 1e-10})):
         steps, *_ = _step_alongside_lsoda(rhs, 0.0, np.array(z0), 20.0, {**settings, "max_step": np.inf, "jac": None})
         assert steps > 50
+
+
+def test_lsoda_shot_after_a_raising_rhs_steps_as_scipys():
+    # a shot whose rhs raises mid-integration gives its work arrays back with
+    # its state in them; the next stepper of that size takes that very pair
+    # and still steps bitwise like a fresh scipy LSODA
+    def oscillator(t, z):
+        return [z[1], -z[0] - 0.1 * z[1]]
+
+    calls = 0
+
+    def failing(t, z):
+        nonlocal calls
+        calls += 1
+        if calls > 40:
+            raise KeyError("rhs failed")
+        return oscillator(t, z)
+
+    with pytest.raises(KeyError, match="rhs failed"):
+        shoot(failing, (0.0, 20.0), [1.0, 0.0], method="LSODA", rtol=1e-8, atol=1e-10)
+    rwork, iwork = integrator._FREE_WORK[52, 22][-1]  # lrw, liw of a 2-D shot without Jacobian
+    settings = {"rtol": 1e-10, "atol": 1e-12, "max_step": np.inf, "jac": None}
+    steps, _, stepper, _ = _step_alongside_lsoda(oscillator, 0.0, np.array([1.0, 0.0]), 20.0, settings)
+    assert stepper.lsoda.rwork is rwork and stepper.lsoda.iwork is iwork and steps > 50
+
+
+def test_lsoda_shots_grow_no_memory():
+    # scipy 1.17.1's runner keeps a reference to the work arrays of every
+    # step, so shots that each stepped on their own pair leaked about 0.8 KB
+    # apiece; on the reused pairs 2000 shots grow nothing
+    def oscillator(t, z):
+        return [z[1], -z[0]]
+
+    for _ in range(10):
+        shoot(oscillator, (0.0, 0.1), [1.0, 0.0], method="LSODA")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            shoot(oscillator, (0.0, 0.1), [1.0, 0.0], method="LSODA")
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+def test_lsoda_shots_in_two_threads_step_as_in_series(monkeypatch):
+    # two threads draw on one pool of work arrays: each makes the same 20
+    # Coulomb crossings on its own RegularizedSystem, with the interpreter
+    # switching threads every 10 us, and its exits, times and shot counts
+    # equal a serial run's to the bit
+    entries = np.linspace(0.9, 0.999, 20).tolist()
+    local, start = threading.local(), threading.Barrier(2)
+
+    def record(*args, **kwargs):
+        shot = shoot(*args, **kwargs)
+        local.counts.append((shot.n_steps, shot.nfev, shot.njev, shot.nlu, shot.n_bdf))
+        return shot
+
+    def crossings(barrier=None):
+        local.counts = []
+        R = RegularizedSystem(model("coulomb", check=False).system, phi_polynomial(2), 1e-3)
+        if barrier is not None:
+            barrier.wait()
+        return [strip_crossing(R, x, x_limit=1.45) for x in entries], local.counts
+
+    monkeypatch.setattr(slow_manifold, "shoot", record)
+    serial = crossings()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [f.result() for f in [pool.submit(crossings, start) for _ in range(2)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(serial[1]) == len(entries)
+    assert all(run == serial for run in runs)
+
+
+@pytest.mark.parametrize("method", ["LSODA", "RK45"])
+@pytest.mark.parametrize("t_span, z0", [
+    ((0.0, 1.0), [0.1, math.inf]), ((0.0, 1.0), [math.nan, 0.0]), ((math.nan, 1.0), [0.1, 0.0]),
+    ((-math.inf, 1.0), [0.1, 0.0]), ((0.0, math.nan), [0.1, 0.0]), ((0.0, math.inf), [0.1, 0.0]),
+], ids=["z-inf", "z-nan", "t0-nan", "t0-inf", "t1-nan", "t1-inf"])
+def test_shoot_rejects_non_finite_inputs(hang_guard, method, t_span, z0):
+    # an infinite z0 entry gave 9 LSODA steps of inf with no error, and a NaN
+    # start left LSODA's t at NaN, so the shot never finished; an infinite
+    # end, which no caller needs, let a stop that never fires run forever
+    calls = []
+    with pytest.raises(ConfigError, match="finite"):
+        shoot(lambda t, z: calls.append(t) or [1.0, 0.0], t_span, z0, [Stop(0, 0.1, 1)], method=method)
+    assert calls == []
 
 
 def test_lsoda_failure_names_istate_and_state():

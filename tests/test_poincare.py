@@ -242,6 +242,12 @@ def test_fit_power_law_rejects_values_without_a_log(bad):
         fit_power_law([1e-5, 1e-4, 1e-3], [1e-5, bad, 1e-3])
 
 
+def test_exterior_map_rejects_a_nan_start():
+    # scipy's raw ValueError on a non-finite y0 is now the package's ConfigError
+    with pytest.raises(ConfigError, match="finite"):
+        exterior_map(model("normal-fold").system.x_plus, (math.nan, 0.25), Section(0.25))
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-5, math.nan, math.inf])
 def test_fit_power_law_rejects_eps_without_a_log(bad):
     # eps 0 and -1e-5 ended in numpy's LinAlgError: SVD did not converge

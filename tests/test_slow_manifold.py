@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slidekick import models, slow_manifold
+from slidekick.errors import ConfigError
 from slidekick.integrator import Stop, shoot
 from slidekick.regularization import (
     RegularizationProfile,
@@ -332,6 +333,14 @@ def test_strip_crossing_work_and_digits_pinned(shoot_calls, model_id, profile, e
     (call,) = calls
     assert (call.shot.n_steps, call.shot.nfev, call.shot.n_bdf) == (n_steps, nfev, n_bdf)
     assert tuple(map(repr, got)) == (exit, time)
+
+
+@pytest.mark.parametrize("model_id, x_limit", [("normal-fold", 0.4), ("coulomb", 1.45)])
+def test_strip_crossing_rejects_a_nan_entry(hang_guard, model_id, x_limit):
+    # a NaN entry became a NaN start time, and the LSODA shot spun forever
+    R = RegularizedSystem(models.model(model_id, check=False).system, phi_polynomial(2), 1e-3)
+    with pytest.raises(ConfigError, match="finite"):
+        strip_crossing(R, math.nan, x_limit=x_limit)
 
 
 def test_strip_crossing_miss_is_a_plain_crossing(normal_form, poly2, shoot_calls):
