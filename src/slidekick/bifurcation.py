@@ -276,11 +276,12 @@ class HomoclinicScan:
     alpha_plus: float
 
 
-def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]:
+def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float]:
     """Landing of W^s(saddle) on {y = level}: the first crossing of one dense
     backward shot (at ``EXTERIOR``, ``exterior_map``'s setting) down the
-    saddle's loop-side branch to its lowest point or the switching line,
-    None if it misses."""
+    saddle's loop-side branch to its lowest point or the switching line.
+    Raises ``NoArrival``, naming the level, if the branch never comes down
+    to it."""
     w, V = saddle_eigen(desc)
     if not (w[0] > 0.0 > w[1]):
         raise SaddleNotResolved(f"eigenvalues {w} are not a saddle pair")
@@ -290,10 +291,10 @@ def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float | None]
                  [Stop(1, desc.system.offset, -1), Stop(g=lambda t, z: fld(z[0], z[1])[1], direction=1)],
                  dense=True, **EXTERIOR)
 
-    def landing(level: float) -> float | None:
+    def landing(level: float) -> float:
         k = int(np.argmax(shot.zs[1] <= level))  # the first step end at or below the level
         if k == 0:
-            return None
+            raise NoArrival(f"W^s of the saddle never comes down to y = {level}")
         t = brentq(lambda t: shot.dense(t)[1] - level, shot.ts[k - 1], shot.ts[k], xtol=1e-14)
         return float(shot.dense(t)[0])
 
@@ -324,18 +325,12 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
     base = make_model(0.0)
     if not base.facts.get("shifts_with_mu"):
         raise ConfigError(f"{base.id}: the homoclinic scan needs member 0's fact shifts_with_mu")
-    shared = _stable_separatrix(base)
-
-    def w_s(mu_raw: float) -> float:
-        x0s = shared(y0 - mu_raw)
-        if x0s is None:
-            raise NoArrival(f"W^s of member {mu_raw} never comes down to y = {y0}")
-        return x0s
+    stable_landing = _stable_separatrix(base)
 
     def mu_paper(mu_raw: float) -> float:
         desc = make_model(mu_raw) if mu_raw else base
         x0p = exterior_map(desc.system.x_plus, (desc.fold().x, desc.system.offset), Section(y0)).x
-        return x0p - w_s(mu_raw)
+        return x0p - stable_landing(y0 - mu_raw)
 
     # linearize mu_paper(mu_raw) once; each inversion is a secant iteration
     # whose first step is this linearization
@@ -375,7 +370,7 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
             return desc, f, R_eps, map_P_epsilon(R_eps, y0, x0_minus - 0.05, fold=f).x
 
         def gap(mu_raw: float) -> float:
-            return member(mu_raw)[3] - w_s(mu_raw)
+            return member(mu_raw)[3] - stable_landing(y0 - mu_raw)
 
         @cache  # a probe at mu_tilde = 0 and the bracket's lower end share raw0
         def orbit_exists(mu_raw: float) -> tuple[bool, float | None]:

@@ -9,13 +9,15 @@ universal constant in the eps^{p/(2p-1)} exit abscissa.
 Two routes are kept: direct integration of the unscaled equation, and the
 normalized form  d(etabar)/d(ubar) = 1/(etabar + ubar^p)  mapped back
 through the scaling constants alpha, beta.  They differ in variable,
-scaling and seed, so their agreement checks one against the other; both
-step with LSODA (Petzold 1983) and an analytic Jacobian, whose compiled
-steps cost about a tenth of scipy's Python-level Radau.  Agreement with a
-tight Radau solve is a test of its own.  For odd p the normalized variable
-carries a sign flip (alpha < 0), which turns the sign-reversed odd-p
-equation into the same normalized form; the distinguished branch then sits
-below the null-cline instead of above it.
+scaling and seed, so their agreement checks one against the other.  Their
+variables, D = 4 eta - c_p u^p and w = etabar + ubar^p, obey one Riccati
+family dz/du = a/z + b u^(p-1) (a = 8, b = -p c_p and a = 1, b = p), which
+one shot steps with LSODA (Petzold 1983) and the analytic Jacobian; its
+compiled steps cost about a tenth of scipy's Python-level Radau.
+Agreement with a tight Radau solve is a test of its own.  For odd p the
+normalized variable carries a sign flip (alpha < 0), which turns the
+sign-reversed odd-p equation into the same normalized form; the
+distinguished branch then sits below the null-cline instead of above it.
 """
 
 from __future__ import annotations
@@ -111,28 +113,34 @@ class InnerSolution:
         return (self.den + self.c_p * self.u**self.p) / 4.0
 
 
+def _riccati_shot(p: int, a: float, b: float, u_span: tuple[float, float], z0: float, direction: int, **settings):
+    # dz/du = a/z + b u^(p-1), the inner equation in either scaling; z reaching 0
+    # in ``direction`` crosses the null-cline, which the distinguished branch never meets
+    def rhs(u, z):
+        return [a / z[0] + b * u ** (p - 1)]
+
+    def jac(u, z):
+        return [[-a / (z[0] * z[0])]]
+
+    shot = shoot(rhs, u_span, [z0], [Stop(0, 0.0, direction)], jac=jac, **settings)
+    if shot.stop is not None:
+        raise BlowUp(f"the denominator crossed zero integrating from u={u_span[0]}")
+    return shot
+
+
 def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np.inf, dense: bool = False):
     # integrate the denominator D = 4 eta - c_p u^p instead of eta itself:
     # D stays O(1) while eta grows like u^p, so no precision is lost to the
-    # cancellation 4 eta - c_p u^p, and eta(0) = D(0)/4 exactly
-    def rhs(u, z):
-        return [8.0 / z[0] - p * c_p * u ** (p - 1)]
-
-    def jac(u, z):
-        return [[-8.0 / (z[0] * z[0])]]
-
-    # the two-term series leaves a remainder O(u^{2-3p}) that would relax
+    # cancellation 4 eta - c_p u^p, and eta(0) = D(0)/4 exactly.
+    # The two-term series leaves a remainder O(u^{2-3p}) that would relax
     # onto the branch in a boundary layer at u_start and pollute the dense
     # output there; the third term comes from the normalized series mapped
     # back through alpha, beta
     alpha, beta = alpha_beta(p, c_p)
     third = -((p - 1) / p**3) * beta ** (2 - 3 * p) / alpha * u_start ** (2 - 3 * p)
     d_seed = 4.0 * (asymptotic_seed(p, c_p, u_start) + third) - c_p * u_start**p
-    shot = shoot(rhs, (u_start, 0.0), [d_seed], [Stop(0, 0.0, -1)], jac=jac, max_step=max_step, dense=dense,
-                 **STIFF_TIGHT)
-    if shot.stop is not None:
-        raise BlowUp(f"denominator crossed zero integrating from u_start={u_start}")
-    return shot
+    return _riccati_shot(p, 8.0, -(p * c_p), (u_start, 0.0), d_seed, -1, max_step=max_step, dense=dense,
+                         **STIFF_TIGHT)
 
 
 def _richardson(v_near: float, v_deep: float, r: float) -> tuple[float, float]:
@@ -209,21 +217,10 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
     The distinguished branch keeps w of one sign (positive for even p,
     negative for odd p) and w ~ -(1/p) ubar^{1-p}, so the variable stays
     well scaled.  The seed defaults to the three-term series at u_start.
-    The shot is at ``STIFF``, with the analytic Jacobian.
     """
-    def rhs(u, z):
-        return [1.0 / z[0] + p * u ** (p - 1)]
-
-    def jac(u, z):
-        return [[-1.0 / (z[0] * z[0])]]
-
     if w_seed is None:
         w_seed = -(1.0 / p) * u_start ** (1 - p) - ((p - 1) / p**3) * u_start ** (2 - 3 * p)
-    shot = shoot(rhs, (u_start, u_end), [w_seed], [Stop(0, 0.0, -1 if p % 2 == 0 else 1)], jac=jac, dense=dense,
-                 **STIFF)
-    if shot.stop is not None:
-        raise BlowUp(f"normalized denominator crossed zero from u_start={u_start}")
-    return shot
+    return _riccati_shot(p, 1.0, p, (u_start, u_end), w_seed, -1 if p % 2 == 0 else 1, dense=dense, **STIFF)
 
 
 @lru_cache(maxsize=64)

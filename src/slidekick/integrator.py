@@ -555,26 +555,22 @@ def integrate(
     start: tuple[float, float],
     until: "Section | float",
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    method: str = "RK45",
-    max_step: float = np.inf,
     t_max: float = 1e4,
     strip: float | None = None,
     strip_center: float = 0.0,
+    **settings,
 ) -> Trajectory:
     """Integrate ``field`` from ``start`` until ``until``, a :class:`Section`
-    (its crossing Newton-polished) or a final time.  With ``strip``, entries
-    into and exits from the band |y - strip_center| <= strip are annotated.
-    Raises ``StepSizeUnderflow`` on stiffness collapse and
-    ``EventNotBracketed`` for a start on the target section with no
-    outgoing velocity."""
+    (its crossing Newton-polished) or a final time, by one :func:`shoot` with
+    the solver ``settings`` given (``method``, ``rtol``, ``atol``, ``max_step``).
+    With ``strip``, entries into and exits from the band |y - strip_center| <=
+    strip are annotated.  Raises ``shoot``'s errors, and ``NoArrival`` when
+    ``t_max`` runs out before the section."""
     if isinstance(until, Section):
         stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
     else:
         stops, t_end, kind = [], float(until), ""
-    shot = shoot(field.rhs, (0.0, t_end), start, stops, method=method, rtol=rtol, atol=atol,
-                 max_step=max_step, dense=strip is not None)
+    shot = shoot(field.rhs, (0.0, t_end), start, stops, dense=strip is not None, **settings)
     if stops and shot.stop is None:
         raise NoArrival("integration reached t_max before the stopping condition")
     notes = [] if strip is None else _strip_notes(shot, field.rhs, strip, strip_center)

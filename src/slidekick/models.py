@@ -297,20 +297,13 @@ def _self_check(desc: ModelDescriptor) -> None:
     if not fold.visible:
         raise BadParams(f"{desc.id}: the fold is not visible")
 
-    if desc.id == "normal-fold":
-        eps, y0 = 1e-3, 0.25
-        for x in (-0.9, -0.7, -0.6):
-            want = desc.facts["P_exact"](x, eps, y0)
-            got = exterior_map(desc.system.x_plus, (x, y0), Section(eps)).x
-            if abs(want - got) > 1e-9:
-                raise BadParams(f"{desc.id}: P closed form mismatch at x={x}")
-    if desc.id == "coulomb":
-        y0, h = 0.25, 0.1
-        for x in (0.05, 0.2, 0.45):
-            want = desc.facts["P_exact"](x, h, y0)
-            got = exterior_map(desc.system.x_plus, (x, y0), Section(h)).x
-            if abs(want - got) > 1e-9:
-                raise BadParams("coulomb: circle map mismatch")
+    # (h, probes x): the X+ map from (x, 0.25) to {y = h} against its closed form P_exact(x, h, 0.25)
+    closed_forms = {"normal-fold": (1e-3, (-0.9, -0.7, -0.6)), "coulomb": (0.1, (0.05, 0.2, 0.45))}
+    h, xs = closed_forms.get(desc.id, (None, ()))
+    for x in xs:
+        got = exterior_map(desc.system.x_plus, (x, 0.25), Section(h)).x
+        if abs(desc.facts["P_exact"](x, h, 0.25) - got) > 1e-9:
+            raise BadParams(f"{desc.id}: P closed form mismatch at x={x}")
     if desc.id == "stribeck":
         # the unstable pseudo-separatrix of the fold must come back to the
         # switching line inside the sliding segment

@@ -22,7 +22,7 @@ from slidekick.bifurcation import (
 )
 from slidekick.errors import ConfigError
 from slidekick.fields import filippov_flow, sign_changes
-from slidekick.integrator import PoincareResult, Section
+from slidekick.integrator import NoArrival, PoincareResult, Section
 from slidekick.models import Y_TANGENT, model, saddle_eigen
 from slidekick.poincare import exterior_map, map_P_epsilon, normal_form_constants
 from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
@@ -279,8 +279,9 @@ def test_shared_separatrix_lands_like_each_member(nu):
         assert shared(0.25 - mu) == pytest.approx(fresh, abs=1e-12)
         assert _stable_separatrix(member)(0.25) == pytest.approx(fresh, abs=1e-12)
     # levels above the saddle or below the switching line are not reached
-    assert shared(0.9) is None
-    assert shared(-0.1) is None
+    for level in (0.9, -0.1):
+        with pytest.raises(NoArrival, match=f"y = {level}"):
+            shared(level)
 
 
 def _separatrix_shots(shoot_calls, monkeypatch):
