@@ -125,6 +125,7 @@ def grazing_sliding_scan(
     y0, c, s = facts["y0"], facts["c"], facts["gamma_sign"]
     pe0 = facts["exterior_factory"](0.0)
     R_eps = RegularizedSystem(desc.system, profile, eps)
+    R_eps.check_section(y0)  # the tangent orbit xbar grazes the strip top from above y0
 
     @cache  # shared by every member: G does not depend on mu
     def G(x: float) -> float:
@@ -196,6 +197,7 @@ def centre_semistability(
     """
     facts = desc.facts
     R_eps = RegularizedSystem(desc.system, profile, eps)
+    R_eps.check_section(y0)  # the tangent orbit grazes the strip top from above y0
     fold_x = facts["fold_x"]
     x_bar = facts["tangent_orbit_x"](eps, y0)
     pe = facts["exterior_exact"]

@@ -219,7 +219,8 @@ def shoot(
     Raises ``EventNotBracketed`` for a start on an accepted level with zero
     rate, ``StepSizeUnderflow`` when the solver's step size collapses and
     ``NumericalFailure`` with the solver's message on any other failure (for
-    LSODA: its istate, scipy's text for it and the last (t, z) reached), and
+    LSODA: its istate, scipy's text for it and the last (t, z) reached, also
+    for a step that cannot advance), and
     ``ConfigError``, before any ``rhs`` call, on a non-finite ``t_span`` or ``z0``.
     """
     t_cur, t_end = float(t_span[0]), float(t_span[1])
@@ -367,7 +368,8 @@ class _Lsoda:
         """One step, as ``OdeSolver.step`` takes it (a zero-length span is one
         empty step) and counted in ``n_bdf`` if taken in BDF mode.  A failure warns
         with scipy's text, then raises ``NumericalFailure`` with the istate, its
-        message and the last state."""
+        message and the last state; so does a step that ends at a t that is not
+        finite, or that leaves t where it was with a state that is not finite."""
         t, args = self.t, self._args
         if t == self.t_bound:
             self.t_old, self.status = t, "finished"
@@ -379,6 +381,11 @@ class _Lsoda:
             warnings.warn(f"lsoda: {message or f'Unexpected istate={istate:d}'}", stacklevel=2)
             raise NumericalFailure(f"LSODA failed with istate {istate} ({message or 'unknown istate'}) "
                                    f"at t={t_new!r}, z={self.y.tolist()}")
+        if t_new == t or not math.isfinite(t_new):
+            # a step shorter than ulp(t) leaves t as it was and can recover; a t
+            # that is not finite, or a stuck t with a state that is not, never does
+            if not (math.isfinite(t_new) and np.isfinite(self.y).all()):
+                raise NumericalFailure(f"LSODA cannot advance (istate {istate}) at t={t_new!r}, z={self.y.tolist()}")
         args[7], self.t_old, self.t = 2, t, t_new  # istate 2 continues the integration
         self.n_bdf += self._method_used[18] == 2
         if (t_new >= self.t_bound) if self.forward else (t_new <= self.t_bound):
@@ -471,12 +478,17 @@ def _turn(rate: Callable[[float], float], a: float, b: float, rate_a: float, rat
 class Section:
     """A horizontal Poincare section {y = y0} restricted to a half-line:
     ``half`` keeps x < edge ("x<0"), x > edge ("x>0") or the whole line
-    ("all"); the half-line's end point ``edge`` defaults to 0."""
+    ("all"), and any other ``half`` is a ``ConfigError``; the half-line's
+    end point ``edge`` defaults to 0."""
 
     y0: float
     half: str = "all"  # "x<0" | "x>0" | "all"
     id: str = ""
     edge: float = 0.0
+
+    def __post_init__(self):
+        if self.half not in ("x<0", "x>0", "all"):
+            raise ConfigError(f"a section's half must be 'x<0', 'x>0' or 'all', got {self.half!r}")
 
     def contains(self, x: float) -> bool:
         if self.half == "x<0":

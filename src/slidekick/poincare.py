@@ -121,9 +121,7 @@ def map_P_epsilon(
     fold): a start elsewhere, or a section at or below the strip top, is a
     ``ConfigError`` raised before any shot.
     """
-    y_strip = R.base.offset + R.epsilon
-    if y0 <= y_strip:
-        raise ConfigError(f"section y0={y0} must lie above the strip top y={y_strip}")
+    y_strip = R.check_section(y0)
     f = R.base.x_plus(x, y0)
     if not (x < fold and f[1] < 0.0):
         raise ConfigError(f"start x={x} must lie left of the fold x={fold}, where X+ points down across y0={y0}")

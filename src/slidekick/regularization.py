@@ -21,7 +21,19 @@ from slidekick.fields import FilippovSystem, PlanarField
 
 
 class InvalidP(ConfigError):
-    """Polynomial profiles and the inner equation need p >= 2."""
+    """Polynomial profiles and the inner equation need 2 <= p <= P_MAX."""
+
+
+# The largest degree p of a polynomial profile.  Its coefficients cancel as p
+# grows: on a 20001-point grid min phi' is -1.4e-10 at p = 20, -1.7e-7 at
+# p = 30 and -8.4e-2 at p = 50, so phi stops being monotone.
+P_MAX = 20
+
+
+def check_p(p: int, what: str) -> None:
+    """``InvalidP`` unless 2 <= p <= ``P_MAX``; ``what`` names the user of p."""
+    if not 2 <= p <= P_MAX:
+        raise InvalidP(f"{what} needs 2 <= p <= {P_MAX}, got {p}")
 
 
 class UnknownProfile(ConfigError):
@@ -87,8 +99,7 @@ def phi_polynomial(p: int) -> RegularizationProfile:
     sign-definite p-th derivative at 1 (negative for p even, positive for p
     odd).
     """
-    if p < 2:
-        raise InvalidP(f"polynomial profile needs p >= 2, got {p}")
+    check_p(p, "polynomial profile")
     # normalize the antiderivative of phi' so phi(1) = 1, phi odd
     anti = (Polynomial([1.0, 0.0, -1.0]) ** (p - 1)).integ()
     scale = 1.0 / float(anti(1.0))
@@ -159,6 +170,14 @@ class RegularizedSystem:
     @property
     def offset(self) -> float:
         return self.base.offset
+
+    def check_section(self, y0: float) -> float:
+        """The strip top offset + eps, for a section {y = y0} above it; a
+        section at or below it is a ``ConfigError``."""
+        top = self.base.offset + self.epsilon
+        if not y0 > top:  # NaN fails too
+            raise ConfigError(f"section y0={y0} must lie above the strip top y={top}")
+        return top
 
     def blend(self, x: float, y: float) -> tuple[float, float]:
         """Field value of Z_eps at (x, y); exact X+/X- outside the strip."""

@@ -158,6 +158,7 @@ def trace_manifold(
     points (600 on the v-graph).  The extended linear system is traced past
     the strip with a ``to_v`` above 1 and an R on a p = 1 profile built as
     phi(v) = v, which does not clamp (``phi_linear`` clamps at |v| = 1).
+    A ``to_v`` at or below the seed is a ``ConfigError``.
     """
     exp = SlowManifoldExpansion(R.profile)
     eps = R.epsilon
@@ -167,6 +168,8 @@ def trace_manifold(
     v_seed = exp.m0(from_x) + eps * exp.m1(from_x) if f2p < f2m else None
     if v_seed is None or R.profile.deriv(v_seed, 1) <= 0.0:
         raise HyperbolicityLost(f"seed at x={from_x} is not normally attracting")
+    if not to_v > v_seed:  # the upward stop would never fire
+        raise ConfigError(f"to_v={to_v} must lie above the seed v={v_seed} at x={from_x}")
 
     rhs, jac, over_v = _orbit_equation(R)
 

@@ -321,10 +321,22 @@ POINCARE = ("poincare", "--model", "normal-fold", "--probe=-0.8")
     (POINCARE, "eps = inf\n", 2),
     # t-max runs out on Sigma before the section: no arrival, as with --eps
     (("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25", "--t-max", "0.1"), None, 1),
+    # a section y0 = 0.25 at or below the strip top: the scans took sqrt(y0 - eps)
+    # (math domain error) or shot a start on the strip top (EventNotBracketed)
+    (("bifurcate", "--family", "grazing-repelling", "--eps", "0.26", "--mu", "0"), None, 2),
+    (("friction", "--model", "coulomb", "--eps", "0.3"), None, 2),
+    (("friction", "--model", "coulomb", "--eps", "0.25"), None, 2),
+    # a degree past P_MAX: p! overflowed a float, and numpy refused the power 101 of 1 - v^2
+    (("inner", "--p", "171", "--phi-p", "-3"), None, 2),
+    ((*POINCARE, "--eps", "1e-3", "--profile", "poly(102)"), None, 2),
+    # a to-v below the seed: the upward stop never fired and the trace ran to x = 49
+    (("manifold", "--profile", "poly(2)", "--eps", "1e-4", "--to-v=-5"), None, 2),
 ], ids=["eps-abc", "eps-negative", "config-missing", "nu-abc", "p-x", "phi-p-sign", "mu-grid-x",
         "start-one-number", "config-eps-abc", "manifold-pole", "probe-past-fold", "u-start-nan",
         "t-max-nan", "eps-nan", "y0-nan", "friction-eps-nan", "start-nan", "t-max-negative",
-        "t-max-negative-eps", "until-y-nan", "mu-grid-empty", "config-eps-inf", "t-max-before-section"])
+        "t-max-negative-eps", "until-y-nan", "mu-grid-empty", "config-eps-inf", "t-max-before-section",
+        "grazing-section-in-strip", "coulomb-section-in-strip", "coulomb-section-on-strip-top",
+        "inner-p-past-max", "profile-p-past-max", "manifold-to-v-below-seed"])
 def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
     monkeypatch.chdir(tmp_path)
     if config is None:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from slidekick import inner
-from slidekick.errors import ConfigError
+from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.inner import (
     InnerSolution,
     SeedInconsistent,
+    _integrate_unscaled,
     SeriesOutOfRange,
     alpha_beta,
     asymptotic_seed,
@@ -18,7 +19,7 @@ from slidekick.inner import (
     normalized_solution,
 )
 from slidekick.integrator import shoot
-from slidekick.regularization import InvalidP, phi_polynomial
+from slidekick.regularization import P_MAX, InvalidP, phi_polynomial
 
 
 def test_seed_example():
@@ -59,13 +60,29 @@ def test_non_finite_u_start_rejected(u_start):
         distinguished_solution(2, -1.5, u_start)
 
 
-@pytest.mark.parametrize("p", [-1, 0, 1])
+@pytest.mark.parametrize("p", [-1, 0, 1, P_MAX + 1])
 def test_degree_guard(p):
     # the seeds and the scaling constants need p >= 2, the bound of phi_polynomial
     with pytest.raises(InvalidP):
         distinguished_solution(p, 3.0)
     with pytest.raises(InvalidP):
         normalized_solution(p)
+
+
+@pytest.mark.parametrize("p", [6, 7])
+def test_a_shot_that_cannot_advance_fails(hang_guard, p):
+    # the seed's cancellation puts the denominator at 0 (p = 6 from u = -24,
+    # p = 7 from u = -12); LSODA then stepped forever with t stuck and z NaN
+    with np.errstate(divide="ignore"), pytest.raises(NumericalFailure, match="cannot advance"):
+        distinguished_solution(p, phi_polynomial(p).c_p)
+
+
+def test_a_step_that_leaves_t_unchanged_can_recover():
+    # the p = 6 run from u = -12 takes one step shorter than ulp(12), which
+    # leaves t as it was, and then goes on to u = 0: no progress alone is no failure
+    shot = _integrate_unscaled(6, phi_polynomial(6).c_p, -12.0, max_step=0.01, dense=True)
+    assert np.count_nonzero(np.diff(shot.ts) == 0.0) == 1
+    assert shot.t == 0.0 and np.isfinite(shot.z).all()
 
 
 def test_eta0_richardson_stability():

@@ -113,6 +113,14 @@ def test_section_edge(xplus):
     assert r.x == pytest.approx(-math.sqrt(0.5), abs=1e-10)
 
 
+def test_section_rejects_an_unknown_half():
+    # "x<O" (a letter O) kept both half-lines: contains(5) and contains(-5) were True
+    for half in ("x<O", "x < 0", ""):
+        with pytest.raises(ConfigError, match="half"):
+            Section(0.25, half)
+    assert [Section(0.25, h).contains(-5.0) for h in ("x<0", "x>0", "all")] == [True, False, True]
+
+
 def test_rejected_and_accepted_root_in_one_step(xplus):
     # along y = x^2 - 0.25 the orbit meets y = 0.25 at x = -sqrt(0.5), on the
     # wrong half-line, and then y = 0.2 at x = -sqrt(0.45), in one RK45 step;
@@ -615,6 +623,14 @@ def test_shoot_rejects_non_finite_inputs(hang_guard, method, t_span, z0):
     with pytest.raises(ConfigError, match="finite"):
         shoot(lambda t, z: calls.append(t) or [1.0, 0.0], t_span, z0, [Stop(0, 0.1, 1)], method=method)
     assert calls == []
+
+
+def test_lsoda_shot_that_cannot_advance_fails(hang_guard):
+    # z' = 8/z from z = 0: LSODA returned istate 2 on every call with t stuck
+    # at the start and z NaN, so the shot never finished
+    with np.errstate(divide="ignore"), pytest.raises(NumericalFailure, match=r"cannot advance \(istate 2\) at "
+                                                                          r"t=-24\.0, z=\[nan\]"):
+        shoot(lambda t, z: [8.0 / z[0]], (-24.0, 0.0), [0.0], method="LSODA")
 
 
 def test_lsoda_failure_names_istate_and_state():

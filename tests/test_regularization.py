@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from slidekick.errors import ConfigError
 from slidekick.regularization import (
+    P_MAX,
     InvalidP,
     RegularizedSystem,
     parse_profile,
@@ -42,6 +43,18 @@ def test_poly3_gluing(poly3):
 def test_invalid_p():
     with pytest.raises(InvalidP):
         phi_polynomial(1)
+    for p in (P_MAX + 1, 102):  # 102 ended in numpy's "Power is too large"
+        with pytest.raises(InvalidP):
+            phi_polynomial(p)
+    with pytest.raises(InvalidP):
+        parse_profile(f"poly({P_MAX + 1})")
+
+
+def test_profile_at_p_max_is_monotone():
+    # the largest accepted degree keeps phi' >= 0 to rounding (-1.4e-10 on a
+    # 20001-point grid); p = 30 reads -1.7e-7 and p = 50 -8.4e-2
+    prof = phi_polynomial(P_MAX)
+    assert min(prof.deriv(v, 1) for v in np.linspace(-1.0, 1.0, 20001)) > -1e-9
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])

@@ -121,6 +121,16 @@ def test_trace_exit_matches_inner_constant(normal_form, poly2):
     assert tr.exit_x == pytest.approx(eps ** (2 / 3) * eta0, rel=0.2)
 
 
+@pytest.mark.parametrize("to_v", [-5.0, "seed"])
+def test_trace_rejects_a_to_v_at_or_below_the_seed(normal_form, poly2, to_v):
+    # the upward stop at to_v never fired: the trace ran 50 in x, to v = 2.4e7
+    R = RegularizedSystem(normal_form, poly2, 1e-4)
+    exp = SlowManifoldExpansion(poly2)
+    v = exp.m0(-1.0) + R.epsilon * exp.m1(-1.0) if to_v == "seed" else to_v
+    with pytest.raises(ConfigError, match="to_v"):
+        trace_manifold(R, -1.0, v)
+
+
 def test_hyperbolicity_guard(normal_form, poly2):
     R = RegularizedSystem(normal_form, poly2, 1e-3)
     with pytest.raises(HyperbolicityLost):
