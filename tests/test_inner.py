@@ -8,8 +8,8 @@ from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.inner import (
     InnerSolution,
     SeedInconsistent,
-    _integrate_unscaled,
     SeriesOutOfRange,
+    _integrate_unscaled,
     alpha_beta,
     asymptotic_seed,
     distinguished_solution,
@@ -62,7 +62,7 @@ def test_non_finite_u_start_rejected(u_start):
 
 @pytest.mark.parametrize("p", [-1, 0, 1, P_MAX + 1])
 def test_degree_guard(p):
-    # the seeds and the scaling constants need p >= 2, the bound of phi_polynomial
+    # the seeds and the scaling constants need 2 <= p <= P_MAX, the bounds of phi_polynomial
     with pytest.raises(InvalidP):
         distinguished_solution(p, 3.0)
     with pytest.raises(InvalidP):
