@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.integrator import STIFF, STIFF_TIGHT, Stop, shoot
+from slidekick.integrator import STIFF, STIFF_TIGHT, TOUCH, Stop, shoot
 from slidekick.regularization import check_p
 
 
@@ -110,7 +110,11 @@ class InnerSolution:
 
 def _riccati_shot(p: int, a: float, b: float, u_span: tuple[float, float], z0: float, direction: int, **settings):
     # dz/du = a/z + b u^(p-1), the inner equation in either scaling; z reaching 0
-    # in ``direction`` crosses the null-cline, which the distinguished branch never meets
+    # in ``direction`` crosses the null-cline, which the distinguished branch never meets.
+    # A seed within TOUCH of it would be stepped off across it, and the stop would never fire
+    if not -direction * z0 > TOUCH:  # NaN fails too
+        raise BlowUp(f"the seed z={z0} at u={u_span[0]} lies within {TOUCH} of the null-cline or beyond it")
+
     def rhs(u, z):
         return [a / z[0] + b * u ** (p - 1)]
 
@@ -158,6 +162,9 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
     relative remainder shrinks like |u|^{2-4p} while the distance to the
     null-cline shrinks like |u|^{1-p}, so deep starts at large p trade no
     accuracy for severe cancellation in the denominator variable.
+
+    With the polynomial profile's own c_p this delivers for p = 2..5; from
+    p = 6 on the seed cancels to the null-cline, a ``BlowUp``.
     """
     check_p(p, "the inner equation")
     if u_start is None:
@@ -221,7 +228,11 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
 @lru_cache(maxsize=64)
 def normalized_solution(p: int) -> NormalizedSolution:
     """The normalized distinguished solution on 2001 points of [-30, 0],
-    with etabar0(0) Richardson-stabilized against the run from -60."""
+    with etabar0(0) Richardson-stabilized against the run from -60.
+
+    This delivers for p = 2..4; p = 5..9 end in LSODA's istate -5 and, from
+    p = 10 on, the seed lies within ``TOUCH`` of the null-cline, a ``BlowUp``.
+    """
     check_p(p, "the inner equation")
     u_start = -30.0
     sol1 = _integrate_normalized(p, u_start, dense=True)

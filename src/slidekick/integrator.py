@@ -264,9 +264,11 @@ def shoot(
 def _first_hit(stops, brackets, sol, rhs, last):
     # the roots bracketed in one step, in time order on its interpolant sol:
     # the first whose polished state is accepted fires, as (k, hit, root,
-    # z_root).  Like solve_ivp, a root on the last step's end keeps last's z
-    for root, k in sorted((brentq(lambda u, s=stops[k]: _gap(s, u, sol(u)), a, b, xtol=_EPS4, rtol=_EPS4), k)
-                          for a, b, k in brackets):
+    # z_root).  Like solve_ivp, a root on the last step's end keeps last's z.
+    # A bracket of zero length (an LSODA step that left t unchanged) is its own root
+    roots = [(a if a == b else brentq(lambda u, s=stops[k]: _gap(s, u, sol(u)), a, b, xtol=_EPS4, rtol=_EPS4), k)
+             for a, b, k in brackets]
+    for root, k in sorted(roots):
         s, z_root = stops[k], last[1] if last is not None and root == last[0] else sol(root)
         hit = root, z_root
         if s.g is None:
@@ -576,15 +578,16 @@ def integrate(
     (its crossing Newton-polished) or a final time, by one :func:`shoot` with
     the solver ``settings`` given (``method``, ``rtol``, ``atol``, ``max_step``).
     With ``strip``, entries into and exits from the band |y - strip_center| <=
-    strip are annotated.  Raises ``shoot``'s errors, and ``NoArrival`` when
-    ``t_max`` runs out before the section."""
+    strip are annotated.  Raises ``shoot``'s errors, and ``NoArrival``, naming
+    the last state, when ``t_max`` runs out before the section."""
     if isinstance(until, Section):
         stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
     else:
         stops, t_end, kind = [], float(until), ""
     shot = shoot(field.rhs, (0.0, t_end), start, stops, dense=strip is not None, **settings)
     if stops and shot.stop is None:
-        raise NoArrival("integration reached t_max before the stopping condition")
+        raise NoArrival(f"integrate: t_max={t_max} ran out before y = {until.y0}; "
+                        f"last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
     notes = [] if strip is None else _strip_notes(shot, field.rhs, strip, strip_center)
     if stops:
         notes.append(TrajectoryEvent(shot.t, kind, (float(shot.z[0]), float(shot.z[1]))))

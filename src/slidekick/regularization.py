@@ -1,11 +1,12 @@
 """Transition profiles and the regularized vector field.
 
 A profile phi is monotone, odd, equals -1 below v=-1 and +1 above v=1.  The
+profiles form one family, phi' proportional to (1 - v^2)^{p-1}, whose
 smoothness index p classifies the contact with the outer constants: p=1 is
-the continuous piecewise linear profile, p>=2 gives a C^{p-1} profile whose
-first p-1 derivatives vanish at the gluing points, so phi behaves like
-1 + O(v-1)^p near v=1.  The regularized field blends X+ and X- by
-phi(y/eps) inside the strip |y| <= eps and coincides with them outside.
+the continuous piecewise linear profile clamp(v, -1, 1), p>=2 gives a
+C^{p-1} profile whose first p-1 derivatives vanish at the gluing points, so
+phi behaves like 1 + O(v-1)^p near v=1.  The regularized field blends X+ and
+X- by phi(y/eps) inside the strip |y| <= eps and coincides with them outside.
 """
 
 from __future__ import annotations
@@ -76,19 +77,9 @@ class RegularizationProfile:
 
 
 def phi_linear() -> RegularizationProfile:
-    """The continuous piecewise linear profile (p = 1): clamp(v, -1, 1)."""
-
-    def ev(v: float) -> float:
-        return float(min(1.0, max(-1.0, v)))
-
-    def dv(v: float, k: int) -> float:
-        if k == 0:
-            return ev(v)
-        if k == 1:
-            return 1.0 if -1.0 <= v <= 1.0 else 0.0
-        return 0.0
-
-    return RegularizationProfile(p=1, eval=ev, deriv=dv, phi_p_at_1=1.0, name="linear")
+    """The continuous piecewise linear profile clamp(v, -1, 1): the p = 1
+    member of the polynomial family, with phi' = 1 on [-1, 1]."""
+    return _polynomial_profile(1, "linear")
 
 
 def phi_polynomial(p: int) -> RegularizationProfile:
@@ -100,6 +91,10 @@ def phi_polynomial(p: int) -> RegularizationProfile:
     odd).
     """
     check_p(p, "polynomial profile")
+    return _polynomial_profile(p, f"poly({p})")
+
+
+def _polynomial_profile(p: int, name: str) -> RegularizationProfile:
     # normalize the antiderivative of phi' so phi(1) = 1, phi odd
     anti = (Polynomial([1.0, 0.0, -1.0]) ** (p - 1)).integ()
     scale = 1.0 / float(anti(1.0))
@@ -134,11 +129,7 @@ def phi_polynomial(p: int) -> RegularizationProfile:
             return horner(k, float(v))
         return 0.0
 
-    return RegularizationProfile(
-        p=p, eval=ev, deriv=dv, phi_p_at_1=float(derivs[p](1.0)), name=f"poly({p})"
-    )
-
-
+    return RegularizationProfile(p=p, eval=ev, deriv=dv, phi_p_at_1=float(derivs[p](1.0)), name=name)
 
 
 def parse_profile(spec: str) -> RegularizationProfile:

@@ -48,14 +48,11 @@ class SlowManifoldExpansion:
     invariance equation formally for the normal-form pair.
 
     x-graph: m(x; eps) = m0(x) + eps*m1(x) + O(eps^2) for x <= 0.
-    v-graph: n(v; eps) = n0(v) + eps*n1(v) + eps^2*n2(v) + O(eps^3) on
-    (-1, 1].  n0 and m0 are mutual inverses on the shared range.
+    v-graph: n(v; eps) = n0(v) + eps*n1(v) + O(eps^2) on (-1, 1].  n0 and
+    m0 are mutual inverses on the shared range.
 
-    n0(v) = (phi(v) - 1) / (2 (phi(v) + 1)),  n1 = 1/(2 n0'),
-    n2 = -2 n1' n1^2, and on the x-graph side m0 = phi^{-1}((1+2x)/(1-2x)),
-    m1 = -(m0')^2 / 2.  Note the recursion gives n2 = n0''/(4 n0'^4); the
-    frequently quoted n0''/(2 n0'^2) does not satisfy the order-eps^2
-    balance.
+    n0(v) = (phi(v) - 1) / (2 (phi(v) + 1)),  n1 = 1/(2 n0'), and on the
+    x-graph side m0 = phi^{-1}((1+2x)/(1-2x)), m1 = -(m0')^2 / 2.
     """
 
     profile: RegularizationProfile

@@ -346,6 +346,18 @@ def test_exit_codes(tmp_path, monkeypatch, argv, config, expected):
     assert code == expected
 
 
+@pytest.mark.parametrize("extra, stage", [((), "filippov flow"), (("--eps", "1e-3"), "integrate")],
+                         ids=["filippov", "regularized"])
+def test_t_max_before_section_names_stage_and_last_state(capsys, extra, stage):
+    # the regularized flow used to print only "integration reached t_max
+    # before the stopping condition"
+    code, _ = run_cli("simulate", "--model", "normal-fold", "--start=-0.8,0.1", "--until-y", "0.25",
+                      "--t-max", "0.1", *extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: NoArrival: {stage}: t_max=0.1 ran out before y = 0.25; last state t=0.1, x=-0.72")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     # an --out in a directory that does not exist is a configuration error
     # that names the path, not a traceback from the CSV writer

@@ -72,9 +72,26 @@ def test_degree_guard(p):
 @pytest.mark.parametrize("p", [6, 7])
 def test_a_shot_that_cannot_advance_fails(hang_guard, p):
     # the seed's cancellation puts the denominator at 0 (p = 6 from u = -24,
-    # p = 7 from u = -12); LSODA then stepped forever with t stuck and z NaN
-    with np.errstate(divide="ignore"), pytest.raises(NumericalFailure, match="cannot advance"):
+    # p = 7 from u = -12); LSODA then stepped forever with t stuck and z NaN.
+    # The seed guard now rejects it before LSODA runs
+    with np.errstate(divide="ignore"), pytest.raises(NumericalFailure, match="null-cline"):
         distinguished_solution(p, phi_polynomial(p).c_p)
+
+
+@pytest.mark.filterwarnings("ignore:lsoda")
+@pytest.mark.parametrize("p", range(2, P_MAX + 1))
+def test_every_p_delivers_a_bounded_value_or_fails_typed(hang_guard, p):
+    # a seed within TOUCH of the null-cline (the normalized one from p = 10 on)
+    # was stepped off across it, so the stop never fired: p = 10 gave
+    # etabar0(0) = -6.05e17 and p = 13 gave 1.31e23, with no failure raised
+    for solve in (lambda: normalized_solution(p).etabar_at_0,
+                  lambda: distinguished_solution(p, phi_polynomial(p).c_p).eta_at_0):
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = solve()
+        except NumericalFailure:
+            continue
+        assert abs(value) < 2.0
 
 
 def test_a_step_that_leaves_t_unchanged_can_recover():

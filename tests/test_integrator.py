@@ -633,6 +633,16 @@ def test_lsoda_shot_that_cannot_advance_fails(hang_guard):
         shoot(lambda t, z: [8.0 / z[0]], (-24.0, 0.0), [0.0], method="LSODA")
 
 
+def test_stop_inside_a_zero_length_lsoda_step_fires_there(hang_guard):
+    # the p = 13 inner denominator seeded just above its null-cline: LSODA
+    # takes a step that leaves t at -24, and the stop changes sign over it.
+    # brentq on the bracket [t, t] raised "f(a) and f(b) must have different signs"
+    shot = shoot(lambda u, z: [8.0 / z[0] - 16504.858398427157 * u**12], (-24.0, 0.0), [1.3272211193103965e-20],
+                 [Stop(0, 0.0, -1)], jac=lambda u, z: [[-8.0 / (z[0] * z[0])]], **integrator.STIFF_TIGHT)
+    assert shot.stop == 0
+    assert shot.t == -24.0
+
+
 def test_lsoda_failure_names_istate_and_state():
     # z' = -z at atol 0: the error weight rtol |z| shrinks with z until LSODA
     # is asked for more accuracy than the machine has (istate -2)

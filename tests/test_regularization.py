@@ -25,6 +25,25 @@ def test_linear_profile_values(lin):
     assert lin.phi_p_at_1 == 1.0
 
 
+def test_linear_profile_is_the_p1_polynomial():
+    # one builder for the family: the linear profile runs the same ev and dv
+    lin, poly = phi_linear(), phi_polynomial(2)
+    assert lin.eval.__code__ is poly.eval.__code__
+    assert lin.deriv.__code__ is poly.deriv.__code__
+
+
+def test_linear_profile_keeps_the_clamp_values():
+    # the closed forms of the hand-written clamp the p = 1 builder replaced
+    lin = phi_linear()
+    edge = float(np.nextafter(1.0, 2.0))
+    for v in [*np.linspace(-1.2, 1.2, 10001).tolist(), 1.0, -1.0, 0.0, -0.0, edge, -edge]:
+        assert lin.eval(v) == min(1.0, max(-1.0, v))
+        assert lin.deriv(v, 1) == (1.0 if -1.0 <= v <= 1.0 else 0.0)
+        for k in (2, 3, 4):
+            assert lin.deriv(v, k) == 0.0
+    assert (lin.p, lin.c_p, lin.phi_p_at_1, lin.name) == (1, 1.0, 1.0, "linear")
+
+
 def test_poly2_closed_form(poly2):
     # phi(v) = (3v - v^3)/2 on [-1, 1]
     for v in np.linspace(-1, 1, 17):
