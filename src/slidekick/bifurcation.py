@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, sign_changes
-from slidekick.integrator import EXTERIOR, UPPER_ARC, NoArrival, PoincareResult, Section, Stop, shoot
+from slidekick.integrator import EXTERIOR, UPPER_ARC, NoArrival, PoincareResult, Section, Stop, _brentq, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     exterior_map,
@@ -297,7 +297,7 @@ def _stable_separatrix(desc: ModelDescriptor) -> Callable[[float], float]:
         k = int(np.argmax(shot.zs[1] <= level))  # the first step end at or below the level
         if k == 0:
             raise NoArrival(f"W^s of the saddle never comes down to y = {level}")
-        t = brentq(lambda t: shot.dense(t)[1] - level, shot.ts[k - 1], shot.ts[k], xtol=1e-14)
+        t = _brentq(lambda t: shot.dense(t)[1] - level, shot.ts[k - 1], shot.ts[k], xtol=1e-14)
         return float(shot.dense(t)[0])
 
     return landing

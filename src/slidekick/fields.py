@@ -44,7 +44,11 @@ class PlanarField:
 
     ``func(x, y)`` returns the two field components.  Jacobians are central
     finite differences with step ``1e-6 * max(1, |x|, |y|)``, which is
-    accurate enough for sign-level classification of tangencies.
+    accurate enough for sign-level classification of tangencies.  :meth:`rhs`
+    hands ``func`` the state as plain floats, whose ``+ - * /`` round as
+    NumPy's scalars do at about half the cost; a division by zero (or a
+    float overflow), which a NumPy scalar would have turned into inf, is
+    raised as ``NumericalFailure`` naming the field and the point.
     """
 
     func: Callable[[float, float], tuple[float, float]]
@@ -67,9 +71,13 @@ class PlanarField:
             ]
         )
 
-    def rhs(self, t: float, z) -> list[float]:
+    def rhs(self, t: float, z: np.ndarray) -> list[float]:
         """Right-hand side in the ``rhs(t, z)`` signature of the ODE solvers."""
-        fx, fy = self.func(z[0], z[1])
+        x, y = z.tolist()
+        try:
+            fx, fy = self.func(x, y)
+        except ArithmeticError as exc:
+            raise NumericalFailure(f"field {self.name or self.func!r}: {exc} at (x, y) = ({x!r}, {y!r})") from exc
         return [fx, fy]
 
     def negated(self) -> "PlanarField":
@@ -187,7 +195,7 @@ def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint
     def x2(x: float) -> float:
         return system.x_plus(x, system.offset)[1]
 
-    cells = sign_changes(x2, np.linspace(bracket[0], bracket[1], 401))
+    cells = sign_changes(x2, np.linspace(bracket[0], bracket[1], 401).tolist())
     if not cells:
         raise NoSignChange(f"X2+ does not change sign on {bracket}")
     if len(cells) > 1:

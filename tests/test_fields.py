@@ -18,8 +18,10 @@ from slidekick.fields import (
     find_fold,
     sliding_field,
 )
-from slidekick.integrator import NoArrival, Section
+from slidekick.errors import NumericalFailure
+from slidekick.integrator import EXTERIOR, NoArrival, Section, shoot
 from slidekick.models import model
+from slidekick.poincare import exterior_map
 
 
 def test_negated_evaluates_the_field_once():
@@ -234,3 +236,22 @@ def test_readme_simulate_shoots_arc_slide_arc(shoot_calls):
     traj = filippov_flow(model("normal-fold").system, (-0.8, 0.1), Section(0.25, "all", id="target"), t_max=50.0)
     assert [len(c.args[2]) for c in calls] == [2, 1, 2]
     assert [e.kind for e in traj.events] == ["slide_start", "slide_end", "fold_exit", "cross_section:target"]
+
+
+@pytest.mark.parametrize("through", ["shoot", "exterior_map"])
+def test_a_field_singular_at_the_start_fails_typed(through):
+    # on floats 1/x at x = 0 is a ZeroDivisionError, not NumPy's inf: rhs
+    # types it, naming the field and the point
+    field = PlanarField(lambda x, y: (1.0, 1.0 / x), name="one-over-x")
+    with pytest.raises(NumericalFailure, match=r"field 'one-over-x': .* at \(x, y\) = \(0\.0, 0\.0\)"):
+        if through == "shoot":
+            shoot(field.rhs, (0.0, 1.0), [0.0, 0.0], **EXTERIOR)
+        else:
+            exterior_map(field, (0.0, 0.0), Section(0.25))
+
+
+def test_rhs_types_a_float_overflow():
+    # a float power that overflows raises OverflowError, where NumPy gave inf
+    field = PlanarField(lambda x, y: (1.0, x**400), name="x-to-the-400")
+    with pytest.raises(NumericalFailure, match=r"field 'x-to-the-400': .* at \(x, y\) = \(10\.0, 0\.0\)"):
+        field.rhs(0.0, np.array([10.0, 0.0]))

@@ -779,6 +779,68 @@ def test_lsoda_loop_makes_no_extra_rhs_call(monkeypatch, normal_form, poly2, sho
     assert counts == {"rhs": call.shot.nfev + 2, "jac": call.shot.njev}
 
 
+def test_dop853_exterior_shot_work_is_pinned(shoot_calls):
+    # one DOP853 shot's steps, solver calls and rhs calls, pinned as LSODA's
+    # are above; a Python-level call slipped into the OdeSolver path shows here
+    calls = shoot_calls(poincare)
+
+    def counted(field):
+        n = []
+        return PlanarField(lambda x, y: n.append(1) or field.func(x, y), name=field.name), n
+
+    # saddle-homoclinic's fold orbit to y = 0.25: 12 steps of 12 stages, 2
+    # calls for the first step's size and 3 for the interpolant of the step
+    # the crossing is rooted on; rhs adds the polish
+    sh = model("saddle-homoclinic", nu=0.15)
+    field, n = counted(sh.system.x_plus)
+    exterior_map(field, (sh.fold().x, 0.0), Section(0.25))
+    assert (calls[-1].shot.n_steps, calls[-1].shot.nfev, len(n)) == (12, 149, 150)
+    # a normal-fold stage P that dips below the strip top inside one step: the
+    # turn check builds that step's interpolant (3 calls), and rhs adds the
+    # 3 calls of the turn's root and the polish
+    field, n = counted(model("normal-fold").system.x_plus)
+    assert _stage_P(field, GRAZING_STAGE_P[1], 0.25, 1e-3)[2]
+    assert (calls[-1].shot.n_steps, calls[-1].shot.nfev, len(n)) == (4, 53, 57)
+
+
+def _logged(f):
+    us = []
+    return lambda u: us.append(u) or f(u), us
+
+
+def test_brentq_helper_is_brentq_to_the_bit():
+    # integrator._brentq calls scipy's compiled Brent routine directly: its
+    # iterates and root must be brentq's, and a NaN must raise brentq's
+    # ValueError; a scipy that moves or changes _zeros._brentq fails here
+    from scipy.optimize import brentq
+
+    lsoda = shoot(lambda t, z: [-z[0] * (1.0 + t)], (0.0, 2.0), [1.0], method="LSODA", dense=True)
+    row = integrator._record_interpolant(lsoda.dense.steps[3])
+    dop = shoot(lambda t, z: [z[1], -z[0]], (0.0, 6.0), [1.0, 0.0], method="DOP853", dense=True)
+    step = dop.dense.interpolants[2]
+    cases = [
+        (lambda u: row(u)[0] - 0.5 * (row(lsoda.ts[3])[0] + row(lsoda.ts[4])[0]), lsoda.ts[3], lsoda.ts[4]),
+        (lambda u: step(u)[1] - 0.5 * (step(dop.ts[2])[1] + step(dop.ts[3])[1]), dop.ts[2], dop.ts[3]),
+        (lambda u: (u * u - 2.0) * u - 5.0, 2.0, 3.0),
+        (lambda u: u - 0.5, 0.5, 1.0),  # the bracket's end is the root
+    ]
+    for f, a, b in cases:
+        for tols in ({"xtol": integrator._EPS4, "rtol": integrator._EPS4}, {"xtol": 1e-14}):
+            g, us = _logged(f)
+            ref = brentq(g, a, b, **tols)
+            h, vs = _logged(f)
+            got = integrator._brentq(h, a, b, **tols)
+            assert type(got) is float and got.hex() == ref.hex() and vs == us
+    assert integrator._brentq(cases[3][0], 0.5, 1.0) == 0.5
+    # NaN at the bracket's end, and at the first iterate
+    for f in (lambda u: math.nan, lambda u: u - 0.75 if u in (0.0, 1.0) else math.nan):
+        with pytest.raises(ValueError, match="is NaN") as ref:
+            brentq(f, 0.0, 1.0, xtol=integrator._EPS4, rtol=integrator._EPS4)
+        with pytest.raises(ValueError) as got:
+            integrator._brentq(f, 0.0, 1.0)
+        assert str(got.value) == str(ref.value)
+
+
 def test_radau_steps_match_scipy_bitwise():
     # shoot's own loop must reproduce solve_ivp step for step on Radau, the
     # tests' tight reference method: a stiff 2-D problem with an event and a

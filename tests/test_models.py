@@ -6,6 +6,7 @@ import pytest
 from slidekick.fields import RegionClass, classify_point, find_fold
 from slidekick.integrator import Section, integrate
 from slidekick.models import (
+    _BUILDERS,
     BadParams,
     UnknownModel,
     list_models,
@@ -138,3 +139,27 @@ def test_grazing_family_germ():
     assert pe(x0p) == pytest.approx(-x0p + 0.002, abs=1e-14)
     desc_r = model("grazing-family", variant="repelling")
     assert desc_r.facts["exterior_factory"](0.002)(x0p) == pytest.approx(-x0p - 0.002, abs=1e-14)
+
+
+def _every_model_field():
+    # both fields of every built-in model (and of its physical pair), with
+    # both grazing-family variants and saddle-homoclinic at two (mu, nu)
+    variants = {"grazing-family": [{"variant": "attracting"}, {"variant": "repelling"}],
+                "saddle-homoclinic": [{}, {"mu": 0.013, "nu": 0.15}]}
+    descs = [model(m, check=False, **kw) for m in _BUILDERS for kw in variants.get(m, [{}])]
+    assert {d.id for d in descs} == set(_BUILDERS)
+    systems = [s for d in descs for s in (d.system, d.physical_system) if s is not None]
+    fields = [f for s in systems for f in (s.x_plus, s.x_minus)]
+    return fields + [f.negated() for f in fields]
+
+
+def test_model_fields_give_the_same_digits_on_floats():
+    # PlanarField.rhs hands func plain floats: every model's func must give,
+    # as Python floats, the bits it gives on NumPy scalars (64 grid points)
+    grid = [(x, y) for x in np.linspace(-1.37, 1.61, 8).tolist() for y in np.linspace(-0.53, 1.29, 8).tolist()]
+    for field in _every_model_field():
+        for x, y in grid:
+            got = field.rhs(0.0, np.array([x, y]))
+            want = field.func(np.float64(x), np.float64(y))
+            assert [type(v) for v in got] == [float, float], (field.name, x, y)
+            assert [v.hex() for v in got] == [float(w).hex() for w in want], (field.name, x, y)
