@@ -188,12 +188,15 @@ def sign_changes(g: Callable[[float], float], xs) -> list[tuple[float, float]]:
 def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint:
     """Locate the tangency of X+ within ``bracket`` and classify it.
 
-    Scans for sign changes of X2+(., offset) on 401 points; exactly one
-    change is required, then the root is polished with brentq to 1e-12.
+    Scans for sign changes of X2+(., offset), read off X+'s ``func`` on
+    plain floats, on 401 points; exactly one change is required, then the
+    root is polished with brentq to 1e-12.
     Visibility follows the sign of d/dx X2+ times X1+ at the root.
     """
+    func, offset = system.x_plus.func, system.offset
+
     def x2(x: float) -> float:
-        return system.x_plus(x, system.offset)[1]
+        return func(x, offset)[1]
 
     cells = sign_changes(x2, np.linspace(bracket[0], bracket[1], 401).tolist())
     if not cells:
