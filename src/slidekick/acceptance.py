@@ -42,9 +42,9 @@ from slidekick.bifurcation import (
 )
 from slidekick.errors import ConfigError
 from slidekick.inner import (
+    _deviation_seed,
     _integrate_normalized,
     distinguished_solution,
-    normalized_seed,
     normalized_solution,
 )
 from slidekick.models import model
@@ -215,10 +215,10 @@ def _criterion_5():
         inside = (np.sign(w) == np.sign(bound)) & (np.abs(w) > 0.0) & (np.abs(w) < np.abs(bound))
         ok = ok and bool(inside.all())
         worst_ratio = max(worst_ratio, float(np.max(np.abs(w) / np.abs(bound))))
-    # seed perturbation: +1e-6 relative at the seed changes etabar(0) < 1e-8
-    base = normalized_solution(2).etabar_at_0
-    w0 = (normalized_seed(2, -30.0) + 900.0) * (1 + 1e-6)
-    kick = abs(float(_integrate_normalized(2, -30.0, w_seed=w0).z[0]) - base)
+    # seed stability: +1e-6 relative at the deviation seed moves the shot's etabar(0) by < 1e-8
+    w0 = _deviation_seed(2, -30.0)
+    base, kicked = (float(_integrate_normalized(2, -30.0, w_seed=w).z[0]) for w in (w0, w0 * (1 + 1e-6)))
+    kick = abs(kicked - base)
     ok = ok and kick < 1e-8
     return ok, f"max |w|/bound = {worst_ratio:.3f}, seed kick {kick:.2e}"
 

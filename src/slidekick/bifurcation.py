@@ -17,7 +17,7 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from slidekick.errors import ConfigError, NumericalFailure
@@ -112,8 +112,9 @@ def grazing_sliding_scan(
     the tangent orbit xbar (the orbit grazing the strip boundary), widened
     by one point on each outer branch that holds a root of some member (H is
     affine there, with slope s on the flattened side and s (1 + c) on the
-    pure side); each crossing is rooted with brentq.  Every reported point
-    satisfies |R(x*) - x*| <= 1e-8 under the full numerical map.
+    pure side); each crossing is rooted with ``_brentq`` to 1e-13.  Every
+    reported point satisfies |R(x*) - x*| <= 1e-8 under the full numerical
+    map.
 
     The attracting germ keeps a branch through mu = 0 (handing over from the
     flattened fixed point to the untouched X+ orbit).  For the repelling
@@ -154,7 +155,7 @@ def grazing_sliding_scan(
         level = lambda x: H(x) - mu
         found: list[FixedPoint] = []
         for a, b in sign_changes(level, xs):
-            x = a if a == b else float(brentq(level, a, b, xtol=1e-13))
+            x = a if a == b else _brentq(level, a, b, xtol=1e-13)
             if abs(R(x) - x) <= 1e-8 and all(abs(f.x - x) >= 1e-9 for f in found):
                 found.append(FixedPoint(x=x, stability=_stability(R, x, dx=1e-7)))
         pts.append(BranchPoint(mu=mu, fixed_points=found, gamma=pe(plus.x0) - minus.x0,
@@ -319,10 +320,10 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
     ``scan(profile, eps, mu_tilde_probes, *, bisect=True)`` probes
     mu = mu_tilde * eps and roots the homoclinic value mu_tilde^* (where the
     exterior map loses the landing interval) on the landing's gap to W^s:
-    brentq in mu_raw on the member's P_eps landing on y0 minus its W^s
-    landing there, between the members at mu_tilde = 0 and 2|alpha+| once
-    the orbit exists at the first and not at the second; mu_tilde^* is mu at
-    the root, over eps.
+    ``integrator._brentq`` (xtol 2e-12, brentq's default) in mu_raw on the
+    member's P_eps landing on y0 minus its W^s landing there, between the
+    members at mu_tilde = 0 and 2|alpha+| once the orbit exists at the first
+    and not at the second; mu_tilde^* is mu at the root, over eps.
     """
     base = make_model(0.0)
     if not base.facts.get("shifts_with_mu"):
@@ -406,7 +407,7 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
                 if g_lo * g_hi > 0.0:
                     raise SaddleNotResolved(f"the landing's gap to W^s has one sign on the existence "
                                             f"bracket: {g_lo:g} at mu_raw={lo}, {g_hi:g} at mu_raw={hi}")
-                mt_star = mu_paper(brentq(gap, lo, hi)) / eps
+                mt_star = mu_paper(_brentq(gap, lo, hi, xtol=2e-12)) / eps
         return HomoclinicScan(probes=probes, mu_tilde_star=mt_star, alpha_plus=alpha_plus)
 
     return alpha_plus, scan

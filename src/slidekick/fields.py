@@ -16,10 +16,9 @@ from enum import Enum
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.optimize import brentq
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.integrator import NoArrival, Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, shoot
+from slidekick.integrator import NoArrival, Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, _brentq, shoot
 
 
 class NotSliding(ConfigError):
@@ -190,7 +189,7 @@ def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint
 
     Scans for sign changes of X2+(., offset), read off X+'s ``func`` on
     plain floats, on 401 points; exactly one change is required, then the
-    root is polished with brentq to 1e-12.
+    root is polished with Brent's method (``integrator._brentq``) to 1e-12.
     Visibility follows the sign of d/dx X2+ times X1+ at the root.
     """
     func, offset = system.x_plus.func, system.offset
@@ -204,13 +203,13 @@ def find_fold(system: FilippovSystem, bracket: tuple[float, float]) -> FoldPoint
     if len(cells) > 1:
         raise MultipleRoots(f"{len(cells)} sign changes of X2+ on {bracket}")
     lo, hi = cells[0]
-    x_f = lo if lo == hi else brentq(x2, lo, hi, xtol=1e-12)
+    x_f = lo if lo == hi else _brentq(x2, lo, hi, xtol=1e-12)
     residual = x2(x_f)
     if abs(residual) > 1e-10:
         raise NoSignChange(f"root polish failed, residual {residual:g}")
     dfx = system.x_plus.jacobian(x_f, system.offset)[1, 0]
     f1 = system.x_plus(x_f, system.offset)[0]
-    return FoldPoint(x=float(x_f), visible=bool(dfx * f1 > 0.0), direction=int(math.copysign(1, f1)))
+    return FoldPoint(x=x_f, visible=bool(dfx * f1 > 0.0), direction=int(math.copysign(1, f1)))
 
 
 def _arrival(system: FilippovSystem, x: float) -> tuple[str, str]:

@@ -70,9 +70,10 @@ def asymptotic_seed(p: int, c_p: float, u: float) -> float:
     return 0.25 * c_p * u**p + 2.0 / (p * c_p) * u ** (1 - p)
 
 
-def normalized_seed(p: int, ubar: float) -> float:
-    """Three-term series of the normalized solution at -infty."""
-    return -(ubar**p) - (1.0 / p) * ubar ** (1 - p) - ((p - 1) / p**3) * ubar ** (2 - 3 * p)
+def _deviation_seed(p: int, ubar: float) -> float:
+    # the three-term series of the normalized solution at -infty, as its
+    # deviation w = etabar + ubar^p: no ubar^p is added and cancelled
+    return -(1.0 / p) * ubar ** (1 - p) - ((p - 1) / p**3) * ubar ** (2 - 3 * p)
 
 
 def _inner_grid(u_start: float) -> np.ndarray:
@@ -221,7 +222,7 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
     well scaled.  The seed defaults to the three-term series at u_start.
     """
     if w_seed is None:
-        w_seed = -(1.0 / p) * u_start ** (1 - p) - ((p - 1) / p**3) * u_start ** (2 - 3 * p)
+        w_seed = _deviation_seed(p, u_start)
     return _riccati_shot(p, 1.0, p, (u_start, u_end), w_seed, -1 if p % 2 == 0 else 1, dense=dense, **STIFF)
 
 

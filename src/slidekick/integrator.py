@@ -7,12 +7,12 @@ stop is a level of one state component (``z[component]`` crossing
 direction (+1 upward, -1 downward, 0 either way) and an optional
 ``accept(z)`` predicate.  Event location is ``solve_ivp``'s, after Shampine
 & Thompson (Comput. Math. Appl. 39, 2000): sign changes are found step by
-step and the root is bracketed on the step's interpolant.  Every root
-bracketed on an interpolant is found by :func:`_brentq`, on
-``scipy.optimize._zeros._brentq``, the compiled Brent routine that
-``brentq`` wraps, with brentq's NaN check kept in the one closure it is
-handed: the iterates and the roots are ``brentq``'s to the bit, without its
-Python wrapper.  On top of that, the primitive handles four cases:
+step and the root is bracketed on the step's interpolant.  Every bracketed
+root in the package is found by :func:`_brentq`, on ``_zeros._brentq``,
+the compiled Brent routine that ``scipy.optimize.brentq`` wraps, with
+brentq's NaN check kept in the one closure it is handed: the iterates and
+the roots are ``brentq``'s to the bit, without its Python wrapper.  On top
+of that, the primitive handles four cases:
 
 - step-off: a start within 1e-13 of a level that it would cross at once is
   advanced 1e-11 in time along ``rhs``, so the zero residual of the start is
@@ -490,8 +490,8 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = _EPS4
     other Python layer runs per evaluation (brentq's wrapper and NaN layer
     cost about 1 us per evaluation: 97 against 88 us for an 8-evaluation
     root on a DOP853 step).
-    For the roots bracketed on a step's interpolant; ``xtol`` and ``rtol``
-    are not checked."""
+    For every bracketed root in the package; ``xtol`` and ``rtol`` are not
+    checked."""
     def checked(u):
         fu = f(u)
         if fu != fu:

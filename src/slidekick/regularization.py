@@ -19,6 +19,7 @@ from numpy.polynomial import Polynomial
 
 from slidekick.errors import ConfigError
 from slidekick.fields import FilippovSystem, PlanarField
+from slidekick.integrator import _brentq
 
 
 class InvalidP(ConfigError):
@@ -66,14 +67,12 @@ class RegularizationProfile:
         return self.phi_p_at_1 / math.factorial(self.p)
 
     def inverse(self, w: float) -> float:
-        """phi^{-1} on [-1, 1] by bisection (phi is strictly increasing)."""
-        from scipy.optimize import brentq
-
+        """phi^{-1} on [-1, 1] by Brent's method (phi is strictly increasing)."""
         if w >= 1.0:
             return 1.0
         if w <= -1.0:
             return -1.0
-        return float(brentq(lambda v: self.eval(v) - w, -1.0, 1.0, xtol=1e-15))
+        return _brentq(lambda v: self.eval(v) - w, -1.0, 1.0, xtol=1e-15)
 
 
 def phi_linear() -> RegularizationProfile:

@@ -9,13 +9,13 @@ from slidekick.inner import (
     InnerSolution,
     SeedInconsistent,
     SeriesOutOfRange,
+    _deviation_seed,
     _integrate_unscaled,
     alpha_beta,
     asymptotic_seed,
     distinguished_solution,
     eta1_check,
     eta_at_zero_via_normalization,
-    normalized_seed,
     normalized_solution,
 )
 from slidekick.integrator import shoot
@@ -39,9 +39,10 @@ def test_seed_range_guard():
         asymptotic_seed(2, -1.5, -4.0)
 
 
-def test_normalized_seed_example():
-    # -ubar^2 - 1/(2 ubar) at ubar = -10 is -99.95 (third term is 1e-5-level)
-    assert normalized_seed(2, -10.0) == pytest.approx(-99.95, abs=2e-5)
+def test_deviation_seed_example():
+    # etabar = -ubar^2 - 1/(2 ubar) - 1/(8 ubar^4) at ubar = -10 is -99.95 to
+    # 1.25e-5; the series is kept as the deviation w = etabar + ubar^2 itself
+    assert _deviation_seed(2, -10.0) == pytest.approx(0.05 - 1.25e-5, rel=1e-14)
 
 
 def test_parity_guards():

@@ -163,9 +163,9 @@ def test_other_solver_failure_keeps_its_message(monkeypatch):
     assert not isinstance(info.value, StepSizeUnderflow)
 
 
-def test_no_module_calls_solve_ivp():
-    # shoot steps scipy's OdeSolver itself; no module imports or calls
-    # solve_ivp (a mention in a docstring or comment is not a use)
+def _users(name):
+    # the lines of the package that import or name ``name`` (a mention in a
+    # docstring or comment is not a use)
     src = Path(slidekick.__file__).parent
     users = []
     for path in sorted(src.glob("*.py")):
@@ -178,9 +178,20 @@ def test_no_module_calls_solve_ivp():
                 names = [node.attr]
             else:
                 continue
-            if "solve_ivp" in names:
+            if name in names:
                 users.append(f"{path.name}:{node.lineno}")
-    assert users == []
+    return users
+
+
+def test_no_module_calls_solve_ivp():
+    # shoot steps scipy's OdeSolver itself; no module imports or calls solve_ivp
+    assert _users("solve_ivp") == []
+
+
+def test_no_module_calls_scipy_brentq():
+    # every bracketed root goes through integrator._brentq, on the compiled
+    # routine brentq wraps; no module imports or calls brentq itself
+    assert _users("brentq") == []
 
 
 def test_no_module_selects_radau():
@@ -818,14 +829,22 @@ def test_brentq_helper_is_brentq_to_the_bit():
     row = integrator._record_interpolant(lsoda.dense.steps[3])
     dop = shoot(lambda t, z: [z[1], -z[0]], (0.0, 6.0), [1.0, 0.0], method="DOP853", dense=True)
     step = dop.dense.interpolants[2]
+    sh = model("saddle-homoclinic", check=False)
+    poly2 = phi_polynomial(2)
     cases = [
         (lambda u: row(u)[0] - 0.5 * (row(lsoda.ts[3])[0] + row(lsoda.ts[4])[0]), lsoda.ts[3], lsoda.ts[4]),
         (lambda u: step(u)[1] - 0.5 * (step(dop.ts[2])[1] + step(dop.ts[3])[1]), dop.ts[2], dop.ts[3]),
         (lambda u: (u * u - 2.0) * u - 5.0, 2.0, 3.0),
         (lambda u: u - 0.5, 0.5, 1.0),  # the bracket's end is the root
+        (lambda x: sh.system.x_plus.func(x, sh.system.offset)[1], *sh.fold_bracket),  # find_fold's X2+
+        (lambda v: poly2.eval(v) - 0.3, -1.0, 1.0),  # the profile's inverse
     ]
+    # each site's tolerance: event location, the W^s landing, find_fold, the grazing
+    # crossings, the profile's inverse and the homoclinic gap (brentq's default xtol)
+    tol_pairs = [{"xtol": integrator._EPS4, "rtol": integrator._EPS4}, {"xtol": 1e-14},
+                 {"xtol": 1e-12}, {"xtol": 1e-13}, {"xtol": 1e-15}, {"xtol": 2e-12}]
     for f, a, b in cases:
-        for tols in ({"xtol": integrator._EPS4, "rtol": integrator._EPS4}, {"xtol": 1e-14}):
+        for tols in tol_pairs:
             g, us = _logged(f)
             ref = brentq(g, a, b, **tols)
             h, vs = _logged(f)

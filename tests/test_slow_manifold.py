@@ -121,6 +121,25 @@ def test_trace_exit_matches_inner_constant(normal_form, poly2):
     assert tr.exit_x == pytest.approx(eps ** (2 / 3) * eta0, rel=0.2)
 
 
+@pytest.mark.parametrize("p, tol", [(2, 1e-4), (3, 5e-4)])
+def test_strip_exit_follows_the_inner_law(p, tol):
+    # the exit law of inner's docstring: from x = -0.8 the normal fold
+    # (kappa = 1) leaves the strip at eta0(0) eps^{p/(2p-1)}; the ratio's
+    # error shrinks like eps^{1/(2p-1)} (0.892535, 0.891213, 0.890569 at
+    # eps = 1e-5, 1e-6, 1e-7 for p = 2, against eta0(0) = 0.889998), so one
+    # Richardson step on 1e-6 and 1e-7 lands within 1.7e-5 (p = 2), 1.2e-4 (p = 3)
+    from slidekick.inner import _richardson, distinguished_solution
+
+    profile = phi_polynomial(p)
+    system = models.model("normal-fold").system
+    ratios = [strip_crossing(RegularizedSystem(system, profile, eps), -0.8, x_limit=1.0)[0]
+              / eps ** (p / (2 * p - 1)) for eps in (1e-6, 1e-7)]
+    eta0 = distinguished_solution(p, profile.c_p).eta_at_0
+    assert abs(ratios[1] - eta0) < abs(ratios[0] - eta0)
+    extrapolate = _richardson(*ratios, 10.0 ** (-1.0 / (2 * p - 1)))[0]
+    assert abs(extrapolate - eta0) <= tol
+
+
 @pytest.mark.parametrize("to_v", [-5.0, "seed"])
 def test_trace_rejects_a_to_v_at_or_below_the_seed(normal_form, poly2, to_v):
     # the upward stop at to_v never fired: the trace ran 50 in x, to v = 2.4e7
