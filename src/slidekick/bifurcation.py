@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from slidekick.errors import ConfigError, NumericalFailure
 from slidekick.fields import PlanarField, filippov_flow, sign_changes
-from slidekick.integrator import EXTERIOR, UPPER_ARC, NoArrival, PoincareResult, Section, Stop, _brentq, shoot
+from slidekick.integrator import EXTERIOR, NoArrival, PoincareResult, Section, Stop, _brentq, shoot
 from slidekick.models import ModelDescriptor, saddle_eigen
 from slidekick.poincare import (
     exterior_map,
@@ -594,8 +594,9 @@ def stribeck_attractor(
 
 
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:
-    shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], dense=True, **UPPER_ARC)
+    shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], dense=True, **EXTERIOR)
     if shot.stop is None:
-        raise NoArrival("upper arc never returned to the strip boundary")
+        raise NoArrival(f"upper arc: orbit from ({x_exit}, {eps}) never returned to y = {eps} by t_max={t_max}; "
+                        f"last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
     pts = shot.dense(np.linspace(shot.ts[0], shot.t, 6000))
     return np.column_stack([pts[0], pts[1]])

@@ -235,7 +235,7 @@ def cmd_bifurcate(args) -> int:
     rows = []
     if args.family in ("grazing-attracting", "grazing-repelling"):
         variant = args.family.split("-")[1]
-        desc = model("grazing-family", variant=variant)
+        desc = model("grazing-family", variant=variant, y0=args.y0)
         diag = grazing_sliding_scan(desc, profile, eps, args.mu)
         for pt in diag.points:
             if pt.fixed_points:
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, type=_mu_grid,
                    help="a:b:n grid or comma list (mu~ for homoclinic)")
     p.add_argument("--y0", type=_finite, default=0.25)
-    p.add_argument("--nu", type=_finite, default=0.15)
+    p.add_argument("--nu", type=_finite, default=0.15, help="saddle-loop dissipation; only homoclinic reads it")
     p.set_defaults(fn=cmd_bifurcate)
 
     p = sub.add_parser("friction", help="dry-friction experiments (coulomb, stribeck)")

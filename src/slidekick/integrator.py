@@ -38,11 +38,11 @@ of that, the primitive handles four cases:
   and Radau hold that rate; LSODA shots keep the end-point rule.
 
 Each stage picks its stepper from one table, the read-only keyword sets
-:data:`EXTERIOR`, :data:`STIFF`, :data:`STIFF_TIGHT` and :data:`UPPER_ARC`
-passed as ``shoot(..., **NAME)``; each names its users and the reason for
-its values.  The Filippov flows keep ``shoot``'s defaults.  scipy's Radau
-IIA is selectable as ``method="Radau"`` for tight reference solves; no
-stage of the package uses it.
+:data:`EXTERIOR`, :data:`STIFF` and :data:`STIFF_TIGHT` passed as
+``shoot(..., **NAME)``; each names its users and the reason for its values.
+The Filippov flows keep ``shoot``'s defaults.  scipy's Radau IIA is
+selectable as ``method="Radau"`` for tight reference solves; no stage of
+the package uses it.
 
 RK45, DOP853 and Radau are scipy's ``OdeSolver`` objects.  LSODA steps on
 :class:`_Lsoda`, built on scipy's ``lsoda`` integrator class with no
@@ -144,13 +144,16 @@ _RTOL_FLOOR = 100 * np.finfo(float).eps  # validate_tol raises a smaller rtol to
 _FREE_WORK: dict[tuple[int, int], list] = {}  # (rwork, iwork) pairs of ended LSODA shots, by their lengths
 
 # Orbits outside the strip: poincare.exterior_map (exterior returns, stage Pbar,
-# every landing), poincare._stage_P and bifurcation._stable_separatrix, on the
-# Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
+# every landing), poincare._stage_P, bifurcation._stable_separatrix and the
+# Stribeck upper arc, bifurcation._upper_arc, on the Dormand-Prince 8(5,3) pair
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
 # At rtol 1e-11 the landings lie 3-5x farther from a tight reference; at 1e-12
 # those near the fold are within 5e-12 of DOP853 at rtol 1e-13.  The cap (a
 # graze is found at its turn, not by it) keeps exterior_map's landings within
-# the 1e-12 of a tier-1 test of the separatrix shot's, so the three share it:
+# the 1e-12 of a tier-1 test of the separatrix shot's, so they all share it:
 # without it two saddle-homoclinic W^s landings lie 1.2e-12 and 2.3e-12 off.
+# The arc's 6000 dense samples need no tighter cap: DOP853's seventh-order
+# interpolant (II.6) keeps them within 4e-12 of DOP853 at rtol 3e-14.
 EXTERIOR = MappingProxyType({"method": "DOP853", "rtol": 1e-12, "atol": 1e-14, "max_step": 0.25})
 # The stiff orbits: slow_manifold.strip_crossing (the middle map of every fold
 # and return map), inner._integrate_normalized and cli.cmd_simulate --eps, on
@@ -169,10 +172,6 @@ STIFF = MappingProxyType({"method": "LSODA", "rtol": 1e-12, "atol": 1e-14})
 # of criterion 2 misses 1e-13, and the p = 4 inner grid's interpolant reads
 # 3.5e-10 against its 1e-10 contract, even with the 0.01 step cap.
 STIFF_TIGHT = MappingProxyType({"method": "LSODA", "rtol": 3e-14, "atol": 1e-16})
-# The densely sampled Stribeck upper arc, bifurcation._upper_arc: RK45, not
-# DOP853, because the 0.02 cap for the dense samples binds, so the eighth-order
-# steps would be as many and each costs about twice as much.
-UPPER_ARC = MappingProxyType({"method": "RK45", "rtol": 1e-11, "atol": 1e-13, "max_step": 0.02})
 
 
 def _gap(stop: Stop, t: float, z: np.ndarray) -> float:  # the stop's signed distance

@@ -311,13 +311,12 @@ def contraction_probe(
     for x0 in x0_list:
         shot = shoot(rhs, (x0, 0.5), [1.0], [Stop(0, 1.0, 1)], jac=jac, dense=True, **STIFF_TIGHT)
         if shot.stop is None:
-            raise StripCrossingFailed(f"orbit from x0={x0} did not return to v=1")
+            raise StripCrossingFailed(f"contraction probe: orbit from x0={x0} did not return to v=1; "
+                                      f"last state x={shot.t}, v={shot.z[0]}")
         shots.append(shot)
     exits = [shot.t for shot in shots]
 
-    if milestones is None:
-        milestones = np.linspace(max(x0_list), 0.0, 5)
-    milestones = np.asarray(milestones, dtype=float)
+    milestones = np.linspace(max(x0_list), 0.0, 5) if milestones is None else np.asarray(milestones, dtype=float)
 
     seps: dict[tuple[int, int], np.ndarray] = {}
     for i in range(len(x0_list)):
@@ -357,11 +356,11 @@ def strip_crossing(
 ) -> tuple[float, float]:
     """Cross the strip from (x_enter, v=1) back to v=1: the middle map.
 
-    Returns (x_exit, transit_time).  Time is recovered
-    by the quadrature dt/dx = 1/B1 alongside the orbit equation.  Raises
-    ``StripCrossingFailed`` if the orbit leaves through the bottom or never
-    returns (which cannot happen for entries left of the tangency while the
-    lower field pushes up).
+    Returns (x_exit, transit_time).  Time is recovered by the quadrature
+    dt/dx = 1/B1 alongside the orbit equation.  Raises ``StripCrossingFailed``,
+    naming the last state (x, v, t), if the orbit leaves through the bottom or
+    never returns (which cannot happen for entries left of the tangency while
+    the lower field pushes up).
 
     A repeat crossing of the same ``R`` joins the passage recorded for it
     (landing independence as an algorithm).  Every orbit that enters the
@@ -396,10 +395,10 @@ def strip_crossing(
             stops.append(Stop(g=lambda x, z: x - x_k, direction=1, accept=lambda z: abs(z[0] - v_k) <= _JOIN_TOL))
 
     shot = shoot(rhs, (x_enter, x_limit), [1.0, 0.0], stops, jac=jac, **STIFF)
-    if shot.stop == 1:
-        raise StripCrossingFailed(f"orbit from x={x_enter} fell through the strip")
-    if shot.stop is None or (shot.stop == 2 and rec.exit > x_limit):
-        raise StripCrossingFailed(f"orbit from x={x_enter} did not return to v=1 by x={x_limit}")
+    if shot.stop in (1, None) or (shot.stop == 2 and rec.exit > x_limit):
+        why = "fell through the strip" if shot.stop == 1 else f"did not return to v=1 by x={x_limit}"
+        raise StripCrossingFailed(f"strip crossing: orbit from x={x_enter} {why}; "
+                                  f"last state x={shot.t}, v={shot.z[0]}, t={shot.z[1]}")
     if shot.stop == 2:
         return rec.exit, float(shot.z[1] + (rec.time - ts[k]))
     if rec is None or x_enter < rec.entry:

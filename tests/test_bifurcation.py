@@ -10,6 +10,7 @@ from slidekick.bifurcation import (
     _n_fixed_points,
     _stability,
     _stable_separatrix,
+    _upper_arc,
     centre_semistability,
     grazing_sliding_scan,
     homoclinic_family,
@@ -22,7 +23,7 @@ from slidekick.bifurcation import (
 )
 from slidekick.errors import ConfigError
 from slidekick.fields import filippov_flow, sign_changes
-from slidekick.integrator import NoArrival, PoincareResult, Section
+from slidekick.integrator import NoArrival, PoincareResult, Section, Stop, shoot
 from slidekick.models import Y_TANGENT, model, saddle_eigen
 from slidekick.poincare import exterior_map, map_P_epsilon, normal_form_constants
 from slidekick.regularization import RegularizedSystem, phi_linear, phi_polynomial
@@ -172,6 +173,24 @@ def test_stribeck_attractor_smoke(poly2):
     assert res.hausdorff_upper <= 5 * 1e-2
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_upper_arc_agrees_with_tight_dop853(eps):
+    # the arc runs at EXTERIOR: its 6000 dense samples lie within 1e-11 of
+    # DOP853 at rtol 3e-14 (measured 3.6e-12 at both eps)
+    x_plus = model("stribeck").system.x_plus
+    arc = _upper_arc(x_plus, 1.01, eps, t_max=200.0)
+    ref = shoot(x_plus.rhs, (1e-9, 200.0), [1.01, eps], [Stop(1, eps, -1)], dense=True,
+                method="DOP853", rtol=3e-14, atol=1e-16, max_step=0.01)
+    assert ref.stop == 0 and arc.shape == (6000, 2)
+    assert np.abs(arc - ref.dense(np.linspace(ref.ts[0], ref.t, 6000)).T).max() <= 1e-11
+
+
+def test_upper_arc_failure_names_its_last_state():
+    with pytest.raises(NoArrival, match=r"^upper arc: orbit from \(1\.01, 0\.01\) never returned to y = 0\.01 "
+                                        r"by t_max=0\.5; last state t=0\.5, x="):
+        _upper_arc(model("stribeck").system.x_plus, 1.01, 1e-2, t_max=0.5)
+
+
 def _stribeck_return_map(desc, profile, eps, y0=0.25):
     # R = P^e o P_eps of the regularized Stribeck model, built from the maps
     fold = desc.fold()
@@ -200,7 +219,7 @@ def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
     # R_eps, which moved x* by 3.4e-15 from a run of full crossings
     assert res.fixed_point == x_star
     # the pruned Hausdorff search is exact: the all-pairs scan's values, to the bit
-    assert res.hausdorff_upper == {1e-2: 0.009705701671561883, 1e-3: 0.0010217018609755104}[eps]
+    assert res.hausdorff_upper == {1e-2: 0.009705701666819935, 1e-3: 0.0010217018562204462}[eps]
     R = _stribeck_return_map(desc, poly2, eps)
     assert R(x_star) == pytest.approx(x_star, abs=1e-9)
     xs = np.linspace(x_star - 0.25, min(x_star + 0.25, desc.fold().x - 1e-3), 48)
@@ -232,8 +251,8 @@ def test_stribeck_family_builds_the_eps_free_half_once(poly2, monkeypatch):
     assert (len(flows), len(returns)) == (1, 2)
     got = [attractor(poly2, eps) for eps in (1e-2, 1e-3)]
     assert (len(flows), len(returns)) == (1, 2 + 2 * 10)
-    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173014, 0.009705701671561883),
-                                                                 (0.23203610786590181, 0.0010217018609755104)]
+    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173014, 0.009705701666819935),
+                                                                 (0.23203610786590181, 0.0010217018562204462)]
 
 
 def test_certificate_passes_on_five_samples():

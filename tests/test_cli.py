@@ -1,3 +1,4 @@
+import hashlib
 import math
 import shlex
 import subprocess
@@ -67,6 +68,21 @@ def test_inner_csv_deterministic(tmp_path):
         texts.append(out.read_bytes())
     assert texts[0].splitlines()[0] == b"u,eta"
     assert texts[0] == texts[1]
+
+
+def test_bifurcate_grazing_reads_y0(tmp_path):
+    # the grazing family is built at the section --y0 (flag or config key):
+    # its saddle-node lies at |Delta(y0)| eps, Delta = (1 + c) / (2 sqrt(y0))
+    # with the repelling c = -2, measured 9.1349e-4 against 9.1287e-4 at 0.3
+    argv = ("bifurcate", "--family", "grazing-repelling", "--eps", "1e-3", "--mu", "0:1.5e-3:13")
+    code, default = run_cli(*argv)
+    assert code == 0
+    code, moved = run_cli(*argv, "--y0", "0.3")
+    assert code == 0
+    assert moved != default
+    assert run_with_config(tmp_path, "y0 = 0.3\n", *argv) == (0, moved)
+    collision_mu = float(moved.splitlines()[0].removeprefix("collision_mu="))
+    assert collision_mu == pytest.approx(1e-3 / (2.0 * math.sqrt(0.3)), rel=0.02)
 
 
 def test_bifurcate_csv_deterministic(tmp_path):
@@ -479,18 +495,61 @@ def test_bitwise_reproducible_csv(tmp_path, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_readme_cli_block_parses():
-    # every command of the README's CLI block parses with today's flags and
-    # subcommands; nothing is solved
+def _readme_commands():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-    commands = [argv for argv in commands if argv]
+    return [argv for argv in commands if argv]
+
+
+def test_readme_cli_block_parses():
+    # every command of the README's CLI block parses with today's flags and
+    # subcommands; nothing is solved
+    commands = _readme_commands()
     assert len(commands) >= 10
     parser = slidekick.cli.build_parser()
     for argv in commands:
         assert argv[0] == "slidekick"
         parser.parse_args(argv[1:])
+
+
+# SHA-256 of the stdout (summary lines and CSV) of each README CLI command but
+# `accept`, whose table holds timings: the documented examples give the same bytes
+_README_GOLDEN = {
+    "poincare --model normal-fold --profile linear --eps 1e-3 --y0 0.25 --probe=-0.8":
+        "ff7b65ba041bc70266e9cfdad47ca02adbd9696829320d83a552d856b841411e",
+    "inner --p 2 --phi-p -3 --u-start -30":
+        "e4f5ed0f3035cc93f7a58a548a3fbc2d5e05b4ef703a84d172081d17b9e29109",
+    "exponent --model normal-fold --profile 'poly(2)' --eps-list 1e-6,3e-6,1e-5,3e-5,1e-4":
+        "8a53b27f845fdf185a14a671480cfcb49a6953223015b74e449b816995cff3a0",
+    "exponent --model general-fold --profile 'poly(2)' --eps-list 1e-6,3e-6,1e-5,3e-5,1e-4":
+        "5a0324f905c4bed378fc8c631957ceb951c4eabad2dcc567123f3745b8a7b2d8",
+    "manifold --model normal-fold --profile 'poly(2)' --eps 1e-4":
+        "f5d29643b526df494f9508114f9fca1d7f0d115355e09635f43f626dfca7a035",
+    "simulate --model normal-fold --start=-0.8,0.1 --until-y 0.25":
+        "1561a6596e6af41d5fa2530285e330c776a694730abbf1ec1a45e8d87be7fae6",
+    "bifurcate --family grazing-repelling --eps 1e-3 --mu 0:1.5e-3:13":
+        "57cc44c2cf89815176571d798f5d6d17a3a5eaf05d77a8bbf109119e179b8a2e",
+    "friction --model coulomb --eps 1e-3":
+        "4e2563c3266f2a143eec0ad9aa65619a153f0757a0d9b00d3c2feef78764c83a",
+    "models list":
+        "dfbbc7ccbab203f13bce542d5487b020a63a2c37e201c1b1f930c84add5a67db",
+}
+
+
+def test_readme_golden_table_lists_the_readme_block():
+    assert list(_README_GOLDEN) == [shlex.join(argv[1:]) for argv in _readme_commands() if argv[1] != "accept"]
+
+
+@pytest.mark.parametrize("command", list(_README_GOLDEN),
+                         ids=[f"{i}-{c.split()[0]}" for i, c in enumerate(_README_GOLDEN)])
+def test_readme_cli_golden(command):
+    # each case starts with an empty strip-passage store (conftest), as a
+    # fresh process does: a crossing that joins a recorded passage may differ
+    # from the full crossing in its last digits
+    code, text = run_cli(*shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _README_GOLDEN[command]
 
 
 def test_entry_point_installed():

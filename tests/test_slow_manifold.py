@@ -5,6 +5,7 @@ import pytest
 
 from slidekick import models, slow_manifold
 from slidekick.errors import ConfigError
+from slidekick.fields import FilippovSystem, PlanarField
 from slidekick.integrator import Stop, shoot
 from slidekick.regularization import (
     RegularizationProfile,
@@ -399,6 +400,22 @@ def test_joined_exit_beyond_the_limit_fails(normal_form, poly2, shoot_calls):
     slow_manifold._passages.clear()
     with pytest.raises(slow_manifold.StripCrossingFailed, match="did not return"):
         strip_crossing(R, -0.74, x_limit=x_exit / 2)
+
+
+def test_strip_failures_name_the_stage_and_last_state(normal_form, poly2):
+    # a short x_limit, a lower field that pushes down, and a start right of
+    # the tangency, whose orbit rises away from v = 1
+    R = RegularizedSystem(normal_form, poly2, 1e-3)
+    with pytest.raises(slow_manifold.StripCrossingFailed, match=r"^strip crossing: orbit from x=-0\.8 did not return "
+                                                                r"to v=1 by x=-0\.5; last state x=-0\.5, v=-?0\.\d+, t="):
+        strip_crossing(R, -0.8, x_limit=-0.5)
+    down = FilippovSystem(normal_form.x_plus, PlanarField(lambda x, y: (1.0, -1.0), name="X-"))
+    with pytest.raises(slow_manifold.StripCrossingFailed, match=r"^strip crossing: orbit from x=-0\.8 fell through "
+                                                                r"the strip; last state x=-0\.79\d+, v=-1\.0, t="):
+        strip_crossing(RegularizedSystem(down, poly2, 1e-3), -0.8, x_limit=0.5)
+    with pytest.raises(slow_manifold.StripCrossingFailed, match=r"^contraction probe: orbit from x0=0\.45 did not "
+                                                                r"return to v=1; last state x=0\.5, v=48\.5"):
+        contraction_probe(R, [0.45])
 
 
 def test_passage_store_bound(normal_form, lin, poly3, shoot_calls):
