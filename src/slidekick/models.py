@@ -177,8 +177,8 @@ def _grazing_family(variant: str = "attracting", c: float | None = None,
         raise BadParams("variant must be 'attracting' or 'repelling'")
     if c is None:
         c = -0.5 if variant == "attracting" else -2.0
-    if c > 0.0:
-        raise BadParams("the exterior slope c must be <= 0")
+    if y0 <= 0.0:
+        raise BadParams(f"section y0={y0} must lie above the switching line y=0")
     if variant == "attracting" and not -1.0 < c < 0.0:
         raise BadParams("attracting germ needs -1 < c < 0")
     if variant == "repelling" and c >= -1.0:

@@ -431,6 +431,16 @@ def test_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("y0", ["0", "-1", "1e-3"], ids=["zero", "negative", "strip-top"])
+def test_grazing_section_at_or_below_strip_rejected(monkeypatch, capsys, y0):
+    # the grazing family is built at --y0, so its section is checked too
+    import slidekick.bifurcation
+
+    monkeypatch.setattr(slidekick.bifurcation, "map_P_epsilon", _must_not_run)
+    assert main(["bifurcate", "--family", "grazing-repelling", "--eps", "1e-3", "--mu", "0,1e-3", f"--y0={y0}"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("model_id, probe", [("normal-fold", "0"), ("normal-fold", "2.5"), ("stribeck", "0.996")],
                          ids=["at-fold", "past-fold", "x-plus-up"])
 def test_start_at_or_past_fold_rejected(monkeypatch, capsys, model_id, probe):
