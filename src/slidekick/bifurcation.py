@@ -596,7 +596,6 @@ def stribeck_attractor(
 def _upper_arc(field: PlanarField, x_exit: float, eps: float, *, t_max: float) -> np.ndarray:
     shot = shoot(field.rhs, (1e-9, t_max), [x_exit, eps], [Stop(1, eps, -1)], dense=True, **EXTERIOR)
     if shot.stop is None:
-        raise NoArrival(f"upper arc: orbit from ({x_exit}, {eps}) never returned to y = {eps} by t_max={t_max}; "
-                        f"last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
+        raise NoArrival(f"upper arc: never returned to y = {eps}; last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
     pts = shot.dense(np.linspace(shot.ts[0], shot.t, 6000))
     return np.column_stack([pts[0], pts[1]])

@@ -316,7 +316,9 @@ def contraction_probe(
         shots.append(shot)
     exits = [shot.t for shot in shots]
 
-    milestones = np.linspace(max(x0_list), 0.0, 5) if milestones is None else np.asarray(milestones, dtype=float)
+    if milestones is None:
+        milestones = np.linspace(max(x0_list), 0.0, 5)
+    milestones = np.asarray(milestones, dtype=float)
 
     seps: dict[tuple[int, int], np.ndarray] = {}
     for i in range(len(x0_list)):

@@ -186,8 +186,7 @@ def test_upper_arc_agrees_with_tight_dop853(eps):
 
 
 def test_upper_arc_failure_names_its_last_state():
-    with pytest.raises(NoArrival, match=r"^upper arc: orbit from \(1\.01, 0\.01\) never returned to y = 0\.01 "
-                                        r"by t_max=0\.5; last state t=0\.5, x="):
+    with pytest.raises(NoArrival, match=r"^upper arc: never returned to y = 0\.01; last state t=0\.5, x="):
         _upper_arc(model("stribeck").system.x_plus, 1.01, 1e-2, t_max=0.5)
 
 
