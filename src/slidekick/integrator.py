@@ -44,14 +44,18 @@ The Filippov flows keep ``shoot``'s defaults.  scipy's Radau IIA is
 selectable as ``method="Radau"`` for tight reference solves; no stage of
 the package uses it.
 
-RK45, DOP853 and Radau are scipy's ``OdeSolver`` objects.  LSODA steps on
-:class:`_Lsoda`, built on scipy's ``lsoda`` integrator class with no
-``ode`` object: a step is one direct call of its compiled runner, with no
-Python wrapper around ``rhs``, and its steps, states, ``nfev``, ``njev``
-and ``nlu`` are scipy ``LSODA``'s to the bit.  Both expose ``step()``,
-``t``, ``t_old``, ``y`` and ``status``, and one loop steps them; the type
-of the stepper fixes, once per shot, whether turns are looked for (an
-``OdeSolver`` holds the rate ``f``) and what a step leaves for dense output.
+RK45 and Radau are scipy's ``OdeSolver`` objects.  DOP853 steps on
+:class:`_Dop853`, scipy ``DOP853``'s tableau and step control on Python
+floats, without scipy's per-step arrays (about two thirds of the time per
+step); its stage sums are exact, so its digits lie within rounding of
+scipy's.  LSODA steps on :class:`_Lsoda`, built on scipy's ``lsoda``
+integrator class with no ``ode`` object: a step is one direct call of its
+compiled runner, with no Python wrapper around ``rhs``, and its steps,
+states, ``nfev``, ``njev`` and ``nlu`` are scipy ``LSODA``'s to the bit.
+All of them expose ``step()``, ``t``, ``t_old``, ``y`` and ``status``, and
+one loop steps them; the type of the stepper fixes, once per shot, whether
+turns are looked for (every stepper but ``_Lsoda`` holds the rate ``f``)
+and what a step leaves for dense output.
 scipy 1.17.1's runner never frees the work arrays it steps on, so an ended
 LSODA shot gives its pair to a free list, and the next stepper reuses it.
 
@@ -73,12 +77,17 @@ import math
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
+from math import fsum
+from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, OdeSolution, Radau, _ode
-from scipy.integrate._ivp.common import validate_tol
+from scipy.integrate import RK45, OdeSolution, OdeSolver, Radau, _ode
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.base import ConstantDenseOutput
+from scipy.integrate._ivp.common import select_initial_step, validate_tol, warn_extraneous
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import _zeros
 
 from slidekick.errors import ConfigError, NumericalFailure
@@ -132,10 +141,10 @@ class Shot:
     min_step: float
     njev: int  # the solver's Jacobian evaluations
     nlu: int  # the solver's LU decompositions
+    method: str = "RK45"  # the stepper that took the steps
     n_bdf: int = 0  # LSODA steps taken in BDF (stiff) mode, iwork[18] = 2; 0 for the other methods
 
 
-_SOLVERS = {"RK45": RK45, "DOP853": DOP853, "Radau": Radau}  # LSODA steps on _Lsoda
 # the brentq tolerance of solve_ivp's event location: _brentq hands it to scipy's
 # compiled Brent routine (_zeros._brentq), with brentq's NaN check kept
 _EPS4 = 4 * np.finfo(float).eps
@@ -146,7 +155,7 @@ _FREE_WORK: dict[tuple[int, int], list] = {}  # (rwork, iwork) pairs of ended LS
 # Orbits outside the strip: poincare.exterior_map (exterior returns, stage Pbar,
 # every landing), poincare._stage_P, bifurcation._stable_separatrix and the
 # Stribeck upper arc, bifurcation._upper_arc, on the Dormand-Prince 8(5,3) pair
-# (Hairer, Norsett & Wanner, Solving ODEs I, II.10).
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.10), stepped by _Dop853.
 # At rtol 1e-11 the landings lie 3-5x farther from a tight reference; at 1e-12
 # those near the fold are within 5e-12 of DOP853 at rtol 1e-13.  The cap (a
 # graze is found at its turn, not by it) keeps exterior_map's landings within
@@ -200,10 +209,12 @@ def shoot(
     """Integrate ``rhs`` forward over ``t_span`` until the first accepted stop.
 
     Steps the ``method`` solver (LSODA, RK45, DOP853 or Radau) in one loop
-    shared by all four.  The stops whose sign changed over a step, in their
-    direction, are rooted on the step's interpolant, and so is a level
-    stop's crossing hidden behind a turn inside the step; the roots are
-    tried in time order and the first with an accepted state fires.  The
+    shared by all four: :class:`_Lsoda` for LSODA, :class:`_Dop853` for
+    DOP853 and scipy's ``OdeSolver`` for RK45 and Radau.  The stops whose
+    sign changed over a step, in their direction, are rooted on the step's
+    interpolant, and so is a level stop's crossing hidden behind a turn
+    inside the step; the roots are tried in time order and the first with
+    an accepted state fires.  The
     turn is looked for only where the solver holds the rate at the step's
     ends (RK45, DOP853, Radau).  LSODA does not, and one ``rhs`` call per
     step would add about 0.9 us to a 4.9 us strip-crossing step (the
@@ -214,8 +225,11 @@ def shoot(
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if
     ``dense`` is set, the step count, the solver's ``rhs`` call, Jacobian
-    and LU counts, the smallest step and, for LSODA, the steps taken in BDF
-    mode.  The dense solution maps a time or an array of times to ``(n,)``
+    and LU counts, the smallest step, the method and, for LSODA, the steps
+    taken in BDF mode.  DOP853's ``nfev`` is 12 per attempted step, 2 for
+    the start's rate and the initial step's probe, and 3 per interpolant
+    built: every step of a dense shot, else each step whose roots or turn
+    are looked at.  The dense solution maps a time or an array of times to ``(n,)``
     or ``(n, m)`` values; it is an ``OdeSolution`` except for LSODA, whose
     steps are recorded (at most 13 n floats of Nordsieck history per step)
     and evaluated to the digits of ``OdeSolution``.  On the p = 4 inner
@@ -264,7 +278,7 @@ def shoot(
         ts[-1], zs[:, -1] = fired[1]  # the polished hit replaces the bracketed root
     return Shot(stop=None if fired is None else fired[0], t=float(ts[-1]), z=np.array(zs[:, -1]), ts=ts, zs=zs,
                 dense=out, n_steps=len(ts) - 1, nfev=nfev, min_step=float(steps[steps > 0.0].min(initial=np.inf)),
-                njev=njev, nlu=nlu, n_bdf=n_bdf)
+                njev=njev, nlu=nlu, method=method, n_bdf=n_bdf)
 
 
 def _first_hit(stops, brackets, sol, rhs, last):
@@ -290,11 +304,11 @@ def _first_hit(stops, brackets, sol, rhs, last):
 
 
 def _step_loop(stepper, rhs, stops, dense):
-    # the one step loop, for _Lsoda and the OdeSolvers alike: the state is
-    # read once per step as floats, the stop values are updated in place, and
-    # a stop is rooted on the step's interpolant only where its sign changed
-    # or, with the rates at the step's ends in hand (an OdeSolver's f; _Lsoda
-    # holds none), where a level's crossing hides behind a turn
+    # the one step loop, for _Lsoda, _Dop853 and the OdeSolvers alike: the
+    # state is read once per step as floats, the stop values are updated in
+    # place, and a stop is rooted on the step's interpolant only where its
+    # sign changed or, with the rates at the step's ends in hand (the
+    # stepper's f; _Lsoda holds none), where a level's crossing hides behind a turn
     holds_rate = not isinstance(stepper, _Lsoda)
     # what a step leaves for dense output (scipy's interpolant or _Lsoda's record), and its interpolant
     part_of, interpolant = (stepper.dense_output, lambda p: p) if holds_rate else (stepper.record, _record_interpolant)
@@ -312,7 +326,7 @@ def _step_loop(stepper, rhs, stops, dense):
         message = stepper.step()
         if message is not None:
             raise (StepSizeUnderflow if "step size" in message.lower() else NumericalFailure)(message)
-        if holds_rate:  # an OdeSolver's y and f are new arrays at each step; _Lsoda writes its y in place
+        if holds_rate:  # y and f are new objects at each step; _Lsoda writes its y in place
             y, f_old, f, sol = stepper.y, f, stepper.f, None
         t, z = stepper.t, y.tolist()
         part = part_of() if dense else None
@@ -341,6 +355,100 @@ def _step_loop(stepper, rhs, stops, dense):
             if dense:
                 parts.append(part)
     return ts, np.array(zs).reshape(-1, n).T, parts, fired
+
+
+class _Dop853:
+    """scipy ``DOP853``'s tableau and step control on Python floats: the
+    initial step of ``select_initial_step`` at error order 7, the err5/err3
+    norm, safety 0.9, step factors in [0.2, 10] at exponent -1/8 and the
+    10-ulp minimum step, below which a step fails with scipy's text.  Each
+    component keeps its stage rates in one list, and each stage sum is the
+    correctly rounded ``math.fsum`` of its products, so the digits depend on
+    neither BLAS nor the Python version and lie within rounding of scipy's.
+    :meth:`dense_output` returns scipy's ``Dop853DenseOutput``, its ``F``
+    formed as ``DOP853`` forms it from 3 more stages."""
+
+    A = [tuple(row[:k]) for k, row in enumerate(dop853_coefficients.A.tolist())]  # stage k's weights
+    C, B, E5, E3, D = (getattr(dop853_coefficients, k).tolist() for k in ("C", "B", "E5", "E3", "D"))
+    njev = nlu = 0
+
+    def __init__(self, rhs, t0: float, y0: np.ndarray, t_bound: float, *, rtol: float, atol: float,
+                 max_step: float, **extraneous):
+        warn_extraneous(extraneous)
+        if not (isinstance(rtol, float) and isinstance(atol, float) and rtol >= _RTOL_FLOOR and atol >= 0.0):
+            rtol, atol = validate_tol(rtol, atol, len(y0))  # DOP853's check, where it can change or reject one
+        if not max_step > 0:
+            raise ValueError("`max_step` must be positive.")
+        self.rhs, self.t, self.t_old, self.t_bound, self.max_step = rhs, t0, None, t_bound, max_step
+        self.y, self.rtol, self.atol = np.array(y0, dtype=float), float(rtol), float(atol)
+        self._y, self.f = self.y.tolist(), list(rhs(t0, self.y))
+        self.direction, self.status, self.nfev = 1.0 if t_bound >= t0 else -1.0, "running", 1 + (t_bound != t0)
+        self.h_abs = float(select_initial_step(rhs, t0, self.y, t_bound, max_step, np.asarray(self.f, dtype=float),
+                                               self.direction, 7, rtol, atol))  # its probe is the second call
+        self._cols = [[0.0] * 16 for _ in self._y]  # [i][k]: stage k's rate of component i
+
+    def _stages(self, t: float, y: list, h: float, first: int, stop: int) -> None:
+        # stages first..stop-1 of the step of size h from (t, y), as rk_step forms them
+        cols, rhs, A, C = self._cols, self.rhs, self.A, self.C
+        for k in range(first, stop):
+            z = np.array([yi + fsum(map(mul, A[k], ci)) * h for yi, ci in zip(y, cols)])
+            for ci, v in zip(cols, rhs(t + C[k] * h, z)):
+                ci[k] = v
+
+    def step(self) -> str | None:
+        """One step, as ``OdeSolver.step`` takes it; returns the failure text or None."""
+        t, d, t_bound, y, cols = self.t, self.direction, self.t_bound, self._y, self._cols
+        if t == t_bound:  # the zero-length span's one empty step
+            self.t_old, self.status = t, "finished"
+            return None
+        for ci, v in zip(cols, self.f):
+            ci[0] = v
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        h_abs, rejected = self.max_step if self.h_abs > self.max_step else max(self.h_abs, min_step), False
+        while True:  # RungeKutta._step_impl's loop
+            if h_abs < min_step:
+                self.status = "failed"
+                return OdeSolver.TOO_SMALL_STEP
+            t_new = t_bound if d * (t + h_abs * d - t_bound) > 0 else t + h_abs * d
+            h = t_new - t
+            h_abs = abs(h)
+            self._stages(t, y, h, 1, 12)
+            y_new = [yi + h * fsum(map(mul, self.B, ci)) for yi, ci in zip(y, cols)]
+            y_arr, e5, e3 = np.array(y_new), 0.0, 0.0
+            for ci, v in zip(cols, self.rhs(t + h, y_arr)):
+                ci[12] = v
+            self.nfev += 12
+            for yi, vi, ci in zip(y, y_new, cols):
+                scale = self.atol + max(abs(yi), abs(vi)) * self.rtol
+                a, b = fsum(map(mul, self.E5, ci)) / scale, fsum(map(mul, self.E3, ci)) / scale
+                e5, e3 = e5 + a * a, e3 + b * b
+            denom = e5 + 0.01 * e3
+            error_norm = h_abs * e5 / math.sqrt(denom * len(y)) if denom else 0.0
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm ** -0.125), True
+        self.t_old, self.t, self.h_abs, self._h, self._y_old = t, t_new, h_abs, h, self.y
+        self._y, self.y, self.f = y_new, y_arr, [ci[12] for ci in cols]
+        if d * (t_new - t_bound) >= 0:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> Dop853DenseOutput | ConstantDenseOutput:
+        """The last step's interpolant, from 3 more stages (3 rhs calls)."""
+        t_old, t, h, cols = self.t_old, self.t, self._h, self._cols
+        if t == t_old:
+            return ConstantDenseOutput(t_old, t, self.y)
+        y_old = self._y_old.tolist()
+        self._stages(t_old, y_old, h, 13, 16)
+        self.nfev += 3
+        F = [[dy, h * ci[0] - dy, 2 * dy - h * (ci[12] + ci[0]), *(h * fsum(map(mul, r, ci)) for r in self.D)]
+             for dy, ci in ((yi - yo, ci) for yi, yo, ci in zip(self._y, y_old, cols))]
+        return Dop853DenseOutput(t_old, t, self._y_old, np.array(F).T)
+
+
+_SOLVERS = {"RK45": RK45, "DOP853": _Dop853, "Radau": Radau}  # LSODA steps on _Lsoda
 
 
 class _Lsoda:
@@ -487,8 +595,8 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = _EPS4
     the compiled routine it wraps, at its maxiter of 100: the one closure
     handed over keeps brentq's NaN check and ``ValueError`` text, and no
     other Python layer runs per evaluation (brentq's wrapper and NaN layer
-    cost about 1 us per evaluation: 97 against 88 us for an 8-evaluation
-    root on a DOP853 step).
+    cost about 1 us per evaluation: 82 against 75 us for a 7-evaluation
+    root on a DOP853 step's interpolant, 2-core x86-64, Python 3.11).
     For every bracketed root in the package; ``xtol`` and ``rtol`` are not
     checked."""
     def checked(u):

@@ -176,13 +176,17 @@ def test_stribeck_attractor_smoke(poly2):
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 def test_upper_arc_agrees_with_tight_dop853(eps):
     # the arc runs at EXTERIOR: its 6000 dense samples lie within 1e-11 of
-    # DOP853 at rtol 3e-14 (measured 3.6e-12 at both eps)
+    # scipy's own DOP853 at rtol 3e-14 (measured 3.6e-12 at both eps)
+    from scipy.integrate import solve_ivp
+
     x_plus = model("stribeck").system.x_plus
     arc = _upper_arc(x_plus, 1.01, eps, t_max=200.0)
-    ref = shoot(x_plus.rhs, (1e-9, 200.0), [1.01, eps], [Stop(1, eps, -1)], dense=True,
-                method="DOP853", rtol=3e-14, atol=1e-16, max_step=0.01)
-    assert ref.stop == 0 and arc.shape == (6000, 2)
-    assert np.abs(arc - ref.dense(np.linspace(ref.ts[0], ref.t, 6000)).T).max() <= 1e-11
+    back = lambda t, z: z[1] - eps
+    back.terminal, back.direction = True, -1
+    ref = solve_ivp(x_plus.rhs, (1e-9, 200.0), [1.01, eps], method="DOP853", rtol=3e-14, atol=1e-16,
+                    max_step=0.01, events=back, dense_output=True)
+    assert ref.status == 1 and arc.shape == (6000, 2)
+    assert np.abs(arc - ref.sol(np.linspace(1e-9, ref.t_events[0][0], 6000)).T).max() <= 1e-11
 
 
 def test_upper_arc_failure_names_its_last_state():
@@ -203,7 +207,7 @@ def _stribeck_return_map(desc, profile, eps, y0=0.25):
     return R
 
 
-@pytest.mark.parametrize("eps, x_star", [(1e-2, 0.24418968410173014), (1e-3, 0.23203610786590181)])
+@pytest.mark.parametrize("eps, x_star", [(1e-2, 0.24418968410173617), (1e-3, 0.23203610786591444)])
 def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
     # the contraction certificate holds, so no grid of maps is counted; a
     # 48-point sign-change count of R(x) - x on the same interval agrees
@@ -218,7 +222,7 @@ def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
     # R_eps, which moved x* by 3.4e-15 from a run of full crossings
     assert res.fixed_point == x_star
     # the pruned Hausdorff search is exact: the all-pairs scan's values, to the bit
-    assert res.hausdorff_upper == {1e-2: 0.009705701666819935, 1e-3: 0.0010217018562204462}[eps]
+    assert res.hausdorff_upper == {1e-2: 0.009705701666852352, 1e-3: 0.0010217018562204043}[eps]
     R = _stribeck_return_map(desc, poly2, eps)
     assert R(x_star) == pytest.approx(x_star, abs=1e-9)
     xs = np.linspace(x_star - 0.25, min(x_star + 0.25, desc.fold().x - 1e-3), 48)
@@ -250,8 +254,8 @@ def test_stribeck_family_builds_the_eps_free_half_once(poly2, monkeypatch):
     assert (len(flows), len(returns)) == (1, 2)
     got = [attractor(poly2, eps) for eps in (1e-2, 1e-3)]
     assert (len(flows), len(returns)) == (1, 2 + 2 * 10)
-    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173014, 0.009705701666819935),
-                                                                 (0.23203610786590181, 0.0010217018562204462)]
+    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173617, 0.009705701666852352),
+                                                                 (0.23203610786591444, 0.0010217018562204043)]
 
 
 def test_certificate_passes_on_five_samples():
@@ -340,6 +344,7 @@ def test_homoclinic_scan_shoots_one_separatrix(lin, shoot_calls, monkeypatch):
     monkeypatch.setattr(bifurcation, "map_P_epsilon", lambda *a, **k: maps.append(a) or map_P_epsilon(*a, **k))
     make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
     scan = homoclinic_scan(make, lin, 5e-4, [0.0, 0.7, 4.1], y0=0.25, bisect=True)
+    assert [s.shot.method for s in shots] == ["DOP853"]
     assert [p.exists for p in scan.probes] == [True, True, False]
     # each member shooting its own separatrix puts mu~* at 2.383213159017572
     assert scan.mu_tilde_star == pytest.approx(2.383213159017572, abs=1e-9)

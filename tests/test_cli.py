@@ -527,21 +527,21 @@ def test_readme_cli_block_parses():
 # `accept`, whose table holds timings: the documented examples give the same bytes
 _README_GOLDEN = {
     "poincare --model normal-fold --profile linear --eps 1e-3 --y0 0.25 --probe=-0.8":
-        "ff7b65ba041bc70266e9cfdad47ca02adbd9696829320d83a552d856b841411e",
+        "d4f71bd867a30fa21bea42d49ae4118a87de1f075058bfc511eaa75b6100711a",
     "inner --p 2 --phi-p -3 --u-start -30":
         "e4f5ed0f3035cc93f7a58a548a3fbc2d5e05b4ef703a84d172081d17b9e29109",
     "exponent --model normal-fold --profile 'poly(2)' --eps-list 1e-6,3e-6,1e-5,3e-5,1e-4":
-        "8a53b27f845fdf185a14a671480cfcb49a6953223015b74e449b816995cff3a0",
+        "08ea0ed6fb23f086d0e14e353eab70c836bb1aadca5a1a863f2b116511fed5e6",
     "exponent --model general-fold --profile 'poly(2)' --eps-list 1e-6,3e-6,1e-5,3e-5,1e-4":
-        "5a0324f905c4bed378fc8c631957ceb951c4eabad2dcc567123f3745b8a7b2d8",
+        "ad07a2a008528ecde5c676e3a012d0a8ba7d2754c5ebce00a2b0c1821fc479d0",
     "manifold --model normal-fold --profile 'poly(2)' --eps 1e-4":
         "f5d29643b526df494f9508114f9fca1d7f0d115355e09635f43f626dfca7a035",
     "simulate --model normal-fold --start=-0.8,0.1 --until-y 0.25":
         "1561a6596e6af41d5fa2530285e330c776a694730abbf1ec1a45e8d87be7fae6",
     "bifurcate --family grazing-repelling --eps 1e-3 --mu 0:1.5e-3:13":
-        "57cc44c2cf89815176571d798f5d6d17a3a5eaf05d77a8bbf109119e179b8a2e",
+        "ebaf226de29608da9c8180cbda58e269772bfc32ba4ab3ec0ac0309f6fad0181",
     "friction --model coulomb --eps 1e-3":
-        "4e2563c3266f2a143eec0ad9aa65619a153f0757a0d9b00d3c2feef78764c83a",
+        "bfba9926a8a6948cb6e73936270b949c1c1ab0a10230c6f1f32ff85d129ee28e",
     "models list":
         "dfbbc7ccbab203f13bce542d5487b020a63a2c37e201c1b1f930c84add5a67db",
 }

@@ -235,6 +235,7 @@ def test_readme_simulate_shoots_arc_slide_arc(shoot_calls):
     calls = shoot_calls(fields)
     traj = filippov_flow(model("normal-fold").system, (-0.8, 0.1), Section(0.25, "all", id="target"), t_max=50.0)
     assert [len(c.args[2]) for c in calls] == [2, 1, 2]
+    assert {c.shot.method for c in calls} == {"RK45"}
     assert [e.kind for e in traj.events] == ["slide_start", "slide_end", "fold_exit", "cross_section:target"]
 
 

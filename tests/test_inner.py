@@ -279,7 +279,7 @@ def test_inner_step_budget(shoot_calls):
         calls.clear()
         distinguished_solution.__wrapped__(p, phi_polynomial(p).c_p)
         steps = [c.shot.n_steps for c in calls]
-        assert len(steps) == 2
+        assert len(steps) == 2 and {c.shot.method for c in calls} == {"LSODA"}
         assert sum(steps) <= 1.5 * measured, (p, steps)
     for p, measured in [(2, 1879), (3, 2610)]:
         prof = phi_polynomial(p)

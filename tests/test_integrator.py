@@ -165,8 +165,9 @@ def test_other_solver_failure_keeps_its_message(monkeypatch):
 
 
 def _users(name):
-    # the lines of the package that import or name ``name`` (a mention in a
-    # docstring or comment is not a use)
+    # the lines of the package that import or name ``name``, also as the
+    # string of a getattr or import_module call (a mention in a docstring or
+    # comment, or a string such as the method name "DOP853", is not a use)
     src = Path(slidekick.__file__).parent
     users = []
     for path in sorted(src.glob("*.py")):
@@ -177,6 +178,10 @@ def _users(name):
                 names = [node.id]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                    "getattr", "import_module", "__import__"):
+                names = [a.value.rsplit(".", 1)[-1] for a in node.args
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str)]
             else:
                 continue
             if name in names:
@@ -193,6 +198,13 @@ def test_no_module_calls_scipy_brentq():
     # every bracketed root goes through integrator._brentq, on the compiled
     # routine brentq wraps; no module imports or calls brentq itself
     assert _users("brentq") == []
+
+
+def test_no_module_imports_scipys_dop853():
+    # method="DOP853" steps on integrator._Dop853; scipy's DOP853 stepper is
+    # the tests' reference only, and no module imports or names it
+    assert _users("DOP853") == []
+    assert integrator._SOLVERS["DOP853"] is integrator._Dop853
 
 
 def test_no_module_selects_radau():
@@ -446,21 +458,22 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
     # 2001-point grids, the manifold trace's 1200 + 600 points, eta1_check's
     # 60 points and its scalar at u = -10)
     calls = _probe_shots(shoot_calls, monkeypatch)
-    seen = {(kw.get("method", "RK45"), s.stop, kw.get("dense", False)) for _a, kw, s in calls}
+    seen = {(s.method, s.stop, kw.get("dense", False)) for _a, kw, s in calls}
     assert {("LSODA", 0, False), ("DOP853", 1, True), ("RK45", 1, False), ("LSODA", 1, True),
             ("LSODA", None, True)} <= seen
     queried = set()
     for args, kwargs, shot in calls:
+        assert shot.method == kwargs.get("method", "RK45")
         ref = _solve_ivp_shoot(*args, **kwargs)
         if tuple(args[2]) == (GRAZING_STAGE_P[1], 0.25):
             assert ref.stop != 0 and shot.stop == 0
             assert abs(shot.z[0] + math.sqrt(0.5001**2 + 1e-3 - 0.25)) <= 1e-12
             continue
+        if shot.method == "DOP853":
+            _agrees_with_scipys_dop853(args, kwargs, shot, ref)
+            continue
         assert (shot.stop, shot.t, shot.n_steps, shot.min_step) == (ref.stop, ref.t, ref.n_steps, ref.min_step)
-        assert (shot.njev, shot.nlu) == (ref.njev, ref.nlu)
-        # DOP853's interpolant costs 3 extra stages, so a step whose turn is
-        # looked at costs 3 calls that solve_ivp does not make
-        assert shot.nfev == ref.nfev if kwargs.get("method") != "DOP853" else shot.nfev >= ref.nfev
+        assert (shot.njev, shot.nlu, shot.nfev) == (ref.njev, ref.nlu, ref.nfev)
         assert np.array_equal(shot.z, ref.z)
         assert np.array_equal(shot.ts, ref.ts) and np.array_equal(shot.zs, ref.zs)
         assert (shot.dense is None) == (ref.dense is None)
@@ -473,6 +486,59 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
                 assert got.shape == want.shape and np.array_equal(got, want)
             queried |= {np.shape(q) for q in shot.dense.queries}
     assert {(4001,), (2001,), (1200,), (600,), (60,), ()} <= queried
+
+
+def _agrees_with_scipys_dop853(args, kwargs, shot, ref, tol=1e-13, steps_off=0):
+    # integrator._Dop853 sums its stages exactly (math.fsum) where scipy's
+    # DOP853 sums them with BLAS, so its digits and step sizes differ from
+    # solve_ivp's by rounding; the stop and the step count are the same (up
+    # to steps_off), and the hit, the states at its own step ends (read on
+    # the reference's interpolant) and its dense output agree within tol
+    assert (shot.stop, shot.njev, shot.nlu) == (ref.stop, ref.njev, ref.nlu)
+    assert abs(shot.n_steps - ref.n_steps) <= steps_off, (shot.n_steps, ref.n_steps)
+    assert abs(shot.t - ref.t) <= tol and np.abs(shot.z - ref.z).max() <= tol
+    assert shot.ts[0] == ref.ts[0] and np.array_equal(shot.zs[:, 0], ref.zs[:, 0])
+    dense = ref.dense or _solve_ivp_shoot(*args, **{**kwargs, "dense": True}).dense
+    assert np.abs(shot.zs[:, :-1] - dense(shot.ts[:-1])).max() <= tol
+    if shot.dense is not None:
+        own = getattr(shot.dense, "dense", shot.dense)  # the probe set logs its callers' queries
+        u = np.linspace(ref.ts[0], min(shot.t, ref.t), 101)
+        assert np.abs(own(u) - ref.dense(u)).max() <= tol
+        for q in getattr(shot.dense, "queries", ()):
+            got, want = own(q), ref.dense(q)
+            assert got.shape == want.shape and np.abs(got - want).max() <= tol
+
+
+def test_dop853_stepper_agrees_with_scipys_dop853(shoot_calls):
+    # integrator._Dop853 against solve_ivp(method="DOP853") on the exterior
+    # shots: 9 landings, the W^s backward shot and the Stribeck upper arc;
+    # the worst hit measured 2.3e-14 apart.  The normal-fold X+ = (1, 2x)
+    # has orbits quadratic in t, which the pair integrates exactly: its error
+    # estimate is rounding, so its step sizes follow the rounding of the
+    # stage sums, and one landing (from x = -0.6) takes 9 steps against
+    # scipy's 8, its last one of 0.0036 up to the section
+    sh, nf, stribeck = model("saddle-homoclinic", nu=0.15), model("normal-fold"), model("stribeck")
+    fold = sh.fold().x
+    calls = shoot_calls(poincare, bifurcation)
+    for dx in (0.0, -0.01, -0.05, -0.1):
+        exterior_map(sh.system.x_plus, (fold + dx, 0.0), Section(0.25))
+    exterior_map(sh.system.x_plus.negated(), (fold, 0.0), Section(0.25))
+    n_sh = len(calls)
+    for x in (-0.8, -0.6, -0.52, -0.3):
+        exterior_map(nf.system.x_plus, (x, 0.0), Section(0.25))
+    n_nf = len(calls)
+    _stable_separatrix(sh)
+    bifurcation._upper_arc(stribeck.system.x_plus, 1.01, 1e-2, t_max=200.0)
+    assert len(calls) == 11 and {c.shot.method for c in calls} == {"DOP853"}
+    assert [c.shot.stop for c in calls] == [0] * 9 + [1, 0]  # W^s stops at its lowest point
+    for k, (args, kwargs, shot) in enumerate(calls):
+        ref = _solve_ivp_shoot(*args, **kwargs)
+        _agrees_with_scipys_dop853(args, kwargs, shot, ref, steps_off=int(n_sh <= k < n_nf))
+    # both steppers' steps collapse on the start at fold - 0.2
+    for method in ("shoot", "solve_ivp"):
+        with pytest.raises(StepSizeUnderflow, match="step size"):
+            (shoot if method == "shoot" else _solve_ivp_shoot)(
+                sh.system.x_plus.rhs, (0.0, 1e3), [fold - 0.2, 0.0], [Section(0.25).stop()], **integrator.EXTERIOR)
 
 
 def _step_alongside_lsoda(rhs, t0, z0, t_end, settings):
@@ -799,7 +865,7 @@ def test_lsoda_loop_makes_no_extra_rhs_call(monkeypatch, normal_form, poly2, sho
     calls = shoot_calls(slow_manifold)
     strip_crossing(RegularizedSystem(normal_form, poly2, 1e-4), -0.8, x_limit=0.4)
     (call,) = calls
-    assert (call.shot.n_steps, call.shot.nfev, call.shot.njev) == (1376, 2281, 112)
+    assert (call.shot.method, call.shot.n_steps, call.shot.nfev, call.shot.njev) == ("LSODA", 1376, 2281, 112)
     assert counts == {"rhs": call.shot.nfev + 2, "jac": call.shot.njev}
 
 
@@ -818,6 +884,7 @@ def test_dop853_exterior_shot_work_is_pinned(shoot_calls):
     sh = model("saddle-homoclinic", nu=0.15)
     field, n = counted(sh.system.x_plus)
     exterior_map(field, (sh.fold().x, 0.0), Section(0.25))
+    assert calls[-1].shot.method == "DOP853"
     assert (calls[-1].shot.n_steps, calls[-1].shot.nfev, len(n)) == (12, 149, 150)
     # a normal-fold stage P that dips below the strip top inside one step: the
     # turn check builds that step's interpolant (3 calls), and rhs adds the
@@ -825,6 +892,50 @@ def test_dop853_exterior_shot_work_is_pinned(shoot_calls):
     field, n = counted(model("normal-fold").system.x_plus)
     assert _stage_P(field, GRAZING_STAGE_P[1], 0.25, 1e-3)[2]
     assert (calls[-1].shot.n_steps, calls[-1].shot.nfev, len(n)) == (4, 53, 57)
+
+
+def _dop853_work(monkeypatch):
+    # counts integrator._Dop853's attempted steps (each forms stages 1-11
+    # once) and the interpolants it builds (each forms stages 13-15)
+    work = {"attempts": 0, "interpolants": 0}
+    stages = integrator._Dop853._stages
+
+    def counted(self, t, y, h, first, stop):
+        work["attempts" if first == 1 else "interpolants"] += 1
+        return stages(self, t, y, h, first, stop)
+
+    monkeypatch.setattr(integrator._Dop853, "_stages", counted)
+    return work
+
+
+@pytest.mark.parametrize("case", ["fold-orbit", "dense-separatrix", "rejected-steps", "blow-up"])
+def test_dop853_nfev_rule(monkeypatch, case):
+    # a DOP853 shot's nfev is 12 per attempted step (11 stages and the rate
+    # at its end), 2 for the start's rate and select_initial_step's probe,
+    # and 3 per interpolant built (a dense shot's every step, else the steps
+    # whose roots or turns are looked at); the pinned fold orbit's 149 is
+    # 12 x 12 + 2 + 3
+    work = _dop853_work(monkeypatch)
+    if case == "fold-orbit":
+        sh = model("saddle-homoclinic", nu=0.15)
+        shot = shoot(sh.system.x_plus.rhs, (0.0, 1e3), [sh.fold().x, 0.0], [Section(0.25).stop()],
+                     **integrator.EXTERIOR)
+        assert (work["attempts"], work["interpolants"], shot.nfev) == (12, 1, 149)
+    elif case == "dense-separatrix":
+        shots = []
+        monkeypatch.setattr(bifurcation, "shoot", lambda *a, **k: shots.append(shoot(*a, **k)) or shots[-1])
+        _stable_separatrix(model("saddle-homoclinic", nu=0.15))
+        (shot,) = shots
+        assert work["interpolants"] == shot.n_steps
+    elif case == "rejected-steps":  # van der Pol, mu = 5: 17 of 204 attempts rejected
+        shot = shoot(lambda t, z: [z[1], 5.0 * (1 - z[0] ** 2) * z[1] - z[0]], (0.0, 10.0), [2.0, 0.0],
+                     method="DOP853")
+        assert work["attempts"] > shot.n_steps and work["interpolants"] == 0
+    else:  # z' = z^2 from 1 up to t = 0.999, dense: about half the attempts are rejected
+        shot = shoot(lambda t, z: [z[0] * z[0]], (0.0, 0.999), [1.0], method="DOP853", dense=True)
+        assert work["attempts"] > shot.n_steps == work["interpolants"]
+    assert shot.method == "DOP853"
+    assert shot.nfev == 12 * work["attempts"] + 2 + 3 * work["interpolants"]
 
 
 def _logged(f):

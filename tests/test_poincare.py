@@ -151,7 +151,7 @@ def test_map_out_of_domain_flag(shoot_calls, nf, nf_fold, lin):
     assert r.flags["out_of_domain"]
     assert r.x == pytest.approx(0.2, abs=1e-8)  # the untouched grazing return
     # stage P's hit of y0 going up is the landing: one exterior shot in all
-    assert [c.kwargs["method"] for c in calls] == ["DOP853"]
+    assert [c.shot.method for c in calls] == ["DOP853"]
 
 
 @pytest.mark.parametrize("x", [-0.005, -1e-3])
@@ -331,17 +331,22 @@ _STENCIL = [(0.0, 0.0)] + [(a * k, b * k) for k in (_H, _H / 2) for a, b in ((0,
     ("saddle-homoclinic", {"nu": 0.15}), ("stribeck", {}), ("coulomb", {}),
 ], ids=["saddle-homoclinic", "stribeck", "coulomb"])
 def test_exterior_landings_agree_with_tight_dop853(model_id, params):
-    # forward and backward landings of the tangency stencil against DOP853 at
-    # rtol 1e-13, atol 1e-15 (measured: at most 1.9e-12 / 1.6e-13 / 1.5e-13)
+    # forward and backward landings of the tangency stencil against scipy's
+    # own DOP853 at rtol 1e-13, atol 1e-15 (measured: at most 1.9e-12 /
+    # 1.6e-13 / 1.5e-13)
+    from scipy.integrate import solve_ivp
+
     desc = model(model_id, **params)
     fold = find_fold(desc.system, desc.fold_bracket)
+    section = lambda t, z: z[1] - 0.25
+    section.terminal = True
     for field in (desc.system.x_plus, desc.system.x_plus.negated()):
         for dx, dy in _STENCIL:
             start = (fold.x + dx, dy)
-            ref = shoot(field.rhs, (0.0, 1e3), start, [Section(0.25).stop()], method="DOP853",
-                        max_step=0.25, rtol=1e-13, atol=1e-15)
-            assert ref.stop == 0
-            assert abs(exterior_map(field, start, Section(0.25)).x - ref.z[0]) <= 5e-12
+            ref = solve_ivp(field.rhs, (0.0, 1e3), start, method="DOP853", max_step=0.25, rtol=1e-13,
+                            atol=1e-15, events=section)
+            assert ref.status == 1
+            assert abs(exterior_map(field, start, Section(0.25)).x - ref.y_events[0][0][0]) <= 5e-12
 
 
 def test_stage_P_near_grazing_matches_closed_form(shoot_calls, monkeypatch, nf):
@@ -377,5 +382,5 @@ def test_tangency_fit_step_budget(shoot_calls, model_id, params, budget):
     fold = find_fold(desc.system, desc.fold_bracket)
     calls = shoot_calls(poincare)
     fit_tangency_constants(desc.system.x_plus, fold.x, 0.25)
-    assert len(calls) == 9
+    assert len(calls) == 9 and {c.shot.method for c in calls} == {"DOP853"}
     assert sum(c.shot.n_steps for c in calls) <= budget
