@@ -86,7 +86,7 @@ import numpy as np
 from scipy.integrate import RK45, OdeSolution, OdeSolver, Radau, _ode
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.base import ConstantDenseOutput
-from scipy.integrate._ivp.common import select_initial_step, validate_tol, warn_extraneous
+from scipy.integrate._ivp.common import select_initial_step, validate_tol
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import _zeros
 
@@ -368,13 +368,13 @@ class _Dop853:
     :meth:`dense_output` returns scipy's ``Dop853DenseOutput``, its ``F``
     formed as ``DOP853`` forms it from 3 more stages."""
 
-    A = [tuple(row[:k]) for k, row in enumerate(dop853_coefficients.A.tolist())]  # stage k's weights
-    C, B, E5, E3, D = (getattr(dop853_coefficients, k).tolist() for k in ("C", "B", "E5", "E3", "D"))
+    # stage k's weights; stage 12 (A[12] = B, C[12] = 1) is the step's end and its rate
+    A = [tuple(row[:k]) for k, row in enumerate(dop853_coefficients.A.tolist())]
+    C, E5, E3, D = (getattr(dop853_coefficients, k).tolist() for k in ("C", "E5", "E3", "D"))
     njev = nlu = 0
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, t_bound: float, *, rtol: float, atol: float,
-                 max_step: float, **extraneous):
-        warn_extraneous(extraneous)
+                 max_step: float):
         if not (isinstance(rtol, float) and isinstance(atol, float) and rtol >= _RTOL_FLOOR and atol >= 0.0):
             rtol, atol = validate_tol(rtol, atol, len(y0))  # DOP853's check, where it can change or reject one
         if not max_step > 0:
@@ -387,13 +387,15 @@ class _Dop853:
                                                self.direction, 7, rtol, atol))  # its probe is the second call
         self._cols = [[0.0] * 16 for _ in self._y]  # [i][k]: stage k's rate of component i
 
-    def _stages(self, t: float, y: list, h: float, first: int, stop: int) -> None:
-        # stages first..stop-1 of the step of size h from (t, y), as rk_step forms them
+    def _stages(self, t: float, y: list, h: float, first: int, stop: int) -> np.ndarray:
+        # stages first..stop-1 of the step of size h from (t, y), as rk_step
+        # forms them; returns the last stage's state
         cols, rhs, A, C = self._cols, self.rhs, self.A, self.C
         for k in range(first, stop):
             z = np.array([yi + fsum(map(mul, A[k], ci)) * h for yi, ci in zip(y, cols)])
             for ci, v in zip(cols, rhs(t + C[k] * h, z)):
                 ci[k] = v
+        return z
 
     def step(self) -> str | None:
         """One step, as ``OdeSolver.step`` takes it; returns the failure text or None."""
@@ -412,11 +414,8 @@ class _Dop853:
             t_new = t_bound if d * (t + h_abs * d - t_bound) > 0 else t + h_abs * d
             h = t_new - t
             h_abs = abs(h)
-            self._stages(t, y, h, 1, 12)
-            y_new = [yi + h * fsum(map(mul, self.B, ci)) for yi, ci in zip(y, cols)]
-            y_arr, e5, e3 = np.array(y_new), 0.0, 0.0
-            for ci, v in zip(cols, self.rhs(t + h, y_arr)):
-                ci[12] = v
+            y_arr = self._stages(t, y, h, 1, 13)
+            y_new, e5, e3 = y_arr.tolist(), 0.0, 0.0
             self.nfev += 12
             for yi, vi, ci in zip(y, y_new, cols):
                 scale = self.atol + max(abs(yi), abs(vi)) * self.rtol
@@ -429,7 +428,7 @@ class _Dop853:
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs, rejected = h_abs * max(0.2, 0.9 * error_norm ** -0.125), True
-        self.t_old, self.t, self.h_abs, self._h, self._y_old = t, t_new, h_abs, h, self.y
+        self.t_old, self.t, self.h_abs, self._y_old = t, t_new, h_abs, self.y
         self._y, self.y, self.f = y_new, y_arr, [ci[12] for ci in cols]
         if d * (t_new - t_bound) >= 0:
             self.status = "finished"
@@ -437,7 +436,8 @@ class _Dop853:
 
     def dense_output(self) -> Dop853DenseOutput | ConstantDenseOutput:
         """The last step's interpolant, from 3 more stages (3 rhs calls)."""
-        t_old, t, h, cols = self.t_old, self.t, self._h, self._cols
+        t_old, t, cols = self.t_old, self.t, self._cols
+        h = t - t_old  # DOP853.h_previous
         if t == t_old:
             return ConstantDenseOutput(t_old, t, self.y)
         y_old = self._y_old.tolist()
