@@ -214,13 +214,12 @@ def shoot(
     sign changed over a step, in their direction, are rooted on the step's
     interpolant, and so is a level stop's crossing hidden behind a turn
     inside the step; the roots are tried in time order and the first with
-    an accepted state fires.  The
-    turn is looked for only where the solver holds the rate at the step's
-    ends (RK45, DOP853, Radau).  LSODA does not, and one ``rhs`` call per
-    step would add about 0.9 us to a 4.9 us strip-crossing step (the
-    normal-fold poly(2), eps = 1e-4 crossing from x = -0.8: 1376 steps in
-    6.7 ms through ``shoot``, 2-core x86-64, Python 3.11), so LSODA shots
-    keep the end-point rule.
+    an accepted state fires.  The turn is looked for only where the solver
+    holds the rate at the step's ends (RK45, DOP853, Radau).  LSODA does
+    not, and one ``rhs`` call per step would add about 0.9 us to a 4.9 us
+    strip-crossing step (the normal-fold poly(2), eps = 1e-4 crossing from
+    x = -0.8: 1376 steps in 6.7 ms through ``shoot``, 2-core x86-64,
+    Python 3.11), so LSODA shots keep the end-point rule.
 
     Returns the index of the stop that fired (``None`` when ``t_span`` ran
     out first), the hit, the accepted steps, the dense solution if
@@ -229,10 +228,10 @@ def shoot(
     taken in BDF mode.  DOP853's ``nfev`` is 12 per attempted step, 2 for
     the start's rate and the initial step's probe, and 3 per interpolant
     built: every step of a dense shot, else each step whose roots or turn
-    are looked at.  The dense solution maps a time or an array of times to ``(n,)``
-    or ``(n, m)`` values; it is an ``OdeSolution`` except for LSODA, whose
-    steps are recorded (at most 13 n floats of Nordsieck history per step)
-    and evaluated to the digits of ``OdeSolution``.  On the p = 4 inner
+    are looked at.  The dense solution maps a time or an array of times to
+    ``(n,)`` or ``(n, m)`` values; it is an ``OdeSolution`` except for
+    LSODA, whose steps are recorded (at most 13 n floats of Nordsieck
+    history per step) and evaluated to the digits of ``OdeSolution``.  On the p = 4 inner
     shot a recorded step costs about 2.6 us more than a bare one, against
     6.9 us with one scipy ``LsodaDenseOutput`` per step.
 
@@ -308,7 +307,8 @@ def _step_loop(stepper, rhs, stops, dense):
     # state is read once per step as floats, the stop values are updated in
     # place, and a stop is rooted on the step's interpolant only where its
     # sign changed or, with the rates at the step's ends in hand (the
-    # stepper's f; _Lsoda holds none), where a level's crossing hides behind a turn
+    # stepper's f; _Lsoda holds none), where a level's crossing hides behind
+    # a turn
     holds_rate = not isinstance(stepper, _Lsoda)
     # what a step leaves for dense output (scipy's interpolant or _Lsoda's record), and its interpolant
     part_of, interpolant = (stepper.dense_output, lambda p: p) if holds_rate else (stepper.record, _record_interpolant)

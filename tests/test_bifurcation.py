@@ -207,8 +207,8 @@ def _stribeck_return_map(desc, profile, eps, y0=0.25):
     return R
 
 
-@pytest.mark.parametrize("eps, x_star", [(1e-2, 0.24418968410173617), (1e-3, 0.23203610786591444)])
-def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps):
     # the contraction certificate holds, so no grid of maps is counted; a
     # 48-point sign-change count of R(x) - x on the same interval agrees
     desc = model("stribeck")
@@ -220,6 +220,7 @@ def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps, x_star):
     # the certificate runs after the direct iteration: x* is pinned to the bit.
     # At 1e-3 the iteration's repeat crossings join the recorded passage of
     # R_eps, which moved x* by 3.4e-15 from a run of full crossings
+    x_star = {1e-2: 0.24418968410173617, 1e-3: 0.23203610786591444}[eps]
     assert res.fixed_point == x_star
     # the pruned Hausdorff search is exact: the all-pairs scan's values, to the bit
     assert res.hausdorff_upper == {1e-2: 0.009705701666852352, 1e-3: 0.0010217018562204043}[eps]

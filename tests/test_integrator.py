@@ -535,10 +535,9 @@ def test_dop853_stepper_agrees_with_scipys_dop853(shoot_calls):
         ref = _solve_ivp_shoot(*args, **kwargs)
         _agrees_with_scipys_dop853(args, kwargs, shot, ref, steps_off=int(n_sh <= k < n_nf))
     # both steppers' steps collapse on the start at fold - 0.2
-    for method in ("shoot", "solve_ivp"):
+    for run in (shoot, _solve_ivp_shoot):
         with pytest.raises(StepSizeUnderflow, match="step size"):
-            (shoot if method == "shoot" else _solve_ivp_shoot)(
-                sh.system.x_plus.rhs, (0.0, 1e3), [fold - 0.2, 0.0], [Section(0.25).stop()], **integrator.EXTERIOR)
+            run(sh.system.x_plus.rhs, (0.0, 1e3), [fold - 0.2, 0.0], [Section(0.25).stop()], **integrator.EXTERIOR)
 
 
 def _step_alongside_lsoda(rhs, t0, z0, t_end, settings):
