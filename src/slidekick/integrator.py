@@ -12,30 +12,31 @@ root in the package is found by :func:`_brentq`, on ``_zeros._brentq``,
 the compiled Brent routine that ``scipy.optimize.brentq`` wraps, with
 brentq's NaN check kept in the one closure it is handed: the iterates and
 the roots are ``brentq``'s to the bit, without its Python wrapper.  On top
-of that, the primitive handles four cases:
+of that, the primitive handles four cases, in either direction of time:
 
 - step-off: a start within 1e-13 of a level that it would cross at once is
   advanced 1e-11 in time along ``rhs``, so the zero residual of the start is
   not reported as the hit.  A start on an accepted level with no velocity
   across it raises ``EventNotBracketed``;
 - accept: a root whose state fails ``accept`` (a crossing on the wrong
-  half-line) is passed over; the next root of the same step, in time order,
-  is tried, and stepping goes on;
+  half-line) is passed over; the next root of the same step is tried, and
+  stepping goes on;
 - polish: the hit of a level stop gets one Newton correction of its time,
   with the rate taken from ``rhs``.  That puts the event residual at rounding
   level (the <= 1e-12 event contract).  A general ``g`` keeps the bracketed
   root (4 ulp in time);
 - turn: a level can be crossed and recrossed inside one step, with no sign
-  change at the step's ends (a graze).  When the component's rate changes
-  sign over a step in which z first moved toward the level, :func:`_turn`
-  roots the rate on the interpolant; if z there lies beyond the level by
+  change at the step's ends (a graze).  When the component's rate, taken
+  along the direction of integration, changes sign over a step in which z
+  first moved toward the level, :func:`_turn` roots that rate on the
+  interpolant; if z there lies beyond the level by
   more than 1e-13, the crossing in the stop's direction is bracketed on
   its side of the turn and treated like any other root (Esposito, Kumar &
   Pappas, HSCC 2001).  A start exactly on a level that it leaves against
   the stop's direction counts from the side it comes from, so its return
   is found at the turn and the start itself is never the hit.  One turn
-  per step is seen (opposite rates at the step's ends).  Only RK45, DOP853
-  and Radau hold that rate; LSODA shots keep the end-point rule.
+  per step is seen (opposite rates at the step's ends).  ``_Lsoda`` reads
+  the rates off its Nordsieck record, so no stepper calls ``rhs`` for them.
 
 Each stage picks its stepper from one table, the read-only keyword sets
 :data:`EXTERIOR`, :data:`STIFF` and :data:`STIFF_TIGHT` passed as
@@ -52,10 +53,10 @@ scipy's.  LSODA steps on :class:`_Lsoda`, built on scipy's ``lsoda``
 integrator class with no ``ode`` object: a step is one direct call of its
 compiled runner, with no Python wrapper around ``rhs``, and its steps,
 states, ``nfev``, ``njev`` and ``nlu`` are scipy ``LSODA``'s to the bit.
-All of them expose ``step()``, ``t``, ``t_old``, ``y`` and ``status``, and
-one loop steps them; the type of the stepper fixes, once per shot, whether
-turns are looked for (every stepper but ``_Lsoda`` holds the rate ``f``)
-and what a step leaves for dense output.
+All of them expose ``step()``, ``t``, ``t_old``, ``y``, the rates ``f`` at
+a step's end, ``direction`` and ``status``, and one loop steps them; the type
+of the stepper fixes, once per shot, what a step leaves for dense output and
+how ``f`` is scaled (``_Lsoda``'s is h f, its Nordsieck record's column 1).
 scipy 1.17.1's runner never frees the work arrays it steps on, so an ended
 LSODA shot gives its pair to a free list, and the next stepper reuses it.
 
@@ -137,8 +138,8 @@ class Shot:
     zs: np.ndarray  # states at ts, one column per time
     dense: OdeSolution | _NordsieckSolution | None
     n_steps: int
-    nfev: int  # the solver's own rhs calls (not the step-off, turn or polish ones)
-    min_step: float
+    nfev: int  # the solver's own rhs calls (not the step-off, LSODA start-rate, turn or polish ones)
+    min_step: float  # the smallest nonzero |step|
     njev: int  # the solver's Jacobian evaluations
     nlu: int  # the solver's LU decompositions
     method: str = "RK45"  # the stepper that took the steps
@@ -206,60 +207,55 @@ def shoot(
     max_step: float = np.inf,
     dense: bool = False,
 ) -> Shot:
-    """Integrate ``rhs`` forward over ``t_span`` until the first accepted stop.
+    """Integrate ``rhs`` over ``t_span``, either way, until the first accepted stop.
 
     Steps the ``method`` solver (LSODA, RK45, DOP853 or Radau) in one loop
     shared by all four: :class:`_Lsoda` for LSODA, :class:`_Dop853` for
     DOP853 and scipy's ``OdeSolver`` for RK45 and Radau.  The stops whose
     sign changed over a step, in their direction, are rooted on the step's
     interpolant, and so is a level stop's crossing hidden behind a turn
-    inside the step; the roots are tried in time order and the first with
-    an accepted state fires.  The turn is looked for only where the solver
-    holds the rate at the step's ends (RK45, DOP853, Radau).  LSODA does
-    not, and one ``rhs`` call per step would add about 0.9 us to a 4.9 us
-    strip-crossing step (the normal-fold poly(2), eps = 1e-4 crossing from
-    x = -0.8: 1376 steps in 6.7 ms through ``shoot``, 2-core x86-64,
-    Python 3.11), so LSODA shots keep the end-point rule.
+    inside the step; the roots are tried in the order of integration and the
+    first with an accepted state fires.
 
-    Returns the index of the stop that fired (``None`` when ``t_span`` ran
-    out first), the hit, the accepted steps, the dense solution if
-    ``dense`` is set, the step count, the solver's ``rhs`` call, Jacobian
-    and LU counts, the smallest step, the method and, for LSODA, the steps
-    taken in BDF mode.  DOP853's ``nfev`` is 12 per attempted step, 2 for
-    the start's rate and the initial step's probe, and 3 per interpolant
-    built: every step of a dense shot, else each step whose roots or turn
-    are looked at.  The dense solution maps a time or an array of times to
-    ``(n,)`` or ``(n, m)`` values; it is an ``OdeSolution`` except for
-    LSODA, whose steps are recorded (at most 13 n floats of Nordsieck
-    history per step) and evaluated to the digits of ``OdeSolution``.  On the p = 4 inner
-    shot a recorded step costs about 2.6 us more than a bare one, against
-    6.9 us with one scipy ``LsodaDenseOutput`` per step.
+    Returns the index of the stop that fired (``None`` when ``t_span`` ran out
+    first), the hit, the accepted steps, the dense solution if ``dense`` is
+    set, the step count, the solver's ``rhs`` call, Jacobian and LU counts,
+    the smallest nonzero |step|, the method and, for LSODA, the steps taken
+    in BDF mode.  DOP853's ``nfev`` is 12 per attempted step, 2 for the
+    start's rate and the initial step's probe, and 3 per interpolant built:
+    every step of a dense shot, else each step whose roots or turn are looked
+    at.  The dense solution maps a time or an array of times to ``(n,)`` or
+    ``(n, m)`` values; it is an ``OdeSolution`` except for LSODA, whose steps
+    are recorded (at most 13 n floats of Nordsieck history per step) and
+    evaluated to the digits of ``OdeSolution``.  On the p = 4 inner shot a
+    recorded step costs about 2.6 us more than a bare one, against 6.9 us
+    with one scipy ``LsodaDenseOutput`` per step.
 
     Raises ``EventNotBracketed`` for a start on an accepted level with zero
     rate, ``StepSizeUnderflow`` when the solver's step size collapses and
     ``NumericalFailure`` with the solver's message on any other failure (for
     LSODA: its istate, scipy's text for it and the last (t, z) reached, also
-    for a step that cannot advance), and
-    ``ConfigError``, before any ``rhs`` call, on a non-finite ``t_span`` or ``z0``.
+    for a step that cannot advance), and ``ConfigError``, before any ``rhs``
+    call, on a non-finite ``t_span`` or ``z0``.
     """
     t_cur, t_end = float(t_span[0]), float(t_span[1])
     z_cur = np.asarray(z0, dtype=float)
     if not all(map(math.isfinite, (t_cur, t_end, *z_cur.tolist()))):
         raise ConfigError(f"shoot needs a finite t_span and z0, got t_span={t_span}, z0={z_cur.tolist()}")
+    d, f0 = 1.0 if t_end >= t_cur else -1.0, None  # the direction of integration; rhs at the start, if probed
     for s in stops:
         if s.g is None and abs(z_cur[s.component] - s.level) <= TOUCH:
             f0 = np.asarray(rhs(t_cur, z_cur), dtype=float)
-            rate = f0[s.component]
+            rate = d * f0[s.component]  # along the direction of integration
             if rate * s.direction >= 0.0:
                 if rate == 0.0 and (s.accept is None or s.accept(z_cur)):
                     raise EventNotBracketed("start lies on a stop level with zero outgoing velocity")
-                t_cur += 1e-11
-                z_cur = z_cur + 1e-11 * f0
+                t_cur, z_cur, f0 = t_cur + d * 1e-11, z_cur + d * 1e-11 * f0, None
                 break
 
     lsoda = method == "LSODA"
-    if lsoda:
-        stepper = _Lsoda(rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, jac=jac)
+    if lsoda:  # the probe's rhs at the start, if it did not step off, is LSODA's start rate
+        stepper = _Lsoda(rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, jac=jac, f0=f0)
     else:
         extra = {"jac": jac} if jac is not None else {}
         stepper = _SOLVERS[method](rhs, t_cur, z_cur, t_end, rtol=rtol, atol=atol, max_step=max_step, **extra)
@@ -270,7 +266,7 @@ def shoot(
         if lsoda:
             stepper.release()
     ts = np.array(ts)
-    steps = ts[1:] - ts[:-1]  # before the polished hit replaces the root
+    steps = np.abs(ts[1:] - ts[:-1])  # before the polished hit replaces the root
     # both evaluators keep views of ts, so the polished hit bounds the last segment
     out = (_NordsieckSolution if lsoda else OdeSolution)(ts, parts) if dense else None
     if fired is not None:
@@ -280,14 +276,14 @@ def shoot(
                 njev=njev, nlu=nlu, method=method, n_bdf=n_bdf)
 
 
-def _first_hit(stops, brackets, sol, rhs, last):
-    # the roots bracketed in one step, in time order on its interpolant sol:
+def _first_hit(stops, brackets, sol, rhs, last, d):
+    # the roots bracketed in one step, in the order of integration (direction d) on its interpolant sol:
     # the first whose polished state is accepted fires, as (k, hit, root,
     # z_root).  Like solve_ivp, a root on the last step's end keeps last's z.
     # A bracket of zero length (an LSODA step that left t unchanged) is its own root
     roots = [(a if a == b else _brentq(lambda u, s=stops[k]: _gap(s, u, sol(u)), a, b), k)
              for a, b, k in brackets]
-    for root, k in sorted(roots):
+    for root, k in sorted(roots, key=lambda rk: (d * rk[0], rk[1])):
         s, z_root = stops[k], last[1] if last is not None and root == last[0] else sol(root)
         hit = root, z_root
         if s.g is None:
@@ -303,51 +299,52 @@ def _first_hit(stops, brackets, sol, rhs, last):
 
 
 def _step_loop(stepper, rhs, stops, dense):
-    # the one step loop, for _Lsoda, _Dop853 and the OdeSolvers alike: the
-    # state is read once per step as floats, the stop values are updated in
-    # place, and a stop is rooted on the step's interpolant only where its
-    # sign changed or, with the rates at the step's ends in hand (the
-    # stepper's f; _Lsoda holds none), where a level's crossing hides behind
-    # a turn
-    holds_rate = not isinstance(stepper, _Lsoda)
-    # what a step leaves for dense output (scipy's interpolant or _Lsoda's record), and its interpolant
-    part_of, interpolant = (stepper.dense_output, lambda p: p) if holds_rate else (stepper.record, _record_interpolant)
-    y, sol, f = stepper.y, None, stepper.f if holds_rate else None
+    # the one step loop, for _Lsoda, _Dop853 and the OdeSolvers alike: the state is read once per step
+    # as floats, the stop values and one rate per level stop are updated in place, and a stop is rooted
+    # on the step's interpolant only where its sign changed or where a level's crossing hides behind a turn
+    lsoda, d = isinstance(stepper, _Lsoda), float(stepper.direction)
+    # what a step leaves for dense output (scipy's interpolant or _Lsoda's record), its interpolant, and how
+    # its end rates are read: f[c] * w has the sign of z[c]'s rate along the direction of integration, and
+    # scales() gives the positive factors that make the values at the step's start and end that rate
+    part_of, interpolant, w, scales = ((stepper.record, _record_interpolant, 1.0, stepper.scales) if lsoda else
+                                       (stepper.dense_output, lambda p: p, d, lambda: (1.0, 1.0)))
+    y, f, sol = stepper.y, stepper.f, None
     n, ts, zs, parts, fired = len(y), [stepper.t], y.tolist(), [], None
     g_old = [_gap(s, stepper.t, y) for s in stops]
-    specs = [(k, s.component, s.level, s.g, s.direction, holds_rate and s.g is None) for k, s in enumerate(stops)]
+    r_old = [0.0 if s.g is not None else f[s.component] * w for s in stops]  # f[c] * w at the step's start
+    specs = [(k, s.component, s.level, s.g, s.direction) for k, s in enumerate(stops)]
     for k, s in enumerate(stops):
-        if holds_rate and s.g is None and g_old[k] == 0.0:
+        if s.g is None and g_old[k] == 0.0:
             # a start on the level that leaves it against the stop's direction
             # (it was not stepped off) counts from the side it comes from, so
             # a return inside the first step is rooted at the turn, not at t0
-            g_old[k] = -f[s.component]
+            g_old[k] = -r_old[k]
     while fired is None and stepper.status == "running":
         message = stepper.step()
         if message is not None:
             raise (StepSizeUnderflow if "step size" in message.lower() else NumericalFailure)(message)
-        if holds_rate:  # y and f are new objects at each step; _Lsoda writes its y in place
-            y, f_old, f, sol = stepper.y, f, stepper.f, None
+        y, f, sol = stepper.y, stepper.f, None  # new objects at each step, but _Lsoda writes in place
         t, z = stepper.t, y.tolist()
         part = part_of() if dense else None
         brackets = []
-        for k, c, level, g, direction, turns in specs:
-            g0 = g_old[k]
-            g_old[k] = g1 = z[c] - level if g is None else g(t, y)
+        for k, c, level, g, direction in specs:
+            g0, r0 = g_old[k], r_old[k]
+            g1 = g_old[k] = z[c] - level if g is None else g(t, y)
+            r1 = r_old[k] = f[c] * w if g is None else 0.0  # a general g has no turn
             if not g0 * g1 > 0.0:  # only a stop whose sign changed (or that touched zero) can have crossed
                 if _crossed(g0, g1, direction):
                     brackets.append((stepper.t_old, t, k))
-            elif turns and f_old[c] * g0 < 0.0 < f[c] * g0:
+            elif r0 * g0 < 0.0 < r1 * g0:
                 # z moved toward the level and then away, on one side of it at both ends
-                sol, t_old = sol or interpolant(part or part_of()), stepper.t_old
-                t_turn = _turn(lambda u: rhs(u, sol(u))[c], t_old, t, f_old[c], f[c])
+                sol, t_old, (s0, s1) = sol or interpolant(part or part_of()), stepper.t_old, scales()
+                t_turn = _turn(lambda u: d * rhs(u, sol(u))[c], t_old, t, r0 * s0, r1 * s1)
                 side = np.sign(g0)
                 if side * (sol(t_turn)[c] - level) < -TOUCH:  # beyond the level: it crossed and came back
-                    brackets += [(a, b, k) for a, b, d in ((t_old, t_turn, -side), (t_turn, t, side))
-                                 if direction in (0, d)]
+                    brackets += [(a, b, k) for a, b, way in ((t_old, t_turn, -side), (t_turn, t, side))
+                                 if direction in (0, way)]
         if brackets:
             last = (ts[-1], np.array(zs[-n:])) if dense and len(ts) > 1 else None
-            fired = _first_hit(stops, brackets, sol or interpolant(part or part_of()), rhs, last)
+            fired = _first_hit(stops, brackets, sol or interpolant(part or part_of()), rhs, last, d)
             t, z = (t, z) if fired is None else (fired[2], fired[3].tolist())
         if not (dense and len(ts) > 1 and t == ts[-1]):  # a root on the last step's end adds no segment
             ts.append(t)
@@ -463,7 +460,7 @@ class _Lsoda:
     ``list.pop`` and ``append`` are atomic, so no two steppers share a pair."""
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, t_bound: float, *, rtol: float, atol: float,
-                 max_step: float, jac: Callable | None):
+                 max_step: float, jac: Callable | None, f0=None):
         if not (isinstance(rtol, float) and isinstance(atol, float) and rtol >= _RTOL_FLOOR and atol >= 0.0):
             rtol, atol = validate_tol(rtol, atol, len(y0))  # LSODA's check, where it can change or reject one
         self.lsoda = lsoda = _ode.lsoda(rtol=rtol, atol=atol, max_step=0.0 if max_step == np.inf else max_step)
@@ -473,10 +470,15 @@ class _Lsoda:
             rwork, iwork = _FREE_WORK.setdefault((lsoda.rwork.size, lsoda.iwork.size), []).pop()
             rwork[:], iwork[:] = lsoda.rwork, lsoda.iwork  # nothing of the pair's last shot survives
             lsoda.rwork, lsoda.iwork = rwork, iwork
+        # f is the Nordsieck record's column 1, h f, read in place; until the first step writes it, it
+        # holds the start's rate (f0, else one rhs call) at h = +-1, the direction of integration
+        n, self._rw, self.direction = len(y0), memoryview(lsoda.rwork), 1.0 if t_bound >= t0 else -1.0
+        self.f, lsoda.rwork[11] = self._rw[20 + n:20 + 2 * n], self.direction
+        lsoda.rwork[20 + n:20 + 2 * n] = self.direction * np.asarray(rhs(t0, self.y) if f0 is None else f0)
         # rhs, y, t, tout, rtol, atol, itask, istate, rwork, iwork, jac, jt, f/jac params and the saved state
         self._args = [rhs, self.y, t0, t_bound, rtol, atol, 5, 1, lsoda.rwork, lsoda.iwork, jac or (lambda: None),
                       lsoda.call_args[6], (), 1, (), lsoda.state_doubles, lsoda.state_ints]
-        self.t, self.t_old, self.t_bound, self.forward, self.status = t0, None, t_bound, t_bound >= t0, "running"
+        self.t, self.t_old, self.t_bound, self.status = t0, None, t_bound, "running"
         self.n_bdf, self._method_used = 0, memoryview(lsoda.iwork)  # [18]: 1 after an Adams step, 2 after a BDF one
         self._runner = lsoda.runner  # the compiled step, looked up once
 
@@ -490,7 +492,7 @@ class _Lsoda:
         if t == self.t_bound:
             self.t_old, self.status = t, "finished"
             return
-        args[2] = t
+        args[2], self.h_old = t, self._rw[11]  # the h of f at the step's start
         _y, t_new, istate = self._runner(*args)
         if istate < 0:
             message = self.lsoda.messages.get(istate)
@@ -504,22 +506,20 @@ class _Lsoda:
                 raise NumericalFailure(f"LSODA cannot advance (istate {istate}) at t={t_new!r}, z={self.y.tolist()}")
         args[7], self.t_old, self.t = 2, t, t_new  # istate 2 continues the integration
         self.n_bdf += self._method_used[18] == 2
-        if (t_new >= self.t_bound) if self.forward else (t_new <= self.t_bound):
+        if self.direction * (t_new - self.t_bound) >= 0:
             self.status = "finished"
 
     def release(self) -> None:
         """Free the work arrays for the next stepper; this one is not read again."""
         _FREE_WORK[self.lsoda.rwork.size, self.lsoda.iwork.size].append((self.lsoda.rwork, self.lsoda.iwork))
 
-    @property
-    def nfev(self) -> int:
-        return self.lsoda.iwork[11]
+    nfev = property(lambda self: self.lsoda.iwork[11])
+    njev = nlu = property(lambda self: self.lsoda.iwork[12])  # LSODA evaluates the Jacobian once per LU
 
-    @property
-    def njev(self) -> int:  # LSODA evaluates the Jacobian once per LU decomposition
-        return self.lsoda.iwork[12]
-
-    nlu = njev
+    def scales(self) -> tuple[float, float]:
+        """1/|h| at the last step's start and end: ``f`` times these are the
+        rates there along the direction of integration, with no ``rhs`` call."""
+        return 1.0 / abs(self.h_old), 1.0 / abs(self._rw[11])
 
     def record(self) -> tuple[float, float, int, np.ndarray]:
         """The last step's ``(t, h, order, yh)``: its end and the Nordsieck

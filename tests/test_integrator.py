@@ -267,20 +267,24 @@ def test_shot_settings_table():
         integrator.STIFF["rtol"] = 1e-11
 
 
-@pytest.mark.parametrize("method, extra", [("LSODA", False), ("RK45", True)])
-def test_turn_costs_calls_only_where_the_rate_is_held(method, extra):
-    # circles about the origin turn at x = -1 once a loop without reaching
-    # the level x = -2: RK45 roots each turn on its interpolant, LSODA,
-    # which holds no rate, makes exactly the calls of a shot without stops
+@pytest.mark.parametrize("method", ["LSODA", "RK45", "DOP853"])
+def test_every_stepper_roots_its_turns(monkeypatch, method):
+    # circles about the origin turn at x = -1 once a loop (t = pi, 3 pi and
+    # 5 pi by t = 20) without reaching the level x = -2: every stepper roots
+    # each turn on its interpolant, with rhs calls that a shot without stops
+    # does not make, and the stop never fires
     def counted():
         calls = []
         return calls, lambda t, z: calls.append(t) or [z[1], -z[0]]
 
+    turns, turn = [], integrator._turn
+    monkeypatch.setattr(integrator, "_turn", lambda *args: turns.append(turn(*args)) or turns[-1])
     with_stop, rhs = counted()
     assert shoot(rhs, (0.0, 20.0), [1.0, 0.0], [Stop(0, -2.0, -1)], method=method).stop is None
+    assert turns == pytest.approx([math.pi, 3 * math.pi, 5 * math.pi], abs=1e-6)
     without, rhs = counted()
     shoot(rhs, (0.0, 20.0), [1.0, 0.0], method=method)
-    assert len(with_stop) > len(without) if extra else len(with_stop) == len(without)
+    assert len(with_stop) > len(without) and len(turns) == 3
 
 
 def test_one_step_loop_serves_every_method():
@@ -294,34 +298,77 @@ def test_one_step_loop_serves_every_method():
 
 
 # x' = 1, y' = 1 - 2x from the origin: y = t - t^2 peaks at 1/4 at t = 1/2.
-# RK45 steps over [0.111, 1.111] and DOP853 over [0.177, 0.833], below
-# y = 0.2 at both ends: the crossings of that level at 1/2 -+ sqrt(0.05)
-# hide behind the turn, while x crosses 0.8 or 0.25 inside the same step
+# RK45 steps over [0.111, 1.111], DOP853 over [0.177, 0.833] and LSODA over
+# [0.228, 0.913], below y = 0.2 at both ends: the crossings of that level at
+# 1/2 -+ sqrt(0.05) hide behind the turn, while x crosses 0.8 or 0.25 inside
+# the same step.  RK45 from (2, -2) down to t = 0 steps over [1.567, 0]; the
+# orbit is symmetric under t -> 1 - t, so its stops and hit are the mirror's
+HILL_SHOTS = {"RK45": ("RK45", (0.0, 2.0), [0.0, 0.0]), "DOP853": ("DOP853", (0.0, 2.0), [0.0, 0.0]),
+              "LSODA": ("LSODA", (0.0, 2.0), [0.0, 0.0]), "RK45-descending": ("RK45", (2.0, 0.0), [2.0, -2.0])}
+
+
 def _hill(t, z):
     return [1.0, 1.0 - 2.0 * z[0]]
 
 
-@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("hill_shot", HILL_SHOTS.values(), ids=HILL_SHOTS.keys())
 @pytest.mark.parametrize("hidden, seen, fires, t_hit", [
     (Stop(1, 0.2), Stop(0, 0.8, 1), 0, 0.5 - math.sqrt(0.05)),
     (Stop(1, 0.2, -1), Stop(0, 0.8, 1), 0, 0.5 + math.sqrt(0.05)),
     (Stop(1, 0.2), Stop(0, 0.25, 1), 1, 0.25),
 ], ids=["hidden-up-first", "hidden-down-first", "sign-change-first"])
-def test_turn_and_sign_change_in_one_step(method, hidden, seen, fires, t_hit):
+def test_turn_and_sign_change_in_one_step(hill_shot, hidden, seen, fires, t_hit):
     # one step brackets stop A behind its turn and stop B by its sign change;
-    # the earlier root fires, whichever order the stops are given in
-    plain = shoot(_hill, (0.0, 2.0), [0.0, 0.0], method=method)
-    k = int(np.searchsorted(plain.ts, 0.5))
+    # the earlier root along the direction of integration fires, whichever
+    # order the stops are given in, within 1e-12 of its level
+    method, t_span, z0 = hill_shot
+    if t_span[1] < t_span[0]:  # x = t runs down: the mirror t -> 1 - t of the ascending case
+        seen, t_hit = Stop(0, 1.0 - seen.level, -seen.direction), 1.0 - t_hit
+    plain = shoot(_hill, t_span, z0, method=method)
+    k = int(np.argmax((plain.ts - 0.5) * (t_span[1] - t_span[0]) > 0.0))  # the step over t = 1/2
     a, b = plain.ts[k - 1], plain.ts[k]
-    assert a < 0.5 - math.sqrt(0.05) and 0.5 + math.sqrt(0.05) < b and a < seen.level < b
+    lo, hi = sorted((a, b))
+    assert lo < 0.5 - math.sqrt(0.05) and 0.5 + math.sqrt(0.05) < hi and lo < seen.level < hi
     assert max(plain.zs[1, k - 1], plain.zs[1, k]) < 0.2
     hits = []
     for stops in ([hidden, seen], [seen, hidden]):
-        shot = shoot(_hill, (0.0, 2.0), [0.0, 0.0], stops, method=method)
-        assert stops[shot.stop] is (hidden, seen)[fires]
+        shot = shoot(_hill, t_span, z0, stops, method=method)
+        fired = stops[shot.stop]
+        assert fired is (hidden, seen)[fires] and abs(shot.z[fired.component] - fired.level) <= 1e-12
         assert shot.ts[-2] == a and shot.t == pytest.approx(t_hit, abs=1e-12)
         hits.append((shot.t, *shot.z))
     assert hits[0] == hits[1]
+
+
+@pytest.mark.parametrize("method", ["LSODA", "RK45", "DOP853"])
+def test_step_off_follows_the_direction_of_integration(monkeypatch, method):
+    # x' = y, y' = -x from (1, 0) down to t = -10: y = -sin t rises off the
+    # level y = 0.  Against a downward stop the start is not stepped off
+    # (ts[0] once read 1e-11, outside the span) and the return at -pi fires;
+    # an upward stop steps the start off to -1e-11 and fires at -2 pi.  y
+    # never moves toward the level and then away, so no turn is rooted
+    def circle(t, z):
+        return [z[1], -z[0]]
+
+    turns = []
+    monkeypatch.setattr(integrator, "_turn", lambda *args: turns.append(args))
+    for direction, t0, t_hit in ((-1, 0.0, -math.pi), (1, -1e-11, -2 * math.pi)):
+        shot = shoot(circle, (0.0, -10.0), [1.0, 0.0], [Stop(1, 0.0, direction)], method=method)
+        assert shot.ts[0] == t0 and shot.stop == 0 and abs(shot.z[1]) <= 1e-12
+        assert shot.t == pytest.approx(t_hit, abs=1e-8)
+    assert turns == []
+
+
+@pytest.mark.parametrize("method", ["LSODA", "RK45", "DOP853"])
+def test_min_step_of_a_descending_shot(method):
+    # z' = z from t = 5 down to 0: min_step read inf on every stepper, as no
+    # step was positive; it is the smallest nonzero |step| either way, as in
+    # the reference on solve_ivp
+    shot = shoot(lambda t, z: [z[0]], (5.0, 0.0), [1.0], method=method)
+    steps = np.abs(np.diff(shot.ts))
+    assert shot.n_steps > 10 and shot.min_step == steps[steps > 0.0].min() < 1.0
+    if method != "DOP853":  # integrator._Dop853 lies within rounding of scipy's steps
+        assert shot.min_step == _solve_ivp_shoot(lambda t, z: [z[0]], (5.0, 0.0), [1.0], method=method).min_step
 
 
 def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol=1e-10, atol=1e-12,
@@ -368,7 +415,7 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
             raise NumericalFailure(sol.message)
         n_steps += len(sol.t) - 1
         nfev, njev, nlu = nfev + sol.nfev, njev + sol.njev, nlu + sol.nlu
-        steps = np.diff(sol.t)
+        steps = np.abs(np.diff(sol.t))
         if np.any(steps > 0.0):
             min_step = min(min_step, float(steps[steps > 0.0].min()))
         ts.append(sol.t)
@@ -840,10 +887,12 @@ def test_lsoda_shots_build_no_ode(monkeypatch, normal_form, poly2):
 
 def test_lsoda_loop_makes_no_extra_rhs_call(monkeypatch, normal_form, poly2, shoot_calls):
     # the pinned normal-fold poly(2), eps = 1e-4 crossing: rhs is called by
-    # the stepper (nfev) plus twice by shoot itself, once because the entry
-    # lies on the level v = 1 of its first stop (the step-off probe) and once
-    # for the polish of the hit; the Jacobian only by the stepper (njev).  A
-    # Python-level call slipped into the step loop shows here
+    # the stepper (nfev) plus 6 times by shoot itself: once because the entry
+    # lies on the level v = 1 of its first stop (the step-off probe, kept as
+    # the start's rate), 4 times to root the one turn, at the bottom of the
+    # fast layer (the step ends' rates are read off the Nordsieck record),
+    # and once for the polish of the hit; the Jacobian only by the stepper
+    # (njev).  A Python-level call slipped into the step loop shows here
     counts = {"rhs": 0, "jac": 0}
     orbit_equation = slow_manifold._orbit_equation
 
@@ -860,12 +909,66 @@ def test_lsoda_loop_makes_no_extra_rhs_call(monkeypatch, normal_form, poly2, sho
 
         return counted_rhs, counted_jac, over_v
 
+    in_turns, turn = [], integrator._turn
+
+    def counted_turn(*args):
+        before = counts["rhs"]
+        t_turn = turn(*args)
+        in_turns.append(counts["rhs"] - before)
+        return t_turn
+
     monkeypatch.setattr(slow_manifold, "_orbit_equation", counted)
+    monkeypatch.setattr(integrator, "_turn", counted_turn)
     calls = shoot_calls(slow_manifold)
     strip_crossing(RegularizedSystem(normal_form, poly2, 1e-4), -0.8, x_limit=0.4)
     (call,) = calls
     assert (call.shot.method, call.shot.n_steps, call.shot.nfev, call.shot.njev) == ("LSODA", 1376, 2281, 112)
-    assert counts == {"rhs": call.shot.nfev + 2, "jac": call.shot.njev}
+    assert in_turns == [4]
+    assert counts == {"rhs": call.shot.nfev + 6, "jac": call.shot.njev}
+
+
+def _lsoda_probes(shoot_calls, normal_form, poly2):
+    # the tier-1 LSODA probes: every shot of the p = 4 inner solve (1-D), of
+    # eta1_check (2-D), of a strip crossing and of a manifold trace, and a
+    # descending 2-D shot at an rtol that LSODA raises to 100 ulp
+    calls = shoot_calls(inner, slow_manifold)
+    distinguished_solution.__wrapped__(4, phi_polynomial(4).c_p)
+    eta1_check(2, -1.5, 0.3)
+    strip_crossing(RegularizedSystem(normal_form, poly2, 1e-4), -0.75, x_limit=0.4)
+    trace_manifold(RegularizedSystem(normal_form, poly2, 1e-3), -1.0, 1.0)
+    probes = [(rhs, (shot.ts[0], t_span[1]), shot.zs[:, 0], kwargs) for (rhs, t_span, *_z0), kwargs, shot in calls]
+    return probes + [(lambda t, z: [z[1], -z[0] - 0.1 * z[1]], (0.0, -40.0), np.array([1.0, 0.0]),
+                      {"rtol": 1e-15, "atol": 1e-16})]
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+def test_lsoda_step_end_rates_agree_with_rhs(shoot_calls, normal_form, poly2):
+    # _Lsoda reads the rate at each step's end off the Nordsieck record
+    # (column 1, h f, over |h|: the rate along the direction of integration)
+    # with no rhs call; at every step end of the tier-1 LSODA probes it has
+    # rhs's sign, and lies within 1e-7 of rhs relative to the largest
+    # component (4.4e-8 measured, on eta1_check; 5.1e-9 on the strip
+    # crossing).  The two shots
+    # of the p = 4 inner denominator are the exception: its rate is the
+    # difference of two terms of about 2.5e4, with a Jacobian near -4e9, and
+    # BDF's slope of the corrected state lies up to 25% off rhs there (0.25
+    # and 8.5e-4 measured), so they are held to 0.5
+    worst = []
+    for rhs, (t0, t_end), z0, kwargs in _lsoda_probes(shoot_calls, normal_form, poly2):
+        stepper = integrator._Lsoda(rhs, t0, z0, t_end, rtol=kwargs["rtol"], atol=kwargs["atol"],
+                                    max_step=kwargs.get("max_step", np.inf), jac=kwargs.get("jac"))
+        rel = 0.0
+        while stepper.status == "running":
+            stepper.step()
+            got = np.array(stepper.f.tolist()) * stepper.scales()[1]
+            want = stepper.direction * np.asarray(rhs(stepper.t, stepper.y))
+            assert np.array_equal(np.sign(got), np.sign(want))
+            rel = max(rel, np.abs(got - want).max() / np.abs(want).max())
+        stepper.release()
+        worst.append((rhs.__qualname__.startswith("_riccati_shot"), rel))
+    assert len(worst) == 7 and sum(riccati for riccati, _ in worst) == 2
+    assert max(rel for riccati, rel in worst if riccati) < 0.5
+    assert max(rel for riccati, rel in worst if not riccati) < 1e-7
 
 
 def test_dop853_exterior_shot_work_is_pinned(shoot_calls):
