@@ -69,7 +69,8 @@ scipy's digits.  A tier-1 test pins the stepper's states, counts and
 records to a parallel scipy ``LSODA`` and its ``dense_output()`` at every
 step.
 
-:func:`integrate` builds annotated trajectories on top of :func:`shoot`.
+:func:`integrate` joins :func:`shoot`'s shots from event to event into
+annotated trajectories; a band's edges are level stops like any other.
 """
 
 from __future__ import annotations
@@ -612,8 +613,8 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = _EPS4
 class Section:
     """A horizontal Poincare section {y = y0} restricted to a half-line:
     ``half`` keeps x < edge ("x<0"), x > edge ("x>0") or the whole line
-    ("all"), and any other ``half`` is a ``ConfigError``; the half-line's
-    end point ``edge`` defaults to 0."""
+    ("all"); its end point ``edge`` defaults to 0.  Any other ``half``, or a
+    ``y0`` or ``edge`` that is not finite, is a ``ConfigError``."""
 
     y0: float
     half: str = "all"  # "x<0" | "x>0" | "all"
@@ -623,6 +624,8 @@ class Section:
     def __post_init__(self):
         if self.half not in ("x<0", "x>0", "all"):
             raise ConfigError(f"a section's half must be 'x<0', 'x>0' or 'all', got {self.half!r}")
+        if not (math.isfinite(self.y0) and math.isfinite(self.edge)):
+            raise ConfigError(f"a section needs a finite y0 and edge, got y0={self.y0}, edge={self.edge}")
 
     def contains(self, x: float) -> bool:
         if self.half == "x<0":
@@ -666,34 +669,8 @@ class PoincareResult:
     flags: dict[str, object] = field(default_factory=dict)
 
 
-def _strip_notes(shot: Shot, rhs: Callable, strip: float, center: float) -> list[TrajectoryEvent]:
-    """Entries into and exits from the band |y - center| <= strip, located
-    on the dense output like scipy's own events.  A step whose y-rate changes
-    sign between its ends (one ``rhs`` call per step end) is split at its
-    turn (:func:`_turn`), so a step that passes through the band, or dips
-    into it and back out, shows a sign change at each band edge it crosses.
-    A step with two turns (same rate sign at both ends) is not split, and an
-    edge it touches and leaves again is not marked."""
-    def h(t: float) -> float:
-        return float(shot.dense(t)[1]) - center
-
-    rates = [rhs(t, z)[1] for t, z in zip(shot.ts, shot.zs.T)]
-    knots = [shot.ts[0]]
-    for a, b, ra, rb in zip(shot.ts[:-1], shot.ts[1:], rates[:-1], rates[1:]):
-        if ra * rb < 0:
-            knots.append(_turn(lambda u: rhs(u, shot.dense(u))[1], a, b, ra, rb))
-        knots.append(b)
-    hs = np.array([h(t) for t in knots])
-    notes = []
-    for edge in (-strip, strip):
-        above = hs > edge
-        for k in np.nonzero(above[:-1] != above[1:])[0]:
-            te = _brentq(lambda t: h(t) - edge, knots[k], knots[k + 1])
-            # from above the upper edge, or from below the lower one, is an entry
-            kind = "enter_strip" if above[k] == (edge > 0) else "exit_strip"
-            z = shot.dense(te)
-            notes.append(TrajectoryEvent(te, kind, (float(z[0]), float(z[1]))))
-    return sorted(notes, key=lambda e: e.t)
+# integrate's band-edge stops, after the section: (edge side, direction, note)
+_EDGES = ((-1.0, 1, "enter_strip"), (-1.0, -1, "exit_strip"), (1.0, -1, "enter_strip"), (1.0, 1, "exit_strip"))
 
 
 def integrate(
@@ -707,20 +684,38 @@ def integrate(
     **settings,
 ) -> Trajectory:
     """Integrate ``field`` from ``start`` until ``until``, a :class:`Section`
-    (its crossing Newton-polished) or a final time, by one :func:`shoot` with
-    the solver ``settings`` given (``method``, ``rtol``, ``atol``, ``max_step``).
+    (its crossing Newton-polished) or a final time, with the solver
+    ``settings`` given (``method``, ``rtol``, ``atol``, ``max_step``).
     With ``strip``, entries into and exits from the band |y - strip_center| <=
-    strip are annotated.  Raises ``shoot``'s errors, and ``NoArrival``, naming
-    the last state, when ``t_max`` runs out before the section."""
+    strip are annotated: each edge is two level stops, one per direction, so
+    ``shoot``'s turn rule finds an edge grazed inside one step.  Each edge
+    hit restarts the orbit from the polished hit (``shoot`` steps it off),
+    and the shots are joined as :func:`~slidekick.fields.filippov_flow`
+    joins its arcs.  Raises ``shoot``'s errors, ``NoArrival``, naming the
+    last state, when ``t_max`` runs out before the section, and, before any
+    shot, ``ConfigError`` on a ``strip`` that is not positive and finite or a
+    ``strip_center`` that is not finite."""
+    if strip is not None and not 0.0 < strip < math.inf or not math.isfinite(strip_center):
+        raise ConfigError(f"integrate needs a positive, finite strip and a finite strip_center, "
+                          f"got strip={strip}, strip_center={strip_center}")
     if isinstance(until, Section):
         stops, t_end, kind = [until.stop()], t_max, f"cross_section:{until.id}"
     else:
         stops, t_end, kind = [], float(until), ""
-    shot = shoot(field.rhs, (0.0, t_end), start, stops, dense=strip is not None, **settings)
-    if stops and shot.stop is None:
-        raise NoArrival(f"integrate: t_max={t_max} ran out before y = {until.y0}; "
-                        f"last state t={shot.t}, x={shot.z[0]}, y={shot.z[1]}")
-    notes = [] if strip is None else _strip_notes(shot, field.rhs, strip, strip_center)
-    if stops:
-        notes.append(TrajectoryEvent(shot.t, kind, (float(shot.z[0]), float(shot.z[1]))))
-    return Trajectory(shot.ts, shot.zs[0], shot.zs[1], notes)
+    first_edge = len(stops)
+    if strip is not None:
+        stops += [Stop(1, strip_center + side * strip, direction) for side, direction, _ in _EDGES]
+    t, z, shots, notes = 0.0, start, [], []
+    while True:
+        shot = shoot(field.rhs, (t, t_end), z, stops, **settings)
+        shots.append(shot)
+        t, z = shot.t, shot.z
+        if shot.stop is None or shot.stop < first_edge:
+            break
+        notes.append(TrajectoryEvent(t, _EDGES[shot.stop - first_edge][2], (float(z[0]), float(z[1]))))
+    if first_edge:
+        if shot.stop is None:
+            raise NoArrival(f"integrate: t_max={t_max} ran out before y = {until.y0}; "
+                            f"last state t={t}, x={z[0]}, y={z[1]}")
+        notes.append(TrajectoryEvent(t, kind, (float(z[0]), float(z[1]))))
+    return Trajectory(np.concatenate([s.ts for s in shots]), *np.hstack([s.zs for s in shots]), notes)

@@ -103,6 +103,50 @@ def test_strip_annotations(xplus):
     _assert_strip_notes(traj)
 
 
+# the largest note error over delta = 1e-3, 1e-4 and 1e-6, measured both with
+# notes located after the shot on its dense output and with band-edge stops:
+# RK45 2.2e-13, DOP853 1.5e-13 and LSODA 1.9e-10; the bounds give 2.5x
+GRAZE_NOTE_TOL = {"RK45": 5e-13, "DOP853": 4e-13, "LSODA": 5e-10}
+
+
+@pytest.mark.parametrize("method", sorted(GRAZE_NOTE_TOL))
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-6])
+def test_strip_notes_of_an_edge_grazed_inside_one_step(monkeypatch, xplus, method, delta):
+    # y = x^2 + 0.05 - delta along X+ from (-0.8, 0.69 - delta) dips below the
+    # band's upper edge y = 0.05 at x = -sqrt(delta) and comes back out at
+    # +sqrt(delta), both inside one wide step whose ends lie above the band:
+    # the entry is found on its side of the step's turn at x = 0
+    steps, turn = [], integrator._turn
+    monkeypatch.setattr(integrator, "_turn", lambda rate, a, b, *ends: steps.append((a, b)) or turn(rate, a, b, *ends))
+    traj = integrate(xplus, (-0.8, 0.69 - delta), Section(0.25, "x>0", id="s"), strip=0.05,
+                     method=method, rtol=1e-12, atol=1e-14)
+    notes = [e for e in traj.events if e.kind.endswith("strip")]
+    assert [e.kind for e in notes] == ["enter_strip", "exit_strip"]
+    for e, x in zip(notes, (-math.sqrt(delta), math.sqrt(delta))):
+        assert abs(e.location[0] - x) <= GRAZE_NOTE_TOL[method]
+        assert e.location[1] == pytest.approx(0.05, abs=1e-15)
+    assert any(a < notes[0].t and notes[1].t < b for a, b in steps)  # a turned step spans both notes
+
+
+@pytest.mark.parametrize("strip, center", [(0.0, 0.0), (-0.05, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                                           (0.05, math.nan), (0.05, -math.inf)])
+def test_integrate_rejects_a_bad_strip(strip, center):
+    # strip = 0 noted each crossing of y = 0 twice, as exit_strip both times
+    # on the way down, and a NaN or infinite strip gave no notes at all
+    calls = []
+    fld = PlanarField(lambda x, y: calls.append(x) or (1.0, 2.0 * x))
+    with pytest.raises(ConfigError, match="strip"):
+        integrate(fld, (-0.8, 0.39), Section(0.39, "x>0", id="s"), strip=strip, strip_center=center)
+    assert calls == []
+
+
+@pytest.mark.parametrize("y0, edge", [(math.nan, 0.0), (math.inf, 0.0), (0.25, math.nan), (0.25, -math.inf)])
+def test_section_rejects_a_bad_level_or_edge(y0, edge):
+    # exterior_map stepped a NaN level to t = 1000 and then raised NoArrival
+    with pytest.raises(ConfigError, match="finite"):
+        Section(y0, "x<0", edge=edge)
+
+
 def test_section_edge(xplus):
     a, b = Section(0.25, "x<0", id="h", edge=-0.1), Section(0.25, "x<0", id="h", edge=0.3)
     assert a != b
