@@ -339,6 +339,8 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
     # whose first step is this linearization
     m0 = mu_paper(0.0)
     dm = (mu_paper(1e-4) - m0) / 1e-4
+    if dm == 0.0:
+        raise SaddleNotResolved("mu does not move with mu_raw: the secant for mu_raw has no slope")
 
     def raw_for(mu_target: float) -> float:
         r_prev, f_prev = 0.0, m0 - mu_target
@@ -347,9 +349,9 @@ def homoclinic_family(make_model: Callable[[float], ModelDescriptor], *,
             f = mu_paper(r) - mu_target
             if f == 0.0:
                 return r
+            if f == f_prev:
+                raise SaddleNotResolved(f"secant for mu_raw stalled at mu={mu_target}, mu_raw={r}")
             step = f * (r - r_prev) / (f - f_prev)
-            if not math.isfinite(step):
-                break
             r_prev, f_prev, r = r, f, r - step
             if abs(step) <= 1e-12:
                 return r

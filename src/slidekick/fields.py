@@ -18,7 +18,8 @@ from typing import Callable, Literal
 import numpy as np
 
 from slidekick.errors import ConfigError, NumericalFailure
-from slidekick.integrator import NoArrival, Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent, _brentq, shoot
+from slidekick.integrator import (EXTERIOR, NoArrival, Section, StepLimitExceeded, Stop, Trajectory, TrajectoryEvent,
+                                  _brentq, shoot)
 
 
 class NotSliding(ConfigError):
@@ -244,7 +245,8 @@ def filippov_flow(
     :class:`~slidekick.integrator.Section`, a final time, or ``"sliding"``,
     which ends the flow at its first ``slide_start``; ``NoArrival``, naming
     the last state, is raised when ``t_max`` runs out before either of the
-    last two.  A start on Sigma and every hit of Sigma follow one rule
+    last two.  Every arc and slide is shot at ``EXTERIOR`` capped at
+    ``max_step``.  A start on Sigma and every hit of Sigma follow one rule
     (:func:`_arrival`); a graze of Sigma in V+ is a fold exit.  An arc that
     starts with vanishing normal velocity first steps 1e-10 in time along
     its field, so that its own stops do not fire at once.
@@ -252,7 +254,7 @@ def filippov_flow(
     Events are annotated in order: ``cross_section``, ``slide_start``,
     ``slide_end``, ``fold_exit`` and the region switches.
     """
-    y_sw = system.offset
+    y_sw, settings = system.offset, EXTERIOR | {"max_step": max_step}
     sec = stop if isinstance(stop, Section) else None
     t_final = t_max if sec is not None or stop == "sliding" else float(stop)
 
@@ -268,7 +270,7 @@ def filippov_flow(
         if regime == "slide":
             stops = [Stop(g=lambda t, z: system.x_plus(z[0], y_sw)[1]),
                      Stop(g=lambda t, z: system.x_minus(z[0], y_sw)[1])]
-            shot = shoot(lambda t, z: [_drift(system, z[0])], (t0, t_final), [x0], stops)
+            shot = shoot(lambda t, z: [_drift(system, z[0])], (t0, t_final), [x0], stops, **settings)
             arcs.append((shot.ts, shot.zs[0], np.full_like(shot.ts, y_sw)))
             t0, x0, y0 = shot.t, float(shot.z[0]), y_sw
             if shot.stop is not None:
@@ -285,21 +287,16 @@ def filippov_flow(
             # the one restart rule: step off a start with vanishing normal velocity
             f_at = field(x0, y0)
             if abs(f_at[1]) <= 1e-12 * max(1.0, abs(f_at[0])):
-                t0 += 1e-10
-                x0 += 1e-10 * f_at[0]
-                y0 += 1e-10 * f_at[1]
+                t0, x0, y0 = t0 + 1e-10, x0 + 1e-10 * f_at[0], y0 + 1e-10 * f_at[1]
 
             # tangential contact with Sigma shows up as an extremum of y close
             # to the line (a minimum in V+, a maximum in V-); extrema away
             # from the line are passed over
-            stops = [
-                Stop(1, y_sw, toward),
-                Stop(g=lambda t, z: field(z[0], z[1])[1], direction=-toward,
-                     accept=lambda z: abs(z[1] - y_sw) <= 1e-9),
-            ]
+            stops = [Stop(1, y_sw, toward), Stop(g=lambda t, z: field(z[0], z[1])[1], direction=-toward,
+                                                 accept=lambda z: abs(z[1] - y_sw) <= 1e-9)]
             if sec is not None:
                 stops.append(sec.stop())
-            shot = shoot(field.rhs, (t0, t_final), [x0, y0], stops, max_step=max_step)
+            shot = shoot(field.rhs, (t0, t_final), [x0, y0], stops, **settings)
             arcs.append((shot.ts, shot.zs[0], shot.zs[1]))
             t0, x0, y0 = shot.t, float(shot.z[0]), float(shot.z[1])
 

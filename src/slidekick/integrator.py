@@ -41,11 +41,11 @@ of that, the primitive handles four cases, in either direction of time:
 Each stage picks its stepper from one table, the read-only keyword sets
 :data:`EXTERIOR`, :data:`STIFF` and :data:`STIFF_TIGHT` passed as
 ``shoot(..., **NAME)``; each names its users and the reason for its values.
-The Filippov flows keep ``shoot``'s defaults.  scipy's Radau IIA is
-selectable as ``method="Radau"`` for tight reference solves; no stage of
-the package uses it.
+``shoot``'s defaults are :data:`EXTERIOR`'s method and tolerances.  scipy's
+Radau IIA is selectable as ``method="Radau"`` for tight reference solves;
+no stage of the package uses it.
 
-RK45 and Radau are scipy's ``OdeSolver`` objects.  DOP853 steps on
+Radau is scipy's ``OdeSolver`` object.  DOP853 steps on
 :class:`_Dop853`, scipy ``DOP853``'s tableau and step control on Python
 floats, without scipy's per-step arrays (about two thirds of the time per
 step); its stage sums are exact, so its digits lie within rounding of
@@ -85,7 +85,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution, OdeSolver, Radau, _ode
+from scipy.integrate import OdeSolution, OdeSolver, Radau, _ode
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.base import ConstantDenseOutput
 from scipy.integrate._ivp.common import select_initial_step, validate_tol
@@ -143,7 +143,7 @@ class Shot:
     min_step: float  # the smallest nonzero |step|
     njev: int  # the solver's Jacobian evaluations
     nlu: int  # the solver's LU decompositions
-    method: str = "RK45"  # the stepper that took the steps
+    method: str  # the stepper that took the steps: "DOP853", "LSODA" or "Radau"
     n_bdf: int = 0  # LSODA steps taken in BDF (stiff) mode, iwork[18] = 2; 0 for the other methods
 
 
@@ -154,10 +154,10 @@ TOUCH = 1e-13  # a level this close to the state is touched: the step-off and tu
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # validate_tol raises a smaller rtol to this, with a warning
 _FREE_WORK: dict[tuple[int, int], list] = {}  # (rwork, iwork) pairs of ended LSODA shots, by their lengths
 
-# Orbits outside the strip: poincare.exterior_map (exterior returns, stage Pbar,
-# every landing), poincare._stage_P, bifurcation._stable_separatrix and the
-# Stribeck upper arc, bifurcation._upper_arc, on the Dormand-Prince 8(5,3) pair
-# (Hairer, Norsett & Wanner, Solving ODEs I, II.10), stepped by _Dop853.
+# Orbits outside the strip: poincare.exterior_map (exterior returns, stage Pbar, every
+# landing), poincare._stage_P, bifurcation._stable_separatrix, the Stribeck upper arc
+# bifurcation._upper_arc and, at its own cap, fields.filippov_flow, on the Dormand-Prince
+# 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10), stepped by _Dop853.
 # At rtol 1e-11 the landings lie 3-5x farther from a tight reference; at 1e-12
 # those near the fold are within 5e-12 of DOP853 at rtol 1e-13.  The cap (a
 # graze is found at its turn, not by it) keeps exterior_map's landings within
@@ -202,17 +202,17 @@ def shoot(
     stops: "list[Stop] | tuple[Stop, ...]" = (),
     *,
     jac: Callable | None = None,
-    method: str = "RK45",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    method: str = EXTERIOR["method"],
+    rtol: float = EXTERIOR["rtol"],
+    atol: float = EXTERIOR["atol"],
     max_step: float = np.inf,
     dense: bool = False,
 ) -> Shot:
     """Integrate ``rhs`` over ``t_span``, either way, until the first accepted stop.
 
-    Steps the ``method`` solver (LSODA, RK45, DOP853 or Radau) in one loop
-    shared by all four: :class:`_Lsoda` for LSODA, :class:`_Dop853` for
-    DOP853 and scipy's ``OdeSolver`` for RK45 and Radau.  The stops whose
+    Steps the ``method`` solver (DOP853 at ``EXTERIOR``'s tolerances by
+    default, LSODA or Radau) in one loop: :class:`_Dop853`, :class:`_Lsoda`
+    and scipy's ``OdeSolver`` for Radau.  The stops whose
     sign changed over a step, in their direction, are rooted on the step's
     interpolant, and so is a level stop's crossing hidden behind a turn
     inside the step; the roots are tried in the order of integration and the
@@ -300,7 +300,7 @@ def _first_hit(stops, brackets, sol, rhs, last, d):
 
 
 def _step_loop(stepper, rhs, stops, dense):
-    # the one step loop, for _Lsoda, _Dop853 and the OdeSolvers alike: the state is read once per step
+    # the one step loop, for _Lsoda, _Dop853 and scipy's Radau alike: the state is read once per step
     # as floats, the stop values and one rate per level stop are updated in place, and a stop is rooted
     # on the step's interpolant only where its sign changed or where a level's crossing hides behind a turn
     lsoda, d = isinstance(stepper, _Lsoda), float(stepper.direction)
@@ -446,7 +446,7 @@ class _Dop853:
         return Dop853DenseOutput(t_old, t, self._y_old, np.array(F).T)
 
 
-_SOLVERS = {"RK45": RK45, "DOP853": _Dop853, "Radau": Radau}  # LSODA steps on _Lsoda
+_SOLVERS = {"DOP853": _Dop853, "Radau": Radau}  # LSODA steps on _Lsoda
 
 
 class _Lsoda:

@@ -223,7 +223,7 @@ def test_stribeck_uniqueness_certified(poly2, monkeypatch, eps):
     x_star = {1e-2: 0.24418968410173617, 1e-3: 0.23203610786591444}[eps]
     assert res.fixed_point == x_star
     # the pruned Hausdorff search is exact: the all-pairs scan's values, to the bit
-    assert res.hausdorff_upper == {1e-2: 0.009705701666852352, 1e-3: 0.0010217018562204043}[eps]
+    assert res.hausdorff_upper == {1e-2: 0.009704471447878123, 1e-3: 0.0010216069136627958}[eps]
     R = _stribeck_return_map(desc, poly2, eps)
     assert R(x_star) == pytest.approx(x_star, abs=1e-9)
     xs = np.linspace(x_star - 0.25, min(x_star + 0.25, desc.fold().x - 1e-3), 48)
@@ -255,8 +255,8 @@ def test_stribeck_family_builds_the_eps_free_half_once(poly2, monkeypatch):
     assert (len(flows), len(returns)) == (1, 2)
     got = [attractor(poly2, eps) for eps in (1e-2, 1e-3)]
     assert (len(flows), len(returns)) == (1, 2 + 2 * 10)
-    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173617, 0.009705701666852352),
-                                                                 (0.23203610786591444, 0.0010217018562204043)]
+    assert [(r.fixed_point, r.hausdorff_upper) for r in got] == [(0.24418968410173617, 0.009704471447878123),
+                                                                 (0.23203610786591444, 0.0010216069136627958)]
 
 
 def test_certificate_passes_on_five_samples():
@@ -380,6 +380,19 @@ def test_gap_of_one_sign_is_a_typed_failure(lin, monkeypatch):
     make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
     with pytest.raises(SaddleNotResolved, match=r"one sign.* at mu_raw=.* at mu_raw="):
         homoclinic_scan(make, lin, 1e-3, [], y0=0.25, bisect=True)
+
+
+@pytest.mark.parametrize("landings", [{}, {0.25 - 1e-4: -1.0}], ids=["flat", "equal-secant-values"])
+def test_secant_without_a_slope_is_a_typed_failure(monkeypatch, landings):
+    # the fold's landing is 0.5 on every member and W^s lands at 0 on every
+    # level but those given: mu = 0.5 on the flat family (its slope is 0),
+    # and with slope 1e4 at mu_raw = 0 the secant's next member is back at
+    # 0.5.  Both divisions by zero raised a bare ZeroDivisionError
+    monkeypatch.setattr(bifurcation, "exterior_map", lambda *a, **k: PoincareResult(0.5, 0.0))
+    monkeypatch.setattr(bifurcation, "_stable_separatrix", lambda desc: lambda level: landings.get(level, 0.0))
+    make = lambda mu_raw: model("saddle-homoclinic", mu=mu_raw, nu=0.15, check=False)
+    with pytest.raises(SaddleNotResolved, match="secant for mu_raw"):
+        homoclinic_family(make, y0=0.25)
 
 
 def test_homoclinic_probes_and_bisection(lin):

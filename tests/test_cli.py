@@ -146,7 +146,8 @@ def test_simulate_csv(tmp_path):
 
 
 def test_simulate_csv_strip_events():
-    # strip entry and exit fall between solver steps and get rows of their own
+    # integrate ends a shot at each strip edge hit, so the entry and the exit
+    # are step ends: each note labels that step's row
     code, text = run_cli("simulate", "--model", "normal-fold", "--eps", "1e-3",
                          "--start=-0.8,0.1", "--until-y", "0.25")
     assert code == 0
@@ -537,7 +538,7 @@ _README_GOLDEN = {
     "manifold --model normal-fold --profile 'poly(2)' --eps 1e-4":
         "f5d29643b526df494f9508114f9fca1d7f0d115355e09635f43f626dfca7a035",
     "simulate --model normal-fold --start=-0.8,0.1 --until-y 0.25":
-        "1561a6596e6af41d5fa2530285e330c776a694730abbf1ec1a45e8d87be7fae6",
+        "c338f3e29cd0841abe6f0a579a2dafd8d9dd71da76397252394febccedfefc45",
     "bifurcate --family grazing-repelling --eps 1e-3 --mu 0:1.5e-3:13":
         "ebaf226de29608da9c8180cbda58e269772bfc32ba4ab3ec0ac0309f6fad0181",
     "friction --model coulomb --eps 1e-3":

@@ -229,14 +229,32 @@ def test_filippov_flow_raises_when_time_runs_out(normal_form, stop, t_max):
 
 
 def test_readme_simulate_shoots_arc_slide_arc(shoot_calls):
-    # the README's simulate run: one shot per segment, and no restart shots
+    # the README's simulate run: one shot per segment, and no restart shots;
+    # the arcs and the slide all run at EXTERIOR, capped at the flow's max_step
     from slidekick import fields
 
     calls = shoot_calls(fields)
     traj = filippov_flow(model("normal-fold").system, (-0.8, 0.1), Section(0.25, "all", id="target"), t_max=50.0)
     assert [len(c.args[2]) for c in calls] == [2, 1, 2]
-    assert {c.shot.method for c in calls} == {"RK45"}
+    assert all(c.kwargs == EXTERIOR | {"max_step": 0.05} for c in calls)
+    assert {c.shot.method for c in calls} == {"DOP853"}
     assert [e.kind for e in traj.events] == ["slide_start", "slide_end", "fold_exit", "cross_section:target"]
+
+
+def test_readme_simulate_events_at_their_closed_forms():
+    # y = x^2 - 0.54 along X+ meets Sigma at x = -sqrt(0.54); the drift
+    # x' = 1/(1 - 2x) slides it to the fold (0, 0) at t = 1.34, and X+ lifts
+    # it along y = x^2 to x = 1/2 at t = 1.84.  Each event lies within 1e-13
+    # of its closed form (5.6e-15 measured; on RK45 at rtol 1e-10, the
+    # flow's earlier setting, the slide end was 3.4e-10 off)
+    traj = filippov_flow(model("normal-fold").system, (-0.8, 0.1), Section(0.25, "all", id="target"), t_max=50.0)
+    exact = [("slide_start", 0.8 - math.sqrt(0.54), -math.sqrt(0.54), 0.0), ("slide_end", 1.34, 0.0, 0.0),
+             ("fold_exit", 1.34, 0.0, 0.0), ("cross_section:target", 1.84, 0.5, 0.25)]
+    assert [e.kind for e in traj.events] == [kind for kind, *_ in exact]
+    for e, (_, t, x, y) in zip(traj.events, exact):
+        assert abs(e.t - t) <= 1e-13 and abs(e.location[0] - x) <= 1e-13
+        assert abs(e.location[1] - y) <= 1e-15
+    assert traj.end == (traj.events[-1].t, *traj.events[-1].location)
 
 
 @pytest.mark.parametrize("through", ["shoot", "exterior_map"])

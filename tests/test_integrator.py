@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import sys
 import threading
@@ -105,8 +106,9 @@ def test_strip_annotations(xplus):
 
 # the largest note error over delta = 1e-3, 1e-4 and 1e-6, measured both with
 # notes located after the shot on its dense output and with band-edge stops:
-# RK45 2.2e-13, DOP853 1.5e-13 and LSODA 1.9e-10; the bounds give 2.5x
-GRAZE_NOTE_TOL = {"RK45": 5e-13, "DOP853": 4e-13, "LSODA": 5e-10}
+# DOP853 1.5e-13 and LSODA 1.9e-10, and with band-edge stops on Radau
+# 5.1e-14; the bounds give 2.5x
+GRAZE_NOTE_TOL = {"Radau": 1.3e-13, "DOP853": 4e-13, "LSODA": 5e-10}
 
 
 @pytest.mark.parametrize("method", sorted(GRAZE_NOTE_TOL))
@@ -168,7 +170,7 @@ def test_section_rejects_an_unknown_half():
 
 def test_rejected_and_accepted_root_in_one_step(xplus):
     # along y = x^2 - 0.25 the orbit meets y = 0.25 at x = -sqrt(0.5), on the
-    # wrong half-line, and then y = 0.2 at x = -sqrt(0.45), in one RK45 step;
+    # wrong half-line, and then y = 0.2 at x = -sqrt(0.45), in one DOP853 step;
     # the rejected root is passed over and the later one fires
     t_wrong, t_hit = 0.8 - math.sqrt(0.5), 0.8 - math.sqrt(0.45)
     shot = shoot(xplus.rhs, (0.0, 10.0), [-0.8, 0.39], [Section(0.25, "x>0").stop(), Stop(1, 0.2, -1)])
@@ -196,15 +198,15 @@ def test_step_size_collapse_is_typed():
 
 
 def test_other_solver_failure_keeps_its_message(monkeypatch):
-    from scipy.integrate import RK45
+    from scipy.integrate import Radau
 
-    class Failing(RK45):
+    class Failing(Radau):
         def _step_impl(self):
             return False, "Excess work done on this call."
 
-    monkeypatch.setitem(integrator._SOLVERS, "RK45", Failing)
+    monkeypatch.setitem(integrator._SOLVERS, "Radau", Failing)
     with pytest.raises(NumericalFailure, match="Excess work") as info:
-        shoot(lambda t, z: [-z[0]], (0.0, 1.0), [1.0])
+        shoot(lambda t, z: [-z[0]], (0.0, 1.0), [1.0], method="Radau")
     assert not isinstance(info.value, StepSizeUnderflow)
 
 
@@ -249,6 +251,21 @@ def test_no_module_imports_scipys_dop853():
     # the tests' reference only, and no module imports or names it
     assert _users("DOP853") == []
     assert integrator._SOLVERS["DOP853"] is integrator._Dop853
+
+
+def test_one_explicit_stepper_and_shoot_defaults_read_exterior():
+    # the Filippov flows ride EXTERIOR, so scipy's RK45 left the package: no
+    # module imports or names it, shoot selects _Dop853 or scipy's Radau
+    # (LSODA steps on _Lsoda), and its defaults are the EXTERIOR row's but
+    # for the step cap
+    from scipy.integrate import Radau
+
+    assert _users("RK45") == []
+    assert integrator._SOLVERS == {"DOP853": integrator._Dop853, "Radau": Radau}
+    defaults = {k: p.default for k, p in inspect.signature(shoot).parameters.items()}
+    assert {k: defaults[k] for k in ("method", "rtol", "atol")} == {
+        k: integrator.EXTERIOR[k] for k in ("method", "rtol", "atol")}
+    assert defaults["max_step"] == math.inf
 
 
 def test_no_module_selects_radau():
@@ -311,7 +328,7 @@ def test_shot_settings_table():
         integrator.STIFF["rtol"] = 1e-11
 
 
-@pytest.mark.parametrize("method", ["LSODA", "RK45", "DOP853"])
+@pytest.mark.parametrize("method", ["LSODA", "Radau", "DOP853"])
 def test_every_stepper_roots_its_turns(monkeypatch, method):
     # circles about the origin turn at x = -1 once a loop (t = pi, 3 pi and
     # 5 pi by t = 20) without reaching the level x = -2: every stepper roots
@@ -342,13 +359,15 @@ def test_one_step_loop_serves_every_method():
 
 
 # x' = 1, y' = 1 - 2x from the origin: y = t - t^2 peaks at 1/4 at t = 1/2.
-# RK45 steps over [0.111, 1.111], DOP853 over [0.177, 0.833] and LSODA over
-# [0.228, 0.913], below y = 0.2 at both ends: the crossings of that level at
-# 1/2 -+ sqrt(0.05) hide behind the turn, while x crosses 0.8 or 0.25 inside
-# the same step.  RK45 from (2, -2) down to t = 0 steps over [1.567, 0]; the
-# orbit is symmetric under t -> 1 - t, so its stops and hit are the mirror's
-HILL_SHOTS = {"RK45": ("RK45", (0.0, 2.0), [0.0, 0.0]), "DOP853": ("DOP853", (0.0, 2.0), [0.0, 0.0]),
-              "LSODA": ("LSODA", (0.0, 2.0), [0.0, 0.0]), "RK45-descending": ("RK45", (2.0, 0.0), [2.0, -2.0])}
+# At rtol 1e-10, atol 1e-12 Radau steps over [0.111, 1.111], DOP853 over
+# [0.248, 1.285] and LSODA over [0.228, 0.913], below y = 0.2 at both ends:
+# the crossings of that level at 1/2 -+ sqrt(0.05) hide behind the turn,
+# while x crosses 0.8 or 0.25 inside the same step.  DOP853 from (1.5, -0.75)
+# down to t = 0 steps over [1.233, 0]; the orbit is symmetric under
+# t -> 1 - t, so its stops and hit are the mirror's
+HILL_SHOTS = {"Radau": ("Radau", (0.0, 2.0), [0.0, 0.0]), "DOP853": ("DOP853", (0.0, 2.0), [0.0, 0.0]),
+              "LSODA": ("LSODA", (0.0, 2.0), [0.0, 0.0]),
+              "DOP853-descending": ("DOP853", (1.5, 0.0), [1.5, -0.75])}
 
 
 def _hill(t, z):
@@ -368,7 +387,7 @@ def test_turn_and_sign_change_in_one_step(hill_shot, hidden, seen, fires, t_hit)
     method, t_span, z0 = hill_shot
     if t_span[1] < t_span[0]:  # x = t runs down: the mirror t -> 1 - t of the ascending case
         seen, t_hit = Stop(0, 1.0 - seen.level, -seen.direction), 1.0 - t_hit
-    plain = shoot(_hill, t_span, z0, method=method)
+    plain = shoot(_hill, t_span, z0, method=method, rtol=1e-10, atol=1e-12)
     k = int(np.argmax((plain.ts - 0.5) * (t_span[1] - t_span[0]) > 0.0))  # the step over t = 1/2
     a, b = plain.ts[k - 1], plain.ts[k]
     lo, hi = sorted((a, b))
@@ -376,7 +395,7 @@ def test_turn_and_sign_change_in_one_step(hill_shot, hidden, seen, fires, t_hit)
     assert max(plain.zs[1, k - 1], plain.zs[1, k]) < 0.2
     hits = []
     for stops in ([hidden, seen], [seen, hidden]):
-        shot = shoot(_hill, t_span, z0, stops, method=method)
+        shot = shoot(_hill, t_span, z0, stops, method=method, rtol=1e-10, atol=1e-12)
         fired = stops[shot.stop]
         assert fired is (hidden, seen)[fires] and abs(shot.z[fired.component] - fired.level) <= 1e-12
         assert shot.ts[-2] == a and shot.t == pytest.approx(t_hit, abs=1e-12)
@@ -384,7 +403,7 @@ def test_turn_and_sign_change_in_one_step(hill_shot, hidden, seen, fires, t_hit)
     assert hits[0] == hits[1]
 
 
-@pytest.mark.parametrize("method", ["LSODA", "RK45", "DOP853"])
+@pytest.mark.parametrize("method", ["LSODA", "Radau", "DOP853"])
 def test_step_off_follows_the_direction_of_integration(monkeypatch, method):
     # x' = y, y' = -x from (1, 0) down to t = -10: y = -sin t rises off the
     # level y = 0.  Against a downward stop the start is not stepped off
@@ -403,7 +422,7 @@ def test_step_off_follows_the_direction_of_integration(monkeypatch, method):
     assert turns == []
 
 
-@pytest.mark.parametrize("method", ["LSODA", "RK45", "DOP853"])
+@pytest.mark.parametrize("method", ["LSODA", "Radau", "DOP853"])
 def test_min_step_of_a_descending_shot(method):
     # z' = z from t = 5 down to 0: min_step read inf on every stepper, as no
     # step was positive; it is the smallest nonzero |step| either way, as in
@@ -415,8 +434,8 @@ def test_min_step_of_a_descending_shot(method):
         assert shot.min_step == _solve_ivp_shoot(lambda t, z: [z[0]], (5.0, 0.0), [1.0], method=method).min_step
 
 
-def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol=1e-10, atol=1e-12,
-                     max_step=np.inf, dense=False):
+def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method=integrator.EXTERIOR["method"],
+                     rtol=integrator.EXTERIOR["rtol"], atol=integrator.EXTERIOR["atol"], max_step=np.inf, dense=False):
     """``shoot`` written on ``solve_ivp``: the reference of the agreement
     guard.  A root that ``accept`` rejected was stepped past by 1e-12 and
     the solve restarted from there, at most 64 times."""
@@ -486,7 +505,7 @@ def _solve_ivp_shoot(rhs, t_span, z0, stops=(), *, jac=None, method="RK45", rtol
             joined = parts[0] if dense else None
         return Shot(stop=fired, t=float(t), z=np.array(z), ts=np.concatenate(ts),
                     zs=np.concatenate(zs, axis=1), dense=joined, n_steps=n_steps, nfev=nfev,
-                    min_step=float(min_step) if n_steps else 0.0, njev=njev, nlu=nlu)
+                    min_step=float(min_step) if n_steps else 0.0, njev=njev, nlu=nlu, method=method)
     raise NoArrival("restart budget for rejected stop crossings exhausted")
 
 
@@ -508,8 +527,9 @@ class _LoggedDense:
 
 
 def _probe_shots(shoot_calls, monkeypatch):
-    """Every shoot call (arguments and result) of the agreement probe set;
-    a dense result logs the queries that its caller makes of it."""
+    """Every shoot call (arguments and result) of the agreement probe set,
+    and the indices of the Filippov flow's; a dense result logs the queries
+    that its caller makes of it."""
     modules = (bifurcation, fields, inner, poincare, slow_manifold)
     calls = shoot_calls(*modules)
     record = inner.shoot  # the fixture's recording shoot
@@ -531,14 +551,22 @@ def _probe_shots(shoot_calls, monkeypatch):
     fold = find_fold(coulomb.system, coulomb.fold_bracket)
     exterior_map(coulomb.system.x_plus, (fold.x - 0.3, 0.25), Section(0.25, "x>0", edge=fold.x),
                  floor_margin=5e-4)
+    n_before = len(calls)
     filippov_flow(FilippovSystem(nf.system.x_plus, nf.system.x_minus), (-0.5, 0.25),
                   Section(0.25, "x>0"))
+    flow = range(n_before, len(calls))
     trace_manifold(RegularizedSystem(nf.system, phi_polynomial(2), 1e-3), -1.0, 1.0)
     distinguished_solution.__wrapped__(2, phi_polynomial(2).c_p)
     normalized_solution.__wrapped__(2)
     eta1_check(2, -1.5, 0.3)  # the 2-D state
     _stable_separatrix(model("saddle-homoclinic", nu=0.15))  # DOP853 with dense output
-    return calls
+    # scipy's Radau, the one OdeSolver left, stepped by shoot's loop: a level
+    # stop that fires, and a dense shot whose g stop fires
+    radau = {"method": "Radau", "rtol": 1e-10, "atol": 1e-12}
+    logged(nf.system.x_plus.rhs, (0.0, 10.0), [-0.8, 0.1], [Stop(1, 0.0, -1)], **radau)
+    logged(nf.system.x_plus.rhs, (0.0, 10.0), [-0.8, 0.1], [Stop(g=lambda t, z: z[0] + 0.5, direction=1)],
+           dense=True, **radau)
+    return calls, flow
 
 
 def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
@@ -548,20 +576,22 @@ def test_shoot_matches_solve_ivp_bitwise(shoot_calls, monkeypatch):
     # output agrees on every query its callers made (the inner 4001- and
     # 2001-point grids, the manifold trace's 1200 + 600 points, eta1_check's
     # 60 points and its scalar at u = -10)
-    calls = _probe_shots(shoot_calls, monkeypatch)
+    calls, flow = _probe_shots(shoot_calls, monkeypatch)
     seen = {(s.method, s.stop, kw.get("dense", False)) for _a, kw, s in calls}
-    assert {("LSODA", 0, False), ("DOP853", 1, True), ("RK45", 1, False), ("LSODA", 1, True),
+    assert {("LSODA", 0, False), ("DOP853", 1, True), ("Radau", 0, False), ("Radau", 0, True), ("LSODA", 1, True),
             ("LSODA", None, True)} <= seen
     queried = set()
-    for args, kwargs, shot in calls:
-        assert shot.method == kwargs.get("method", "RK45")
+    for k, (args, kwargs, shot) in enumerate(calls):
+        assert shot.method == kwargs["method"]
         ref = _solve_ivp_shoot(*args, **kwargs)
         if tuple(args[2]) == (GRAZING_STAGE_P[1], 0.25):
             assert ref.stop != 0 and shot.stop == 0
             assert abs(shot.z[0] + math.sqrt(0.5001**2 + 1e-3 - 0.25)) <= 1e-12
             continue
         if shot.method == "DOP853":
-            _agrees_with_scipys_dop853(args, kwargs, shot, ref)
+            # the flow's X+ = (1, 2x) has orbits quadratic in t: DOP853's step sizes follow
+            # the rounding of its stage sums, as in test_dop853_stepper_agrees_with_scipys_dop853
+            _agrees_with_scipys_dop853(args, kwargs, shot, ref, steps_off=int(k in flow))
             continue
         assert (shot.stop, shot.t, shot.n_steps, shot.min_step) == (ref.stop, ref.t, ref.n_steps, ref.min_step)
         assert (shot.njev, shot.nlu, shot.nfev) == (ref.njev, ref.nlu, ref.nfev)
@@ -790,7 +820,7 @@ def test_lsoda_shots_in_two_threads_step_as_in_series(monkeypatch):
     assert all(run == serial for run in runs)
 
 
-@pytest.mark.parametrize("method", ["LSODA", "RK45"])
+@pytest.mark.parametrize("method", ["LSODA", "DOP853"])
 @pytest.mark.parametrize("t_span, z0", [
     ((0.0, 1.0), [0.1, math.inf]), ((0.0, 1.0), [math.nan, 0.0]), ((math.nan, 1.0), [0.1, 0.0]),
     ((-math.inf, 1.0), [0.1, 0.0]), ((0.0, math.nan), [0.1, 0.0]), ((0.0, math.inf), [0.1, 0.0]),
@@ -1075,10 +1105,11 @@ def test_dop853_nfev_rule(monkeypatch, case):
         assert work["interpolants"] == shot.n_steps
     elif case == "rejected-steps":  # van der Pol, mu = 5: 17 of 204 attempts rejected
         shot = shoot(lambda t, z: [z[1], 5.0 * (1 - z[0] ** 2) * z[1] - z[0]], (0.0, 10.0), [2.0, 0.0],
-                     method="DOP853")
+                     method="DOP853", rtol=1e-10, atol=1e-12)
         assert work["attempts"] > shot.n_steps and work["interpolants"] == 0
-    else:  # z' = z^2 from 1 up to t = 0.999, dense: about half the attempts are rejected
-        shot = shoot(lambda t, z: [z[0] * z[0]], (0.0, 0.999), [1.0], method="DOP853", dense=True)
+    else:  # z' = z^2 from 1 up to t = 0.999, dense: 57 of 117 attempts are rejected
+        shot = shoot(lambda t, z: [z[0] * z[0]], (0.0, 0.999), [1.0], method="DOP853", rtol=1e-10, atol=1e-12,
+                     dense=True)
         assert work["attempts"] > shot.n_steps == work["interpolants"]
     assert shot.method == "DOP853"
     assert shot.nfev == 12 * work["attempts"] + 2 + 3 * work["interpolants"]
