@@ -180,7 +180,7 @@ def _criterion_3():
 
 
 @_register("4", "inner-equation prefactor",
-           "within 10% of beta+ eta0(0)^2, eta0 stable to 1e-8", limit=60.0)
+           "within 10% of beta+ eta0(0)^2, eta0 error estimate <= 1e-8", limit=60.0)
 def _criterion_4():
     """Prefactor of the eps^{4/3} landing deviation against the inner constant."""
     nf = model("normal-fold", check=False)

@@ -9,11 +9,13 @@ universal constant in the eps^{p/(2p-1)} exit abscissa.
 Two routes are kept: direct integration of the unscaled equation, and the
 normalized form  d(etabar)/d(ubar) = 1/(etabar + ubar^p)  mapped back
 through the scaling constants alpha, beta.  They differ in variable,
-scaling and seed, so their agreement checks one against the other.  Their
-variables, D = 4 eta - c_p u^p and w = etabar + ubar^p, obey one Riccati
-family dz/du = a/z + b u^(p-1) (a = 8, b = -p c_p and a = 1, b = p), which
-one shot steps with LSODA (Petzold 1983) and the analytic Jacobian; its
-compiled steps cost about a tenth of scipy's Python-level Radau.
+scaling and seed, so their agreement checks one against the other.  Each
+is one shot from its seed, whose remainder lies far below the shot's
+integration error.  Their variables, D = 4 eta - c_p u^p and
+w = etabar + ubar^p, obey one Riccati family dz/du = a/z + b u^(p-1)
+(a = 8, b = -p c_p and a = 1, b = p), which one shot steps with LSODA
+(Petzold 1983) and the analytic Jacobian; its compiled steps cost about a
+tenth of scipy's Python-level Radau.
 Agreement with a tight Radau solve is a test of its own.  For odd p the
 normalized variable carries a sign flip (alpha < 0), which turns the
 sign-reversed odd-p equation into the same normalized form; the
@@ -87,10 +89,11 @@ def _inner_grid(u_start: float) -> np.ndarray:
 class InnerSolution:
     """Distinguished solution on the 4001-point grid u in [u_start + 0.5, 0].
 
-    Only the integrated denominator D = 4 eta - c_p u^p is stored; ``u``
-    and ``eta`` are rebuilt from it.  Recomputing D from eta would cancel
-    away the digits that integrating D keeps (eta ~ -1.8e4 at u = -12 for
-    p = 4).
+    ``estimated_error`` is ``eta_at_0``'s distance from the same shot at
+    ``STIFF``'s looser tolerances.  Only the integrated denominator
+    D = 4 eta - c_p u^p is stored; ``u`` and ``eta`` are rebuilt from it.
+    Recomputing D from eta would cancel away the digits that integrating D
+    keeps (eta ~ -1.8e4 at u = -12 for p = 4).
     """
 
     p: int
@@ -128,7 +131,7 @@ def _riccati_shot(p: int, a: float, b: float, u_span: tuple[float, float], z0: f
     return shot
 
 
-def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np.inf, dense: bool = False):
+def _integrate_unscaled(p: int, c_p: float, u_start: float, **settings):
     # integrate the denominator D = 4 eta - c_p u^p instead of eta itself:
     # D stays O(1) while eta grows like u^p, so no precision is lost to the
     # cancellation 4 eta - c_p u^p, and eta(0) = D(0)/4 exactly.
@@ -139,8 +142,7 @@ def _integrate_unscaled(p: int, c_p: float, u_start: float, max_step: float = np
     alpha, beta = alpha_beta(p, c_p)
     third = -((p - 1) / p**3) * beta ** (2 - 3 * p) / alpha * u_start ** (2 - 3 * p)
     d_seed = 4.0 * (asymptotic_seed(p, c_p, u_start) + third) - c_p * u_start**p
-    return _riccati_shot(p, 8.0, -(p * c_p), (u_start, 0.0), d_seed, -1, max_step=max_step, dense=dense,
-                         **STIFF_TIGHT)
+    return _riccati_shot(p, 8.0, -(p * c_p), (u_start, 0.0), d_seed, -1, **{**STIFF_TIGHT, **settings})
 
 
 def _richardson(v_near: float, v_deep: float, r: float) -> tuple[float, float]:
@@ -154,18 +156,18 @@ def _richardson(v_near: float, v_deep: float, r: float) -> tuple[float, float]:
 def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> InnerSolution:
     """Integrate the inner equation from the asymptotic seed to u = 0.
 
-    ``eta_at_0`` is Richardson-stabilized between the runs from u_start and
-    2*u_start (seed remainder O(u^{2-3p}) scales by 2^{2-3p}); the
-    difference between the extrapolated and the deeper-seeded value is
-    recorded as ``estimated_error``.
+    ``eta_at_0`` is the end value of one ``STIFF_TIGHT`` shot from u_start,
+    and ``estimated_error`` its distance from the same shot at ``STIFF``'s
+    rtol 1e-12: the looser run's integration error, 5.9-23x the tight run's
+    true error on the p = 2 closed form.
 
     The default depth is -30 for p = 2 and -12 for p >= 3: the seed's
     relative remainder shrinks like |u|^{2-4p} while the distance to the
     null-cline shrinks like |u|^{1-p}, so deep starts at large p trade no
     accuracy for severe cancellation in the denominator variable.
 
-    With the polynomial profile's own c_p this delivers for p = 2..5; from
-    p = 6 on the seed cancels to the null-cline, a ``BlowUp``.
+    With the polynomial profile's own c_p this delivers for p = 2..6; from
+    p = 7 on the seed cancels to the null-cline, a ``BlowUp``.
     """
     check_p(p, "the inner equation")
     if u_start is None:
@@ -177,12 +179,12 @@ def distinguished_solution(p: int, c_p: float, u_start: float | None = None) -> 
     # the grid run caps the step so the dense interpolant meets the
     # 1e-10 pointwise residual contract; p >= 4 runs closer to the
     # null-cline and needs the finer cap (and ``STIFF_TIGHT``'s rtol).
-    # The Richardson companion only needs its endpoint
-    sol1 = _integrate_unscaled(p, c_p, u_start, max_step=0.02 if p <= 3 else 0.01, dense=True)
-    sol2 = _integrate_unscaled(p, c_p, 2.0 * u_start)
-    v_ext, err = _richardson(float(sol1.z[0]) / 4.0, float(sol2.z[0]) / 4.0, 2.0 ** (2 - 3 * p))
-    return InnerSolution(p=p, c_p=c_p, eta_at_0=v_ext, u_start=u_start,
-                         estimated_error=err, den=sol1.dense(_inner_grid(u_start))[0])
+    # The looser companion only needs its endpoint
+    sol = _integrate_unscaled(p, c_p, u_start, max_step=0.02 if p <= 3 else 0.01, dense=True)
+    eta_at_0 = float(sol.z[0]) / 4.0
+    err = abs(eta_at_0 - float(_integrate_unscaled(p, c_p, u_start, **STIFF).z[0]) / 4.0)
+    return InnerSolution(p=p, c_p=c_p, eta_at_0=eta_at_0, u_start=u_start,
+                         estimated_error=err, den=sol.dense(_inner_grid(u_start))[0])
 
 
 def _normalized_grid(u_start: float) -> np.ndarray:
@@ -202,7 +204,6 @@ class NormalizedSolution:
     w: np.ndarray
     etabar_at_0: float
     u_start: float
-    estimated_error: float
 
     @property
     def ubar(self) -> np.ndarray:
@@ -229,19 +230,16 @@ def _integrate_normalized(p: int, u_start: float, u_end: float = 0.0, w_seed: fl
 @lru_cache(maxsize=64)
 def normalized_solution(p: int) -> NormalizedSolution:
     """The normalized distinguished solution on 2001 points of [-30, 0],
-    with etabar0(0) Richardson-stabilized against the run from -60.
+    with etabar0(0) the end value of its one shot from -30.
 
     This delivers for p = 2..4; p = 5..9 end in LSODA's istate -5 and, from
     p = 10 on, the seed lies within ``TOUCH`` of the null-cline, a ``BlowUp``.
     """
     check_p(p, "the inner equation")
     u_start = -30.0
-    sol1 = _integrate_normalized(p, u_start, dense=True)
-    sol2 = _integrate_normalized(p, 2.0 * u_start)
-    # the seed keeps three terms, remainder O(ubar^{3-5p})
-    v_ext, err = _richardson(float(sol1.z[0]), float(sol2.z[0]), 2.0 ** (3 - 5 * p))
-    return NormalizedSolution(p=p, w=sol1.dense(_normalized_grid(u_start))[0], etabar_at_0=v_ext,
-                              u_start=u_start, estimated_error=err)
+    sol = _integrate_normalized(p, u_start, dense=True)
+    return NormalizedSolution(p=p, w=sol.dense(_normalized_grid(u_start))[0], etabar_at_0=float(sol.z[0]),
+                              u_start=u_start)
 
 
 def eta_at_zero_via_normalization(p: int, c_p: float) -> float:
@@ -315,10 +313,10 @@ def omega0(u_end: float = 60.0) -> float:
     minus the first zero of Ai: du/d(eta) = eta + u^2 is an Airy Riccati
     equation, u = -w'/w with w(eta) = Ai(-eta), so ubar blows up where w
     first vanishes (the same equation gives etabar0(0) = -a1').  It is
-    computed here by continuing the deviation equation to ubar = u_end and
-    removing the 1/ubar tail, which lands within 1e-8 of -a1.
+    computed here by continuing normalized_solution(2)'s deviation to
+    ubar = u_end and removing the 1/ubar tail, which lands within 1e-8 of -a1.
     """
-    w0 = float(_integrate_normalized(2, -30.0).z[0])  # deviation at ubar = 0: equals etabar0(0)
+    w0 = normalized_solution(2).etabar_at_0  # deviation at ubar = 0: equals etabar0(0)
     # etabar = w - ubar^2 along the whole forward run: the deviation variable
     # integrates d(etabar + u^2), so etabar(u_end) = w(u_end) - u_end^2
     values = [float(_integrate_normalized(2, 0.0, end, w0).z[0]) - end * end + 1.0 / end

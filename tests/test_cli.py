@@ -530,7 +530,7 @@ _README_GOLDEN = {
     "poincare --model normal-fold --profile linear --eps 1e-3 --y0 0.25 --probe=-0.8":
         "d4f71bd867a30fa21bea42d49ae4118a87de1f075058bfc511eaa75b6100711a",
     "inner --p 2 --phi-p -3 --u-start -30":
-        "e4f5ed0f3035cc93f7a58a548a3fbc2d5e05b4ef703a84d172081d17b9e29109",
+        "414062e427076b98845f3511eab2ec61bcfcc7ed828ba9965439791304800d62",
     "exponent --model normal-fold --profile 'poly(2)' --eps-list 1e-6,3e-6,1e-5,3e-5,1e-4":
         "08ea0ed6fb23f086d0e14e353eab70c836bb1aadca5a1a863f2b116511fed5e6",
     "exponent --model general-fold --profile 'poly(2)' --eps-list 1e-6,3e-6,1e-5,3e-5,1e-4":

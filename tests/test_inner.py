@@ -73,10 +73,19 @@ def test_degree_guard(p):
 @pytest.mark.parametrize("p", [6, 7])
 def test_a_shot_that_cannot_advance_fails(hang_guard, p):
     # the seed's cancellation puts the denominator at 0 (p = 6 from u = -24,
-    # p = 7 from u = -12); LSODA then stepped forever with t stuck and z NaN.
-    # The seed guard now rejects it before LSODA runs
+    # p = 7 from its default u = -12); LSODA then stepped forever with t
+    # stuck and z NaN.  The seed guard now rejects it before LSODA runs
+    u_start = -24.0 if p == 6 else None
     with np.errstate(divide="ignore"), pytest.raises(NumericalFailure, match="null-cline"):
-        distinguished_solution(p, phi_polynomial(p).c_p)
+        distinguished_solution(p, phi_polynomial(p).c_p, u_start)
+
+
+def test_p6_delivers_from_its_default_depth():
+    # from u = -12 the p = 6 seed clears the null-cline.  Shots on both routes
+    # from starts nearer 0, seeded by the normalized series, give
+    # 0.7374629694211; eta0(0) lies within its estimate (1.4e-11) of that
+    sol = distinguished_solution(6, phi_polynomial(6).c_p)
+    assert abs(sol.eta_at_0 - 0.7374629694211) <= sol.estimated_error
 
 
 @pytest.mark.filterwarnings("ignore:lsoda")
@@ -104,11 +113,27 @@ def test_a_step_that_leaves_t_unchanged_can_recover():
 
 
 def test_eta0_richardson_stability():
+    # one shot from -20 and one from -40 agree: the seed's remainder is negligible
     a = distinguished_solution(2, -1.5, -20.0)
     b = distinguished_solution(2, -1.5, -40.0)
     assert a.eta_at_0 > 0
     assert abs(a.eta_at_0 - b.eta_at_0) < 1e-8
     assert a.estimated_error < 1e-10
+
+
+@pytest.mark.parametrize("c_p", [phi_polynomial(2).c_p, -1.5])
+def test_estimated_error_covers_the_closed_form(c_p):
+    # du/deta = eta + u^2 is an Airy Riccati equation: eta0(0) = -a1'/alpha.
+    # The estimate covers the direct route's true error 3x over (measured 23x
+    # and 5.9x) and the normalized route's error in eta units (measured
+    # 4.4e-12 and 1.4e-12 against 1.0e-12)
+    from scipy.special import ai_zeros
+
+    a1p = ai_zeros(1)[1][0]
+    alpha, _beta = alpha_beta(2, c_p)
+    sol = distinguished_solution(2, c_p)
+    assert sol.estimated_error >= 3.0 * abs(sol.eta_at_0 + a1p / alpha)
+    assert sol.estimated_error >= abs(normalized_solution(2).etabar_at_0 + a1p) / abs(alpha)
 
 
 def simpson_residual(solution: InnerSolution) -> float:
@@ -219,10 +244,9 @@ def test_omega0_is_minus_the_first_airy_zero():
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_unscaled_route_agrees_with_tight_radau(p, monkeypatch, lapack_radau):
     # the unscaled route steps with LSODA at rtol 3e-14; rerunning the same
-    # solves (same seeds, step caps and Richardson step) on Radau at rtol
-    # 1e-13, atol 1e-15 must land on the same eta0(0) and grid.  Measured
-    # worst: 6.9e-13 in eta0(0) and 4.3e-12 in D, both at p = 4; the bounds
-    # leave a 3x margin
+    # solves (same seeds and step caps) on Radau at rtol 1e-13, atol 1e-15
+    # must land on the same eta0(0) and grid.  Measured worst: 1.1e-12 in
+    # eta0(0) and 4.3e-12 in D, both at p = 4
     c_p = phi_polynomial(p).c_p
     got = distinguished_solution.__wrapped__(p, c_p)
 
